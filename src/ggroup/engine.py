@@ -10,14 +10,18 @@ after every step; cancellations that need unification are explicit steps.
 
 Each search result carries a ``Derivation`` that an independent ``replay``
 re-executes step by step, validating every precondition.
+
+Expressions, like terms, are immutable, and steps that leave an item alone
+keep it as the same object.  That lets an atom memoize its state-key fragment
+(see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
+memo fields are outside equality and hashing.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from . import lexicon as lx
@@ -48,12 +52,14 @@ class StepError(ValueError):
     """A derivation step failed validation during replay."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Signed atom; ``payload`` is a surface token (str) or a Term."""
 
     payload: Union[str, Term]
     sign: int = 1
+    # state-key fragment, set on first use by _atom_key
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def is_phon(self) -> bool:
         return isinstance(self.payload, str)
@@ -62,7 +68,7 @@ class Atom:
         return self.is_phon() or is_ground(self.payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     contents: tuple["Item", ...]
 
@@ -98,15 +104,23 @@ def normalize(expr: Expr) -> Expr:
 
 
 def substitute_expr(expr: Expr, b: Binding) -> Expr:
+    """Apply a binding to every atom.  Atoms and blocks it leaves unchanged
+    are kept as the same objects, and so is ``expr`` when nothing changes."""
     out: list[Item] = []
+    changed = False
     for item in expr:
         if isinstance(item, Block):
-            out.append(Block(substitute_expr(item.contents, b)))
-        elif item.is_phon() or is_ground(item.payload):
-            out.append(item)
-        else:
-            out.append(Atom(substitute(item.payload, b), item.sign))
-    return tuple(out)
+            inner = substitute_expr(item.contents, b)
+            if inner is not item.contents:
+                item = Block(inner)
+                changed = True
+        elif not item.ground():
+            payload = substitute(item.payload, b)
+            if payload is not item.payload:
+                item = Atom(payload, item.sign)
+                changed = True
+        out.append(item)
+    return tuple(out) if changed else expr
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +278,8 @@ def _instantiate_items(items: tuple[lx.SchemeItem, ...], b: Binding,
 
 def _rename_scheme_term(t: Term, meta_map: Mapping[str, str],
                         ident_map: Mapping[str, str]):
+    if t.ground:
+        return t
     if isinstance(t, MetaVar):
         if t.name in ident_map:
             return Identifier(ident_map[t.name])
@@ -309,29 +325,62 @@ def _scheme_variables(items: tuple[lx.SchemeItem, ...]) -> tuple[list[str], list
 # Step application (shared by search and replay; always validates)
 
 
-def _rules_by_id(lex: lx.Lexicon) -> dict:
-    table: dict[str, object] = {}
-    for direction in ("gen", "parse"):
-        try:
-            rules = lx.gen_rules(lex) if direction == "gen" else lx.parse_rules(lex)
-        except lx.GrammarError:
-            rules = ()
-        for r in rules:
-            table[r.rule_id] = r
-    for n, r in enumerate(lex.relators, start=1):
-        table[f"r{n}"] = r
-    return table
+def _head_key(t: Term) -> str:
+    if isinstance(t, Compound):
+        return f"{t.functor}/{len(t.args)}"
+    if isinstance(t, Const):
+        return f"{t.name}/0"
+    return "*"
+
+
+def _derive_rules(rules_of, lex: lx.Lexicon) -> tuple[tuple, list]:
+    """(rules, problems): a strict grammar's problems come back instead of
+    being raised, so that only the direction asked for reports them."""
+    try:
+        return rules_of(lex), []
+    except lx.GrammarError as e:
+        return (), e.problems
+
+
+class _Tables:
+    """A lexicon's derived rule tables, built once by ``_tables``."""
+
+    def __init__(self, lex: lx.Lexicon):
+        gen_rules, self.gen_problems = _derive_rules(lx.gen_rules, lex)
+        parse_rules, self.parse_problems = _derive_rules(lx.parse_rules, lex)
+        self.by_id: dict[str, object] = {r.rule_id: r for r in gen_rules + parse_rules}
+        self.by_id.update((f"r{n}", r) for n, r in enumerate(lex.relators, start=1))
+        # generation rules by the head key of their left-hand side
+        self.gen_index: dict[str, list[lx.GenRule]] = {}
+        for r in gen_rules:
+            self.gen_index.setdefault(_head_key(r.lhs), []).append(r)
+        # parsing rules by their surface token
+        self.parse_index: dict[str, list[lx.ParseRule]] = {}
+        for r in parse_rules:
+            self.parse_index.setdefault(r.word, []).append(r)
+        # saturation: (rule id, scheme variables, names used as abstraction
+        # arguments, items in a commutative instance) for each clause relator
+        self.clauses = []
+        for n, r in enumerate(lex.relators, start=1):
+            if not lx.is_commutator_scheme(r):
+                names, app_args = _scheme_variables(r.items)
+                size = sum(not isinstance(i, lx.ExprMeta) for i in r.items)
+                self.clauses.append((f"r{n}", names, app_args, size))
+
+
+def _tables(lex: lx.Lexicon) -> _Tables:
+    tables = lex.tables
+    if tables is None:
+        tables = _Tables(lex)
+        object.__setattr__(lex, "tables", tables)
+    return tables
 
 
 def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
-               commutative: bool = False, allow_vacuous: bool = False,
-               rules_by_id: Optional[dict] = None) -> Expr:
+               commutative: bool = False, allow_vacuous: bool = False) -> Expr:
     """Apply one derivation step, validating its preconditions."""
-    if rules_by_id is None:
-        rules_by_id = _rules_by_id(lex)
-
     if isinstance(step, ExpandStep):
-        rule = rules_by_id.get(step.rule_id)
+        rule = _tables(lex).by_id.get(step.rule_id)
         if rule is None:
             raise StepError(f"unknown rule {step.rule_id}")
         if step.rule_id.startswith("r"):
@@ -434,12 +483,11 @@ def replay(lex: lx.Lexicon, d: Derivation, *,
     Returns the final expression, which must equal ``d.end``.
     """
     commutative = d.mode == "saturate" or lex.commutative()
-    table = _rules_by_id(lex)
     expr = normalize(d.start)
     for n, step in enumerate(d.steps):
         try:
             expr = apply_step(lex, expr, step, commutative=commutative,
-                              allow_vacuous=allow_vacuous, rules_by_id=table)
+                              allow_vacuous=allow_vacuous)
         except StepError as e:
             raise StepError(f"step {n + 1}: {e}") from None
     if expr != d.end:
@@ -495,40 +543,55 @@ def word_of_expr(expr: Expr) -> ReducedWord:
 # Search
 
 
-@lru_cache(maxsize=None)
-def _ground_term_key(t: Term) -> str:
-    return render_term(t)
+def _term_key(t: Term, var_ordinal) -> tuple:
+    if isinstance(t, MetaVar):
+        return ("M", var_ordinal("M" + t.name))
+    if isinstance(t, Compound):
+        return ("f", t.functor) + tuple(_term_key(a, var_ordinal) for a in t.args)
+    if isinstance(t, App):
+        return ("F", var_ordinal("F" + t.abstraction.name), _term_key(t.arg, var_ordinal))
+    if isinstance(t, Identifier):
+        return ("#", t.name)
+    return ("c", t.name)
+
+
+def _atom_key(a: Atom) -> tuple[tuple, tuple[str, ...]]:
+    """The atom's key fragment, memoized on the atom: its key with variables
+    numbered by first occurrence within the atom, and the variable names (M
+    or F prefixed) in that order; ground atoms have no variables."""
+    try:
+        return a._key
+    except AttributeError:
+        pass
+    names: dict[str, int] = {}
+    if a.is_phon():
+        key = ("p", a.payload, a.sign)
+    elif is_ground(a.payload):
+        key = ("g", render_term(a.payload), a.sign)
+    else:
+        key = ("a", _term_key(a.payload,
+                              lambda v: names.setdefault(v, len(names) + 1)), a.sign)
+    fragment = (key, tuple(names))
+    object.__setattr__(a, "_key", fragment)
+    return fragment
 
 
 def _canonical_key(expr: Expr, commutative: bool):
     """Hashable state key: variables renumbered by first occurrence, block
-    contents at their least rotation, order forgotten when commutative."""
+    contents at their least rotation, order forgotten when commutative.
+
+    Each atom's fragment is computed once (``_atom_key``); a state only maps
+    the atoms' local variable numbers to ordinals over the whole expression.
+    """
     mapping: dict[str, int] = {}
-
-    def var_ordinal(key: str) -> int:
-        v = mapping.get(key)
-        if v is None:
-            v = mapping[key] = len(mapping) + 1
-        return v
-
-    def term_key(t: Term):
-        if isinstance(t, MetaVar):
-            return ("M", var_ordinal("M" + t.name))
-        if isinstance(t, Compound):
-            return ("f", t.functor) + tuple(term_key(a) for a in t.args)
-        if isinstance(t, App):
-            return ("F", var_ordinal("F" + t.abstraction.name), term_key(t.arg))
-        if isinstance(t, Identifier):
-            return ("#", t.name)
-        return ("c", t.name)
 
     def item_key(i: Item):
         if isinstance(i, Atom):
-            if i.is_phon():
-                return ("p", i.payload, i.sign)
-            if is_ground(i.payload):
-                return ("g", _ground_term_key(i.payload), i.sign)
-            return ("a", term_key(i.payload), i.sign)
+            key, names = _atom_key(i)
+            if not names:
+                return key
+            return key + (tuple([mapping.setdefault(v, len(mapping) + 1)
+                                 for v in names]),)
         parts = [item_key(c) for c in i.contents]
         if len(parts) > 1:
             best = min(range(len(parts)), key=lambda k: parts[k:] + parts[:k])
@@ -556,14 +619,13 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 
 class _Node:
-    __slots__ = ("expr", "expansions", "parent", "steps", "tag")
+    __slots__ = ("expr", "expansions", "parent", "steps")
 
-    def __init__(self, expr, expansions, parent, steps, tag=None):
+    def __init__(self, expr, expansions, parent, steps):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
-        self.tag = tag
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -574,28 +636,8 @@ class _Node:
         return tuple(chain)
 
 
-def _gen_index(rules: tuple[lx.GenRule, ...]) -> dict:
-    index: dict[str, list[lx.GenRule]] = {}
-    for r in rules:
-        if isinstance(r.lhs, Compound):
-            key = f"{r.lhs.functor}/{len(r.lhs.args)}"
-        elif isinstance(r.lhs, Const):
-            key = f"{r.lhs.name}/0"
-        else:
-            key = "*"
-        index.setdefault(key, []).append(r)
-    return index
-
-
-def _head_key(t: Term) -> str:
-    if isinstance(t, Compound):
-        return f"{t.functor}/{len(t.args)}"
-    if isinstance(t, Const):
-        return f"{t.name}/0"
-    return "*"
-
-
-def _expand_successors(lex, expr, commutative, gen_index, allow_vacuous, rules_by_id):
+def _expand_successors(lex, expr, commutative, allow_vacuous):
+    gen_index = _tables(lex).gen_index
     out = []
     for level, items in _levels(expr):
         for idx, item in enumerate(items):
@@ -607,13 +649,12 @@ def _expand_successors(lex, expr, commutative, gen_index, allow_vacuous, rules_b
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
                     new = apply_step(lex, expr, step, commutative=commutative,
-                                     allow_vacuous=allow_vacuous,
-                                     rules_by_id=rules_by_id)
-                    out.append(((step,), new, 1, None))
+                                     allow_vacuous=allow_vacuous)
+                    out.append(((step,), new, 1))
     return out
 
 
-def _cancel_successors(lex, expr, commutative, allow_vacuous, rules_by_id):
+def _cancel_successors(lex, expr, commutative, allow_vacuous):
     out = []
     for level, items in _levels(expr):
         n = len(items)
@@ -638,9 +679,8 @@ def _cancel_successors(lex, expr, commutative, allow_vacuous, rules_by_id):
                 new = expr
                 for s in steps:
                     new = apply_step(lex, new, s, commutative=commutative,
-                                     allow_vacuous=allow_vacuous,
-                                     rules_by_id=rules_by_id)
-                out.append((steps, new, 0, None))
+                                     allow_vacuous=allow_vacuous)
+                out.append((steps, new, 0))
     return out
 
 
@@ -655,7 +695,7 @@ def _locate(expr: Expr, obj: Item, prefix: tuple[int, ...] = ()):
     return None
 
 
-def _block_successors(lex, expr, rules_by_id):
+def _block_successors(lex, expr):
     """Place each block, optionally rotate it, and dissolve it in one go.
 
     A block's position only matters at the moment it dissolves, so exploring
@@ -681,8 +721,7 @@ def _block_successors(lex, expr, rules_by_id):
                     placed, dlevel, didx = expr, level, idx
                     prefix: tuple[Step, ...] = ()
                 else:
-                    placed = apply_step(lex, expr, mstep,
-                                        rules_by_id=rules_by_id)
+                    placed = apply_step(lex, expr, mstep)
                     loc = _locate(placed, item)
                     if loc is None:
                         continue  # consumed by cascading normalization
@@ -694,21 +733,19 @@ def _block_successors(lex, expr, rules_by_id):
                     try:
                         if k:
                             rstep = RotateStep(dlevel, didx, k)
-                            new = apply_step(lex, new, rstep,
-                                             rules_by_id=rules_by_id)
+                            new = apply_step(lex, new, rstep)
                             steps.append(rstep)
                         dstep = DissolveStep(dlevel, didx)
-                        new = apply_step(lex, new, dstep,
-                                         rules_by_id=rules_by_id)
+                        new = apply_step(lex, new, dstep)
                         steps.append(dstep)
                     except StepError:
                         pass  # normalization already consumed the block
                     if steps:
-                        out.append((tuple(steps), new, 0, None))
+                        out.append((tuple(steps), new, 0))
     return out
 
 
-def _swap_cancel_successors(lex, expr, allow_vacuous, rules_by_id):
+def _swap_cancel_successors(lex, expr, allow_vacuous):
     """All-pairs cancellation for commutative mode.
 
     A chain of swaps brings the two items together; a ground inverse pair
@@ -742,15 +779,14 @@ def _swap_cancel_successors(lex, expr, allow_vacuous, rules_by_id):
                 try:
                     for s in steps:
                         new = apply_step(lex, new, s, commutative=True,
-                                         allow_vacuous=allow_vacuous,
-                                         rules_by_id=rules_by_id)
+                                         allow_vacuous=allow_vacuous)
                 except StepError:
                     continue  # an eager cancel en route re-shuffled the plan
-                out.append((tuple(steps), new, 0, None))
+                out.append((tuple(steps), new, 0))
     return out
 
 
-def _saturate_successors(lex, node, allow_vacuous, rules_by_id):
+def _saturate_successors(lex, node, allow_vacuous):
     """Successors under a resolution strategy.
 
     The rightmost inverted atom is the selected subgoal; multiplying in a
@@ -765,28 +801,22 @@ def _saturate_successors(lex, node, allow_vacuous, rules_by_id):
         return []  # goal state or dead end: no pending subgoal
     out = []
     suffix = str(node.expansions + 1)
-    for n, r in enumerate(lex.relators, start=1):
-        if lx.is_commutator_scheme(r):
-            continue
-        names, app_args = _scheme_variables(r.items)
+    for rule_id, names, app_args, size in _tables(lex).clauses:
         meta_map = tuple((nm, nm + "_" + suffix)
                          for nm in names if nm not in app_args)
         ident_map = tuple((nm, f"i{suffix}_{k}")
                           for k, nm in enumerate(app_args, 1))
-        step = ExpandStep((), len(expr), f"r{n}", meta_map=meta_map,
+        step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
         new = apply_step(lex, expr, step, commutative=True,
-                         allow_vacuous=allow_vacuous, rules_by_id=rules_by_id)
+                         allow_vacuous=allow_vacuous)
         if not expr:
-            out.append(((step,), new, 1, None))
+            out.append(((step,), new, 1))
             continue
-        inst = _instantiate_items(
-            _rename_items(r.items, dict(meta_map), dict(ident_map)),
-            EMPTY_BINDING, True)
-        if len(new) < len(expr) + len(inst):
+        if len(new) < len(expr) + size:
             # the head was the exact inverse of the subgoal and cancelled
             # eagerly during normalization
-            out.append(((step,), new, 1, None))
+            out.append(((step,), new, 1))
             continue
         sel = len(expr) - 1
         subgoal, head = new[sel], new[sel + 1]
@@ -794,23 +824,21 @@ def _saturate_successors(lex, node, allow_vacuous, rules_by_id):
                            allow_vacuous):
             cancel = CancelStep((), sel, delta)
             new2 = apply_step(lex, new, cancel, commutative=True,
-                              allow_vacuous=allow_vacuous,
-                              rules_by_id=rules_by_id)
-            out.append(((step, cancel), new2, 1, None))
+                              allow_vacuous=allow_vacuous)
+            out.append(((step, cancel), new2, 1))
     return out
 
 
 def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...],
-            lim: SearchLimits, goal, result_key, gen_index=None) -> EngineResult:
+            lim: SearchLimits, goal, result_key) -> EngineResult:
     commutative = lex.commutative()
     allow_vacuous = lim.allow_vacuous_abstraction
-    rules_by_id = _rules_by_id(lex)
 
     root = _Node(normalize(start), 0, None, ())
     expr = root.expr
     for s in pre_steps:
         expr = apply_step(lex, expr, s, commutative=commutative,
-                          allow_vacuous=allow_vacuous, rules_by_id=rules_by_id)
+                          allow_vacuous=allow_vacuous)
     base = _Node(expr, 0, root, pre_steps)
 
     truncated = False
@@ -829,20 +857,17 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
                     truncated = True
                     break
         if mode == "saturate":
-            succ = _saturate_successors(lex, node, allow_vacuous, rules_by_id)
+            succ = _saturate_successors(lex, node, allow_vacuous)
         else:
             succ = []
             if mode == "gen":
-                succ += _expand_successors(lex, node.expr, commutative, gen_index,
-                                           allow_vacuous, rules_by_id)
+                succ += _expand_successors(lex, node.expr, commutative, allow_vacuous)
             if commutative:
-                succ += _swap_cancel_successors(lex, node.expr, allow_vacuous,
-                                                rules_by_id)
+                succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
             elif mode != "gen":
-                succ += _cancel_successors(lex, node.expr, commutative,
-                                           allow_vacuous, rules_by_id)
-            succ += _block_successors(lex, node.expr, rules_by_id)
-        for steps, new, dexp, tag in succ:
+                succ += _cancel_successors(lex, node.expr, commutative, allow_vacuous)
+            succ += _block_successors(lex, node.expr)
+        for steps, new, dexp in succ:
             expansions = node.expansions + dexp
             if expansions > lim.max_expansions:
                 truncated = True
@@ -854,9 +879,17 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
             if key in visited:
                 continue
             visited.add(key)
-            queue.append(_Node(new, expansions, node, steps, tag))
+            queue.append(_Node(new, expansions, node, steps))
     ordered = sorted(results.items())
     return EngineResult(tuple(v for _, v in ordered), truncated)
+
+
+def _single_atom_goal(e: Expr) -> Optional[Term]:
+    """Goal of parsing and saturation: one positive ground logical atom."""
+    if len(e) == 1 and isinstance(e[0], Atom) and not e[0].is_phon() \
+            and e[0].sign == 1 and is_ground(e[0].payload):
+        return canonical_identifiers(e[0].payload)
+    return None
 
 
 def generate(lex: lx.Lexicon, lf: Term, lim: SearchLimits = SearchLimits()) -> EngineResult:
@@ -867,15 +900,16 @@ def generate(lex: lx.Lexicon, lf: Term, lim: SearchLimits = SearchLimits()) -> E
     """
     if not is_ground(lf):
         raise InputError(f"generation input must be ground: {render_term(lf)}")
-    rules = lx.gen_rules(lex)
+    problems = _tables(lex).gen_problems
+    if problems:
+        raise lx.GrammarError(problems)
     start: Expr = (Atom(lf, 1),)
 
     def goal(expr: Expr):
         pub = is_public(lex, expr, start=lf)
         return pub.words if pub is not None else None
 
-    out = _search(lex, "gen", start, (), lim, goal, lambda w: " ".join(w),
-                  gen_index=_gen_index(rules))
+    out = _search(lex, "gen", start, (), lim, goal, lambda w: " ".join(w))
     for _, d in out.results:
         replay(lex, d, allow_vacuous=lim.allow_vacuous_abstraction)
     return out
@@ -895,18 +929,13 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             raise InputError(f"unknown token {w!r}")
     if len(words) > lim.max_expansions:
         raise InputError("more tokens than allowed expansions")
-    prules: dict[str, list[lx.ParseRule]] = {}
-    for r in lx.parse_rules(lex):
-        prules.setdefault(r.word, []).append(r)
+    tables = _tables(lex)
+    if tables.parse_problems:
+        raise lx.GrammarError(tables.parse_problems)
+    prules = tables.parse_index
     for w in words:
         if w not in prules:
             raise InputError(f"no parsing rule for token {w!r}")
-
-    def goal(e: Expr):
-        if len(e) == 1 and isinstance(e[0], Atom) and not e[0].is_phon() \
-                and e[0].sign == 1 and is_ground(e[0].payload):
-            return canonical_identifiers(e[0].payload)
-        return None
 
     start: Expr = tuple(Atom(w, 1) for w in words)
     results: dict[str, tuple] = {}
@@ -936,8 +965,8 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             expr = apply_step(lex, expr, step, commutative=commutative)
             pre.append(step)
 
-        out = _search(lex, "parse", start, tuple(pre), lim, goal,
-                      lambda t: render_term(t))
+        out = _search(lex, "parse", start, tuple(pre), lim, _single_atom_goal,
+                      render_term)
         truncated = truncated or out.truncated
         for payload, d in out.results:
             results.setdefault(render_term(payload), (payload, d))
@@ -969,14 +998,7 @@ def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResul
         if not shape:
             raise InputError("saturation expects definite-clause relators: "
                              "one positive atom, then inverted atoms")
-
-    def goal(e: Expr):
-        if len(e) == 1 and isinstance(e[0], Atom) and not e[0].is_phon() \
-                and e[0].sign == 1 and is_ground(e[0].payload):
-            return canonical_identifiers(e[0].payload)
-        return None
-
-    out = _search(lex, "saturate", (), (), lim, goal, lambda t: render_term(t))
+    out = _search(lex, "saturate", (), (), lim, _single_atom_goal, render_term)
     for _, d in out.results:
         replay(lex, d, allow_vacuous=lim.allow_vacuous_abstraction)
     return out

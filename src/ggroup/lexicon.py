@@ -84,6 +84,10 @@ class Lexicon:
     phon_vocab: tuple[str, ...]
     relators: tuple[RelatorScheme, ...]
     raw_mode: bool = False
+    # The engine's rule tables for this lexicon, built on first use (see
+    # ``engine._tables``); a memo, outside equality and hashing.
+    tables: Optional[object] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def commutative(self) -> bool:
         return any(is_commutator_scheme(r) for r in self.relators)

@@ -6,13 +6,19 @@ argument terms, identifiers (ground markers written ``#x1``), meta-variables
 abstraction variable to an argument.  Abstraction variables only ever appear
 applied; actual lambda values (``Abstraction``) live inside bindings and are
 produced by ``match_app``.
+
+Terms are immutable.  Every term answers ``ground`` (no meta-variable and no
+application), ``metas`` (the names of its meta-variables) and ``absvars`` (the
+names of its abstraction variables).  A ``Compound`` or ``App`` computes these
+from its children's when it is built, and its hash on first use.  These memo
+fields are outside equality and hashing, so two independently built equal
+terms compare and hash equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Union
+from typing import ClassVar, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "Const", "Identifier", "MetaVar", "AbsVar", "Compound", "App", "Term",
@@ -20,46 +26,115 @@ __all__ = [
     "substitute", "unify", "match_app", "term_size", "is_ground", "app_free",
     "identifiers_in", "metavars_in", "subterms", "canonical_identifiers",
     "binding_is_acyclic", "parse_term", "render_term",
-    "parse_abstraction", "render_abstraction",
+    "parse_abstraction", "render_abstraction", "MAX_TERM_DEPTH",
 ]
 
+_NO_VARS: frozenset = frozenset()
 
-@dataclass(frozen=True)
+# Deepest nesting the term parser accepts.  The term walkers recurse, at most
+# a few frames per level, so this keeps them well inside the interpreter's
+# default recursion limit.
+MAX_TERM_DEPTH = 100
+
+
+def _memo():
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
+    ground: ClassVar[bool] = True
+    metas: ClassVar[frozenset] = _NO_VARS
+    absvars: ClassVar[frozenset] = _NO_VARS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifier:
     """Ground marker, rendered ``#name``.  Distinct identifiers never unify."""
 
     name: str
+    ground: ClassVar[bool] = True
+    metas: ClassVar[frozenset] = _NO_VARS
+    absvars: ClassVar[frozenset] = _NO_VARS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaVar:
     name: str
+    ground: ClassVar[bool] = False
+    absvars: ClassVar[frozenset] = _NO_VARS
+
+    @property
+    def metas(self) -> frozenset:
+        return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsVar:
     """Variable ranging over one-argument abstractions; appears only in App."""
 
     name: str
 
 
-@dataclass(frozen=True)
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, sharing an operand when it already holds the union."""
+    if b <= a:
+        return a
+    return a | b if a else b
+
+
+def _memo_hash(t: Term, fields: tuple) -> int:
+    object.__setattr__(t, "_hash", hash(fields))
+    return t._hash
+
+
+@dataclass(frozen=True, slots=True)
 class Compound:
     functor: str
     args: tuple["Term", ...]
+    ground: bool = _memo()
+    metas: frozenset = _memo()
+    absvars: frozenset = _memo()
+    _hash: int = _memo()  # set on first use
+
+    def __post_init__(self) -> None:
+        metas = absvars = _NO_VARS
+        for a in self.args:
+            if not a.ground:
+                metas = _join(metas, a.metas)
+                absvars = _join(absvars, a.absvars)
+        object.__setattr__(self, "metas", metas)
+        object.__setattr__(self, "absvars", absvars)
+        object.__setattr__(self, "ground", not metas and not absvars)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _memo_hash(self, (self.functor, self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     """Application ``P[X]`` of an abstraction variable to an argument term."""
 
     abstraction: AbsVar
     arg: "Term"
+    ground: ClassVar[bool] = False
+    metas: frozenset = _memo()
+    absvars: frozenset = _memo()
+    _hash: int = _memo()  # set on first use
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metas", self.arg.metas)
+        object.__setattr__(self, "absvars", self.arg.absvars | {self.abstraction.name})
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _memo_hash(self, (self.abstraction, self.arg))
 
 
 Term = Union[Const, Identifier, MetaVar, Compound, App]
@@ -81,21 +156,16 @@ class Abstraction:
 
 @dataclass(frozen=True)
 class Binding:
-    """Idempotent, acyclic substitution for meta/abstraction/expression vars.
-
-    ``exprs`` maps expression-level conjugator names to engine expressions; it
-    is owned here but only the engine writes to it (witness reconstruction).
-    """
+    """Idempotent, acyclic substitution for meta- and abstraction variables."""
 
     terms: Mapping[str, Term] = field(default_factory=dict)
     abstractions: Mapping[str, Abstraction] = field(default_factory=dict)
-    exprs: Mapping[str, object] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
-        return not self.terms and not self.abstractions and not self.exprs
+        return not self.terms and not self.abstractions
 
     def domain(self) -> set:
-        return set(self.terms) | set(self.abstractions) | set(self.exprs)
+        return set(self.terms) | set(self.abstractions)
 
 
 EMPTY_BINDING = Binding()
@@ -113,20 +183,24 @@ class IdentifierSource:
 
 
 def substitute(t: Term, b: Binding) -> Term:
-    """Apply a binding to a term; bound App nodes beta-reduce."""
-    if not b.terms and not b.abstractions:
+    """Apply a binding to a term; bound App nodes beta-reduce.
+
+    A term that shares no variable with the binding comes back as the same
+    object.
+    """
+    if t.ground:
         return t
     if isinstance(t, MetaVar):
         return b.terms.get(t.name, t)
+    if t.metas.isdisjoint(b.terms) and t.absvars.isdisjoint(b.abstractions):
+        return t
     if isinstance(t, Compound):
         return Compound(t.functor, tuple(substitute(a, b) for a in t.args))
-    if isinstance(t, App):
-        arg = substitute(t.arg, b)
-        abstraction = b.abstractions.get(t.abstraction.name)
-        if abstraction is not None:
-            return abstraction.apply(arg)
-        return App(t.abstraction, arg)
-    return t
+    arg = substitute(t.arg, b)
+    abstraction = b.abstractions.get(t.abstraction.name)
+    if abstraction is not None:
+        return abstraction.apply(arg)
+    return App(t.abstraction, arg)
 
 
 def _replace_identifier(t: Term, old: Identifier, new: Term) -> Term:
@@ -154,13 +228,12 @@ def term_size(t: Term) -> int:
     return sum(1 for _ in subterms(t))
 
 
-@lru_cache(maxsize=None)
 def is_ground(t: Term) -> bool:
-    return not any(isinstance(s, (MetaVar, App)) for s in subterms(t))
+    return t.ground
 
 
 def app_free(t: Term) -> bool:
-    return not any(isinstance(s, App) for s in subterms(t))
+    return not t.absvars
 
 
 def identifiers_in(t: Term) -> list[Identifier]:
@@ -180,10 +253,6 @@ def metavars_in(t: Term) -> list[MetaVar]:
     return seen
 
 
-def _contains_metavar(t: Term, name: str) -> bool:
-    return any(isinstance(s, MetaVar) and s.name == name for s in subterms(t))
-
-
 def _compose(b: Binding, terms: dict, abstractions: dict) -> Binding:
     """Extend ``b`` with a delta, keeping the result idempotent."""
     delta = Binding(terms, abstractions)
@@ -191,20 +260,14 @@ def _compose(b: Binding, terms: dict, abstractions: dict) -> Binding:
     new_abs = {k: Abstraction(substitute(a.body, delta)) for k, a in b.abstractions.items()}
     new_terms.update(terms)
     new_abs.update(abstractions)
-    return Binding(new_terms, new_abs, dict(b.exprs))
+    return Binding(new_terms, new_abs)
 
 
 def binding_is_acyclic(b: Binding) -> bool:
     """No bound variable may occur in its own (or any) bound value."""
-    names = set(b.terms)
-    for v in b.terms.values():
-        if any(isinstance(s, MetaVar) and s.name in names for s in subterms(v)):
-            return False
-    for a in b.abstractions.values():
-        if any(isinstance(s, App) and s.abstraction.name in b.abstractions
-               for s in subterms(a.body)):
-            return False
-    return True
+    return (all(v.metas.isdisjoint(b.terms) for v in b.terms.values())
+            and all(a.body.absvars.isdisjoint(b.abstractions)
+                    for a in b.abstractions.values()))
 
 
 def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
@@ -219,11 +282,11 @@ def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
     if t1 == t2:
         return [b]
     if isinstance(t1, MetaVar):
-        if _contains_metavar(t2, t1.name):
+        if t1.name in t2.metas:
             return []  # occurs check: no infinite-tree solutions
         return [_compose(b, {t1.name: t2}, {})]
     if isinstance(t2, MetaVar):
-        if _contains_metavar(t1, t2.name):
+        if t2.name in t1.metas:
             return []
         return [_compose(b, {t2.name: t1}, {})]
     if isinstance(t1, App) and isinstance(t2, App):
@@ -352,7 +415,9 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-def _parse_term(sc: _Scanner) -> Term:
+def _parse_term(sc: _Scanner, depth: int = 1) -> Term:
+    if depth > MAX_TERM_DEPTH:
+        raise sc.error(f"term nested deeper than {MAX_TERM_DEPTH} levels")
     sc.skip_ws()
     if sc.peek() == "#":
         sc.pos += 1
@@ -368,11 +433,11 @@ def _parse_term(sc: _Scanner) -> Term:
         if not name[0].islower():
             raise sc.error("functors are lowercase")
         sc.pos += 1
-        args = [_parse_term(sc)]
+        args = [_parse_term(sc, depth + 1)]
         sc.skip_ws()
         while sc.peek() == ",":
             sc.pos += 1
-            args.append(_parse_term(sc))
+            args.append(_parse_term(sc, depth + 1))
             sc.skip_ws()
         if sc.peek() != ")":
             raise sc.error("expected ')'")
@@ -382,7 +447,7 @@ def _parse_term(sc: _Scanner) -> Term:
         if not name[0].isupper():
             raise sc.error("abstraction variables are uppercase")
         sc.pos += 1
-        arg = _parse_term(sc)
+        arg = _parse_term(sc, depth + 1)
         sc.skip_ws()
         if sc.peek() != "]":
             raise sc.error("expected ']'")

@@ -34,6 +34,12 @@ def test_generate_rejects_open_terms(capsys):
     assert "must be ground" in capsys.readouterr().err
 
 
+def test_generate_rejects_deeply_nested_term(capsys):
+    deep = "r(" * 3000 + "j" + ")" * 3000
+    assert main(["generate", ENGLISH, deep]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
 def test_generate_truncation_still_prints_partials(capsys):
     code = main(["generate", ADVERBS, "sent", "--max-expansions", "12"])
     assert code == 3

@@ -204,7 +204,7 @@ def _engine_arrangements(expr):
         if not any(isinstance(i, Block) for i in e):
             out.add(render_expr(e))
             continue
-        for _, new, _, _ in _block_successors(EMPTY_LEX, e, {}):
+        for _, new, _ in _block_successors(EMPTY_LEX, e):
             if new not in seen:
                 seen.add(new)
                 queue.append(new)

@@ -2,12 +2,14 @@
 
 import pytest
 
+import random
+
 from ggroup.term import (
-    Abstraction, AbsVar, App, Binding, Compound, Const, EMPTY_BINDING, HOLE,
-    Identifier, IdentifierSource, MetaVar, app_free, binding_is_acyclic,
-    canonical_identifiers, identifiers_in, is_ground, match_app, metavars_in,
-    parse_abstraction, parse_term, render_abstraction, render_term, substitute,
-    subterms, term_size, unify,
+    MAX_TERM_DEPTH, Abstraction, AbsVar, App, Binding, Compound, Const,
+    EMPTY_BINDING, HOLE, Identifier, IdentifierSource, MetaVar, app_free,
+    binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
+    match_app, metavars_in, parse_abstraction, parse_term, render_abstraction,
+    render_term, substitute, subterms, term_size, unify,
 )
 
 
@@ -53,6 +55,32 @@ def test_parse_shapes():
 ])
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
+        parse_term(text)
+
+
+def _nested(depth, leaf="j"):
+    """``n(n(...leaf...))``: a term ``depth`` levels deep."""
+    return "n(" * (depth - 1) + leaf + ")" * (depth - 1)
+
+
+def test_parse_accepts_terms_at_the_depth_bound():
+    deep = parse_term(_nested(MAX_TERM_DEPTH, "A"))
+    assert term_size(deep) == MAX_TERM_DEPTH
+    # the recursive walkers stay under the recursion limit at the bound
+    b = Binding({"A": Const("j")})
+    assert render_term(substitute(deep, b)) == _nested(MAX_TERM_DEPTH)
+    assert unify(deep, parse_term(_nested(MAX_TERM_DEPTH))) == [b]
+    assert canonical_identifiers(deep) == deep
+    assert hash(deep) == hash(parse_term(_nested(MAX_TERM_DEPTH, "A")))
+
+
+@pytest.mark.parametrize("text", [
+    _nested(MAX_TERM_DEPTH + 1),
+    _nested(3000),
+    "P[" * 3000 + "#x" + "]" * 3000,
+])
+def test_parse_rejects_terms_past_the_depth_bound(text):
+    with pytest.raises(ValueError, match="nested deeper than"):
         parse_term(text)
 
 
@@ -140,6 +168,12 @@ def test_binding_acyclicity():
     assert binding_is_acyclic(Binding({"A": t("s(j,l)")}))
     assert not binding_is_acyclic(Binding({"A": t("s(A,l)")}))
     assert not binding_is_acyclic(Binding({"A": t("s(B,l)"), "B": t("j")}))
+    assert binding_is_acyclic(Binding({}, {"P": parse_abstraction("\\#_z.Q[#_z]")}))
+    assert not binding_is_acyclic(
+        Binding({}, {"P": parse_abstraction("\\#_z.s(P[#x],#_z)")}))
+    assert not binding_is_acyclic(
+        Binding({}, {"P": parse_abstraction("\\#_z.Q[#_z]"),
+                     "Q": parse_abstraction("\\#_z.s(l,#_z)")}))
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +267,64 @@ def test_match_app_defers_on_unresolved_targets():
 def test_match_app_via_unify_entry_point():
     (b,) = unify(t("P[#x]"), t("s(j,#x)"))
     assert b.abstractions["P"] == parse_abstraction("\\#_z.s(j,#_z)")
+
+
+# ---------------------------------------------------------------------------
+# memoized metadata: hash, ground flag and variable sets
+
+
+def _random_term(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        kind = rng.choice("cim")
+        if kind == "c":
+            return Const(rng.choice("jlm"))
+        if kind == "i":
+            return Identifier(rng.choice(["x", "y"]))
+        return MetaVar(rng.choice("ABC"))
+    if roll < 0.4:
+        return App(AbsVar(rng.choice("PQ")), _random_term(rng, depth - 1))
+    return Compound(rng.choice("fg"),
+                    tuple(_random_term(rng, depth - 1)
+                          for _ in range(rng.randint(1, 3))))
+
+
+RANDOM_TERMS = [_random_term(random.Random(seed), 4) for seed in range(300)]
+
+
+def _rebuild(t):
+    """An equal term built from fresh objects, node by node."""
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_rebuild(a) for a in t.args))
+    if isinstance(t, App):
+        return App(AbsVar(t.abstraction.name), _rebuild(t.arg))
+    return type(t)(t.name)
+
+
+@pytest.mark.parametrize("lf", RANDOM_TERMS[:100])
+def test_independently_built_equal_terms_hash_equal(lf):
+    for again in (_rebuild(lf), parse_term(render_term(lf))):
+        assert again is not lf
+        assert again == lf
+        assert hash(again) == hash(lf)
+
+
+def test_memoized_metadata_matches_a_subterms_walk():
+    for lf in RANDOM_TERMS:
+        metas = {s.name for s in subterms(lf) if isinstance(s, MetaVar)}
+        absvars = {s.abstraction.name for s in subterms(lf) if isinstance(s, App)}
+        assert lf.metas == metas
+        assert lf.absvars == absvars
+        assert is_ground(lf) == (not metas and not absvars)
+        assert app_free(lf) == (not absvars)
+
+
+def test_substitute_keeps_terms_the_binding_does_not_touch():
+    untouched = Binding({"Z": Const("j")}, {"R": parse_abstraction("\\#_z.s(l,#_z)")})
+    touched = Binding({"A": Const("j")})
+    for lf in RANDOM_TERMS:
+        assert substitute(lf, untouched) is lf
+        if is_ground(lf) or "A" not in lf.metas:
+            assert substitute(lf, touched) is lf
+        else:
+            assert substitute(lf, touched) != lf
