@@ -198,6 +198,8 @@ def main(argv=None) -> int:
                 "logic": _cmd_logic}
     try:
         return handlers[args.command](args)
+    except engine.StepError:
+        raise  # a derivation the engine built failed replay: a bug, not bad input
     except (lx.GrammarError, engine.InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,6 +11,19 @@ after every step; cancellations that need unification are explicit steps.
 Each search result carries a ``Derivation`` that an independent ``replay``
 re-executes step by step, validating every precondition.
 
+A block's move, rotation and dissolve form one bundled step.  Generation
+explores every bundle, since its goal is a word string and inert final
+placements give distinct strings.  Parsing postpones placement (a
+partial-order reduction): a bundle is a state only when it is productive -
+something cancels, the goal is reached, or a pair it makes adjacent can
+cancel - and an unproductive bundle is instead extended into a run of
+bundles that each dissolve next to items released earlier in the run,
+emitted once productive.  An unproductive dissolve commutes forward past
+every step that does not use an adjacency it created, so this keeps every
+reading (see ``_block_successors``).  Postponed dissolves keep blocks longer,
+so intermediate states can be larger, by up to one item per block, when
+measured against ``SearchLimits.max_items``.
+
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object.  That lets an atom memoize its state-key fragment
 (see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
@@ -695,54 +708,173 @@ def _locate(expr: Expr, obj: Item, prefix: tuple[int, ...] = ()):
     return None
 
 
-def _block_successors(lex, expr):
+def _placements(expr: Expr):
+    """Every block with every place it can dissolve: ``(level, index, block,
+    move)``, where ``move`` is None for in place, else a MoveStep to a slot at
+    the block's own level or an enclosing one."""
+    for level, items in _levels(expr):
+        for idx, item in enumerate(items):
+            if not isinstance(item, Block):
+                continue
+            yield level, idx, item, None
+            for s in range(len(items)):
+                if s != idx:
+                    yield level, idx, item, MoveStep(level, idx, level, s)
+            anc = level
+            while anc:
+                anc = anc[:-1]
+                for s in range(len(level_items(expr, anc)) + 1):
+                    yield level, idx, item, MoveStep(level, idx, anc, s)
+
+
+def _place(lex, expr, block: Block, level, idx, mstep):
+    """Apply a placement's move: ``(expr, level, index, steps)`` of the block
+    once placed, or None when normalization consumed it."""
+    if mstep is None:
+        return expr, level, idx, ()
+    placed = apply_step(lex, expr, mstep)
+    loc = _locate(placed, block)
+    if loc is None:
+        return None  # consumed by cascading normalization
+    return placed, loc[0], loc[1], (mstep,)
+
+
+def _dissolve(lex, placed, k: int):
+    """Rotate a placed block by ``k`` and dissolve it: ``(steps, new)``."""
+    new, level, idx, prefix = placed
+    steps = list(prefix)
+    try:
+        if k:
+            rstep = RotateStep(level, idx, k)
+            new = apply_step(lex, new, rstep)
+            steps.append(rstep)
+        dstep = DissolveStep(level, idx)
+        new = apply_step(lex, new, dstep)
+        steps.append(dstep)
+    except StepError:
+        pass  # normalization already consumed the block
+    return tuple(steps), new
+
+
+def _joinable(x, y, allow_vacuous: bool) -> bool:
+    """Whether adjacent items can cancel: eagerly (ground inverses) or by an
+    explicit cancel (logical atoms of opposite sign that ``unify`` admits)."""
+    if not (isinstance(x, Atom) and isinstance(y, Atom)) or x.sign != -y.sign:
+        return False
+    if _inverse_pair(x, y):
+        return True
+    if x.is_phon() or y.is_phon() or (x.ground() and y.ground()):
+        return False
+    return bool(unify(x.payload, y.payload, EMPTY_BINDING, allow_vacuous))
+
+
+def _neighbours(items: Expr, slot: int, cyclic: bool):
+    """The items left and right of a slot (None past an end); block contents
+    are cyclic, their last item touches their first."""
+    n = len(items)
+    if cyclic and n:
+        return items[slot - 1], items[slot % n]
+    return (items[slot - 1] if slot > 0 else None,
+            items[slot] if slot < n else None)
+
+
+def _block_successors(lex, expr, postpone=False, allow_vacuous=False):
     """Place each block, optionally rotate it, and dissolve it in one go.
 
     A block's position only matters at the moment it dissolves, so exploring
     placements as separate states would multiply intermediates without adding
     any reachable arrangement.  Each successor bundles the move (to a slot at
     the same level or an enclosing one), a rotation, and the dissolve.
+
+    Without ``postpone`` every bundle is a successor.  With it (parsing) a
+    bundle is a successor only when it is productive: normalization cancels,
+    the result is a single atom, or a pair it makes adjacent can cancel
+    (``_joinable``).  Those pairs are the first and last item with their new
+    neighbours, the two items that flanked the block before it moved away,
+    and, after a rotation, the block's last and first item when they are
+    ground inverses (other pairs at that seam cancel inside the block, whose
+    contents are cyclic).  Any other bundle starts a run: further bundles,
+    each dissolving next to or between items released earlier in the run,
+    emitted as one successor once its last bundle is productive.  A run has
+    at most as many bundles as there are blocks.
+
+    No reading is lost.  A dissolve that is not productive commutes forward
+    past every step that does not use an adjacency it created: a cancel of a
+    pair adjacent before it (inside the block, or elsewhere), or a bundle
+    elsewhere (a block nested in the dissolved one can move out directly).
+    Repeating the swap turns any derivation into one where each such
+    dissolve comes just before the step that uses it.  That step is a cancel
+    of a pair it made adjacent, so the dissolve was productive, or a bundle
+    dissolving next to its items, so the two are a run.
+
+    Postponed dissolves keep blocks longer, so an intermediate state can be
+    larger than in the exhaustive search, by up to one item per block, when
+    measured against ``max_items``.
     """
     out = []
-    for level, items in _levels(expr):
-        for idx, item in enumerate(items):
-            if not isinstance(item, Block):
-                continue
-            moves: list[Optional[MoveStep]] = [None]
-            moves += [MoveStep(level, idx, level, s)
-                      for s in range(len(items)) if s != idx]
-            anc = level
-            while anc:
-                anc = anc[:-1]
-                moves += [MoveStep(level, idx, anc, s)
-                          for s in range(len(level_items(expr, anc)) + 1)]
-            for mstep in moves:
-                if mstep is None:
-                    placed, dlevel, didx = expr, level, idx
-                    prefix: tuple[Step, ...] = ()
-                else:
-                    placed = apply_step(lex, expr, mstep)
-                    loc = _locate(placed, item)
-                    if loc is None:
-                        continue  # consumed by cascading normalization
-                    dlevel, didx = loc
-                    prefix = (mstep,)
-                for k in range(len(item.contents)):
-                    steps = list(prefix)
-                    new = placed
-                    try:
-                        if k:
-                            rstep = RotateStep(dlevel, didx, k)
-                            new = apply_step(lex, new, rstep)
-                            steps.append(rstep)
-                        dstep = DissolveStep(dlevel, didx)
-                        new = apply_step(lex, new, dstep)
-                        steps.append(dstep)
-                    except StepError:
-                        pass  # normalization already consumed the block
-                    if steps:
-                        out.append((tuple(steps), new, 0))
+    if postpone:
+        _runs(lex, expr, (), None, allow_vacuous, out)
+        return out
+    for level, idx, block, mstep in _placements(expr):
+        placed = _place(lex, expr, block, level, idx, mstep)
+        if placed is None:
+            continue
+        for k in range(len(block.contents)):
+            steps, new = _dissolve(lex, placed, k)
+            if steps:
+                out.append((steps, new, 0))
     return out
+
+
+def _runs(lex, expr, prefix, released, allow_vacuous, out):
+    """Append to ``out`` the productive bundles of ``expr``, each after the
+    ``prefix`` steps, and extend the others into runs.
+
+    ``released`` holds the ids of the items dissolved earlier in the run (None
+    for its first bundle); a later bundle must dissolve next to one of them.
+    Productivity is predicted from the slot and rotation, so only bundles
+    that are productive or can start a run are applied.
+    """
+    extend = sum(isinstance(i, Block) for _, items in _levels(expr)
+                 for i in items) > 1
+    for level, idx, block, mstep in _placements(expr):
+        items = level_items(expr, level)
+        rest = items[:idx] + items[idx + 1:]
+        if mstep is None:
+            tlevel, titems, slot, flank = level, rest, idx, False
+        else:
+            tlevel, slot = mstep.target_level, mstep.slot
+            titems = rest if tlevel == level else level_items(expr, tlevel)
+            # a move that empties the enclosing block joins items further
+            # out once normalization drops it: keep it as productive
+            flank = (bool(level) and not rest) or _joinable(
+                *_neighbours(rest, idx, bool(level)), allow_vacuous)
+        left, right = _neighbours(titems, slot, bool(tlevel))
+        if released is not None and id(left) not in released \
+                and id(right) not in released:
+            continue
+        c = block.contents
+        goal = not level and len(expr) == 1 and len(c) == 1
+        seam = _inverse_pair(c[-1], c[0])
+        placed = None
+        for k in range(len(c)):
+            productive = (flank or goal or (k > 0 and seam)
+                          or _joinable(left, c[k], allow_vacuous)
+                          or _joinable(c[k - 1], right, allow_vacuous))
+            if not (productive or extend):
+                continue
+            if placed is None:
+                placed = _place(lex, expr, block, level, idx, mstep)
+                if placed is None:
+                    break
+            steps, new = _dissolve(lex, placed, k)
+            if not steps:
+                continue
+            if productive:
+                out.append((prefix + steps, new, 0))
+            else:
+                more = (released or set()) | {id(i) for i in c}
+                _runs(lex, new, prefix + steps, more, allow_vacuous, out)
 
 
 def _swap_cancel_successors(lex, expr, allow_vacuous):
@@ -866,7 +998,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
                 succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
             elif mode != "gen":
                 succ += _cancel_successors(lex, node.expr, commutative, allow_vacuous)
-            succ += _block_successors(lex, node.expr)
+            succ += _block_successors(lex, node.expr, mode == "parse",
+                                      allow_vacuous)
         for steps, new, dexp in succ:
             expansions = node.expansions + dexp
             if expansions > lim.max_expansions:

@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from ggroup import engine
 from ggroup.cli import main
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
@@ -82,6 +85,17 @@ def test_parse_result_cap_reports_truncation(capsys):
     code = main(["parse", ENGLISH, "john saw louise in paris", "--max-results", "1"])
     assert code == 3
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_replay_failure_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise engine.StepError("step 3: cancel position out of range")
+
+    monkeypatch.setattr(engine, "parse", broken)
+    # a derivation the engine built that fails replay is a bug: it propagates
+    # instead of becoming "error: ..." with exit code 2
+    with pytest.raises(engine.StepError):
+        main(["parse", ENGLISH, "john saw louise"])
 
 
 # -------------------------------------------------------------------- check

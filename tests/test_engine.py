@@ -228,6 +228,35 @@ def test_nested_blocks_unfold_completely():
     assert _engine_arrangements(e) == {"b c", "c b"}
 
 
+# parsing postpones a placement until it can make a cancel possible
+
+
+def _postponed(text):
+    return _block_successors(EMPTY_LEX, parse_expr(text, ()), True)
+
+
+def test_postponed_placement_keeps_a_move_that_exposes_a_pair():
+    succ = _postponed("f(a,X) { g } f(a,X)^-1")
+    # in place nothing touches; moving away leaves the pair adjacent
+    assert {render_expr(new) for _, new, _ in succ} == {
+        "g f(a,X) f(a,X)^-1", "f(a,X) f(a,X)^-1 g"}
+    assert all(isinstance(steps[0], MoveStep) for steps, _, _ in succ)
+
+
+def test_postponed_placement_joins_blocks_into_a_run():
+    succ = _postponed("g { a b } { b^-1 a^-1 }")
+    # no single bundle cancels, so every successor dissolves both blocks
+    assert succ
+    for steps, _, _ in succ:
+        assert sum(isinstance(s, DissolveStep) for s in steps) == 2
+    assert "g" in {render_expr(new) for _, new, _ in succ}
+
+
+def test_postponed_placement_drops_inert_blocks():
+    assert _postponed("c { a b } d") == []
+    assert _block_successors(EMPTY_LEX, parse_expr("c { a b } d", ())) != []
+
+
 # ---------------------------------------------------------------------------
 # generation
 

@@ -1,0 +1,204 @@
+"""Differential tests: parsing with postponed block placement against the
+exhaustive placement, which serves as the unpruned reference.
+
+The reference puts every placement of every block back as a search state in
+parse mode (as generation still does).  Both searches must find the same
+readings and agree on truncation, and every derivation of the pruned search
+must replay.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ggroup import engine
+from ggroup.engine import (
+    Atom, Block, SearchLimits, generate, normalize, parse, render_expr, replay,
+)
+from ggroup.lexicon import Lexicon
+from ggroup.term import canonical_identifiers, parse_term, render_term
+
+LIM = SearchLimits()
+RAW = Lexicon((), (), raw_mode=True)
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Call a function with the exhaustive placement in every mode."""
+    real = engine._block_successors
+
+    def exhaustive(lex, expr, postpone=False, allow_vacuous=False):
+        return real(lex, expr, False, allow_vacuous)
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_block_successors", exhaustive)
+            return fn(*args)
+
+    return run
+
+
+def _readings(res):
+    return {render_term(p) for p, _ in res.results}
+
+
+def _agree(pruned, ref, lex):
+    assert _readings(pruned) == _readings(ref)
+    assert pruned.truncated == ref.truncated
+    for _, d in pruned.results:
+        replay(lex, d)
+
+
+def _search(start):
+    return engine._search(RAW, "parse", start, (), LIM,
+                          engine._single_atom_goal, render_term)
+
+
+def _check_start(reference, start):
+    pruned = _search(start)
+    ref = reference(_search, start)
+    _agree(pruned, ref, RAW)
+    return pruned
+
+
+# ---------------------------------------------------------------------------
+# the english fragment
+
+
+QUANTIFIED = [f"{q1} {n1} saw {q2} {n2}" for q1, n1, q2, n2 in itertools.product(
+    ("every", "some"), ("man", "woman"), ("every", "some"), ("man", "woman"))]
+NAMES = ("john", "louise", "paris")
+RELATIVES = [f"{q} man that {a} saw ran" for q in ("every", "the") for a in NAMES]
+PPS = [f"{a} saw some woman in {b}" for a in NAMES for b in NAMES]
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_parse_readings_match_the_reference(english, reference, sentence):
+    words = sentence.split()
+    pruned = parse(english, words, LIM)
+    ref = reference(parse, english, words, LIM)
+    _agree(pruned, ref, english)
+    assert pruned.results
+
+
+def _form(rng, cat, binders):
+    """A random well-typed english.gg form of category ``cat``, with at most
+    ``binders[0]`` quantifiers and relative clauses (a one-item budget)."""
+    np = ("j", "l", "p")
+    if cat == "gap":
+        return rng.choice(["r(#x)", f"s(#x,{rng.choice(np)})",
+                           f"s({rng.choice(np)},#x)"])
+    if cat == "np":
+        if rng.random() < 0.2:
+            return f"t({_form(rng, 'n', binders)})"
+        return rng.choice(np)
+    if cat == "n":
+        roll = rng.random()
+        if roll < 0.15 and binders[0]:
+            binders[0] -= 1
+            return f"tt({rng.choice('mw')},#x,{_form(rng, 'gap', binders)})"
+        if roll < 0.3:
+            return f"i({rng.choice('mw')},{rng.choice(np)})"
+        return rng.choice("mw")
+    roll = rng.random()
+    if roll < 0.3 and binders[0]:
+        binders[0] -= 1
+        q = rng.choice(("ev", "sm"))
+        return f"{q}({_form(rng, 'n', binders)},#x,{_form(rng, 'gap', binders)})"
+    if roll < 0.45:
+        return f"i({_form(rng, 's', binders)},{rng.choice(np)})"
+    if roll < 0.7:
+        return f"r({_form(rng, 'np', binders)})"
+    return f"s({_form(rng, 'np', binders)},{_form(rng, 'np', binders)})"
+
+
+def test_generated_strings_parse_back_like_the_reference(english, reference):
+    rng = random.Random(9)
+    forms = set()
+    while len(forms) < 10:
+        forms.add(_form(rng, "s", [1]))
+    for text in sorted(forms):
+        lf = parse_term(text)
+        want = render_term(canonical_identifiers(lf))
+        strings = generate(english, lf, LIM).results
+        assert strings, text
+        for words, _ in strings:
+            pruned = parse(english, words, LIM)
+            _agree(pruned, reference(parse, english, words, LIM), english)
+            assert want in _readings(pruned), (text, words)
+
+
+# ---------------------------------------------------------------------------
+# random starts: a goal atom wrapped in cancelling pairs, then cut into
+# nested blocks that are rotated and moved
+
+
+GROUND = ("a", "b", "f(a)", "f(b)", "g(a,b)")
+OPEN = (("f(X)", "f(a)"), ("f(Y)", "f(b)"), ("g(X,Y)", "g(a,b)"),
+        ("g(a,X)", "g(Y,b)"), ("f(X)", "f(Y)"))
+
+
+def _atom(text, sign=1):
+    return Atom(parse_term(text), sign)
+
+
+def _random_start(rng):
+    word = [_atom(rng.choice(("s", "s", "h(X)", "h(Y)")))]
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 0.5:
+            t = rng.choice(GROUND)
+            left, right = _atom(t), _atom(t, -1)
+        else:
+            t, u = rng.choice(OPEN)
+            left, right = _atom(t), _atom(u, -1)
+        if rng.random() < 0.5:
+            left, right = Atom(right.payload, 1), Atom(left.payload, -1)
+        pos = rng.randint(0, len(word))
+        word[pos:pos] = [left, right]
+    for _ in range(rng.randint(1, 3)):
+        word = _cut(rng, word)
+    return tuple(word)
+
+
+def _cut(rng, items):
+    """Wrap a segment of ``items`` (or, recursively, of a block's contents)
+    in a block with rotated contents, and move it to a random slot."""
+    blocks = [k for k, i in enumerate(items) if isinstance(i, Block)]
+    if blocks and rng.random() < 0.3:
+        k = rng.choice(blocks)
+        inner = _cut(rng, list(items[k].contents))
+        return items[:k] + [Block(tuple(inner))] + items[k + 1:]
+    i = rng.randrange(len(items))
+    j = rng.randint(i + 1, min(len(items), i + 4))
+    seg = items[i:j]
+    r = rng.randrange(len(seg))
+    rest = items[:i] + items[j:]
+    pos = rng.randint(0, len(rest)) if rng.random() < 0.7 else i
+    return rest[:pos] + [Block(tuple(seg[r:] + seg[:r]))] + rest[pos:]
+
+
+def test_random_starts_match_the_reference(reference):
+    rng = random.Random(11)
+    found = 0
+    for n in range(500):
+        start = _random_start(rng)
+        try:
+            found += bool(_check_start(reference, start).results)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert found > 250  # most starts still reach a reading
+
+
+@pytest.mark.parametrize("text", [
+    # no single placement can cancel: the second block must join the first
+    "g { a b } { b^-1 a^-1 }",
+    # only moving the block away exposes the pair that cancels
+    "f(a,X) { g } f(a,X)^-1",
+    # only a rotation joins the ground inverses at the block's seam
+    "{ b^-1 g b }",
+])
+def test_named_counterexamples_match_the_reference(reference, text):
+    start = engine.parse_expr(text, ())
+    assert normalize(start) == start
+    assert _readings(_check_start(reference, start)) == {"g"}
