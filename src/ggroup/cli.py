@@ -1,8 +1,9 @@
 """Command line interface.
 
 Commands: ``generate`` (logical form to word strings), ``parse`` (word string
-to logical forms), ``check`` (reversibility report), ``reduce`` (free-group
-reduction of a word), ``logic`` (saturate a clause program and compare with
+to logical forms), ``check`` (reversibility report), ``reduce`` (parse a word,
+a string of ground atoms without blocks, and print its ``engine.normalize``
+reduction), ``logic`` (saturate a clause program and compare with
 forward chaining).  Grammar files are dispatched on extension: ``.dcg`` for
 phrase rules, ``.lp`` for clause programs, anything else for the relator DSL.
 
@@ -19,7 +20,6 @@ from pathlib import Path
 
 from . import analysis, encodings, engine
 from . import lexicon as lx
-from .freegroup import parse_word, render_word
 from .term import Compound, is_ground, parse_term, render_term, subterms
 
 
@@ -155,7 +155,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     lexi = _load_lexicon(args.grammar, args.commutative)
-    print(render_word(parse_word(args.input, lexi.phon_vocab)))
+    word = engine.parse_expr(args.input, lexi.phon_vocab)
+    for item in word:
+        if not (isinstance(item, engine.Atom) and item.ground()):
+            raise engine.InputError("a word is ground atoms without blocks, "
+                                    f"got {engine.render_expr((item,))!r}")
+    print(engine.render_expr(engine.normalize(word)))
     return 0
 
 

@@ -8,6 +8,10 @@ dissolve in place, which together realize exactly the arrangements the free
 conjugator can produce.  Ground mutually-inverse neighbours cancel eagerly
 after every step; cancellations that need unification are explicit steps.
 
+A word of the free group is a ground expression without blocks, and
+``normalize`` is its reduction; ``product``, ``inverse`` and ``conjugate``
+are the group operations on words.
+
 Each search result carries a ``Derivation`` that an independent ``replay``
 re-executes step by step, validating every precondition.
 
@@ -38,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from . import lexicon as lx
-from .freegroup import Log, Phon, ReducedWord, SignedAtom
 from .term import (
     AbsVar, App, Binding, Compound, Const, EMPTY_BINDING, Identifier,
     IdentifierSource, MetaVar, Term, binding_is_acyclic, canonical_identifiers,
@@ -51,7 +54,7 @@ __all__ = [
     "Derivation", "ExpandStep", "CancelStep", "MoveStep", "RotateStep",
     "DissolveStep", "SwapStep", "InputError", "StepError",
     "generate", "parse", "saturate", "replay", "is_public",
-    "expr_of_word", "word_of_expr", "render_expr", "parse_expr",
+    "normalize", "inverse", "product", "conjugate", "render_expr", "parse_expr",
     "render_derivation", "parse_derivation", "derivation_record",
     "derivation_of_record",
 ]
@@ -114,6 +117,24 @@ def normalize(expr: Expr) -> Expr:
         else:
             stack.append(item)
     return tuple(stack)
+
+
+# The group operations are defined on words only.  Blocks are not group
+# elements: their conjugator is free, and normalize never cancels one block
+# against another.
+
+
+def inverse(word: Expr) -> Expr:
+    return tuple(Atom(a.payload, -a.sign) for a in reversed(word))
+
+
+def product(*words: Expr) -> Expr:
+    return normalize(tuple(itertools.chain.from_iterable(words)))
+
+
+def conjugate(word: Expr, by: Expr) -> Expr:
+    """The quasi-element ``by . word . by^-1``."""
+    return product(by, word, inverse(by))
 
 
 def substitute_expr(expr: Expr, b: Binding) -> Expr:
@@ -244,6 +265,12 @@ class SearchLimits:
     max_items: int = 256
     max_results: int = 32
     allow_vacuous_abstraction: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_expansions", "max_items", "max_results"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -535,21 +562,6 @@ def is_public(lex: lx.Lexicon, expr: Expr,
             return None
         words.append(i.payload)
     return PublicResult(head.payload, tuple(reversed(words)))
-
-
-def expr_of_word(w: ReducedWord) -> Expr:
-    return tuple(Atom(a.base.token if isinstance(a.base, Phon) else a.base.term,
-                      a.sign) for a in w.atoms)
-
-
-def word_of_expr(expr: Expr) -> ReducedWord:
-    atoms = []
-    for i in expr:
-        if not isinstance(i, Atom) or not i.ground():
-            raise ValueError("only ground block-free expressions denote words")
-        base = Phon(i.payload) if i.is_phon() else Log(i.payload)
-        atoms.append(SignedAtom(base, i.sign))
-    return ReducedWord(tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,8 @@ from ggroup.encodings import (
     parse_logic_program,
 )
 from ggroup.engine import (
-    PublicResult, SearchLimits, generate, is_public, parse, replay, saturate,
-)
-from ggroup.freegroup import (
-    Log, NEUTRAL, Phon, SignedAtom, conjugate, inverse, parse_word, product,
-    reduce_word, render_word,
+    Atom, PublicResult, SearchLimits, conjugate, generate, inverse, is_public,
+    normalize, parse, parse_expr, product, render_expr, replay, saturate,
 )
 from ggroup.lexicon import gen_rules, parse_rules, render_item
 from ggroup.term import (
@@ -43,13 +40,13 @@ def _strings(results):
 def test_c01_relator_product_reduces_to_public_pair():
     """Three conjugated lexical relators multiply to form ⟨meaning, words⁻¹⟩."""
     vocab = ["john", "saw", "louise"]
-    r1 = parse_word("j^-1 s(j,l) l^-1 saw^-1", vocab)
-    r2 = parse_word("l louise^-1", vocab)
-    r3 = parse_word("j john^-1", vocab)
-    q1 = conjugate(r1, parse_word("j", vocab))
-    q2 = conjugate(r2, parse_word("j saw", vocab))
+    r1 = parse_expr("j^-1 s(j,l) l^-1 saw^-1", vocab)
+    r2 = parse_expr("l louise^-1", vocab)
+    r3 = parse_expr("j john^-1", vocab)
+    q1 = conjugate(r1, parse_expr("j", vocab))
+    q2 = conjugate(r2, parse_expr("j saw", vocab))
     out = product(q1, q2, r3)
-    assert render_word(out) == "s(j,l) louise^-1 saw^-1 john^-1"
+    assert render_expr(out) == "s(j,l) louise^-1 saw^-1 john^-1"
 
 
 # --------------------------------------------------------------- criterion 2
@@ -176,39 +173,40 @@ def test_c05_every_derivation_replays(english, scoping_parse, relative_parse):
 
 def test_c06_free_group_property_suite():
     """Five algebraic laws, a thousand randomized cases each."""
-    alphabet = [Phon("a"), Phon("b"), Phon("c"), Log(parse_term("s(j,l)"))]
+    alphabet = ["a", "b", "c", parse_term("s(j,l)")]
 
     def raw(rng, max_len=12):
-        return [SignedAtom(rng.choice(alphabet), rng.choice((1, -1)))
-                for _ in range(rng.randrange(max_len + 1))]
+        return tuple(Atom(rng.choice(alphabet), rng.choice((1, -1)))
+                     for _ in range(rng.randrange(max_len + 1)))
 
     rng = random.Random(2001)
     for _ in range(1000):
         seq = raw(rng)
         cut = rng.randrange(len(seq) + 1)
-        assert product(reduce_word(seq[:cut]), reduce_word(seq[cut:])) == \
-            reduce_word(seq)
+        whole = normalize(seq)
+        assert normalize(whole) == whole
+        assert product(normalize(seq[:cut]), normalize(seq[cut:])) == whole
 
     rng = random.Random(2002)
     for _ in range(1000):
-        x, y, z = (reduce_word(raw(rng)) for _ in range(3))
+        x, y, z = (normalize(raw(rng)) for _ in range(3))
         assert product(product(x, y), z) == product(x, product(y, z))
 
     rng = random.Random(2003)
     for _ in range(1000):
-        x = reduce_word(raw(rng))
-        assert product(x, NEUTRAL) == x == product(NEUTRAL, x)
+        x = normalize(raw(rng))
+        assert product(x, ()) == x == product((), x)
 
     rng = random.Random(2004)
     for _ in range(1000):
-        x = reduce_word(raw(rng))
-        assert product(x, inverse(x)) == NEUTRAL == product(inverse(x), x)
+        x = normalize(raw(rng))
+        assert product(x, inverse(x)) == () == product(inverse(x), x)
 
     rng = random.Random(2005)
     for _ in range(1000):
-        x = reduce_word(raw(rng))
-        by = reduce_word(raw(rng, max_len=6))
-        assert (conjugate(x, by) == NEUTRAL) == (x == NEUTRAL)
+        x = normalize(raw(rng))
+        by = normalize(raw(rng, max_len=6))
+        assert (conjugate(x, by) == ()) == (x == ())
 
 
 # --------------------------------------------------------------- criterion 7

@@ -81,6 +81,17 @@ def test_parse_rejects_unknown_token(capsys):
     assert capsys.readouterr().err == "error: unknown token 'bob'\n"
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-results", "0"), ("--max-expansions", "-1"), ("--max-items", "0"),
+])
+def test_limits_below_one_are_rejected(capsys, flag, value):
+    assert main(["generate", ENGLISH, "s(j,l)", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: max_")
+    assert "must be at least 1" in captured.err
+
+
 def test_parse_result_cap_reports_truncation(capsys):
     code = main(["parse", ENGLISH, "john saw louise in paris", "--max-results", "1"])
     assert code == 3
@@ -129,6 +140,16 @@ def test_reduce_prints_neutral_word(capsys):
 def test_reduce_handles_term_atoms(capsys):
     assert main(["reduce", ENGLISH, "s(j,l) john^-1 john"]) == 0
     assert capsys.readouterr().out == "s(j,l)\n"
+
+
+@pytest.mark.parametrize("word", ["s(A,l)", "{ john }", "{ john", "^-1"],
+                         ids=["non-ground", "block", "unbalanced", "empty-atom"])
+def test_reduce_rejects_what_is_not_a_word(capsys, word):
+    assert main(["reduce", ENGLISH, word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 # --------------------------------------------------------------------- logic

@@ -8,11 +8,9 @@ from ggroup.engine import (
     Atom, Block, CancelStep, Derivation, DissolveStep, EngineResult,
     ExpandStep, InputError, MoveStep, PublicResult, RotateStep, SearchLimits,
     StepError, SwapStep, apply_step, derivation_of_record, derivation_record,
-    expr_of_word, generate, is_public, normalize, parse, parse_derivation,
-    parse_expr, render_derivation, render_expr, replay, saturate,
-    word_of_expr, _block_successors,
+    generate, is_public, normalize, parse, parse_derivation, parse_expr,
+    render_derivation, render_expr, replay, saturate, _block_successors,
 )
-from ggroup.freegroup import parse_word, render_word
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
     Binding, canonical_identifiers, parse_term, render_term, subterms,
@@ -85,15 +83,6 @@ def test_parse_expr_rejects_unbalanced_braces():
         parse_expr("{ a", ("a",))
     with pytest.raises(ValueError):
         parse_expr("a }", ("a",))
-
-
-def test_word_expr_bridge():
-    w = parse_word("john s(j,l)^-1 saw", ("john", "saw"))
-    assert word_of_expr(expr_of_word(w)) == w
-    with pytest.raises(ValueError):
-        word_of_expr((Block((a("x"),)),))
-    with pytest.raises(ValueError):
-        word_of_expr((Atom(lf("A")),))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +173,7 @@ def test_swap_step_requires_commutative_mode():
 def _oracle_arrangements(items):
     blocks = [k for k, it in enumerate(items) if isinstance(it, Block)]
     if not blocks:
-        return {render_word(word_of_expr(normalize(items)))}
+        return {render_expr(normalize(items))}
     out = set()
     for k in blocks:
         contents, host = items[k].contents, items[:k] + items[k + 1:]
@@ -289,6 +278,13 @@ def test_generation_derivations_replay_and_are_public(english):
 def test_generation_requires_ground_input(english):
     with pytest.raises(InputError, match="ground"):
         generate(english, lf("s(A,l)"), LIM)
+
+
+@pytest.mark.parametrize("field", ["max_expansions", "max_items", "max_results"])
+def test_search_limits_must_be_at_least_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        SearchLimits(**{field: 0})
+    assert getattr(SearchLimits(**{field: 1}), field) == 1
 
 
 def test_generation_truncates_under_tight_limits(english):

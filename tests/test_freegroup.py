@@ -1,76 +1,58 @@
-"""Reduced words and the group laws, plus the worked lexical-entry product.
+"""Words of the free group and the group laws, plus the worked lexical-entry
+product.
 
-The randomized suites draw raw atom sequences from a small two-sorted
-alphabet and check the group laws on their reductions; a thousand cases per
-law with a fixed seed.
+A word is a ground expression without blocks; ``normalize`` reduces it.  The
+randomized suites draw raw atom sequences from a small two-sorted alphabet
+and check the group laws on their reductions; a thousand cases per law with
+a fixed seed.
 """
 
 import random
 
-import pytest
-
-from ggroup.freegroup import (
-    Log, NEUTRAL, Phon, ReducedWord, SignedAtom, atom, conjugate,
-    cyclic_rotations, inverse, parse_word, product, reduce_word, render_word,
+from ggroup.engine import (
+    Atom, conjugate, inverse, normalize, parse_expr, product, render_expr,
 )
 from ggroup.term import parse_term
+from test_lexicon import cyclic_rotations
 
 VOCAB = ["john", "saw", "louise"]
 
 
 def w(text):
-    return parse_word(text, VOCAB)
+    return normalize(parse_expr(text, VOCAB))
 
 
 # ---------------------------------------------------------------------------
 # construction and reduction
 
 
-def test_reduced_word_rejects_adjacent_inverses():
-    a = SignedAtom(Phon("saw"), 1)
-    with pytest.raises(ValueError):
-        ReducedWord((a, a.inverse()))
-
-
-def test_sign_must_be_unit():
-    with pytest.raises(ValueError):
-        SignedAtom(Phon("saw"), 0)
-
-
-def test_log_atoms_must_be_ground():
-    with pytest.raises(ValueError):
-        Log(parse_term("s(A,l)"))
-
-
 def test_reduce_word_cancels_through():
-    a, b = SignedAtom(Phon("john")), SignedAtom(Phon("saw"))
-    raw = [a, b, b.inverse(), a.inverse(), a]
-    assert reduce_word(raw) == ReducedWord((a,))
+    a, b = Atom("john"), Atom("saw")
+    raw = (a, b, Atom("saw", -1), Atom("john", -1), a)
+    assert normalize(raw) == (a,)
 
 
 def test_parse_and_render():
-    assert render_word(w("john saw^-1 s(j,l)")) == "john saw^-1 s(j,l)"
-    assert w("john john^-1") == NEUTRAL
-    assert render_word(NEUTRAL) == "1"
-    assert w("1") == NEUTRAL
-    with pytest.raises(ValueError):
-        parse_word("s(A,l)", VOCAB)  # non-ground logical atoms are not atoms
+    assert render_expr(w("john saw^-1 s(j,l)")) == "john saw^-1 s(j,l)"
+    assert w("john john^-1") == ()
+    assert render_expr(()) == "1"
+    assert w("1") == ()
 
 
 def test_product_and_inverse():
     ab = w("john saw")
-    assert product(ab, inverse(ab)) == NEUTRAL
+    assert product(ab, inverse(ab)) == ()
     assert inverse(w("john saw^-1")) == w("saw john^-1")
 
 
 def test_conjugate_of_neutral():
-    assert conjugate(NEUTRAL, w("john saw")) == NEUTRAL
+    assert conjugate((), w("john saw")) == ()
 
 
 def test_cyclic_rotations():
-    rots = {render_word(r) for r in cyclic_rotations(w("john saw louise"))}
+    rots = {render_expr(r) for r in cyclic_rotations(w("john saw louise"))}
     assert rots == {"john saw louise", "saw louise john", "louise john saw"}
-    assert cyclic_rotations(NEUTRAL) == {NEUTRAL}
+    assert cyclic_rotations(()) == {()}
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +67,7 @@ def test_lexical_entry_product_reduces_to_public_pair():
     q1 = conjugate(r1, w("j"))
     q2 = conjugate(r2, w("j saw"))
     q3 = r3
-    assert render_word(product(q1, q2, q3)) == "s(j,l) louise^-1 saw^-1 john^-1"
+    assert render_expr(product(q1, q2, q3)) == "s(j,l) louise^-1 saw^-1 john^-1"
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +76,11 @@ def test_lexical_entry_product_reduces_to_public_pair():
 
 def _random_raw(rng, alphabet, max_len=12):
     n = rng.randrange(max_len + 1)
-    return [SignedAtom(rng.choice(alphabet), rng.choice((1, -1)))
-            for _ in range(n)]
+    return tuple(Atom(rng.choice(alphabet), rng.choice((1, -1)))
+                 for _ in range(n))
 
 
-ALPHABET = [Phon("a"), Phon("b"), Phon("c"), Log(parse_term("s(j,l)"))]
+ALPHABET = ["a", "b", "c", parse_term("s(j,l)")]
 
 
 def test_reduction_is_confluent_under_splitting():
@@ -107,39 +89,40 @@ def test_reduction_is_confluent_under_splitting():
     for _ in range(1000):
         raw = _random_raw(rng, ALPHABET)
         cut = rng.randrange(len(raw) + 1)
-        whole = reduce_word(raw)
-        split = product(reduce_word(raw[:cut]), reduce_word(raw[cut:]))
+        whole = normalize(raw)
+        assert normalize(whole) == whole  # the reduction leaves no pair
+        split = product(normalize(raw[:cut]), normalize(raw[cut:]))
         assert split == whole
 
 
 def test_product_is_associative():
     rng = random.Random(1002)
     for _ in range(1000):
-        x, y, z = (reduce_word(_random_raw(rng, ALPHABET)) for _ in range(3))
+        x, y, z = (normalize(_random_raw(rng, ALPHABET)) for _ in range(3))
         assert product(product(x, y), z) == product(x, product(y, z))
 
 
 def test_neutral_is_identity():
     rng = random.Random(1003)
     for _ in range(1000):
-        x = reduce_word(_random_raw(rng, ALPHABET))
-        assert product(x, NEUTRAL) == x
-        assert product(NEUTRAL, x) == x
+        x = normalize(_random_raw(rng, ALPHABET))
+        assert product(x, ()) == x
+        assert product((), x) == x
 
 
 def test_inverse_cancels():
     rng = random.Random(1004)
     for _ in range(1000):
-        x = reduce_word(_random_raw(rng, ALPHABET))
-        assert product(x, inverse(x)) == NEUTRAL
-        assert product(inverse(x), x) == NEUTRAL
+        x = normalize(_random_raw(rng, ALPHABET))
+        assert product(x, inverse(x)) == ()
+        assert product(inverse(x), x) == ()
 
 
 def test_conjugacy_preserves_neutrality_exactly():
     # by . x . by^-1 is neutral precisely when x is
     rng = random.Random(1005)
     for _ in range(1000):
-        x = reduce_word(_random_raw(rng, ALPHABET))
-        by = reduce_word(_random_raw(rng, ALPHABET, max_len=6))
+        x = normalize(_random_raw(rng, ALPHABET))
+        by = normalize(_random_raw(rng, ALPHABET, max_len=6))
         c = conjugate(x, by)
-        assert (c == NEUTRAL) == (x == NEUTRAL)
+        assert (c == ()) == (x == ())

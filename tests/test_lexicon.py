@@ -2,9 +2,7 @@
 
 import pytest
 
-from ggroup.freegroup import (
-    Log, Phon, SignedAtom, cyclic_rotations, inverse, product, reduce_word,
-)
+from ggroup.engine import Atom, inverse, normalize, product
 from ggroup.lexicon import (
     ExprMeta, GenRule, GrammarError, Lexicon, LogItem, ParseRule, PhonItem,
     RelatorScheme, arity_table, gen_rules, is_commutator_scheme, parse_grammar,
@@ -89,17 +87,23 @@ def test_parsing_rules_match_expected_table(english):
 # instantiated relator
 
 
+def cyclic_rotations(word):
+    """All rotations of a word, each re-reduced."""
+    return {normalize(word[k:] + word[:k]) for k in range(len(word))} or {word}
+
+
 def _items_to_word(items, binding, conjugators):
     atoms = []
     for i in items:
         if isinstance(i, PhonItem):
-            atoms.append(SignedAtom(Phon(i.token), i.sign))
+            atoms.append(Atom(i.token, i.sign))
         elif isinstance(i, LogItem):
-            atoms.append(SignedAtom(Log(substitute(i.term, binding)), i.sign))
+            atoms.append(Atom(substitute(i.term, binding), i.sign))
         else:
             w = conjugators[i.name]
-            atoms.extend(w.atoms if i.sign == 1 else inverse(w).atoms)
-    return reduce_word(atoms)
+            atoms.extend(w if i.sign == 1 else inverse(w))
+    assert all(a.ground() for a in atoms), "instantiations must be ground"
+    return normalize(tuple(atoms))
 
 
 INSTANTIATIONS = [
@@ -110,7 +114,7 @@ INSTANTIATIONS = [
     (9, 9,
      Binding({"N": parse_term("m"), "X": parse_term("#x")},
              {"P": parse_abstraction("\\#_z.r(#_z)")}),
-     {"a": reduce_word([SignedAtom(Phon("the")), SignedAtom(Log(parse_term("w")))])}),
+     {"a": (Atom("the"), Atom(parse_term("w")))}),
 ]
 
 
@@ -119,7 +123,7 @@ def test_gen_rule_is_a_rotation_of_its_relator(english, rel_idx, rule_idx,
                                                binding, conj):
     relator = _items_to_word(english.relators[rel_idx].items, binding, conj)
     rule = gen_rules(english)[rule_idx]
-    lhs = reduce_word([SignedAtom(Log(substitute(rule.lhs, binding)))])
+    lhs = (Atom(substitute(rule.lhs, binding)),)
     rhs = _items_to_word(rule.rhs, binding, conj)
     assert product(lhs, inverse(rhs)) in cyclic_rotations(relator)
 
@@ -130,7 +134,7 @@ def test_parse_rule_is_a_rotation_of_the_inverted_relator(english, rel_idx,
                                                           conj):
     relator = _items_to_word(english.relators[rel_idx].items, binding, conj)
     rule = parse_rules(english)[rule_idx]
-    lhs = reduce_word([SignedAtom(Phon(rule.word))])
+    lhs = (Atom(rule.word),)
     rhs = _items_to_word(rule.rhs, binding, conj)
     assert inverse(product(lhs, inverse(rhs))) in cyclic_rotations(relator)
 
