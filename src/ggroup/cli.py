@@ -24,40 +24,44 @@ from .term import Compound, is_ground, parse_term, render_term, subterms
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-expansions", type=int, default=None,
+    default = engine.SearchLimits()
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-expansions", type=int,
+                        default=default.max_expansions,
                         help="cap on rule/relator expansions per derivation")
-    common.add_argument("--max-items", type=int, default=None,
+    limits.add_argument("--max-items", type=int, default=default.max_items,
                         help="cap on items in a working expression")
-    common.add_argument("--max-results", type=int, default=None,
+    limits.add_argument("--max-results", type=int, default=default.max_results,
                         help="cap on the number of reported results")
-    common.add_argument("--trace", choices=("text", "json"), default=None,
-                        help="print a replayed derivation for every result")
-    common.add_argument("--commutative", action="store_true",
-                        help="add the order-collapsing commutator scheme")
-    common.add_argument("--allow-vacuous", action="store_true",
+    limits.add_argument("--allow-vacuous", action="store_true",
                         help="let abstractions ignore their argument")
+    commutative = argparse.ArgumentParser(add_help=False)
+    commutative.add_argument("--commutative", action="store_true",
+                             help="add the order-collapsing commutator scheme")
+    search = argparse.ArgumentParser(add_help=False, parents=[limits, commutative])
+    search.add_argument("--trace", choices=("text", "json"), default=None,
+                        help="print a replayed derivation for every result")
 
     p = argparse.ArgumentParser(
         prog="ggroup",
         description="Bidirectional grammar engine over free-group relators.")
     sub = p.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("generate", parents=[common],
+    sp = sub.add_parser("generate", parents=[search],
                         help="word strings for a ground logical form")
     sp.add_argument("grammar")
     sp.add_argument("input", metavar="term")
-    sp = sub.add_parser("parse", parents=[common],
+    sp = sub.add_parser("parse", parents=[search],
                         help="logical forms for a string of tokens")
     sp.add_argument("grammar")
     sp.add_argument("input", metavar="sentence")
-    sp = sub.add_parser("check", parents=[common],
+    sp = sub.add_parser("check", parents=[commutative],
                         help="reversibility report for a grammar")
     sp.add_argument("grammar")
-    sp = sub.add_parser("reduce", parents=[common],
+    sp = sub.add_parser("reduce",
                         help="reduce a free-group word over the grammar's atoms")
     sp.add_argument("grammar")
     sp.add_argument("input", metavar="word")
-    sp = sub.add_parser("logic", parents=[common],
+    sp = sub.add_parser("logic", parents=[limits],
                         help="saturate a clause program; check a goal or "
                              "compare with forward chaining")
     sp.add_argument("grammar", metavar="program")
@@ -82,12 +86,8 @@ def _load_lexicon(path: str, commutative: bool) -> lx.Lexicon:
 
 
 def _limits(args) -> engine.SearchLimits:
-    base = engine.SearchLimits()
-    return engine.SearchLimits(
-        base.max_expansions if args.max_expansions is None else args.max_expansions,
-        base.max_items if args.max_items is None else args.max_items,
-        base.max_results if args.max_results is None else args.max_results,
-        args.allow_vacuous)
+    return engine.SearchLimits(args.max_expansions, args.max_items,
+                               args.max_results, args.allow_vacuous)
 
 
 def _validate_input_term(lexi: lx.Lexicon, t) -> None:
@@ -154,7 +154,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    lexi = _load_lexicon(args.grammar, args.commutative)
+    lexi = _load_lexicon(args.grammar, False)
     word = engine.parse_expr(args.input, lexi.phon_vocab)
     for item in word:
         if not (isinstance(item, engine.Atom) and item.ground()):
@@ -205,10 +205,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except engine.StepError:
         raise  # a derivation the engine built failed replay: a bug, not bad input
-    except (lx.GrammarError, engine.InputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # GrammarError and InputError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

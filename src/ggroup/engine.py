@@ -12,8 +12,11 @@ A word of the free group is a ground expression without blocks, and
 ``normalize`` is its reduction; ``product``, ``inverse`` and ``conjugate``
 are the group operations on words.
 
-Each search result carries a ``Derivation`` that an independent ``replay``
-re-executes step by step, validating every precondition.
+Every rule is instantiated one way, by ``_instantiate_items`` under a
+binding: a generation rule's recorded unifier, or the fresh renaming that a
+parsing rule or relator instance records (``_renaming``).  Each search result
+carries a ``Derivation``, and ``_search`` replays it before returning it:
+``replay`` re-executes it step by step, validating every precondition.
 
 A block's move, rotation and dissolve form one bundled step.  Generation
 explores every bundle, since its goal is a word string and inert final
@@ -39,14 +42,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import lexicon as lx
 from .term import (
-    AbsVar, App, Binding, Compound, Const, EMPTY_BINDING, Identifier,
-    IdentifierSource, MetaVar, Term, binding_is_acyclic, canonical_identifiers,
-    is_ground, parse_abstraction, parse_term, render_abstraction, render_term,
-    substitute, subterms, unify,
+    HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
+    Identifier, IdentifierSource, MetaVar, Term, binding_is_acyclic,
+    canonical_identifiers, is_ground, parse_abstraction, parse_term,
+    render_abstraction, render_term, substitute, subterms, unify,
 )
 
 __all__ = [
@@ -202,7 +205,8 @@ class ExpandStep:
     ``r<n>`` (bare relator, saturation mode).  ``binding`` instantiates the
     rule against the target atom (generation); ``meta_map``/``ident_map``
     record the fresh renaming chosen at application time (parsing and
-    saturation), making replay deterministic.
+    saturation), making replay deterministic, and ``_renaming`` turns them
+    into the binding the rule is instantiated with.
     """
 
     level: tuple[int, ...]
@@ -295,53 +299,33 @@ def _instantiate_items(items: tuple[lx.SchemeItem, ...], b: Binding,
     blocks (or vanish in commutative mode, where conjugation is trivial)."""
     out: list[Item] = []
     i = 0
-    items = tuple(items)
     while i < len(items):
         it = items[i]
         if isinstance(it, lx.ExprMeta):
             j = next(k for k in range(i + 1, len(items))
                      if isinstance(items[k], lx.ExprMeta) and items[k].name == it.name)
             inner = _instantiate_items(items[i + 1:j], b, commutative)
-            if not commutative:
-                out.append(Block(inner))
-            else:
-                out.extend(inner)
+            out.extend(inner if commutative else (Block(inner),))
             i = j + 1
-        elif isinstance(it, lx.PhonItem):
-            out.append(Atom(it.token, it.sign))
-            i += 1
         else:
-            out.append(Atom(substitute(it.term, b), it.sign))
+            payload = it.token if isinstance(it, lx.PhonItem) else substitute(it.term, b)
+            out.append(Atom(payload, it.sign))
             i += 1
     return tuple(out)
 
 
-def _rename_scheme_term(t: Term, meta_map: Mapping[str, str],
-                        ident_map: Mapping[str, str]):
-    if t.ground:
-        return t
-    if isinstance(t, MetaVar):
-        if t.name in ident_map:
-            return Identifier(ident_map[t.name])
-        return MetaVar(meta_map.get(t.name, t.name))
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_rename_scheme_term(a, meta_map, ident_map)
-                                         for a in t.args))
-    if isinstance(t, App):
-        return App(AbsVar(meta_map.get(t.abstraction.name, t.abstraction.name)),
-                   _rename_scheme_term(t.arg, meta_map, ident_map))
-    return t
+def _renaming(step: ExpandStep) -> Binding:
+    """The fresh renaming a parsing or relator step records, as a binding.
 
-
-def _rename_items(items: tuple[lx.SchemeItem, ...], meta_map, ident_map):
-    out = []
-    for it in items:
-        if isinstance(it, lx.LogItem):
-            out.append(lx.LogItem(_rename_scheme_term(it.term, meta_map, ident_map),
-                                  it.sign))
-        else:
-            out.append(it)
-    return tuple(out)
+    Meta-variables become ``MetaVar(new)`` and abstraction variables
+    ``\\#_z.new[#_z]``, which ``substitute`` beta-reduces to ``new[arg]``;
+    names used as abstraction arguments become identifiers, and win over
+    ``meta_map`` when a name is in both maps.
+    """
+    terms: dict[str, Term] = {old: MetaVar(new) for old, new in step.meta_map}
+    terms.update((old, Identifier(new)) for old, new in step.ident_map)
+    return Binding(terms, {old: Abstraction(App(AbsVar(new), HOLE))
+                           for old, new in step.meta_map})
 
 
 def _scheme_variables(items: tuple[lx.SchemeItem, ...]) -> tuple[list[str], list[str]]:
@@ -394,10 +378,13 @@ class _Tables:
         self.gen_index: dict[str, list[lx.GenRule]] = {}
         for r in gen_rules:
             self.gen_index.setdefault(_head_key(r.lhs), []).append(r)
-        # parsing rules by their surface token
+        # parsing rules by their surface token, and the scheme variables
+        # and abstraction arguments of each
         self.parse_index: dict[str, list[lx.ParseRule]] = {}
+        self.parse_vars: dict[str, tuple[list[str], list[str]]] = {}
         for r in parse_rules:
             self.parse_index.setdefault(r.word, []).append(r)
+            self.parse_vars[r.rule_id] = _scheme_variables(r.rhs)
         # saturation: (rule id, scheme variables, names used as abstraction
         # arguments, items in a commutative instance) for each clause relator
         self.clauses = []
@@ -429,29 +416,29 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             items = level_items(expr, step.level)
             if step.index != len(items):
                 raise StepError("relator instances are appended at the end")
-            renamed = _rename_items(rule.items, dict(step.meta_map), dict(step.ident_map))
-            new_items = _instantiate_items(renamed, EMPTY_BINDING, commutative)
-            return normalize(_splice(expr, step.level, step.index, step.index, new_items))
-        items = level_items(expr, step.level)
-        if not (0 <= step.index < len(items)):
-            raise StepError("expand target out of range")
-        target = items[step.index]
-        if not isinstance(target, Atom) or target.sign != 1:
-            raise StepError("expand target must be a positive atom")
-        if step.rule_id.startswith("g"):
-            if target.is_phon() or not is_ground(target.payload):
-                raise StepError("generation expands ground logical atoms")
-            if substitute(rule.lhs, step.binding) != target.payload:
-                raise StepError("recorded binding does not match the target")
-            if not binding_is_acyclic(step.binding):
-                raise StepError("cyclic binding")
-            new_items = _instantiate_items(rule.rhs, step.binding, commutative)
+            scheme, binding, stop = rule.items, _renaming(step), step.index
         else:
-            if not target.is_phon() or target.payload != rule.word:
-                raise StepError(f"expand target is not the token {rule.word!r}")
-            renamed = _rename_items(rule.rhs, dict(step.meta_map), dict(step.ident_map))
-            new_items = _instantiate_items(renamed, EMPTY_BINDING, commutative)
-        return normalize(_splice(expr, step.level, step.index, step.index + 1, new_items))
+            items = level_items(expr, step.level)
+            if not (0 <= step.index < len(items)):
+                raise StepError("expand target out of range")
+            target = items[step.index]
+            if not isinstance(target, Atom) or target.sign != 1:
+                raise StepError("expand target must be a positive atom")
+            if step.rule_id.startswith("g"):
+                if target.is_phon() or not is_ground(target.payload):
+                    raise StepError("generation expands ground logical atoms")
+                if substitute(rule.lhs, step.binding) != target.payload:
+                    raise StepError("recorded binding does not match the target")
+                if not binding_is_acyclic(step.binding):
+                    raise StepError("cyclic binding")
+                binding = step.binding
+            else:
+                if not target.is_phon() or target.payload != rule.word:
+                    raise StepError(f"expand target is not the token {rule.word!r}")
+                binding = _renaming(step)
+            scheme, stop = rule.rhs, step.index + 1
+        new_items = _instantiate_items(scheme, binding, commutative)
+        return normalize(_splice(expr, step.level, step.index, stop, new_items))
 
     if isinstance(step, CancelStep):
         items = level_items(expr, step.level)
@@ -520,9 +507,12 @@ def replay(lex: lx.Lexicon, d: Derivation, *,
            allow_vacuous: bool = False) -> Expr:
     """Re-execute a derivation from scratch, validating every step.
 
-    Returns the final expression, which must equal ``d.end``.
+    Returns the final expression, which must equal ``d.end``.  Whether the
+    steps commute is the lexicon's to say, never the derivation's.
     """
-    commutative = d.mode == "saturate" or lex.commutative()
+    if d.mode not in ("gen", "parse", "saturate"):
+        raise StepError(f"unknown derivation mode {d.mode!r}")
+    commutative = lex.commutative()
     expr = normalize(d.start)
     for n, step in enumerate(d.steps):
         try:
@@ -954,12 +944,9 @@ def _saturate_successors(lex, node, allow_vacuous):
                           ident_map=ident_map)
         new = apply_step(lex, expr, step, commutative=True,
                          allow_vacuous=allow_vacuous)
-        if not expr:
-            out.append(((step,), new, 1))
-            continue
-        if len(new) < len(expr) + size:
-            # the head was the exact inverse of the subgoal and cancelled
-            # eagerly during normalization
+        if not expr or len(new) < len(expr) + size:
+            # the first instance, or one whose head was the exact inverse of
+            # the subgoal and cancelled eagerly during normalization
             out.append(((step,), new, 1))
             continue
         sel = len(expr) - 1
@@ -1026,6 +1013,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
             visited.add(key)
             queue.append(_Node(new, expansions, node, steps))
     ordered = sorted(results.items())
+    for _, (_, d) in ordered:
+        replay(lex, d, allow_vacuous=allow_vacuous)
     return EngineResult(tuple(v for _, v in ordered), truncated)
 
 
@@ -1054,10 +1043,7 @@ def generate(lex: lx.Lexicon, lf: Term, lim: SearchLimits = SearchLimits()) -> E
         pub = is_public(lex, expr, start=lf)
         return pub.words if pub is not None else None
 
-    out = _search(lex, "gen", start, (), lim, goal, lambda w: " ".join(w))
-    for _, d in out.results:
-        replay(lex, d, allow_vacuous=lim.allow_vacuous_abstraction)
-    return out
+    return _search(lex, "gen", start, (), lim, goal, lambda w: " ".join(w))
 
 
 def parse(lex: lx.Lexicon, words: Iterable[str],
@@ -1101,7 +1087,7 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
                 break
             rule = combo[ordinal]
             ordinal += 1
-            names, app_args = _scheme_variables(rule.rhs)
+            names, app_args = tables.parse_vars[rule.rule_id]
             meta_map = tuple((nm, f"{nm}{ordinal}")
                              for nm in names if nm not in app_args)
             ident_map = tuple((nm, idents.fresh().name) for nm in app_args)
@@ -1118,11 +1104,7 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
         if len(results) >= lim.max_results:
             truncated = True
             break
-    ordered = sorted(results.items())
-    res = EngineResult(tuple(v for _, v in ordered), truncated)
-    for _, d in res.results:
-        replay(lex, d, allow_vacuous=lim.allow_vacuous_abstraction)
-    return res
+    return EngineResult(tuple(v for _, v in sorted(results.items())), truncated)
 
 
 def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResult:
@@ -1143,10 +1125,7 @@ def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResul
         if not shape:
             raise InputError("saturation expects definite-clause relators: "
                              "one positive atom, then inverted atoms")
-    out = _search(lex, "saturate", (), (), lim, _single_atom_goal, render_term)
-    for _, d in out.results:
-        replay(lex, d, allow_vacuous=lim.allow_vacuous_abstraction)
-    return out
+    return _search(lex, "saturate", (), (), lim, _single_atom_goal, render_term)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,11 +1163,11 @@ def parse_expr(text: str, phon_vocab: Iterable[str]) -> Expr:
                 raise ValueError("unbalanced '}'")
             stack[-1].append(Block(tuple(inner)))
         else:
-            sign = 1
-            if tok.endswith("^-1"):
-                sign = -1
-                tok = tok[:-3]
-            payload: Union[str, Term] = tok if tok in vocab else parse_term(tok)
+            sign = -1 if tok.endswith("^-1") else 1
+            name = tok[:-3] if sign < 0 else tok
+            if not name:
+                raise ValueError(f"empty atom {tok!r}")
+            payload: Union[str, Term] = name if name in vocab else parse_term(name)
             stack[-1].append(Atom(payload, sign))
     if len(stack) != 1:
         raise ValueError("unbalanced '{'")

@@ -150,6 +150,21 @@ def test_reduce_rejects_what_is_not_a_word(capsys, word):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    if word == "^-1":
+        assert "'^-1'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", ENGLISH, "saw saw^-1 john", "--trace", "json", "--max-results", "5",
+     "--commutative"],
+    ["check", ENGLISH, "--max-items", "3"],
+    ["logic", FAMILY, "--trace", "text"],
+], ids=["reduce", "check", "logic"])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- logic

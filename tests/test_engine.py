@@ -452,6 +452,20 @@ def test_replay_rejects_tampered_end(english):
         replay(english, Derivation(d.mode, d.start, d.steps, (a("saw"),)))
 
 
+def test_replay_takes_commutativity_from_the_lexicon(english):
+    swapped = Derivation("saturate", (a("john"), a("saw")), (SwapStep(0),),
+                         (a("saw"), a("john")))
+    with pytest.raises(StepError, match="commutative"):
+        replay(english, swapped)
+    assert replay(_commutative(english), swapped) == (a("saw"), a("john"))
+
+
+def test_replay_rejects_an_unknown_mode(english):
+    ((_, d),) = generate(english, lf("s(j,l)"), LIM).results
+    with pytest.raises(StepError, match="unknown derivation mode 'bogus'"):
+        replay(english, Derivation("bogus", d.start, d.steps, d.end))
+
+
 # ---------------------------------------------------------------------------
 # commutative mode
 
