@@ -31,6 +31,13 @@ reading (see ``_block_successors``).  Postponed dissolves keep blocks longer,
 so intermediate states can be larger, by up to one item per block, when
 measured against ``SearchLimits.max_items``.
 
+The same commutation prunes cancels: a state reached by a bundle skips its
+top-level cancels of pairs that were adjacent before the bundle, since the
+bundle's parent makes them already.  That skip depends on the path, so a
+state keeps only what every path reaching it skips (see ``_search``).  One
+memo per search holds the unifiers of each payload pair that cancels and
+bundle predictions look up; ``apply_step`` and ``replay`` do not read it.
+
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object.  That lets an atom memoize its state-key fragment
 (see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
@@ -634,13 +641,14 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 
 class _Node:
-    __slots__ = ("expr", "expansions", "parent", "steps")
+    __slots__ = ("expr", "expansions", "parent", "steps", "key")
 
-    def __init__(self, expr, expansions, parent, steps):
+    def __init__(self, expr, expansions, parent, steps, key=None):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
+        self.key = key
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -669,22 +677,42 @@ def _expand_successors(lex, expr, commutative, allow_vacuous):
     return out
 
 
-def _cancel_successors(lex, expr, commutative, allow_vacuous):
+def _cancel_pair(a, b) -> bool:
+    """Whether adjacent items may cancel by an explicit step: logical atoms
+    of opposite sign, not both ground (ground inverses cancel eagerly)."""
+    return (isinstance(a, Atom) and isinstance(b, Atom) and a.sign == -b.sign
+            and not (a.is_phon() or b.is_phon())
+            and not (a.ground() and b.ground()))
+
+
+def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> list:
+    """``unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous)``, kept in
+    ``unifiers``, the search's memo from payload pairs to their unifiers."""
+    key = (a.payload, b.payload)
+    found = unifiers.get(key)
+    if found is None:
+        found = unifiers[key] = unify(a.payload, b.payload, EMPTY_BINDING,
+                                      allow_vacuous)
+    return found
+
+
+def _cancel_successors(lex, expr, commutative, allow_vacuous, unifiers,
+                       skip=0, nested=True):
+    """Every explicit cancel of an adjacent pair, at every level (only the
+    top level without ``nested``), except at the top-level positions set in
+    the bit mask ``skip`` (see ``_commuting_cancels``)."""
     out = []
-    for level, items in _levels(expr):
+    for level, items in _levels(expr) if nested else [((), expr)]:
         n = len(items)
-        pairs = [(i, i + 1, None) for i in range(n - 1)]
+        pairs = [(i, i + 1, None) for i in range(n - 1)
+                 if level or not skip >> i & 1]
         if level and n >= 2:
             pairs.append((n - 1, 0, 1))  # cyclic wrap inside a block
         for i, j, rot in pairs:
             a, b = items[i], items[j]
-            if not (isinstance(a, Atom) and isinstance(b, Atom)):
+            if not _cancel_pair(a, b):
                 continue
-            if a.sign != -b.sign or a.is_phon() or b.is_phon():
-                continue
-            if a.ground() and b.ground():
-                continue  # ground pairs are handled eagerly
-            for delta in unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous):
+            for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
                 if rot is None:
                     steps: tuple[Step, ...] = (CancelStep(level, i, delta),)
                 else:
@@ -697,6 +725,44 @@ def _cancel_successors(lex, expr, commutative, allow_vacuous):
                                      allow_vacuous=allow_vacuous)
                 out.append((steps, new, 0))
     return out
+
+
+def _adjacent_pairs(expr: Expr) -> set:
+    """Ids of the adjacent item pairs, left then right, at every level; block
+    contents are cyclic, their last item touches their first."""
+    pairs = set()
+    for level, items in _levels(expr):
+        ids = [id(i) for i in items]
+        pairs.update(zip(ids, ids[1:] + ids[:1] if level else ids[1:]))
+    return pairs
+
+
+def _commuting_cancels(adjacent: set, new: Expr, allow_vacuous: bool,
+                       unifiers: dict) -> int:
+    """Bit mask of the top-level positions of ``new``, a bundle's result,
+    whose cancel pairs two atoms already adjacent in the bundle's parent
+    (``adjacent``, from ``_adjacent_pairs``).  Such a cancel commutes back
+    before the bundle, so the search skips it (see ``_block_successors``)."""
+    mask = 0
+    for i in range(len(new) - 1):
+        a, b = new[i], new[i + 1]
+        if (id(a), id(b)) in adjacent and _cancel_pair(a, b) \
+                and _pair_unifiers(a, b, allow_vacuous, unifiers):
+            mask |= 1 << i
+    return mask
+
+
+def _narrow(masks: dict, key, mask: int) -> int:
+    """Intersect the skip mask kept for ``key`` with ``mask``; return the
+    bits taken out.  States whose mask becomes 0 leave ``masks``."""
+    old = masks.get(key, 0)
+    dropped = old & ~mask
+    if dropped:
+        if old & mask:
+            masks[key] = old & mask
+        else:
+            del masks[key]
+    return dropped
 
 
 def _locate(expr: Expr, obj: Item, prefix: tuple[int, ...] = ()):
@@ -758,16 +824,11 @@ def _dissolve(lex, placed, k: int):
     return tuple(steps), new
 
 
-def _joinable(x, y, allow_vacuous: bool) -> bool:
+def _joinable(x, y, allow_vacuous: bool, unifiers: dict) -> bool:
     """Whether adjacent items can cancel: eagerly (ground inverses) or by an
     explicit cancel (logical atoms of opposite sign that ``unify`` admits)."""
-    if not (isinstance(x, Atom) and isinstance(y, Atom)) or x.sign != -y.sign:
-        return False
-    if _inverse_pair(x, y):
-        return True
-    if x.is_phon() or y.is_phon() or (x.ground() and y.ground()):
-        return False
-    return bool(unify(x.payload, y.payload, EMPTY_BINDING, allow_vacuous))
+    return _inverse_pair(x, y) or (
+        _cancel_pair(x, y) and bool(_pair_unifiers(x, y, allow_vacuous, unifiers)))
 
 
 def _neighbours(items: Expr, slot: int, cyclic: bool):
@@ -780,7 +841,8 @@ def _neighbours(items: Expr, slot: int, cyclic: bool):
             items[slot] if slot < n else None)
 
 
-def _block_successors(lex, expr, postpone=False, allow_vacuous=False):
+def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
+                      unifiers=None):
     """Place each block, optionally rotate it, and dissolve it in one go.
 
     A block's position only matters at the moment it dissolves, so exploring
@@ -812,10 +874,26 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False):
     Postponed dissolves keep blocks longer, so an intermediate state can be
     larger than in the exhaustive search, by up to one item per block, when
     measured against ``max_items``.
+
+    The same swap prunes cancels after a bundle (any successor returned
+    here, runs included).  A top-level cancel of two atoms that were
+    adjacent in the bundle's parent, at any level and with block contents
+    read cyclically, uses no adjacency the bundle created, so it commutes
+    back before the bundle: the parent has it as a successor, and the
+    bundle, if still productive after it, follows; if not, the argument
+    above postpones it.
+    ``_search`` skips such cancels (``_commuting_cancels``), and keeps the
+    skip sound under state caching.  Cancels inside blocks are never skipped:
+    their positions depend on the block's rotation, which the state key
+    forgets.
+
+    ``unifiers`` is the search's memo of pair unifiers (``_pair_unifiers``);
+    a call without one gets a fresh memo.
     """
     out = []
     if postpone:
-        _runs(lex, expr, (), None, allow_vacuous, out)
+        _runs(lex, expr, (), None, allow_vacuous,
+              {} if unifiers is None else unifiers, out)
         return out
     for level, idx, block, mstep in _placements(expr):
         placed = _place(lex, expr, block, level, idx, mstep)
@@ -828,7 +906,7 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False):
     return out
 
 
-def _runs(lex, expr, prefix, released, allow_vacuous, out):
+def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
     """Append to ``out`` the productive bundles of ``expr``, each after the
     ``prefix`` steps, and extend the others into runs.
 
@@ -850,7 +928,7 @@ def _runs(lex, expr, prefix, released, allow_vacuous, out):
             # a move that empties the enclosing block joins items further
             # out once normalization drops it: keep it as productive
             flank = (bool(level) and not rest) or _joinable(
-                *_neighbours(rest, idx, bool(level)), allow_vacuous)
+                *_neighbours(rest, idx, bool(level)), allow_vacuous, unifiers)
         left, right = _neighbours(titems, slot, bool(tlevel))
         if released is not None and id(left) not in released \
                 and id(right) not in released:
@@ -861,8 +939,8 @@ def _runs(lex, expr, prefix, released, allow_vacuous, out):
         placed = None
         for k in range(len(c)):
             productive = (flank or goal or (k > 0 and seam)
-                          or _joinable(left, c[k], allow_vacuous)
-                          or _joinable(c[k - 1], right, allow_vacuous))
+                          or _joinable(left, c[k], allow_vacuous, unifiers)
+                          or _joinable(c[k - 1], right, allow_vacuous, unifiers))
             if not (productive or extend):
                 continue
             if placed is None:
@@ -876,7 +954,8 @@ def _runs(lex, expr, prefix, released, allow_vacuous, out):
                 out.append((prefix + steps, new, 0))
             else:
                 more = (released or set()) | {id(i) for i in c}
-                _runs(lex, new, prefix + steps, more, allow_vacuous, out)
+                _runs(lex, new, prefix + steps, more, allow_vacuous, unifiers,
+                      out)
 
 
 def _swap_cancel_successors(lex, expr, allow_vacuous):
@@ -961,45 +1040,90 @@ def _saturate_successors(lex, node, allow_vacuous):
 
 
 def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...],
-            lim: SearchLimits, goal, result_key) -> EngineResult:
+            lim: SearchLimits, goal, result_key,
+            base: Optional[Expr] = None) -> EngineResult:
+    """Breadth-first search from ``start``; every result is replayed.
+
+    ``pre_steps`` lead from ``start`` to ``base``, where the search begins:
+    the caller has applied them, and ``replay`` checks them again.  Without
+    them ``base`` is ``start`` normalized.
+
+    In non-commutative parsing, a state reached by a block bundle skips the
+    top-level cancels that ``_commuting_cancels`` finds, since the bundle's
+    parent makes them already (see ``_block_successors``).  The skip is a bit
+    mask over top-level positions, and positions agree between states with
+    equal keys.  It holds for one path, but states are cached by key, so a
+    state keeps the intersection of the masks of every path that reaches it,
+    and only states with a nonzero mask keep one.  A later path whose mask
+    lacks a bit narrows the mask of a queued state.  If the state was already
+    expanded, the cancels at those bits are made then, from the arriving
+    instance (a re-expansion): the parent of that path need not have them,
+    so without this the cancels a state makes would depend on which path
+    reached it first.  No known input needs a re-expansion for a reading,
+    but some run it (``every man that some woman saw ran`` does).
+
+    ``unifiers`` memoizes the unifiers of each payload pair that cancels and
+    bundle predictions look up, one dict per search; ``apply_step`` and
+    ``replay`` still call ``unify`` themselves.
+    """
     commutative = lex.commutative()
     allow_vacuous = lim.allow_vacuous_abstraction
+    skipping = mode == "parse" and not commutative
 
     root = _Node(normalize(start), 0, None, ())
-    expr = root.expr
-    for s in pre_steps:
-        expr = apply_step(lex, expr, s, commutative=commutative,
-                          allow_vacuous=allow_vacuous)
-    base = _Node(expr, 0, root, pre_steps)
+    expr = root.expr if base is None else base
+    first = _Node(expr, 0, root, pre_steps, _canonical_key(expr, commutative))
 
     truncated = False
     results: dict[str, tuple] = {}
-    visited = {_canonical_key(base.expr, commutative)}
-    queue = deque([base])
-    while queue:
-        node = queue.popleft()
-        payload = goal(node.expr)
-        if payload is not None:
-            key = result_key(payload)
-            if key not in results:
-                d = Derivation(mode, root.expr, node.derivation_steps(), node.expr)
-                results[key] = (payload, d)
-                if len(results) >= lim.max_results:
-                    truncated = True
-                    break
-        if mode == "saturate":
-            succ = _saturate_successors(lex, node, allow_vacuous)
+    unifiers: dict = {}
+    visited = {first.key}
+    # skip masks of the states that skip any cancel, queued and expanded
+    queued_skips: dict = {}
+    expanded_skips: dict = {}
+    queue = deque([first])
+    late: deque = deque()  # re-expansions: (arriving instance, mask to make)
+    while late or queue:
+        if late:
+            node, need = late.popleft()
+            succ = _cancel_successors(lex, node.expr, commutative, allow_vacuous,
+                                      unifiers, skip=~need, nested=False)
+            bundles = len(succ)
         else:
-            succ = []
-            if mode == "gen":
-                succ += _expand_successors(lex, node.expr, commutative, allow_vacuous)
-            if commutative:
-                succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
-            elif mode != "gen":
-                succ += _cancel_successors(lex, node.expr, commutative, allow_vacuous)
-            succ += _block_successors(lex, node.expr, mode == "parse",
-                                      allow_vacuous)
-        for steps, new, dexp in succ:
+            node = queue.popleft()
+            payload = goal(node.expr)
+            if payload is not None:
+                key = result_key(payload)
+                if key not in results:
+                    d = Derivation(mode, root.expr, node.derivation_steps(),
+                                   node.expr)
+                    results[key] = (payload, d)
+                    if len(results) >= lim.max_results:
+                        truncated = True
+                        break
+            skip = queued_skips.pop(node.key, 0) if skipping else 0
+            if skip:
+                expanded_skips[node.key] = skip
+            if mode == "saturate":
+                succ = _saturate_successors(lex, node, allow_vacuous)
+            else:
+                succ = []
+                if mode == "gen":
+                    succ += _expand_successors(lex, node.expr, commutative,
+                                               allow_vacuous)
+                if commutative:
+                    succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
+                elif mode != "gen":
+                    succ += _cancel_successors(lex, node.expr, commutative,
+                                               allow_vacuous, unifiers, skip)
+            bundles = len(succ)  # where the block bundles start
+            if mode != "saturate":
+                succ += _block_successors(lex, node.expr, mode == "parse",
+                                          allow_vacuous, unifiers)
+        adjacent = None
+        if skipping and len(succ) > bundles:
+            adjacent = _adjacent_pairs(node.expr)
+        for k, (steps, new, dexp) in enumerate(succ):
             expansions = node.expansions + dexp
             if expansions > lim.max_expansions:
                 truncated = True
@@ -1008,10 +1132,25 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
                 truncated = True
                 continue
             key = _canonical_key(new, commutative)
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append(_Node(new, expansions, node, steps))
+            if key not in visited:
+                visited.add(key)
+                queue.append(_Node(new, expansions, node, steps, key))
+                if adjacent is not None and k >= bundles:
+                    mask = _commuting_cancels(adjacent, new, allow_vacuous,
+                                              unifiers)
+                    if mask:
+                        queued_skips[key] = mask
+            elif skipping and (key in queued_skips or key in expanded_skips):
+                # a later path: the state keeps only what both paths skip
+                mask = 0 if k < bundles else _commuting_cancels(
+                    adjacent, new, allow_vacuous, unifiers)
+                if key in queued_skips:
+                    _narrow(queued_skips, key, mask)
+                else:
+                    need = _narrow(expanded_skips, key, mask)
+                    if need:
+                        late.append((_Node(new, expansions, node, steps, key),
+                                     need))
     ordered = sorted(results.items())
     for _, (_, d) in ordered:
         replay(lex, d, allow_vacuous=allow_vacuous)
@@ -1097,7 +1236,7 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             pre.append(step)
 
         out = _search(lex, "parse", start, tuple(pre), lim, _single_atom_goal,
-                      render_term)
+                      render_term, expr)
         truncated = truncated or out.truncated
         for payload, d in out.results:
             results.setdefault(render_term(payload), (payload, d))

@@ -303,6 +303,22 @@ def test_parse_simple_sentence(english):
     assert not res.truncated
 
 
+def test_parse_applies_each_token_expansion_once(english, monkeypatch):
+    from ggroup import engine
+    real = engine.apply_step
+    expansions = []
+
+    def counting(lex, expr, step, **kwargs):
+        expansions.append(isinstance(step, ExpandStep))
+        return real(lex, expr, step, **kwargs)
+
+    monkeypatch.setattr(engine, "apply_step", counting)
+    res = parse(english, "john saw louise".split(), LIM)
+    assert len(res.results) == 1
+    # once before the search, once more in the replay of the one reading
+    assert sum(expansions) == 6
+
+
 def test_parse_attachment_ambiguity_is_exactly_two_ways(english):
     res = parse(english, "john saw louise in paris".split(), LIM)
     assert {render_term(t) for t, _ in res.results} == {

@@ -1,10 +1,13 @@
-"""Differential tests: parsing with postponed block placement against the
-exhaustive placement, which serves as the unpruned reference.
+"""Differential tests of the two prunings of parse search against searches
+without them.
 
-The reference puts every placement of every block back as a search state in
-parse mode (as generation still does).  Both searches must find the same
-readings and agree on truncation, and every derivation of the pruned search
-must replay.
+Postponed block placement is checked against the unpruned reference, which
+puts every placement of every block back as a search state in parse mode (as
+generation still does) and makes every cancel at every state.  The skipped
+cancels (those that commute before the preceding block bundle) are also
+checked on their own, against the postponed placement without the skip.
+Both searches must find the same readings and agree on truncation, and every
+derivation of the pruned search must replay.
 """
 
 import itertools
@@ -23,17 +26,35 @@ LIM = SearchLimits()
 RAW = Lexicon((), (), raw_mode=True)
 
 
+def _no_skip(m):
+    m.setattr(engine, "_commuting_cancels", lambda *args: 0)
+
+
 @pytest.fixture
 def reference(monkeypatch):
-    """Call a function with the exhaustive placement in every mode."""
+    """Call a function with the exhaustive placement in every mode and no
+    cancel skipped."""
     real = engine._block_successors
 
-    def exhaustive(lex, expr, postpone=False, allow_vacuous=False):
-        return real(lex, expr, False, allow_vacuous)
+    def exhaustive(lex, expr, postpone=False, *args):
+        return real(lex, expr, False, *args)
 
     def run(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(engine, "_block_successors", exhaustive)
+            _no_skip(m)
+            return fn(*args)
+
+    return run
+
+
+@pytest.fixture
+def unskipped(monkeypatch):
+    """Call a function with postponed placement but no cancel skipped."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            _no_skip(m)
             return fn(*args)
 
     return run
@@ -55,9 +76,9 @@ def _search(start):
                           engine._single_atom_goal, render_term)
 
 
-def _check_start(reference, start):
+def _check_start(against, start):
     pruned = _search(start)
-    ref = reference(_search, start)
+    ref = against(_search, start)
     _agree(pruned, ref, RAW)
     return pruned
 
@@ -178,16 +199,20 @@ def _cut(rng, items):
     return rest[:pos] + [Block(tuple(seg[r:] + seg[:r]))] + rest[pos:]
 
 
-def test_random_starts_match_the_reference(reference):
-    rng = random.Random(11)
+def _check_random_starts(against, seed):
+    rng = random.Random(seed)
     found = 0
     for n in range(500):
         start = _random_start(rng)
         try:
-            found += bool(_check_start(reference, start).results)
+            found += bool(_check_start(against, start).results)
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
     assert found > 250  # most starts still reach a reading
+
+
+def test_random_starts_match_the_reference(reference):
+    _check_random_starts(reference, 11)
 
 
 @pytest.mark.parametrize("text", [
@@ -202,3 +227,40 @@ def test_named_counterexamples_match_the_reference(reference, text):
     start = engine.parse_expr(text, ())
     assert normalize(start) == start
     assert _readings(_check_start(reference, start)) == {"g"}
+
+
+# ---------------------------------------------------------------------------
+# skipped cancels: the same search with every top-level cancel made
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_skipped_cancels_keep_the_readings(english, unskipped, sentence):
+    words = sentence.split()
+    pruned = parse(english, words, LIM)
+    _agree(pruned, unskipped(parse, english, words, LIM), english)
+    assert pruned.results
+
+
+def test_skipped_cancels_keep_the_readings_of_random_starts(unskipped):
+    _check_random_starts(unskipped, 29)
+
+
+@pytest.mark.parametrize("text, reading", [
+    ("{ { f(Y) { s } f(b) } f(Y)^-1 } f(X)^-1 f(Y) f(b)^-1", "s"),
+    ("h(X) f(Y) f(X)^-1 f(b) { { f(Y)^-1 } } { f(Y)^-1 } f(X)", "h(b)"),
+])
+def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
+                                              reading):
+    # a later path reaches an expanded state that skipped a cancel the path
+    # needs, so the search makes that cancel from the arriving instance
+    real = engine._cancel_successors
+    late = []
+
+    def counting(*args, **kwargs):
+        late.append(kwargs.get("nested") is False)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_cancel_successors", counting)
+    start = engine.parse_expr(text, ())
+    assert _readings(_check_start(unskipped, start)) == {reading}
+    assert any(late)

@@ -202,14 +202,16 @@ def _family():
     return encode_logic_program(parse_logic_program((GRAMMAR_DIR / "family.lp").read_text()))
 
 
-# Counts of the search, parsing with postponed block placement (the blind
-# search keyed 424/180 and 3302/1154 for the two parses); a change that prunes
-# or reorders states updates them on purpose.
+# Counts of the search, parsing with postponed block placement and with the
+# top-level cancels that commute before a bundle skipped (the blind search
+# keyed 424/180 and 3302/1154 for the two parses, postponed placement alone
+# 338/149 and 3230/1138); a change that prunes or reorders states updates
+# them on purpose.
 PINNED = [
     ("parse the man that louise saw ran",
-     lambda: parse(_english(), "the man that louise saw ran".split()), 338, 149),
+     lambda: parse(_english(), "the man that louise saw ran".split()), 256, 140),
     ("parse john saw every woman in paris",
-     lambda: parse(_english(), "john saw every woman in paris".split()), 3230, 1138),
+     lambda: parse(_english(), "john saw every woman in paris".split()), 2382, 1124),
     ("generate ev(m,#x1,r(#x1))",
      lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))")), 62, 33),
     ("saturate family.lp", lambda: saturate(_family()), 30, 30),
