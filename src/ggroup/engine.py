@@ -17,6 +17,11 @@ binding: a generation rule's recorded unifier, or the fresh renaming that a
 parsing rule or relator instance records (``_renaming``).  Each search result
 carries a ``Derivation``, and ``_search`` replays it before returning it:
 ``replay`` re-executes it step by step, validating every precondition.
+Whether steps commute is the lexicon's to decide, never a caller's.
+
+Each query is one search.  Parsing starts it from every assignment of rules
+to homonymous tokens: ``max_results`` counts readings across them all, and a
+reading's derivation may start from any assignment that reaches it.
 
 A block's move, rotation and dissolve form one bundled step.  Generation
 explores every bundle, since its goal is a word string and inert final
@@ -49,7 +54,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import lexicon as lx
 from .term import (
@@ -381,6 +386,7 @@ class _Tables:
         parse_rules, self.parse_problems = _derive_rules(lx.parse_rules, lex)
         self.by_id: dict[str, object] = {r.rule_id: r for r in gen_rules + parse_rules}
         self.by_id.update((f"r{n}", r) for n, r in enumerate(lex.relators, start=1))
+        self.commutative = lex.commutative()
         # generation rules by the head key of their left-hand side
         self.gen_index: dict[str, list[lx.GenRule]] = {}
         for r in gen_rules:
@@ -411,14 +417,16 @@ def _tables(lex: lx.Lexicon) -> _Tables:
 
 
 def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
-               commutative: bool = False, allow_vacuous: bool = False) -> Expr:
-    """Apply one derivation step, validating its preconditions."""
+               allow_vacuous: bool = False) -> Expr:
+    """Apply one derivation step, validating its preconditions.  Whether
+    steps commute is the lexicon's to decide (``Lexicon.commutative``)."""
     if isinstance(step, ExpandStep):
-        rule = _tables(lex).by_id.get(step.rule_id)
+        tables = _tables(lex)
+        rule = tables.by_id.get(step.rule_id)
         if rule is None:
             raise StepError(f"unknown rule {step.rule_id}")
         if step.rule_id.startswith("r"):
-            if not commutative:
+            if not tables.commutative:
                 raise StepError("relator multiplication requires commutative mode")
             items = level_items(expr, step.level)
             if step.index != len(items):
@@ -444,7 +452,7 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
                     raise StepError(f"expand target is not the token {rule.word!r}")
                 binding = _renaming(step)
             scheme, stop = rule.rhs, step.index + 1
-        new_items = _instantiate_items(scheme, binding, commutative)
+        new_items = _instantiate_items(scheme, binding, tables.commutative)
         return normalize(_splice(expr, step.level, step.index, stop, new_items))
 
     if isinstance(step, CancelStep):
@@ -500,7 +508,7 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
                                  items[step.index].contents))
 
     if isinstance(step, SwapStep):
-        if not commutative:
+        if not _tables(lex).commutative:
             raise StepError("swap requires commutative mode")
         if not (0 <= step.index < len(expr) - 1):
             raise StepError("swap position out of range")
@@ -519,12 +527,10 @@ def replay(lex: lx.Lexicon, d: Derivation, *,
     """
     if d.mode not in ("gen", "parse", "saturate"):
         raise StepError(f"unknown derivation mode {d.mode!r}")
-    commutative = lex.commutative()
     expr = normalize(d.start)
     for n, step in enumerate(d.steps):
         try:
-            expr = apply_step(lex, expr, step, commutative=commutative,
-                              allow_vacuous=allow_vacuous)
+            expr = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
         except StepError as e:
             raise StepError(f"step {n + 1}: {e}") from None
     if expr != d.end:
@@ -659,7 +665,7 @@ class _Node:
         return tuple(chain)
 
 
-def _expand_successors(lex, expr, commutative, allow_vacuous):
+def _expand_successors(lex, expr, allow_vacuous):
     gen_index = _tables(lex).gen_index
     out = []
     for level, items in _levels(expr):
@@ -671,8 +677,7 @@ def _expand_successors(lex, expr, commutative, allow_vacuous):
             for rule in gen_index.get(_head_key(item.payload), []) + gen_index.get("*", []):
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
-                    new = apply_step(lex, expr, step, commutative=commutative,
-                                     allow_vacuous=allow_vacuous)
+                    new = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
                     out.append(((step,), new, 1))
     return out
 
@@ -696,8 +701,8 @@ def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> lis
     return found
 
 
-def _cancel_successors(lex, expr, commutative, allow_vacuous, unifiers,
-                       skip=0, nested=True):
+def _cancel_successors(lex, expr, allow_vacuous, unifiers, skip=0,
+                       nested=True):
     """Every explicit cancel of an adjacent pair, at every level (only the
     top level without ``nested``), except at the top-level positions set in
     the bit mask ``skip`` (see ``_commuting_cancels``)."""
@@ -721,8 +726,7 @@ def _cancel_successors(lex, expr, commutative, allow_vacuous, unifiers,
                              CancelStep(level, n - 2, delta))
                 new = expr
                 for s in steps:
-                    new = apply_step(lex, new, s, commutative=commutative,
-                                     allow_vacuous=allow_vacuous)
+                    new = apply_step(lex, new, s, allow_vacuous=allow_vacuous)
                 out.append((steps, new, 0))
     return out
 
@@ -991,8 +995,7 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
                 new = expr
                 try:
                     for s in steps:
-                        new = apply_step(lex, new, s, commutative=True,
-                                         allow_vacuous=allow_vacuous)
+                        new = apply_step(lex, new, s, allow_vacuous=allow_vacuous)
                 except StepError:
                     continue  # an eager cancel en route re-shuffled the plan
                 out.append((tuple(steps), new, 0))
@@ -1021,8 +1024,7 @@ def _saturate_successors(lex, node, allow_vacuous):
                           for k, nm in enumerate(app_args, 1))
         step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
-        new = apply_step(lex, expr, step, commutative=True,
-                         allow_vacuous=allow_vacuous)
+        new = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
         if not expr or len(new) < len(expr) + size:
             # the first instance, or one whose head was the exact inverse of
             # the subgoal and cancelled eagerly during normalization
@@ -1033,20 +1035,23 @@ def _saturate_successors(lex, node, allow_vacuous):
         for delta in unify(subgoal.payload, head.payload, EMPTY_BINDING,
                            allow_vacuous):
             cancel = CancelStep((), sel, delta)
-            new2 = apply_step(lex, new, cancel, commutative=True,
-                              allow_vacuous=allow_vacuous)
+            new2 = apply_step(lex, new, cancel, allow_vacuous=allow_vacuous)
             out.append(((step, cancel), new2, 1))
     return out
 
 
-def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...],
-            lim: SearchLimits, goal, result_key,
-            base: Optional[Expr] = None) -> EngineResult:
+def _search(lex: lx.Lexicon, mode: str, start: Expr,
+            starts: Sequence[tuple[tuple[Step, ...], Expr]],
+            lim: SearchLimits, goal, result_key) -> EngineResult:
     """Breadth-first search from ``start``; every result is replayed.
 
-    ``pre_steps`` lead from ``start`` to ``base``, where the search begins:
-    the caller has applied them, and ``replay`` checks them again.  Without
-    them ``base`` is ``start`` normalized.
+    The search begins at each ``expr`` of ``starts``, pairs ``(steps,
+    expr)`` whose ``steps`` the caller applied to ``start`` and ``replay``
+    checks again; starts with equal keys are queued once, and no starts
+    means ``start`` normalized.  Parsing passes one start per assignment of
+    rules to homonymous tokens, so one search covers them all: ``max_results``
+    counts readings across every start, and a reading's derivation may begin
+    at any start that reaches it.
 
     In non-commutative parsing, a state reached by a block bundle skips the
     top-level cancels that ``_commuting_cancels`` finds, since the bundle's
@@ -1066,28 +1071,30 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
     bundle predictions look up, one dict per search; ``apply_step`` and
     ``replay`` still call ``unify`` themselves.
     """
-    commutative = lex.commutative()
+    commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
     skipping = mode == "parse" and not commutative
 
     root = _Node(normalize(start), 0, None, ())
-    expr = root.expr if base is None else base
-    first = _Node(expr, 0, root, pre_steps, _canonical_key(expr, commutative))
+    queue, visited = deque(), set()
+    for steps, expr in starts or [((), root.expr)]:
+        key = _canonical_key(expr, commutative)
+        if key not in visited:
+            visited.add(key)
+            queue.append(_Node(expr, 0, root, steps, key))
 
     truncated = False
     results: dict[str, tuple] = {}
     unifiers: dict = {}
-    visited = {first.key}
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
-    queue = deque([first])
     late: deque = deque()  # re-expansions: (arriving instance, mask to make)
     while late or queue:
         if late:
             node, need = late.popleft()
-            succ = _cancel_successors(lex, node.expr, commutative, allow_vacuous,
-                                      unifiers, skip=~need, nested=False)
+            succ = _cancel_successors(lex, node.expr, allow_vacuous, unifiers,
+                                      skip=~need, nested=False)
             bundles = len(succ)
         else:
             node = queue.popleft()
@@ -1109,13 +1116,12 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr, pre_steps: tuple[Step, ...]
             else:
                 succ = []
                 if mode == "gen":
-                    succ += _expand_successors(lex, node.expr, commutative,
-                                               allow_vacuous)
+                    succ += _expand_successors(lex, node.expr, allow_vacuous)
                 if commutative:
                     succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
                 elif mode != "gen":
-                    succ += _cancel_successors(lex, node.expr, commutative,
-                                               allow_vacuous, unifiers, skip)
+                    succ += _cancel_successors(lex, node.expr, allow_vacuous,
+                                               unifiers, skip)
             bundles = len(succ)  # where the block bundles start
             if mode != "saturate":
                 succ += _block_successors(lex, node.expr, mode == "parse",
@@ -1191,6 +1197,9 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
 
     Results are pairs ``(term, derivation)``; terms carry canonically renamed
     identifiers and come in rendering order.
+    One search covers every assignment of rules to homonymous tokens:
+    ``max_results`` counts readings across them all, and a reading's
+    derivation may start from any assignment that reaches it.
     """
     words = tuple(words)
     vocab = set(lex.phon_vocab)
@@ -1208,42 +1217,26 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             raise InputError(f"no parsing rule for token {w!r}")
 
     start: Expr = tuple(Atom(w, 1) for w in words)
-    results: dict[str, tuple] = {}
-    truncated = False
-    commutative = lex.commutative()
-    # one search per assignment of rules to homonymous tokens
+    starts = []
     for combo in itertools.product(*(prules[w] for w in words)):
         pre: list[Step] = []
         expr = start
         idents = IdentifierSource()
-        ordinal = 0
-        # expand every token up front, left to right
-        while True:
-            pos = next((k for k, i in enumerate(expr)
-                        if isinstance(i, Atom) and i.is_phon() and i.sign == 1),
-                       None)
-            if pos is None:
-                break
-            rule = combo[ordinal]
-            ordinal += 1
+        # expand every token up front, left to right; rules put no tokens
+        # back, so the tokens not yet expanded are the last items
+        for ordinal, rule in enumerate(combo, 1):
             names, app_args = tables.parse_vars[rule.rule_id]
             meta_map = tuple((nm, f"{nm}{ordinal}")
                              for nm in names if nm not in app_args)
             ident_map = tuple((nm, idents.fresh().name) for nm in app_args)
-            step = ExpandStep((), pos, rule.rule_id, meta_map=meta_map,
+            step = ExpandStep((), len(expr) - len(words) + ordinal - 1,
+                              rule.rule_id, meta_map=meta_map,
                               ident_map=ident_map)
-            expr = apply_step(lex, expr, step, commutative=commutative)
+            expr = apply_step(lex, expr, step)
             pre.append(step)
-
-        out = _search(lex, "parse", start, tuple(pre), lim, _single_atom_goal,
-                      render_term, expr)
-        truncated = truncated or out.truncated
-        for payload, d in out.results:
-            results.setdefault(render_term(payload), (payload, d))
-        if len(results) >= lim.max_results:
-            truncated = True
-            break
-    return EngineResult(tuple(v for _, v in sorted(results.items())), truncated)
+        starts.append((tuple(pre), expr))
+    return _search(lex, "parse", start, starts, lim, _single_atom_goal,
+                   render_term)
 
 
 def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResult:
@@ -1379,25 +1372,31 @@ def render_step(step: Step) -> str:
 def parse_step(text: str) -> Step:
     kind, _, rest = text.partition(" ")
     fields = dict(part.split("=", 1) for part in rest.split() if part)
+
+    def need(name: str) -> str:
+        if name not in fields:
+            raise ValueError(f"{kind} step without field {name!r}")
+        return fields[name]
+
     if kind == "expand":
-        return ExpandStep(_parse_level(fields["level"]), int(fields["index"]),
-                          fields["rule"], _parse_binding(fields.get("bind", "")),
+        return ExpandStep(_parse_level(need("level")), int(need("index")),
+                          need("rule"), _parse_binding(fields.get("bind", "")),
                           _parse_pairs(fields.get("rename", "")),
                           _parse_pairs(fields.get("idents", "")))
     if kind == "cancel":
-        return CancelStep(_parse_level(fields["level"]), int(fields["index"]),
+        return CancelStep(_parse_level(need("level")), int(need("index")),
                           _parse_binding(fields.get("bind", "")))
     if kind == "move":
-        tlevel, _, slot = fields["to"].rpartition(":")
-        return MoveStep(_parse_level(fields["level"]), int(fields["index"]),
+        tlevel, _, slot = need("to").rpartition(":")
+        return MoveStep(_parse_level(need("level")), int(need("index")),
                         _parse_level(tlevel), int(slot))
     if kind == "rotate":
-        return RotateStep(_parse_level(fields["level"]), int(fields["index"]),
-                          int(fields["k"]))
+        return RotateStep(_parse_level(need("level")), int(need("index")),
+                          int(need("k")))
     if kind == "dissolve":
-        return DissolveStep(_parse_level(fields["level"]), int(fields["index"]))
+        return DissolveStep(_parse_level(need("level")), int(need("index")))
     if kind == "swap":
-        return SwapStep(int(fields["index"]))
+        return SwapStep(int(need("index")))
     raise ValueError(f"unknown step kind {kind!r}")
 
 

@@ -11,6 +11,7 @@ from ggroup.engine import (
     generate, is_public, normalize, parse, parse_derivation, parse_expr,
     render_derivation, render_expr, replay, saturate, _block_successors,
 )
+from ggroup.encodings import commutator_scheme
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
     Binding, canonical_identifiers, parse_term, render_term, subterms,
@@ -156,12 +157,17 @@ def test_rotation_can_cancel_across_the_block_seam():
     assert render_expr(out) == "{ y }"
 
 
-def test_swap_step_requires_commutative_mode():
+def test_swap_step_requires_commutative_mode(english):
+    # whether steps commute is the lexicon's to say, never the caller's
     e = (a("x"), a("y"))
     with pytest.raises(StepError, match="commutative"):
         apply_step(EMPTY_LEX, e, SwapStep(0))
-    out = apply_step(EMPTY_LEX, e, SwapStep(0), commutative=True)
+    commutative = Lexicon((), (commutator_scheme(),), raw_mode=True)
+    out = apply_step(commutative, e, SwapStep(0))
     assert out == (a("y"), a("x"))
+    # relator multiplication, the other commutative-only step
+    with pytest.raises(StepError, match="commutative"):
+        apply_step(english, (), ExpandStep((), 0, "r1"))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +467,20 @@ def test_replay_rejects_tampered_steps(english):
         replay(english, Derivation(d.mode, d.start, (bent,) + d.steps[1:], d.end))
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("expand index=0 rule=p1", "level"),
+    ("cancel index=0", "level"),
+    ("move level=- index=0", "to"),
+    ("rotate level=- index=0", "k"),
+    ("dissolve level=-", "index"),
+    ("swap", "index"),
+])
+def test_parse_step_names_a_missing_field(text, missing):
+    kind = text.split()[0]
+    with pytest.raises(ValueError, match=f"{kind} step without field '{missing}'"):
+        parse_derivation(f"derivation mode=parse\nstep: {text}", ())
+
+
 def test_replay_rejects_tampered_end(english):
     res = generate(english, lf("s(j,l)"), LIM)
     ((_, d),) = res.results
@@ -508,8 +528,6 @@ def test_commutative_derivations_use_swaps(english):
 
 
 def _commutative(english):
-    from ggroup.encodings import commutator_scheme
-
     return Lexicon(english.phon_vocab,
                    english.relators + (commutator_scheme(),))
 
