@@ -14,34 +14,29 @@ are the group operations on words.
 
 Every rule is instantiated one way, by ``_instantiate_items`` under a
 binding: a generation rule's recorded unifier, or the fresh renaming that a
-parsing rule or relator instance records (``_renaming``).  Each search result
-carries a ``Derivation``, and ``_search`` replays it before returning it:
-``replay`` re-executes it step by step, validating every precondition.
-Whether steps commute is the lexicon's to decide, never a caller's.
+parsing rule or relator instance records (``_renaming``).  Whether steps
+commute is the lexicon's to decide, never a caller's.
+
+A derivation is its answer's proof and ``replay`` its checker: the search
+applies the steps it builds itself unchecked (``_apply``), and ``_search``
+replays each result's ``Derivation``, checking every step (``apply_step``),
+so each answer is proved exactly once.
 
 Each query is one search.  Parsing starts it from every assignment of rules
 to homonymous tokens: ``max_results`` counts readings across them all, and a
 reading's derivation may start from any assignment that reaches it.
 
 A block's move, rotation and dissolve form one bundled step.  Generation
-explores every bundle, since its goal is a word string and inert final
-placements give distinct strings.  Parsing postpones placement (a
-partial-order reduction): a bundle is a state only when it is productive -
-something cancels, the goal is reached, or a pair it makes adjacent can
-cancel - and an unproductive bundle is instead extended into a run of
-bundles that each dissolve next to items released earlier in the run,
-emitted once productive.  An unproductive dissolve commutes forward past
-every step that does not use an adjacency it created, so this keeps every
-reading (see ``_block_successors``).  Postponed dissolves keep blocks longer,
-so intermediate states can be larger, by up to one item per block, when
-measured against ``SearchLimits.max_items``.
+explores every bundle, since inert final placements give distinct strings.
+Parsing postpones placement (a partial-order reduction): a bundle is a state
+only when it is productive, and an unproductive one is extended into a run
+of bundles, emitted once productive.  No reading is lost, and intermediate
+states can be larger by up to one item per block (see ``_block_successors``).
 
 The same commutation prunes cancels: a state reached by a bundle skips its
-top-level cancels of pairs that were adjacent before the bundle, since the
-bundle's parent makes them already.  That skip depends on the path, so a
-state keeps only what every path reaching it skips (see ``_search``).  One
-memo per search holds the unifiers of each payload pair that cancels and
-bundle predictions look up; ``apply_step`` and ``replay`` do not read it.
+top-level cancels of pairs that were adjacent before the bundle (see
+``_search``).  One memo per search holds the unifiers of payload pairs;
+``replay`` does not read it.
 
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object.  That lets an atom memoize its state-key fragment
@@ -178,13 +173,11 @@ def substitute_expr(expr: Expr, b: Binding) -> Expr:
 
 
 def level_items(expr: Expr, level: tuple[int, ...]) -> Expr:
-    items: Expr = expr
     for i in level:
-        block = items[i]
-        if not isinstance(block, Block):
+        if not (0 <= i < len(expr) and isinstance(expr[i], Block)):
             raise StepError(f"no block at {level}")
-        items = block.contents
-    return items
+        expr = expr[i].contents
+    return expr
 
 
 def _replace_level(expr: Expr, level: tuple[int, ...], new_items: Expr) -> Expr:
@@ -358,7 +351,7 @@ def _scheme_variables(items: tuple[lx.SchemeItem, ...]) -> tuple[list[str], list
 
 
 # ---------------------------------------------------------------------------
-# Step application (shared by search and replay; always validates)
+# Step application: unchecked in the search (_apply), checked in replay
 
 
 def _head_key(t: Term) -> str:
@@ -416,10 +409,41 @@ def _tables(lex: lx.Lexicon) -> _Tables:
     return tables
 
 
+def _apply(lex: lx.Lexicon, expr: Expr, step: Step) -> Expr:
+    """Apply one derivation step without checking it.  The search applies the
+    steps it builds itself this way; ``apply_step`` checks first."""
+    if isinstance(step, ExpandStep):
+        tables = _tables(lex)
+        rule = tables.by_id[step.rule_id]
+        if step.rule_id.startswith("r"):
+            scheme, stop = rule.items, step.index
+        else:
+            scheme, stop = rule.rhs, step.index + 1
+        binding = step.binding if step.rule_id.startswith("g") else _renaming(step)
+        new_items = _instantiate_items(scheme, binding, tables.commutative)
+        return normalize(_splice(expr, step.level, step.index, stop, new_items))
+    if isinstance(step, CancelStep):
+        removed = _splice(expr, step.level, step.index, step.index + 2, ())
+        return normalize(substitute_expr(removed, step.delta))
+    if isinstance(step, SwapStep):
+        i = step.index
+        return normalize(expr[:i] + (expr[i + 1], expr[i]) + expr[i + 2:])
+    block = level_items(expr, step.level)[step.index]
+    if isinstance(step, MoveStep):
+        removed = _splice(expr, step.level, step.index, step.index + 1, ())
+        return normalize(_splice(removed, step.target_level, step.slot, step.slot, (block,)))
+    if isinstance(step, RotateStep):
+        c = block.contents
+        replacement = (Block(c[step.k:] + c[:step.k]),)
+    else:  # DissolveStep
+        replacement = block.contents
+    return normalize(_splice(expr, step.level, step.index, step.index + 1, replacement))
+
+
 def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
                allow_vacuous: bool = False) -> Expr:
-    """Apply one derivation step, validating its preconditions.  Whether
-    steps commute is the lexicon's to decide (``Lexicon.commutative``)."""
+    """Check every precondition of a derivation step, then apply it
+    (``_apply``).  Whether steps commute is the lexicon's to decide."""
     if isinstance(step, ExpandStep):
         tables = _tables(lex)
         rule = tables.by_id.get(step.rule_id)
@@ -428,34 +452,25 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
         if step.rule_id.startswith("r"):
             if not tables.commutative:
                 raise StepError("relator multiplication requires commutative mode")
-            items = level_items(expr, step.level)
-            if step.index != len(items):
+            if step.index != len(level_items(expr, step.level)):
                 raise StepError("relator instances are appended at the end")
-            scheme, binding, stop = rule.items, _renaming(step), step.index
-        else:
-            items = level_items(expr, step.level)
-            if not (0 <= step.index < len(items)):
-                raise StepError("expand target out of range")
-            target = items[step.index]
-            if not isinstance(target, Atom) or target.sign != 1:
-                raise StepError("expand target must be a positive atom")
-            if step.rule_id.startswith("g"):
-                if target.is_phon() or not is_ground(target.payload):
-                    raise StepError("generation expands ground logical atoms")
-                if substitute(rule.lhs, step.binding) != target.payload:
-                    raise StepError("recorded binding does not match the target")
-                if not binding_is_acyclic(step.binding):
-                    raise StepError("cyclic binding")
-                binding = step.binding
-            else:
-                if not target.is_phon() or target.payload != rule.word:
-                    raise StepError(f"expand target is not the token {rule.word!r}")
-                binding = _renaming(step)
-            scheme, stop = rule.rhs, step.index + 1
-        new_items = _instantiate_items(scheme, binding, tables.commutative)
-        return normalize(_splice(expr, step.level, step.index, stop, new_items))
-
-    if isinstance(step, CancelStep):
+            return _apply(lex, expr, step)
+        items = level_items(expr, step.level)
+        if not (0 <= step.index < len(items)):
+            raise StepError("expand target out of range")
+        target = items[step.index]
+        if not isinstance(target, Atom) or target.sign != 1:
+            raise StepError("expand target must be a positive atom")
+        if not step.rule_id.startswith("g"):
+            if not target.is_phon() or target.payload != rule.word:
+                raise StepError(f"expand target is not the token {rule.word!r}")
+        elif target.is_phon() or not is_ground(target.payload):
+            raise StepError("generation expands ground logical atoms")
+        elif substitute(rule.lhs, step.binding) != target.payload:
+            raise StepError("recorded binding does not match the target")
+        elif not binding_is_acyclic(step.binding):
+            raise StepError("cyclic binding")
+    elif isinstance(step, CancelStep):
         items = level_items(expr, step.level)
         if not (0 <= step.index < len(items) - 1):
             raise StepError("cancel position out of range")
@@ -472,50 +487,30 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             raise StepError("recorded binding does not unify the pair")
         if step.delta not in unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous):
             raise StepError("recorded binding is not a unifier the pair admits")
-        removed = _splice(expr, step.level, step.index, step.index + 2, ())
-        return normalize(substitute_expr(removed, step.delta))
-
-    if isinstance(step, MoveStep):
+    elif isinstance(step, (MoveStep, RotateStep, DissolveStep)):
         items = level_items(expr, step.level)
         if not (0 <= step.index < len(items)) or not isinstance(items[step.index], Block):
-            raise StepError("move source is not a block")
-        if step.target_level != step.level and \
-                step.level[:len(step.target_level)] != step.target_level:
-            raise StepError("a block may move within its level or to an enclosing one")
-        block = items[step.index]
-        removed = _splice(expr, step.level, step.index, step.index + 1, ())
-        target_items = level_items(removed, step.target_level)
-        if not (0 <= step.slot <= len(target_items)):
-            raise StepError("move slot out of range")
-        return normalize(_splice(removed, step.target_level, step.slot, step.slot,
-                                 (block,)))
-
-    if isinstance(step, RotateStep):
-        items = level_items(expr, step.level)
-        if not (0 <= step.index < len(items)) or not isinstance(items[step.index], Block):
-            raise StepError("rotate target is not a block")
-        c = items[step.index].contents
-        if not (0 <= step.k < max(len(c), 1)):
-            raise StepError("rotation out of range")
-        rotated = Block(c[step.k:] + c[:step.k])
-        return normalize(_splice(expr, step.level, step.index, step.index + 1, (rotated,)))
-
-    if isinstance(step, DissolveStep):
-        items = level_items(expr, step.level)
-        if not (0 <= step.index < len(items)) or not isinstance(items[step.index], Block):
-            raise StepError("dissolve target is not a block")
-        return normalize(_splice(expr, step.level, step.index, step.index + 1,
-                                 items[step.index].contents))
-
-    if isinstance(step, SwapStep):
+            what = {MoveStep: "move source", RotateStep: "rotate target",
+                    DissolveStep: "dissolve target"}[type(step)]
+            raise StepError(f"{what} is not a block")
+        if isinstance(step, RotateStep):
+            if not (0 <= step.k < max(len(items[step.index].contents), 1)):
+                raise StepError("rotation out of range")
+        elif isinstance(step, MoveStep):
+            if step.target_level != step.level and \
+                    step.level[:len(step.target_level)] != step.target_level:
+                raise StepError("a block may move within its level or to an enclosing one")
+            removed = _splice(expr, step.level, step.index, step.index + 1, ())
+            if not (0 <= step.slot <= len(level_items(removed, step.target_level))):
+                raise StepError("move slot out of range")
+    elif isinstance(step, SwapStep):
         if not _tables(lex).commutative:
             raise StepError("swap requires commutative mode")
         if not (0 <= step.index < len(expr) - 1):
             raise StepError("swap position out of range")
-        a, b = expr[step.index], expr[step.index + 1]
-        return normalize(expr[:step.index] + (b, a) + expr[step.index + 2:])
-
-    raise StepError(f"unknown step {step!r}")
+    else:
+        raise StepError(f"unknown step {step!r}")
+    return _apply(lex, expr, step)
 
 
 def replay(lex: lx.Lexicon, d: Derivation, *,
@@ -677,8 +672,7 @@ def _expand_successors(lex, expr, allow_vacuous):
             for rule in gen_index.get(_head_key(item.payload), []) + gen_index.get("*", []):
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
-                    new = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
-                    out.append(((step,), new, 1))
+                    out.append(((step,), _apply(lex, expr, step), 1))
     return out
 
 
@@ -726,7 +720,7 @@ def _cancel_successors(lex, expr, allow_vacuous, unifiers, skip=0,
                              CancelStep(level, n - 2, delta))
                 new = expr
                 for s in steps:
-                    new = apply_step(lex, new, s, allow_vacuous=allow_vacuous)
+                    new = _apply(lex, new, s)
                 out.append((steps, new, 0))
     return out
 
@@ -799,33 +793,28 @@ def _placements(expr: Expr):
                     yield level, idx, item, MoveStep(level, idx, anc, s)
 
 
+# Every placement and dissolve applies.  A state's blocks are non-empty and
+# already normal, so after a move ``normalize`` keeps the block as the same
+# object and ``_locate`` finds it; rotating a freely reduced, non-empty block
+# cannot empty it, so the rotated block stays where it was.
 def _place(lex, expr, block: Block, level, idx, mstep):
     """Apply a placement's move: ``(expr, level, index, steps)`` of the block
-    once placed, or None when normalization consumed it."""
+    once placed."""
     if mstep is None:
         return expr, level, idx, ()
-    placed = apply_step(lex, expr, mstep)
-    loc = _locate(placed, block)
-    if loc is None:
-        return None  # consumed by cascading normalization
-    return placed, loc[0], loc[1], (mstep,)
+    placed = _apply(lex, expr, mstep)
+    return (placed, *_locate(placed, block), (mstep,))
 
 
 def _dissolve(lex, placed, k: int):
     """Rotate a placed block by ``k`` and dissolve it: ``(steps, new)``."""
-    new, level, idx, prefix = placed
-    steps = list(prefix)
-    try:
-        if k:
-            rstep = RotateStep(level, idx, k)
-            new = apply_step(lex, new, rstep)
-            steps.append(rstep)
-        dstep = DissolveStep(level, idx)
-        new = apply_step(lex, new, dstep)
-        steps.append(dstep)
-    except StepError:
-        pass  # normalization already consumed the block
-    return tuple(steps), new
+    new, level, idx, steps = placed
+    if k:
+        rstep = RotateStep(level, idx, k)
+        new = _apply(lex, new, rstep)
+        steps += (rstep,)
+    dstep = DissolveStep(level, idx)
+    return steps + (dstep,), _apply(lex, new, dstep)
 
 
 def _joinable(x, y, allow_vacuous: bool, unifiers: dict) -> bool:
@@ -901,12 +890,9 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
         return out
     for level, idx, block, mstep in _placements(expr):
         placed = _place(lex, expr, block, level, idx, mstep)
-        if placed is None:
-            continue
         for k in range(len(block.contents)):
             steps, new = _dissolve(lex, placed, k)
-            if steps:
-                out.append((steps, new, 0))
+            out.append((steps, new, 0))
     return out
 
 
@@ -949,11 +935,7 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
                 continue
             if placed is None:
                 placed = _place(lex, expr, block, level, idx, mstep)
-                if placed is None:
-                    break
             steps, new = _dissolve(lex, placed, k)
-            if not steps:
-                continue
             if productive:
                 out.append((prefix + steps, new, 0))
             else:
@@ -969,6 +951,10 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
     then cancels eagerly, any other pair takes an explicit cancel.  Stored
     states keep only one ordering of the multiset, so adjacent-only
     enumeration would miss cancels that need a reordering first.
+
+    Unlike the other generators, this one applies its steps checked
+    (``apply_step``): an eager cancel on the way can break a chain, and the
+    checks drop it (a swap position falls out of range).
     """
     out = []
     n = len(expr)
@@ -1024,7 +1010,7 @@ def _saturate_successors(lex, node, allow_vacuous):
                           for k, nm in enumerate(app_args, 1))
         step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
-        new = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
+        new = _apply(lex, expr, step)
         if not expr or len(new) < len(expr) + size:
             # the first instance, or one whose head was the exact inverse of
             # the subgoal and cancelled eagerly during normalization
@@ -1035,8 +1021,7 @@ def _saturate_successors(lex, node, allow_vacuous):
         for delta in unify(subgoal.payload, head.payload, EMPTY_BINDING,
                            allow_vacuous):
             cancel = CancelStep((), sel, delta)
-            new2 = apply_step(lex, new, cancel, allow_vacuous=allow_vacuous)
-            out.append(((step, cancel), new2, 1))
+            out.append(((step, cancel), _apply(lex, new, cancel), 1))
     return out
 
 
@@ -1068,8 +1053,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     but some run it (``every man that some woman saw ran`` does).
 
     ``unifiers`` memoizes the unifiers of each payload pair that cancels and
-    bundle predictions look up, one dict per search; ``apply_step`` and
-    ``replay`` still call ``unify`` themselves.
+    bundle predictions look up, one dict per search.  The search applies its
+    own steps unchecked, except the swap chains (``_swap_cancel_successors``);
+    the ``replay`` below checks every step of each result.
     """
     commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
@@ -1232,7 +1218,7 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             step = ExpandStep((), len(expr) - len(words) + ordinal - 1,
                               rule.rule_id, meta_map=meta_map,
                               ident_map=ident_map)
-            expr = apply_step(lex, expr, step)
+            expr = _apply(lex, expr, step)
             pre.append(step)
         starts.append((tuple(pre), expr))
     return _search(lex, "parse", start, starts, lim, _single_atom_goal,
@@ -1319,12 +1305,20 @@ def _render_binding(b: Binding) -> str:
     return ";".join(parts)
 
 
+def _pair(part: str, what: str) -> tuple[str, str]:
+    """Split ``name=value``; anything else is a ``ValueError`` naming it."""
+    name, sep, value = part.partition("=")
+    if not sep:
+        raise ValueError(f"{what} {part!r} is not name=value")
+    return name, value
+
+
 def _parse_binding(text: str) -> Binding:
     terms: dict[str, Term] = {}
     abstractions = {}
     if text:
         for part in text.split(";"):
-            k, v = part.split("=", 1)
+            k, v = _pair(part, "binding")
             if v.startswith("\\"):
                 abstractions[k] = parse_abstraction(v)
             else:
@@ -1339,7 +1333,7 @@ def _render_pairs(pairs: tuple[tuple[str, str], ...]) -> str:
 def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
     if not text:
         return ()
-    return tuple(tuple(p.split("=", 1)) for p in text.split(";"))
+    return tuple(_pair(p, "renaming") for p in text.split(";"))
 
 
 def render_step(step: Step) -> str:
@@ -1371,7 +1365,7 @@ def render_step(step: Step) -> str:
 
 def parse_step(text: str) -> Step:
     kind, _, rest = text.partition(" ")
-    fields = dict(part.split("=", 1) for part in rest.split() if part)
+    fields = dict(_pair(part, f"{kind} step field") for part in rest.split())
 
     def need(name: str) -> str:
         if name not in fields:
@@ -1416,6 +1410,8 @@ def parse_derivation(text: str, phon_vocab: Iterable[str]) -> Derivation:
     for raw in text.strip().splitlines():
         line = raw.strip()
         if line.startswith("derivation"):
+            if "mode=" not in line:
+                raise ValueError(f"derivation line without a mode: {line!r}")
             mode = line.split("mode=", 1)[1].strip()
         elif line.startswith("start:"):
             start = parse_expr(line[len("start:"):].strip(), phon_vocab)
@@ -1439,6 +1435,9 @@ def derivation_record(d: Derivation) -> dict:
 
 
 def derivation_of_record(record: dict, phon_vocab: Iterable[str]) -> Derivation:
+    for name in ("mode", "start", "steps", "end"):
+        if name not in record:
+            raise ValueError(f"derivation record without field {name!r}")
     return Derivation(record["mode"],
                       parse_expr(record["start"], phon_vocab),
                       tuple(parse_step(s) for s in record["steps"]),

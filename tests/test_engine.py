@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from ggroup import engine
 from ggroup.engine import (
     Atom, Block, CancelStep, Derivation, DissolveStep, EngineResult,
     ExpandStep, InputError, MoveStep, PublicResult, RotateStep, SearchLimits,
     StepError, SwapStep, apply_step, derivation_of_record, derivation_record,
     generate, is_public, normalize, parse, parse_derivation, parse_expr,
-    render_derivation, render_expr, replay, saturate, _block_successors,
+    parse_step, render_derivation, render_expr, render_step, replay, saturate,
+    _block_successors,
 )
 from ggroup.encodings import commutator_scheme
 from ggroup.lexicon import Lexicon, parse_grammar
@@ -310,18 +312,18 @@ def test_parse_simple_sentence(english):
 
 
 def test_parse_applies_each_token_expansion_once(english, monkeypatch):
-    from ggroup import engine
-    real = engine.apply_step
+    real = engine._apply
     expansions = []
 
-    def counting(lex, expr, step, **kwargs):
+    def counting(lex, expr, step):
         expansions.append(isinstance(step, ExpandStep))
-        return real(lex, expr, step, **kwargs)
+        return real(lex, expr, step)
 
-    monkeypatch.setattr(engine, "apply_step", counting)
+    monkeypatch.setattr(engine, "_apply", counting)
     res = parse(english, "john saw louise".split(), LIM)
     assert len(res.results) == 1
-    # once before the search, once more in the replay of the one reading
+    # once before the search, once more in the replay of the one reading,
+    # which applies each checked step through the same transform
     assert sum(expansions) == 6
 
 
@@ -481,6 +483,39 @@ def test_parse_step_names_a_missing_field(text, missing):
         parse_derivation(f"derivation mode=parse\nstep: {text}", ())
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda: derivation_of_record({}, ()), "record without field 'mode'"),
+    (lambda: derivation_of_record({"mode": "parse", "start": "1", "end": "1"}, ()),
+     "record without field 'steps'"),
+    (lambda: parse_derivation("step: cancel level", ()),
+     "cancel step field 'level' is not name=value"),
+    (lambda: parse_derivation("derivation", ()), "derivation line without a mode"),
+    (lambda: parse_step("cancel level=- index=0 bind=A"),
+     "binding 'A' is not name=value"),
+    (lambda: parse_step("expand level=- index=0 rule=p1 rename=A"),
+     "renaming 'A' is not name=value"),
+], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
+        "bare-renaming"])
+def test_derivation_readers_name_the_problem(read, message):
+    with pytest.raises(ValueError, match=message):
+        read()
+
+
+@pytest.mark.parametrize("step", [
+    DissolveStep((5,), 0),
+    # a negative index would address a block from the end, and rebuild the
+    # expression around the wrong position
+    DissolveStep((-1,), 1),
+    MoveStep((-1,), 1, (), 0),
+])
+def test_steps_reject_a_level_outside_the_expression(step):
+    e = parse_expr("a { b { c d } }", ())
+    with pytest.raises(StepError, match="no block at"):
+        apply_step(EMPTY_LEX, e, step)
+    with pytest.raises(StepError, match="step 1: no block at"):
+        replay(EMPTY_LEX, Derivation("parse", e, (step,), e))
+
+
 def test_replay_rejects_tampered_end(english):
     res = generate(english, lf("s(j,l)"), LIM)
     ((_, d),) = res.results
@@ -525,6 +560,23 @@ def test_commutative_derivations_use_swaps(english):
     res = parse(lex, "saw john louise".split(), LIM)
     kinds = {type(s) for _, d in res.results for s in d.steps}
     assert SwapStep in kinds
+
+
+def test_swap_cancels_drop_a_chain_an_eager_cancel_breaks():
+    lex = Lexicon((), (commutator_scheme(),), raw_mode=True)
+    start = parse_expr("A^-1 x^-1 y x", ())
+    out = engine._swap_cancel_successors(lex, start, False)
+    assert [("; ".join(render_step(s) for s in steps), render_expr(new))
+            for steps, new, _ in out] == [
+        ("swap index=1; cancel level=- index=0 bind=A=y", "1"),
+        ("swap index=2", "A^-1 y"),
+    ]
+    for steps, new, _ in out:
+        assert replay(lex, Derivation("parse", start, steps, new)) == new
+    # the chain that brings x next to A^-1 makes x^-1 x adjacent on the way;
+    # they cancel eagerly, so its second swap falls off the end
+    with pytest.raises(StepError, match="swap position out of range"):
+        apply_step(lex, apply_step(lex, start, SwapStep(2)), SwapStep(1))
 
 
 def _commutative(english):

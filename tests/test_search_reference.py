@@ -8,16 +8,25 @@ cancels (those that commute before the preceding block bundle) are also
 checked on their own, against the postponed placement without the skip.
 Both searches must find the same readings and agree on truncation, and every
 derivation of the pruned search must replay.
+
+The search applies the steps it builds itself without checking them
+(``engine._apply``).  The last section puts ``apply_step``'s checks back on
+every such step: none may fail, and the results must not change.
 """
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from ggroup import engine
+from ggroup.encodings import (
+    commutator_scheme, encode_logic_program, parse_logic_program,
+)
 from ggroup.engine import (
-    Atom, Block, SearchLimits, generate, normalize, parse, render_expr, replay,
+    Atom, Block, SearchLimits, StepError, generate, normalize, parse,
+    render_derivation, render_expr, render_step, replay, saturate,
 )
 from ggroup.lexicon import Lexicon
 from ggroup.term import canonical_identifiers, parse_term, render_term
@@ -134,12 +143,16 @@ def _form(rng, cat, binders):
     return f"s({_form(rng, 'np', binders)},{_form(rng, 'np', binders)})"
 
 
-def test_generated_strings_parse_back_like_the_reference(english, reference):
+def _seeded_forms():
     rng = random.Random(9)
     forms = set()
     while len(forms) < 10:
         forms.add(_form(rng, "s", [1]))
-    for text in sorted(forms):
+    return sorted(forms)
+
+
+def test_generated_strings_parse_back_like_the_reference(english, reference):
+    for text in _seeded_forms():
         lf = parse_term(text)
         want = render_term(canonical_identifiers(lf))
         strings = generate(english, lf, LIM).results
@@ -264,3 +277,76 @@ def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
     start = engine.parse_expr(text, ())
     assert _readings(_check_start(unskipped, start)) == {reading}
     assert any(late)
+
+
+# ---------------------------------------------------------------------------
+# the search's own steps, each checked as replay checks it
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Call a function with ``apply_step``'s checks run on every step the
+    search applies unchecked; ``run.applied`` collects the steps checked.  A
+    step that fails its checks fails the test."""
+    real = engine._apply
+
+    def checking(lex, expr, step):
+        run.applied.append(step)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_apply", real)
+            try:
+                return engine.apply_step(lex, expr, step)
+            except StepError as e:
+                raise AssertionError(
+                    f"{render_step(step)} on {render_expr(expr)}: {e}") from e
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_apply", checking)
+            return fn(*args)
+
+    run.applied = []
+    yield run
+    assert run.applied
+
+
+def _same_results(got, want):
+    """Equal results, truncation and rendered derivations."""
+    assert got.truncated == want.truncated
+    assert [(p, render_derivation(d)) for p, d in got.results] == \
+        [(p, render_derivation(d)) for p, d in want.results]
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_parse_applies_only_legal_steps(english, checked, sentence):
+    words = sentence.split()
+    _same_results(checked(parse, english, words, LIM), parse(english, words, LIM))
+
+
+def test_generation_applies_only_legal_steps(english, checked):
+    for text in _seeded_forms():
+        lf = parse_term(text)
+        _same_results(checked(generate, english, lf, LIM),
+                      generate(english, lf, LIM))
+
+
+def test_saturation_applies_only_legal_steps(checked):
+    path = Path(__file__).resolve().parent.parent / "grammars" / "family.lp"
+    lex = encode_logic_program(parse_logic_program(path.read_text()))
+    _same_results(checked(saturate, lex, LIM), saturate(lex, LIM))
+
+
+def test_commutative_parse_applies_only_legal_steps(english, checked):
+    lex = Lexicon(english.phon_vocab, english.relators + (commutator_scheme(),))
+    words = "saw john louise".split()
+    _same_results(checked(parse, lex, words, LIM), parse(lex, words, LIM))
+
+
+def test_random_starts_apply_only_legal_steps(checked):
+    rng = random.Random(11)
+    for n in range(500):
+        start = _random_start(rng)
+        try:
+            _same_results(checked(_search, start), _search(start))
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
