@@ -38,6 +38,12 @@ top-level cancels of pairs that were adjacent before the bundle (see
 ``_search``).  One memo per search holds the unifiers of payload pairs;
 ``replay`` does not read it.
 
+Saturation instantiates only the clauses whose head can meet the selected
+subgoal, judged on rigid skeletons (``may_unify``).  Renaming and
+substitution never change a rigid position, and variables and App nodes are
+wildcards, so no resolvent is lost and the rest keep their order (see
+``_saturate_successors``).
+
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object.  That lets an atom memoize its state-key fragment
 (see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
@@ -55,8 +61,8 @@ from . import lexicon as lx
 from .term import (
     HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
     Identifier, IdentifierSource, MetaVar, Term, binding_is_acyclic,
-    canonical_identifiers, is_ground, parse_abstraction, parse_term,
-    render_abstraction, render_term, substitute, subterms, unify,
+    canonical_identifiers, is_ground, may_unify, parse_abstraction,
+    parse_term, render_abstraction, render_term, substitute, subterms, unify,
 )
 
 __all__ = [
@@ -391,14 +397,18 @@ class _Tables:
         for r in parse_rules:
             self.parse_index.setdefault(r.word, []).append(r)
             self.parse_vars[r.rule_id] = _scheme_variables(r.rhs)
-        # saturation: (rule id, scheme variables, names used as abstraction
-        # arguments, items in a commutative instance) for each clause relator
+        # saturation: (rule id, head term or None, scheme variables, names
+        # used as abstraction arguments, items in a commutative instance) for
+        # each clause relator; a relator that does not begin with a logical
+        # atom has no head
         self.clauses = []
         for n, r in enumerate(lex.relators, start=1):
             if not lx.is_commutator_scheme(r):
+                first = r.items[0] if r.items else None
+                head = first.term if isinstance(first, lx.LogItem) else None
                 names, app_args = _scheme_variables(r.items)
                 size = sum(not isinstance(i, lx.ExprMeta) for i in r.items)
-                self.clauses.append((f"r{n}", names, app_args, size))
+                self.clauses.append((f"r{n}", head, names, app_args, size))
 
 
 def _tables(lex: lx.Lexicon) -> _Tables:
@@ -997,13 +1007,30 @@ def _saturate_successors(lex, node, allow_vacuous):
     picks the root).  For definite-clause relator systems this is complete
     - which fact states are reachable does not depend on the selection - and
     it keeps working expressions the size of a resolvent.
+
+    A clause whose head cannot meet the subgoal is skipped before it is
+    instantiated: ``may_unify`` compares the rigid skeletons of the scheme's
+    head and the subgoal.  That loses no successor, since renaming a clause
+    only replaces its variables and substitution never changes a rigid
+    position; variables and App nodes are wildcards.  The skip keeps the
+    clauses in order, so successors come in the same order as without it.
+
+    An instance resolves the subgoal only when its head cancelled the
+    subgoal eagerly, or stayed next to it and unifies with it.  A ground head
+    that equals the clause's own last body atom cancels inside the instance
+    and resolves nothing.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
         return []  # goal state or dead end: no pending subgoal
     out = []
     suffix = str(node.expansions + 1)
-    for rule_id, names, app_args, size in _tables(lex).clauses:
+    sel = len(expr) - 1
+    subgoal = expr[sel] if expr else None
+    for rule_id, head, names, app_args, size in _tables(lex).clauses:
+        if subgoal is not None and head is not None \
+                and not may_unify(head, subgoal.payload):
+            continue
         meta_map = tuple((nm, nm + "_" + suffix)
                          for nm in names if nm not in app_args)
         ident_map = tuple((nm, f"i{suffix}_{k}")
@@ -1011,17 +1038,16 @@ def _saturate_successors(lex, node, allow_vacuous):
         step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
         new = _apply(lex, expr, step)
-        if not expr or len(new) < len(expr) + size:
-            # the first instance, or one whose head was the exact inverse of
-            # the subgoal and cancelled eagerly during normalization
+        if subgoal is None or sel >= len(new) or new[sel] is not subgoal:
+            # the first instance, which picks the root, or one whose head
+            # was the exact inverse of the subgoal and cancelled it eagerly
+            # (normalization keeps the items it leaves as the same objects)
             out.append(((step,), new, 1))
-            continue
-        sel = len(expr) - 1
-        subgoal, head = new[sel], new[sel + 1]
-        for delta in unify(subgoal.payload, head.payload, EMPTY_BINDING,
-                           allow_vacuous):
-            cancel = CancelStep((), sel, delta)
-            out.append(((step, cancel), _apply(lex, new, cancel), 1))
+        elif len(new) == len(expr) + size:  # nothing cancelled
+            for delta in unify(subgoal.payload, new[sel + 1].payload,
+                               EMPTY_BINDING, allow_vacuous):
+                cancel = CancelStep((), sel, delta)
+                out.append(((step, cancel), _apply(lex, new, cancel), 1))
     return out
 
 
@@ -1363,34 +1389,45 @@ def render_step(step: Step) -> str:
     return f"swap index={step.index}"
 
 
+def _parse_target(text: str) -> tuple[tuple[int, ...], int]:
+    level, sep, slot = text.rpartition(":")
+    if not sep:
+        raise ValueError("not level:slot")
+    return _parse_level(level), int(slot)
+
+
 def parse_step(text: str) -> Step:
     kind, _, rest = text.partition(" ")
     fields = dict(_pair(part, f"{kind} step field") for part in rest.split())
 
-    def need(name: str) -> str:
+    def need(name: str, read=str):
+        """Field ``name`` read by ``read``; a ``ValueError`` names it."""
         if name not in fields:
             raise ValueError(f"{kind} step without field {name!r}")
-        return fields[name]
+        try:
+            return read(fields[name])
+        except ValueError:
+            raise ValueError(f"{kind} step field {name!r} has a bad value "
+                             f"{fields[name]!r}") from None
 
     if kind == "expand":
-        return ExpandStep(_parse_level(need("level")), int(need("index")),
+        return ExpandStep(need("level", _parse_level), need("index", int),
                           need("rule"), _parse_binding(fields.get("bind", "")),
                           _parse_pairs(fields.get("rename", "")),
                           _parse_pairs(fields.get("idents", "")))
     if kind == "cancel":
-        return CancelStep(_parse_level(need("level")), int(need("index")),
+        return CancelStep(need("level", _parse_level), need("index", int),
                           _parse_binding(fields.get("bind", "")))
     if kind == "move":
-        tlevel, _, slot = need("to").rpartition(":")
-        return MoveStep(_parse_level(need("level")), int(need("index")),
-                        _parse_level(tlevel), int(slot))
+        return MoveStep(need("level", _parse_level), need("index", int),
+                        *need("to", _parse_target))
     if kind == "rotate":
-        return RotateStep(_parse_level(need("level")), int(need("index")),
-                          int(need("k")))
+        return RotateStep(need("level", _parse_level), need("index", int),
+                          need("k", int))
     if kind == "dissolve":
-        return DissolveStep(_parse_level(need("level")), int(need("index")))
+        return DissolveStep(need("level", _parse_level), need("index", int))
     if kind == "swap":
-        return SwapStep(int(need("index")))
+        return SwapStep(need("index", int))
     raise ValueError(f"unknown step kind {kind!r}")
 
 
@@ -1438,7 +1475,14 @@ def derivation_of_record(record: dict, phon_vocab: Iterable[str]) -> Derivation:
     for name in ("mode", "start", "steps", "end"):
         if name not in record:
             raise ValueError(f"derivation record without field {name!r}")
+    for name in ("mode", "start", "end"):
+        if not isinstance(record[name], str):
+            raise ValueError(f"derivation record field {name!r} is not a string")
+    steps = record["steps"]
+    if not (isinstance(steps, (list, tuple))
+            and all(isinstance(s, str) for s in steps)):
+        raise ValueError("derivation record field 'steps' is not a list of strings")
     return Derivation(record["mode"],
                       parse_expr(record["start"], phon_vocab),
-                      tuple(parse_step(s) for s in record["steps"]),
+                      tuple(parse_step(s) for s in steps),
                       parse_expr(record["end"], phon_vocab))

@@ -23,9 +23,9 @@ from typing import ClassVar, Iterator, Mapping, Optional, Union
 __all__ = [
     "Const", "Identifier", "MetaVar", "AbsVar", "Compound", "App", "Term",
     "Abstraction", "Binding", "EMPTY_BINDING", "IdentifierSource",
-    "substitute", "unify", "match_app", "term_size", "is_ground", "app_free",
-    "identifiers_in", "metavars_in", "subterms", "canonical_identifiers",
-    "binding_is_acyclic", "parse_term", "render_term",
+    "substitute", "unify", "may_unify", "match_app", "term_size", "is_ground",
+    "app_free", "identifiers_in", "metavars_in", "subterms",
+    "canonical_identifiers", "binding_is_acyclic", "parse_term", "render_term",
     "parse_abstraction", "render_abstraction", "MAX_TERM_DEPTH",
 ]
 
@@ -307,6 +307,24 @@ def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
                 return []
         return results
     return []
+
+
+def may_unify(t1: Term, t2: Term) -> bool:
+    """False only when no substitution can make the terms equal.
+
+    It compares rigid skeletons: meta-variables and App nodes match
+    anything, constants and identifiers must be equal, and compounds need the
+    same functor and arity and arguments that agree pairwise.  Substitution
+    never changes a rigid position, so a ``unify`` that this rejects would
+    find nothing.
+    """
+    if isinstance(t1, (MetaVar, App)) or isinstance(t2, (MetaVar, App)):
+        return True
+    if isinstance(t1, Compound):
+        return (isinstance(t2, Compound) and t1.functor == t2.functor
+                and len(t1.args) == len(t2.args)
+                and all(map(may_unify, t1.args, t2.args)))
+    return t1 == t2
 
 
 def _abstract(t: Term, i: Identifier) -> Abstraction:

@@ -157,6 +157,19 @@ def test_saturation_agrees_with_forward_chaining(name, text):
         assert d.mode == "saturate"
 
 
+def test_a_self_cancelling_clause_resolves_nothing():
+    # p(a)'s relator is p(a) . p(a)^-1 q(b)^-1: its head cancels its own
+    # last body atom inside the instance, and must not count as a resolution
+    # step, which would let every state grow by q(b)^-1 until a limit cuts
+    clauses = parse_logic_program(
+        "q(b) .\np(a) :- q(b), p(a) .\nr(c) .\ns(X) :- r(X) .\n")
+    oracle, fixpoint = forward_chain(clauses)
+    assert fixpoint
+    res = saturate(encode_logic_program(clauses))
+    assert not res.truncated
+    assert {fact for fact, _ in res.results} == set(oracle)
+
+
 # ------------------------------------------------------------ depth counters
 
 

@@ -1,6 +1,7 @@
 """The rewriting engine: expressions, steps, search, and derivation replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +14,16 @@ from ggroup.engine import (
     parse_step, render_derivation, render_expr, render_step, replay, saturate,
     _block_successors,
 )
-from ggroup.encodings import commutator_scheme
+from ggroup.encodings import (
+    commutator_scheme, encode_logic_program, parse_logic_program,
+)
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
     Binding, canonical_identifiers, parse_term, render_term, subterms,
 )
 
 LIM = SearchLimits()
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 
 def a(name, sign=1):
@@ -327,6 +331,26 @@ def test_parse_applies_each_token_expansion_once(english, monkeypatch):
     assert sum(expansions) == 6
 
 
+def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
+        monkeypatch):
+    real = engine._apply
+    expansions = []
+
+    def counting(lex, expr, step):
+        expansions.append(isinstance(step, ExpandStep))
+        return real(lex, expr, step)
+
+    lex = encode_logic_program(parse_logic_program(
+        (GRAMMAR_DIR / "family.lp").read_text()))
+    monkeypatch.setattr(engine, "_apply", counting)
+    res = saturate(lex, LIM)
+    assert len(res.results) == 9 and not res.truncated
+    # search and replay together; 128 when every clause was instantiated
+    # for every subgoal and only then unified, before the skeleton pre-check
+    # (term.may_unify) dropped the clauses whose head cannot meet it
+    assert sum(expansions) == 52
+
+
 def test_parse_attachment_ambiguity_is_exactly_two_ways(english):
     res = parse(english, "john saw louise in paris".split(), LIM)
     assert {render_term(t) for t, _ in res.results} == {
@@ -494,8 +518,22 @@ def test_parse_step_names_a_missing_field(text, missing):
      "binding 'A' is not name=value"),
     (lambda: parse_step("expand level=- index=0 rule=p1 rename=A"),
      "renaming 'A' is not name=value"),
+    (lambda: derivation_of_record(
+        {"mode": "parse", "start": 1, "steps": [], "end": "1"}, ()),
+     "record field 'start' is not a string"),
+    (lambda: derivation_of_record(
+        {"mode": "parse", "start": "1", "steps": "cancel level=- index=0",
+         "end": "1"}, ()),
+     "record field 'steps' is not a list of strings"),
+    (lambda: parse_step("move level=- index=0 to=5"),
+     "move step field 'to' has a bad value '5'"),
+    (lambda: parse_step("cancel level=x index=0"),
+     "cancel step field 'level' has a bad value 'x'"),
+    (lambda: parse_step("rotate level=- index=0 k=z"),
+     "rotate step field 'k' has a bad value 'z'"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
-        "bare-renaming"])
+        "bare-renaming", "start-not-text", "steps-not-a-list", "target-no-slot",
+        "level-not-a-number", "k-not-a-number"])
 def test_derivation_readers_name_the_problem(read, message):
     with pytest.raises(ValueError, match=message):
         read()
