@@ -3,10 +3,13 @@
 Working expressions are sequences of signed atoms (surface tokens or
 logical-form payloads, the latter possibly containing meta-variables) and
 *blocks*.  A block operationalizes a conjugated segment ``y . items . y^-1``
-with the conjugator left free: it may move as a unit, rotate cyclically, and
-dissolve in place, which together realize exactly the arrangements the free
-conjugator can produce.  Ground mutually-inverse neighbours cancel eagerly
-after every step; cancellations that need unification are explicit steps.
+with the conjugator left free.  One step, ``DissolveStep``, removes a block,
+rotates its contents cyclically and splices them into a slot of the block's
+own level or an enclosing one; its slots and rotations realize exactly the
+arrangements the free conjugator can produce.  Block contents are cyclic:
+their last item also touches their first, and a cancel may join the two.
+Ground mutually-inverse neighbours cancel eagerly after every step;
+cancellations that need unification are explicit steps.
 
 A word of the free group is a ground expression without blocks, and
 ``normalize`` is its reduction; ``product``, ``inverse`` and ``conjugate``
@@ -26,8 +29,8 @@ Each query is one search.  Parsing starts it from every assignment of rules
 to homonymous tokens: ``max_results`` counts readings across them all, and a
 reading's derivation may start from any assignment that reaches it.
 
-A block's move, rotation and dissolve form one bundled step.  Generation
-explores every bundle, since inert final placements give distinct strings.
+Generation explores every placement and rotation of every block (a bundle,
+one ``DissolveStep``), since inert final placements give distinct strings.
 Parsing postpones placement (a partial-order reduction): a bundle is a state
 only when it is productive, and an unproductive one is extended into a run
 of bundles, emitted once productive.  No reading is lost, and intermediate
@@ -67,8 +70,8 @@ from .term import (
 
 __all__ = [
     "Atom", "Block", "Expr", "PublicResult", "SearchLimits", "EngineResult",
-    "Derivation", "ExpandStep", "CancelStep", "MoveStep", "RotateStep",
-    "DissolveStep", "SwapStep", "InputError", "StepError",
+    "Derivation", "ExpandStep", "CancelStep", "DissolveStep", "SwapStep",
+    "InputError", "StepError",
     "generate", "parse", "saturate", "replay", "is_public",
     "normalize", "inverse", "product", "conjugate", "render_expr", "parse_expr",
     "render_derivation", "parse_derivation", "derivation_record",
@@ -199,9 +202,13 @@ def _replace_level(expr: Expr, level: tuple[int, ...], new_items: Expr) -> Expr:
 def _splice(expr: Expr, level: tuple[int, ...], start: int, stop: int,
             replacement: Expr) -> Expr:
     items = level_items(expr, level)
-    if not (0 <= start <= stop <= len(items)):
-        raise StepError(f"bad position {start}:{stop} at level {level}")
     return _replace_level(expr, level, items[:start] + replacement + items[stop:])
+
+
+def _pair_count(level: tuple[int, ...], n: int) -> int:
+    """Adjacent pairs among ``n`` items at ``level``.  Block contents are
+    cyclic: with two items or more, the last also pairs with the first."""
+    return n if level and n > 1 else n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +237,26 @@ class ExpandStep:
 
 @dataclass(frozen=True)
 class CancelStep:
+    """Cancel the pair at ``index`` and ``index + 1``; in a block's contents,
+    index ``n - 1`` is the wrap pair (last item, first item)."""
+
     level: tuple[int, ...]
     index: int
     delta: Binding = EMPTY_BINDING
 
 
 @dataclass(frozen=True)
-class MoveStep:
+class DissolveStep:
+    """Remove the block at ``index`` of ``level``, rotate its contents by
+    ``k`` and splice them into ``slot`` of ``target_level``: the block's own
+    level or an enclosing one, in post-removal coordinates.  In place is
+    ``target_level == level`` and ``slot == index``."""
+
     level: tuple[int, ...]
     index: int
     target_level: tuple[int, ...]
-    slot: int  # in post-removal coordinates
-
-
-@dataclass(frozen=True)
-class RotateStep:
-    level: tuple[int, ...]
-    index: int
+    slot: int
     k: int
-
-
-@dataclass(frozen=True)
-class DissolveStep:
-    level: tuple[int, ...]
-    index: int
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ class SwapStep:
     index: int
 
 
-Step = Union[ExpandStep, CancelStep, MoveStep, RotateStep, DissolveStep, SwapStep]
+Step = Union[ExpandStep, CancelStep, DissolveStep, SwapStep]
 
 
 @dataclass(frozen=True)
@@ -433,21 +436,17 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step) -> Expr:
         new_items = _instantiate_items(scheme, binding, tables.commutative)
         return normalize(_splice(expr, step.level, step.index, stop, new_items))
     if isinstance(step, CancelStep):
-        removed = _splice(expr, step.level, step.index, step.index + 2, ())
+        items, i = level_items(expr, step.level), step.index
+        kept = items[1:i] if i == len(items) - 1 else items[:i] + items[i + 2:]
+        removed = _replace_level(expr, step.level, kept)
         return normalize(substitute_expr(removed, step.delta))
     if isinstance(step, SwapStep):
         i = step.index
         return normalize(expr[:i] + (expr[i + 1], expr[i]) + expr[i + 2:])
-    block = level_items(expr, step.level)[step.index]
-    if isinstance(step, MoveStep):
-        removed = _splice(expr, step.level, step.index, step.index + 1, ())
-        return normalize(_splice(removed, step.target_level, step.slot, step.slot, (block,)))
-    if isinstance(step, RotateStep):
-        c = block.contents
-        replacement = (Block(c[step.k:] + c[:step.k]),)
-    else:  # DissolveStep
-        replacement = block.contents
-    return normalize(_splice(expr, step.level, step.index, step.index + 1, replacement))
+    c = level_items(expr, step.level)[step.index].contents
+    removed = _splice(expr, step.level, step.index, step.index + 1, ())
+    return normalize(_splice(removed, step.target_level, step.slot, step.slot,
+                             c[step.k:] + c[:step.k]))
 
 
 def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
@@ -482,9 +481,9 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             raise StepError("cyclic binding")
     elif isinstance(step, CancelStep):
         items = level_items(expr, step.level)
-        if not (0 <= step.index < len(items) - 1):
+        if not (0 <= step.index < _pair_count(step.level, len(items))):
             raise StepError("cancel position out of range")
-        a, b = items[step.index], items[step.index + 1]
+        a, b = items[step.index], items[(step.index + 1) % len(items)]
         if not (isinstance(a, Atom) and isinstance(b, Atom)):
             raise StepError("cancel needs two adjacent atoms")
         if a.sign != -b.sign:
@@ -497,22 +496,18 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             raise StepError("recorded binding does not unify the pair")
         if step.delta not in unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous):
             raise StepError("recorded binding is not a unifier the pair admits")
-    elif isinstance(step, (MoveStep, RotateStep, DissolveStep)):
+    elif isinstance(step, DissolveStep):
         items = level_items(expr, step.level)
         if not (0 <= step.index < len(items)) or not isinstance(items[step.index], Block):
-            what = {MoveStep: "move source", RotateStep: "rotate target",
-                    DissolveStep: "dissolve target"}[type(step)]
-            raise StepError(f"{what} is not a block")
-        if isinstance(step, RotateStep):
-            if not (0 <= step.k < max(len(items[step.index].contents), 1)):
-                raise StepError("rotation out of range")
-        elif isinstance(step, MoveStep):
-            if step.target_level != step.level and \
-                    step.level[:len(step.target_level)] != step.target_level:
-                raise StepError("a block may move within its level or to an enclosing one")
-            removed = _splice(expr, step.level, step.index, step.index + 1, ())
-            if not (0 <= step.slot <= len(level_items(removed, step.target_level))):
-                raise StepError("move slot out of range")
+            raise StepError("dissolve target is not a block")
+        if not (0 <= step.k < max(len(items[step.index].contents), 1)):
+            raise StepError("rotation out of range")
+        if step.level[:len(step.target_level)] != step.target_level:
+            raise StepError("a block may dissolve into its own level or an enclosing one")
+        # the target level without the block
+        room = len(level_items(expr, step.target_level)) - (step.target_level == step.level)
+        if not (0 <= step.slot <= room):
+            raise StepError("dissolve slot out of range")
     elif isinstance(step, SwapStep):
         if not _tables(lex).commutative:
             raise StepError("swap requires commutative mode")
@@ -709,29 +704,20 @@ def _cancel_successors(lex, expr, allow_vacuous, unifiers, skip=0,
                        nested=True):
     """Every explicit cancel of an adjacent pair, at every level (only the
     top level without ``nested``), except at the top-level positions set in
-    the bit mask ``skip`` (see ``_commuting_cancels``)."""
+    the bit mask ``skip`` (see ``_commuting_cancels``).  Inside a block the
+    pairs include the wrap pair (last item, first item)."""
     out = []
     for level, items in _levels(expr) if nested else [((), expr)]:
         n = len(items)
-        pairs = [(i, i + 1, None) for i in range(n - 1)
-                 if level or not skip >> i & 1]
-        if level and n >= 2:
-            pairs.append((n - 1, 0, 1))  # cyclic wrap inside a block
-        for i, j, rot in pairs:
-            a, b = items[i], items[j]
+        for i in range(_pair_count(level, n)):
+            if not level and skip >> i & 1:
+                continue
+            a, b = items[i], items[(i + 1) % n]
             if not _cancel_pair(a, b):
                 continue
             for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
-                if rot is None:
-                    steps: tuple[Step, ...] = (CancelStep(level, i, delta),)
-                else:
-                    # rotate by 1 to expose the wrap pair at the end
-                    steps = (RotateStep(level[:-1], level[-1], rot),
-                             CancelStep(level, n - 2, delta))
-                new = expr
-                for s in steps:
-                    new = _apply(lex, new, s)
-                out.append((steps, new, 0))
+                step = CancelStep(level, i, delta)
+                out.append(((step,), _apply(lex, expr, step), 0))
     return out
 
 
@@ -773,58 +759,23 @@ def _narrow(masks: dict, key, mask: int) -> int:
     return dropped
 
 
-def _locate(expr: Expr, obj: Item, prefix: tuple[int, ...] = ()):
-    for k, i in enumerate(expr):
-        if i is obj:
-            return prefix, k
-        if isinstance(i, Block):
-            found = _locate(i.contents, obj, prefix + (k,))
-            if found is not None:
-                return found
-    return None
-
-
 def _placements(expr: Expr):
     """Every block with every place it can dissolve: ``(level, index, block,
-    move)``, where ``move`` is None for in place, else a MoveStep to a slot at
-    the block's own level or an enclosing one."""
+    target_level, slot)``, in place first, then the other slots of the
+    block's own level, then those of each enclosing level outwards."""
     for level, items in _levels(expr):
         for idx, item in enumerate(items):
             if not isinstance(item, Block):
                 continue
-            yield level, idx, item, None
+            yield level, idx, item, level, idx
             for s in range(len(items)):
                 if s != idx:
-                    yield level, idx, item, MoveStep(level, idx, level, s)
+                    yield level, idx, item, level, s
             anc = level
             while anc:
                 anc = anc[:-1]
                 for s in range(len(level_items(expr, anc)) + 1):
-                    yield level, idx, item, MoveStep(level, idx, anc, s)
-
-
-# Every placement and dissolve applies.  A state's blocks are non-empty and
-# already normal, so after a move ``normalize`` keeps the block as the same
-# object and ``_locate`` finds it; rotating a freely reduced, non-empty block
-# cannot empty it, so the rotated block stays where it was.
-def _place(lex, expr, block: Block, level, idx, mstep):
-    """Apply a placement's move: ``(expr, level, index, steps)`` of the block
-    once placed."""
-    if mstep is None:
-        return expr, level, idx, ()
-    placed = _apply(lex, expr, mstep)
-    return (placed, *_locate(placed, block), (mstep,))
-
-
-def _dissolve(lex, placed, k: int):
-    """Rotate a placed block by ``k`` and dissolve it: ``(steps, new)``."""
-    new, level, idx, steps = placed
-    if k:
-        rstep = RotateStep(level, idx, k)
-        new = _apply(lex, new, rstep)
-        steps += (rstep,)
-    dstep = DissolveStep(level, idx)
-    return steps + (dstep,), _apply(lex, new, dstep)
+                    yield level, idx, item, anc, s
 
 
 def _joinable(x, y, allow_vacuous: bool, unifiers: dict) -> bool:
@@ -846,12 +797,12 @@ def _neighbours(items: Expr, slot: int, cyclic: bool):
 
 def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
                       unifiers=None):
-    """Place each block, optionally rotate it, and dissolve it in one go.
+    """Place each block, rotate it, and dissolve it in one go.
 
     A block's position only matters at the moment it dissolves, so exploring
     placements as separate states would multiply intermediates without adding
-    any reachable arrangement.  Each successor bundles the move (to a slot at
-    the same level or an enclosing one), a rotation, and the dissolve.
+    any reachable arrangement.  Each successor is one ``DissolveStep`` (a
+    bundle): a slot at the same level or an enclosing one, and a rotation.
 
     Without ``postpone`` every bundle is a successor.  With it (parsing) a
     bundle is a successor only when it is productive: normalization cancels,
@@ -898,11 +849,10 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
         _runs(lex, expr, (), None, allow_vacuous,
               {} if unifiers is None else unifiers, out)
         return out
-    for level, idx, block, mstep in _placements(expr):
-        placed = _place(lex, expr, block, level, idx, mstep)
+    for level, idx, block, tlevel, slot in _placements(expr):
         for k in range(len(block.contents)):
-            steps, new = _dissolve(lex, placed, k)
-            out.append((steps, new, 0))
+            step = DissolveStep(level, idx, tlevel, slot, k)
+            out.append(((step,), _apply(lex, expr, step), 0))
     return out
 
 
@@ -917,18 +867,16 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
     """
     extend = sum(isinstance(i, Block) for _, items in _levels(expr)
                  for i in items) > 1
-    for level, idx, block, mstep in _placements(expr):
+    for level, idx, block, tlevel, slot in _placements(expr):
         items = level_items(expr, level)
         rest = items[:idx] + items[idx + 1:]
-        if mstep is None:
-            tlevel, titems, slot, flank = level, rest, idx, False
-        else:
-            tlevel, slot = mstep.target_level, mstep.slot
-            titems = rest if tlevel == level else level_items(expr, tlevel)
-            # a move that empties the enclosing block joins items further
-            # out once normalization drops it: keep it as productive
-            flank = (bool(level) and not rest) or _joinable(
-                *_neighbours(rest, idx, bool(level)), allow_vacuous, unifiers)
+        titems = rest if tlevel == level else level_items(expr, tlevel)
+        # dissolving elsewhere joins the items that flanked the block; if it
+        # empties the enclosing block, normalization drops that block and
+        # joins items further out: keep it as productive
+        flank = (tlevel, slot) != (level, idx) and (
+            (bool(level) and not rest) or _joinable(
+                *_neighbours(rest, idx, bool(level)), allow_vacuous, unifiers))
         left, right = _neighbours(titems, slot, bool(tlevel))
         if released is not None and id(left) not in released \
                 and id(right) not in released:
@@ -936,22 +884,20 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
         c = block.contents
         goal = not level and len(expr) == 1 and len(c) == 1
         seam = _inverse_pair(c[-1], c[0])
-        placed = None
         for k in range(len(c)):
             productive = (flank or goal or (k > 0 and seam)
                           or _joinable(left, c[k], allow_vacuous, unifiers)
                           or _joinable(c[k - 1], right, allow_vacuous, unifiers))
             if not (productive or extend):
                 continue
-            if placed is None:
-                placed = _place(lex, expr, block, level, idx, mstep)
-            steps, new = _dissolve(lex, placed, k)
+            step = DissolveStep(level, idx, tlevel, slot, k)
+            new = _apply(lex, expr, step)
             if productive:
-                out.append((prefix + steps, new, 0))
+                out.append((prefix + (step,), new, 0))
             else:
                 more = (released or set()) | {id(i) for i in c}
-                _runs(lex, new, prefix + steps, more, allow_vacuous, unifiers,
-                      out)
+                _runs(lex, new, prefix + (step,), more, allow_vacuous,
+                      unifiers, out)
 
 
 def _swap_cancel_successors(lex, expr, allow_vacuous):
@@ -1018,7 +964,7 @@ def _saturate_successors(lex, node, allow_vacuous):
     An instance resolves the subgoal only when its head cancelled the
     subgoal eagerly, or stayed next to it and unifies with it.  A ground head
     that equals the clause's own last body atom cancels inside the instance
-    and resolves nothing.
+    and resolves nothing; as the first instance, it picks no root.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
@@ -1038,10 +984,14 @@ def _saturate_successors(lex, node, allow_vacuous):
         step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
         new = _apply(lex, expr, step)
-        if subgoal is None or sel >= len(new) or new[sel] is not subgoal:
-            # the first instance, which picks the root, or one whose head
-            # was the exact inverse of the subgoal and cancelled it eagerly
-            # (normalization keeps the items it leaves as the same objects)
+        if subgoal is None:
+            # the first instance picks the root, unless it cancelled inside
+            if len(new) == size:
+                out.append(((step,), new, 1))
+        elif sel >= len(new) or new[sel] is not subgoal:
+            # the head was the exact inverse of the subgoal and cancelled it
+            # eagerly (normalization keeps the items it leaves as the same
+            # objects)
             out.append(((step,), new, 1))
         elif len(new) == len(expr) + size:  # nothing cancelled
             for delta in unify(subgoal.payload, new[sel + 1].payload,
@@ -1378,13 +1328,9 @@ def render_step(step: Step) -> str:
         if not step.delta.is_empty():
             out += f" bind={_render_binding(step.delta)}"
         return out
-    if isinstance(step, MoveStep):
-        return f"move level={_render_level(step.level)} index={step.index} " \
-               f"to={_render_level(step.target_level)}:{step.slot}"
-    if isinstance(step, RotateStep):
-        return f"rotate level={_render_level(step.level)} index={step.index} k={step.k}"
     if isinstance(step, DissolveStep):
-        return f"dissolve level={_render_level(step.level)} index={step.index}"
+        return f"dissolve level={_render_level(step.level)} index={step.index} " \
+               f"to={_render_level(step.target_level)}:{step.slot} k={step.k}"
     assert isinstance(step, SwapStep)
     return f"swap index={step.index}"
 
@@ -1418,14 +1364,9 @@ def parse_step(text: str) -> Step:
     if kind == "cancel":
         return CancelStep(need("level", _parse_level), need("index", int),
                           _parse_binding(fields.get("bind", "")))
-    if kind == "move":
-        return MoveStep(need("level", _parse_level), need("index", int),
-                        *need("to", _parse_target))
-    if kind == "rotate":
-        return RotateStep(need("level", _parse_level), need("index", int),
-                          need("k", int))
     if kind == "dissolve":
-        return DissolveStep(need("level", _parse_level), need("index", int))
+        return DissolveStep(need("level", _parse_level), need("index", int),
+                            *need("to", _parse_target), need("k", int))
     if kind == "swap":
         return SwapStep(need("index", int))
     raise ValueError(f"unknown step kind {kind!r}")
@@ -1440,25 +1381,30 @@ def render_derivation(d: Derivation) -> str:
 
 
 def parse_derivation(text: str, phon_vocab: Iterable[str]) -> Derivation:
-    mode = ""
-    start: Expr = ()
-    end: Expr = ()
+    """Read ``render_derivation``'s text: the ``derivation mode=``,
+    ``start:`` and ``end:`` lines each exactly once, and any ``step:`` lines."""
+    heads: dict[str, list[str]] = {"derivation mode=": [], "start:": [], "end:": []}
     steps: list[Step] = []
     for raw in text.strip().splitlines():
         line = raw.strip()
         if line.startswith("derivation"):
             if "mode=" not in line:
                 raise ValueError(f"derivation line without a mode: {line!r}")
-            mode = line.split("mode=", 1)[1].strip()
-        elif line.startswith("start:"):
-            start = parse_expr(line[len("start:"):].strip(), phon_vocab)
-        elif line.startswith("end:"):
-            end = parse_expr(line[len("end:"):].strip(), phon_vocab)
+            heads["derivation mode="].append(line.split("mode=", 1)[1].strip())
+        elif line.startswith(("start:", "end:")):
+            head, _, value = line.partition(":")
+            heads[head + ":"].append(value.strip())
         elif line.startswith("step:"):
             steps.append(parse_step(line[len("step:"):].strip()))
         elif line:
             raise ValueError(f"unexpected trace line {line!r}")
-    return Derivation(mode, start, tuple(steps), end)
+    for head, values in heads.items():
+        if len(values) != 1:
+            raise ValueError(f"derivation text has {len(values)} {head!r} "
+                             f"lines, not one")
+    (mode,), (start,), (end,) = heads.values()
+    return Derivation(mode, parse_expr(start, phon_vocab), tuple(steps),
+                      parse_expr(end, phon_vocab))
 
 
 def derivation_record(d: Derivation) -> dict:

@@ -8,10 +8,10 @@ import pytest
 from ggroup import engine
 from ggroup.engine import (
     Atom, Block, CancelStep, Derivation, DissolveStep, EngineResult,
-    ExpandStep, InputError, MoveStep, PublicResult, RotateStep, SearchLimits,
-    StepError, SwapStep, apply_step, derivation_of_record, derivation_record,
-    generate, is_public, normalize, parse, parse_derivation, parse_expr,
-    parse_step, render_derivation, render_expr, render_step, replay, saturate,
+    ExpandStep, InputError, PublicResult, SearchLimits, StepError, SwapStep,
+    apply_step, derivation_of_record, derivation_record, generate, is_public,
+    normalize, parse, parse_derivation, parse_expr, parse_step,
+    render_derivation, render_expr, render_step, replay, saturate,
     _block_successors,
 )
 from ggroup.encodings import (
@@ -130,37 +130,71 @@ def test_cancel_step_rejects_non_unifiers(english):
         apply_step(english, tok, CancelStep((), 0))
 
 
-def test_move_step_slots_and_levels():
+def test_cancel_step_wraps_only_inside_a_block():
+    # in a block's contents, the last index pairs the last item with the first
+    e = (Block((Atom(lf("s(j,l)")), a("saw"), Atom(lf("A"), -1))),)
+    delta = Binding({"A": lf("s(j,l)")})
+    out = apply_step(EMPTY_LEX, e, CancelStep((0,), 2, delta))
+    assert render_expr(out) == "{ saw }"
+    with pytest.raises(StepError, match="cancel position out of range"):
+        # the top level is not cyclic
+        apply_step(EMPTY_LEX, e[0].contents, CancelStep((), 2, delta))
+    with pytest.raises(StepError, match="cancel position out of range"):
+        # a one-item block has no pair, not even with itself
+        apply_step(EMPTY_LEX, (Block((Atom(lf("A"), -1),)),),
+                   CancelStep((0,), 0))
+
+
+def test_dissolve_step_slots_and_levels():
     e = (a("x"), Block((a("y"),)), a("z"))
-    out = apply_step(EMPTY_LEX, e, MoveStep((), 1, (), 2))
-    assert render_expr(out) == "x z { y }"
+    out = apply_step(EMPTY_LEX, e, DissolveStep((), 1, (), 2, 0))
+    assert render_expr(out) == "x z y"
+    out = apply_step(EMPTY_LEX, e, DissolveStep((), 1, (), 1, 0))
+    assert render_expr(out) == "x y z"
     nested = (Block((a("x"), Block((a("y"),)))),)
-    out = apply_step(EMPTY_LEX, nested, MoveStep((0,), 1, (), 1))
-    assert render_expr(out) == "{ x } { y }"
+    out = apply_step(EMPTY_LEX, nested, DissolveStep((0,), 1, (), 1, 0))
+    assert render_expr(out) == "{ x } y"
+    out = apply_step(EMPTY_LEX, nested, DissolveStep((0,), 1, (0,), 0, 0))
+    assert render_expr(out) == "{ y x }"
     with pytest.raises(StepError, match="enclosing"):
-        # a block may not move into a sibling block
+        # a block may not dissolve into a sibling block
         apply_step(EMPTY_LEX, (Block(()), Block((a("y"),))),
-                   MoveStep((), 1, (0,), 0))
+                   DissolveStep((), 1, (0,), 0, 0))
     with pytest.raises(StepError, match="not a block"):
-        apply_step(EMPTY_LEX, e, MoveStep((), 0, (), 2))
+        apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 2, 0))
+    with pytest.raises(StepError, match="slot out of range"):
+        # the slot counts the level without the block
+        apply_step(EMPTY_LEX, e, DissolveStep((), 1, (), 3, 0))
+    with pytest.raises(StepError, match="slot out of range"):
+        apply_step(EMPTY_LEX, nested, DissolveStep((0,), 1, (), 2, 0))
+    with pytest.raises(StepError, match="slot out of range"):
+        apply_step(EMPTY_LEX, e, DissolveStep((), 1, (), -1, 0))
+
+
+def test_dissolve_step_text_form():
+    step = DissolveStep((0,), 1, (), 2, 1)
+    assert render_step(step) == "dissolve level=0 index=1 to=-:2 k=1"
+    assert parse_step(render_step(step)) == step
 
 
 def test_rotate_and_dissolve_steps():
     e = (Block((a("x"), a("y"), a("z"))),)
-    out = apply_step(EMPTY_LEX, e, RotateStep((), 0, 1))
-    assert render_expr(out) == "{ y z x }"
-    out = apply_step(EMPTY_LEX, out, DissolveStep((), 0))
+    out = apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 0, 1))
     assert render_expr(out) == "y z x"
-    with pytest.raises(StepError, match="out of range"):
-        apply_step(EMPTY_LEX, e, RotateStep((), 0, 3))
+    with pytest.raises(StepError, match="rotation out of range"):
+        apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 0, 3))
+    with pytest.raises(StepError, match="rotation out of range"):
+        apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 0, -1))
     with pytest.raises(StepError, match="not a block"):
-        apply_step(EMPTY_LEX, (a("x"),), DissolveStep((), 0))
+        apply_step(EMPTY_LEX, (a("x"),), DissolveStep((), 0, (), 0, 0))
 
 
 def test_rotation_can_cancel_across_the_block_seam():
     e = (Block((a("x"), a("y"), a("x", -1))),)
-    out = apply_step(EMPTY_LEX, e, RotateStep((), 0, 1))
-    assert render_expr(out) == "{ y }"
+    out = apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 0, 1))
+    assert render_expr(out) == "y"
+    out = apply_step(EMPTY_LEX, e, DissolveStep((), 0, (), 0, 0))
+    assert render_expr(out) == "x y x^-1"
 
 
 def test_swap_step_requires_commutative_mode(english):
@@ -241,7 +275,9 @@ def test_postponed_placement_keeps_a_move_that_exposes_a_pair():
     # in place nothing touches; moving away leaves the pair adjacent
     assert {render_expr(new) for _, new, _ in succ} == {
         "g f(a,X) f(a,X)^-1", "f(a,X) f(a,X)^-1 g"}
-    assert all(isinstance(steps[0], MoveStep) for steps, _, _ in succ)
+    for steps, _, _ in succ:
+        (step,) = steps
+        assert (step.target_level, step.slot) != (step.level, step.index)
 
 
 def test_postponed_placement_joins_blocks_into_a_run():
@@ -496,9 +532,9 @@ def test_replay_rejects_tampered_steps(english):
 @pytest.mark.parametrize("text, missing", [
     ("expand index=0 rule=p1", "level"),
     ("cancel index=0", "level"),
-    ("move level=- index=0", "to"),
-    ("rotate level=- index=0", "k"),
     ("dissolve level=-", "index"),
+    ("dissolve level=- index=0", "to"),
+    ("dissolve level=- index=0 to=-:0", "k"),
     ("swap", "index"),
 ])
 def test_parse_step_names_a_missing_field(text, missing):
@@ -525,26 +561,36 @@ def test_parse_step_names_a_missing_field(text, missing):
         {"mode": "parse", "start": "1", "steps": "cancel level=- index=0",
          "end": "1"}, ()),
      "record field 'steps' is not a list of strings"),
-    (lambda: parse_step("move level=- index=0 to=5"),
-     "move step field 'to' has a bad value '5'"),
+    (lambda: parse_step("dissolve level=- index=0 to=5 k=0"),
+     "dissolve step field 'to' has a bad value '5'"),
     (lambda: parse_step("cancel level=x index=0"),
      "cancel step field 'level' has a bad value 'x'"),
-    (lambda: parse_step("rotate level=- index=0 k=z"),
-     "rotate step field 'k' has a bad value 'z'"),
+    (lambda: parse_step("dissolve level=- index=0 to=-:0 k=z"),
+     "dissolve step field 'k' has a bad value 'z'"),
+    (lambda: parse_derivation("start: 1\nend: 1", ()),
+     "derivation text has 0 'derivation mode=' lines, not one"),
+    (lambda: parse_derivation("derivation mode=parse\nend: 1", ()),
+     "derivation text has 0 'start:' lines, not one"),
+    (lambda: parse_derivation(
+        "derivation mode=parse\nderivation mode=gen\nstart: 1\nend: 1", ()),
+     "derivation text has 2 'derivation mode=' lines, not one"),
+    (lambda: parse_derivation("derivation mode=parse\nstart: 1\nend: 1\nend: 1", ()),
+     "derivation text has 2 'end:' lines, not one"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
         "bare-renaming", "start-not-text", "steps-not-a-list", "target-no-slot",
-        "level-not-a-number", "k-not-a-number"])
+        "level-not-a-number", "k-not-a-number", "no-header-line",
+        "no-start-line", "two-header-lines", "two-end-lines"])
 def test_derivation_readers_name_the_problem(read, message):
     with pytest.raises(ValueError, match=message):
         read()
 
 
 @pytest.mark.parametrize("step", [
-    DissolveStep((5,), 0),
+    DissolveStep((5,), 0, (5,), 0, 0),
     # a negative index would address a block from the end, and rebuild the
     # expression around the wrong position
-    DissolveStep((-1,), 1),
-    MoveStep((-1,), 1, (), 0),
+    DissolveStep((-1,), 1, (-1,), 1, 0),
+    DissolveStep((-1,), 1, (), 0, 0),
 ])
 def test_steps_reject_a_level_outside_the_expression(step):
     e = parse_expr("a { b { c d } }", ())

@@ -9,6 +9,10 @@ checked on their own, against the postponed placement without the skip.
 Both searches must find the same readings and agree on truncation, and every
 derivation of the pruned search must replay.
 
+A bundle, one ``DissolveStep``, is checked against the three steps it stands
+for (move the block, rotate it, dissolve it, each a splice and a
+``normalize``), and a nested wrap cancel against a rotation and a cancel.
+
 The search applies the steps it builds itself without checking them
 (``engine._apply``).  The last section puts ``apply_step``'s checks back on
 every such step: none may fail, and the results must not change.
@@ -25,11 +29,14 @@ from ggroup.encodings import (
     commutator_scheme, encode_logic_program, parse_logic_program,
 )
 from ggroup.engine import (
-    Atom, Block, SearchLimits, StepError, generate, normalize, parse,
-    render_derivation, render_expr, render_step, replay, saturate,
+    Atom, Block, CancelStep, DissolveStep, SearchLimits, StepError, generate,
+    normalize, parse, render_derivation, render_expr, render_step, replay,
+    saturate, substitute_expr,
 )
 from ggroup.lexicon import Lexicon
-from ggroup.term import canonical_identifiers, parse_term, render_term
+from ggroup.term import (
+    EMPTY_BINDING, canonical_identifiers, parse_term, render_term, unify,
+)
 
 LIM = SearchLimits()
 RAW = Lexicon((), (), raw_mode=True)
@@ -240,6 +247,111 @@ def test_named_counterexamples_match_the_reference(reference, text):
     start = engine.parse_expr(text, ())
     assert normalize(start) == start
     assert _readings(_check_start(reference, start)) == {"g"}
+
+
+# ---------------------------------------------------------------------------
+# one step per bundle, against the three steps it stands for: move the block,
+# rotate it, dissolve it, each a splice and a normalize
+
+
+def _find(expr, obj, level=()):
+    """The level and index of the item ``obj``, found by identity."""
+    for k, i in enumerate(expr):
+        if i is obj:
+            return level, k
+        if isinstance(i, Block):
+            found = _find(i.contents, obj, level + (k,))
+            if found is not None:
+                return found
+    return None
+
+
+def _three_steps(expr, level, index, target_level, slot, k):
+    block = engine.level_items(expr, level)[index]
+    if (target_level, slot) != (level, index):  # move, slot after removal
+        removed = engine._splice(expr, level, index, index + 1, ())
+        expr = normalize(engine._splice(removed, target_level, slot, slot,
+                                        (block,)))
+        level, index = _find(expr, block)
+    if k:  # rotate
+        c = block.contents
+        expr = normalize(engine._splice(expr, level, index, index + 1,
+                                        (Block(c[k:] + c[:k]),)))
+    block = engine.level_items(expr, level)[index]  # dissolve
+    return normalize(engine._splice(expr, level, index, index + 1,
+                                    block.contents))
+
+
+def _bundles(expr):
+    """The fields of every bundle, in the search's order: each block in
+    place, at the other slots of its level, then at those of each enclosing
+    level outwards, and at each of these in every rotation."""
+    out = []
+    for level, items in engine._levels(expr):
+        for index, item in enumerate(items):
+            if not isinstance(item, Block):
+                continue
+            targets = [(level, index)] + [(level, s) for s in range(len(items))
+                                          if s != index]
+            for depth in range(len(level) - 1, -1, -1):
+                outer = level[:depth]
+                targets += [(outer, s) for s in
+                            range(len(engine.level_items(expr, outer)) + 1)]
+            out += [(level, index, t, s, k) for t, s in targets
+                    for k in range(len(item.contents))]
+    return out
+
+
+def _atom_ids(expr):
+    return [id(i) for _, items in engine._levels(expr) for i in items
+            if isinstance(i, Atom)]
+
+
+def test_one_dissolve_step_is_the_three_steps_it_stands_for():
+    rng = random.Random(11)
+    bundles = 0
+    for n in range(500):
+        start = normalize(_random_start(rng))
+        try:
+            fields = _bundles(start)
+            succ = engine._block_successors(RAW, start)
+            assert [steps for steps, _, _ in succ] == \
+                [(DissolveStep(*f),) for f in fields]
+            for f, (_, new, _) in zip(fields, succ):
+                want = _three_steps(start, *f)
+                assert new == want
+                # atoms are kept, never rebuilt; when a cancel of the pair
+                # that flanked the block competes with one of its contents,
+                # the one step can keep the other of two equal atoms
+                assert set(_atom_ids(new)) <= set(_atom_ids(start))
+                assert engine.apply_step(RAW, start, DissolveStep(*f)) == want
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+        bundles += len(fields)
+    assert bundles > 5000
+
+
+def test_a_nested_wrap_cancel_is_a_rotation_then_a_cancel():
+    rng = random.Random(11)
+    wraps = 0
+    for n in range(500):
+        start = normalize(_random_start(rng))
+        for level, items in engine._levels(start):
+            m = len(items)
+            if not level or m < 2 or not engine._cancel_pair(items[-1], items[0]):
+                continue
+            outer, index = level[:-1], level[-1]
+            c = items
+            rotated = normalize(engine._splice(start, outer, index, index + 1,
+                                               (Block(c[1:] + c[:1]),)))
+            for delta in unify(items[-1].payload, items[0].payload,
+                               EMPTY_BINDING, False):
+                want = normalize(substitute_expr(
+                    engine._splice(rotated, level, m - 2, m, ()), delta))
+                got = engine.apply_step(RAW, start, CancelStep(level, m - 1, delta))
+                assert got == want, f"start {n}: {render_expr(start)}"
+                wraps += 1
+    assert wraps > 20
 
 
 # ---------------------------------------------------------------------------

@@ -218,9 +218,8 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("query, run, calls, distinct", PINNED,
-                         ids=[p[0] for p in PINNED])
-def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct):
+def _keyed(monkeypatch, run):
+    """``run()`` and the state keys its search computed, in order."""
     keys = []
     real = engine._canonical_key
 
@@ -229,5 +228,22 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
         return keys[-1]
 
     monkeypatch.setattr(engine, "_canonical_key", counting)
-    run()
+    return run(), keys
+
+
+@pytest.mark.parametrize("query, run, calls, distinct", PINNED,
+                         ids=[p[0] for p in PINNED])
+def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct):
+    _, keys = _keyed(monkeypatch, run)
     assert (len(keys), len(set(keys))) == (calls, distinct)
+
+
+def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
+    # the instance p(a) p(a)^-1 q(b)^-1 cancels inside itself; as the root
+    # it would key two more states (7 in all) and resolve nothing
+    lex = encode_logic_program(parse_logic_program(
+        "q(b) .\np(a) :- q(b), p(a) .\nr(c) .\ns(X) :- r(X) ."))
+    res, keys = _keyed(monkeypatch, lambda: saturate(lex))
+    assert [render_term(t) for t, _ in res.results] == ["q(b)", "r(c)", "s(c)"]
+    assert not res.truncated
+    assert len(keys) == 5
