@@ -22,8 +22,11 @@ commute is the lexicon's to decide, never a caller's.
 
 A derivation is its answer's proof and ``replay`` its checker: the search
 applies the steps it builds itself unchecked (``_apply``), and ``_search``
-replays each result's ``Derivation``, checking every step (``apply_step``),
-so each answer is proved exactly once.
+proves its answers over the search tree they share.  Each node on an
+answer's path is proved once, by one ``replay`` of the node's own steps from
+its parent's proved expression, which checks every step (``apply_step``)
+and that the node's expression is the one the search built.  Answers that
+share a derivation prefix share the proof of its nodes.
 
 Each query is one search.  Parsing starts it from every assignment of rules
 to homonymous tokens: ``max_results`` counts readings across them all, and a
@@ -45,12 +48,14 @@ Saturation instantiates only the clauses whose head can meet the selected
 subgoal, judged on rigid skeletons (``may_unify``).  Renaming and
 substitution never change a rigid position, and variables and App nodes are
 wildcards, so no resolvent is lost and the rest keep their order (see
-``_saturate_successors``).
+``_saturate_successors``).  A first-argument index (``_Tables.candidates``)
+narrows the clauses that ``may_unify`` is asked about.
 
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object.  That lets an atom memoize its state-key fragment
 (see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
-memo fields are outside equality and hashing.
+memo fields are outside equality and hashing, and a copy or a pickle is
+rebuilt from the other fields, without them.
 """
 
 from __future__ import annotations
@@ -95,6 +100,9 @@ class Atom:
     sign: int = 1
     # state-key fragment, set on first use by _atom_key
     _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return Atom, (self.payload, self.sign)
 
     def is_phon(self) -> bool:
         return isinstance(self.payload, str)
@@ -371,6 +379,25 @@ def _head_key(t: Term) -> str:
     return "*"
 
 
+def _rigid_key(t: Term):
+    """A term's coarse rigid key for the clause index: its ``_head_key`` and
+    its first argument when that is a constant or an identifier (else None).
+    A variable, an App or an identifier has no key (None)."""
+    head = _head_key(t)
+    if head == "*":
+        return None
+    first = t.args[0] if isinstance(t, Compound) and t.args else None
+    return head, first if isinstance(first, (Const, Identifier)) else None
+
+
+def _keys_meet(head_key, key) -> bool:
+    """Whether a clause head with ``head_key`` may meet a subgoal with rigid
+    key ``key``: a head without a key meets every key, and a first argument
+    left out of a key agrees with any."""
+    return head_key is None or head_key[0] == key[0] and (
+        head_key[1] is None or key[1] is None or head_key[1] == key[1])
+
+
 def _derive_rules(rules_of, lex: lx.Lexicon) -> tuple[tuple, list]:
     """(rules, problems): a strict grammar's problems come back instead of
     being raised, so that only the direction asked for reports them."""
@@ -412,6 +439,24 @@ class _Tables:
                 names, app_args = _scheme_variables(r.items)
                 size = sum(not isinstance(i, lx.ExprMeta) for i in r.items)
                 self.clauses.append((f"r{n}", head, names, app_args, size))
+        self._head_keys = [None if head is None else _rigid_key(head)
+                           for _, head, *_ in self.clauses]
+        self._candidates: dict = {}
+
+    def candidates(self, subgoal: Term) -> list:
+        """The clauses whose head may meet ``subgoal``, in their order: a
+        superset of those ``may_unify`` admits, memoized by the subgoal's
+        rigid key (first-argument indexing).  A subgoal without a rigid key
+        gets every clause."""
+        key = _rigid_key(subgoal)
+        if key is None:
+            return self.clauses
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = [
+                c for c, head_key in zip(self.clauses, self._head_keys)
+                if _keys_meet(head_key, key)]
+        return found
 
 
 def _tables(lex: lx.Lexicon) -> _Tables:
@@ -958,8 +1003,11 @@ def _saturate_successors(lex, node, allow_vacuous):
     instantiated: ``may_unify`` compares the rigid skeletons of the scheme's
     head and the subgoal.  That loses no successor, since renaming a clause
     only replaces its variables and substitution never changes a rigid
-    position; variables and App nodes are wildcards.  The skip keeps the
-    clauses in order, so successors come in the same order as without it.
+    position; variables and App nodes are wildcards.  ``may_unify`` only
+    looks at the candidates of the subgoal's first-argument index
+    (``_Tables.candidates``), which drops clauses on functor, arity or a
+    differing constant first argument.  Both keep the clauses in order, so
+    successors come in the same order as without them.
 
     An instance resolves the subgoal only when its head cancelled the
     subgoal eagerly, or stayed next to it and unifies with it.  A ground head
@@ -973,7 +1021,10 @@ def _saturate_successors(lex, node, allow_vacuous):
     suffix = str(node.expansions + 1)
     sel = len(expr) - 1
     subgoal = expr[sel] if expr else None
-    for rule_id, head, names, app_args, size in _tables(lex).clauses:
+    tables = _tables(lex)
+    clauses = (tables.clauses if subgoal is None
+               else tables.candidates(subgoal.payload))
+    for rule_id, head, names, app_args, size in clauses:
         if subgoal is not None and head is not None \
                 and not may_unify(head, subgoal.payload):
             continue
@@ -1004,7 +1055,7 @@ def _saturate_successors(lex, node, allow_vacuous):
 def _search(lex: lx.Lexicon, mode: str, start: Expr,
             starts: Sequence[tuple[tuple[Step, ...], Expr]],
             lim: SearchLimits, goal, result_key) -> EngineResult:
-    """Breadth-first search from ``start``; every result is replayed.
+    """Breadth-first search from ``start``; every result is proved.
 
     The search begins at each ``expr`` of ``starts``, pairs ``(steps,
     expr)`` whose ``steps`` the caller applied to ``start`` and ``replay``
@@ -1030,8 +1081,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     ``unifiers`` memoizes the unifiers of each payload pair that cancels and
     bundle predictions look up, one dict per search.  The search applies its
-    own steps unchecked, except the swap chains (``_swap_cancel_successors``);
-    the ``replay`` below checks every step of each result.
+    own steps unchecked, except the swap chains (``_swap_cancel_successors``).
+    ``_prove`` then checks every step of each result, node by node over the
+    tree the results share: one ``replay`` per distinct node on their paths.
     """
     commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
@@ -1064,9 +1116,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if payload is not None:
                 key = result_key(payload)
                 if key not in results:
-                    d = Derivation(mode, root.expr, node.derivation_steps(),
-                                   node.expr)
-                    results[key] = (payload, d)
+                    results[key] = (payload, node)
                     if len(results) >= lim.max_results:
                         truncated = True
                         break
@@ -1119,10 +1169,34 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                     if need:
                         late.append((_Node(new, expansions, node, steps, key),
                                      need))
-    ordered = sorted(results.items())
-    for _, (_, d) in ordered:
-        replay(lex, d, allow_vacuous=allow_vacuous)
-    return EngineResult(tuple(v for _, v in ordered), truncated)
+    proved = {root: root.expr}
+    out = []
+    for _, (payload, node) in sorted(results.items()):
+        _prove(lex, mode, node, proved, allow_vacuous)
+        out.append((payload, Derivation(mode, root.expr,
+                                        node.derivation_steps(), node.expr)))
+    return EngineResult(tuple(out), truncated)
+
+
+def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
+           allow_vacuous: bool) -> None:
+    """Prove ``node`` and its unproved ancestors.
+
+    ``proved`` maps each proved node to the expression its proof replayed.
+    Walking up from ``node`` to the nearest proved ancestor, each node on the
+    way is proved by one ``replay`` of its own steps from its parent's proved
+    expression, which must end at the expression the search built for it.
+    The walk is a loop, since a path can be ``max_expansions`` nodes long.
+    """
+    path = []
+    while node not in proved:
+        path.append(node)
+        node = node.parent
+    expr = proved[node]
+    for node in reversed(path):
+        expr = proved[node] = replay(
+            lex, Derivation(mode, expr, node.steps, node.expr),
+            allow_vacuous=allow_vacuous)
 
 
 def _single_atom_goal(e: Expr) -> Optional[Term]:

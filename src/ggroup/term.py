@@ -12,7 +12,8 @@ application), ``metas`` (the names of its meta-variables) and ``absvars`` (the
 names of its abstraction variables).  A ``Compound`` or ``App`` computes these
 from its children's when it is built, and its hash on first use.  These memo
 fields are outside equality and hashing, so two independently built equal
-terms compare and hash equal.
+terms compare and hash equal, and a copy or a pickle rebuilds a term from its
+other fields, without them.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ class Compound:
         except AttributeError:
             return _memo_hash(self, (self.functor, self.args))
 
+    def __reduce__(self):
+        return Compound, (self.functor, self.args)
+
 
 @dataclass(frozen=True, slots=True)
 class App:
@@ -135,6 +139,9 @@ class App:
             return self._hash
         except AttributeError:
             return _memo_hash(self, (self.abstraction, self.arg))
+
+    def __reduce__(self):
+        return App, (self.abstraction, self.arg)
 
 
 Term = Union[Const, Identifier, MetaVar, Compound, App]

@@ -1,6 +1,8 @@
 """The rewriting engine: expressions, steps, search, and derivation replay."""
 
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -367,24 +369,134 @@ def test_parse_applies_each_token_expansion_once(english, monkeypatch):
     assert sum(expansions) == 6
 
 
+def _family():
+    return encode_logic_program(parse_logic_program(
+        (GRAMMAR_DIR / "family.lp").read_text()))
+
+
 def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
         monkeypatch):
-    real = engine._apply
-    expansions = []
+    real_apply, real_replay = engine._apply, engine.replay
+    proving = False
+    search, proof = [], []
 
     def counting(lex, expr, step):
-        expansions.append(isinstance(step, ExpandStep))
-        return real(lex, expr, step)
+        if isinstance(step, ExpandStep):
+            (proof if proving else search).append(step)
+        return real_apply(lex, expr, step)
 
-    lex = encode_logic_program(parse_logic_program(
-        (GRAMMAR_DIR / "family.lp").read_text()))
+    def replaying(*args, **kwargs):
+        nonlocal proving
+        proving = True
+        try:
+            return real_replay(*args, **kwargs)
+        finally:
+            proving = False
+
+    lex = _family()
     monkeypatch.setattr(engine, "_apply", counting)
+    monkeypatch.setattr(engine, "replay", replaying)
     res = saturate(lex, LIM)
     assert len(res.results) == 9 and not res.truncated
-    # search and replay together; 128 when every clause was instantiated
-    # for every subgoal and only then unified, before the skeleton pre-check
+    # the search's own instances; 105 when every clause was instantiated for
+    # every subgoal and only then unified, before the skeleton pre-check
     # (term.may_unify) dropped the clauses whose head cannot meet it
-    assert sum(expansions) == 52
+    assert len(search) == 29
+    # the proof's: each node on the answers' paths once; 23 when each answer
+    # was replayed from the empty expression
+    assert len(proof) == 18
+
+
+def _proved_steps(monkeypatch, fn, *args):
+    """``fn(*args)``, the number of ``apply_step`` calls it made, and the
+    number of steps of the distinct search nodes on its answers' paths."""
+    nodes = []
+
+    class Recorded(engine._Node):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            nodes.append(self)
+
+    checked = []
+    real = engine.apply_step
+
+    def counting(*a, **k):
+        checked.append(None)
+        return real(*a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_Node", Recorded)
+        m.setattr(engine, "apply_step", counting)
+        res = fn(*args)
+    on_paths = set()
+    for _, d in res.results:
+        node = next(n for n in nodes
+                    if n.expr == d.end and n.derivation_steps() == d.steps)
+        while node is not None and node not in on_paths:
+            on_paths.add(node)
+            node = node.parent
+    return res, len(checked), sum(len(n.steps) for n in on_paths)
+
+
+@pytest.mark.parametrize("query", ["family", "every man saw some woman"])
+def test_answers_are_proved_once_per_node_of_their_shared_tree(
+        monkeypatch, english, query):
+    if query == "family":
+        res, checked, steps = _proved_steps(monkeypatch, saturate, _family(), LIM)
+    else:
+        res, checked, steps = _proved_steps(monkeypatch, parse, english,
+                                            query.split(), LIM)
+    assert res.results
+    assert checked == steps
+    # the answers share derivation prefixes (family.lp: 31 steps against 37
+    # in its derivations; the sentence: 18 against 26)
+    assert steps < sum(len(d.steps) for _, d in res.results)
+
+
+def test_a_wrong_search_expression_on_an_answer_path_fails_the_proof(
+        monkeypatch):
+    """The search bends one state on the only path to ``q(a)``: it binds
+    ``X_1`` in the head but not in the subgoal.  The later steps still
+    replay from the right state to ``q(a)``, so only the comparison of the
+    node's own expression catches it."""
+    lex = encode_logic_program(parse_logic_program("p(a) .\nq(X) :- p(X) .\n"))
+    real = engine._saturate_successors
+
+    def bent(lex, node, allow_vacuous):
+        out = []
+        for steps, new, dexp in real(lex, node, allow_vacuous):
+            if render_expr(new) == "q(X_1) p(X_1)^-1":
+                new = (Atom(lf("q(a)")), new[1])
+            out.append((steps, new, dexp))
+        return out
+
+    assert {render_term(t) for t, _ in saturate(lex, LIM).results} == {"p(a)", "q(a)"}
+    monkeypatch.setattr(engine, "_saturate_successors", bent)
+    with pytest.raises(StepError, match="does not end"):
+        saturate(lex, LIM)
+
+
+def test_engine_results_survive_pickle_and_copies(english):
+    """Memo fields (an atom's state key, a term's hash) are left out of
+    copies and pickles, and rebuilt on use."""
+    family = _family()
+    for lex, res in [(english, parse(english, "every man saw some woman".split(), LIM)),
+                     (family, saturate(family, LIM))]:
+        for again in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+            assert again == res
+            assert [render_derivation(d) for _, d in again.results] == \
+                [render_derivation(d) for _, d in res.results]
+            for _, d in again.results:
+                assert replay(lex, d) == d.end
+    atom = Atom(lf("ev(m,#x1,P[#x1])"))
+    engine._canonical_key((atom,), False)
+    hash(atom.payload.args[2])
+    for again in (copy.copy(atom), copy.deepcopy(atom),
+                  pickle.loads(pickle.dumps(atom))):
+        assert again == atom and not hasattr(again, "_key")
+        assert hash(again.payload) == hash(atom.payload)
+        assert engine._canonical_key((again,), False) == \
+            engine._canonical_key((atom,), False)
 
 
 def test_parse_attachment_ambiguity_is_exactly_two_ways(english):

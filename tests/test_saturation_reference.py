@@ -2,10 +2,12 @@
 it.
 
 Before it instantiates a clause, ``_saturate_successors`` skips the clauses
-whose head cannot meet the selected subgoal (``term.may_unify``).  The
-reference is the same search with the pre-check patched to accept every
-clause.  Both must give equal results, rendered derivations, truncation and
-state-key counts, on the shared clause programs, ``family.lp`` and seeded
+whose head cannot meet the selected subgoal: the first-argument index
+(``_Tables.candidates``) proposes clauses, and ``term.may_unify`` keeps those
+whose head can meet the subgoal.  The reference is the same search with the
+index patched to propose every clause and the pre-check patched to accept
+every clause.  Both must give equal results, rendered derivations, truncation
+and state-key counts, on the shared clause programs, ``family.lp`` and seeded
 random definite programs.
 """
 
@@ -37,6 +39,8 @@ def _run(monkeypatch, lex, lim, filtered):
     with monkeypatch.context() as m:
         m.setattr(engine, "_canonical_key", counting)
         if not filtered:
+            m.setattr(engine._Tables, "candidates",
+                      lambda tables, subgoal: tables.clauses)
             m.setattr(engine, "may_unify", lambda a, b: True)
         return saturate(lex, lim), len(keys)
 
@@ -63,45 +67,56 @@ def test_clause_programs_saturate_like_the_reference(monkeypatch, name, text):
 # seeded random definite programs
 
 PREDICATES = (("p", 1), ("q", 1), ("r", 2))
+# adds a zero-arity predicate, whose atoms are constants
+WIDE = PREDICATES + (("s", 0),)
 
 
-def _arg(rng, depth, variables):
+def _arg(rng, depth, variables, idents):
     roll = rng.random()
     if roll < 0.35 and variables:
         return MetaVar(rng.choice(variables))
     if roll < 0.55 and depth:
-        return Compound("f", (_arg(rng, depth - 1, variables),))
+        return Compound("f", (_arg(rng, depth - 1, variables, idents),))
+    if idents and rng.random() < 0.3:
+        return Identifier(rng.choice("ak"))  # #a is not the constant a
     return Const(rng.choice("abc"))
 
 
-def _atom(rng, variables):
-    functor, arity = rng.choice(PREDICATES)
-    return Compound(functor, tuple(_arg(rng, 2, variables) for _ in range(arity)))
+def _atom(rng, variables, wide):
+    functor, arity = rng.choice(WIDE if wide else PREDICATES)
+    if not arity:
+        return Const(functor)
+    return Compound(functor, tuple(_arg(rng, 2, variables, wide)
+                                   for _ in range(arity)))
 
 
-def _random_program(rng):
+def _random_program(rng, wide=False):
     """Two to four facts, then one to three rules: repeated and distinct
     constants, nested compound and bare-variable arguments, sometimes a body
-    atom that is a bare variable or a head with an identifier."""
-    clauses = [Clause(_atom(rng, ())) for _ in range(rng.randint(2, 4))]
+    atom that is a bare variable or a head with an identifier.  ``wide``
+    adds zero-arity atoms, identifier arguments anywhere and heads that are
+    a bare variable."""
+    clauses = [Clause(_atom(rng, (), wide)) for _ in range(rng.randint(2, 4))]
     for _ in range(rng.randint(1, 3)):
-        body = tuple(_atom(rng, "XY") for _ in range(rng.randint(1, 2)))
+        body = tuple(_atom(rng, "XY", wide) for _ in range(rng.randint(1, 2)))
         if rng.random() < 0.15:
             body += (MetaVar("Z"),)
-        head = _atom(rng, "XY")
-        if rng.random() < 0.15:
+        head = _atom(rng, "XY", wide)
+        if rng.random() < 0.15 and isinstance(head, Compound):
             head = Compound(head.functor, (Identifier("k"),) + head.args[1:])
+        elif wide and rng.random() < 0.1:
+            head = MetaVar("X")
         clauses.append(Clause(head, body))
     return clauses
 
 
-def _random_programs():
-    rng = random.Random(9)
-    return [_random_program(rng) for _ in range(200)]
+def _random_programs(seed, wide):
+    rng = random.Random(seed)
+    return [_random_program(rng, wide) for _ in range(200)]
 
 
-def test_random_programs_saturate_like_the_reference(monkeypatch):
-    for n, clauses in enumerate(_random_programs()):
+def _check_random_programs(monkeypatch, programs):
+    for n, clauses in enumerate(programs):
         try:
             _check(monkeypatch, clauses, SMALL)
         except AssertionError as e:
@@ -111,3 +126,12 @@ def test_random_programs_saturate_like_the_reference(monkeypatch):
                     for k, b in enumerate(c.body)) + " ."
                 for c in clauses)
             raise AssertionError(f"program {n}: {program}") from e
+
+
+def test_random_programs_saturate_like_the_reference(monkeypatch):
+    _check_random_programs(monkeypatch, _random_programs(9, False))
+
+
+def test_random_programs_with_constant_and_identifier_atoms_saturate_like_the_reference(
+        monkeypatch):
+    _check_random_programs(monkeypatch, _random_programs(10, True))

@@ -18,6 +18,7 @@ The search applies the steps it builds itself without checking them
 every such step: none may fail, and the results must not change.
 """
 
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -462,3 +463,64 @@ def test_random_starts_apply_only_legal_steps(checked):
             _same_results(checked(_search, start), _search(start))
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
+
+
+# ---------------------------------------------------------------------------
+# answers proved over their shared search tree
+
+# sha256 prefixes of each query's readings and rendered derivations, taken
+# when each answer was still replayed on its own from the empty expression
+DERIVATION_DIGESTS = {
+    "every man saw every man": "a86640fc14616f40",
+    "every man saw every woman": "3973642383ebf7a4",
+    "every man saw some man": "15f795a0debb5416",
+    "every man saw some woman": "64fbe73784f05ad5",
+    "every woman saw every man": "88bf9fcc04c7ad13",
+    "every woman saw every woman": "ec14d77a2642ba62",
+    "every woman saw some man": "c0c105e4560612de",
+    "every woman saw some woman": "ee921905899ee14e",
+    "some man saw every man": "50c7d511e6148ad8",
+    "some man saw every woman": "61a0eb9822a13801",
+    "some man saw some man": "321d872deddd6298",
+    "some man saw some woman": "ad60e333a7cdb846",
+    "some woman saw every man": "8e960cd9693b7615",
+    "some woman saw every woman": "b29719ab4f193f12",
+    "some woman saw some man": "eeb441dff9145644",
+    "some woman saw some woman": "02ac8d270bfb5dd7",
+    "every man that john saw ran": "c2c2c401daf836be",
+    "every man that louise saw ran": "b386c18e07e8da85",
+    "every man that paris saw ran": "3bb5abc2660f67a3",
+    "the man that john saw ran": "a5bfe4a21bec50f4",
+    "the man that louise saw ran": "380a5059ce431558",
+    "the man that paris saw ran": "fccffebd223fae65",
+    "john saw some woman in john": "2617a4f96820ffa6",
+    "john saw some woman in louise": "4f8dc94725336471",
+    "john saw some woman in paris": "96a2b211afa13b13",
+    "louise saw some woman in john": "e05938d4f0a88eae",
+    "louise saw some woman in louise": "37c36a0cf0c84226",
+    "louise saw some woman in paris": "ccb8ec1fcbd3a21b",
+    "paris saw some woman in john": "0aaacb1b040b714d",
+    "paris saw some woman in louise": "91aa52f31f93243d",
+    "paris saw some woman in paris": "2f9c8eec65f1855a",
+    "family.lp": "2ad3de8779205c4c",
+}
+
+
+def _digest(res):
+    text = "\n\n".join(render_term(p) + "\n" + render_derivation(d)
+                        for p, d in res.results)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("query", list(DERIVATION_DIGESTS))
+def test_derivations_are_unchanged_and_replay_on_their_own(english, query):
+    if query == "family.lp":
+        path = Path(__file__).resolve().parent.parent / "grammars" / query
+        lex = encode_logic_program(parse_logic_program(path.read_text()))
+        res = saturate(lex, LIM)
+    else:
+        lex = english
+        res = parse(english, query.split(), LIM)
+    assert _digest(res) == DERIVATION_DIGESTS[query]
+    for _, d in res.results:
+        assert engine.replay(lex, d) == d.end
