@@ -35,6 +35,9 @@ class DirectionReport:
     findings: tuple[RuleFinding, ...]
     skipped: tuple[tuple[int, str], ...]  # (relator line number, reason)
     terminating: bool
+    # whether the lexicon has the commutator scheme, which carries no rule
+    # and is reported by name rather than with the other skipped relators
+    commutator: bool = False
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,9 @@ class ReversibilityReport:
                 lines.append(f"  {f.rule_id}: {f.status} ({f.detail})")
             for line_no, reason in rep.skipped:
                 lines.append(f"  relator at line {line_no} skipped: {reason}")
+            if rep.commutator:
+                lines.append("  commutator scheme skipped: it carries no "
+                             "rewrite rule")
         lines.append("verdict: " + ("reversible" if self.reversible()
                                     else "reversibility not established"))
         return "\n".join(lines)
@@ -116,8 +122,10 @@ def reversibility_report(lex: lx.Lexicon) -> ReversibilityReport:
         else:
             findings = tuple(check_token_free(r) for r in lx.parse_rules(lenient))
         skipped = tuple((r.line, "; ".join(problems))
-                        for r, problems in lx.underivable_relators(lenient, direction))
+                        for r, problems in lx.underivable_relators(lenient, direction)
+                        if not lx.is_commutator_scheme(r))
         ok = all(f.status in ("size-decreasing", "no tokens introduced")
                  for f in findings)
-        reports[direction] = DirectionReport(direction, findings, skipped, ok)
+        reports[direction] = DirectionReport(direction, findings, skipped, ok,
+                                             lex.commutative())
     return ReversibilityReport(reports["gen"], reports["parse"])

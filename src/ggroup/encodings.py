@@ -15,7 +15,7 @@ argument through such rules to restore termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .lexicon import Lexicon, LogItem, ExprMeta, PhonItem, RelatorScheme
@@ -30,16 +30,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Clause:
+    """One clause; ``line`` is its statement's source line (0 when built in
+    code), which the encoded relator carries for reports."""
+
     head: Term
     body: tuple[Term, ...] = ()
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class DcgRule:
-    """One phrase rule; right-hand entries are tokens (str) or term patterns."""
+    """One phrase rule; right-hand entries are tokens (str) or term patterns.
+    ``line`` is as in ``Clause``."""
 
     lhs: Term
     rhs: tuple[Union[str, Term], ...] = ()
+    line: int = field(default=0, compare=False)
 
 
 def _statements(text: str, path_hint: str = "input") -> Iterable[tuple[int, str]]:
@@ -75,7 +81,7 @@ def parse_logic_program(text: str) -> tuple[Clause, ...]:
             body = tuple(parse_term(p) for p in _split_top_commas(body_text))
         else:
             head_text, body = stmt, ()
-        clauses.append(Clause(parse_term(head_text.strip()), body))
+        clauses.append(Clause(parse_term(head_text.strip()), body, n))
     return tuple(clauses)
 
 
@@ -95,7 +101,7 @@ def parse_dcg(text: str) -> tuple[tuple[str, ...], tuple[DcgRule, ...]]:
             raise ValueError(f"rules line {n}: expected 'lhs ==> ...'")
         lhs = parse_term(fields[0])
         rhs = tuple(f if f in vocab else parse_term(f) for f in fields[2:])
-        rules.append(DcgRule(lhs, rhs))
+        rules.append(DcgRule(lhs, rhs, n))
     return tuple(vocab), tuple(rules)
 
 
@@ -107,22 +113,22 @@ def commutator_scheme() -> RelatorScheme:
 def encode_logic_program(clauses: Iterable[Clause]) -> Lexicon:
     relators = [RelatorScheme((LogItem(c.head, 1),)
                               + tuple(LogItem(b, -1) for b in reversed(c.body)),
-                              line=n)
-                for n, c in enumerate(clauses, start=1)]
+                              line=c.line)
+                for c in clauses]
     relators.append(commutator_scheme())
     return Lexicon((), tuple(relators), raw_mode=True)
 
 
 def encode_dcg(vocab: Iterable[str], rules: Iterable[DcgRule]) -> Lexicon:
     relators = []
-    for n, r in enumerate(rules, start=1):
+    for r in rules:
         items: list = [LogItem(r.lhs, 1)]
         for entry in reversed(r.rhs):
             if isinstance(entry, str):
                 items.append(PhonItem(entry, -1))
             else:
                 items.append(LogItem(entry, -1))
-        relators.append(RelatorScheme(tuple(items), line=n))
+        relators.append(RelatorScheme(tuple(items), line=r.line))
     return Lexicon(tuple(vocab), tuple(relators), raw_mode=True)
 
 
@@ -241,5 +247,5 @@ def add_depth_counter(rules: Iterable[DcgRule]) -> tuple[DcgRule, ...]:
         lhs = _with_arg(r.lhs, Compound("s", (d,)))
         rhs = tuple(entry if isinstance(entry, str) else _with_arg(entry, d)
                     for entry in r.rhs)
-        out.append(DcgRule(lhs, rhs))
+        out.append(DcgRule(lhs, rhs, r.line))
     return tuple(out)

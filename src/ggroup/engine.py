@@ -41,8 +41,7 @@ states can be larger by up to one item per block (see ``_block_successors``).
 
 The same commutation prunes cancels: a state reached by a bundle skips its
 top-level cancels of pairs that were adjacent before the bundle (see
-``_search``).  One memo per search holds the unifiers of payload pairs;
-``replay`` does not read it.
+``_search``).
 
 Saturation instantiates only the clauses whose head can meet the selected
 subgoal, judged on rigid skeletons (``may_unify``).  Renaming and
@@ -52,10 +51,20 @@ wildcards, so no resolvent is lost and the rest keep their order (see
 narrows the clauses that ``may_unify`` is asked about.
 
 Expressions, like terms, are immutable, and steps that leave an item alone
-keep it as the same object.  That lets an atom memoize its state-key fragment
-(see ``_canonical_key``) and a lexicon its rule tables (see ``_tables``); the
-memo fields are outside equality and hashing, and a copy or a pickle is
-rebuilt from the other fields, without them.
+keep it as the same object.  An atom computes its class when it is built
+(whether it is a surface token, whether it is ground) and memoizes its
+state-key fragment (see ``_canonical_key``), and a lexicon memoizes its rule
+tables (see ``_tables``).  These memo fields are outside equality and
+hashing, and a copy or a pickle is rebuilt from the other fields, which
+computes the class again.
+
+Each search keeps two memos, alive for that search only: the unifiers of
+payload pairs, and the substitutions its cancels make.  The latter is keyed
+by identity, ``(id(unifier), id(atom))``, so the same atom object under the
+same unifier object gives one shared result atom in every state that needs
+it, while distinct atoms, even equal ones, never merge: no atom object occurs
+twice in one state.  ``replay`` and ``apply_step`` read neither memo, so the
+proof recomputes every step.
 """
 
 from __future__ import annotations
@@ -98,17 +107,26 @@ class Atom:
 
     payload: Union[str, Term]
     sign: int = 1
+    # the atom's class, set when it is built: a surface token, and ground (a
+    # token or a ground term)
+    _phon: bool = field(init=False, repr=False, compare=False)
+    _ground: bool = field(init=False, repr=False, compare=False)
     # state-key fragment, set on first use by _atom_key
     _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        phon = isinstance(self.payload, str)
+        object.__setattr__(self, "_phon", phon)
+        object.__setattr__(self, "_ground", phon or self.payload.ground)
 
     def __reduce__(self):
         return Atom, (self.payload, self.sign)
 
     def is_phon(self) -> bool:
-        return isinstance(self.payload, str)
+        return self._phon
 
     def ground(self) -> bool:
-        return self.is_phon() or is_ground(self.payload)
+        return self._ground
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,9 +139,8 @@ Expr = tuple[Item, ...]
 
 
 def _inverse_pair(a: Item, b: Item) -> bool:
-    return (isinstance(a, Atom) and isinstance(b, Atom)
-            and a.sign == -b.sign and a.payload == b.payload
-            and (a.is_phon() or is_ground(a.payload)))
+    return (isinstance(a, Atom) and isinstance(b, Atom) and a._ground
+            and a.sign == -b.sign and a.payload == b.payload)
 
 
 def normalize(expr: Expr) -> Expr:
@@ -164,24 +181,43 @@ def conjugate(word: Expr, by: Expr) -> Expr:
     return product(by, word, inverse(by))
 
 
-def substitute_expr(expr: Expr, b: Binding) -> Expr:
+def substitute_expr(expr: Expr, b: Binding,
+                    memo: Optional[dict] = None) -> Expr:
     """Apply a binding to every atom.  Atoms and blocks it leaves unchanged
-    are kept as the same objects, and so is ``expr`` when nothing changes."""
+    are kept as the same objects, and so is ``expr`` when nothing changes.
+
+    ``memo``, when given, maps ``(id(b), id(atom))`` to ``(b, atom, result)``
+    (see ``_search``): the same atom object under the same binding object
+    gets the same result object.  The value holds both keyed objects, so
+    their ids cannot be reused while the memo lives.
+    """
     out: list[Item] = []
     changed = False
     for item in expr:
         if isinstance(item, Block):
-            inner = substitute_expr(item.contents, b)
+            inner = substitute_expr(item.contents, b, memo)
             if inner is not item.contents:
                 item = Block(inner)
                 changed = True
-        elif not item.ground():
-            payload = substitute(item.payload, b)
-            if payload is not item.payload:
-                item = Atom(payload, item.sign)
+        elif not item._ground:
+            if memo is None:
+                new = _substitute_atom(item, b)
+            else:
+                key = (id(b), id(item))
+                found = memo.get(key)
+                if found is None:
+                    found = memo[key] = (b, item, _substitute_atom(item, b))
+                new = found[2]
+            if new is not item:
+                item = new
                 changed = True
         out.append(item)
     return tuple(out) if changed else expr
+
+
+def _substitute_atom(a: Atom, b: Binding) -> Atom:
+    payload = substitute(a.payload, b)
+    return a if payload is a.payload else Atom(payload, a.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +503,12 @@ def _tables(lex: lx.Lexicon) -> _Tables:
     return tables
 
 
-def _apply(lex: lx.Lexicon, expr: Expr, step: Step) -> Expr:
+def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
+           substitutions: Optional[dict] = None) -> Expr:
     """Apply one derivation step without checking it.  The search applies the
-    steps it builds itself this way; ``apply_step`` checks first."""
+    steps it builds itself this way, a cancel with the search's
+    ``substitutions`` memo (see ``substitute_expr``); ``apply_step`` checks
+    first and passes no memo."""
     if isinstance(step, ExpandStep):
         tables = _tables(lex)
         rule = tables.by_id[step.rule_id]
@@ -484,7 +523,7 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step) -> Expr:
         items, i = level_items(expr, step.level), step.index
         kept = items[1:i] if i == len(items) - 1 else items[:i] + items[i + 2:]
         removed = _replace_level(expr, step.level, kept)
-        return normalize(substitute_expr(removed, step.delta))
+        return normalize(substitute_expr(removed, step.delta, substitutions))
     if isinstance(step, SwapStep):
         i = step.index
         return normalize(expr[:i] + (expr[i + 1], expr[i]) + expr[i + 2:])
@@ -637,9 +676,9 @@ def _atom_key(a: Atom) -> tuple[tuple, tuple[str, ...]]:
     except AttributeError:
         pass
     names: dict[str, int] = {}
-    if a.is_phon():
+    if a._phon:
         key = ("p", a.payload, a.sign)
-    elif is_ground(a.payload):
+    elif a._ground:
         key = ("g", render_term(a.payload), a.sign)
     else:
         key = ("a", _term_key(a.payload,
@@ -657,24 +696,26 @@ def _canonical_key(expr: Expr, commutative: bool):
     the atoms' local variable numbers to ordinals over the whole expression.
     """
     mapping: dict[str, int] = {}
-
-    def item_key(i: Item):
-        if isinstance(i, Atom):
-            key, names = _atom_key(i)
-            if not names:
-                return key
-            return key + (tuple([mapping.setdefault(v, len(mapping) + 1)
-                                 for v in names]),)
-        parts = [item_key(c) for c in i.contents]
-        if len(parts) > 1:
-            best = min(range(len(parts)), key=lambda k: parts[k:] + parts[:k])
-            parts = parts[best:] + parts[:best]
-        return ("b", tuple(parts))
-
-    keys = [item_key(i) for i in expr]
+    keys = [_item_key(i, mapping) for i in expr]
     if commutative:
         keys.sort()
     return tuple(keys)
+
+
+def _item_key(i: Item, mapping: dict[str, int]):
+    """One item's part of ``_canonical_key``; ``mapping`` numbers the
+    variables of the whole expression by first occurrence."""
+    if isinstance(i, Atom):
+        key, names = _atom_key(i)
+        if not names:
+            return key
+        return key + (tuple([mapping.setdefault(v, len(mapping) + 1)
+                             for v in names]),)
+    parts = [_item_key(c, mapping) for c in i.contents]
+    if len(parts) > 1:
+        best = min(range(len(parts)), key=lambda k: parts[k:] + parts[:k])
+        parts = parts[best:] + parts[:best]
+    return ("b", tuple(parts))
 
 
 def _expr_size(expr: Expr) -> int:
@@ -715,9 +756,8 @@ def _expand_successors(lex, expr, allow_vacuous):
     out = []
     for level, items in _levels(expr):
         for idx, item in enumerate(items):
-            if not isinstance(item, Atom) or item.sign != 1 or item.is_phon():
-                continue
-            if not is_ground(item.payload):
+            if not isinstance(item, Atom) or item.sign != 1 or item._phon \
+                    or not item._ground:
                 continue
             for rule in gen_index.get(_head_key(item.payload), []) + gen_index.get("*", []):
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
@@ -730,8 +770,7 @@ def _cancel_pair(a, b) -> bool:
     """Whether adjacent items may cancel by an explicit step: logical atoms
     of opposite sign, not both ground (ground inverses cancel eagerly)."""
     return (isinstance(a, Atom) and isinstance(b, Atom) and a.sign == -b.sign
-            and not (a.is_phon() or b.is_phon())
-            and not (a.ground() and b.ground()))
+            and not (a._phon or b._phon) and not (a._ground and b._ground))
 
 
 def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> list:
@@ -745,12 +784,13 @@ def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> lis
     return found
 
 
-def _cancel_successors(lex, expr, allow_vacuous, unifiers, skip=0,
-                       nested=True):
+def _cancel_successors(lex, expr, allow_vacuous, unifiers, substitutions,
+                       skip=0, nested=True):
     """Every explicit cancel of an adjacent pair, at every level (only the
     top level without ``nested``), except at the top-level positions set in
     the bit mask ``skip`` (see ``_commuting_cancels``).  Inside a block the
-    pairs include the wrap pair (last item, first item)."""
+    pairs include the wrap pair (last item, first item).  ``unifiers`` and
+    ``substitutions`` are the search's memos (see ``_search``)."""
     out = []
     for level, items in _levels(expr) if nested else [((), expr)]:
         n = len(items)
@@ -762,7 +802,7 @@ def _cancel_successors(lex, expr, allow_vacuous, unifiers, skip=0,
                 continue
             for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
                 step = CancelStep(level, i, delta)
-                out.append(((step,), _apply(lex, expr, step), 0))
+                out.append(((step,), _apply(lex, expr, step, substitutions), 0))
     return out
 
 
@@ -961,13 +1001,13 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
     n = len(expr)
     for i in range(n - 1):
         a = expr[i]
-        if not isinstance(a, Atom) or a.is_phon():
+        if not isinstance(a, Atom) or a._phon:
             continue
         for j in range(i + 1, n):
             b = expr[j]
-            if not isinstance(b, Atom) or b.is_phon() or a.sign != -b.sign:
+            if not isinstance(b, Atom) or b._phon or a.sign != -b.sign:
                 continue
-            if a.ground() and b.ground():
+            if a._ground and b._ground:
                 if a.payload != b.payload or j == i + 1:
                     continue  # not inverses, or already cancelled eagerly
                 deltas = [None]
@@ -1079,11 +1119,21 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     reached it first.  No known input needs a re-expansion for a reading,
     but some run it (``every man that some woman saw ran`` does).
 
-    ``unifiers`` memoizes the unifiers of each payload pair that cancels and
-    bundle predictions look up, one dict per search.  The search applies its
-    own steps unchecked, except the swap chains (``_swap_cancel_successors``).
-    ``_prove`` then checks every step of each result, node by node over the
-    tree the results share: one ``replay`` per distinct node on their paths.
+    Two memos live for this search only, and ``replay`` reads neither.
+    ``unifiers`` holds the unifiers of each payload pair that cancels and
+    bundle predictions look up.  ``substitutions`` holds the substitutions
+    of the cancels, the ``late`` re-expansions' too, keyed by ``(id(delta),
+    id(atom))`` (see ``substitute_expr``).  The deltas come from
+    ``unifiers``, so sibling states that cancel under the same delta share
+    each result atom, with its class and its state-key fragment.  Identity
+    keys never merge distinct atoms, even equal ones: the skip masks
+    (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
+    occur once in a state.
+
+    The search applies its own steps unchecked, except the swap chains
+    (``_swap_cancel_successors``).  ``_prove`` then checks every step of
+    each result, node by node over the tree the results share: one
+    ``replay`` per distinct node on their paths.
     """
     commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
@@ -1100,6 +1150,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     truncated = False
     results: dict[str, tuple] = {}
     unifiers: dict = {}
+    substitutions: dict = {}
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
@@ -1108,7 +1159,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         if late:
             node, need = late.popleft()
             succ = _cancel_successors(lex, node.expr, allow_vacuous, unifiers,
-                                      skip=~need, nested=False)
+                                      substitutions, skip=~need, nested=False)
             bundles = len(succ)
         else:
             node = queue.popleft()
@@ -1133,7 +1184,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                     succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
                 elif mode != "gen":
                     succ += _cancel_successors(lex, node.expr, allow_vacuous,
-                                               unifiers, skip)
+                                               unifiers, substitutions, skip)
             bundles = len(succ)  # where the block bundles start
             if mode != "saturate":
                 succ += _block_successors(lex, node.expr, mode == "parse",
@@ -1201,8 +1252,8 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
 
 def _single_atom_goal(e: Expr) -> Optional[Term]:
     """Goal of parsing and saturation: one positive ground logical atom."""
-    if len(e) == 1 and isinstance(e[0], Atom) and not e[0].is_phon() \
-            and e[0].sign == 1 and is_ground(e[0].payload):
+    if len(e) == 1 and isinstance(e[0], Atom) and not e[0]._phon \
+            and e[0].sign == 1 and e[0]._ground:
         return canonical_identifiers(e[0].payload)
     return None
 

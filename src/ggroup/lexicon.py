@@ -290,12 +290,11 @@ def _scheme_problems(r: RelatorScheme, direction: str) -> list[str]:
     if direction == "gen" and _head_index(r) is not None:
         head = r.items[_head_index(r)].term
         allowed = {m.name for m in metavars_in(head)}
-        for i in r.items:
-            if isinstance(i, LogItem):
-                loose = {m.name for m in metavars_in(i.term)} - allowed
-                if loose:
-                    out.append("meta-variables not bound by the head: "
-                               + ", ".join(sorted(loose)))
+        loose = {m.name for i in r.items if isinstance(i, LogItem)
+                 for m in metavars_in(i.term)} - allowed
+        if loose:
+            out.append("meta-variables not bound by the head: "
+                       + ", ".join(sorted(loose)))
     return out
 
 

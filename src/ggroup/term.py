@@ -380,17 +380,18 @@ def canonical_identifiers(t: Term) -> Term:
     mapping: dict[str, str] = {}
     for i in identifiers_in(t):
         mapping.setdefault(i.name, f"x{len(mapping) + 1}")
+    return _rename_identifiers(t, mapping)
 
-    def rn(s: Term) -> Term:
-        if isinstance(s, Identifier):
-            return Identifier(mapping[s.name])
-        if isinstance(s, Compound):
-            return Compound(s.functor, tuple(rn(a) for a in s.args))
-        if isinstance(s, App):
-            return App(s.abstraction, rn(s.arg))
-        return s
 
-    return rn(t)
+def _rename_identifiers(t: Term, mapping: dict[str, str]) -> Term:
+    if isinstance(t, Identifier):
+        return Identifier(mapping[t.name])
+    if isinstance(t, Compound):
+        return Compound(t.functor,
+                        tuple(_rename_identifiers(a, mapping) for a in t.args))
+    if isinstance(t, App):
+        return App(t.abstraction, _rename_identifiers(t.arg, mapping))
+    return t
 
 
 # ---------------------------------------------------------------------------

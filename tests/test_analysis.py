@@ -7,7 +7,10 @@ from ggroup.analysis import (
     check_token_free,
     reversibility_report,
 )
-from ggroup.encodings import add_depth_counter, encode_dcg, parse_dcg
+from ggroup.encodings import (
+    add_depth_counter, encode_dcg, encode_logic_program, parse_dcg,
+    parse_logic_program,
+)
 from ggroup.lexicon import GenRule, LogItem, ParseRule, PhonItem, parse_grammar
 from ggroup.term import parse_term
 
@@ -131,7 +134,7 @@ def test_adverb_grammar_parse_direction_skips_phrase_relator():
     assert report.parse.terminating
     assert len(report.parse.findings) == 3
     assert report.parse.skipped == (
-        (1, "expected exactly one surface token, found 0"),
+        (6, "expected exactly one surface token, found 0"),
     )
 
 
@@ -140,7 +143,7 @@ def test_adverb_report_renders_failures():
     lines = text.splitlines()
     assert lines[0] == "gen: 4 rules, not shown terminating"
     assert "  g4: self-cycle (vp rewrites to a sequence containing vp)" in lines
-    assert "  relator at line 1 skipped: expected exactly one surface token, found 0" in lines
+    assert "  relator at line 6 skipped: expected exactly one surface token, found 0" in lines
     assert lines[-1] == "verdict: reversibility not established"
 
 
@@ -162,3 +165,32 @@ def test_report_on_odd_relator_skips_instead_of_raising():
     assert report.parse.findings == ()
     assert report.parse.skipped[0][0] == 2
     assert "expected exactly one surface token, found 2" in report.parse.skipped[0][1]
+
+
+def _family_report():
+    return reversibility_report(encode_logic_program(parse_logic_program(
+        (GRAMMAR_DIR / "family.lp").read_text())))
+
+
+def test_report_names_the_source_line_of_each_skipped_clause():
+    # family.lp opens with a comment and a blank line: its clauses are on
+    # lines 3 to 7, and the one with a loose Y is on line 7
+    report = _family_report()
+    assert [line for line, _ in report.gen.skipped] == [7]
+    assert [line for line, _ in report.parse.skipped] == [3, 4, 5, 6, 7]
+
+
+def test_report_names_the_commutator_scheme_instead_of_a_line():
+    report = _family_report()
+    assert report.gen.commutator and report.parse.commutator
+    lines = report.render().splitlines()
+    assert not [line for line in lines if "line 0" in line]
+    assert lines.count(
+        "  commutator scheme skipped: it carries no rewrite rule") == 2
+
+
+def test_report_names_each_loose_meta_variable_once():
+    lex = encode_logic_program(parse_logic_program(
+        "p(X) :- q(X,Y), r(Y,Z), s(Z,Y) ."))
+    (_, reason), = reversibility_report(lex).gen.skipped
+    assert reason == "meta-variables not bound by the head: Y, Z"

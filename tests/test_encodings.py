@@ -91,7 +91,9 @@ def test_encode_logic_program_builds_clause_relators():
     assert [render_item(i) for i in rec.items] == [
         "ancestor(X,Z)", "ancestor(Y,Z)^-1", "parent(X,Y)^-1",
     ]
-    assert [r.line for r in lex.relators[:-1]] == [1, 2, 3, 4, 5]
+    # each relator carries its clause's source line (after a comment and a
+    # blank line)
+    assert [r.line for r in lex.relators[:-1]] == [3, 4, 5, 6, 7]
 
 
 def test_encode_dcg_builds_phrase_relators():

@@ -357,9 +357,9 @@ def test_parse_applies_each_token_expansion_once(english, monkeypatch):
     real = engine._apply
     expansions = []
 
-    def counting(lex, expr, step):
+    def counting(lex, expr, step, substitutions=None):
         expansions.append(isinstance(step, ExpandStep))
-        return real(lex, expr, step)
+        return real(lex, expr, step, substitutions)
 
     monkeypatch.setattr(engine, "_apply", counting)
     res = parse(english, "john saw louise".split(), LIM)
@@ -380,10 +380,10 @@ def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
     proving = False
     search, proof = [], []
 
-    def counting(lex, expr, step):
+    def counting(lex, expr, step, substitutions=None):
         if isinstance(step, ExpandStep):
             (proof if proving else search).append(step)
-        return real_apply(lex, expr, step)
+        return real_apply(lex, expr, step, substitutions)
 
     def replaying(*args, **kwargs):
         nonlocal proving

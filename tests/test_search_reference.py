@@ -18,6 +18,8 @@ The search applies the steps it builds itself without checking them
 every such step: none may fail, and the results must not change.
 """
 
+import copy
+import gc
 import hashlib
 import itertools
 import random
@@ -403,7 +405,9 @@ def checked(monkeypatch):
     step that fails its checks fails the test."""
     real = engine._apply
 
-    def checking(lex, expr, step):
+    def checking(lex, expr, step, substitutions=None):
+        # apply_step passes no memo: the comparison with the unchecked
+        # search is also one of the memo against none
         run.applied.append(step)
         with monkeypatch.context() as m:
             m.setattr(engine, "_apply", real)
@@ -524,3 +528,76 @@ def test_derivations_are_unchanged_and_replay_on_their_own(english, query):
     assert _digest(res) == DERIVATION_DIGESTS[query]
     for _, d in res.results:
         assert engine.replay(lex, d) == d.end
+
+
+# ---------------------------------------------------------------------------
+# substitutions shared within one search: a cancel substitutes each atom
+# object under each unifier object once, and its siblings share the result
+
+
+def _distinct_atoms(monkeypatch):
+    """Fail the search if any state it keys holds one atom object twice; the
+    skip masks read adjacency by identity and need each atom once."""
+    real = engine._canonical_key
+
+    def checking(expr, commutative):
+        ids = _atom_ids(expr)
+        assert len(ids) == len(set(ids)), render_expr(expr)
+        checking.states += 1
+        return real(expr, commutative)
+
+    checking.states = 0
+    monkeypatch.setattr(engine, "_canonical_key", checking)
+    return checking
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_no_parse_state_holds_an_atom_twice(english, monkeypatch, sentence):
+    checking = _distinct_atoms(monkeypatch)
+    res = parse(english, sentence.split(), LIM)
+    assert res.results and checking.states
+    # a copy rebuilds every atom, without the search's shared ones
+    for _, d in res.results:
+        copied = copy.deepcopy(d)
+        assert copied == d
+        assert replay(english, copied) == d.end
+
+
+def test_no_random_start_state_holds_an_atom_twice(monkeypatch):
+    checking = _distinct_atoms(monkeypatch)
+    rng = random.Random(11)
+    for n in range(500):
+        start = _random_start(rng)
+        try:
+            _search(start)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert checking.states
+
+
+def test_the_substitution_memo_lives_for_one_search(english, monkeypatch):
+    real_cancels, real_substitute = engine._cancel_successors, engine.substitute
+    memos, calls = [], [0]
+
+    def cancels(lex, expr, allow_vacuous, unifiers, substitutions, *args,
+                **kwargs):
+        if not any(m is substitutions for m in memos):
+            memos.append(substitutions)
+        return real_cancels(lex, expr, allow_vacuous, unifiers, substitutions,
+                            *args, **kwargs)
+
+    def substitute(t, b):
+        calls[0] += 1
+        return real_substitute(t, b)
+
+    monkeypatch.setattr(engine, "_cancel_successors", cancels)
+    monkeypatch.setattr(engine, "substitute", substitute)
+    counts = []
+    for _ in range(2):
+        before = calls[0]
+        parse(english, "every man saw some woman".split(), LIM)
+        counts.append(calls[0] - before)
+    assert counts[0] == counts[1] > 0
+    # one filled memo per search, and nothing else holds it afterwards
+    assert len(memos) == 2 and all(memos)
+    assert all(gc.get_referrers(m) == [memos] for m in memos)

@@ -7,13 +7,18 @@ the same classes.  The pinned key counts catch any change to which states the
 search visits.
 """
 
+import copy
+import gc
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
 from ggroup import engine
-from ggroup.encodings import encode_logic_program, parse_logic_program
+from ggroup.encodings import (
+    encode_dcg, encode_logic_program, parse_dcg, parse_logic_program,
+)
 from ggroup.engine import Atom, Block, generate, parse, saturate, substitute_expr
 from ggroup.lexicon import parse_grammar
 from ggroup.term import (
@@ -247,3 +252,45 @@ def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
     assert [render_term(t) for t, _ in res.results] == ["q(b)", "r(c)", "s(c)"]
     assert not res.truncated
     assert len(keys) == 5
+
+
+# ---------------------------------------------------------------------------
+# an atom's class, fixed when it is built
+
+
+def test_atom_class_is_set_when_built_and_rebuilt_by_a_copy():
+    atoms = [Atom("john", -1), Atom(parse_term("s(j,l)")),
+             Atom(parse_term("s(X,l)"), -1), Atom(parse_term("f(P[#x1])"))]
+    for a in atoms:
+        phon = isinstance(a.payload, str)
+        assert (a.is_phon(), a.ground()) == (phon, phon or a.payload.ground)
+        for again in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert again == a and hash(again) == hash(a)
+            assert (again.is_phon(), again.ground()) == (a.is_phon(), a.ground())
+        assert "_phon" not in repr(a) and "_ground" not in repr(a)
+
+
+# ---------------------------------------------------------------------------
+# no reference cycles: a search leaves nothing for the cyclic collector
+
+
+@pytest.mark.parametrize("name, run", [
+    ("parse", lambda: parse(_english(), "every man saw some woman".split())),
+    ("generate", lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))"))),
+    ("generate often.dcg", lambda: generate(
+        _often(), parse_term("sent"), engine.SearchLimits(max_expansions=6))),
+    ("saturate", lambda: saturate(_family())),
+])
+def test_a_search_leaves_no_cyclic_garbage(name, run):
+    gc.collect()
+    gc.disable()
+    try:
+        res = run()
+        assert res.results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _often():
+    return encode_dcg(*parse_dcg((GRAMMAR_DIR / "often.dcg").read_text()))
