@@ -52,7 +52,9 @@ class ReversibilityReport:
         lines = []
         for rep in (self.gen, self.parse):
             verdict = "terminating" if rep.terminating else "not shown terminating"
-            lines.append(f"{rep.direction}: {len(rep.findings)} rules, {verdict}")
+            n = len(rep.findings)
+            lines.append(f"{rep.direction}: {n} rule{'' if n == 1 else 's'}, "
+                         f"{verdict}")
             for f in rep.findings:
                 lines.append(f"  {f.rule_id}: {f.status} ({f.detail})")
             for line_no, reason in rep.skipped:

@@ -51,20 +51,32 @@ wildcards, so no resolvent is lost and the rest keep their order (see
 narrows the clauses that ``may_unify`` is asked about.
 
 Expressions, like terms, are immutable, and steps that leave an item alone
-keep it as the same object.  An atom computes its class when it is built
-(whether it is a surface token, whether it is ground) and memoizes its
-state-key fragment (see ``_canonical_key``), and a lexicon memoizes its rule
-tables (see ``_tables``).  These memo fields are outside equality and
-hashing, and a copy or a pickle is rebuilt from the other fields, which
-computes the class again.
+keep it as the same object; ``normalize`` returns its argument itself when
+nothing cancels and no block is dropped or rebuilt.  An atom computes its
+class when it is built (whether it is a surface token, whether it is ground)
+and memoizes its state-key fragment (see ``_canonical_key``), and a lexicon
+memoizes its rule tables (see ``_tables``).  These memo fields are outside
+equality and hashing, and a copy or a pickle is rebuilt from the other
+fields, which computes the class again.
+
+Most parse states have no blocks, and those cost the least.  A block-free
+state in non-commutative mode gets a flat key, its atoms' fragments and the
+ordinals of their variables, instead of one key per item; both shapes put
+states in the same classes, and the shapes never meet.  The search hashes
+each key once and goes on with a small int per state, and the successor
+generators and ``_apply`` skip the walks over block levels when the top
+level holds no block.
 
 Each search keeps two memos, alive for that search only: the unifiers of
-payload pairs, and the substitutions its cancels make.  The latter is keyed
-by identity, ``(id(unifier), id(atom))``, so the same atom object under the
-same unifier object gives one shared result atom in every state that needs
-it, while distinct atoms, even equal ones, never merge: no atom object occurs
-twice in one state.  ``replay`` and ``apply_step`` read neither memo, so the
-proof recomputes every step.
+atom pairs, and the substitutions its cancels make.  The first is keyed by
+the pair's identity, ``(id(a), id(b))``, and, for a pair met the first time,
+by its payloads, so equal payloads still share one ``unify``.  The second is
+keyed by identity, ``(id(unifier), id(atom))``, so the same atom object under
+the same unifier object gives one shared result atom in every state that
+needs it, while distinct atoms, even equal ones, never merge: no atom object
+occurs twice in one state.  Each identity-keyed entry holds the objects whose
+ids it uses, so no id is reused while the memo lives.  ``replay`` and
+``apply_step`` read neither memo, so the proof recomputes every step.
 """
 
 from __future__ import annotations
@@ -111,8 +123,10 @@ class Atom:
     # token or a ground term)
     _phon: bool = field(init=False, repr=False, compare=False)
     _ground: bool = field(init=False, repr=False, compare=False)
-    # state-key fragment, set on first use by _atom_key
+    # state-key fragment and its variable names, set on first use by
+    # _atom_key
     _key: tuple = field(init=False, repr=False, compare=False)
+    _vars: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phon = isinstance(self.payload, str)
@@ -143,24 +157,41 @@ def _inverse_pair(a: Item, b: Item) -> bool:
             and a.sign == -b.sign and a.payload == b.payload)
 
 
+def _has_block(expr: Expr) -> bool:
+    """Whether any top-level item is a block (a scan at C speed)."""
+    return Block in map(type, expr)
+
+
 def normalize(expr: Expr) -> Expr:
     """Eagerly cancel adjacent ground inverse atoms; drop empty blocks.
 
-    Blocks whose contents are already normal are kept as the same object, so
-    a caller can find an item again after a structural step.
+    An expression that is already normal comes back as the same object, and
+    so does each block whose contents are, so a caller can find an item
+    again after a structural step.  A block whose contents are empty is
+    dropped even when nothing inside it changed.
     """
     stack: list[Item] = []
+    changed = False
     for item in expr:
         if isinstance(item, Block):
             inner = normalize(item.contents)
             if not inner:
+                changed = True
                 continue
-            stack.append(item if inner == item.contents else Block(inner))
-        elif stack and _inverse_pair(stack[-1], item):
-            stack.pop()
-        else:
-            stack.append(item)
-    return tuple(stack)
+            if inner is not item.contents:
+                item = Block(inner)
+                changed = True
+        elif item._ground and stack:
+            # _inverse_pair inline: an atom equal in payload to a ground
+            # one is ground too
+            top = stack[-1]
+            if isinstance(top, Atom) and top.sign == -item.sign \
+                    and top.payload == item.payload:
+                stack.pop()
+                changed = True
+                continue
+        stack.append(item)
+    return tuple(stack) if changed else expr
 
 
 # The group operations are defined on words only.  Blocks are not group
@@ -520,9 +551,13 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
         new_items = _instantiate_items(scheme, binding, tables.commutative)
         return normalize(_splice(expr, step.level, step.index, stop, new_items))
     if isinstance(step, CancelStep):
-        items, i = level_items(expr, step.level), step.index
-        kept = items[1:i] if i == len(items) - 1 else items[:i] + items[i + 2:]
-        removed = _replace_level(expr, step.level, kept)
+        i = step.index
+        if step.level:
+            items = level_items(expr, step.level)
+            kept = items[1:i] if i == len(items) - 1 else items[:i] + items[i + 2:]
+            removed = _replace_level(expr, step.level, kept)
+        else:  # the top level has no wrap pair
+            removed = expr[:i] + expr[i + 2:]
         return normalize(substitute_expr(removed, step.delta, substitutions))
     if isinstance(step, SwapStep):
         i = step.index
@@ -668,11 +703,12 @@ def _term_key(t: Term, var_ordinal) -> tuple:
 
 
 def _atom_key(a: Atom) -> tuple[tuple, tuple[str, ...]]:
-    """The atom's key fragment, memoized on the atom: its key with variables
-    numbered by first occurrence within the atom, and the variable names (M
-    or F prefixed) in that order; ground atoms have no variables."""
+    """The atom's key fragment and variable names, memoized on the atom
+    (``_key`` and ``_vars``): its key with variables numbered by first
+    occurrence within the atom, and the variable names (M or F prefixed) in
+    that order; ground atoms have no variables."""
     try:
-        return a._key
+        return a._key, a._vars
     except AttributeError:
         pass
     names: dict[str, int] = {}
@@ -683,9 +719,10 @@ def _atom_key(a: Atom) -> tuple[tuple, tuple[str, ...]]:
     else:
         key = ("a", _term_key(a.payload,
                               lambda v: names.setdefault(v, len(names) + 1)), a.sign)
-    fragment = (key, tuple(names))
-    object.__setattr__(a, "_key", fragment)
-    return fragment
+    names = tuple(names)
+    object.__setattr__(a, "_vars", names)
+    object.__setattr__(a, "_key", key)
+    return key, names
 
 
 def _canonical_key(expr: Expr, commutative: bool):
@@ -694,7 +731,33 @@ def _canonical_key(expr: Expr, commutative: bool):
 
     Each atom's fragment is computed once (``_atom_key``); a state only maps
     the atoms' local variable numbers to ordinals over the whole expression.
+    The key has one of two shapes:
+
+    * flat, for an expression without blocks in non-commutative mode:
+      ``(fragments, ordinals)``, the atoms' fragments and the ordinals, by
+      first occurrence, of their variable names concatenated; a ground
+      expression's key is ``fragments`` alone;
+    * per item otherwise: one key per item, an atom's fragment followed by
+      the ordinals of its variables, sorted when commutative.
+
+    Both put expressions in the same classes as a key that numbers the
+    variables while walking every term afresh: the local fragments fix each
+    atom up to renaming, and the ordinals say which of their variables are
+    one variable.  Keys of different shapes never meet: the first element of
+    a non-ground flat key is a tuple of fragments, and every element of any
+    other key is a fragment or a block's key, a tuple that starts with a
+    string.  (A ground flat key is the per-item key of the same expression.)
     """
+    if not commutative and not _has_block(expr):
+        try:
+            fragments = tuple([a._key for a in expr])
+        except AttributeError:  # some fragment not built yet
+            fragments = tuple([_atom_key(a)[0] for a in expr])
+        names = [v for a in expr for v in a._vars]
+        if not names:
+            return fragments
+        order = dict(zip(dict.fromkeys(names), itertools.count()))
+        return fragments, tuple(map(order.__getitem__, names))
     mapping: dict[str, int] = {}
     keys = [_item_key(i, mapping) for i in expr]
     if commutative:
@@ -719,6 +782,8 @@ def _item_key(i: Item, mapping: dict[str, int]):
 
 
 def _expr_size(expr: Expr) -> int:
+    if not _has_block(expr):
+        return len(expr)
     n = 0
     for i in expr:
         n += 1 if isinstance(i, Atom) else 1 + _expr_size(i.contents)
@@ -775,13 +840,25 @@ def _cancel_pair(a, b) -> bool:
 
 def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> list:
     """``unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous)``, kept in
-    ``unifiers``, the search's memo from payload pairs to their unifiers."""
+    ``unifiers``, the search's memo of pair unifiers.
+
+    The memo is looked up by identity first, ``(id(a), id(b))`` to ``(a, b,
+    unifiers)``, which hashes two ints; the value holds both atoms, so their
+    ids cannot be reused while the memo lives.  An atom pair seen for the
+    first time falls back to the entry keyed by the payload pair, so equal
+    payloads in distinct atoms still share one ``unify`` and one list of
+    unifier objects."""
+    ids = (id(a), id(b))
+    found = unifiers.get(ids)
+    if found is not None:
+        return found[2]
     key = (a.payload, b.payload)
-    found = unifiers.get(key)
-    if found is None:
-        found = unifiers[key] = unify(a.payload, b.payload, EMPTY_BINDING,
-                                      allow_vacuous)
-    return found
+    deltas = unifiers.get(key)
+    if deltas is None:
+        deltas = unifiers[key] = unify(a.payload, b.payload, EMPTY_BINDING,
+                                       allow_vacuous)
+    unifiers[ids] = (a, b, deltas)
+    return deltas
 
 
 def _cancel_successors(lex, expr, allow_vacuous, unifiers, substitutions,
@@ -792,7 +869,8 @@ def _cancel_successors(lex, expr, allow_vacuous, unifiers, substitutions,
     pairs include the wrap pair (last item, first item).  ``unifiers`` and
     ``substitutions`` are the search's memos (see ``_search``)."""
     out = []
-    for level, items in _levels(expr) if nested else [((), expr)]:
+    levels = _levels(expr) if nested and _has_block(expr) else [((), expr)]
+    for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
             if not level and skip >> i & 1:
@@ -929,6 +1007,8 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
     ``unifiers`` is the search's memo of pair unifiers (``_pair_unifiers``);
     a call without one gets a fresh memo.
     """
+    if not _has_block(expr):
+        return []
     out = []
     if postpone:
         _runs(lex, expr, (), None, allow_vacuous,
@@ -1119,9 +1199,15 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     reached it first.  No known input needs a re-expansion for a reading,
     but some run it (``every man that some woman saw ran`` does).
 
+    ``visited`` maps each state key (see ``_canonical_key``) to a small int,
+    its id, in order of first sight: a key is hashed once, when it is looked
+    up, and the nodes, the skip masks (``queued_skips``, ``expanded_skips``)
+    and the ``late`` re-expansions carry the id.
+
     Two memos live for this search only, and ``replay`` reads neither.
-    ``unifiers`` holds the unifiers of each payload pair that cancels and
-    bundle predictions look up.  ``substitutions`` holds the substitutions
+    ``unifiers`` holds the unifiers of each atom pair that cancels and
+    bundle predictions look up, by atom identity first and by payload pair
+    second (see ``_pair_unifiers``).  ``substitutions`` holds the substitutions
     of the cancels, the ``late`` re-expansions' too, keyed by ``(id(delta),
     id(atom))`` (see ``substitute_expr``).  The deltas come from
     ``unifiers``, so sibling states that cancel under the same delta share
@@ -1140,11 +1226,11 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     skipping = mode == "parse" and not commutative
 
     root = _Node(normalize(start), 0, None, ())
-    queue, visited = deque(), set()
+    queue, visited = deque(), {}
     for steps, expr in starts or [((), root.expr)]:
-        key = _canonical_key(expr, commutative)
-        if key not in visited:
-            visited.add(key)
+        n = len(visited)
+        key = visited.setdefault(_canonical_key(expr, commutative), n)
+        if key == n:
             queue.append(_Node(expr, 0, root, steps, key))
 
     truncated = False
@@ -1200,9 +1286,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if _expr_size(new) > lim.max_items:
                 truncated = True
                 continue
-            key = _canonical_key(new, commutative)
-            if key not in visited:
-                visited.add(key)
+            n = len(visited)
+            key = visited.setdefault(_canonical_key(new, commutative), n)
+            if key == n:
                 queue.append(_Node(new, expansions, node, steps, key))
                 if adjacent is not None and k >= bundles:
                     mask = _commuting_cancels(adjacent, new, allow_vacuous,

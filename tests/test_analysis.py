@@ -167,6 +167,13 @@ def test_report_on_odd_relator_skips_instead_of_raising():
     assert "expected exactly one surface token, found 2" in report.parse.skipped[0][1]
 
 
+def test_report_counts_one_rule_in_the_singular():
+    lines = reversibility_report(parse_grammar(
+        "phon a .\nrelator x a^-1 .\n")).render().splitlines()
+    assert lines[0] == "gen: 1 rule, terminating"
+    assert lines[2] == "parse: 1 rule, terminating"
+
+
 def _family_report():
     return reversibility_report(encode_logic_program(parse_logic_program(
         (GRAMMAR_DIR / "family.lp").read_text())))

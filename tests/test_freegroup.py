@@ -10,7 +10,7 @@ a fixed seed.
 import random
 
 from ggroup.engine import (
-    Atom, conjugate, inverse, normalize, parse_expr, product, render_expr,
+    Atom, Block, conjugate, inverse, normalize, parse_expr, product, render_expr,
 )
 from ggroup.term import parse_term
 from test_lexicon import cyclic_rotations
@@ -30,6 +30,34 @@ def test_reduce_word_cancels_through():
     a, b = Atom("john"), Atom("saw")
     raw = (a, b, Atom("saw", -1), Atom("john", -1), a)
     assert normalize(raw) == (a,)
+
+
+def test_a_normal_word_comes_back_as_itself():
+    word = w("john saw^-1 s(j,l) louise")
+    assert normalize(word) is word
+    rng = random.Random(1000)
+    for _ in range(200):
+        whole = normalize(_random_raw(rng, ALPHABET))
+        assert normalize(whole) is whole
+
+
+# blocks are not words, but normalize reaches into them: an empty one is
+# dropped, and a normal one is kept as the same object
+
+
+def test_an_empty_block_is_dropped():
+    assert normalize((Block(()),)) == ()
+    assert w("john { } john^-1") == ()
+    john, saw = Atom("john"), Atom("saw")
+    assert normalize((john, Block((Block(()),)), saw)) == (john, saw)
+
+
+def test_a_normal_block_comes_back_as_itself():
+    block = Block(w("john saw"))
+    expr = (Atom("louise"), block)
+    assert normalize(expr) is expr
+    out = normalize((Atom("louise"), Atom("john"), Atom("john", -1), block))
+    assert out == expr and out[1] is block
 
 
 def test_parse_and_render():

@@ -531,6 +531,39 @@ def test_derivations_are_unchanged_and_replay_on_their_own(english, query):
 
 
 # ---------------------------------------------------------------------------
+# the pair-unifier memo (by atom identity, then by payload pair) changes
+# nothing that the search does
+
+
+def _keyed_parse(english, monkeypatch, sentence):
+    """Parse ``sentence``; return the result and the state keys in order."""
+    keys = []
+    real = engine._canonical_key
+
+    def keying(expr, commutative):
+        keys.append(real(expr, commutative))
+        return keys[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_canonical_key", keying)
+        res = parse(english, sentence.split(), LIM)
+    return res, keys
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_pair_unifiers_memo_changes_no_state(english, monkeypatch, sentence):
+    memo, memo_keys = _keyed_parse(english, monkeypatch, sentence)
+
+    def fresh(a, b, allow_vacuous, unifiers):
+        return unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous)
+
+    monkeypatch.setattr(engine, "_pair_unifiers", fresh)
+    res, keys = _keyed_parse(english, monkeypatch, sentence)
+    assert keys == memo_keys
+    assert _digest(res) == _digest(memo) == DERIVATION_DIGESTS[sentence]
+
+
+# ---------------------------------------------------------------------------
 # substitutions shared within one search: a cancel substitutes each atom
 # object under each unifier object once, and its siblings share the result
 

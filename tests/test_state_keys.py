@@ -3,8 +3,10 @@
 ``reference_canonical_key`` is the straightforward state key: it walks every
 term of the expression afresh.  The engine's key memoizes a fragment on each
 atom and only renumbers variables per state; the two must put expressions in
-the same classes.  The pinned key counts catch any change to which states the
-search visits.
+the same classes.  The engine keys a block-free expression in
+non-commutative mode by a flat key, and any other by one key per item; the
+two shapes must never meet.  The pinned key counts catch any change to which
+states the search visits.
 """
 
 import copy
@@ -161,17 +163,60 @@ def _random_exprs():
     return out
 
 
+def _ground_atom(rng):
+    sign = rng.choice((1, -1))
+    roll = rng.random()
+    if roll < 0.4:
+        return Atom(rng.choice("ab"), sign)
+    if roll < 0.7:
+        return Atom(Const(rng.choice("jl")), sign)
+    return Atom(Compound("f", (Identifier(rng.choice(["x", "y"])),
+                               Const("j"))), sign)
+
+
+def _has_block(expr):
+    return any(isinstance(i, Block) for i in expr)
+
+
+def _block_free_exprs():
+    """Expressions without blocks, which the engine keys flat in
+    non-commutative mode: words with variables shared across atoms, words
+    of ground atoms only, and variants of each that keep them block-free."""
+    rng = random.Random(21)
+    out = []
+    for n in range(150):
+        make = _ground_atom if n % 3 == 0 else _atom
+        expr = tuple(make(rng) for _ in range(rng.randint(0, 5)))
+        out.extend(e for e in _variants(rng, expr) if not _has_block(e))
+    return out
+
+
 @pytest.mark.parametrize("commutative", [False, True])
 def test_memoized_keys_classify_like_the_reference(commutative):
-    exprs = _random_exprs()
+    exprs = _random_exprs() + _block_free_exprs()
     ref = [reference_canonical_key(e, commutative) for e in exprs]
     new = [engine._canonical_key(e, commutative) for e in exprs]
     # each key maps to exactly one key of the other kind: same classes
     assert len(set(zip(ref, new))) == len(set(ref)) == len(set(new))
     # and the classes are not trivial: some variants coincide
     assert len(set(ref)) < len(exprs) * 3 // 4
+    # no key of a block-free expression is the key of one with blocks
+    free = {k for e, k in zip(exprs, new) if not _has_block(e)}
+    assert free and not free & {k for e, k in zip(exprs, new) if _has_block(e)}
     # a second pass reads the memoized fragments and agrees with the first
     assert [engine._canonical_key(e, commutative) for e in exprs] == new
+
+
+def test_a_block_free_expression_gets_a_flat_key():
+    # one fragment per atom, then the ordinals of the atoms' variables
+    # concatenated; a ground expression's key is its fragments alone
+    expr = (Atom(parse_term("f(X,P[Y])")), Atom("a", -1),
+            Atom(parse_term("g(Y,X)"), -1))
+    fragments, ordinals = engine._canonical_key(expr, False)
+    assert len(fragments) == 3 and ordinals == (0, 1, 2, 2, 0)
+    ground = (Atom("a"), Atom(parse_term("f(#x,j)"), -1))
+    assert engine._canonical_key(ground, False) == \
+        tuple(engine._atom_key(a)[0] for a in ground)
 
 
 def test_memoized_keys_cover_deep_terms():
