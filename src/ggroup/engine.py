@@ -9,7 +9,9 @@ own level or an enclosing one; its slots and rotations realize exactly the
 arrangements the free conjugator can produce.  Block contents are cyclic:
 their last item also touches their first, and a cancel may join the two.
 Ground mutually-inverse neighbours cancel eagerly after every step;
-cancellations that need unification are explicit steps.
+cancellations that need unification are explicit steps.  In a commutative
+lexicon (one with the commutator relator) no step reorders items: a
+top-level cancel names its partner, and the two cancel where they stand.
 
 A word of the free group is a ground expression without blocks, and
 ``normalize`` is its reduction; ``product``, ``inverse`` and ``conjugate``
@@ -96,7 +98,7 @@ from .term import (
 
 __all__ = [
     "Atom", "Block", "Expr", "PublicResult", "SearchLimits", "EngineResult",
-    "Derivation", "ExpandStep", "CancelStep", "DissolveStep", "SwapStep",
+    "Derivation", "ExpandStep", "CancelStep", "DissolveStep",
     "InputError", "StepError",
     "generate", "parse", "saturate", "replay", "is_public",
     "normalize", "inverse", "product", "conjugate", "render_expr", "parse_expr",
@@ -313,11 +315,14 @@ class ExpandStep:
 @dataclass(frozen=True)
 class CancelStep:
     """Cancel the pair at ``index`` and ``index + 1``; in a block's contents,
-    index ``n - 1`` is the wrap pair (last item, first item)."""
+    index ``n - 1`` is the wrap pair (last item, first item).  A top-level
+    cancel in a commutative lexicon may name a later ``partner`` instead,
+    and the two cancel where they stand."""
 
     level: tuple[int, ...]
     index: int
     delta: Binding = EMPTY_BINDING
+    partner: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -334,14 +339,7 @@ class DissolveStep:
     k: int
 
 
-@dataclass(frozen=True)
-class SwapStep:
-    """Exchange adjacent top-level items; only legal in commutative mode."""
-
-    index: int
-
-
-Step = Union[ExpandStep, CancelStep, DissolveStep, SwapStep]
+Step = Union[ExpandStep, CancelStep, DissolveStep]
 
 
 @dataclass(frozen=True)
@@ -557,11 +555,9 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
             kept = items[1:i] if i == len(items) - 1 else items[:i] + items[i + 2:]
             removed = _replace_level(expr, step.level, kept)
         else:  # the top level has no wrap pair
-            removed = expr[:i] + expr[i + 2:]
+            j = i + 1 if step.partner is None else step.partner
+            removed = expr[:i] + expr[i + 1:j] + expr[j + 1:]
         return normalize(substitute_expr(removed, step.delta, substitutions))
-    if isinstance(step, SwapStep):
-        i = step.index
-        return normalize(expr[:i] + (expr[i + 1], expr[i]) + expr[i + 2:])
     c = level_items(expr, step.level)[step.index].contents
     removed = _splice(expr, step.level, step.index, step.index + 1, ())
     return normalize(_splice(removed, step.target_level, step.slot, step.slot,
@@ -600,11 +596,23 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             raise StepError("cyclic binding")
     elif isinstance(step, CancelStep):
         items = level_items(expr, step.level)
-        if not (0 <= step.index < _pair_count(step.level, len(items))):
-            raise StepError("cancel position out of range")
-        a, b = items[step.index], items[(step.index + 1) % len(items)]
+        if step.partner is None:
+            if not (0 <= step.index < _pair_count(step.level, len(items))):
+                raise StepError("cancel position out of range")
+            a, b = items[step.index], items[(step.index + 1) % len(items)]
+        else:
+            if not _tables(lex).commutative:
+                raise StepError("a cancel partner requires commutative mode")
+            if step.level:
+                raise StepError("a cancel partner is only legal at the top level")
+            if not (0 <= step.index < step.partner):
+                raise StepError("a cancel partner must come after its index, "
+                                "and the index be 0 or more")
+            if step.partner >= len(items):
+                raise StepError("cancel partner out of range")
+            a, b = items[step.index], items[step.partner]
         if not (isinstance(a, Atom) and isinstance(b, Atom)):
-            raise StepError("cancel needs two adjacent atoms")
+            raise StepError("cancel needs two atoms")
         if a.sign != -b.sign:
             raise StepError("cancel needs opposite signs")
         if a.is_phon() or b.is_phon():
@@ -627,11 +635,6 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
         room = len(level_items(expr, step.target_level)) - (step.target_level == step.level)
         if not (0 <= step.slot <= room):
             raise StepError("dissolve slot out of range")
-    elif isinstance(step, SwapStep):
-        if not _tables(lex).commutative:
-            raise StepError("swap requires commutative mode")
-        if not (0 <= step.index < len(expr) - 1):
-            raise StepError("swap position out of range")
     else:
         raise StepError(f"unknown step {step!r}")
     return _apply(lex, expr, step)
@@ -1066,16 +1069,13 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
 
 
 def _swap_cancel_successors(lex, expr, allow_vacuous):
-    """All-pairs cancellation for commutative mode.
+    """All-pairs cancellation for commutative mode: each top-level pair of
+    logical atoms of opposite sign cancels where it stands, under each
+    unifier, by a cancel that names its partner unless the two are
+    adjacent.  A ground pair of inverses cancels under the empty unifier.
 
-    A chain of swaps brings the two items together; a ground inverse pair
-    then cancels eagerly, any other pair takes an explicit cancel.  Stored
-    states keep only one ordering of the multiset, so adjacent-only
-    enumeration would miss cancels that need a reordering first.
-
-    Unlike the other generators, this one applies its steps checked
-    (``apply_step``): an eager cancel on the way can break a chain, and the
-    checks drop it (a swap position falls out of range).
+    The name dates from when such a cancel was a chain of swaps; the
+    benchmark's tracer still wraps the generator by that name.
     """
     out = []
     n = len(expr)
@@ -1087,25 +1087,10 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
             b = expr[j]
             if not isinstance(b, Atom) or b._phon or a.sign != -b.sign:
                 continue
-            if a._ground and b._ground:
-                if a.payload != b.payload or j == i + 1:
-                    continue  # not inverses, or already cancelled eagerly
-                deltas = [None]
-            else:
-                deltas = unify(a.payload, b.payload, EMPTY_BINDING,
-                               allow_vacuous)
-            chain = [SwapStep(k) for k in range(j - 1, i, -1)]
-            for delta in deltas:
-                steps = list(chain)
-                if delta is not None:
-                    steps.append(CancelStep((), i, delta))
-                new = expr
-                try:
-                    for s in steps:
-                        new = apply_step(lex, new, s, allow_vacuous=allow_vacuous)
-                except StepError:
-                    continue  # an eager cancel en route re-shuffled the plan
-                out.append((tuple(steps), new, 0))
+            for delta in unify(a.payload, b.payload, EMPTY_BINDING,
+                               allow_vacuous):
+                step = CancelStep((), i, delta, None if j == i + 1 else j)
+                out.append(((step,), _apply(lex, expr, step), 0))
     return out
 
 
@@ -1216,10 +1201,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
     occur once in a state.
 
-    The search applies its own steps unchecked, except the swap chains
-    (``_swap_cancel_successors``).  ``_prove`` then checks every step of
-    each result, node by node over the tree the results share: one
-    ``replay`` per distinct node on their paths.
+    The search applies its own steps unchecked.  ``_prove`` then checks
+    every step of each result, node by node over the tree the results
+    share: one ``replay`` per distinct node on their paths.
     """
     commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
@@ -1536,14 +1520,14 @@ def render_step(step: Step) -> str:
         return out
     if isinstance(step, CancelStep):
         out = f"cancel level={_render_level(step.level)} index={step.index}"
+        if step.partner is not None:
+            out += f" with={step.partner}"
         if not step.delta.is_empty():
             out += f" bind={_render_binding(step.delta)}"
         return out
-    if isinstance(step, DissolveStep):
-        return f"dissolve level={_render_level(step.level)} index={step.index} " \
-               f"to={_render_level(step.target_level)}:{step.slot} k={step.k}"
-    assert isinstance(step, SwapStep)
-    return f"swap index={step.index}"
+    assert isinstance(step, DissolveStep)
+    return f"dissolve level={_render_level(step.level)} index={step.index} " \
+           f"to={_render_level(step.target_level)}:{step.slot} k={step.k}"
 
 
 def _parse_target(text: str) -> tuple[tuple[int, ...], int]:
@@ -1553,9 +1537,26 @@ def _parse_target(text: str) -> tuple[tuple[int, ...], int]:
     return _parse_level(level), int(slot)
 
 
+# the fields each step kind may carry
+_STEP_FIELDS = {"expand": ("level", "index", "rule", "bind", "rename", "idents"),
+                "cancel": ("level", "index", "with", "bind"),
+                "dissolve": ("level", "index", "to", "k")}
+
+
 def parse_step(text: str) -> Step:
+    """Read ``render_step``'s text.  A ``ValueError`` names an unknown kind,
+    or a malformed, unknown, repeated or missing field."""
     kind, _, rest = text.partition(" ")
-    fields = dict(_pair(part, f"{kind} step field") for part in rest.split())
+    if kind not in _STEP_FIELDS:
+        raise ValueError(f"unknown step kind {kind!r}")
+    fields: dict[str, str] = {}
+    for part in rest.split():
+        name, value = _pair(part, f"{kind} step field")
+        if name not in _STEP_FIELDS[kind]:
+            raise ValueError(f"{kind} step has an unknown field {name!r}")
+        if name in fields:
+            raise ValueError(f"{kind} step repeats field {name!r}")
+        fields[name] = value
 
     def need(name: str, read=str):
         """Field ``name`` read by ``read``; a ``ValueError`` names it."""
@@ -1574,13 +1575,10 @@ def parse_step(text: str) -> Step:
                           _parse_pairs(fields.get("idents", "")))
     if kind == "cancel":
         return CancelStep(need("level", _parse_level), need("index", int),
-                          _parse_binding(fields.get("bind", "")))
-    if kind == "dissolve":
-        return DissolveStep(need("level", _parse_level), need("index", int),
-                            *need("to", _parse_target), need("k", int))
-    if kind == "swap":
-        return SwapStep(need("index", int))
-    raise ValueError(f"unknown step kind {kind!r}")
+                          _parse_binding(fields.get("bind", "")),
+                          need("with", int) if "with" in fields else None)
+    return DissolveStep(need("level", _parse_level), need("index", int),
+                        *need("to", _parse_target), need("k", int))
 
 
 def render_derivation(d: Derivation) -> str:

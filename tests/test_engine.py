@@ -10,7 +10,7 @@ import pytest
 from ggroup import engine
 from ggroup.engine import (
     Atom, Block, CancelStep, Derivation, DissolveStep, EngineResult,
-    ExpandStep, InputError, PublicResult, SearchLimits, StepError, SwapStep,
+    ExpandStep, InputError, PublicResult, SearchLimits, StepError,
     apply_step, derivation_of_record, derivation_record, generate, is_public,
     normalize, parse, parse_derivation, parse_expr, parse_step,
     render_derivation, render_expr, render_step, replay, saturate,
@@ -37,6 +37,7 @@ def lf(text):
 
 
 EMPTY_LEX = Lexicon((), (), raw_mode=True)
+COMMUTATIVE_RAW = Lexicon((), (commutator_scheme(),), raw_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +200,13 @@ def test_rotation_can_cancel_across_the_block_seam():
     assert render_expr(out) == "x y x^-1"
 
 
-def test_swap_step_requires_commutative_mode(english):
+def test_a_cancel_partner_requires_commutative_mode(english):
     # whether steps commute is the lexicon's to say, never the caller's
-    e = (a("x"), a("y"))
+    e = parse_expr("x y x^-1", ())
     with pytest.raises(StepError, match="commutative"):
-        apply_step(EMPTY_LEX, e, SwapStep(0))
-    commutative = Lexicon((), (commutator_scheme(),), raw_mode=True)
-    out = apply_step(commutative, e, SwapStep(0))
-    assert out == (a("y"), a("x"))
+        apply_step(EMPTY_LEX, e, CancelStep((), 0, partner=2))
+    out = apply_step(COMMUTATIVE_RAW, e, CancelStep((), 0, partner=2))
+    assert render_expr(out) == "y"
     # relator multiplication, the other commutative-only step
     with pytest.raises(StepError, match="commutative"):
         apply_step(english, (), ExpandStep((), 0, "r1"))
@@ -647,7 +647,7 @@ def test_replay_rejects_tampered_steps(english):
     ("dissolve level=-", "index"),
     ("dissolve level=- index=0", "to"),
     ("dissolve level=- index=0 to=-:0", "k"),
-    ("swap", "index"),
+    ("cancel level=- with=2", "index"),
 ])
 def test_parse_step_names_a_missing_field(text, missing):
     kind = text.split()[0]
@@ -679,6 +679,19 @@ def test_parse_step_names_a_missing_field(text, missing):
      "cancel step field 'level' has a bad value 'x'"),
     (lambda: parse_step("dissolve level=- index=0 to=-:0 k=z"),
      "dissolve step field 'k' has a bad value 'z'"),
+    (lambda: parse_step("cancel level=- index=0 with=x"),
+     "cancel step field 'with' has a bad value 'x'"),
+    (lambda: parse_step("cancel level=- index=0 foo=1"),
+     "cancel step has an unknown field 'foo'"),
+    (lambda: parse_step("expand level=- index=0 rule=p1 bnd=A=j"),
+     "expand step has an unknown field 'bnd'"),
+    (lambda: parse_step("cancel level=- index=0 index=3"),
+     "cancel step repeats field 'index'"),
+    (lambda: derivation_of_record(
+        {"mode": "parse", "start": "1", "steps": ["cancel level=- index=0 wiht=2"],
+         "end": "1"}, ()),
+     "cancel step has an unknown field 'wiht'"),
+    (lambda: parse_step("swap index=1"), "unknown step kind 'swap'"),
     (lambda: parse_derivation("start: 1\nend: 1", ()),
      "derivation text has 0 'derivation mode=' lines, not one"),
     (lambda: parse_derivation("derivation mode=parse\nend: 1", ()),
@@ -690,7 +703,9 @@ def test_parse_step_names_a_missing_field(text, missing):
      "derivation text has 2 'end:' lines, not one"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
         "bare-renaming", "start-not-text", "steps-not-a-list", "target-no-slot",
-        "level-not-a-number", "k-not-a-number", "no-header-line",
+        "level-not-a-number", "k-not-a-number", "partner-not-a-number",
+        "unknown-field", "misspelt-bind", "repeated-field",
+        "record-misspelt-with", "swap-kind", "no-header-line",
         "no-start-line", "two-header-lines", "two-end-lines"])
 def test_derivation_readers_name_the_problem(read, message):
     with pytest.raises(ValueError, match=message):
@@ -720,11 +735,45 @@ def test_replay_rejects_tampered_end(english):
 
 
 def test_replay_takes_commutativity_from_the_lexicon(english):
-    swapped = Derivation("saturate", (a("john"), a("saw")), (SwapStep(0),),
-                         (a("saw"), a("john")))
+    start = (Atom(lf("j")), a("saw"), Atom(lf("j"), -1))
+    partnered = Derivation("saturate", start, (CancelStep((), 0, partner=2),),
+                           (a("saw"),))
     with pytest.raises(StepError, match="commutative"):
-        replay(english, swapped)
-    assert replay(_commutative(english), swapped) == (a("saw"), a("john"))
+        replay(english, partnered)
+    assert replay(_commutative(english), partnered) == (a("saw"),)
+
+
+@pytest.mark.parametrize("lex, text, step, message", [
+    (EMPTY_LEX, "f(X) y f(a)^-1", "cancel level=- index=0 with=2 bind=X=a",
+     "requires commutative mode"),
+    (COMMUTATIVE_RAW, "{ f(X) y f(a)^-1 }", "cancel level=0 index=0 with=2 bind=X=a",
+     "only legal at the top level"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1", "cancel level=- index=2 with=0 bind=X=a",
+     "must come after its index"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1", "cancel level=- index=0 with=0 bind=X=a",
+     "must come after its index"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1", "cancel level=- index=0 with=3 bind=X=a",
+     "partner out of range"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1", "cancel level=- index=-1 with=2 bind=X=a",
+     "index be 0 or more"),
+    (COMMUTATIVE_RAW, "a y a^-1", "cancel level=- index=0 with=2",
+     "token pairs"),
+    (COMMUTATIVE_RAW, "x y z^-1", "cancel level=- index=0 with=2",
+     "does not unify the pair"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1", "cancel level=- index=0 with=2 bind=X=a;Z=b",
+     "not a unifier the pair admits"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)", "cancel level=- index=0 with=2 bind=X=a",
+     "opposite signs"),
+    (COMMUTATIVE_RAW, "f(X) y { f(a)^-1 }", "cancel level=- index=0 with=2 bind=X=a",
+     "two atoms"),
+], ids=["not-commutative", "nested", "partner-before", "partner-is-index",
+        "partner-out-of-range", "index-out-of-range", "token-pair",
+        "unequal-ground-pair", "wrong-unifier", "same-sign", "block-partner"])
+def test_replay_rejects_a_tampered_cancel_partner(lex, text, step, message):
+    start = parse_expr(text, ("a",))
+    d = Derivation("parse", start, (parse_step(step),), start)
+    with pytest.raises(StepError, match=f"step 1: .*{message}"):
+        replay(lex, d)
 
 
 def test_replay_rejects_an_unknown_mode(english):
@@ -751,28 +800,30 @@ def test_commutative_generation_yields_one_representative(english):
     replay(lex, d)
 
 
-def test_commutative_derivations_use_swaps(english):
+def test_commutative_derivations_name_cancel_partners(english):
     lex = _commutative(english)
     res = parse(lex, "saw john louise".split(), LIM)
-    kinds = {type(s) for _, d in res.results for s in d.steps}
-    assert SwapStep in kinds
+    partners = [s for _, d in res.results for s in d.steps
+                if isinstance(s, CancelStep) and s.partner is not None]
+    assert partners
+    assert all(" with=" in render_step(s) for s in partners)
 
 
-def test_swap_cancels_drop_a_chain_an_eager_cancel_breaks():
-    lex = Lexicon((), (commutator_scheme(),), raw_mode=True)
+def test_commutative_cancels_pair_atoms_where_they_stand():
     start = parse_expr("A^-1 x^-1 y x", ())
-    out = engine._swap_cancel_successors(lex, start, False)
-    assert [("; ".join(render_step(s) for s in steps), render_expr(new))
-            for steps, new, _ in out] == [
-        ("swap index=1; cancel level=- index=0 bind=A=y", "1"),
-        ("swap index=2", "A^-1 y"),
+    out = engine._swap_cancel_successors(COMMUTATIVE_RAW, start, False)
+    assert [(render_step(step), render_expr(new)) for (step,), new, _ in out] == [
+        ("cancel level=- index=0 with=2 bind=A=y", "1"),
+        ("cancel level=- index=0 with=3 bind=A=x", "x^-1 y"),
+        ("cancel level=- index=1 with=3", "A^-1 y"),
     ]
+    # a chain of swaps bringing x next to A^-1 made x^-1 x adjacent on the
+    # way, so they cancelled eagerly and x^-1 y was never reached
     for steps, new, _ in out:
-        assert replay(lex, Derivation("parse", start, steps, new)) == new
-    # the chain that brings x next to A^-1 makes x^-1 x adjacent on the way;
-    # they cancel eagerly, so its second swap falls off the end
-    with pytest.raises(StepError, match="swap position out of range"):
-        apply_step(lex, apply_step(lex, start, SwapStep(2)), SwapStep(1))
+        d = Derivation("parse", start, steps, new)
+        again = parse_derivation(render_derivation(d), ())
+        assert again == d
+        assert replay(COMMUTATIVE_RAW, again) == new
 
 
 def _commutative(english):

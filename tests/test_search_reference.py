@@ -14,11 +14,14 @@ for (move the block, rotate it, dissolve it, each a splice and a
 ``normalize``), and a nested wrap cancel against a rotation and a cancel.
 
 The search applies the steps it builds itself without checking them
-(``engine._apply``).  The last section puts ``apply_step``'s checks back on
-every such step: none may fail, and the results must not change.
+(``engine._apply``).  A later section puts ``apply_step``'s checks back on
+every such step: none may fail, and the results must not change.  Commutative
+parses and generations are pinned to the results and state counts they had
+when a commutative cancel was a chain of swaps, and checked the same way.
 """
 
 import copy
+import functools
 import gc
 import hashlib
 import itertools
@@ -36,13 +39,14 @@ from ggroup.engine import (
     normalize, parse, render_derivation, render_expr, render_step, replay,
     saturate, substitute_expr,
 )
-from ggroup.lexicon import Lexicon
+from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
     EMPTY_BINDING, canonical_identifiers, parse_term, render_term, unify,
 )
 
 LIM = SearchLimits()
 RAW = Lexicon((), (), raw_mode=True)
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 
 def _no_skip(m):
@@ -448,15 +452,9 @@ def test_generation_applies_only_legal_steps(english, checked):
 
 
 def test_saturation_applies_only_legal_steps(checked):
-    path = Path(__file__).resolve().parent.parent / "grammars" / "family.lp"
-    lex = encode_logic_program(parse_logic_program(path.read_text()))
+    lex = encode_logic_program(parse_logic_program(
+        (GRAMMAR_DIR / "family.lp").read_text()))
     _same_results(checked(saturate, lex, LIM), saturate(lex, LIM))
-
-
-def test_commutative_parse_applies_only_legal_steps(english, checked):
-    lex = Lexicon(english.phon_vocab, english.relators + (commutator_scheme(),))
-    words = "saw john louise".split()
-    _same_results(checked(parse, lex, words, LIM), parse(lex, words, LIM))
 
 
 def test_random_starts_apply_only_legal_steps(checked):
@@ -467,6 +465,131 @@ def test_random_starts_apply_only_legal_steps(checked):
             _same_results(checked(_search, start), _search(start))
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
+
+
+# ---------------------------------------------------------------------------
+# commutative mode: results and states pinned, every step checked
+
+# sha256 prefixes of each query's results (readings, or generated
+# representatives) and truncation, and the number of states it keys, taken
+# when a commutative cancel was still a chain of swaps and a cancel.  The
+# parses are eleven fixed sentences, the first 6 of QUANTIFIED, 4 of
+# RELATIVES and 4 of PPS, then a ``random.Random(5)`` shuffle of each,
+# deduplicated; the generations are ``_seeded_forms()`` and four more.
+COMMUTATIVE_PINS = {
+    "parse saw john louise": ("a6652c7c6eaf16d9", 9),
+    "parse john saw louise": ("a6652c7c6eaf16d9", 9),
+    "parse louise john saw": ("a6652c7c6eaf16d9", 9),
+    "parse ran john": ("74b68cbd473c80b7", 2),
+    "parse man every ran": ("5147cc04c95889a1", 22),
+    "parse john saw every woman": ("430fbf410382bca0", 187),
+    "parse every man saw some woman": ("23b1709121ebd967", 4249),
+    "parse john saw louise in paris": ("0b35458240a34f92", 545),
+    "parse in paris john saw louise": ("0b35458240a34f92", 545),
+    "parse the man that louise saw ran": ("bded27e351f344e8", 19193),
+    "parse saw the ran man louise that": ("75c9a9e239b350ab", 19193),
+    "parse every man saw every man": ("492584af3b2c6283", 2849),
+    "parse every man saw every woman": ("72482771b8d3baf0", 4249),
+    "parse every man saw some man": ("9fa5356dc3621481", 2849),
+    "parse every woman saw every man": ("72482771b8d3baf0", 4249),
+    "parse every woman saw every woman": ("e20e549d6de528cd", 2849),
+    "parse every man that john saw ran": ("6d6a038c6acd87de", 51820),
+    "parse every man that louise saw ran": ("4ee854f5862fd0a2", 51820),
+    "parse every man that paris saw ran": ("cc8ac491fd09beaf", 51820),
+    "parse the man that john saw ran": ("00bc4202e1c20998", 19193),
+    "parse john saw some woman in john": ("a45acb13aad01b7c", 11599),
+    "parse john saw some woman in louise": ("8fac81d277694017", 18819),
+    "parse john saw some woman in paris": ("065284f99ca6912b", 18819),
+    "parse louise saw some woman in john": ("bd548d4c6170a5bf", 18819),
+    "parse john louise saw": ("a6652c7c6eaf16d9", 9),
+    "parse every ran man": ("5147cc04c95889a1", 22),
+    "parse every woman john saw": ("430fbf410382bca0", 187),
+    "parse saw every woman man some": ("23b1709121ebd967", 4249),
+    "parse in louise john saw paris": ("0b35458240a34f92", 545),
+    "parse louise paris in john saw": ("0b35458240a34f92", 545),
+    "parse saw louise that ran the man": ("92b82ffb18e909a1", 19193),
+    "parse louise ran man saw that the": ("3dda8953506eecbc", 19193),
+    "parse saw every every man man": ("492584af3b2c6283", 2849),
+    "parse every every woman man saw": ("72482771b8d3baf0", 4249),
+    "parse every saw some man man": ("9fa5356dc3621481", 2849),
+    "parse some woman man saw every": ("23b1709121ebd967", 4249),
+    "parse every man every saw woman": ("72482771b8d3baf0", 4249),
+    "parse every woman woman every saw": ("e20e549d6de528cd", 2849),
+    "parse ran john man saw that every": ("acae6320b7ad7cf3", 51820),
+    "parse every saw louise man that ran": ("bbb7c4c2228d0e31", 51820),
+    "parse that paris saw every man ran": ("9acedd3b027028ce", 51820),
+    "parse saw man the john that ran": ("410281b9a55960e9", 19193),
+    "parse john in saw john woman some": ("7295ac06647387ff", 11599),
+    "parse woman some john in saw louise": ("3f9c87cd5805eac8", 18819),
+    "parse john saw paris in some woman": ("2a1db29395c17c82", 18819),
+    "parse john in saw some louise woman": ("2114fd4594d2d910", 18819),
+    "generate ev(m,#x,r(#x))": ("fd8c76b97098e086", 6),
+    "generate ev(w,#x,s(#x,p))": ("700a495a01800c34", 9),
+    "generate i(ev(m,#x,r(#x)),j)": ("eb72dc39acaf1111", 17),
+    "generate r(j)": ("b884ee5b63ddefc4", 3),
+    "generate r(p)": ("4088285772a462e4", 3),
+    "generate r(t(tt(w,#x,s(#x,p))))": ("cdc7b48a325bed1b", 11),
+    "generate s(j,j)": ("38356bdfcc391852", 5),
+    "generate s(t(w),t(i(m,j)))": ("f53cfb163dd153d3", 32),
+    "generate sm(m,#x,s(j,#x))": ("970e5c7e339ddedd", 17),
+    "generate sm(w,#x,s(#x,j))": ("8e31620ac5726349", 9),
+    "generate s(j,l)": ("ca16e6aaa2b55e59", 6),
+    "generate ev(m,#x,sm(w,#y,s(#x,#y)))": ("d6155134c72219c7", 45),
+    "generate i(s(j,l),p)": ("d03e0349132bb288", 17),
+    "generate r(t(tt(m,#x,s(l,#x))))": ("9af0776ef02fe3b1", 19),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _commutative_lexicon():
+    english = parse_grammar((GRAMMAR_DIR / "english.gg").read_text())
+    return Lexicon(english.phon_vocab, english.relators + (commutator_scheme(),))
+
+
+def _commute(query):
+    kind, _, text = query.partition(" ")
+    if kind == "parse":
+        return parse(_commutative_lexicon(), text.split(), LIM)
+    return generate(_commutative_lexicon(), parse_term(text), LIM)
+
+
+@functools.lru_cache(maxsize=None)
+def _keyed_commute(query):
+    """``_commute(query)`` and the number of state keys its search built."""
+    real, count = engine._canonical_key, [0]
+
+    def counting(expr, commutative):
+        count[0] += 1
+        return real(expr, commutative)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_canonical_key", counting)
+        return _commute(query), count[0]
+
+
+def _results_digest(res):
+    text = "\n".join(" ".join(p) if isinstance(p, tuple) else render_term(p)
+                     for p, _ in res.results)
+    text += f"\ntruncated={res.truncated}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("query", list(COMMUTATIVE_PINS))
+def test_commutative_results_and_states_are_pinned(query):
+    res, keys = _keyed_commute(query)
+    assert (_results_digest(res), keys) == COMMUTATIVE_PINS[query]
+
+
+@pytest.mark.parametrize("query", [q for q in COMMUTATIVE_PINS
+                                   if q.startswith("parse ")])
+def test_commutative_parse_applies_only_legal_steps(checked, query):
+    _same_results(checked(_commute, query), _keyed_commute(query)[0])
+
+
+@pytest.mark.parametrize("query", [q for q in COMMUTATIVE_PINS
+                                   if q.startswith("generate ")])
+def test_commutative_generation_applies_only_legal_steps(checked, query):
+    _same_results(checked(_commute, query), _keyed_commute(query)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +642,8 @@ def _digest(res):
 @pytest.mark.parametrize("query", list(DERIVATION_DIGESTS))
 def test_derivations_are_unchanged_and_replay_on_their_own(english, query):
     if query == "family.lp":
-        path = Path(__file__).resolve().parent.parent / "grammars" / query
-        lex = encode_logic_program(parse_logic_program(path.read_text()))
+        lex = encode_logic_program(parse_logic_program(
+            (GRAMMAR_DIR / query).read_text()))
         res = saturate(lex, LIM)
     else:
         lex = english

@@ -19,10 +19,11 @@ import pytest
 
 from ggroup import engine
 from ggroup.encodings import (
-    encode_dcg, encode_logic_program, parse_dcg, parse_logic_program,
+    commutator_scheme, encode_dcg, encode_logic_program, parse_dcg,
+    parse_logic_program,
 )
 from ggroup.engine import Atom, Block, generate, parse, saturate, substitute_expr
-from ggroup.lexicon import parse_grammar
+from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
     AbsVar, App, Binding, Compound, Const, Identifier, MetaVar, parse_term,
     render_term,
@@ -248,6 +249,11 @@ def _english():
     return parse_grammar((GRAMMAR_DIR / "english.gg").read_text())
 
 
+def _commutative_english():
+    english = _english()
+    return Lexicon(english.phon_vocab, english.relators + (commutator_scheme(),))
+
+
 def _family():
     return encode_logic_program(parse_logic_program((GRAMMAR_DIR / "family.lp").read_text()))
 
@@ -265,6 +271,13 @@ PINNED = [
     ("generate ev(m,#x1,r(#x1))",
      lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))")), 62, 33),
     ("saturate family.lp", lambda: saturate(_family()), 30, 30),
+    # commutative parses, keyed as when a commutative cancel was a chain of
+    # swaps (16 and 2 readings)
+    ("parse every man saw some woman, commutative",
+     lambda: parse(_commutative_english(), "every man saw some woman".split()),
+     4249, 1393),
+    ("parse saw john louise, commutative",
+     lambda: parse(_commutative_english(), "saw john louise".split()), 9, 7),
 ]
 
 
