@@ -20,7 +20,9 @@ from pathlib import Path
 
 from . import analysis, encodings, engine
 from . import lexicon as lx
-from .term import Compound, is_ground, parse_term, render_term, subterms
+from .term import (
+    App, Compound, MetaVar, is_ground, parse_term, render_term, subterms,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -164,8 +166,31 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _variables(t) -> list[str]:
+    """Names of the meta-variables and abstraction variables of ``t``, in
+    preorder, repeats included."""
+    return [s.name if isinstance(s, MetaVar) else s.abstraction.name
+            for s in subterms(t) if isinstance(s, (MetaVar, App))]
+
+
+def _check_range_restricted(clauses) -> None:
+    """Every head variable must occur in the clause's body, as in Datalog.
+    Forward chaining, which ``logic`` compares with, only adds ground facts,
+    while saturation also derives the ground instances of a clause like
+    ``p(X) .``, so such a program would read as DIFFER."""
+    for c in clauses:
+        body = {name for b in c.body for name in _variables(b)}
+        for name in _variables(c.head):
+            if name not in body:
+                raise engine.InputError(
+                    f"program line {c.line}: head variable {name} does not "
+                    "occur in the body (logic needs range-restricted "
+                    "clauses)")
+
+
 def _cmd_logic(args) -> int:
     clauses = encodings.parse_logic_program(Path(args.grammar).read_text())
+    _check_range_restricted(clauses)
     lexi = encodings.encode_logic_program(clauses)
     res = engine.saturate(lexi, _limits(args))
     derived = {render_term(t) for t, _ in res.results}

@@ -69,16 +69,23 @@ each key once and goes on with a small int per state, and the successor
 generators and ``_apply`` skip the walks over block levels when the top
 level holds no block.
 
-Each search keeps two memos, alive for that search only: the unifiers of
-atom pairs, and the substitutions its cancels make.  The first is keyed by
-the pair's identity, ``(id(a), id(b))``, and, for a pair met the first time,
-by its payloads, so equal payloads still share one ``unify``.  The second is
-keyed by identity, ``(id(unifier), id(atom))``, so the same atom object under
-the same unifier object gives one shared result atom in every state that
-needs it, while distinct atoms, even equal ones, never merge: no atom object
-occurs twice in one state.  Each identity-keyed entry holds the objects whose
-ids it uses, so no id is reused while the memo lives.  ``replay`` and
-``apply_step`` read neither memo, so the proof recomputes every step.
+Each search keeps three memos, alive for that search only: the unifiers of
+atom pairs, the substitutions its cancels make, and the clause instances of
+saturation.  The first is keyed by the pair's identity, ``(id(a), id(b))``,
+and, for a pair met the first time, by its payloads, so equal payloads still
+share one ``unify``.  The second is keyed by identity, ``(id(unifier),
+id(atom))``, so the same atom object under the same unifier object gives one
+shared result atom in every state that needs it, while distinct atoms, even
+equal ones, never merge: no atom object occurs twice in one state.  Each
+identity-keyed entry holds the objects whose ids it uses, so no id is reused
+while the memo lives.  The third holds one dict per search depth, keyed by
+the renaming (``_apply``), so every state at one depth shares each clause's
+instance, and its atoms compute their class and key fragment once.
+
+The proof keeps its own memo of instances, one for all the answers of a
+search, and shares nothing with the search's memos: ``replay`` and
+``apply_step`` read none of those, so the proof checks every step and builds
+every distinct instance itself.
 """
 
 from __future__ import annotations
@@ -533,20 +540,34 @@ def _tables(lex: lx.Lexicon) -> _Tables:
 
 
 def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
-           substitutions: Optional[dict] = None) -> Expr:
+           substitutions: Optional[dict] = None,
+           instances: Optional[dict] = None) -> Expr:
     """Apply one derivation step without checking it.  The search applies the
     steps it builds itself this way, a cancel with the search's
-    ``substitutions`` memo (see ``substitute_expr``); ``apply_step`` checks
-    first and passes no memo."""
+    ``substitutions`` memo (see ``substitute_expr``).
+
+    ``instances``, when given, memoizes the instances of parsing rules and
+    relators by ``(rule_id, meta_map, ident_map)``: a renaming fixes its
+    instance, so a repeated key gets the same tuple of items.  Generation
+    rules, whose key would be a binding, always build theirs.  ``apply_step``
+    passes on the memo its caller gives, and none by default."""
     if isinstance(step, ExpandStep):
         tables = _tables(lex)
+        kind = step.rule_id[0]
         rule = tables.by_id[step.rule_id]
-        if step.rule_id.startswith("r"):
+        if kind == "r":
             scheme, stop = rule.items, step.index
         else:
             scheme, stop = rule.rhs, step.index + 1
-        binding = step.binding if step.rule_id.startswith("g") else _renaming(step)
-        new_items = _instantiate_items(scheme, binding, tables.commutative)
+        if instances is None or kind == "g":
+            binding = step.binding if kind == "g" else _renaming(step)
+            new_items = _instantiate_items(scheme, binding, tables.commutative)
+        else:
+            key = (step.rule_id, step.meta_map, step.ident_map)
+            new_items = instances.get(key)
+            if new_items is None:
+                new_items = instances[key] = _instantiate_items(
+                    scheme, _renaming(step), tables.commutative)
         return normalize(_splice(expr, step.level, step.index, stop, new_items))
     if isinstance(step, CancelStep):
         i = step.index
@@ -565,9 +586,14 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
 
 
 def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
-               allow_vacuous: bool = False) -> Expr:
+               allow_vacuous: bool = False,
+               instances: Optional[dict] = None) -> Expr:
     """Check every precondition of a derivation step, then apply it
-    (``_apply``).  Whether steps commute is the lexicon's to decide."""
+    (``_apply``).  Whether steps commute is the lexicon's to decide.
+
+    ``instances`` is the caller's memo of rule and relator instances (see
+    ``_apply``); the default, None, builds every instance afresh.  The checks
+    never read it: they look at the step and the expression only."""
     if isinstance(step, ExpandStep):
         tables = _tables(lex)
         rule = tables.by_id.get(step.rule_id)
@@ -578,7 +604,7 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
                 raise StepError("relator multiplication requires commutative mode")
             if step.index != len(level_items(expr, step.level)):
                 raise StepError("relator instances are appended at the end")
-            return _apply(lex, expr, step)
+            return _apply(lex, expr, step, instances=instances)
         items = level_items(expr, step.level)
         if not (0 <= step.index < len(items)):
             raise StepError("expand target out of range")
@@ -637,22 +663,27 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
             raise StepError("dissolve slot out of range")
     else:
         raise StepError(f"unknown step {step!r}")
-    return _apply(lex, expr, step)
+    return _apply(lex, expr, step, instances=instances)
 
 
 def replay(lex: lx.Lexicon, d: Derivation, *,
-           allow_vacuous: bool = False) -> Expr:
+           allow_vacuous: bool = False,
+           instances: Optional[dict] = None) -> Expr:
     """Re-execute a derivation from scratch, validating every step.
 
     Returns the final expression, which must equal ``d.end``.  Whether the
     steps commute is the lexicon's to say, never the derivation's.
+    ``instances`` is handed to every ``apply_step``: a memo of rule and
+    relator instances that the caller keeps across replays (``_prove`` keeps
+    one per proof); the default, None, builds every instance afresh.
     """
     if d.mode not in ("gen", "parse", "saturate"):
         raise StepError(f"unknown derivation mode {d.mode!r}")
     expr = normalize(d.start)
     for n, step in enumerate(d.steps):
         try:
-            expr = apply_step(lex, expr, step, allow_vacuous=allow_vacuous)
+            expr = apply_step(lex, expr, step, allow_vacuous=allow_vacuous,
+                              instances=instances)
         except StepError as e:
             raise StepError(f"step {n + 1}: {e}") from None
     if expr != d.end:
@@ -1094,7 +1125,7 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
     return out
 
 
-def _saturate_successors(lex, node, allow_vacuous):
+def _saturate_successors(lex, node, allow_vacuous, instances):
     """Successors under a resolution strategy.
 
     The rightmost inverted atom is the selected subgoal; multiplying in a
@@ -1118,12 +1149,22 @@ def _saturate_successors(lex, node, allow_vacuous):
     subgoal eagerly, or stayed next to it and unifies with it.  A ground head
     that equals the clause's own last body atom cancels inside the instance
     and resolves nothing; as the first instance, it picks no root.
+
+    Each clause is renamed apart by the depth of the state it extends (``X``
+    becomes ``X_3``), so every state at one depth uses the same instance.
+    ``instances`` is the search's memo of them, one dict per depth (see
+    ``_search``), and those states share one tuple of items.  Keyed by
+    depth, an instance never shares an atom object with the state it
+    extends, even for a ground clause, whose renaming is empty: no state
+    holds one atom object twice, and the test of an eager cancel below
+    reads identity.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
         return []  # goal state or dead end: no pending subgoal
     out = []
     suffix = str(node.expansions + 1)
+    memo = instances.setdefault(suffix, {})
     sel = len(expr) - 1
     subgoal = expr[sel] if expr else None
     tables = _tables(lex)
@@ -1139,7 +1180,7 @@ def _saturate_successors(lex, node, allow_vacuous):
                           for k, nm in enumerate(app_args, 1))
         step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
                           ident_map=ident_map)
-        new = _apply(lex, expr, step)
+        new = _apply(lex, expr, step, instances=memo)
         if subgoal is None:
             # the first instance picks the root, unless it cancelled inside
             if len(new) == size:
@@ -1189,7 +1230,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     up, and the nodes, the skip masks (``queued_skips``, ``expanded_skips``)
     and the ``late`` re-expansions carry the id.
 
-    Two memos live for this search only, and ``replay`` reads neither.
+    Three memos live for this search only, and ``replay`` reads none.
     ``unifiers`` holds the unifiers of each atom pair that cancels and
     bundle predictions look up, by atom identity first and by payload pair
     second (see ``_pair_unifiers``).  ``substitutions`` holds the substitutions
@@ -1199,11 +1240,15 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     each result atom, with its class and its state-key fragment.  Identity
     keys never merge distinct atoms, even equal ones: the skip masks
     (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
-    occur once in a state.
+    occur once in a state.  ``instances`` holds saturation's clause
+    instances, one dict per depth (see ``_saturate_successors``).  It lives
+    here rather than with the lexicon's tables, so it does not outlive the
+    query or grow with every depth any query has reached.
 
     The search applies its own steps unchecked.  ``_prove`` then checks
     every step of each result, node by node over the tree the results
-    share: one ``replay`` per distinct node on their paths.
+    share: one ``replay`` per distinct node on their paths, with a memo of
+    instances of the proof's own.
     """
     commutative = _tables(lex).commutative
     allow_vacuous = lim.allow_vacuous_abstraction
@@ -1221,6 +1266,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     results: dict[str, tuple] = {}
     unifiers: dict = {}
     substitutions: dict = {}
+    instances: dict = {}
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
@@ -1245,7 +1291,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if skip:
                 expanded_skips[node.key] = skip
             if mode == "saturate":
-                succ = _saturate_successors(lex, node, allow_vacuous)
+                succ = _saturate_successors(lex, node, allow_vacuous,
+                                            instances)
             else:
                 succ = []
                 if mode == "gen":
@@ -1291,16 +1338,17 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                         late.append((_Node(new, expansions, node, steps, key),
                                      need))
     proved = {root: root.expr}
+    proof_instances: dict = {}
     out = []
     for _, (payload, node) in sorted(results.items()):
-        _prove(lex, mode, node, proved, allow_vacuous)
+        _prove(lex, mode, node, proved, allow_vacuous, proof_instances)
         out.append((payload, Derivation(mode, root.expr,
                                         node.derivation_steps(), node.expr)))
     return EngineResult(tuple(out), truncated)
 
 
 def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
-           allow_vacuous: bool) -> None:
+           allow_vacuous: bool, instances: dict) -> None:
     """Prove ``node`` and its unproved ancestors.
 
     ``proved`` maps each proved node to the expression its proof replayed.
@@ -1308,6 +1356,13 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
     way is proved by one ``replay`` of its own steps from its parent's proved
     expression, which must end at the expression the search built for it.
     The walk is a loop, since a path can be ``max_expansions`` nodes long.
+
+    ``instances`` is the proof's own memo of rule and relator instances,
+    kept for every answer of one search and handed to each ``replay``.  It
+    shares nothing with the search's memos, so the proof builds each
+    distinct instance itself.  The proof compares expressions by equality,
+    so its memo needs no depth: a ground clause's instance is one tuple
+    wherever the proof meets it.
     """
     path = []
     while node not in proved:
@@ -1317,7 +1372,7 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
     for node in reversed(path):
         expr = proved[node] = replay(
             lex, Derivation(mode, expr, node.steps, node.expr),
-            allow_vacuous=allow_vacuous)
+            allow_vacuous=allow_vacuous, instances=instances)
 
 
 def _single_atom_goal(e: Expr) -> Optional[Term]:

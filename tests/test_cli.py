@@ -195,6 +195,34 @@ def test_logic_goal_must_be_ground(capsys):
     assert "must be ground" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("program, line, name", [
+    # saturation derives q(a), since p(a) is an instance of p(X); forward
+    # chaining only adds ground facts, so the comparison would say DIFFER
+    ("p(X) .\nq(a) :- p(a) .\n", 1, "X"),
+    ("p(A[B]) .\n", 1, "A"),
+    ("# a comment\n\nq(a) .\nr(X,Y) :- q(X) .\n", 4, "Y"),
+], ids=["fact", "abstraction", "rule"])
+@pytest.mark.parametrize("goal", [[], ["q(a)"]], ids=["compare", "goal"])
+def test_logic_rejects_a_head_variable_missing_from_the_body(
+        tmp_path, capsys, program, line, name, goal):
+    path = tmp_path / "program.lp"
+    path.write_text(program)
+    assert main(["logic", str(path)] + goal) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: program line {line}: head variable {name} does not occur "
+        "in the body (logic needs range-restricted clauses)\n")
+
+
+def test_logic_accepts_a_head_variable_that_occurs_in_the_body(
+        tmp_path, capsys):
+    path = tmp_path / "program.lp"
+    path.write_text("p(a) .\nq(X) :- p(X) .\n")
+    assert main(["logic", str(path)]) == 0
+    assert capsys.readouterr().out == "p(a)\nq(a)\nMATCH\n"
+
+
 # -------------------------------------------------------------------- traces
 
 

@@ -357,9 +357,9 @@ def test_parse_applies_each_token_expansion_once(english, monkeypatch):
     real = engine._apply
     expansions = []
 
-    def counting(lex, expr, step, substitutions=None):
+    def counting(lex, expr, step, *args, **kwargs):
         expansions.append(isinstance(step, ExpandStep))
-        return real(lex, expr, step, substitutions)
+        return real(lex, expr, step, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_apply", counting)
     res = parse(english, "john saw louise".split(), LIM)
@@ -380,10 +380,10 @@ def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
     proving = False
     search, proof = [], []
 
-    def counting(lex, expr, step, substitutions=None):
+    def counting(lex, expr, step, *args, **kwargs):
         if isinstance(step, ExpandStep):
             (proof if proving else search).append(step)
-        return real_apply(lex, expr, step, substitutions)
+        return real_apply(lex, expr, step, *args, **kwargs)
 
     def replaying(*args, **kwargs):
         nonlocal proving
@@ -462,9 +462,9 @@ def test_a_wrong_search_expression_on_an_answer_path_fails_the_proof(
     lex = encode_logic_program(parse_logic_program("p(a) .\nq(X) :- p(X) .\n"))
     real = engine._saturate_successors
 
-    def bent(lex, node, allow_vacuous):
+    def bent(*args, **kwargs):
         out = []
-        for steps, new, dexp in real(lex, node, allow_vacuous):
+        for steps, new, dexp in real(*args, **kwargs):
             if render_expr(new) == "q(X_1) p(X_1)^-1":
                 new = (Atom(lf("q(a)")), new[1])
             out.append((steps, new, dexp))
@@ -474,6 +474,85 @@ def test_a_wrong_search_expression_on_an_answer_path_fails_the_proof(
     monkeypatch.setattr(engine, "_saturate_successors", bent)
     with pytest.raises(StepError, match="does not end"):
         saturate(lex, LIM)
+
+
+def _proving(monkeypatch):
+    """Wrap ``engine.replay``; the returned flag's ``on`` is true while a
+    replay runs, that is, while the search proves its answers."""
+    real = engine.replay
+
+    def replaying(*args, **kwargs):
+        replaying.on = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            replaying.on = False
+
+    replaying.on = False
+    monkeypatch.setattr(engine, "replay", replaying)
+    return replaying
+
+
+def test_the_proof_reads_none_of_the_search_memos(monkeypatch):
+    """The search bends the instance of the fact ``p(a)`` into ``p(b)``,
+    and its memo of instances keeps the bent one.  The proof builds its own
+    instances, so it replays ``p(a)``, and the node's expression differs; a
+    proof that read the search's memo would accept ``p(b)``."""
+    lex = encode_logic_program(parse_logic_program("p(a) .\nq(X) :- p(X) .\n"))
+    assert {render_term(t) for t, _ in saturate(lex, LIM).results} == {"p(a)", "q(a)"}
+    real = engine._instantiate_items
+    proving = _proving(monkeypatch)
+
+    def bent(*args, **kwargs):
+        items = real(*args, **kwargs)
+        if not proving.on and items == (Atom(lf("p(a)")),):
+            return (Atom(lf("p(b)")),)
+        return items
+
+    monkeypatch.setattr(engine, "_instantiate_items", bent)
+    with pytest.raises(StepError, match="does not end"):
+        saturate(lex, LIM)
+
+
+def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
+        monkeypatch):
+    """The search instantiates each clause once per depth it expands it at,
+    and the proof each distinct renaming once, for all the answers."""
+    real_instantiate, real_apply = engine._instantiate_items, engine._apply
+    real_successors = engine._saturate_successors
+    proving = _proving(monkeypatch)
+    depth = None
+    built = {False: 0, True: 0}  # _instantiate_items calls: search, proof
+    expanded = set()  # (clause, depth) pairs the search expands
+    renamings = set()  # the renamings the proof replays
+
+    def instantiating(*args, **kwargs):
+        built[proving.on] += 1
+        return real_instantiate(*args, **kwargs)
+
+    def applying(lex, expr, step, *args, **kwargs):
+        if isinstance(step, ExpandStep):
+            if proving.on:
+                renamings.add((step.rule_id, step.meta_map, step.ident_map))
+            else:
+                expanded.add((step.rule_id, depth))
+        return real_apply(lex, expr, step, *args, **kwargs)
+
+    def successors(lex, node, *args, **kwargs):
+        nonlocal depth
+        depth = node.expansions + 1
+        return real_successors(lex, node, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_instantiate_items", instantiating)
+    monkeypatch.setattr(engine, "_apply", applying)
+    monkeypatch.setattr(engine, "_saturate_successors", successors)
+    res = saturate(_family(), LIM)
+    assert len(res.results) == 9 and not res.truncated
+    assert built[False] == len(expanded)
+    assert built[True] == len(renamings)
+    # 29 and 18 when every expansion built its instance (see
+    # test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal)
+    assert (built[False], built[True]) == (17, 8)
 
 
 def test_engine_results_survive_pickle_and_copies(english):

@@ -1,14 +1,21 @@
-"""Differential tests of saturation's head pre-check against a search without
-it.
+"""Differential tests of saturation's head pre-check and of its memo of
+clause instances, each against a search without it.
 
 Before it instantiates a clause, ``_saturate_successors`` skips the clauses
 whose head cannot meet the selected subgoal: the first-argument index
 (``_Tables.candidates``) proposes clauses, and ``term.may_unify`` keeps those
-whose head can meet the subgoal.  The reference is the same search with the
+whose head can meet the subgoal.  Its reference is the same search with the
 index patched to propose every clause and the pre-check patched to accept
-every clause.  Both must give equal results, rendered derivations, truncation
-and state-key counts, on the shared clause programs, ``family.lp`` and seeded
-random definite programs.
+every clause.
+
+The search shares each clause instance among the states of one depth (the
+``instances`` memo of ``_search``).  Its reference hands
+``_saturate_successors`` a fresh memo on every call, which never hits, since
+one call instantiates each clause at most once.
+
+Each reference must give the search's results, rendered derivations,
+truncation and state-key counts, on the shared clause programs,
+``family.lp``, seeded random definite programs and seeded ground programs.
 """
 
 import random
@@ -18,49 +25,75 @@ import pytest
 
 from conftest import LOGIC_PROGRAMS
 from ggroup import engine
-from ggroup.encodings import Clause, encode_logic_program, parse_logic_program
-from ggroup.engine import SearchLimits, render_derivation, saturate
-from ggroup.term import Compound, Const, Identifier, MetaVar, render_term
+from ggroup.encodings import (
+    Clause, encode_logic_program, forward_chain, parse_logic_program,
+)
+from ggroup.engine import SearchLimits, render_derivation, render_expr, saturate
+from ggroup.term import (
+    Compound, Const, Identifier, MetaVar, parse_term, render_term,
+)
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 # small, so that the 200 random programs saturate in about a second
 SMALL = SearchLimits(max_expansions=8, max_items=16, max_results=32)
 
 
-def _run(monkeypatch, lex, lim, filtered):
-    """``saturate(lex, lim)`` and the number of state keys it computed."""
+def unfiltered(m):
+    """Every clause proposed and admitted for every subgoal."""
+    m.setattr(engine._Tables, "candidates",
+              lambda tables, subgoal: tables.clauses)
+    m.setattr(engine, "may_unify", lambda a, b: True)
+
+
+def memo_free(m):
+    """A fresh memo of instances for every call of the successors."""
+    real = engine._saturate_successors
+    m.setattr(engine, "_saturate_successors",
+              lambda lex, node, allow_vacuous, instances:
+              real(lex, node, allow_vacuous, {}))
+
+
+REFERENCES = [unfiltered, memo_free]
+
+
+def _run(monkeypatch, lex, lim, reference=None):
+    """``saturate(lex, lim)`` and the number of state keys it computed.  No
+    state may hold one atom object twice."""
     real = engine._canonical_key
     keys = []
 
-    def counting(*args):
+    def counting(expr, commutative):
         keys.append(None)
-        return real(*args)
+        assert len({id(i) for i in expr}) == len(expr), render_expr(expr)
+        return real(expr, commutative)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "_canonical_key", counting)
-        if not filtered:
-            m.setattr(engine._Tables, "candidates",
-                      lambda tables, subgoal: tables.clauses)
-            m.setattr(engine, "may_unify", lambda a, b: True)
+        if reference is not None:
+            reference(m)
         return saturate(lex, lim), len(keys)
 
 
-def _check(monkeypatch, clauses, lim):
+def _check(monkeypatch, clauses, lim, reference):
+    """The search's result, after checking it against ``reference``'s."""
     lex = encode_logic_program(clauses)
-    got, got_keys = _run(monkeypatch, lex, lim, True)
-    want, want_keys = _run(monkeypatch, lex, lim, False)
+    got, got_keys = _run(monkeypatch, lex, lim)
+    want, want_keys = _run(monkeypatch, lex, lim, reference)
     assert got.truncated == want.truncated
     assert [(p, render_derivation(d)) for p, d in got.results] == \
         [(p, render_derivation(d)) for p, d in want.results]
     assert got_keys == want_keys
+    return got
 
 
 PROGRAMS = LOGIC_PROGRAMS + [("family", (GRAMMAR_DIR / "family.lp").read_text())]
 
 
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("name, text", PROGRAMS, ids=[n for n, _ in PROGRAMS])
-def test_clause_programs_saturate_like_the_reference(monkeypatch, name, text):
-    _check(monkeypatch, parse_logic_program(text), SearchLimits())
+def test_clause_programs_saturate_like_the_reference(monkeypatch, name, text,
+                                                     reference):
+    _check(monkeypatch, parse_logic_program(text), SearchLimits(), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +148,76 @@ def _random_programs(seed, wide):
     return [_random_program(rng, wide) for _ in range(200)]
 
 
-def _check_random_programs(monkeypatch, programs):
+def _render(clauses):
+    return " ".join(
+        render_term(c.head) + "".join(
+            (" :- " if k == 0 else ", ") + render_term(b)
+            for k, b in enumerate(c.body)) + " ."
+        for c in clauses)
+
+
+def _check_random_programs(monkeypatch, programs, reference, closure=False):
+    """Check each program against ``reference``; with ``closure``, also its
+    facts against forward chaining: equal when the search was not cut off,
+    a subset when it was."""
     for n, clauses in enumerate(programs):
         try:
-            _check(monkeypatch, clauses, SMALL)
+            res = _check(monkeypatch, clauses, SMALL, reference)
+            if closure:
+                facts, fixpoint = forward_chain(clauses)
+                assert fixpoint
+                got = {t for t, _ in res.results}
+                assert got <= facts if res.truncated else got == facts
         except AssertionError as e:
-            program = " ".join(
-                render_term(c.head) + "".join(
-                    (" :- " if k == 0 else ", ") + render_term(b)
-                    for k, b in enumerate(c.body)) + " ."
-                for c in clauses)
-            raise AssertionError(f"program {n}: {program}") from e
+            raise AssertionError(f"program {n}: {_render(clauses)}") from e
 
 
-def test_random_programs_saturate_like_the_reference(monkeypatch):
-    _check_random_programs(monkeypatch, _random_programs(9, False))
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_random_programs_saturate_like_the_reference(monkeypatch, reference):
+    _check_random_programs(monkeypatch, _random_programs(9, False), reference)
 
 
+@pytest.mark.parametrize("reference", REFERENCES)
 def test_random_programs_with_constant_and_identifier_atoms_saturate_like_the_reference(
-        monkeypatch):
-    _check_random_programs(monkeypatch, _random_programs(10, True))
+        monkeypatch, reference):
+    _check_random_programs(monkeypatch, _random_programs(10, True), reference)
+
+
+# ---------------------------------------------------------------------------
+# seeded ground programs: a ground clause has an empty renaming, so a memo
+# of instances that forgot the depth would hand one resolvent the same atom
+# object twice.  For q(b) :- q(b), r(c), whose relator is
+# q(b) r(c)^-1 q(b)^-1, a second instance resolving the first one's q(b)^-1
+# would bring back the first one's r(c)^-1 object.
+
+GROUND_ATOMS = tuple(parse_term(t) for t in ("p(a)", "q(b)", "r(c)", "p(b)", "s"))
+
+
+def _ground_program(rng):
+    """One to three facts, then one to four ground rules: bodies of one to
+    three atoms, often repeated, and heads that often occur in the body;
+    sometimes a range-restricted rule with a variable too."""
+    atoms = rng.sample(GROUND_ATOMS, 3)
+    clauses = [Clause(a) for a in rng.sample(atoms, rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 4)):
+        body = tuple(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
+        head = rng.choice(body) if rng.random() < 0.4 else rng.choice(atoms)
+        clauses.append(Clause(head, body))
+    if rng.random() < 0.3:
+        clauses.append(Clause(parse_term("q(X)"), (parse_term("p(X)"),)))
+    return clauses
+
+
+GROUND_PROGRAMS = [
+    parse_logic_program("q(b) .\nr(c) .\nq(b) :- q(b), r(c) .\n"
+                        "p(a) :- q(b), q(b) .\n"),
+    parse_logic_program("q(b) .\np(a) :- q(b), q(b) .\nq(b) :- p(a) .\n"),
+    parse_logic_program("s .\ns :- s .\np(a) :- s, s, s .\n"),
+] + [_ground_program(rng) for rng in [random.Random(11)] for _ in range(200)]
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_ground_programs_saturate_like_the_reference_and_forward_chaining(
+        monkeypatch, reference):
+    _check_random_programs(monkeypatch, GROUND_PROGRAMS, reference,
+                           closure=True)

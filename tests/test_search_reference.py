@@ -409,9 +409,9 @@ def checked(monkeypatch):
     step that fails its checks fails the test."""
     real = engine._apply
 
-    def checking(lex, expr, step, substitutions=None):
-        # apply_step passes no memo: the comparison with the unchecked
-        # search is also one of the memo against none
+    def checking(lex, expr, step, *memos, **kw_memos):
+        # apply_step is called with no memo: the comparison with the
+        # unchecked search is also one of the memos against none
         run.applied.append(step)
         with monkeypatch.context() as m:
             m.setattr(engine, "_apply", real)
