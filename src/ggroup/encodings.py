@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .lexicon import Lexicon, LogItem, ExprMeta, PhonItem, RelatorScheme
-from .term import Compound, Const, MetaVar, Term, parse_term
+from .term import App, Compound, Const, MetaVar, Term, parse_term
 
 __all__ = [
     "Clause", "DcgRule", "parse_logic_program", "parse_dcg",
@@ -137,7 +137,8 @@ def encode_dcg(vocab: Iterable[str], rules: Iterable[DcgRule]) -> Lexicon:
 
 
 def _fc_ground(t: Term) -> bool:
-    if isinstance(t, MetaVar):
+    """No meta-variable and no application ``P[X]`` anywhere in ``t``."""
+    if isinstance(t, (MetaVar, App)):
         return False
     if isinstance(t, Compound):
         return all(_fc_ground(a) for a in t.args)

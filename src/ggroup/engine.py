@@ -34,12 +34,21 @@ Each query is one search.  Parsing starts it from every assignment of rules
 to homonymous tokens: ``max_results`` counts readings across them all, and a
 reading's derivation may start from any assignment that reaches it.
 
-Generation explores every placement and rotation of every block (a bundle,
-one ``DissolveStep``), since inert final placements give distinct strings.
-Parsing postpones placement (a partial-order reduction): a bundle is a state
-only when it is productive, and an unproductive one is extended into a run
-of bundles, emitted once productive.  No reading is lost, and intermediate
-states can be larger by up to one item per block (see ``_block_successors``).
+Both directions reduce the orders they explore (partial-order reduction).
+Generation expands one atom per state, the first that has an expansion, and
+places blocks only from a state where nothing expands, every slot and
+rotation of every block then (a bundle, one ``DissolveStep``), since inert
+final placements give distinct strings.  Expansions are local rewrites that
+commute with each other and with bundles, so every derivation of a string
+can be reordered into one of these (see ``_expand_successors`` for the
+argument and the one assumption it makes).  The lexicon decides whether
+expansions are local (``_Tables.local_expansions``); a lexicon where they
+are not gets every expansion of every atom and every bundle at every state.
+Parsing postpones placement: a bundle is a state only when it is
+productive, and an unproductive one is extended into a run of bundles,
+emitted once productive.  No reading is lost.  In both, intermediate states
+can be larger than in the full search when measured against ``max_items``
+(see ``_expand_successors`` and ``_block_successors``).
 
 The same commutation prunes cancels: a state reached by a bundle skips its
 top-level cancels of pairs that were adjacent before the bundle (see
@@ -479,8 +488,52 @@ def _derive_rules(rules_of, lex: lx.Lexicon) -> tuple[tuple, list]:
         return (), e.problems
 
 
+def _binds_identifier(head: Term, name: str) -> bool:
+    """Whether every unifier of ``head`` with a ground term binds the
+    meta-variable ``name`` to an identifier: the head applies an abstraction
+    variable that occurs nowhere else in it to ``name``.  That variable is
+    still unbound when ``unify`` meets the application, and ``match_app``
+    takes as its argument only an identifier or a meta-variable that it binds
+    to one."""
+    apps = [s for s in subterms(head) if isinstance(s, App)]
+    return any(s.arg == MetaVar(name)
+               and sum(a.abstraction == s.abstraction for a in apps) == 1
+               for s in apps)
+
+
+def _local_rule(rule: lx.GenRule) -> bool:
+    """Whether a generation rule keeps expansions local (see ``_Tables``):
+    every variable of its right side occurs in its head, so each instance is
+    ground; the right side holds no negative token; and each negative logical
+    item is an identifier, or a meta-variable that the head binds to one
+    (``_binds_identifier``)."""
+    bound = rule.lhs.metas | rule.lhs.absvars
+    for it in rule.rhs:
+        if isinstance(it, lx.PhonItem):
+            if it.sign < 0:
+                return False
+        elif isinstance(it, lx.LogItem):
+            t = it.term
+            if not (t.metas | t.absvars) <= bound:
+                return False
+            if it.sign < 0 and not isinstance(t, Identifier) and not (
+                    isinstance(t, MetaVar) and _binds_identifier(rule.lhs, t.name)):
+                return False
+    return True
+
+
 class _Tables:
-    """A lexicon's derived rule tables, built once by ``_tables``."""
+    """A lexicon's derived rule tables, built once by ``_tables``.
+
+    ``local_expansions`` says whether generation may expand one atom per
+    state and place blocks only where nothing expands (see
+    ``_expand_successors``).  It holds when no generation head has the key
+    ``*`` (a variable, an application or an identifier), and every rule meets
+    ``_local_rule``.  Then every generation state is ground, every negative
+    atom in it is an identifier, which no rule expands, and every token in it
+    is positive.  So an expandable atom (positive, ground, not a token, with
+    a rule) leaves a state only by being expanded: nothing cancels it, eagerly
+    or by an explicit cancel."""
 
     def __init__(self, lex: lx.Lexicon):
         gen_rules, self.gen_problems = _derive_rules(lx.gen_rules, lex)
@@ -492,6 +545,8 @@ class _Tables:
         self.gen_index: dict[str, list[lx.GenRule]] = {}
         for r in gen_rules:
             self.gen_index.setdefault(_head_key(r.lhs), []).append(r)
+        self.local_expansions = "*" not in self.gen_index and all(
+            map(_local_rule, gen_rules))
         # parsing rules by their surface token, and the scheme variables
         # and abstraction arguments of each
         self.parse_index: dict[str, list[lx.ParseRule]] = {}
@@ -851,7 +906,46 @@ class _Node:
 
 
 def _expand_successors(lex, expr, allow_vacuous):
-    gen_index = _tables(lex).gen_index
+    """Every expansion of a positive ground logical atom by a generation
+    rule, or, in a lexicon whose expansions are local
+    (``_Tables.local_expansions``), only those of the first atom, in
+    ``_levels`` order, that has any.  There ``_search`` places blocks only
+    from a state without expansions.
+
+    Neither reduction loses a generated string.  In such a lexicon an
+    expandable atom leaves a state only by its own expansion, tokens are
+    positive and never cancel, and only identifiers cancel (see ``_Tables``).
+
+    * A goal holds tokens only, so every derivation of a goal expands each
+      expandable atom of each state on its way exactly once.
+    * Expansions of distinct atoms commute: each atom survives the other's
+      normalization, and normalization reaches one normal form in any order.
+    * An expansion commutes with a dissolve, whose slot and rotation are
+      remapped over the expansion's items, with one exception: the expansion
+      brings an identifier next to its inverse, which the dissolve, made
+      first, had put its items between (or, rotating a block, had put the
+      rest of the block between).  Expanded first, the two cancel and that
+      gap is gone.  When each identifier occurs at most once with each sign,
+      as in a form that binds each identifier once and uses it once, the two
+      must cancel each other in the goal too.  So the items between them
+      there cancel among themselves and hold no token, and dissolving their
+      blocks where the pair cancelled gives the same string.
+    * In a commutative lexicon, whose states hold no blocks, an expansion
+      commutes with a cancel of two other atoms, which are ground: the two
+      orders give the same items, in orders that the state key forgets, and
+      the same tokens in the same order.
+    * So every derivation of a goal can be reordered into one that expands
+      the first expandable atom of each state while any is left, and only
+      then dissolves.
+
+    A form that binds one identifier twice falls outside the third point;
+    the differential tests compare such forms with the full search.
+    Postponed dissolves keep blocks longer, and expanding first can make an
+    intermediate state larger, when measured against ``max_items``, than
+    any state of the full search's derivation of the same string.
+    """
+    tables = _tables(lex)
+    gen_index, first = tables.gen_index, tables.local_expansions
     out = []
     for level, items in _levels(expr):
         for idx, item in enumerate(items):
@@ -862,6 +956,8 @@ def _expand_successors(lex, expr, allow_vacuous):
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
                     out.append(((step,), _apply(lex, expr, step), 1))
+            if first and out:
+                return out
     return out
 
 
@@ -1099,11 +1195,14 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
                       unifiers, out)
 
 
-def _swap_cancel_successors(lex, expr, allow_vacuous):
+def _swap_cancel_successors(lex, expr, allow_vacuous, unifiers,
+                            substitutions):
     """All-pairs cancellation for commutative mode: each top-level pair of
     logical atoms of opposite sign cancels where it stands, under each
     unifier, by a cancel that names its partner unless the two are
     adjacent.  A ground pair of inverses cancels under the empty unifier.
+    ``unifiers`` and ``substitutions`` are the search's memos, as in
+    ``_cancel_successors``.
 
     The name dates from when such a cancel was a chain of swaps; the
     benchmark's tracer still wraps the generator by that name.
@@ -1118,10 +1217,10 @@ def _swap_cancel_successors(lex, expr, allow_vacuous):
             b = expr[j]
             if not isinstance(b, Atom) or b._phon or a.sign != -b.sign:
                 continue
-            for delta in unify(a.payload, b.payload, EMPTY_BINDING,
-                               allow_vacuous):
+            for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
                 step = CancelStep((), i, delta, None if j == i + 1 else j)
-                out.append(((step,), _apply(lex, expr, step), 0))
+                out.append(((step,), _apply(lex, expr, step, substitutions),
+                            0))
     return out
 
 
@@ -1250,9 +1349,13 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     share: one ``replay`` per distinct node on their paths, with a memo of
     instances of the proof's own.
     """
-    commutative = _tables(lex).commutative
+    tables = _tables(lex)
+    commutative = tables.commutative
     allow_vacuous = lim.allow_vacuous_abstraction
     skipping = mode == "parse" and not commutative
+    # generation with local expansions places blocks only where nothing
+    # expands (see _expand_successors); commutative states hold no blocks
+    place_late = mode == "gen" and tables.local_expansions
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), {}
@@ -1298,12 +1401,13 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 if mode == "gen":
                     succ += _expand_successors(lex, node.expr, allow_vacuous)
                 if commutative:
-                    succ += _swap_cancel_successors(lex, node.expr, allow_vacuous)
+                    succ += _swap_cancel_successors(lex, node.expr, allow_vacuous,
+                                                    unifiers, substitutions)
                 elif mode != "gen":
                     succ += _cancel_successors(lex, node.expr, allow_vacuous,
                                                unifiers, substitutions, skip)
             bundles = len(succ)  # where the block bundles start
-            if mode != "saturate":
+            if mode != "saturate" and not (place_late and succ):
                 succ += _block_successors(lex, node.expr, mode == "parse",
                                           allow_vacuous, unifiers)
         adjacent = None

@@ -1,3 +1,7 @@
+import importlib.util
+import itertools
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,27 @@ GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 @pytest.fixture(scope="session")
 def english():
     return parse_grammar((GRAMMAR_DIR / "english.gg").read_text())
+
+
+@pytest.fixture(scope="session")
+def shape_fills():
+    """Every fill of the roundtrip benchmark's form shapes: each well-typed
+    english.gg sentence shape of at most 8 symbols with at most one binder
+    (``form_shapes`` in ``bench/workloads.py``), with every choice of
+    words for its placeholders."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", GRAMMAR_DIR.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    words = dict(workloads.LEAVES.values())
+    slot = re.compile(r"\b(" + "|".join(words) + r")\b")
+    forms = []
+    for shape in workloads.form_shapes():
+        for choice in itertools.product(*(words[p] for p in slot.findall(shape))):
+            fill = iter(choice)
+            forms.append(slot.sub(lambda _: next(fill), shape))
+    return forms
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,15 @@ def test_forward_chain_computes_ancestry_closure():
     }
 
 
+def test_forward_chain_derives_no_fact_with_an_application():
+    # p(A[B]) holds an App, so it is no ground fact, and q(X) has nothing
+    # to chain from
+    clauses = parse_logic_program("p(A[B]) .\nq(X) :- p(X) .\n")
+    facts, fixpoint = forward_chain(clauses)
+    assert fixpoint
+    assert facts == frozenset()
+
+
 def test_forward_chain_reports_missed_fixpoint():
     clauses = parse_logic_program("p(a) .\np(s(X)) :- p(X) .\n")
     facts, fixpoint = forward_chain(clauses, max_rounds=5)

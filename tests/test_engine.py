@@ -890,7 +890,8 @@ def test_commutative_derivations_name_cancel_partners(english):
 
 def test_commutative_cancels_pair_atoms_where_they_stand():
     start = parse_expr("A^-1 x^-1 y x", ())
-    out = engine._swap_cancel_successors(COMMUTATIVE_RAW, start, False)
+    out = engine._swap_cancel_successors(COMMUTATIVE_RAW, start, False,
+                                         {}, {})
     assert [(render_step(step), render_expr(new)) for (step,), new, _ in out] == [
         ("cancel level=- index=0 with=2 bind=A=y", "1"),
         ("cancel level=- index=0 with=3 bind=A=x", "x^-1 y"),

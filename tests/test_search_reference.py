@@ -18,6 +18,13 @@ The search applies the steps it builds itself without checking them
 every such step: none may fail, and the results must not change.  Commutative
 parses and generations are pinned to the results and state counts they had
 when a commutative cancel was a chain of swaps, and checked the same way.
+
+Generation expands one atom per state and places blocks only where nothing
+expands, when the lexicon allows it.  The last sections check it against the
+full search, which a lexicon that does not allow it runs: the same strings,
+the same truncation, and derivations that replay.  A round-trip oracle then
+checks that a string is generated from a form exactly when the form is one
+of the string's readings.
 """
 
 import copy
@@ -32,7 +39,8 @@ import pytest
 
 from ggroup import engine
 from ggroup.encodings import (
-    commutator_scheme, encode_logic_program, parse_logic_program,
+    commutator_scheme, encode_dcg, encode_logic_program, parse_dcg,
+    parse_logic_program,
 )
 from ggroup.engine import (
     Atom, Block, CancelStep, DissolveStep, SearchLimits, StepError, generate,
@@ -473,6 +481,9 @@ def test_random_starts_apply_only_legal_steps(checked):
 # sha256 prefixes of each query's results (readings, or generated
 # representatives) and truncation, and the number of states it keys, taken
 # when a commutative cancel was still a chain of swaps and a cancel.  The
+# generations' key counts were taken again when generation came to expand
+# one atom per state, with every digest unchanged; the full search keys 6,
+# 9, 17, 3, 3, 11, 5, 32, 17, 9, 6, 45, 17 and 19 states for them.  The
 # parses are eleven fixed sentences, the first 6 of QUANTIFIED, 4 of
 # RELATIVES and 4 of PPS, then a ``random.Random(5)`` shuffle of each,
 # deduplicated; the generations are ``_seeded_forms()`` and four more.
@@ -523,20 +534,20 @@ COMMUTATIVE_PINS = {
     "parse woman some john in saw louise": ("3f9c87cd5805eac8", 18819),
     "parse john saw paris in some woman": ("2a1db29395c17c82", 18819),
     "parse john in saw some louise woman": ("2114fd4594d2d910", 18819),
-    "generate ev(m,#x,r(#x))": ("fd8c76b97098e086", 6),
-    "generate ev(w,#x,s(#x,p))": ("700a495a01800c34", 9),
-    "generate i(ev(m,#x,r(#x)),j)": ("eb72dc39acaf1111", 17),
+    "generate ev(m,#x,r(#x))": ("fd8c76b97098e086", 4),
+    "generate ev(w,#x,s(#x,p))": ("700a495a01800c34", 5),
+    "generate i(ev(m,#x,r(#x)),j)": ("eb72dc39acaf1111", 6),
     "generate r(j)": ("b884ee5b63ddefc4", 3),
     "generate r(p)": ("4088285772a462e4", 3),
-    "generate r(t(tt(w,#x,s(#x,p))))": ("cdc7b48a325bed1b", 11),
-    "generate s(j,j)": ("38356bdfcc391852", 5),
-    "generate s(t(w),t(i(m,j)))": ("f53cfb163dd153d3", 32),
-    "generate sm(m,#x,s(j,#x))": ("970e5c7e339ddedd", 17),
-    "generate sm(w,#x,s(#x,j))": ("8e31620ac5726349", 9),
-    "generate s(j,l)": ("ca16e6aaa2b55e59", 6),
-    "generate ev(m,#x,sm(w,#y,s(#x,#y)))": ("d6155134c72219c7", 45),
-    "generate i(s(j,l),p)": ("d03e0349132bb288", 17),
-    "generate r(t(tt(m,#x,s(l,#x))))": ("9af0776ef02fe3b1", 19),
+    "generate r(t(tt(w,#x,s(#x,p))))": ("cdc7b48a325bed1b", 7),
+    "generate s(j,j)": ("38356bdfcc391852", 4),
+    "generate s(t(w),t(i(m,j)))": ("f53cfb163dd153d3", 8),
+    "generate sm(m,#x,s(j,#x))": ("970e5c7e339ddedd", 8),
+    "generate sm(w,#x,s(#x,j))": ("8e31620ac5726349", 5),
+    "generate s(j,l)": ("ca16e6aaa2b55e59", 4),
+    "generate ev(m,#x,sm(w,#y,s(#x,#y)))": ("d6155134c72219c7", 10),
+    "generate i(s(j,l),p)": ("d03e0349132bb288", 6),
+    "generate r(t(tt(m,#x,s(l,#x))))": ("9af0776ef02fe3b1", 10),
 }
 
 
@@ -757,3 +768,151 @@ def test_the_substitution_memo_lives_for_one_search(english, monkeypatch):
     # one filled memo per search, and nothing else holds it afterwards
     assert len(memos) == 2 and all(memos)
     assert all(gc.get_referrers(m) == [memos] for m in memos)
+
+
+# ---------------------------------------------------------------------------
+# generation: one expansion order, blocks placed only where nothing expands,
+# against the full search of a lexicon whose expansions are not local
+
+# the form that keys the most states in the full search (572,612)
+TWO_BINDERS = "ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))"
+# forms that bind one identifier twice, which the argument in
+# ``_expand_successors`` leaves out
+REBOUND = ["ev(tt(m,#x,r(#x)),#x,r(#x))", "ev(m,#x,ev(w,#x,s(#x,#x)))",
+           "s(t(tt(m,#x,r(#x))),t(tt(w,#x,r(#x))))"]
+
+
+@pytest.fixture
+def full_generation(monkeypatch):
+    """Call ``generate`` with the full search: every expansion of every atom
+    and every bundle at every state, as in a lexicon whose expansions are
+    not local."""
+
+    def run(lex, lf, lim=LIM):
+        with monkeypatch.context() as m:
+            m.setattr(engine._tables(lex), "local_expansions", False)
+            return generate(lex, lf, lim)
+
+    return run
+
+
+def _strings(res):
+    return {" ".join(words) for words, _ in res.results}
+
+
+def _generates_like_the_full_search(full_generation, lex, text, lim=LIM):
+    lf = parse_term(text)
+    reduced = generate(lex, lf, lim)
+    full = full_generation(lex, lf, lim)
+    assert (_strings(reduced), reduced.truncated) == \
+        (_strings(full), full.truncated), text
+    for _, d in reduced.results:
+        replay(lex, d)
+    return reduced, full
+
+
+@functools.lru_cache(maxsize=None)
+def _often():
+    return encode_dcg(*parse_dcg((GRAMMAR_DIR / "often.dcg").read_text()))
+
+
+def test_the_shipped_grammars_have_local_expansions(english):
+    for lex in (english, _commutative_lexicon(), _often()):
+        assert engine._tables(lex).local_expansions
+
+
+@pytest.mark.parametrize("text", _seeded_forms() + [TWO_BINDERS] + REBOUND)
+def test_generation_matches_the_full_search(english, full_generation, text):
+    reduced, _ = _generates_like_the_full_search(full_generation, english,
+                                                 text)
+    assert reduced.results
+
+
+def test_every_shape_fill_generates_like_the_full_search(
+        english, full_generation, shape_fills):
+    for text in shape_fills:
+        _generates_like_the_full_search(full_generation, english, text)
+
+
+@pytest.mark.parametrize("query", [q for q in COMMUTATIVE_PINS
+                                   if q.startswith("generate ")])
+def test_commutative_generation_matches_the_full_search(full_generation,
+                                                       query):
+    # the representatives too: the full search's results have the digest
+    # pinned for the reduced one
+    text = query.partition(" ")[2]
+    _, full = _generates_like_the_full_search(
+        full_generation, _commutative_lexicon(), text)
+    assert _results_digest(full) == COMMUTATIVE_PINS[query][0]
+
+
+@pytest.mark.parametrize("limit", range(6, 13))
+def test_looping_generation_matches_the_full_search(full_generation, limit):
+    reduced, _ = _generates_like_the_full_search(
+        full_generation, _often(), "sent", SearchLimits(max_expansions=limit))
+    assert reduced.truncated and reduced.results
+
+
+# y(A) brings in A^-1, which is no identifier: the reduction would expand x
+# first, into a, and x^-1 could then never cancel
+NOT_LOCAL = """
+phon a tok .
+relator A^-1 s(A) y(A)^-1 .
+relator A y(A) tok^-1 .
+relator x a^-1 .
+"""
+
+
+def test_a_lexicon_whose_expansions_are_not_local_runs_the_full_search(
+        monkeypatch):
+    lex = parse_grammar(NOT_LOCAL, raw_mode=True)
+    tables = engine._tables(lex)
+    assert not tables.local_expansions
+    res = generate(lex, parse_term("s(x)"), LIM)
+    assert _strings(res) == {"tok"}
+    monkeypatch.setattr(tables, "local_expansions", True)
+    assert _strings(generate(lex, parse_term("s(x)"), LIM)) == set()
+
+
+@pytest.mark.parametrize("text", [
+    # a negative token on a right side
+    "phon a .\nrelator f a .\n",
+    # a negative logical item that is no identifier
+    "phon a .\nrelator A g(A) a^-1 .\n",
+    # a head with the key *, an application
+    "phon a .\nrelator P[X] a^-1 .\n",
+    # an abstraction variable the head does not bind
+    "phon a .\nrelator f(X) Q[X]^-1 a^-1 .\n",
+    # X^-1 on a right side, but P applied twice in the head: P[Y] fixes P,
+    # and P[X] may then bind X to a constant
+    "phon a .\nrelator X f(P[Y],P[X]) a^-1 .\n",
+])
+def test_expansions_that_may_not_be_local(text):
+    assert not engine._tables(parse_grammar(text, raw_mode=True)).local_expansions
+
+
+# ---------------------------------------------------------------------------
+# round-trip oracle: a string is generated from a form exactly when the form
+# is a reading of the string
+
+
+def test_generation_and_parsing_agree_on_every_shape_fill(english,
+                                                          shape_fills):
+    forms = shape_fills + ["ev(m,#x1,sm(w,#x2,s(#x1,#x2)))",
+                           "sm(w,#x2,ev(m,#x1,s(#x1,#x2)))",
+                           "r(t(tt(m,#x1,sm(w,#x2,s(#x2,#x1)))))"]
+    generated = {}
+    for text in forms:
+        res = generate(english, parse_term(text), LIM)
+        assert res.results and not res.truncated, text
+        generated[text] = _strings(res)
+    readings = {}
+    for string in set().union(*generated.values()):
+        res = parse(english, string.split(), LIM)
+        assert not res.truncated, string
+        readings[string] = _readings(res)
+    for text in forms:
+        canonical = render_term(canonical_identifiers(parse_term(text)))
+        for string, found in readings.items():
+            assert (string in generated[text]) == (canonical in found), \
+                (text, string)
