@@ -59,7 +59,11 @@ subgoal, judged on rigid skeletons (``may_unify``).  Renaming and
 substitution never change a rigid position, and variables and App nodes are
 wildcards, so no resolvent is lost and the rest keep their order (see
 ``_saturate_successors``).  A first-argument index (``_Tables.candidates``)
-narrows the clauses that ``may_unify`` is asked about.
+narrows the clauses that ``may_unify`` is asked about.  Each subgoal is
+resolved in one step: the instance's head is unified with the subgoal before
+anything is built, and each unifier gives its resolvent, substituted and
+normalized once.  The derivation still records the instance's expansion and
+the cancel of the head against the subgoal, and ``replay`` checks both.
 
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object; ``normalize`` returns its argument itself when
@@ -87,8 +91,9 @@ id(atom))``, so the same atom object under the same unifier object gives one
 shared result atom in every state that needs it, while distinct atoms, even
 equal ones, never merge: no atom object occurs twice in one state.  Each
 identity-keyed entry holds the objects whose ids it uses, so no id is reused
-while the memo lives.  The third holds one dict per search depth, keyed by
-the renaming (``_apply``), so every state at one depth shares each clause's
+while the memo lives.  The third holds one dict per search depth, which
+keeps each clause's renaming, instance and expansion steps
+(``_clause_step``), so every state at one depth shares each clause's
 instance, and its atoms compute their class and key fragment once.
 
 The proof keeps its own memo of instances, one for all the answers of a
@@ -555,17 +560,15 @@ class _Tables:
             self.parse_index.setdefault(r.word, []).append(r)
             self.parse_vars[r.rule_id] = _scheme_variables(r.rhs)
         # saturation: (rule id, head term or None, scheme variables, names
-        # used as abstraction arguments, items in a commutative instance) for
-        # each clause relator; a relator that does not begin with a logical
-        # atom has no head
+        # used as abstraction arguments) for each clause relator; a relator
+        # that does not begin with a logical atom has no head
         self.clauses = []
         for n, r in enumerate(lex.relators, start=1):
             if not lx.is_commutator_scheme(r):
                 first = r.items[0] if r.items else None
                 head = first.term if isinstance(first, lx.LogItem) else None
                 names, app_args = _scheme_variables(r.items)
-                size = sum(not isinstance(i, lx.ExprMeta) for i in r.items)
-                self.clauses.append((f"r{n}", head, names, app_args, size))
+                self.clauses.append((f"r{n}", head, names, app_args))
         self._head_keys = [None if head is None else _rigid_key(head)
                            for _, head, *_ in self.clauses]
         self._candidates: dict = {}
@@ -1244,57 +1247,90 @@ def _saturate_successors(lex, node, allow_vacuous, instances):
     differing constant first argument.  Both keep the clauses in order, so
     successors come in the same order as without them.
 
-    An instance resolves the subgoal only when its head cancelled the
-    subgoal eagerly, or stayed next to it and unifies with it.  A ground head
-    that equals the clause's own last body atom cancels inside the instance
-    and resolves nothing; as the first instance, it picks no root.
+    Each subgoal is resolved in one step.  The instance's head is unified
+    with the subgoal first, and each unifier ``delta`` gives the resolvent
+    ``normalize(substitute_expr(expr[:sel] + instance[1:], delta))``, built
+    once; the derivation records the steps that ``replay`` checks, the
+    instance's ``ExpandStep`` and then the ``CancelStep`` of the subgoal and
+    the head.  A ground head equal to a ground subgoal cancels it eagerly
+    when the instance is multiplied in, so its resolvent takes no
+    substitution and no cancel step.  A ground head that equals the clause's
+    own last body atom cancels inside the instance and resolves nothing; as
+    the first instance, it picks no root.
 
     Each clause is renamed apart by the depth of the state it extends (``X``
     becomes ``X_3``), so every state at one depth uses the same instance.
-    ``instances`` is the search's memo of them, one dict per depth (see
-    ``_search``), and those states share one tuple of items.  Keyed by
-    depth, an instance never shares an atom object with the state it
+    ``instances`` is the search's memo, one dict per depth (see ``_search``
+    and ``_clause_step``), and those states share one tuple of items.  Keyed
+    by depth, an instance never shares an atom object with the state it
     extends, even for a ground clause, whose renaming is empty: no state
-    holds one atom object twice, and the test of an eager cancel below
-    reads identity.
+    holds one atom object twice.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
         return []  # goal state or dead end: no pending subgoal
     out = []
-    suffix = str(node.expansions + 1)
-    memo = instances.setdefault(suffix, {})
-    sel = len(expr) - 1
-    subgoal = expr[sel] if expr else None
+    depth = node.expansions + 1
+    memo = instances.get(depth)
+    if memo is None:
+        memo = instances[depth] = {}
     tables = _tables(lex)
-    clauses = (tables.clauses if subgoal is None
-               else tables.candidates(subgoal.payload))
-    for rule_id, head, names, app_args, size in clauses:
-        if subgoal is not None and head is not None \
-                and not may_unify(head, subgoal.payload):
+    n = len(expr)
+    sel = n - 1
+    goal = expr[sel].payload if expr else None
+    for clause in tables.clauses if goal is None else tables.candidates(goal):
+        if goal is not None and clause[1] is not None \
+                and not may_unify(clause[1], goal):
             continue
-        meta_map = tuple((nm, nm + "_" + suffix)
-                         for nm in names if nm not in app_args)
-        ident_map = tuple((nm, f"i{suffix}_{k}")
-                          for k, nm in enumerate(app_args, 1))
-        step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
-                          ident_map=ident_map)
-        new = _apply(lex, expr, step, instances=memo)
-        if subgoal is None:
-            # the first instance picks the root, unless it cancelled inside
-            if len(new) == size:
-                out.append(((step,), new, 1))
-        elif sel >= len(new) or new[sel] is not subgoal:
-            # the head was the exact inverse of the subgoal and cancelled it
-            # eagerly (normalization keeps the items it leaves as the same
-            # objects)
-            out.append(((step,), new, 1))
-        elif len(new) == len(expr) + size:  # nothing cancelled
-            for delta in unify(subgoal.payload, new[sel + 1].payload,
-                               EMPTY_BINDING, allow_vacuous):
-                cancel = CancelStep((), sel, delta)
-                out.append(((step, cancel), _apply(lex, new, cancel), 1))
+        step, instance = _clause_step(tables, memo, clause, depth, n)
+        head = instance[0]
+        if goal is not None and head._ground and head.payload == goal:
+            deltas = (None,)  # an eager cancel
+        elif len(instance) > 1 and _inverse_pair(head, instance[1]):
+            continue  # the instance cancels inside
+        elif goal is None:
+            deltas = (None,)  # the root: the instance itself
+        else:
+            deltas = unify(goal, head.payload, EMPTY_BINDING, allow_vacuous)
+        rest = instance if goal is None else expr[:sel] + instance[1:]
+        for delta in deltas:
+            if delta is None:
+                out.append(((step,), normalize(rest), 1))
+            else:
+                out.append(((step, CancelStep((), sel, delta)),
+                            normalize(substitute_expr(rest, delta)), 1))
     return out
+
+
+def _clause_step(tables: _Tables, memo: dict, clause, depth: int,
+                 index: int) -> tuple[ExpandStep, Expr]:
+    """The ``ExpandStep`` that multiplies ``clause``, renamed apart by
+    ``depth``, in at ``index``, and the clause's instance.
+
+    ``memo`` is the saturation memo of one depth: it holds each clause's
+    renaming and instance, built once, by its rule id, and each step by
+    rule id and index."""
+    rule_id, _, names, app_args = clause
+    found = memo.get((rule_id, index))
+    if found is None:
+        made = memo.get(rule_id)
+        if made is None:
+            suffix = str(depth)
+            meta_map = tuple((nm, nm + "_" + suffix)
+                             for nm in names if nm not in app_args)
+            ident_map = tuple((nm, f"i{suffix}_{k}")
+                              for k, nm in enumerate(app_args, 1))
+            step = ExpandStep((), index, rule_id, meta_map=meta_map,
+                              ident_map=ident_map)
+            made = memo[rule_id] = (step, _instantiate_items(
+                tables.by_id[rule_id].items, _renaming(step),
+                tables.commutative))
+        step = made[0]
+        if step.index != index:
+            step = ExpandStep((), index, rule_id, meta_map=step.meta_map,
+                              ident_map=step.ident_map)
+        found = memo[(rule_id, index)] = (step, made[1])
+    return found
 
 
 def _search(lex: lx.Lexicon, mode: str, start: Expr,

@@ -202,7 +202,7 @@ def substitute(t: Term, b: Binding) -> Term:
     if t.metas.isdisjoint(b.terms) and t.absvars.isdisjoint(b.abstractions):
         return t
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(substitute(a, b) for a in t.args))
+        return Compound(t.functor, tuple([substitute(a, b) for a in t.args]))
     arg = substitute(t.arg, b)
     abstraction = b.abstractions.get(t.abstraction.name)
     if abstraction is not None:
@@ -283,7 +283,22 @@ def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
 
     Deterministic order; the list is empty when unification fails.  Branching
     only arises through App patterns with an unresolved argument.
+
+    A pair with no App on either side, under the empty binding, has at most
+    one unifier, and ``_unify_first_order`` finds it in one pass.  Every other
+    pair takes ``_unify_general``, which substitutes the binding so far into
+    both terms at every level and keeps it idempotent after every variable it
+    binds.  Both give the same list for a first-order pair.
     """
+    if t1.absvars or t2.absvars or b.terms or b.abstractions:
+        return _unify_general(t1, t2, b, allow_vacuous)
+    return _unify_first_order(t1, t2)
+
+
+def _unify_general(t1: Term, t2: Term, b: Binding,
+                   allow_vacuous: bool) -> list[Binding]:
+    """``unify`` for any pair: App patterns reach ``match_app`` with the
+    binding so far applied to both sides."""
     t1 = substitute(t1, b)
     t2 = substitute(t2, b)
     if t1 == t2:
@@ -298,7 +313,7 @@ def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
         return [_compose(b, {t2.name: t1}, {})]
     if isinstance(t1, App) and isinstance(t2, App):
         if t1.abstraction == t2.abstraction:
-            return unify(t1.arg, t2.arg, b, allow_vacuous)
+            return _unify_general(t1.arg, t2.arg, b, allow_vacuous)
         return []
     if isinstance(t1, App):
         return match_app(t1, t2, b, allow_vacuous)
@@ -309,11 +324,101 @@ def unify(t1: Term, t2: Term, b: Binding = EMPTY_BINDING,
             return []
         results = [b]
         for a1, a2 in zip(t1.args, t2.args):
-            results = [b3 for b2 in results for b3 in unify(a1, a2, b2, allow_vacuous)]
+            results = [b3 for b2 in results
+                       for b3 in _unify_general(a1, a2, b2, allow_vacuous)]
             if not results:
                 return []
         return results
     return []
+
+
+def _unify_first_order(t1: Term, t2: Term) -> list[Binding]:
+    """``unify`` of two App-free terms under the empty binding.
+
+    One pass over the argument pairs (``_bind``), depth first and left to
+    right as ``_unify_general`` visits them, binds variables in a triangular
+    working binding: a bound value may hold variables bound after it, and a
+    variable met later is looked up through its chain of bindings.  The same
+    variables are bound, on the same side and in the same order, so resolving
+    the working binding once at the end (``_resolve``) gives the general
+    algorithm's idempotent ``Binding``.
+    """
+    bound: dict[str, Term] = {}
+    if not _bind(t1, t2, bound):
+        return []
+    if not bound:
+        return [EMPTY_BINDING]
+    resolved: dict[str, Term] = {}
+    return [Binding({name: _resolve(value, bound, resolved)
+                     for name, value in bound.items()}, {})]
+
+
+def _bind(x: Term, y: Term, bound: dict) -> bool:
+    """Extend the triangular binding ``bound`` so that ``x`` and ``y``
+    become equal; False when no extension can."""
+    while type(x) is MetaVar and x.name in bound:
+        x = bound[x.name]
+    while type(y) is MetaVar and y.name in bound:
+        y = bound[y.name]
+    if x is y:
+        return True
+    if type(x) is MetaVar:
+        if x == y:
+            return True
+        if _occurs(x.name, y, bound):
+            return False
+        bound[x.name] = y
+        return True
+    if type(y) is MetaVar:
+        if _occurs(y.name, x, bound):
+            return False
+        bound[y.name] = x
+        return True
+    if type(x) is Compound and type(y) is Compound \
+            and not (x.ground and y.ground):
+        if x.functor != y.functor or len(x.args) != len(y.args):
+            return False
+        for a, b in zip(x.args, y.args):
+            if not _bind(a, b, bound):
+                return False
+        return True
+    return x == y
+
+
+def _occurs(name: str, t: Term, bound: dict) -> bool:
+    """Whether the unbound variable ``name`` occurs in ``t`` once the
+    triangular binding ``bound`` is applied to it (the occurs check)."""
+    if type(t) is not Compound:
+        return False  # a constant, an identifier or another unbound variable
+    metas = t.metas
+    return name in metas or any(
+        _occurs_in_value(name, bound[m], bound) for m in metas if m in bound)
+
+
+def _occurs_in_value(name: str, t: Term, bound: dict) -> bool:
+    if type(t) is MetaVar:
+        return t.name == name or (
+            t.name in bound and _occurs_in_value(name, bound[t.name], bound))
+    return _occurs(name, t, bound)
+
+
+def _resolve(t: Term, bound: dict, resolved: dict) -> Term:
+    """``t`` with the triangular binding ``bound`` applied until no bound
+    variable is left; ``resolved`` memoizes each variable's value."""
+    if t.ground:
+        return t
+    if type(t) is MetaVar:
+        value = resolved.get(t.name)
+        if value is None:
+            value = bound.get(t.name)
+            if value is None:
+                return t
+            value = resolved[t.name] = _resolve(value, bound, resolved)
+        return value
+    if t.metas.isdisjoint(bound):
+        return t
+    return Compound(t.functor,
+                    tuple([_resolve(a, bound, resolved) for a in t.args]))
 
 
 def may_unify(t1: Term, t2: Term) -> bool:

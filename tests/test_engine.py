@@ -376,31 +376,30 @@ def _family():
 
 def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
         monkeypatch):
-    real_apply, real_replay = engine._apply, engine.replay
-    proving = False
+    real_step, real_apply = engine._clause_step, engine._apply
+    proving = _proving(monkeypatch)
     search, proof = [], []
 
-    def counting(lex, expr, step, *args, **kwargs):
-        if isinstance(step, ExpandStep):
-            (proof if proving else search).append(step)
+    def stepping(*args, **kwargs):
+        found = real_step(*args, **kwargs)
+        search.append(found[0])
+        return found
+
+    def applying(lex, expr, step, *args, **kwargs):
+        if isinstance(step, ExpandStep) and proving.on:
+            proof.append(step)
         return real_apply(lex, expr, step, *args, **kwargs)
 
-    def replaying(*args, **kwargs):
-        nonlocal proving
-        proving = True
-        try:
-            return real_replay(*args, **kwargs)
-        finally:
-            proving = False
-
     lex = _family()
-    monkeypatch.setattr(engine, "_apply", counting)
-    monkeypatch.setattr(engine, "replay", replaying)
+    monkeypatch.setattr(engine, "_clause_step", stepping)
+    monkeypatch.setattr(engine, "_apply", applying)
     res = saturate(lex, LIM)
     assert len(res.results) == 9 and not res.truncated
-    # the search's own instances; 105 when every clause was instantiated for
-    # every subgoal and only then unified, before the skeleton pre-check
-    # (term.may_unify) dropped the clauses whose head cannot meet it
+    # the clauses the search tries, each one step for one state (5 roots and
+    # 24 heads unified with a subgoal); 105 when every clause was
+    # instantiated for every subgoal and only then unified, before the
+    # skeleton pre-check (term.may_unify) dropped the clauses whose head
+    # cannot meet it
     assert len(search) == 29
     # the proof's: each node on the answers' paths once; 23 when each answer
     # was replayed from the empty expression
@@ -516,41 +515,36 @@ def test_the_proof_reads_none_of_the_search_memos(monkeypatch):
 
 def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
         monkeypatch):
-    """The search instantiates each clause once per depth it expands it at,
+    """The search instantiates each clause once per depth it tries it at,
     and the proof each distinct renaming once, for all the answers."""
     real_instantiate, real_apply = engine._instantiate_items, engine._apply
-    real_successors = engine._saturate_successors
+    real_step = engine._clause_step
     proving = _proving(monkeypatch)
-    depth = None
     built = {False: 0, True: 0}  # _instantiate_items calls: search, proof
-    expanded = set()  # (clause, depth) pairs the search expands
+    tried = set()  # (clause, depth) pairs the search tries
     renamings = set()  # the renamings the proof replays
 
     def instantiating(*args, **kwargs):
         built[proving.on] += 1
         return real_instantiate(*args, **kwargs)
 
+    def stepping(tables, memo, clause, depth, index):
+        tried.add((clause[0], depth))
+        return real_step(tables, memo, clause, depth, index)
+
     def applying(lex, expr, step, *args, **kwargs):
-        if isinstance(step, ExpandStep):
-            if proving.on:
-                renamings.add((step.rule_id, step.meta_map, step.ident_map))
-            else:
-                expanded.add((step.rule_id, depth))
+        if isinstance(step, ExpandStep) and proving.on:
+            renamings.add((step.rule_id, step.meta_map, step.ident_map))
         return real_apply(lex, expr, step, *args, **kwargs)
 
-    def successors(lex, node, *args, **kwargs):
-        nonlocal depth
-        depth = node.expansions + 1
-        return real_successors(lex, node, *args, **kwargs)
-
     monkeypatch.setattr(engine, "_instantiate_items", instantiating)
+    monkeypatch.setattr(engine, "_clause_step", stepping)
     monkeypatch.setattr(engine, "_apply", applying)
-    monkeypatch.setattr(engine, "_saturate_successors", successors)
     res = saturate(_family(), LIM)
     assert len(res.results) == 9 and not res.truncated
-    assert built[False] == len(expanded)
+    assert built[False] == len(tried)
     assert built[True] == len(renamings)
-    # 29 and 18 when every expansion built its instance (see
+    # 29 and 18 when every clause tried built its instance (see
     # test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal)
     assert (built[False], built[True]) == (17, 8)
 

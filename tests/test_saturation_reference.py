@@ -1,5 +1,6 @@
-"""Differential tests of saturation's head pre-check and of its memo of
-clause instances, each against a search without it.
+"""Differential tests of saturation's head pre-check, its memo of clause
+instances, its one-step resolution and the first-order unification kernel,
+each against a search without it.
 
 Before it instantiates a clause, ``_saturate_successors`` skips the clauses
 whose head cannot meet the selected subgoal: the first-argument index
@@ -13,6 +14,16 @@ The search shares each clause instance among the states of one depth (the
 ``_saturate_successors`` a fresh memo on every call, which never hits, since
 one call instantiates each clause at most once.
 
+The search resolves each subgoal in one step: it unifies the instance's head
+with the subgoal, then builds the resolvent once.  Its reference builds each
+successor in two steps through ``engine._apply``: it splices the instance
+onto the state and normalizes, and only then unifies the head with the
+subgoal and applies the cancel.
+
+``term.unify`` solves a first-order pair under the empty binding in one
+pass over a triangular binding.  Its reference forces every call onto the
+general algorithm, ``term._unify_general``.
+
 Each reference must give the search's results, rendered derivations,
 truncation and state-key counts, on the shared clause programs,
 ``family.lp``, seeded random definite programs and seeded ground programs.
@@ -24,13 +35,17 @@ from pathlib import Path
 import pytest
 
 from conftest import LOGIC_PROGRAMS
-from ggroup import engine
+from ggroup import engine, term
 from ggroup.encodings import (
     Clause, encode_logic_program, forward_chain, parse_logic_program,
 )
-from ggroup.engine import SearchLimits, render_derivation, render_expr, saturate
+from ggroup.engine import (
+    Atom, CancelStep, ExpandStep, SearchLimits, render_derivation, render_expr,
+    saturate,
+)
 from ggroup.term import (
-    Compound, Const, Identifier, MetaVar, parse_term, render_term,
+    EMPTY_BINDING, Compound, Const, Identifier, MetaVar, parse_term,
+    render_term,
 )
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
@@ -53,7 +68,61 @@ def memo_free(m):
               real(lex, node, allow_vacuous, {}))
 
 
-REFERENCES = [unfiltered, memo_free]
+def _two_step_successors(lex, node, allow_vacuous, instances):
+    """The successors built in two steps: splice the instance onto the state
+    and normalize (``engine._apply`` of the ``ExpandStep``), then unify the
+    head with the subgoal and apply the cancel, slicing, substituting and
+    normalizing again."""
+    expr = node.expr
+    if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
+        return []
+    out = []
+    suffix = str(node.expansions + 1)
+    memo = instances.setdefault(suffix, {})
+    sel = len(expr) - 1
+    subgoal = expr[sel] if expr else None
+    tables = engine._tables(lex)
+    clauses = (tables.clauses if subgoal is None
+               else tables.candidates(subgoal.payload))
+    for rule_id, head, names, app_args in clauses:
+        if subgoal is not None and head is not None \
+                and not engine.may_unify(head, subgoal.payload):
+            continue
+        size = len(tables.by_id[rule_id].items)  # logical items only
+        meta_map = tuple((nm, nm + "_" + suffix)
+                         for nm in names if nm not in app_args)
+        ident_map = tuple((nm, f"i{suffix}_{k}")
+                          for k, nm in enumerate(app_args, 1))
+        step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
+                          ident_map=ident_map)
+        new = engine._apply(lex, expr, step, instances=memo)
+        if subgoal is None:
+            # the first instance picks the root, unless it cancelled inside
+            if len(new) == size:
+                out.append(((step,), new, 1))
+        elif sel >= len(new) or new[sel] is not subgoal:
+            # the head cancelled the subgoal eagerly
+            out.append(((step,), new, 1))
+        elif len(new) == len(expr) + size:  # nothing cancelled
+            for delta in engine.unify(subgoal.payload, new[sel + 1].payload,
+                                      EMPTY_BINDING, allow_vacuous):
+                cancel = CancelStep((), sel, delta)
+                out.append(((step, cancel), engine._apply(lex, new, cancel),
+                            1))
+    return out
+
+
+def two_step(m):
+    """Each successor spliced and normalized, then unified and cancelled."""
+    m.setattr(engine, "_saturate_successors", _two_step_successors)
+
+
+def general_unify(m):
+    """Every unification by the general algorithm, none by the kernel."""
+    m.setattr(engine, "unify", term._unify_general)
+
+
+REFERENCES = [unfiltered, memo_free, two_step, general_unify]
 
 
 def _run(monkeypatch, lex, lim, reference=None):

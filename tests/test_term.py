@@ -4,6 +4,7 @@ import pytest
 
 import random
 
+from ggroup import term
 from ggroup.term import (
     MAX_TERM_DEPTH, Abstraction, AbsVar, App, Binding, Compound, Const,
     EMPTY_BINDING, HOLE, Identifier, IdentifierSource, MetaVar, app_free,
@@ -221,6 +222,94 @@ def test_unify_apps_with_same_abstraction_variable():
     (b,) = unify(t("P[A]"), t("P[#y]"))
     assert b.terms == {"A": Identifier("y")}
     assert unify(t("P[#x]"), t("P[#y]")) == []
+
+
+# ---------------------------------------------------------------------------
+# the first-order kernel of unification against the general algorithm
+
+
+def _first_order_term(rng, depth):
+    """An App-free term over few names, so that variables are often shared
+    and a constant often meets an identifier of the same name."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        kind = rng.random()
+        if kind < 0.5:
+            return MetaVar(rng.choice("ABCD"))
+        if kind < 0.75:
+            return Const(rng.choice("ab"))
+        return Identifier(rng.choice("ab"))
+    return Compound(rng.choice("fg"), tuple(
+        _first_order_term(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def _same_unifiers(a, b):
+    """The kernel's unifier list, checked against the general algorithm's:
+    equal bindings with their variables in the same order."""
+    kernel = term._unify_first_order(a, b)
+    general = term._unify_general(a, b, EMPTY_BINDING, False)
+    assert kernel == general, (render_term(a), render_term(b))
+    assert [list(k.terms) for k in kernel] == [list(g.terms) for g in general]
+    assert unify(a, b) == kernel
+    return kernel
+
+
+FIRST_ORDER_PAIRS = [
+    ("s(A,B)", "s(B,j)"),              # a shared variable
+    ("s(A,A)", "s(B,f(B))"),           # occurs check through a chain
+    ("s(A,f(A))", "s(B,B)"),
+    ("s(A,B,C)", "s(B,C,j)"),          # a chain, bound left to right
+    ("s(C,B,A)", "s(j,C,B)"),          # the same chain, bound right to left
+    ("s(A,B,A)", "s(B,C,D)"),          # a chain met again through its head
+    ("s(A,B)", "s(B,A)"),              # a var-var cycle resolves to one name
+    ("f(A)", "f(f(A))"),               # occurs check
+    ("s(A,g(B,A))", "s(f(B),g(C,f(j)))"),
+    ("a", "#a"),                       # a constant is not an identifier
+    ("s(a,A)", "s(#a,b)"),
+    ("f(g(A,f(B)),C)", "f(g(f(C),f(g(j,D))),f(j))"),  # nested compounds
+    ("f(g(j,l),A)", "f(g(j,l),A)"),    # equal terms bind nothing
+    ("f(g(j,l))", "f(g(j,m))"),        # ground compounds that differ
+]
+
+
+@pytest.mark.parametrize("a, b", FIRST_ORDER_PAIRS)
+def test_first_order_kernel_matches_the_general_algorithm(a, b):
+    for x, y in ((a, b), (b, a)):
+        _same_unifiers(t(x), t(y))
+
+
+def test_first_order_kernel_matches_the_general_algorithm_on_random_pairs():
+    rng = random.Random(17)
+    unifiable = 0
+    for _ in range(5000):
+        found = _same_unifiers(_first_order_term(rng, 3),
+                               _first_order_term(rng, 3))
+        unifiable += bool(found)
+    assert 500 < unifiable < 4500  # both outcomes are well covered
+
+
+def test_apps_and_non_empty_bindings_take_the_general_path(monkeypatch):
+    calls = []
+    real = term._unify_first_order
+
+    def kernel(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(term, "_unify_first_order", kernel)
+    assert unify(t("s(A,B)"), t("s(j,l)")) == \
+        [Binding({"A": Const("j"), "B": Const("l")})]
+    assert len(calls) == 1
+    for a, b, binding in [
+            ("P[#x]", "s(j,#x)", EMPTY_BINDING),
+            ("s(A,P[#x])", "s(j,l)", EMPTY_BINDING),
+            ("s(A,B)", "s(j,P[B])", EMPTY_BINDING),
+            ("s(A,B)", "s(j,l)", Binding({"C": Const("m")})),
+            ("s(A,B)", "s(j,l)", Binding({}, {"P": Abstraction(HOLE)})),
+    ]:
+        assert unify(t(a), t(b), binding) == \
+            term._unify_general(t(a), t(b), binding, False)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
