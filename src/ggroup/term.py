@@ -386,20 +386,17 @@ def _bind(x: Term, y: Term, bound: dict) -> bool:
 
 
 def _occurs(name: str, t: Term, bound: dict) -> bool:
-    """Whether the unbound variable ``name`` occurs in ``t`` once the
-    triangular binding ``bound`` is applied to it (the occurs check)."""
-    if type(t) is not Compound:
-        return False  # a constant, an identifier or another unbound variable
+    """Whether the unbound variable ``name`` occurs in the App-free ``t``
+    once the triangular binding ``bound`` is applied to it (the occurs
+    check)."""
+    if type(t) is MetaVar:
+        value = bound.get(t.name)
+        return t.name == name if value is None else _occurs(name, value, bound)
+    if t.ground:
+        return False
     metas = t.metas
     return name in metas or any(
-        _occurs_in_value(name, bound[m], bound) for m in metas if m in bound)
-
-
-def _occurs_in_value(name: str, t: Term, bound: dict) -> bool:
-    if type(t) is MetaVar:
-        return t.name == name or (
-            t.name in bound and _occurs_in_value(name, bound[t.name], bound))
-    return _occurs(name, t, bound)
+        _occurs(name, bound[m], bound) for m in metas if m in bound)
 
 
 def _resolve(t: Term, bound: dict, resolved: dict) -> Term:
