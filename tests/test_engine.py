@@ -21,7 +21,7 @@ from ggroup.encodings import (
 )
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
-    Binding, canonical_identifiers, parse_term, render_term, subterms,
+    Binding, canonical_identifiers, parse_term, render_term, subterms, unify,
 )
 
 LIM = SearchLimits()
@@ -515,13 +515,15 @@ def test_the_proof_reads_none_of_the_search_memos(monkeypatch):
 
 def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
         monkeypatch):
-    """The search instantiates each clause once per depth it tries it at,
-    and the proof each distinct renaming once, for all the answers."""
+    """The search instantiates each clause once per depth it tries it at, a
+    fact once for every depth, and the proof each distinct renaming once,
+    for all the answers."""
     real_instantiate, real_apply = engine._instantiate_items, engine._apply
     real_step = engine._clause_step
     proving = _proving(monkeypatch)
     built = {False: 0, True: 0}  # _instantiate_items calls: search, proof
-    tried = set()  # (clause, depth) pairs the search tries
+    tried = set()  # (clause, depth) pairs the search tries; a fact's depth
+    # is None
     renamings = set()  # the renamings the proof replays
 
     def instantiating(*args, **kwargs):
@@ -529,7 +531,8 @@ def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
         return real_instantiate(*args, **kwargs)
 
     def stepping(tables, memo, clause, depth, index):
-        tried.add((clause[0], depth))
+        fact = clause[0] in tables.facts
+        tried.add((clause[0], None if fact else depth))
         return real_step(tables, memo, clause, depth, index)
 
     def applying(lex, expr, step, *args, **kwargs):
@@ -545,8 +548,9 @@ def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
     assert built[False] == len(tried)
     assert built[True] == len(renamings)
     # 29 and 18 when every clause tried built its instance (see
-    # test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal)
-    assert (built[False], built[True]) == (17, 8)
+    # test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal),
+    # 17 and 8 when each fact was built once per depth
+    assert (built[False], built[True]) == (11, 8)
 
 
 def test_engine_results_survive_pickle_and_copies(english):
@@ -659,6 +663,106 @@ def test_homonymous_tokens_search_every_rule_assignment():
     res = parse(lex, ["bank"], LIM)
     assert {render_term(t) for t, _ in res.results} == \
         {"river_bank", "money_bank"}
+
+
+# ---------------------------------------------------------------------------
+# block-free words that cannot reduce to one atom
+
+
+def _may_cancel(left, right):
+    """Whether ``left`` and ``right^-1`` are partners, by the search's
+    relation with a fresh memo of unifiers."""
+    return engine._may_cancel(Atom(lf(left)), Atom(lf(right), -1), False, {})
+
+
+@pytest.mark.parametrize("left, right", [
+    # no unifier now: the application's target still holds one, but P4 bound
+    # to \#_z.s(#x1,#_z) lets the pair cancel on the way to a reading
+    ("P1[#x1]", "sm(w,#x2,P4[#x2])"),
+    ("P4[#x2]", "s(A3,B3)"),
+    # an occurrence inside an application's argument does not count:
+    # P := \#_z.c and M := f(c) unify them
+    ("M", "f(P[M])"),
+    ("f(X)", "f(a)"),
+    ("s(j,l)", "s(j,l)"),
+])
+def test_partners_keep_every_pair_a_substitution_can_cancel(left, right):
+    assert _may_cancel(left, right)
+    assert _may_cancel(right, left)
+
+
+def test_partners_do_not_ask_unify_about_applications():
+    assert not unify(lf("P1[#x1]"), lf("sm(w,#x2,P4[#x2])"))
+    assert _may_cancel("P1[#x1]", "sm(w,#x2,P4[#x2])")
+
+
+@pytest.mark.parametrize("left, right", [
+    # the application or the variable occurs inside the other side through
+    # compound arguments only, so every substitution leaves it smaller
+    ("P1[#x1]", "ev(N1,#x1,P1[#x1])"),
+    ("N1", "ev(N1,#x1,P1[#x1])"),
+    ("X", "f(g(X,a))"),
+    # rigid skeletons clash under any substitution
+    ("f(P1[#x1])", "g(a)"),
+    # ground atoms never change; first-order failures persist
+    ("s(j,l)", "s(l,j)"),
+    ("f(X,X)", "f(a,b)"),
+])
+def test_partners_reject_pairs_no_substitution_can_cancel(left, right):
+    assert not _may_cancel(left, right)
+    assert not _may_cancel(right, left)
+
+
+def test_partners_need_opposite_signs_and_equal_tokens():
+    def partners(x, y):
+        return engine._may_cancel(x, y, False, {})
+
+    assert not partners(Atom(lf("f(X)")), Atom(lf("f(a)")))
+    assert not partners(Atom(lf("f(X)"), -1), Atom(lf("f(a)"), -1))
+    assert partners(a("saw"), a("saw", -1))
+    assert not partners(a("saw"), a("ran", -1))
+    assert not partners(a("saw"), Atom(lf("X"), -1))
+
+
+def test_partners_memo_holds_both_atoms_in_word_order():
+    x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
+    partners = {}
+    assert engine._may_reduce((x, y, z), False, {}, partners)
+    # z, the survivor, has no partner; x and z, at an even distance, and y,
+    # once x found it, are never asked
+    assert partners == {(id(x), id(y)): (x, y, True),
+                        (id(y), id(z)): (y, z, False)}
+
+
+def _reducible(text):
+    return engine._may_reduce(parse_expr(text, ()), False, {}, {})
+
+
+@pytest.mark.parametrize("text", [
+    "s(j,l)",
+    "s(A,B) P[#x1]^-1 ev(m,#x1,P[#x1])",  # the survivor at index 2
+    "f(X) f(a)^-1 g",
+    "f(X) g(Y) h(Z) h(b)^-1 g(a)^-1 f(a)^-1 k",
+])
+def test_words_that_may_reduce_pass(text):
+    assert _reducible(text)
+
+
+@pytest.mark.parametrize("text", [
+    # the only atom without a partner is negative
+    "f(X) f(a)^-1 g^-1",
+    # the only atom without a partner sits at an odd index
+    "f(X) g f(a)^-1",
+    # two atoms without a partner
+    "f(X) f(a)^-1 g h",
+    # the partner sits at an even distance
+    "f(X) g f(a)^-1 h",
+    # a quantifier's two atoms, which can only cancel each other, and the
+    # application occurs inside the other
+    "s(A3,B3) sm(N4,#x2,P4[#x2]) P4[#x2]^-1",
+])
+def test_words_that_cannot_reduce_fail(text):
+    assert not _reducible(text)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,14 @@ def _no_skip(m):
     m.setattr(engine, "_commuting_cancels", lambda *args: 0)
 
 
+def _no_drop(m):
+    m.setattr(engine, "_may_reduce", lambda *args: True)
+
+
 @pytest.fixture
 def reference(monkeypatch):
-    """Call a function with the exhaustive placement in every mode and no
-    cancel skipped."""
+    """Call a function with the exhaustive placement in every mode, no
+    cancel skipped and no block-free word dropped."""
     real = engine._block_successors
 
     def exhaustive(lex, expr, postpone=False, *args):
@@ -74,6 +78,7 @@ def reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(engine, "_block_successors", exhaustive)
             _no_skip(m)
+            _no_drop(m)
             return fn(*args)
 
     return run
@@ -81,11 +86,26 @@ def reference(monkeypatch):
 
 @pytest.fixture
 def unskipped(monkeypatch):
-    """Call a function with postponed placement but no cancel skipped."""
+    """Call a function with postponed placement but no cancel skipped and no
+    block-free word dropped."""
 
     def run(fn, *args):
         with monkeypatch.context() as m:
             _no_skip(m)
+            _no_drop(m)
+            return fn(*args)
+
+    return run
+
+
+@pytest.fixture
+def undropped(monkeypatch):
+    """Call a function with every pruning but the dropped block-free
+    words."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            _no_drop(m)
             return fn(*args)
 
     return run
@@ -404,6 +424,46 @@ def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
     start = engine.parse_expr(text, ())
     assert _readings(_check_start(unskipped, start)) == {reading}
     assert any(late)
+
+
+# ---------------------------------------------------------------------------
+# dropped block-free words: the same search with every word kept
+
+
+@pytest.fixture
+def drops(monkeypatch):
+    """Count the block-free words the search checks, and those it drops."""
+    real = engine._may_reduce
+    counts = {"checked": 0, "dropped": 0}
+
+    def counting(*args):
+        ok = real(*args)
+        counts["checked"] += 1
+        counts["dropped"] += not ok
+        return ok
+
+    monkeypatch.setattr(engine, "_may_reduce", counting)
+    return counts
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_dropped_words_keep_the_results(english, undropped, drops, sentence):
+    words = sentence.split()
+    pruned = parse(english, words, LIM)
+    _same_results(pruned, undropped(parse, english, words, LIM))
+    assert pruned.results
+    assert drops["dropped"]
+
+
+def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
+    rng = random.Random(37)
+    for n in range(500):
+        start = _random_start(rng)
+        try:
+            _same_results(_search(start), undropped(_search, start))
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert drops["dropped"] > 100
 
 
 # ---------------------------------------------------------------------------
