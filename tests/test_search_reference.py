@@ -1,13 +1,16 @@
-"""Differential tests of the two prunings of parse search against searches
+"""Differential tests of the three prunings of parse search against searches
 without them.
 
 Postponed block placement is checked against the unpruned reference, which
 puts every placement of every block back as a search state in parse mode (as
-generation still does) and makes every cancel at every state.  The skipped
-cancels (those that commute before the preceding block bundle) are also
-checked on their own, against the postponed placement without the skip.
-Both searches must find the same readings and agree on truncation, and every
-derivation of the pruned search must replay.
+generation still does), makes every cancel at every state and keeps every
+block-free word.  The skipped cancels (those that commute before the
+preceding block bundle) are also checked on their own, against the postponed
+placement without the skip.  Both searches must find the same readings and
+agree on truncation, and every derivation of the pruned search must replay.
+The dropped block-free words that cannot reduce to one atom are checked
+against the same search keeping them: the same readings, rendered
+derivations and truncation.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -432,18 +435,18 @@ def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
 
 @pytest.fixture
 def drops(monkeypatch):
-    """Count the block-free words the search checks, and those it drops."""
+    """Collect the block-free words the search drops."""
     real = engine._may_reduce
-    counts = {"checked": 0, "dropped": 0}
+    dropped = []
 
-    def counting(*args):
-        ok = real(*args)
-        counts["checked"] += 1
-        counts["dropped"] += not ok
+    def collecting(word, *args):
+        ok = real(word, *args)
+        if not ok:
+            dropped.append(word)
         return ok
 
-    monkeypatch.setattr(engine, "_may_reduce", counting)
-    return counts
+    monkeypatch.setattr(engine, "_may_reduce", collecting)
+    return dropped
 
 
 @pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
@@ -452,7 +455,7 @@ def test_dropped_words_keep_the_results(english, undropped, drops, sentence):
     pruned = parse(english, words, LIM)
     _same_results(pruned, undropped(parse, english, words, LIM))
     assert pruned.results
-    assert drops["dropped"]
+    assert drops
 
 
 def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
@@ -463,7 +466,7 @@ def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
             _same_results(_search(start), undropped(_search, start))
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
-    assert drops["dropped"] > 100
+    assert len(drops) > 100
 
 
 # ---------------------------------------------------------------------------
