@@ -57,16 +57,13 @@ dropped before it is keyed when some atom of it has no partner to cancel
 with at an odd distance, other than one positive survivor at an even index
 (``_may_reduce``).
 
-Saturation instantiates only the clauses whose head can meet the selected
-subgoal, judged on rigid skeletons (``may_unify``).  Renaming and
-substitution never change a rigid position, and variables and App nodes are
-wildcards, so no resolvent is lost and the rest keep their order (see
-``_saturate_successors``).  A first-argument index (``_Tables.candidates``)
-narrows the clauses that ``may_unify`` is asked about.  Each subgoal is
-resolved in one step: the instance's head is unified with the subgoal before
-anything is built, and each unifier gives its resolvent, substituted and
-normalized once.  The derivation still records the instance's expansion and
-the cancel of the head against the subgoal, and ``replay`` checks both.
+Saturation resolves each subgoal in one step, over the clauses that a
+first-argument index proposes for it (``_Tables.candidates``): the
+instance's head is unified with the subgoal before anything is built, and
+each unifier gives its resolvent, substituted and normalized once.  The
+derivation still records the instance's expansion and the cancel of the
+head against the subgoal, and ``replay`` checks both (see
+``_saturate_successors``).
 
 Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object; ``normalize`` returns its argument itself when
@@ -85,21 +82,26 @@ each key once and goes on with a small int per state, and the successor
 generators and ``_apply`` skip the walks over block levels when the top
 level holds no block.
 
-Each search keeps four memos, alive for that search only: the unifiers of
+Each search builds one context, ``_Search``: the lexicon, the mode,
+``allow_vacuous`` and four memos, alive for that search only.  Every
+successor generator takes the context and the node it expands, ``gen(s,
+node) -> list``, and the helpers that judge atom pairs take the context
+too.  The memos hold the unifiers of
 atom pairs, whether two atoms may still cancel (``_may_reduce``), the
-substitutions its cancels make, and the clause instances of saturation.
+substitutions the cancels make, and the clause instances of saturation.
 The first is keyed by the pair's identity, ``(id(a), id(b))``, and, for a
 pair met the first time, by its payloads, so equal payloads still share one
-``unify``.  The second is keyed by the pair's identity.  The third is keyed
-by identity, ``(id(unifier), id(atom))``, so the same atom object under the
-same unifier object gives one shared result atom in every state that needs
-it, while distinct atoms, even equal ones, never merge: no atom object
-occurs twice in one state.  Each identity-keyed entry holds the objects
-whose ids it uses, so no id is reused while the memo lives.  The fourth
-holds one dict per search depth, which keeps each clause's renaming,
+``unify``.  The second is keyed by the pair's identity, in word order.  The
+third is keyed by identity, ``(id(unifier), id(atom))``, so the same atom
+object under the same unifier object gives one shared result atom in every
+state that needs it, while distinct atoms, even equal ones, never merge: no
+atom object occurs twice in one state.  Each identity-keyed entry holds the
+objects whose ids it uses, so no id is reused while the memo lives.  The
+fourth holds one dict per search depth, which keeps each clause's renaming,
 instance and expansion steps (``_clause_step``), so every state at one
 depth shares each clause's instance, and its atoms compute their class and
-key fragment once; a fact's instance is built once for every depth.
+key fragment once; a fact's instance is built once for every depth.  The
+context holds no node, so a search leaves no reference cycle.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -584,7 +586,8 @@ class _Tables:
 
     def candidates(self, subgoal: Term) -> list:
         """The clauses whose head may meet ``subgoal``, in their order: a
-        superset of those ``may_unify`` admits, memoized by the subgoal's
+        superset of those whose head unifies with it, since renaming and
+        substitution never change a rigid key; memoized by the subgoal's
         rigid key (first-argument indexing).  A subgoal without a rigid key
         gets every clause."""
         key = _rigid_key(subgoal)
@@ -771,9 +774,8 @@ def is_public(lex: lx.Lexicon, expr: Expr,
     single ground logical atom followed by inverted tokens (possibly none).
     """
     if start is not None:
-        if all(isinstance(i, Atom) and i.is_phon() and i.sign == 1 for i in expr):
-            return PublicResult(start, tuple(i.payload for i in expr))
-        return None
+        words = _words(expr)
+        return None if words is None else PublicResult(start, words)
     if not expr or not isinstance(expr[0], Atom):
         return None
     head = expr[0]
@@ -899,14 +901,20 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 
 class _Node:
-    __slots__ = ("expr", "expansions", "parent", "steps", "key")
+    """A search state.  ``skip`` is the bit mask of top-level positions
+    whose cancels the state skips (see ``_search``); a negative mask, a
+    re-expansion's, makes the cancels at its clear bits at the top level
+    only."""
 
-    def __init__(self, expr, expansions, parent, steps, key=None):
+    __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip")
+
+    def __init__(self, expr, expansions, parent, steps, key=None, skip=0):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
         self.key = key
+        self.skip = skip
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -917,7 +925,20 @@ class _Node:
         return tuple(chain)
 
 
-def _expand_successors(lex, expr, allow_vacuous):
+@dataclass(slots=True, eq=False)
+class _Search:
+    """One search's context (see the module docstring and ``_search``)."""
+
+    lex: lx.Lexicon
+    mode: str  # "gen" | "parse" | "saturate"
+    allow_vacuous: bool = False
+    unifiers: dict = field(default_factory=dict)
+    partners: dict = field(default_factory=dict)
+    substitutions: dict = field(default_factory=dict)
+    instances: dict = field(default_factory=dict)
+
+
+def _expand_successors(s: _Search, node: _Node) -> list:
     """Every expansion of a positive ground logical atom by a generation
     rule, or, in a lexicon whose expansions are local
     (``_Tables.local_expansions``), only those of the first atom, in
@@ -956,8 +977,9 @@ def _expand_successors(lex, expr, allow_vacuous):
     intermediate state larger, when measured against ``max_items``, than
     any state of the full search's derivation of the same string.
     """
-    tables = _tables(lex)
+    tables = _tables(s.lex)
     gen_index, first = tables.gen_index, tables.local_expansions
+    expr = node.expr
     out = []
     for level, items in _levels(expr):
         for idx, item in enumerate(items):
@@ -965,9 +987,10 @@ def _expand_successors(lex, expr, allow_vacuous):
                     or not item._ground:
                 continue
             for rule in gen_index.get(_head_key(item.payload), []) + gen_index.get("*", []):
-                for b in unify(rule.lhs, item.payload, EMPTY_BINDING, allow_vacuous):
+                for b in unify(rule.lhs, item.payload, EMPTY_BINDING,
+                               s.allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
-                    out.append(((step,), _apply(lex, expr, step), 1))
+                    out.append(((step,), _apply(s.lex, expr, step), 1))
             if first and out:
                 return out
     return out
@@ -980,16 +1003,11 @@ def _cancel_pair(a, b) -> bool:
             and not (a._phon or b._phon) and not (a._ground and b._ground))
 
 
-def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> list:
-    """``unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous)``, kept in
-    ``unifiers``, the search's memo of pair unifiers.
-
-    The memo is looked up by identity first, ``(id(a), id(b))`` to ``(a, b,
-    unifiers)``, which hashes two ints; the value holds both atoms, so their
-    ids cannot be reused while the memo lives.  An atom pair seen for the
-    first time falls back to the entry keyed by the payload pair, so equal
-    payloads in distinct atoms still share one ``unify`` and one list of
-    unifier objects."""
+def _pair_unifiers(s: _Search, a: Atom, b: Atom) -> list:
+    """``unify(a.payload, b.payload, EMPTY_BINDING, s.allow_vacuous)``, kept
+    in the search's memo of pair unifiers, by identity first and by payload
+    pair second."""
+    unifiers = s.unifiers
     ids = (id(a), id(b))
     found = unifiers.get(ids)
     if found is not None:
@@ -998,7 +1016,7 @@ def _pair_unifiers(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> lis
     deltas = unifiers.get(key)
     if deltas is None:
         deltas = unifiers[key] = unify(a.payload, b.payload, EMPTY_BINDING,
-                                       allow_vacuous)
+                                       s.allow_vacuous)
     unifiers[ids] = (a, b, deltas)
     return deltas
 
@@ -1019,7 +1037,7 @@ def _occurs_rigidly(x: Term, t: Term) -> bool:
     return any(a == x or _occurs_rigidly(x, a) for a in t.args)
 
 
-def _may_cancel(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> bool:
+def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     """Whether the two atoms, under any substitution the search may still
     make, can cancel each other (see ``_may_reduce``).
 
@@ -1039,26 +1057,23 @@ def _may_cancel(a: Atom, b: Atom, allow_vacuous: bool, unifiers: dict) -> bool:
         return a.payload == b.payload
     if a._phon or b._phon:
         return False
-    s, t = a.payload, b.payload
-    if not (s.absvars or t.absvars):
-        return bool(_pair_unifiers(a, b, allow_vacuous, unifiers))
-    return (may_unify(s, t) and not _occurs_rigidly(s, t)
-            and not _occurs_rigidly(t, s))
+    x, y = a.payload, b.payload
+    if not (x.absvars or y.absvars):
+        return bool(_pair_unifiers(s, a, b))
+    return (may_unify(x, y) and not _occurs_rigidly(x, y)
+            and not _occurs_rigidly(y, x))
 
 
-def _may_reduce(word: Expr, allow_vacuous: bool, unifiers: dict,
-                partners: dict) -> bool:
+def _may_reduce(s: _Search, word: Expr) -> bool:
     """False when the block-free ``word`` cannot reduce to one atom by
-    cancels: some atom has no partner (``_may_cancel``) at an odd distance,
-    other than one positive atom at an even index.
+    cancels: some atom has no partner (``_may_cancel``, kept in the search's
+    memo ``partners``) at an odd distance, other than one positive atom at
+    an even index.
 
     Cancelling contiguous pairs matches the atoms without crossing, so the
     atoms between two partners cancel among themselves, an even number, and
-    so do those left of the atom that survives.
-
-    ``partners`` is the search's memo of ``_may_cancel``, by the identity of
-    the pair in word order, ``(id(left), id(right))``; the value holds both
-    atoms, so their ids cannot be reused while the memo lives."""
+    so do those left of the atom that survives."""
+    partners = s.partners
     n = len(word)
     paired = [False] * n
     lone = False
@@ -1073,8 +1088,7 @@ def _may_reduce(word: Expr, allow_vacuous: bool, unifiers: dict,
             found = partners.get((id(left), id(right)))
             if found is None:
                 found = partners[id(left), id(right)] = (
-                    left, right,
-                    _may_cancel(left, right, allow_vacuous, unifiers))
+                    left, right, _may_cancel(s, left, right))
             if found[2]:
                 paired[j] = True
                 break
@@ -1085,15 +1099,15 @@ def _may_reduce(word: Expr, allow_vacuous: bool, unifiers: dict,
     return True
 
 
-def _cancel_successors(lex, expr, allow_vacuous, unifiers, substitutions,
-                       skip=0, nested=True):
-    """Every explicit cancel of an adjacent pair, at every level (only the
-    top level without ``nested``), except at the top-level positions set in
-    the bit mask ``skip`` (see ``_commuting_cancels``).  Inside a block the
-    pairs include the wrap pair (last item, first item).  ``unifiers`` and
-    ``substitutions`` are the search's memos (see ``_search``)."""
+def _cancel_successors(s: _Search, node: _Node) -> list:
+    """Every explicit cancel of an adjacent pair, at every level, except at
+    the top-level positions set in the node's skip mask (see
+    ``_commuting_cancels``); a negative mask allows the top level only.
+    Inside a block the pairs include the wrap pair (last item, first
+    item)."""
+    expr, skip = node.expr, node.skip
     out = []
-    levels = _levels(expr) if nested and _has_block(expr) else [((), expr)]
+    levels = _levels(expr) if skip >= 0 and _has_block(expr) else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
@@ -1102,9 +1116,10 @@ def _cancel_successors(lex, expr, allow_vacuous, unifiers, substitutions,
             a, b = items[i], items[(i + 1) % n]
             if not _cancel_pair(a, b):
                 continue
-            for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
+            for delta in _pair_unifiers(s, a, b):
                 step = CancelStep(level, i, delta)
-                out.append(((step,), _apply(lex, expr, step, substitutions), 0))
+                out.append(((step,), _apply(s.lex, expr, step,
+                                            s.substitutions), 0))
     return out
 
 
@@ -1118,8 +1133,7 @@ def _adjacent_pairs(expr: Expr) -> set:
     return pairs
 
 
-def _commuting_cancels(adjacent: set, new: Expr, allow_vacuous: bool,
-                       unifiers: dict) -> int:
+def _commuting_cancels(s: _Search, adjacent: set, new: Expr) -> int:
     """Bit mask of the top-level positions of ``new``, a bundle's result,
     whose cancel pairs two atoms already adjacent in the bundle's parent
     (``adjacent``, from ``_adjacent_pairs``).  Such a cancel commutes back
@@ -1128,7 +1142,7 @@ def _commuting_cancels(adjacent: set, new: Expr, allow_vacuous: bool,
     for i in range(len(new) - 1):
         a, b = new[i], new[i + 1]
         if (id(a), id(b)) in adjacent and _cancel_pair(a, b) \
-                and _pair_unifiers(a, b, allow_vacuous, unifiers):
+                and _pair_unifiers(s, a, b):
             mask |= 1 << i
     return mask
 
@@ -1165,11 +1179,11 @@ def _placements(expr: Expr):
                     yield level, idx, item, anc, s
 
 
-def _joinable(x, y, allow_vacuous: bool, unifiers: dict) -> bool:
+def _joinable(s: _Search, x, y) -> bool:
     """Whether adjacent items can cancel: eagerly (ground inverses) or by an
     explicit cancel (logical atoms of opposite sign that ``unify`` admits)."""
     return _inverse_pair(x, y) or (
-        _cancel_pair(x, y) and bool(_pair_unifiers(x, y, allow_vacuous, unifiers)))
+        _cancel_pair(x, y) and bool(_pair_unifiers(s, x, y)))
 
 
 def _neighbours(items: Expr, slot: int, cyclic: bool):
@@ -1182,8 +1196,7 @@ def _neighbours(items: Expr, slot: int, cyclic: bool):
             items[slot] if slot < n else None)
 
 
-def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
-                      unifiers=None):
+def _block_successors(s: _Search, node: _Node) -> list:
     """Place each block, rotate it, and dissolve it in one go.
 
     A block's position only matters at the moment it dissolves, so exploring
@@ -1191,14 +1204,14 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
     any reachable arrangement.  Each successor is one ``DissolveStep`` (a
     bundle): a slot at the same level or an enclosing one, and a rotation.
 
-    Without ``postpone`` every bundle is a successor.  With it (parsing) a
-    bundle is a successor only when it is productive: normalization cancels,
-    the result is a single atom, or a pair it makes adjacent can cancel
-    (``_joinable``).  Those pairs are the first and last item with their new
-    neighbours, the two items that flanked the block before it moved away,
-    and, after a rotation, the block's last and first item when they are
-    ground inverses (other pairs at that seam cancel inside the block, whose
-    contents are cyclic).  Any other bundle starts a run: further bundles,
+    In generation every bundle is a successor.  Parsing postpones placement,
+    so a bundle is a successor only when it is productive: normalization
+    cancels, the result is a single atom, or a pair it makes adjacent can
+    cancel (``_joinable``).  Those pairs are the first and last item with
+    their new neighbours, the two items that flanked the block before it
+    moved away, and, after a rotation, the block's last and first item when
+    they are ground inverses (other pairs at that seam cancel inside the
+    block, whose contents are cyclic).  Any other bundle starts a run: further bundles,
     each dissolving next to or between items released earlier in the run,
     emitted as one successor once its last bundle is productive.  A run has
     at most as many bundles as there are blocks.
@@ -1227,25 +1240,22 @@ def _block_successors(lex, expr, postpone=False, allow_vacuous=False,
     skip sound under state caching.  Cancels inside blocks are never skipped:
     their positions depend on the block's rotation, which the state key
     forgets.
-
-    ``unifiers`` is the search's memo of pair unifiers (``_pair_unifiers``);
-    a call without one gets a fresh memo.
     """
+    expr = node.expr
     if not _has_block(expr):
         return []
     out = []
-    if postpone:
-        _runs(lex, expr, (), None, allow_vacuous,
-              {} if unifiers is None else unifiers, out)
+    if s.mode == "parse":
+        _runs(s, expr, (), None, out)
         return out
     for level, idx, block, tlevel, slot in _placements(expr):
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
-            out.append(((step,), _apply(lex, expr, step), 0))
+            out.append(((step,), _apply(s.lex, expr, step), 0))
     return out
 
 
-def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
+def _runs(s: _Search, expr, prefix, released, out) -> None:
     """Append to ``out`` the productive bundles of ``expr``, each after the
     ``prefix`` steps, and extend the others into runs.
 
@@ -1265,7 +1275,7 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
         # joins items further out: keep it as productive
         flank = (tlevel, slot) != (level, idx) and (
             (bool(level) and not rest) or _joinable(
-                *_neighbours(rest, idx, bool(level)), allow_vacuous, unifiers))
+                s, *_neighbours(rest, idx, bool(level))))
         left, right = _neighbours(titems, slot, bool(tlevel))
         if released is not None and id(left) not in released \
                 and id(right) not in released:
@@ -1275,32 +1285,29 @@ def _runs(lex, expr, prefix, released, allow_vacuous, unifiers, out):
         seam = _inverse_pair(c[-1], c[0])
         for k in range(len(c)):
             productive = (flank or goal or (k > 0 and seam)
-                          or _joinable(left, c[k], allow_vacuous, unifiers)
-                          or _joinable(c[k - 1], right, allow_vacuous, unifiers))
+                          or _joinable(s, left, c[k])
+                          or _joinable(s, c[k - 1], right))
             if not (productive or extend):
                 continue
             step = DissolveStep(level, idx, tlevel, slot, k)
-            new = _apply(lex, expr, step)
+            new = _apply(s.lex, expr, step)
             if productive:
                 out.append((prefix + (step,), new, 0))
             else:
                 more = (released or set()) | {id(i) for i in c}
-                _runs(lex, new, prefix + (step,), more, allow_vacuous,
-                      unifiers, out)
+                _runs(s, new, prefix + (step,), more, out)
 
 
-def _swap_cancel_successors(lex, expr, allow_vacuous, unifiers,
-                            substitutions):
+def _swap_cancel_successors(s: _Search, node: _Node) -> list:
     """All-pairs cancellation for commutative mode: each top-level pair of
     logical atoms of opposite sign cancels where it stands, under each
     unifier, by a cancel that names its partner unless the two are
     adjacent.  A ground pair of inverses cancels under the empty unifier.
-    ``unifiers`` and ``substitutions`` are the search's memos, as in
-    ``_cancel_successors``.
 
     The name dates from when such a cancel was a chain of swaps; the
     benchmark's tracer still wraps the generator by that name.
     """
+    expr = node.expr
     out = []
     n = len(expr)
     for i in range(n - 1):
@@ -1311,14 +1318,14 @@ def _swap_cancel_successors(lex, expr, allow_vacuous, unifiers,
             b = expr[j]
             if not isinstance(b, Atom) or b._phon or a.sign != -b.sign:
                 continue
-            for delta in _pair_unifiers(a, b, allow_vacuous, unifiers):
+            for delta in _pair_unifiers(s, a, b):
                 step = CancelStep((), i, delta, None if j == i + 1 else j)
-                out.append(((step,), _apply(lex, expr, step, substitutions),
-                            0))
+                out.append(((step,), _apply(s.lex, expr, step,
+                                            s.substitutions), 0))
     return out
 
 
-def _saturate_successors(lex, node, allow_vacuous, instances):
+def _saturate_successors(s: _Search, node: _Node) -> list:
     """Successors under a resolution strategy.
 
     The rightmost inverted atom is the selected subgoal; multiplying in a
@@ -1328,15 +1335,10 @@ def _saturate_successors(lex, node, allow_vacuous, instances):
     - which fact states are reachable does not depend on the selection - and
     it keeps working expressions the size of a resolvent.
 
-    A clause whose head cannot meet the subgoal is skipped before it is
-    instantiated: ``may_unify`` compares the rigid skeletons of the scheme's
-    head and the subgoal.  That loses no successor, since renaming a clause
-    only replaces its variables and substitution never changes a rigid
-    position; variables and App nodes are wildcards.  ``may_unify`` only
-    looks at the candidates of the subgoal's first-argument index
-    (``_Tables.candidates``), which drops clauses on functor, arity or a
-    differing constant first argument.  Both keep the clauses in order, so
-    successors come in the same order as without them.
+    The clauses tried are the candidates of the subgoal's first-argument
+    index (``_Tables.candidates``), which drops clauses on functor, arity or
+    a differing constant first argument and keeps the rest in order, so
+    successors come in the same order as without it.
 
     Each subgoal is resolved in one step.  The instance's head is unified
     with the subgoal first, and each unifier ``delta`` gives the resolvent
@@ -1350,35 +1352,31 @@ def _saturate_successors(lex, node, allow_vacuous, instances):
     the first instance, it picks no root.
 
     Each clause is renamed apart by the depth of the state it extends (``X``
-    becomes ``X_3``), so every state at one depth uses the same instance.
-    ``instances`` is the search's memo, one dict per depth (see ``_search``
-    and ``_clause_step``), and those states share one tuple of items.  Keyed
-    by depth, an instance never shares an atom object with the state it
-    extends, even for a ground clause, whose renaming is empty: no state
-    holds one atom object twice.  A fact (``_Tables.facts``) is the
-    exception: its one atom is its head, which resolution drops, so the
-    search builds its instance once, in the dict at depth 0, which no state
-    has.
+    becomes ``X_3``), so every state at one depth shares one instance, kept
+    in the context's memo of that depth (``_clause_step``).  Keyed by depth,
+    an instance never shares an atom object with the state it extends, even
+    for a ground clause, whose renaming is empty: no state holds one atom
+    object twice.  A fact (``_Tables.facts``) is the exception: its one atom
+    is its head, which resolution drops, so its instance is built once, in
+    the memo of depth 0, which no state has.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
         return []  # goal state or dead end: no pending subgoal
     out = []
     depth = node.expansions + 1
+    instances = s.instances
     memo = instances.get(depth)
     if memo is None:
         memo = instances[depth] = {}
     facts = instances.get(0)
     if facts is None:
         facts = instances[0] = {}
-    tables = _tables(lex)
+    tables = _tables(s.lex)
     n = len(expr)
     sel = n - 1
     goal = expr[sel].payload if expr else None
     for clause in tables.clauses if goal is None else tables.candidates(goal):
-        if goal is not None and clause[1] is not None \
-                and not may_unify(clause[1], goal):
-            continue
         step, instance = _clause_step(
             tables, facts if clause[0] in tables.facts else memo, clause,
             depth, n)
@@ -1390,7 +1388,8 @@ def _saturate_successors(lex, node, allow_vacuous, instances):
         elif goal is None:
             deltas = (None,)  # the root: the instance itself
         else:
-            deltas = unify(goal, head.payload, EMPTY_BINDING, allow_vacuous)
+            deltas = unify(goal, head.payload, EMPTY_BINDING,
+                           s.allow_vacuous)
         rest = instance if goal is None else expr[:sel] + instance[1:]
         for delta in deltas:
             if delta is None:
@@ -1434,7 +1433,7 @@ def _clause_step(tables: _Tables, memo: dict, clause, depth: int,
 
 def _search(lex: lx.Lexicon, mode: str, start: Expr,
             starts: Sequence[tuple[tuple[Step, ...], Expr]],
-            lim: SearchLimits, goal, result_key) -> EngineResult:
+            lim: SearchLimits) -> EngineResult:
     """Breadth-first search from ``start``; every result is proved.
 
     The search begins at each ``expr`` of ``starts``, pairs ``(steps,
@@ -1445,19 +1444,43 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     counts readings across every start, and a reading's derivation may begin
     at any start that reaches it.
 
+    The search builds one context, ``_Search``, and the mode fixes, before
+    the first state, everything that differs between the modes: the tuple
+    of successor generators, each called as ``gen(s, node)``, whether block
+    bundles follow them, the goal and the key that tells results apart.
+    Generation expands and places blocks, and its goal is a string of
+    positive tokens, one result per string; parsing cancels and places
+    blocks, saturation resolves, and the goal of both is one positive ground
+    logical atom, one result per rendered term.  In a commutative lexicon
+    the cancels are ``_swap_cancel_successors``, and generation makes them
+    too.  The generators are looked up when the search starts, never before,
+    so a caller that replaces one on the module reaches every search.
+
+    The context's memos live for this search only, and ``replay`` reads
+    none.  The deltas of the cancels come from the memo of pair unifiers,
+    so sibling states that cancel under the same delta share each result
+    atom, with its class and its state-key fragment.  Identity keys never
+    merge distinct atoms, even equal ones: the skip masks
+    (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
+    occur once in a state.  The memo of clause instances lives here rather
+    than with the lexicon's tables, so it does not outlive the query or grow
+    with every depth any query has reached.
+
     In non-commutative parsing, a state reached by a block bundle skips the
     top-level cancels that ``_commuting_cancels`` finds, since the bundle's
     parent makes them already (see ``_block_successors``).  The skip is a bit
     mask over top-level positions, and positions agree between states with
     equal keys.  It holds for one path, but states are cached by key, so a
     state keeps the intersection of the masks of every path that reaches it,
-    and only states with a nonzero mask keep one.  A later path whose mask
-    lacks a bit narrows the mask of a queued state.  If the state was already
-    expanded, the cancels at those bits are made then, from the arriving
-    instance (a re-expansion): the parent of that path need not have them,
-    so without this the cancels a state makes would depend on which path
-    reached it first.  No known input needs a re-expansion for a reading,
-    but some run it (``every man that some woman saw ran`` does).
+    and only states with a nonzero mask keep one; a node carries its mask
+    when it is expanded.  A later path whose mask lacks a bit narrows the
+    mask of a queued state.  If the state was already expanded, the cancels
+    at those bits are made then, at the top level only, from the arriving
+    instance (a re-expansion, whose node carries the complement of those
+    bits): the parent of that path need not have them, so without this the
+    cancels a state makes would depend on which path reached it first.  No
+    known input needs a re-expansion for a reading, but some run it (``every
+    man that some woman saw ran`` does).
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,
     its id, in order of first sight: a key is hashed once, when it is looked
@@ -1484,23 +1507,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     states keep their queue order.  The check comes after the limits, so
     ``truncated`` does not change either.
 
-    Four memos live for this search only, and ``replay`` reads none.
-    ``unifiers`` holds the unifiers of each atom pair that cancels and
-    bundle predictions look up, by atom identity first and by payload pair
-    second (see ``_pair_unifiers``).  ``partners`` holds ``_may_cancel`` of
-    the atom pairs that ``_may_reduce`` judges, by identity (see there).
-    ``substitutions`` holds the substitutions
-    of the cancels, the ``late`` re-expansions' too, keyed by ``(id(delta),
-    id(atom))`` (see ``substitute_expr``).  The deltas come from
-    ``unifiers``, so sibling states that cancel under the same delta share
-    each result atom, with its class and its state-key fragment.  Identity
-    keys never merge distinct atoms, even equal ones: the skip masks
-    (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
-    occur once in a state.  ``instances`` holds saturation's clause
-    instances, one dict per depth (see ``_saturate_successors``).  It lives
-    here rather than with the lexicon's tables, so it does not outlive the
-    query or grow with every depth any query has reached.
-
     The search applies its own steps unchecked.  ``_prove`` then checks
     every step of each result, node by node over the tree the results
     share: one ``replay`` per distinct node on their paths, with a memo of
@@ -1508,7 +1514,16 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     """
     tables = _tables(lex)
     commutative = tables.commutative
-    allow_vacuous = lim.allow_vacuous_abstraction
+    s = _Search(lex, mode, lim.allow_vacuous_abstraction)
+    cancel = _swap_cancel_successors if commutative else _cancel_successors
+    if mode == "gen":
+        gens = (_expand_successors, cancel) if commutative \
+            else (_expand_successors,)
+        goal, result_key = _words, " ".join
+    else:
+        gens = (_saturate_successors,) if mode == "saturate" else (cancel,)
+        goal, result_key = _single_atom_goal, render_term
+    blocks = None if mode == "saturate" else _block_successors
     skipping = mode == "parse" and not commutative
     # generation with local expansions places blocks only where nothing
     # expands (see _expand_successors); commutative states hold no blocks
@@ -1524,19 +1539,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     truncated = False
     results: dict[str, tuple] = {}
-    unifiers: dict = {}
-    partners: dict = {}
-    substitutions: dict = {}
-    instances: dict = {}
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
-    late: deque = deque()  # re-expansions: (arriving instance, mask to make)
+    late: deque = deque()  # re-expansions, each carrying ~(mask to make)
     while late or queue:
         if late:
-            node, need = late.popleft()
-            succ = _cancel_successors(lex, node.expr, allow_vacuous, unifiers,
-                                      substitutions, skip=~need, nested=False)
+            node = late.popleft()
+            succ = cancel(s, node)
             bundles = len(succ)
         else:
             node = queue.popleft()
@@ -1548,26 +1558,15 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                     if len(results) >= lim.max_results:
                         truncated = True
                         break
-            skip = queued_skips.pop(node.key, 0) if skipping else 0
-            if skip:
-                expanded_skips[node.key] = skip
-            if mode == "saturate":
-                succ = _saturate_successors(lex, node, allow_vacuous,
-                                            instances)
-            else:
-                succ = []
-                if mode == "gen":
-                    succ += _expand_successors(lex, node.expr, allow_vacuous)
-                if commutative:
-                    succ += _swap_cancel_successors(lex, node.expr, allow_vacuous,
-                                                    unifiers, substitutions)
-                elif mode != "gen":
-                    succ += _cancel_successors(lex, node.expr, allow_vacuous,
-                                               unifiers, substitutions, skip)
+            node.skip = queued_skips.pop(node.key, 0)
+            if node.skip:
+                expanded_skips[node.key] = node.skip
+            succ = []
+            for gen in gens:
+                succ += gen(s, node)
             bundles = len(succ)  # where the block bundles start
-            if mode != "saturate" and not (place_late and succ):
-                succ += _block_successors(lex, node.expr, mode == "parse",
-                                          allow_vacuous, unifiers)
+            if blocks and not (place_late and succ):
+                succ += blocks(s, node)
         adjacent = None
         if skipping and len(succ) > bundles:
             adjacent = _adjacent_pairs(node.expr)
@@ -1581,34 +1580,32 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if _expr_size(new) > lim.max_items:
                 truncated = True
                 continue
-            if entering and not _has_block(new) and not _may_reduce(
-                    new, allow_vacuous, unifiers, partners):
+            if entering and not _has_block(new) and not _may_reduce(s, new):
                 continue
             n = len(visited)
             key = visited.setdefault(_canonical_key(new, commutative), n)
             if key == n:
                 queue.append(_Node(new, expansions, node, steps, key))
                 if adjacent is not None and k >= bundles:
-                    mask = _commuting_cancels(adjacent, new, allow_vacuous,
-                                              unifiers)
+                    mask = _commuting_cancels(s, adjacent, new)
                     if mask:
                         queued_skips[key] = mask
-            elif skipping and (key in queued_skips or key in expanded_skips):
+            elif key in queued_skips or key in expanded_skips:
                 # a later path: the state keeps only what both paths skip
                 mask = 0 if k < bundles else _commuting_cancels(
-                    adjacent, new, allow_vacuous, unifiers)
+                    s, adjacent, new)
                 if key in queued_skips:
                     _narrow(queued_skips, key, mask)
                 else:
                     need = _narrow(expanded_skips, key, mask)
                     if need:
-                        late.append((_Node(new, expansions, node, steps, key),
-                                     need))
+                        late.append(_Node(new, expansions, node, steps, key,
+                                          ~need))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []
     for _, (payload, node) in sorted(results.items()):
-        _prove(lex, mode, node, proved, allow_vacuous, proof_instances)
+        _prove(lex, mode, node, proved, s.allow_vacuous, proof_instances)
         out.append((payload, Derivation(mode, root.expr,
                                         node.derivation_steps(), node.expr)))
     return EngineResult(tuple(out), truncated)
@@ -1642,6 +1639,13 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
             allow_vacuous=allow_vacuous, instances=instances)
 
 
+def _words(e: Expr) -> Optional[tuple[str, ...]]:
+    """Goal of generation: positive tokens only, read as the words."""
+    if all(isinstance(i, Atom) and i._phon and i.sign == 1 for i in e):
+        return tuple(i.payload for i in e)
+    return None
+
+
 def _single_atom_goal(e: Expr) -> Optional[Term]:
     """Goal of parsing and saturation: one positive ground logical atom."""
     if len(e) == 1 and isinstance(e[0], Atom) and not e[0]._phon \
@@ -1661,13 +1665,7 @@ def generate(lex: lx.Lexicon, lf: Term, lim: SearchLimits = SearchLimits()) -> E
     problems = _tables(lex).gen_problems
     if problems:
         raise lx.GrammarError(problems)
-    start: Expr = (Atom(lf, 1),)
-
-    def goal(expr: Expr):
-        pub = is_public(lex, expr, start=lf)
-        return pub.words if pub is not None else None
-
-    return _search(lex, "gen", start, (), lim, goal, lambda w: " ".join(w))
+    return _search(lex, "gen", (Atom(lf, 1),), (), lim)
 
 
 def parse(lex: lx.Lexicon, words: Iterable[str],
@@ -1714,8 +1712,7 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
             expr = _apply(lex, expr, step)
             pre.append(step)
         starts.append((tuple(pre), expr))
-    return _search(lex, "parse", start, starts, lim, _single_atom_goal,
-                   render_term)
+    return _search(lex, "parse", start, starts, lim)
 
 
 def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResult:
@@ -1736,7 +1733,7 @@ def saturate(lex: lx.Lexicon, lim: SearchLimits = SearchLimits()) -> EngineResul
         if not shape:
             raise InputError("saturation expects definite-clause relators: "
                              "one positive atom, then inverted atoms")
-    return _search(lex, "saturate", (), (), lim, _single_atom_goal, render_term)
+    return _search(lex, "saturate", (), (), lim)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ggroup.engine import (
     apply_step, derivation_of_record, derivation_record, generate, is_public,
     normalize, parse, parse_derivation, parse_expr, parse_step,
     render_derivation, render_expr, render_step, replay, saturate,
-    _block_successors,
 )
 from ggroup.encodings import (
     commutator_scheme, encode_logic_program, parse_logic_program,
@@ -38,6 +37,17 @@ def lf(text):
 
 EMPTY_LEX = Lexicon((), (), raw_mode=True)
 COMMUTATIVE_RAW = Lexicon((), (commutator_scheme(),), raw_mode=True)
+
+
+def _context(lex=EMPTY_LEX, mode="parse"):
+    """A fresh search context, with empty memos."""
+    return engine._Search(lex, mode)
+
+
+def _successors(gen, expr, lex=EMPTY_LEX, mode="gen"):
+    """``gen``'s successors of a state holding ``expr``, in a fresh
+    context."""
+    return gen(_context(lex, mode), engine._Node(expr, 0, None, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +251,7 @@ def _engine_arrangements(expr):
         if not any(isinstance(i, Block) for i in e):
             out.add(render_expr(e))
             continue
-        for _, new, _ in _block_successors(EMPTY_LEX, e):
+        for _, new, _ in _successors(engine._block_successors, e):
             if new not in seen:
                 seen.add(new)
                 queue.append(new)
@@ -269,7 +279,8 @@ def test_nested_blocks_unfold_completely():
 
 
 def _postponed(text):
-    return _block_successors(EMPTY_LEX, parse_expr(text, ()), True)
+    return _successors(engine._block_successors, parse_expr(text, ()),
+                       mode="parse")
 
 
 def test_postponed_placement_keeps_a_move_that_exposes_a_pair():
@@ -293,7 +304,8 @@ def test_postponed_placement_joins_blocks_into_a_run():
 
 def test_postponed_placement_drops_inert_blocks():
     assert _postponed("c { a b } d") == []
-    assert _block_successors(EMPTY_LEX, parse_expr("c { a b } d", ())) != []
+    assert _successors(engine._block_successors,
+                       parse_expr("c { a b } d", ())) != []
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +410,9 @@ def test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal(
     # the clauses the search tries, each one step for one state (5 roots and
     # 24 heads unified with a subgoal); 105 when every clause was
     # instantiated for every subgoal and only then unified, before the
-    # skeleton pre-check (term.may_unify) dropped the clauses whose head
-    # cannot meet it
+    # first-argument index (_Tables.candidates) dropped the clauses whose
+    # head cannot meet it; on family.lp the index alone drops every clause
+    # that a skeleton pre-check (term.may_unify) behind it used to drop
     assert len(search) == 29
     # the proof's: each node on the answers' paths once; 23 when each answer
     # was replayed from the empty expression
@@ -672,7 +685,7 @@ def test_homonymous_tokens_search_every_rule_assignment():
 def _may_cancel(left, right):
     """Whether ``left`` and ``right^-1`` are partners, by the search's
     relation with a fresh memo of unifiers."""
-    return engine._may_cancel(Atom(lf(left)), Atom(lf(right), -1), False, {})
+    return engine._may_cancel(_context(), Atom(lf(left)), Atom(lf(right), -1))
 
 
 @pytest.mark.parametrize("left, right", [
@@ -715,7 +728,7 @@ def test_partners_reject_pairs_no_substitution_can_cancel(left, right):
 
 def test_partners_need_opposite_signs_and_equal_tokens():
     def partners(x, y):
-        return engine._may_cancel(x, y, False, {})
+        return engine._may_cancel(_context(), x, y)
 
     assert not partners(Atom(lf("f(X)")), Atom(lf("f(a)")))
     assert not partners(Atom(lf("f(X)"), -1), Atom(lf("f(a)"), -1))
@@ -726,16 +739,16 @@ def test_partners_need_opposite_signs_and_equal_tokens():
 
 def test_partners_memo_holds_both_atoms_in_word_order():
     x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
-    partners = {}
-    assert engine._may_reduce((x, y, z), False, {}, partners)
+    s = _context()
+    assert engine._may_reduce(s, (x, y, z))
     # z, the survivor, has no partner; x and z, at an even distance, and y,
     # once x found it, are never asked
-    assert partners == {(id(x), id(y)): (x, y, True),
-                        (id(y), id(z)): (y, z, False)}
+    assert s.partners == {(id(x), id(y)): (x, y, True),
+                          (id(y), id(z)): (y, z, False)}
 
 
 def _reducible(text):
-    return engine._may_reduce(parse_expr(text, ()), False, {}, {})
+    return engine._may_reduce(_context(), parse_expr(text, ()))
 
 
 @pytest.mark.parametrize("text", [
@@ -988,8 +1001,8 @@ def test_commutative_derivations_name_cancel_partners(english):
 
 def test_commutative_cancels_pair_atoms_where_they_stand():
     start = parse_expr("A^-1 x^-1 y x", ())
-    out = engine._swap_cancel_successors(COMMUTATIVE_RAW, start, False,
-                                         {}, {})
+    out = _successors(engine._swap_cancel_successors, start,
+                      COMMUTATIVE_RAW, "parse")
     assert [(render_step(step), render_expr(new)) for (step,), new, _ in out] == [
         ("cancel level=- index=0 with=2 bind=A=y", "1"),
         ("cancel level=- index=0 with=3 bind=A=x", "x^-1 y"),

@@ -1,18 +1,16 @@
-"""Differential tests of saturation's head pre-check, its memo of clause
+"""Differential tests of saturation's clause index, its memo of clause
 instances, its one-step resolution and the first-order unification kernel,
 each against a search without it.
 
-Before it instantiates a clause, ``_saturate_successors`` skips the clauses
-whose head cannot meet the selected subgoal: the first-argument index
-(``_Tables.candidates``) proposes clauses, and ``term.may_unify`` keeps those
-whose head can meet the subgoal.  Its reference is the same search with the
-index patched to propose every clause and the pre-check patched to accept
-every clause.
+``_saturate_successors`` instantiates only the clauses that the
+first-argument index (``_Tables.candidates``) proposes for the selected
+subgoal, those whose head can meet it.  Its reference is the same search
+with the index patched to propose every clause.
 
 The search shares each clause instance among the states of one depth (the
-``instances`` memo of ``_search``).  Its reference hands
-``_saturate_successors`` a fresh memo on every call, which never hits, since
-one call instantiates each clause at most once.
+``instances`` memo of the search context).  Its reference hands
+``_saturate_successors`` a context with a fresh memo on every call, which
+never hits, since one call instantiates each clause at most once.
 
 The search resolves each subgoal in one step: it unifies the instance's head
 with the subgoal, then builds the resolvent once.  Its reference builds each
@@ -29,6 +27,7 @@ truncation and state-key counts, on the shared clause programs,
 ``family.lp``, seeded random definite programs and seeded ground programs.
 """
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -54,21 +53,19 @@ SMALL = SearchLimits(max_expansions=8, max_items=16, max_results=32)
 
 
 def unfiltered(m):
-    """Every clause proposed and admitted for every subgoal."""
+    """Every clause proposed for every subgoal."""
     m.setattr(engine._Tables, "candidates",
               lambda tables, subgoal: tables.clauses)
-    m.setattr(engine, "may_unify", lambda a, b: True)
 
 
 def memo_free(m):
     """A fresh memo of instances for every call of the successors."""
     real = engine._saturate_successors
     m.setattr(engine, "_saturate_successors",
-              lambda lex, node, allow_vacuous, instances:
-              real(lex, node, allow_vacuous, {}))
+              lambda s, node: real(dataclasses.replace(s, instances={}), node))
 
 
-def _two_step_successors(lex, node, allow_vacuous, instances):
+def _two_step_successors(s, node):
     """The successors built in two steps: splice the instance onto the state
     and normalize (``engine._apply`` of the ``ExpandStep``), then unify the
     head with the subgoal and apply the cancel, slicing, substituting and
@@ -78,16 +75,14 @@ def _two_step_successors(lex, node, allow_vacuous, instances):
         return []
     out = []
     suffix = str(node.expansions + 1)
-    memo = instances.setdefault(suffix, {})
+    memo = s.instances.setdefault(suffix, {})
     sel = len(expr) - 1
     subgoal = expr[sel] if expr else None
+    lex = s.lex
     tables = engine._tables(lex)
     clauses = (tables.clauses if subgoal is None
                else tables.candidates(subgoal.payload))
-    for rule_id, head, names, app_args in clauses:
-        if subgoal is not None and head is not None \
-                and not engine.may_unify(head, subgoal.payload):
-            continue
+    for rule_id, _, names, app_args in clauses:
         size = len(tables.by_id[rule_id].items)  # logical items only
         meta_map = tuple((nm, nm + "_" + suffix)
                          for nm in names if nm not in app_args)
@@ -105,7 +100,7 @@ def _two_step_successors(lex, node, allow_vacuous, instances):
             out.append(((step,), new, 1))
         elif len(new) == len(expr) + size:  # nothing cancelled
             for delta in engine.unify(subgoal.payload, new[sel + 1].payload,
-                                      EMPTY_BINDING, allow_vacuous):
+                                      EMPTY_BINDING, s.allow_vacuous):
                 cancel = CancelStep((), sel, delta)
                 out.append(((step, cancel), engine._apply(lex, new, cancel),
                             1))

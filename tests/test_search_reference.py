@@ -31,6 +31,7 @@ of the string's readings.
 """
 
 import copy
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -74,8 +75,9 @@ def reference(monkeypatch):
     cancel skipped and no block-free word dropped."""
     real = engine._block_successors
 
-    def exhaustive(lex, expr, postpone=False, *args):
-        return real(lex, expr, False, *args)
+    def exhaustive(s, node):
+        # a generation context places every block at every state
+        return real(dataclasses.replace(s, mode="gen"), node)
 
     def run(fn, *args):
         with monkeypatch.context() as m:
@@ -126,8 +128,7 @@ def _agree(pruned, ref, lex):
 
 
 def _search(start):
-    return engine._search(RAW, "parse", start, (), LIM,
-                          engine._single_atom_goal, render_term)
+    return engine._search(RAW, "parse", start, (), LIM)
 
 
 def _check_start(against, start):
@@ -352,7 +353,8 @@ def test_one_dissolve_step_is_the_three_steps_it_stands_for():
         start = normalize(_random_start(rng))
         try:
             fields = _bundles(start)
-            succ = engine._block_successors(RAW, start)
+            succ = engine._block_successors(engine._Search(RAW, "gen"),
+                                            engine._Node(start, 0, None, ()))
             assert [steps for steps, _, _ in succ] == \
                 [(DissolveStep(*f),) for f in fields]
             for f, (_, new, _) in zip(fields, succ):
@@ -408,25 +410,41 @@ def test_skipped_cancels_keep_the_readings_of_random_starts(unskipped):
     _check_random_starts(unskipped, 29)
 
 
-@pytest.mark.parametrize("text, reading", [
-    ("{ { f(Y) { s } f(b) } f(Y)^-1 } f(X)^-1 f(Y) f(b)^-1", "s"),
-    ("h(X) f(Y) f(X)^-1 f(b) { { f(Y)^-1 } } { f(Y)^-1 } f(X)", "h(b)"),
+@pytest.mark.parametrize("text, reading, keys", [
+    ("{ { f(Y) { s } f(b) } f(Y)^-1 } f(X)^-1 f(Y) f(b)^-1", "s", (1567, 286)),
+    ("h(X) f(Y) f(X)^-1 f(b) { { f(Y)^-1 } } { f(Y)^-1 } f(X)", "h(b)",
+     (603, 130)),
+    # a re-expansion that also made the cancels inside blocks would key 758
+    ("{ h(X) g(X,Y) } { g(a,b)^-1 g(X,Y) } { g(a,b)^-1 } g(a,b)^-1 g(X,Y)",
+     "h(a)", (754, 104)),
 ])
 def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
-                                              reading):
+                                              reading, keys):
     # a later path reaches an expanded state that skipped a cancel the path
-    # needs, so the search makes that cancel from the arriving instance
-    real = engine._cancel_successors
-    late = []
+    # needs, so the search makes that cancel from the arriving instance: the
+    # cancels of one state key are asked for twice.  The key counts pin
+    # what a re-expansion makes, the top-level cancels at the bits it needs:
+    # making the other top-level cancels too, or the cancels inside blocks,
+    # moves them
+    real_cancels, real_key = engine._cancel_successors, engine._canonical_key
+    expanded, keyed = [], []
 
-    def counting(*args, **kwargs):
-        late.append(kwargs.get("nested") is False)
-        return real(*args, **kwargs)
+    def cancels(s, node):
+        expanded.append(node.key)
+        return real_cancels(s, node)
 
-    monkeypatch.setattr(engine, "_cancel_successors", counting)
+    def keying(expr, commutative):
+        keyed.append(real_key(expr, commutative))
+        return keyed[-1]
+
     start = engine.parse_expr(text, ())
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_cancel_successors", cancels)
+        m.setattr(engine, "_canonical_key", keying)
+        _search(start)
+    assert len(expanded) > len(set(expanded))
+    assert (len(keyed), len(set(keyed))) == keys
     assert _readings(_check_start(unskipped, start)) == {reading}
-    assert any(late)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +457,8 @@ def drops(monkeypatch):
     real = engine._may_reduce
     dropped = []
 
-    def collecting(word, *args):
-        ok = real(word, *args)
+    def collecting(s, word):
+        ok = real(s, word)
         if not ok:
             dropped.append(word)
         return ok
@@ -751,8 +769,8 @@ def _keyed_parse(english, monkeypatch, sentence):
 def test_pair_unifiers_memo_changes_no_state(english, monkeypatch, sentence):
     memo, memo_keys = _keyed_parse(english, monkeypatch, sentence)
 
-    def fresh(a, b, allow_vacuous, unifiers):
-        return unify(a.payload, b.payload, EMPTY_BINDING, allow_vacuous)
+    def fresh(s, a, b):
+        return unify(a.payload, b.payload, EMPTY_BINDING, s.allow_vacuous)
 
     monkeypatch.setattr(engine, "_pair_unifiers", fresh)
     res, keys = _keyed_parse(english, monkeypatch, sentence)
@@ -809,12 +827,10 @@ def test_the_substitution_memo_lives_for_one_search(english, monkeypatch):
     real_cancels, real_substitute = engine._cancel_successors, engine.substitute
     memos, calls = [], [0]
 
-    def cancels(lex, expr, allow_vacuous, unifiers, substitutions, *args,
-                **kwargs):
-        if not any(m is substitutions for m in memos):
-            memos.append(substitutions)
-        return real_cancels(lex, expr, allow_vacuous, unifiers, substitutions,
-                            *args, **kwargs)
+    def cancels(s, node):
+        if not any(m is s.substitutions for m in memos):
+            memos.append(s.substitutions)
+        return real_cancels(s, node)
 
     def substitute(t, b):
         calls[0] += 1

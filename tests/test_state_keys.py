@@ -308,6 +308,49 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
     assert (len(keys), len(set(keys))) == (calls, distinct)
 
 
+# Calls and outputs of each successor generator on the pinned queries, by
+# kind, counted as the benchmark's tracer counts them: each generator name
+# wrapped on the module, one call per call and the length of the list it
+# returns.  A generator bound before the search starts escapes the wrapper
+# and reads as no calls.
+SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
+              "_block_successors": "block", "_swap_cancel_successors": "swap",
+              "_saturate_successors": "saturate"}
+SUCCESSOR_PINS = {
+    "parse the man that louise saw ran":
+        {"cancel": (125, 185), "block": (125, 56)},
+    "parse john saw every woman in paris":
+        {"cancel": (674, 1320), "block": (674, 406)},
+    "generate ev(m,#x1,r(#x1))": {"expand": (12, 3), "block": (9, 9)},
+    "generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))":
+        {"expand": (9811, 7), "block": (9804, 38636)},
+    "saturate family.lp": {"saturate": (30, 29)},
+    "parse every man saw some woman, commutative":
+        {"swap": (1393, 4248), "block": (1393, 0)},
+    "parse saw john louise, commutative": {"swap": (7, 8), "block": (7, 0)},
+}
+
+
+@pytest.mark.parametrize("query, run", [p[:2] for p in PINNED],
+                         ids=[p[0] for p in PINNED])
+def test_successors_per_kind_are_pinned(monkeypatch, query, run):
+    counts = {}
+
+    def wrap(real, kind):
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls, total = counts.get(kind, (0, 0))
+            counts[kind] = (calls + 1, total + len(out))
+            return out
+
+        return counting
+
+    for name, kind in SUCCESSORS.items():
+        monkeypatch.setattr(engine, name, wrap(getattr(engine, name), kind))
+    run()
+    assert counts == SUCCESSOR_PINS[query]
+
+
 def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
     # the instance p(a) p(a)^-1 q(b)^-1 cancels inside itself; as the root
     # it would key two more states (7 in all) and resolve nothing
