@@ -52,7 +52,12 @@ can be larger than in the full search when measured against ``max_items``
 
 The same commutation prunes cancels: a state reached by a bundle skips its
 top-level cancels of pairs that were adjacent before the bundle (see
-``_search``).  A block-free word that enters from a state with blocks is
+``_search``).  So does a state reached by a top-level cancel, for the
+first-order pairs left of it that it left untouched, which commute back
+before it.  The search decides from its starts whether cancels commute so
+(``_ordered_word``): only when no cancel can make an eager cancellation,
+which could remove an atom of the other pair in one order and not in the
+other.  A block-free word that enters from a state with blocks is
 dropped before it is keyed when some atom of it has no partner to cancel
 with at an odd distance, other than one positive survivor at an even index
 (``_may_reduce``).
@@ -120,8 +125,9 @@ from . import lexicon as lx
 from .term import (
     HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
     Identifier, IdentifierSource, MetaVar, Term, binding_is_acyclic,
-    canonical_identifiers, is_ground, may_unify, parse_abstraction,
-    parse_term, render_abstraction, render_term, substitute, subterms, unify,
+    canonical_identifiers, identifiers_in, is_ground, may_unify,
+    parse_abstraction, parse_term, render_abstraction, render_term,
+    substitute, subterms, unify,
 )
 
 __all__ = [
@@ -1050,6 +1056,12 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     other (``_occurs_rigidly``).  ``unify`` does not decide such a pair:
     ``match_app`` fails on a target that still holds an application, yet
     binding that application's abstraction later can let the pair cancel.
+
+    Without vacuous abstraction, an application to an identifier facing a
+    ground atom needs the identifier inside that atom, and the atom must not
+    be the identifier itself.  Every abstraction ``match_app`` makes uses
+    its hole and is not the identity, so every later image of the
+    application has both properties, and a ground atom never changes.
     """
     if a.sign != -b.sign:
         return False
@@ -1060,6 +1072,11 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     x, y = a.payload, b.payload
     if not (x.absvars or y.absvars):
         return bool(_pair_unifiers(s, a, b))
+    if not s.allow_vacuous:
+        for app, t in ((x, y), (y, x)):
+            if t.ground and isinstance(app, App) \
+                    and isinstance(app.arg, Identifier):
+                return t != app.arg and app.arg in identifiers_in(t)
     return (may_unify(x, y) and not _occurs_rigidly(x, y)
             and not _occurs_rigidly(y, x))
 
@@ -1102,7 +1119,8 @@ def _may_reduce(s: _Search, word: Expr) -> bool:
 def _cancel_successors(s: _Search, node: _Node) -> list:
     """Every explicit cancel of an adjacent pair, at every level, except at
     the top-level positions set in the node's skip mask (see
-    ``_commuting_cancels``); a negative mask allows the top level only.
+    ``_commuting_cancels`` and ``_ordered_cancels``); a negative mask allows
+    the top level only.
     Inside a block the pairs include the wrap pair (last item, first
     item)."""
     expr, skip = node.expr, node.skip
@@ -1144,6 +1162,75 @@ def _commuting_cancels(s: _Search, adjacent: set, new: Expr) -> int:
         if (id(a), id(b)) in adjacent and _cancel_pair(a, b) \
                 and _pair_unifiers(s, a, b):
             mask |= 1 << i
+    return mask
+
+
+def _ordered_word(expr: Expr) -> bool:
+    """Whether every top-level cancel of ``expr``, and of every state that
+    parsing reaches from it, removes its own pair and nothing else: every
+    negative atom, at any level, is a bare meta-variable or an application,
+    so never ground and never a token; no positive logical atom is either;
+    and no variable occurs in two negative atoms.
+
+    A cancel pairs a negative atom with a positive one, which is neither a
+    variable nor an application, so its unifier binds only variables of the
+    negative atom: a bare meta-variable binds itself, and an application
+    (``match_app``) its abstraction variable, and its argument when that is
+    a variable.  No other negative atom holds them, so each keeps its shape,
+    substitution keeps each positive atom's, and dissolves move items
+    without changing them: every state meets the condition too.  Then no
+    negative atom is ever ground, ``normalize``, which cancels only ground
+    inverses, removes nothing, and a top-level cancel empties no block.
+    """
+    metas: set = set()
+    absvars: set = set()
+    for _, items in _levels(expr):
+        for a in items:
+            if isinstance(a, Block):
+                continue
+            t = a.payload
+            bare = isinstance(t, (MetaVar, App))
+            if a.sign > 0:
+                if bare:
+                    return False
+                continue
+            if not bare or not metas.isdisjoint(t.metas) \
+                    or not absvars.isdisjoint(t.absvars):
+                return False
+            metas |= t.metas
+            absvars |= t.absvars
+    return True
+
+
+def _ordered_cancels(s: _Search, old: Expr, step: CancelStep,
+                     new: Expr) -> int:
+    """Bit mask of the top-level positions ``j <= p - 2`` of ``new``, made
+    from ``old`` by ``step``, a cancel at ``p``, whose pair holds the same
+    two atom objects that ``old`` holds there, when that pair and the
+    cancelled one are both first-order (no application; ground atoms
+    count).  Such a cancel commutes back before ``step``, so the search
+    skips it (see ``_search``).
+
+    The pair at ``j`` holds the same objects, so ``step``'s unifier left it
+    alone, and in a word that meets ``_ordered_word`` a top-level cancel
+    removes its own pair only.  Cancelling ``j`` first in ``old`` then
+    leaves the other pair at ``p - 2``, under ``j``'s unifier.  Both pairs
+    are first-order, so either order applies a most general unifier of the
+    two, unique up to renaming, and reaches one state up to the renaming,
+    which the state key forgets.  Matching an application depends on what is
+    already bound (``unify(P[#x1], s(#x1,B))`` and then ``B=#x1`` binds a
+    different ``P`` than ``B=#x1`` first), so such pairs never skip.
+    """
+    p = step.index
+    if step.level or old[p].payload.absvars or old[p + 1].payload.absvars:
+        return 0
+    mask = 0
+    for j in range(min(p, len(new)) - 1):
+        a, b = new[j], new[j + 1]
+        if a is old[j] and b is old[j + 1] and _cancel_pair(a, b) \
+                and not (a.payload.absvars or b.payload.absvars) \
+                and _pair_unifiers(s, a, b):
+            mask |= 1 << j
     return mask
 
 
@@ -1466,21 +1553,33 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     than with the lexicon's tables, so it does not outlive the query or grow
     with every depth any query has reached.
 
-    In non-commutative parsing, a state reached by a block bundle skips the
-    top-level cancels that ``_commuting_cancels`` finds, since the bundle's
-    parent makes them already (see ``_block_successors``).  The skip is a bit
-    mask over top-level positions, and positions agree between states with
-    equal keys.  It holds for one path, but states are cached by key, so a
-    state keeps the intersection of the masks of every path that reaches it,
-    and only states with a nonzero mask keep one; a node carries its mask
-    when it is expanded.  A later path whose mask lacks a bit narrows the
-    mask of a queued state.  If the state was already expanded, the cancels
-    at those bits are made then, at the top level only, from the arriving
-    instance (a re-expansion, whose node carries the complement of those
-    bits): the parent of that path need not have them, so without this the
-    cancels a state makes would depend on which path reached it first.  No
-    known input needs a re-expansion for a reading, but some run it (``every
-    man that some woman saw ran`` does).
+    In non-commutative parsing, a state skips the top-level cancels that
+    commute back before the step that made it, since its parent makes them
+    already (partial-order reduction).  After a block bundle these are the
+    cancels that ``_commuting_cancels`` finds (see ``_block_successors``).
+    After a top-level cancel at ``p`` they are the first-order cancels at
+    ``j <= p - 2`` that the cancel left untouched (``_ordered_cancels``);
+    this needs every top-level cancel to remove its own pair only, which
+    holds when every start meets ``_ordered_word`` (a parse start does when
+    the instance of each parsing rule in it does).  No reading is lost: a
+    derivation can swap a skipped cancel before the step that made its
+    state and reach a state with the same key, so its later steps stay.
+    Each swap makes the derivation's sequence of top-level positions, a
+    bundle counting as larger than any position, lexicographically smaller,
+    so the swaps end at a derivation that no skip removes.
+
+    A skip is a bit mask over top-level positions, and positions agree
+    between states with equal keys.  It holds for one path, but states are
+    cached by key, so a state keeps the intersection of the masks of every
+    path that reaches it, and only states with a nonzero mask keep one; a
+    node carries its mask when it is expanded.  A later path whose mask
+    lacks a bit narrows the mask of a queued state.  If the state was
+    already expanded, the cancels at those bits are made then, at the top
+    level only, from the arriving instance (a re-expansion, whose node
+    carries the complement of those bits): the parent of that path need not
+    have them, so without this the cancels a state makes would depend on
+    which path reached it first.  No known input needs a re-expansion for a
+    reading, but some run it (``every man that some woman saw ran`` does).
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,
     its id, in order of first sight: a key is hashed once, when it is looked
@@ -1523,15 +1622,18 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     else:
         gens = (_saturate_successors,) if mode == "saturate" else (cancel,)
         goal, result_key = _single_atom_goal, render_term
-    blocks = None if mode == "saturate" else _block_successors
+    # commutative states hold no blocks
+    blocks = None if mode == "saturate" or commutative else _block_successors
     skipping = mode == "parse" and not commutative
     # generation with local expansions places blocks only where nothing
-    # expands (see _expand_successors); commutative states hold no blocks
+    # expands (see _expand_successors)
     place_late = mode == "gen" and tables.local_expansions
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), {}
+    ordered = skipping
     for steps, expr in starts or [((), root.expr)]:
+        ordered = ordered and _ordered_word(expr)
         n = len(visited)
         key = visited.setdefault(_canonical_key(expr, commutative), n)
         if key == n:
@@ -1586,21 +1688,29 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             key = visited.setdefault(_canonical_key(new, commutative), n)
             if key == n:
                 queue.append(_Node(new, expansions, node, steps, key))
-                if adjacent is not None and k >= bundles:
-                    mask = _commuting_cancels(s, adjacent, new)
-                    if mask:
-                        queued_skips[key] = mask
-            elif key in queued_skips or key in expanded_skips:
-                # a later path: the state keeps only what both paths skip
-                mask = 0 if k < bundles else _commuting_cancels(
-                    s, adjacent, new)
-                if key in queued_skips:
-                    _narrow(queued_skips, key, mask)
-                else:
-                    need = _narrow(expanded_skips, key, mask)
-                    if need:
-                        late.append(_Node(new, expansions, node, steps, key,
-                                          ~need))
+                if not skipping:
+                    continue
+            elif key not in queued_skips and key not in expanded_skips:
+                continue
+            # what this path skips: cancels that commute back before its
+            # bundle, or before its cancel
+            if k >= bundles:
+                mask = _commuting_cancels(s, adjacent, new)
+            elif ordered:
+                mask = _ordered_cancels(s, node.expr, steps[0], new)
+            else:
+                mask = 0
+            if key == n:
+                if mask:
+                    queued_skips[key] = mask
+            # a later path: the state keeps only what both paths skip
+            elif key in queued_skips:
+                _narrow(queued_skips, key, mask)
+            else:
+                need = _narrow(expanded_skips, key, mask)
+                if need:
+                    late.append(_Node(new, expansions, node, steps, key,
+                                      ~need))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []

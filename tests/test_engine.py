@@ -726,6 +726,35 @@ def test_partners_reject_pairs_no_substitution_can_cancel(left, right):
     assert not _may_cancel(right, left)
 
 
+@pytest.mark.parametrize("left, right", [
+    # match_app abstracts the identifier out of the target: without it, or
+    # with the identifier as the whole target, no binding of P4 cancels them
+    ("P4[#x2]", "s"),
+    ("P4[#x2]", "s(j,#x1)"),
+    ("P4[#x2]", "#x2"),
+])
+def test_partners_reject_an_application_whose_identifier_a_ground_atom_lacks(
+        left, right):
+    assert not _may_cancel(left, right)
+    assert not _may_cancel(right, left)
+    # a vacuous abstraction, made when P4 matches elsewhere, may turn P4[#x2]
+    # into any term: the relation keeps the pair
+    vacuous = engine._Search(EMPTY_LEX, "parse", allow_vacuous=True)
+    assert engine._may_cancel(vacuous, Atom(lf(left)), Atom(lf(right), -1))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("P4[#x2]", "s(j,#x2)"),
+    ("P4[#x2]", "f(#x2)"),
+    # the application's argument is a variable: match_app may bind it to
+    # any identifier of the target
+    ("P4[X]", "s"),
+])
+def test_partners_keep_an_application_a_ground_atom_can_match(left, right):
+    assert _may_cancel(left, right)
+    assert _may_cancel(right, left)
+
+
 def test_partners_need_opposite_signs_and_equal_tokens():
     def partners(x, y):
         return engine._may_cancel(_context(), x, y)
@@ -773,6 +802,8 @@ def test_words_that_may_reduce_pass(text):
     # a quantifier's two atoms, which can only cancel each other, and the
     # application occurs inside the other
     "s(A3,B3) sm(N4,#x2,P4[#x2]) P4[#x2]^-1",
+    # the application's only partner at an odd distance lacks its identifier
+    "sm(N4,#x2,P4[#x2]) P4[#x2]^-1 s",
 ])
 def test_words_that_cannot_reduce_fail(text):
     assert not _reducible(text)

@@ -78,10 +78,12 @@ def _keys(monkeypatch, lex, words):
 def test_assignments_with_one_start_are_searched_once(monkeypatch):
     # a second relator for john expands it to the same start, so the two
     # assignments share every state: only the second start's key is extra
+    # (37 and 38 before the first-order cancels that commute back before the
+    # cancel that made a state were skipped)
     english = parse_grammar(ENGLISH)
     twice = parse_grammar(ENGLISH + "relator j john^-1 .\n")
     words = "john saw louise in paris".split()
     once, once_keys = _keys(monkeypatch, english, words)
     both, both_keys = _keys(monkeypatch, twice, words)
     assert _readings(both) == _readings(once)
-    assert (once_keys, both_keys) == (37, 38)
+    assert (once_keys, both_keys) == (22, 23)

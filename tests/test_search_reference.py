@@ -1,4 +1,4 @@
-"""Differential tests of the three prunings of parse search against searches
+"""Differential tests of the four prunings of parse search against searches
 without them.
 
 Postponed block placement is checked against the unpruned reference, which
@@ -10,7 +10,9 @@ placement without the skip.  Both searches must find the same readings and
 agree on truncation, and every derivation of the pruned search must replay.
 The dropped block-free words that cannot reduce to one atom are checked
 against the same search keeping them: the same readings, rendered
-derivations and truncation.
+derivations and truncation.  So are the ordered cancels, the first-order
+cancels that commute back before the cancel that made a state, against the
+same search making them.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -61,8 +63,13 @@ RAW = Lexicon((), (), raw_mode=True)
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 
+def _no_order(m):
+    m.setattr(engine, "_ordered_cancels", lambda *args: 0)
+
+
 def _no_skip(m):
     m.setattr(engine, "_commuting_cancels", lambda *args: 0)
+    _no_order(m)
 
 
 def _no_drop(m):
@@ -98,6 +105,18 @@ def unskipped(monkeypatch):
         with monkeypatch.context() as m:
             _no_skip(m)
             _no_drop(m)
+            return fn(*args)
+
+    return run
+
+
+@pytest.fixture
+def unordered(monkeypatch):
+    """Call a function with every pruning but the ordered cancels."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            _no_order(m)
             return fn(*args)
 
     return run
@@ -485,6 +504,144 @@ def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
     assert len(drops) > 100
+
+
+# ---------------------------------------------------------------------------
+# ordered cancels: the same search making every first-order cancel left of
+# the cancel that made a state
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    """Collect the nonzero masks of ordered cancels the search computes."""
+    real = engine._ordered_cancels
+    masks = []
+
+    def collecting(*args):
+        mask = real(*args)
+        if mask:
+            masks.append(mask)
+        return mask
+
+    monkeypatch.setattr(engine, "_ordered_cancels", collecting)
+    return masks
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_ordered_cancels_keep_the_results(english, unordered, orders,
+                                          sentence):
+    words = sentence.split()
+    pruned = parse(english, words, LIM)
+    _same_results(pruned, unordered(parse, english, words, LIM))
+    assert pruned.results
+    assert orders
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_ordered_cancels_keep_truncation_under_a_result_limit(
+        english, unordered, sentence):
+    # the queue order changes, so the readings found first may too
+    words, lim = sentence.split(), SearchLimits(max_results=2)
+    assert parse(english, words, lim).truncated == \
+        unordered(parse, english, words, lim).truncated
+
+
+def test_ordered_cancels_keep_the_results_of_every_shape_fill(
+        english, unordered, orders, shape_fills):
+    for text in shape_fills:
+        for words, _ in generate(english, parse_term(text), LIM).results:
+            try:
+                _same_results(parse(english, words, LIM),
+                              unordered(parse, english, words, LIM))
+            except AssertionError as e:
+                raise AssertionError(f"{text}: {' '.join(words)}") from e
+    assert orders
+
+
+def _ordered_start(rng):
+    """A random start that meets ``engine._ordered_word``: a goal atom and
+    pairs of a positive term and a negative bare variable, each variable
+    bound to a term over the later ones, and now and then an application
+    to an identifier, then cut into nested blocks like ``_random_start``."""
+    names = [f"V{k}" for k in range(rng.randint(2, 4))]
+    word = [_atom(rng.choice(("s", "h(V0)", "h(V1)")))]
+    for k, name in enumerate(names):
+        later = rng.choice(names[k + 1:] or ["a"])
+        term = rng.choice(("a", "f(b)", "f({})", "g({},a)", "g(a,{})"))
+        pair = [_atom(term.format(later)), _atom(name, -1)]
+        if rng.random() < 0.2:
+            pair = [_atom("g(#x1,b)"), _atom(f"P{k}[#x1]", -1)]
+        if rng.random() < 0.5:
+            pair.reverse()
+        pos = rng.randint(0, len(word))
+        word[pos:pos] = pair
+    for _ in range(rng.randint(0, 2)):
+        word = _cut(rng, word)
+    start = tuple(word)
+    assert engine._ordered_word(start)
+    return start
+
+
+def test_ordered_cancels_keep_the_results_of_random_starts(unordered, orders):
+    rng = random.Random(41)
+    found = 0
+    for n in range(500):
+        start = _ordered_start(rng)
+        try:
+            pruned = _search(start)
+            _same_results(pruned, unordered(_search, start))
+            found += bool(pruned.results)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert found > 250
+    assert len(orders) > 500
+
+
+# t3's instance holds a ground negative atom, f(a)^-1, so the parse start
+# fails ``engine._ordered_word``.  Cancelling s(Y1) against s(Y1)^-1 joins
+# f(a) and f(a)^-1, which cancel eagerly: made first, that cancel removes
+# f(a)^-1, which the only reading cancels against f(W4) once g(X3) has
+# cancelled g(b)^-1.  So the two cancels do not commute, and skipping the
+# cancel of s(Y1) after the cancel of f(W4) loses the reading.
+EAGER = """
+phon t1 t2 t3 t4 .
+relator f(a) t1^-1 .
+relator s(Y) s(Y)^-1 t2^-1 .
+relator f(a)^-1 g(b)^-1 g(X) t3^-1 .
+relator f(W) t4^-1 .
+"""
+
+
+def test_a_lexicon_with_eager_cancels_gets_no_ordered_skip(monkeypatch,
+                                                           orders):
+    lex, words = parse_grammar(EAGER), "t1 t2 t3 t4".split()
+    assert _readings(parse(lex, words, LIM)) == {"f(a)"}
+    assert not orders
+    monkeypatch.setattr(engine, "_ordered_word", lambda expr: True)
+    assert _readings(parse(lex, words, LIM)) == set()
+    assert orders
+
+
+@pytest.mark.parametrize("text", [
+    "s(Y) f(a)^-1",  # a ground negative atom
+    "s(Y) f(X)^-1",  # a negative atom that is no bare variable
+    "f(X) X^-1 Y^-1 X^-1",  # a variable in two negative atoms
+    "s(a) P[Y]^-1 Q[Y]^-1",  # the same, as applications' arguments
+    "X Y^-1",  # a positive bare variable
+    "P[#x1] f(#x1)^-1",  # a positive application
+    "s(Y) tok^-1",  # a negative token
+])
+def test_words_without_ordered_cancels(text):
+    assert not engine._ordered_word(engine.parse_expr(text, ("tok",)))
+
+
+@pytest.mark.parametrize("text", [
+    "s(A,B) A^-1 j B^-1 l",
+    "{ ev(N1,#x1,P1[#x1]) P1[#x1]^-1 } #x1 N1^-1 m",
+    "tok s(X) X^-1",  # a positive token
+])
+def test_words_with_ordered_cancels(text):
+    assert engine._ordered_word(engine.parse_expr(text, ("tok",)))
 
 
 # ---------------------------------------------------------------------------
