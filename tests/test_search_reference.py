@@ -597,6 +597,16 @@ def test_ordered_cancels_keep_the_results_of_random_starts(unordered, orders):
     assert len(orders) > 500
 
 
+def test_an_application_cancel_makes_the_first_order_cancels_left_of_it():
+    # matching P[#x1] against s(#x1,B) before B=#x1 binds P to
+    # \#_z.s(#_z,B), after it to \#_z.s(#_z,#_z): the two orders reach two
+    # readings, so the state the application's cancel made must still cancel
+    # #x1 against B^-1
+    start = engine.parse_expr("h(P[#x2]) #x1 B^-1 s(#x1,B) P[#x1]^-1", ())
+    assert engine._ordered_word(start)
+    assert _readings(_search(start)) == {"h(s(#x1,#x1))", "h(s(#x1,#x2))"}
+
+
 # t3's instance holds a ground negative atom, f(a)^-1, so the parse start
 # fails ``engine._ordered_word``.  Cancelling s(Y1) against s(Y1)^-1 joins
 # f(a) and f(a)^-1, which cancel eagerly: made first, that cancel removes
