@@ -94,9 +94,8 @@ node) -> list``, and the helpers that judge atom pairs take the context
 too.  The memos hold the unifiers of
 atom pairs, whether two atoms may still cancel (``_may_reduce``), the
 substitutions the cancels make, and the clause instances of saturation.
-The first is keyed by the pair's identity, ``(id(a), id(b))``, and, for a
-pair met the first time, by its payloads, so equal payloads still share one
-``unify``.  The second is keyed by the pair's identity, in word order.  The
+The first is keyed by the pair's identity, ``(id(a), id(b))``, so each
+pair of atom objects is unified once.  The second is keyed by the pair's identity, in word order.  The
 third is keyed by identity, ``(id(unifier), id(atom))``, so the same atom
 object under the same unifier object gives one shared result atom in every
 state that needs it, while distinct atoms, even equal ones, never merge: no
@@ -908,19 +907,18 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 class _Node:
     """A search state.  ``skip`` is the bit mask of top-level positions
-    whose cancels the state skips (see ``_search``); a negative mask, a
-    re-expansion's, makes the cancels at its clear bits at the top level
-    only."""
+    whose cancels the state skips, set when it is expanded (see
+    ``_search``)."""
 
     __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip")
 
-    def __init__(self, expr, expansions, parent, steps, key=None, skip=0):
+    def __init__(self, expr, expansions, parent, steps, key=None):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
         self.key = key
-        self.skip = skip
+        self.skip = 0
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -1011,20 +1009,14 @@ def _cancel_pair(a, b) -> bool:
 
 def _pair_unifiers(s: _Search, a: Atom, b: Atom) -> list:
     """``unify(a.payload, b.payload, EMPTY_BINDING, s.allow_vacuous)``, kept
-    in the search's memo of pair unifiers, by identity first and by payload
-    pair second."""
+    in the search's memo of pair unifiers by the pair's identity."""
     unifiers = s.unifiers
     ids = (id(a), id(b))
     found = unifiers.get(ids)
-    if found is not None:
-        return found[2]
-    key = (a.payload, b.payload)
-    deltas = unifiers.get(key)
-    if deltas is None:
-        deltas = unifiers[key] = unify(a.payload, b.payload, EMPTY_BINDING,
-                                       s.allow_vacuous)
-    unifiers[ids] = (a, b, deltas)
-    return deltas
+    if found is None:
+        found = unifiers[ids] = (a, b, unify(a.payload, b.payload,
+                                             EMPTY_BINDING, s.allow_vacuous))
+    return found[2]
 
 
 def _occurs_rigidly(x: Term, t: Term) -> bool:
@@ -1119,13 +1111,12 @@ def _may_reduce(s: _Search, word: Expr) -> bool:
 def _cancel_successors(s: _Search, node: _Node) -> list:
     """Every explicit cancel of an adjacent pair, at every level, except at
     the top-level positions set in the node's skip mask (see
-    ``_commuting_cancels`` and ``_ordered_cancels``); a negative mask allows
-    the top level only.
+    ``_commuting_cancels`` and ``_ordered_cancels``).
     Inside a block the pairs include the wrap pair (last item, first
     item)."""
     expr, skip = node.expr, node.skip
     out = []
-    levels = _levels(expr) if skip >= 0 and _has_block(expr) else [((), expr)]
+    levels = _levels(expr) if _has_block(expr) else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
@@ -1284,7 +1275,8 @@ def _neighbours(items: Expr, slot: int, cyclic: bool):
 
 
 def _block_successors(s: _Search, node: _Node) -> list:
-    """Place each block, rotate it, and dissolve it in one go.
+    """Place each block, rotate it, and dissolve it in one go.  ``_search``
+    calls it only on a state that holds a block.
 
     A block's position only matters at the moment it dissolves, so exploring
     placements as separate states would multiply intermediates without adding
@@ -1329,8 +1321,6 @@ def _block_successors(s: _Search, node: _Node) -> list:
     forgets.
     """
     expr = node.expr
-    if not _has_block(expr):
-        return []
     out = []
     if s.mode == "parse":
         _runs(s, expr, (), None, out)
@@ -1574,17 +1564,22 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     path that reaches it, and only states with a nonzero mask keep one; a
     node carries its mask when it is expanded.  A later path whose mask
     lacks a bit narrows the mask of a queued state.  If the state was
-    already expanded, the cancels at those bits are made then, at the top
-    level only, from the arriving instance (a re-expansion, whose node
-    carries the complement of those bits): the parent of that path need not
-    have them, so without this the cancels a state makes would depend on
-    which path reached it first.  No known input needs a re-expansion for a
-    reading, but some run it (``every man that some woman saw ran`` does).
+    already expanded, its narrowed mask goes back to the queued ones and the
+    arriving instance is queued, to be expanded again with every generator
+    (a re-expansion): the parent of that path need not make the cancels at
+    the dropped bits, so without this the cancels a state makes would depend
+    on which path reached it first.  The successors it makes twice are
+    duplicates, which may narrow their own masks in turn.  No known input
+    needs a re-expansion for a reading, but some run it (``every man that
+    some woman saw ran`` does).
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,
     its id, in order of first sight: a key is hashed once, when it is looked
-    up, and the nodes, the skip masks (``queued_skips``, ``expanded_skips``)
-    and the ``late`` re-expansions carry the id.
+    up, and the nodes and the skip masks (``queued_skips``,
+    ``expanded_skips``) carry the id.
+
+    Block bundles are asked for only from a state that holds a block; a
+    bundle is told from a cancel by its first step, a ``DissolveStep``.
 
     A block-free word that a state with blocks reaches, by a bundle or by a
     cancel that empties a nested block, is dropped before it is keyed when
@@ -1644,37 +1639,29 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
-    late: deque = deque()  # re-expansions, each carrying ~(mask to make)
-    while late or queue:
-        if late:
-            node = late.popleft()
-            succ = cancel(s, node)
-            bundles = len(succ)
-        else:
-            node = queue.popleft()
-            payload = goal(node.expr)
-            if payload is not None:
-                key = result_key(payload)
-                if key not in results:
-                    results[key] = (payload, node)
-                    if len(results) >= lim.max_results:
-                        truncated = True
-                        break
-            node.skip = queued_skips.pop(node.key, 0)
-            if node.skip:
-                expanded_skips[node.key] = node.skip
-            succ = []
-            for gen in gens:
-                succ += gen(s, node)
-            bundles = len(succ)  # where the block bundles start
-            if blocks and not (place_late and succ):
-                succ += blocks(s, node)
+    while queue:
+        node = queue.popleft()
+        payload = goal(node.expr)
+        if payload is not None:
+            key = result_key(payload)
+            if key not in results:
+                results[key] = (payload, node)
+                if len(results) >= lim.max_results:
+                    truncated = True
+                    break
+        node.skip = queued_skips.pop(node.key, 0)
+        if node.skip:
+            expanded_skips[node.key] = node.skip
+        has_blocks = blocks is not None and _has_block(node.expr)
+        succ = []
+        for gen in gens:
+            succ += gen(s, node)
+        if has_blocks and not (place_late and succ):
+            succ += blocks(s, node)
         adjacent = None
-        if skipping and len(succ) > bundles:
-            adjacent = _adjacent_pairs(node.expr)
         # block-free words enter from here, checked once (see the docstring)
-        entering = skipping and _has_block(node.expr)
-        for k, (steps, new, dexp) in enumerate(succ):
+        entering = skipping and has_blocks
+        for steps, new, dexp in succ:
             expansions = node.expansions + dexp
             if expansions > lim.max_expansions:
                 truncated = True
@@ -1694,7 +1681,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 continue
             # what this path skips: cancels that commute back before its
             # bundle, or before its cancel
-            if k >= bundles:
+            if type(steps[0]) is DissolveStep:
+                if adjacent is None:
+                    adjacent = _adjacent_pairs(node.expr)
                 mask = _commuting_cancels(s, adjacent, new)
             elif ordered:
                 mask = _ordered_cancels(s, node.expr, steps[0], new)
@@ -1706,11 +1695,11 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             # a later path: the state keeps only what both paths skip
             elif key in queued_skips:
                 _narrow(queued_skips, key, mask)
-            else:
-                need = _narrow(expanded_skips, key, mask)
-                if need:
-                    late.append(_Node(new, expansions, node, steps, key,
-                                      ~need))
+            # an expanded state is expanded again, from the arriving instance
+            elif _narrow(expanded_skips, key, mask):
+                if key in expanded_skips:
+                    queued_skips[key] = expanded_skips.pop(key)
+                queue.append(_Node(new, expansions, node, steps, key))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []

@@ -28,6 +28,7 @@ from ggroup.term import (
     AbsVar, App, Binding, Compound, Const, Identifier, MetaVar, parse_term,
     render_term,
 )
+from test_search_reference import _random_start, _search as _random_search
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
@@ -316,18 +317,20 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
 # returns.  A generator bound before the search starts escapes the wrapper
 # and reads as no calls.  Before the ordered cancels, the two parses read
 # cancel outputs 185 and 1320; before commutative searches stopped placing
-# blocks, the two commutative parses read block (1393, 0) and (7, 0).
+# blocks, the two commutative parses read block (1393, 0) and (7, 0); before
+# block-free states stopped asking for bundles, the block calls were 125,
+# 674, 9 and 9804, for the same outputs.
 SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
               "_block_successors": "block", "_swap_cancel_successors": "swap",
               "_saturate_successors": "saturate"}
 SUCCESSOR_PINS = {
     "parse the man that louise saw ran":
-        {"cancel": (125, 137), "block": (125, 56)},
+        {"cancel": (125, 137), "block": (10, 56)},
     "parse john saw every woman in paris":
-        {"cancel": (674, 1174), "block": (674, 406)},
-    "generate ev(m,#x1,r(#x1))": {"expand": (12, 3), "block": (9, 9)},
+        {"cancel": (674, 1174), "block": (30, 406)},
+    "generate ev(m,#x1,r(#x1))": {"expand": (12, 3), "block": (1, 9)},
     "generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))":
-        {"expand": (9811, 7), "block": (9804, 38636)},
+        {"expand": (9811, 7), "block": (1584, 38636)},
     "saturate family.lp": {"saturate": (30, 29)},
     "parse every man saw some woman, commutative":
         {"swap": (1393, 4248)},
@@ -353,6 +356,29 @@ def test_successors_per_kind_are_pinned(monkeypatch, query, run):
         monkeypatch.setattr(engine, name, wrap(getattr(engine, name), kind))
     run()
     assert counts == SUCCESSOR_PINS[query]
+
+
+def test_bundles_are_asked_for_only_on_states_with_blocks(monkeypatch):
+    # a state without a block has no bundle, and cancels never make a block
+    real = engine._block_successors
+    calls = []
+
+    def guarded(s, node):
+        assert any(isinstance(i, Block) for i in node.expr), \
+            engine.render_expr(node.expr)
+        calls[-1] += 1
+        return real(s, node)
+
+    monkeypatch.setattr(engine, "_block_successors", guarded)
+    calls.append(0)
+    parse(_english(), "the man that louise saw ran".split())
+    calls.append(0)
+    generate(_english(), parse_term("ev(m,#x1,r(#x1))"))
+    calls.append(0)
+    rng = random.Random(11)
+    for _ in range(100):
+        _random_search(_random_start(rng))
+    assert calls == [10, 1, calls[2]] and calls[2]
 
 
 def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
