@@ -1799,10 +1799,12 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
         expr = start
         idents = IdentifierSource()
         # expand every token up front, left to right; rules put no tokens
-        # back, so the tokens not yet expanded are the last items
+        # back, so the tokens not yet expanded are the last items.  Each
+        # word's variables are renamed apart by its ordinal, after the last
+        # underscore, so no two words share a name
         for ordinal, rule in enumerate(combo, 1):
             names, app_args = tables.parse_vars[rule.rule_id]
-            meta_map = tuple((nm, f"{nm}{ordinal}")
+            meta_map = tuple((nm, f"{nm}_{ordinal}")
                              for nm in names if nm not in app_args)
             ident_map = tuple((nm, idents.fresh().name) for nm in app_args)
             step = ExpandStep((), len(expr) - len(words) + ordinal - 1,

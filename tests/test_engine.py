@@ -381,6 +381,28 @@ def test_parse_applies_each_token_expansion_once(english, monkeypatch):
     assert sum(expansions) == 6
 
 
+# each word's rule variables are renamed apart by the word's ordinal; the
+# renaming must stay injective when a rule's own variable ends in digits
+RENAMING = parse_grammar("""phon w0 z w1 w2 .
+relator f(A1) A1^-1 w0^-1 .
+relator q(N) N^-1 z^-1 .
+relator g(A) A^-1 w1^-1 .
+relator j w2^-1 .
+""")
+
+
+@pytest.mark.parametrize("zs, reading", [
+    (1, "f(q(g(j)))"),
+    # the first word's A1 and the eleventh word's A must stay two variables
+    (9, "f(q(q(q(q(q(q(q(q(q(g(j)))))))))))"),
+])
+def test_parse_renames_the_words_of_a_rule_apart(zs, reading):
+    res = parse(RENAMING, ["w0"] + ["z"] * zs + ["w1", "w2"], LIM)
+    assert [render_term(t) for t, _ in res.results] == [reading]
+    for _, d in res.results:
+        assert engine.replay(RENAMING, d) == d.end
+
+
 def _family():
     return encode_logic_program(parse_logic_program(
         (GRAMMAR_DIR / "family.lp").read_text()))
