@@ -91,21 +91,21 @@ Each search builds one context, ``_Search``: the lexicon, the mode,
 ``allow_vacuous`` and four memos, alive for that search only.  Every
 successor generator takes the context and the node it expands, ``gen(s,
 node) -> list``, and the helpers that judge atom pairs take the context
-too.  The memos hold the unifiers of
-atom pairs, whether two atoms may still cancel (``_may_reduce``), the
-substitutions the cancels make, and the clause instances of saturation.
-The first is keyed by the pair's identity, ``(id(a), id(b))``, so each
-pair of atom objects is unified once.  The second is keyed by the pair's identity, in word order.  The
-third is keyed by identity, ``(id(unifier), id(atom))``, so the same atom
-object under the same unifier object gives one shared result atom in every
-state that needs it, while distinct atoms, even equal ones, never merge: no
-atom object occurs twice in one state.  Each identity-keyed entry holds the
-objects whose ids it uses, so no id is reused while the memo lives.  The
-fourth holds one dict per search depth, which keeps each clause's renaming,
-instance and expansion steps (``_clause_step``), so every state at one
-depth shares each clause's instance, and its atoms compute their class and
-key fragment once; a fact's instance is built once for every depth.  The
-context holds no node, so a search leaves no reference cycle.
+too.  The memos hold the unifiers of atom pairs, whether two atoms may still
+cancel (``_may_reduce``), the substitutions the cancels make, and the clause
+instances of saturation.  The first is keyed by the pair's identity,
+``(id(a), id(b))``, so each pair of atom objects is unified once.  The
+second is keyed by the pair's identity, in word order.  The third is keyed by
+identity, ``(id(unifier), id(atom))``, so the same atom object under the
+same unifier object gives one shared result atom in every state that needs
+it, while distinct atoms, even equal ones, never merge: no atom object
+occurs twice in one state.  Each identity-keyed entry holds the objects whose
+ids it uses, so no id is reused while the memo lives.  The fourth holds one
+dict per search depth, which keeps each clause's renaming, instance and
+expansion steps (``_clause_step``), so every state at one depth shares each
+clause's instance, and its atoms compute their class and key fragment once;
+a fact's instance is built once for every depth.  The context holds no node,
+so a search leaves no reference cycle.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and

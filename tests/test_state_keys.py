@@ -378,7 +378,8 @@ def test_bundles_are_asked_for_only_on_states_with_blocks(monkeypatch):
     rng = random.Random(11)
     for _ in range(100):
         _random_search(_random_start(rng))
-    assert calls == [10, 1, calls[2]] and calls[2]
+    # the first two are SUCCESSOR_PINS' block calls
+    assert calls[:2] == [10, 1] and calls[2]
 
 
 def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
