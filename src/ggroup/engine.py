@@ -18,9 +18,12 @@ A word of the free group is a ground expression without blocks, and
 are the group operations on words.
 
 Every rule is instantiated one way, by ``_instantiate_items`` under a
-binding: a generation rule's recorded unifier, or the fresh renaming that a
-parsing rule or relator instance records (``_renaming``).  Whether steps
-commute is the lexicon's to decide, never a caller's.
+binding: a generation rule's recorded unifier, or, for a parsing rule or a
+relator, the renaming that names its copy apart by the copy's number, the
+step's ``instance`` (``_renaming``): ``parse`` numbers each word's copy by
+the word's ordinal, saturation each clause copy by its depth, and a rule
+without variables is instance 0.  Whether steps commute is the lexicon's to
+decide, never a caller's.
 
 A derivation is its answer's proof and ``replay`` its checker: the search
 applies the steps it builds itself unchecked (``_apply``), and ``_search``
@@ -101,8 +104,8 @@ same unifier object gives one shared result atom in every state that needs
 it, while distinct atoms, even equal ones, never merge: no atom object
 occurs twice in one state.  Each identity-keyed entry holds the objects whose
 ids it uses, so no id is reused while the memo lives.  The fourth holds one
-dict per search depth, which keeps each clause's renaming, instance and
-expansion steps (``_clause_step``), so every state at one depth shares each
+dict per search depth, which keeps each clause's instance and expansion
+steps (``_clause_step``), so every state at one depth shares each
 clause's instance, and its atoms compute their class and key fragment once;
 a fact's instance is built once for every depth.  The context holds no node,
 so a search leaves no reference cycle.
@@ -123,7 +126,7 @@ from typing import Iterable, Optional, Sequence, Union
 from . import lexicon as lx
 from .term import (
     HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
-    Identifier, IdentifierSource, MetaVar, Term, binding_is_acyclic,
+    Identifier, MetaVar, Term, binding_is_acyclic,
     canonical_identifiers, identifiers_in, is_ground, may_unify,
     parse_abstraction, parse_term, render_abstraction, render_term,
     substitute, subterms, unify,
@@ -331,18 +334,17 @@ class ExpandStep:
 
     ``rule_id`` is ``g<n>`` (generation rule), ``p<n>`` (parsing rule) or
     ``r<n>`` (bare relator, saturation mode).  ``binding`` instantiates the
-    rule against the target atom (generation); ``meta_map``/``ident_map``
-    record the fresh renaming chosen at application time (parsing and
-    saturation), making replay deterministic, and ``_renaming`` turns them
-    into the binding the rule is instantiated with.
+    rule against the target atom (generation); ``instance`` numbers the
+    fresh copy of a parsing rule or relator, and ``_renaming`` turns it into
+    the binding the rule is instantiated with, which makes replay
+    deterministic.
     """
 
     level: tuple[int, ...]
     index: int
     rule_id: str
     binding: Binding = EMPTY_BINDING
-    meta_map: tuple[tuple[str, str], ...] = ()
-    ident_map: tuple[tuple[str, str], ...] = ()
+    instance: int = 0
 
 
 @dataclass(frozen=True)
@@ -434,35 +436,45 @@ def _instantiate_items(items: tuple[lx.SchemeItem, ...], b: Binding,
     return tuple(out)
 
 
-def _renaming(step: ExpandStep) -> Binding:
-    """The fresh renaming a parsing or relator step records, as a binding.
+def _renaming(tables: _Tables, step: ExpandStep) -> Binding:
+    """The renaming of copy ``n = step.instance`` of a parsing rule or
+    relator, from the rule's scheme variables (``_Tables.vars``), as a
+    binding.
 
-    Meta-variables become ``MetaVar(new)`` and abstraction variables
-    ``\\#_z.new[#_z]``, which ``substitute`` beta-reduces to ``new[arg]``;
-    names used as abstraction arguments become identifiers, and win over
-    ``meta_map`` when a name is in both maps.
+    A meta-variable ``V`` becomes ``V_n`` and an abstraction variable ``V``
+    becomes ``\\#_z.V_n[#_z]``, which ``substitute`` beta-reduces to
+    ``V_n[arg]``; the k-th name used as an abstraction argument becomes the
+    identifier ``#xn_k`` instead.  The renaming is injective over names and
+    numbers, since ``n`` is what follows the last underscore, so the copies
+    of distinct numbers share no variable and no such identifier.  A rule
+    without variables has the empty renaming at every number.
     """
-    terms: dict[str, Term] = {old: MetaVar(new) for old, new in step.meta_map}
-    terms.update((old, Identifier(new)) for old, new in step.ident_map)
-    return Binding(terms, {old: Abstraction(App(AbsVar(new), HOLE))
-                           for old, new in step.meta_map})
+    metas, absvars, app_args = tables.vars[step.rule_id]
+    n = step.instance
+    terms: dict[str, Term] = {v: MetaVar(f"{v}_{n}") for v in metas}
+    terms.update((v, Identifier(f"x{n}_{k}"))
+                 for k, v in enumerate(app_args, 1))
+    return Binding(terms, {v: Abstraction(App(AbsVar(f"{v}_{n}"), HOLE))
+                           for v in absvars})
 
 
-def _scheme_variables(items: tuple[lx.SchemeItem, ...]) -> tuple[list[str], list[str]]:
-    """(all meta/abstraction names, names used as abstraction arguments)."""
-    names: list[str] = []
-    app_args: list[str] = []
-    for it in items:
-        if isinstance(it, lx.LogItem):
-            for s in subterms(it.term):
-                if isinstance(s, MetaVar) and s.name not in names:
-                    names.append(s.name)
-                elif isinstance(s, App):
-                    if s.abstraction.name not in names:
-                        names.append(s.abstraction.name)
-                    if isinstance(s.arg, MetaVar) and s.arg.name not in app_args:
-                        app_args.append(s.arg.name)
-    return names, app_args
+def _scheme_variables(items: tuple[lx.SchemeItem, ...]) -> tuple:
+    """``(metas, absvars, app_args)``: the meta-variables of a scheme other
+    than the names used as abstraction arguments, its abstraction variables,
+    both sorted, and those names in order of first occurrence."""
+    terms = [it.term for it in items if isinstance(it, lx.LogItem)]
+    app_args = tuple(dict.fromkeys(
+        s.arg.name for t in terms for s in subterms(t)
+        if isinstance(s, App) and isinstance(s.arg, MetaVar)))
+    metas = set().union(*(t.metas for t in terms)).difference(app_args)
+    absvars = set().union(*(t.absvars for t in terms))
+    return tuple(sorted(metas)), tuple(sorted(absvars)), app_args
+
+
+def _instance(tables: _Tables, rule_id: str, n: int) -> int:
+    """The instance number of copy ``n`` of a rule: ``n``, or 0 for a rule
+    without variables, whose copies are all one."""
+    return n if any(tables.vars[rule_id]) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +569,11 @@ class _Tables:
         parse_rules, self.parse_problems = _derive_rules(lx.parse_rules, lex)
         self.by_id: dict[str, object] = {r.rule_id: r for r in gen_rules + parse_rules}
         self.by_id.update((f"r{n}", r) for n, r in enumerate(lex.relators, start=1))
+        # the scheme variables of every rule, which name its copies apart
+        # (_renaming)
+        self.vars = {rule_id: _scheme_variables(
+            r.items if rule_id[0] == "r" else r.rhs)
+            for rule_id, r in self.by_id.items()}
         self.commutative = lex.commutative()
         # generation rules by the head key of their left-hand side
         self.gen_index: dict[str, list[lx.GenRule]] = {}
@@ -564,29 +581,25 @@ class _Tables:
             self.gen_index.setdefault(_head_key(r.lhs), []).append(r)
         self.local_expansions = "*" not in self.gen_index and all(
             map(_local_rule, gen_rules))
-        # parsing rules by their surface token, and the scheme variables
-        # and abstraction arguments of each
+        # parsing rules by their surface token
         self.parse_index: dict[str, list[lx.ParseRule]] = {}
-        self.parse_vars: dict[str, tuple[list[str], list[str]]] = {}
         for r in parse_rules:
             self.parse_index.setdefault(r.word, []).append(r)
-            self.parse_vars[r.rule_id] = _scheme_variables(r.rhs)
-        # saturation: (rule id, head term or None, scheme variables, names
-        # used as abstraction arguments) for each clause relator; a relator
-        # that does not begin with a logical atom has no head
+        # saturation: (rule id, head term or None) for each clause relator;
+        # a relator that does not begin with a logical atom has no head
         self.clauses = []
         for n, r in enumerate(lex.relators, start=1):
             if not lx.is_commutator_scheme(r):
                 first = r.items[0] if r.items else None
                 head = first.term if isinstance(first, lx.LogItem) else None
-                names, app_args = _scheme_variables(r.items)
-                self.clauses.append((f"r{n}", head, names, app_args))
+                self.clauses.append((f"r{n}", head))
         # facts: clauses of one ground atom, whose instance a search builds
         # once (see _saturate_successors)
-        self.facts = {rule_id for rule_id, _, names, _ in self.clauses
-                      if not names and len(self.by_id[rule_id].items) == 1}
+        self.facts = {rule_id for rule_id, _ in self.clauses
+                      if not any(self.vars[rule_id])
+                      and len(self.by_id[rule_id].items) == 1}
         self._head_keys = [None if head is None else _rigid_key(head)
-                           for _, head, *_ in self.clauses]
+                           for _, head in self.clauses]
         self._candidates: dict = {}
 
     def candidates(self, subgoal: Term) -> list:
@@ -622,10 +635,11 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
     ``substitutions`` memo (see ``substitute_expr``).
 
     ``instances``, when given, memoizes the instances of parsing rules and
-    relators by ``(rule_id, meta_map, ident_map)``: a renaming fixes its
-    instance, so a repeated key gets the same tuple of items.  Generation
-    rules, whose key would be a binding, always build theirs.  ``apply_step``
-    passes on the memo its caller gives, and none by default."""
+    relators by ``(rule_id, instance)``: the number fixes the renaming
+    (``_renaming``), so a repeated key gets the same tuple of items.
+    Generation rules, whose key would be a binding, always build theirs.
+    ``apply_step`` passes on the memo its caller gives, and none by
+    default."""
     if isinstance(step, ExpandStep):
         tables = _tables(lex)
         kind = step.rule_id[0]
@@ -635,14 +649,14 @@ def _apply(lex: lx.Lexicon, expr: Expr, step: Step,
         else:
             scheme, stop = rule.rhs, step.index + 1
         if instances is None or kind == "g":
-            binding = step.binding if kind == "g" else _renaming(step)
+            binding = step.binding if kind == "g" else _renaming(tables, step)
             new_items = _instantiate_items(scheme, binding, tables.commutative)
         else:
-            key = (step.rule_id, step.meta_map, step.ident_map)
+            key = (step.rule_id, step.instance)
             new_items = instances.get(key)
             if new_items is None:
                 new_items = instances[key] = _instantiate_items(
-                    scheme, _renaming(step), tables.commutative)
+                    scheme, _renaming(tables, step), tables.commutative)
         return normalize(_splice(expr, step.level, step.index, stop, new_items))
     if isinstance(step, CancelStep):
         i = step.index
@@ -674,6 +688,13 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
         rule = tables.by_id.get(step.rule_id)
         if rule is None:
             raise StepError(f"unknown rule {step.rule_id}")
+        if step.instance < 0:
+            raise StepError("an instance number is 0 or more")
+        if step.rule_id.startswith("g"):
+            if step.instance:
+                raise StepError("a generation step has no instance number")
+        elif not step.binding.is_empty():
+            raise StepError("only a generation step records a binding")
         if step.rule_id.startswith("r"):
             if not tables.commutative:
                 raise StepError("relator multiplication requires commutative mode")
@@ -908,9 +929,11 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 class _Node:
     """A search state.  ``skip`` is the bit mask of top-level positions
     whose cancels the state skips, set when it is expanded (see
-    ``_search``)."""
+    ``_search``); ``has_blocks`` says whether a top-level item is a block,
+    scanned once, when the node is built."""
 
-    __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip")
+    __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip",
+                 "has_blocks")
 
     def __init__(self, expr, expansions, parent, steps, key=None):
         self.expr = expr
@@ -919,6 +942,7 @@ class _Node:
         self.steps = steps
         self.key = key
         self.skip = 0
+        self.has_blocks = _has_block(expr)
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -994,7 +1018,7 @@ def _expand_successors(s: _Search, node: _Node) -> list:
                 for b in unify(rule.lhs, item.payload, EMPTY_BINDING,
                                s.allow_vacuous):
                     step = ExpandStep(level, idx, rule.rule_id, binding=b)
-                    out.append(((step,), _apply(s.lex, expr, step), 1))
+                    out.append(((step,), _apply(s.lex, expr, step)))
             if first and out:
                 return out
     return out
@@ -1116,7 +1140,7 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     item)."""
     expr, skip = node.expr, node.skip
     out = []
-    levels = _levels(expr) if _has_block(expr) else [((), expr)]
+    levels = _levels(expr) if node.has_blocks else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
@@ -1128,7 +1152,7 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
             for delta in _pair_unifiers(s, a, b):
                 step = CancelStep(level, i, delta)
                 out.append(((step,), _apply(s.lex, expr, step,
-                                            s.substitutions), 0))
+                                            s.substitutions)))
     return out
 
 
@@ -1328,7 +1352,7 @@ def _block_successors(s: _Search, node: _Node) -> list:
     for level, idx, block, tlevel, slot in _placements(expr):
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
-            out.append(((step,), _apply(s.lex, expr, step), 0))
+            out.append(((step,), _apply(s.lex, expr, step)))
     return out
 
 
@@ -1369,7 +1393,7 @@ def _runs(s: _Search, expr, prefix, released, out) -> None:
             step = DissolveStep(level, idx, tlevel, slot, k)
             new = _apply(s.lex, expr, step)
             if productive:
-                out.append((prefix + (step,), new, 0))
+                out.append((prefix + (step,), new))
             else:
                 more = (released or set()) | {id(i) for i in c}
                 _runs(s, new, prefix + (step,), more, out)
@@ -1398,7 +1422,7 @@ def _swap_cancel_successors(s: _Search, node: _Node) -> list:
             for delta in _pair_unifiers(s, a, b):
                 step = CancelStep((), i, delta, None if j == i + 1 else j)
                 out.append(((step,), _apply(s.lex, expr, step,
-                                            s.substitutions), 0))
+                                            s.substitutions)))
     return out
 
 
@@ -1428,14 +1452,16 @@ def _saturate_successors(s: _Search, node: _Node) -> list:
     own last body atom cancels inside the instance and resolves nothing; as
     the first instance, it picks no root.
 
-    Each clause is renamed apart by the depth of the state it extends (``X``
-    becomes ``X_3``), so every state at one depth shares one instance, kept
-    in the context's memo of that depth (``_clause_step``).  Keyed by depth,
-    an instance never shares an atom object with the state it extends, even
-    for a ground clause, whose renaming is empty: no state holds one atom
-    object twice.  A fact (``_Tables.facts``) is the exception: its one atom
-    is its head, which resolution drops, so its instance is built once, in
-    the memo of depth 0, which no state has.
+    Each clause copy is numbered by the depth of the state it extends, its
+    ``instance``, which names it apart (``X`` becomes ``X_3``, see
+    ``_renaming``); a clause without variables is instance 0.  Every state
+    at one depth shares one instance of each clause, kept in the context's
+    memo of that depth (``_clause_step``).  Keyed by depth, an instance never
+    shares an atom object with the state it extends, even for a clause
+    without variables: no state holds one atom object twice.  A fact
+    (``_Tables.facts``) is the exception: its one atom is its head, which
+    resolution drops, so its instance is built once, in the memo of depth
+    0, which no state has.
     """
     expr = node.expr
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
@@ -1470,41 +1496,32 @@ def _saturate_successors(s: _Search, node: _Node) -> list:
         rest = instance if goal is None else expr[:sel] + instance[1:]
         for delta in deltas:
             if delta is None:
-                out.append(((step,), normalize(rest), 1))
+                out.append(((step,), normalize(rest)))
             else:
                 out.append(((step, CancelStep((), sel, delta)),
-                            normalize(substitute_expr(rest, delta)), 1))
+                            normalize(substitute_expr(rest, delta))))
     return out
 
 
 def _clause_step(tables: _Tables, memo: dict, clause, depth: int,
                  index: int) -> tuple[ExpandStep, Expr]:
-    """The ``ExpandStep`` that multiplies ``clause``, renamed apart by
-    ``depth``, in at ``index``, and the clause's instance.
+    """The ``ExpandStep`` that multiplies ``clause``'s copy numbered by
+    ``depth`` (``_instance``) in at ``index``, and the copy's instance.
 
     ``memo`` is the saturation memo of one depth: it holds each clause's
-    renaming and instance, built once, by its rule id, and each step by
-    rule id and index."""
-    rule_id, _, names, app_args = clause
+    instance, built once, by its rule id, and each step by rule id and
+    index."""
+    rule_id = clause[0]
     found = memo.get((rule_id, index))
     if found is None:
-        made = memo.get(rule_id)
-        if made is None:
-            suffix = str(depth)
-            meta_map = tuple((nm, nm + "_" + suffix)
-                             for nm in names if nm not in app_args)
-            ident_map = tuple((nm, f"i{suffix}_{k}")
-                              for k, nm in enumerate(app_args, 1))
-            step = ExpandStep((), index, rule_id, meta_map=meta_map,
-                              ident_map=ident_map)
-            made = memo[rule_id] = (step, _instantiate_items(
-                tables.by_id[rule_id].items, _renaming(step),
-                tables.commutative))
-        step = made[0]
-        if step.index != index:
-            step = ExpandStep((), index, rule_id, meta_map=step.meta_map,
-                              ident_map=step.ident_map)
-        found = memo[(rule_id, index)] = (step, made[1])
+        step = ExpandStep((), index, rule_id,
+                          instance=_instance(tables, rule_id, depth))
+        items = memo.get(rule_id)
+        if items is None:
+            items = memo[rule_id] = _instantiate_items(
+                tables.by_id[rule_id].items, _renaming(tables, step),
+                tables.commutative)
+        found = memo[(rule_id, index)] = (step, items)
     return found
 
 
@@ -1523,8 +1540,11 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     The search builds one context, ``_Search``, and the mode fixes, before
     the first state, everything that differs between the modes: the tuple
-    of successor generators, each called as ``gen(s, node)``, whether block
-    bundles follow them, the goal and the key that tells results apart.
+    of successor generators, each called as ``gen(s, node)`` and returning
+    pairs ``(steps, expr)``, whether block bundles follow them, the goal and
+    the key that tells results apart.  A successor whose first step is an
+    ``ExpandStep`` (an expansion, or a clause instance with its cancel)
+    counts one expansion against ``max_expansions``.
     Generation expands and places blocks, and its goal is a string of
     positive tokens, one result per string; parsing cancels and places
     blocks, saturation resolves, and the goal of both is one positive ground
@@ -1578,8 +1598,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     up, and the nodes and the skip masks (``queued_skips``,
     ``expanded_skips``) carry the id.
 
-    Block bundles are asked for only from a state that holds a block; a
-    bundle is told from a cancel by its first step, a ``DissolveStep``.
+    Block bundles are asked for only from a state that holds a block
+    (``_Node.has_blocks``, which ``_cancel_successors`` reads too); a bundle
+    is told from a cancel by its first step, a ``DissolveStep``.
 
     A block-free word that a state with blocks reaches, by a bundle or by a
     cancel that empties a nested block, is dropped before it is keyed when
@@ -1652,7 +1673,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         node.skip = queued_skips.pop(node.key, 0)
         if node.skip:
             expanded_skips[node.key] = node.skip
-        has_blocks = blocks is not None and _has_block(node.expr)
+        has_blocks = blocks is not None and node.has_blocks
         succ = []
         for gen in gens:
             succ += gen(s, node)
@@ -1661,8 +1682,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         adjacent = None
         # block-free words enter from here, checked once (see the docstring)
         entering = skipping and has_blocks
-        for steps, new, dexp in succ:
-            expansions = node.expansions + dexp
+        for steps, new in succ:
+            # an expansion, or a relator instance with its cancel
+            expansions = node.expansions + isinstance(steps[0], ExpandStep)
             if expansions > lim.max_expansions:
                 truncated = True
                 continue
@@ -1724,8 +1746,9 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
     kept for every answer of one search and handed to each ``replay``.  It
     shares nothing with the search's memos, so the proof builds each
     distinct instance itself.  The proof compares expressions by equality,
-    so its memo needs no depth: a ground clause's instance is one tuple
-    wherever the proof meets it.
+    so its memo needs no depth: it is keyed by rule id and instance number,
+    and a clause without variables, instance 0, is one tuple wherever the
+    proof meets it.
     """
     path = []
     while node not in proved:
@@ -1797,19 +1820,14 @@ def parse(lex: lx.Lexicon, words: Iterable[str],
     for combo in itertools.product(*(prules[w] for w in words)):
         pre: list[Step] = []
         expr = start
-        idents = IdentifierSource()
         # expand every token up front, left to right; rules put no tokens
         # back, so the tokens not yet expanded are the last items.  Each
-        # word's variables are renamed apart by its ordinal, after the last
-        # underscore, so no two words share a name
+        # word's copy is numbered by the word's ordinal (see _renaming), so
+        # no two words share a variable
         for ordinal, rule in enumerate(combo, 1):
-            names, app_args = tables.parse_vars[rule.rule_id]
-            meta_map = tuple((nm, f"{nm}_{ordinal}")
-                             for nm in names if nm not in app_args)
-            ident_map = tuple((nm, idents.fresh().name) for nm in app_args)
             step = ExpandStep((), len(expr) - len(words) + ordinal - 1,
-                              rule.rule_id, meta_map=meta_map,
-                              ident_map=ident_map)
+                              rule.rule_id,
+                              instance=_instance(tables, rule.rule_id, ordinal))
             expr = _apply(lex, expr, step)
             pre.append(step)
         starts.append((tuple(pre), expr))
@@ -1917,26 +1935,14 @@ def _parse_binding(text: str) -> Binding:
     return Binding(terms, abstractions)
 
 
-def _render_pairs(pairs: tuple[tuple[str, str], ...]) -> str:
-    return ";".join(f"{a}={b}" for a, b in pairs)
-
-
-def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
-    if not text:
-        return ()
-    return tuple(_pair(p, "renaming") for p in text.split(";"))
-
-
 def render_step(step: Step) -> str:
     if isinstance(step, ExpandStep):
         out = f"expand level={_render_level(step.level)} index={step.index} " \
               f"rule={step.rule_id}"
         if not step.binding.is_empty():
             out += f" bind={_render_binding(step.binding)}"
-        if step.meta_map:
-            out += f" rename={_render_pairs(step.meta_map)}"
-        if step.ident_map:
-            out += f" idents={_render_pairs(step.ident_map)}"
+        if step.instance:
+            out += f" instance={step.instance}"
         return out
     if isinstance(step, CancelStep):
         out = f"cancel level={_render_level(step.level)} index={step.index}"
@@ -1958,7 +1964,7 @@ def _parse_target(text: str) -> tuple[tuple[int, ...], int]:
 
 
 # the fields each step kind may carry
-_STEP_FIELDS = {"expand": ("level", "index", "rule", "bind", "rename", "idents"),
+_STEP_FIELDS = {"expand": ("level", "index", "rule", "bind", "instance"),
                 "cancel": ("level", "index", "with", "bind"),
                 "dissolve": ("level", "index", "to", "k")}
 
@@ -1991,8 +1997,7 @@ def parse_step(text: str) -> Step:
     if kind == "expand":
         return ExpandStep(need("level", _parse_level), need("index", int),
                           need("rule"), _parse_binding(fields.get("bind", "")),
-                          _parse_pairs(fields.get("rename", "")),
-                          _parse_pairs(fields.get("idents", "")))
+                          need("instance", int) if "instance" in fields else 0)
     if kind == "cancel":
         return CancelStep(need("level", _parse_level), need("index", int),
                           _parse_binding(fields.get("bind", "")),

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .term import (
-    App, Compound, Const, MetaVar, Term, metavars_in, parse_term, render_term,
-    subterms,
+    Compound, Const, MetaVar, Term, parse_term, render_term, subterms,
 )
 
 __all__ = [
@@ -226,15 +225,9 @@ def _validate_scheme(r: RelatorScheme, problems: list[tuple[int, str]]) -> None:
         if stack:
             problems.append((r.line, "conjugator pairs interleave"))
     # a name must not be used both as meta-variable and abstraction variable
-    metas: set[str] = set()
-    absvars: set[str] = set()
-    for i in r.items:
-        if isinstance(i, LogItem):
-            for s in subterms(i.term):
-                if isinstance(s, MetaVar):
-                    metas.add(s.name)
-                elif isinstance(s, App):
-                    absvars.add(s.abstraction.name)
+    terms = [i.term for i in r.items if isinstance(i, LogItem)]
+    metas = set().union(*(t.metas for t in terms))
+    absvars = set().union(*(t.absvars for t in terms))
     for name in metas & absvars:
         problems.append((r.line, f"{name} used both as term and abstraction variable"))
 
@@ -289,9 +282,8 @@ def _scheme_problems(r: RelatorScheme, direction: str) -> list[str]:
             out.append("surface token must be inverted for a parsing rule")
     if direction == "gen" and _head_index(r) is not None:
         head = r.items[_head_index(r)].term
-        allowed = {m.name for m in metavars_in(head)}
-        loose = {m.name for i in r.items if isinstance(i, LogItem)
-                 for m in metavars_in(i.term)} - allowed
+        loose = set().union(*(i.term.metas for i in r.items
+                              if isinstance(i, LogItem))) - head.metas
         if loose:
             out.append("meta-variables not bound by the head: "
                        + ", ".join(sorted(loose)))

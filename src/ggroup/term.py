@@ -23,9 +23,9 @@ from typing import ClassVar, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "Const", "Identifier", "MetaVar", "AbsVar", "Compound", "App", "Term",
-    "Abstraction", "Binding", "EMPTY_BINDING", "IdentifierSource",
+    "Abstraction", "Binding", "EMPTY_BINDING",
     "substitute", "unify", "may_unify", "match_app", "term_size", "is_ground",
-    "app_free", "identifiers_in", "metavars_in", "subterms",
+    "app_free", "identifiers_in", "subterms",
     "canonical_identifiers", "binding_is_acyclic", "parse_term", "render_term",
     "parse_abstraction", "render_abstraction", "MAX_TERM_DEPTH",
 ]
@@ -178,17 +178,6 @@ class Binding:
 EMPTY_BINDING = Binding()
 
 
-class IdentifierSource:
-    """Per-derivation supply of fresh identifiers #x1, #x2, ..."""
-
-    def __init__(self) -> None:
-        self._count = 0
-
-    def fresh(self) -> Identifier:
-        self._count += 1
-        return Identifier(f"x{self._count}")
-
-
 def substitute(t: Term, b: Binding) -> Term:
     """Apply a binding to a term; bound App nodes beta-reduce.
 
@@ -248,14 +237,6 @@ def identifiers_in(t: Term) -> list[Identifier]:
     seen: list[Identifier] = []
     for s in subterms(t):
         if isinstance(s, Identifier) and s not in seen:
-            seen.append(s)
-    return seen
-
-
-def metavars_in(t: Term) -> list[MetaVar]:
-    seen: list[MetaVar] = []
-    for s in subterms(t):
-        if isinstance(s, MetaVar) and s not in seen:
             seen.append(s)
     return seen
 

@@ -1,6 +1,7 @@
 """The rewriting engine: expressions, steps, search, and derivation replay."""
 
 import copy
+import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -18,9 +19,11 @@ from ggroup.engine import (
 from ggroup.encodings import (
     commutator_scheme, encode_logic_program, parse_logic_program,
 )
+from ggroup import lexicon as lx
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
-    Binding, canonical_identifiers, parse_term, render_term, subterms, unify,
+    Binding, Const, canonical_identifiers, parse_term, render_term, subterms,
+    unify,
 )
 
 LIM = SearchLimits()
@@ -251,7 +254,7 @@ def _engine_arrangements(expr):
         if not any(isinstance(i, Block) for i in e):
             out.add(render_expr(e))
             continue
-        for _, new, _ in _successors(engine._block_successors, e):
+        for _, new in _successors(engine._block_successors, e):
             if new not in seen:
                 seen.add(new)
                 queue.append(new)
@@ -286,9 +289,9 @@ def _postponed(text):
 def test_postponed_placement_keeps_a_move_that_exposes_a_pair():
     succ = _postponed("f(a,X) { g } f(a,X)^-1")
     # in place nothing touches; moving away leaves the pair adjacent
-    assert {render_expr(new) for _, new, _ in succ} == {
+    assert {render_expr(new) for _, new in succ} == {
         "g f(a,X) f(a,X)^-1", "f(a,X) f(a,X)^-1 g"}
-    for steps, _, _ in succ:
+    for steps, _ in succ:
         (step,) = steps
         assert (step.target_level, step.slot) != (step.level, step.index)
 
@@ -297,9 +300,9 @@ def test_postponed_placement_joins_blocks_into_a_run():
     succ = _postponed("g { a b } { b^-1 a^-1 }")
     # no single bundle cancels, so every successor dissolves both blocks
     assert succ
-    for steps, _, _ in succ:
+    for steps, _ in succ:
         assert sum(isinstance(s, DissolveStep) for s in steps) == 2
-    assert "g" in {render_expr(new) for _, new, _ in succ}
+    assert "g" in {render_expr(new) for _, new in succ}
 
 
 def test_postponed_placement_drops_inert_blocks():
@@ -498,10 +501,10 @@ def test_a_wrong_search_expression_on_an_answer_path_fails_the_proof(
 
     def bent(*args, **kwargs):
         out = []
-        for steps, new, dexp in real(*args, **kwargs):
+        for steps, new in real(*args, **kwargs):
             if render_expr(new) == "q(X_1) p(X_1)^-1":
                 new = (Atom(lf("q(a)")), new[1])
-            out.append((steps, new, dexp))
+            out.append((steps, new))
         return out
 
     assert {render_term(t) for t, _ in saturate(lex, LIM).results} == {"p(a)", "q(a)"}
@@ -551,15 +554,15 @@ def test_the_proof_reads_none_of_the_search_memos(monkeypatch):
 def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
         monkeypatch):
     """The search instantiates each clause once per depth it tries it at, a
-    fact once for every depth, and the proof each distinct renaming once,
-    for all the answers."""
+    fact once for every depth, and the proof each distinct instance, a rule
+    id and a copy number, once for all the answers."""
     real_instantiate, real_apply = engine._instantiate_items, engine._apply
     real_step = engine._clause_step
     proving = _proving(monkeypatch)
     built = {False: 0, True: 0}  # _instantiate_items calls: search, proof
     tried = set()  # (clause, depth) pairs the search tries; a fact's depth
     # is None
-    renamings = set()  # the renamings the proof replays
+    numbered = set()  # the (rule id, instance) pairs the proof replays
 
     def instantiating(*args, **kwargs):
         built[proving.on] += 1
@@ -572,7 +575,7 @@ def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
 
     def applying(lex, expr, step, *args, **kwargs):
         if isinstance(step, ExpandStep) and proving.on:
-            renamings.add((step.rule_id, step.meta_map, step.ident_map))
+            numbered.add((step.rule_id, step.instance))
         return real_apply(lex, expr, step, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_instantiate_items", instantiating)
@@ -581,7 +584,7 @@ def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
     res = saturate(_family(), LIM)
     assert len(res.results) == 9 and not res.truncated
     assert built[False] == len(tried)
-    assert built[True] == len(renamings)
+    assert built[True] == len(numbered)
     # 29 and 18 when every clause tried built its instance (see
     # test_saturation_instantiates_only_clauses_whose_head_meets_the_subgoal),
     # 17 and 8 when each fact was built once per depth
@@ -874,14 +877,54 @@ def test_derivation_record_round_trip(english):
         assert replay(english, again) == d.end
 
 
+def _tampered_expansion(d, **changes):
+    """``d`` with its first ``ExpandStep`` changed, and that step's number."""
+    k = next(k for k, s in enumerate(d.steps) if isinstance(s, ExpandStep))
+    steps = list(d.steps)
+    steps[k] = dataclasses.replace(steps[k], **changes)
+    return dataclasses.replace(d, steps=tuple(steps)), k + 1
+
+
 def test_replay_rejects_tampered_steps(english):
-    res = generate(english, lf("s(j,l)"), LIM)
-    ((_, d),) = res.results
-    first = d.steps[0]
-    bent = ExpandStep(first.level, first.index + 1, first.rule_id,
-                      first.binding, first.meta_map, first.ident_map)
-    with pytest.raises(StepError, match="step 1"):
-        replay(english, Derivation(d.mode, d.start, (bent,) + d.steps[1:], d.end))
+    ((_, gen),) = generate(english, lf("s(j,l)"), LIM).results
+    ((_, par),) = parse(english, "john saw louise".split(), LIM).results
+    family = encode_logic_program(parse_logic_program("p(a) .\nq(X) :- p(X) .\n"))
+    ((_, sat),) = [(t, d) for t, d in saturate(family, LIM).results
+                   if render_term(t) == "q(a)"]
+    for lex, d, changes, message in [
+        (english, gen, {"index": gen.steps[0].index + 1}, ""),
+        # a generation rule is instantiated by its binding, never numbered
+        (english, gen, {"instance": 1},
+         "a generation step has no instance number"),
+        # parsing rules and relators are instantiated by their number; a
+        # binding would be ignored
+        (english, par, {"binding": Binding({"A": Const("j")})},
+         "only a generation step records a binding"),
+        (family, sat, {"binding": Binding({"X": Const("a")})},
+         "only a generation step records a binding"),
+        # X_-1 is a name that parse_term cannot read back
+        (english, par, {"instance": -1}, "an instance number is 0 or more"),
+        (family, sat, {"instance": -1}, "an instance number is 0 or more"),
+        (english, gen, {"instance": -1}, "an instance number is 0 or more"),
+    ]:
+        bent, n = _tampered_expansion(d, **changes)
+        with pytest.raises(StepError, match=f"step {n}: {message}"):
+            replay(lex, bent)
+
+
+def test_the_commutator_relator_has_a_renaming():
+    """Every rule id has its scheme variables, the commutator relator's
+    (none) included, so replaying a step that multiplies it in never stops
+    at a missing table entry."""
+    lex = encode_logic_program(parse_logic_program("p(a) .\n"))
+    tables = engine._tables(lex)
+    (rule_id,) = [r for r, rule in tables.by_id.items()
+                  if isinstance(rule, lx.RelatorScheme)
+                  and lx.is_commutator_scheme(rule)]
+    assert set(tables.vars) == set(tables.by_id)
+    assert tables.vars[rule_id] == ((), (), ())
+    assert engine._renaming(tables, ExpandStep((), 0, rule_id, instance=3)) \
+        == Binding()
 
 
 @pytest.mark.parametrize("text, missing", [
@@ -907,8 +950,13 @@ def test_parse_step_names_a_missing_field(text, missing):
     (lambda: parse_derivation("derivation", ()), "derivation line without a mode"),
     (lambda: parse_step("cancel level=- index=0 bind=A"),
      "binding 'A' is not name=value"),
-    (lambda: parse_step("expand level=- index=0 rule=p1 rename=A"),
-     "renaming 'A' is not name=value"),
+    # the renaming maps of old derivation text no longer read
+    (lambda: parse_step("expand level=- index=0 rule=p1 rename=A=A_1"),
+     "expand step has an unknown field 'rename'"),
+    (lambda: parse_step("expand level=- index=0 rule=p1 idents=X=x1"),
+     "expand step has an unknown field 'idents'"),
+    (lambda: parse_step("expand level=- index=0 rule=p1 instance=x"),
+     "expand step field 'instance' has a bad value 'x'"),
     (lambda: derivation_of_record(
         {"mode": "parse", "start": 1, "steps": [], "end": "1"}, ()),
      "record field 'start' is not a string"),
@@ -945,7 +993,8 @@ def test_parse_step_names_a_missing_field(text, missing):
     (lambda: parse_derivation("derivation mode=parse\nstart: 1\nend: 1\nend: 1", ()),
      "derivation text has 2 'end:' lines, not one"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
-        "bare-renaming", "start-not-text", "steps-not-a-list", "target-no-slot",
+        "old-rename-field", "old-idents-field", "instance-not-a-number",
+        "start-not-text", "steps-not-a-list", "target-no-slot",
         "level-not-a-number", "k-not-a-number", "partner-not-a-number",
         "unknown-field", "misspelt-bind", "repeated-field",
         "record-misspelt-with", "swap-kind", "no-header-line",
@@ -1056,14 +1105,14 @@ def test_commutative_cancels_pair_atoms_where_they_stand():
     start = parse_expr("A^-1 x^-1 y x", ())
     out = _successors(engine._swap_cancel_successors, start,
                       COMMUTATIVE_RAW, "parse")
-    assert [(render_step(step), render_expr(new)) for (step,), new, _ in out] == [
+    assert [(render_step(step), render_expr(new)) for (step,), new in out] == [
         ("cancel level=- index=0 with=2 bind=A=y", "1"),
         ("cancel level=- index=0 with=3 bind=A=x", "x^-1 y"),
         ("cancel level=- index=1 with=3", "A^-1 y"),
     ]
     # a chain of swaps bringing x next to A^-1 made x^-1 x adjacent on the
     # way, so they cancelled eagerly and x^-1 y was never reached
-    for steps, new, _ in out:
+    for steps, new in out:
         d = Derivation("parse", start, steps, new)
         again = parse_derivation(render_derivation(d), ())
         assert again == d

@@ -74,36 +74,32 @@ def _two_step_successors(s, node):
     if expr and not (isinstance(expr[-1], Atom) and expr[-1].sign == -1):
         return []
     out = []
-    suffix = str(node.expansions + 1)
-    memo = s.instances.setdefault(suffix, {})
+    depth = node.expansions + 1
+    memo = s.instances.setdefault(depth, {})
     sel = len(expr) - 1
     subgoal = expr[sel] if expr else None
     lex = s.lex
     tables = engine._tables(lex)
     clauses = (tables.clauses if subgoal is None
                else tables.candidates(subgoal.payload))
-    for rule_id, _, names, app_args in clauses:
+    for rule_id, _ in clauses:
         size = len(tables.by_id[rule_id].items)  # logical items only
-        meta_map = tuple((nm, nm + "_" + suffix)
-                         for nm in names if nm not in app_args)
-        ident_map = tuple((nm, f"i{suffix}_{k}")
-                          for k, nm in enumerate(app_args, 1))
-        step = ExpandStep((), len(expr), rule_id, meta_map=meta_map,
-                          ident_map=ident_map)
+        # copy number depth, or 0 for a clause without variables
+        step = ExpandStep((), len(expr), rule_id,
+                          instance=depth if any(tables.vars[rule_id]) else 0)
         new = engine._apply(lex, expr, step, instances=memo)
         if subgoal is None:
             # the first instance picks the root, unless it cancelled inside
             if len(new) == size:
-                out.append(((step,), new, 1))
+                out.append(((step,), new))
         elif sel >= len(new) or new[sel] is not subgoal:
             # the head cancelled the subgoal eagerly
-            out.append(((step,), new, 1))
+            out.append(((step,), new))
         elif len(new) == len(expr) + size:  # nothing cancelled
             for delta in engine.unify(subgoal.payload, new[sel + 1].payload,
                                       EMPTY_BINDING, s.allow_vacuous):
                 cancel = CancelStep((), sel, delta)
-                out.append(((step, cancel), engine._apply(lex, new, cancel),
-                            1))
+                out.append(((step, cancel), engine._apply(lex, new, cancel)))
     return out
 
 
@@ -285,3 +281,31 @@ def test_ground_programs_saturate_like_the_reference_and_forward_chaining(
         monkeypatch, reference):
     _check_random_programs(monkeypatch, GROUND_PROGRAMS, reference,
                            closure=True)
+
+
+# ---------------------------------------------------------------------------
+# variable names that end in an underscore and digits, like the names that
+# number a clause copy (X becomes X_3 at depth 3)
+
+CHAIN = "".join(f"edge(n{k},n{k + 1}) .\n" for k in range(13))
+
+
+@pytest.mark.parametrize("rules", [
+    "path(X_1,X) :- edge(X_1,X) .\n"
+    "path(X,X_1_1) :- edge(X,X_1), path(X_1,X_1_1) .\n",
+    "path(X_12,X_1) :- edge(X_12,X_1) .\n"
+    "path(X_1,X_12) :- edge(X_1,X), path(X,X_12) .\n",
+], ids=["suffix-1", "suffix-12"])
+def test_digit_suffixed_variables_saturate_like_plain_names(rules):
+    plain = "path(X,Y) :- edge(X,Y) .\npath(X,Z) :- edge(X,Y), path(Y,Z) .\n"
+    lim = SearchLimits(max_results=200)
+    want = saturate(encode_logic_program(parse_logic_program(CHAIN + plain)),
+                    lim)
+    clauses = parse_logic_program(CHAIN + rules)
+    got = saturate(encode_logic_program(clauses), lim)
+    assert not (want.truncated or got.truncated)
+    facts = {render_term(t) for t, _ in got.results}
+    assert facts == {render_term(t) for t, _ in want.results}
+    # the chain is longer than 11 edges, so copies numbered 1 and 11 meet
+    assert "path(n0,n13)" in facts and len(facts) == 13 + 13 * 14 // 2
+    assert {t for t, _ in got.results} == forward_chain(clauses)[0]

@@ -7,9 +7,9 @@ import random
 from ggroup import term
 from ggroup.term import (
     MAX_TERM_DEPTH, Abstraction, AbsVar, App, Binding, Compound, Const,
-    EMPTY_BINDING, HOLE, Identifier, IdentifierSource, MetaVar, app_free,
+    EMPTY_BINDING, HOLE, Identifier, MetaVar, app_free,
     binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
-    match_app, may_unify, metavars_in, parse_abstraction, parse_term,
+    match_app, may_unify, parse_abstraction, parse_term,
     render_abstraction, render_term, substitute, subterms, term_size, unify,
 )
 
@@ -128,12 +128,6 @@ def test_app_free():
 def test_variable_listings():
     lf = t("ev(N,#x,sm(M,#y,s(#x,#y)))")
     assert [i.name for i in identifiers_in(lf)] == ["x", "y"]
-    assert [m.name for m in metavars_in(lf)] == ["N", "M"]
-
-
-def test_identifier_source_is_fresh():
-    src = IdentifierSource()
-    assert [src.fresh().name for _ in range(3)] == ["x1", "x2", "x3"]
 
 
 def test_canonical_identifiers_first_occurrence_order():
