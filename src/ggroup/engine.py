@@ -65,6 +65,20 @@ dropped before it is keyed when some atom of it has no partner to cancel
 with at an odd distance, other than one positive survivor at an even index
 (``_may_reduce``).
 
+A parse search whose every start is a first-order block-free word (no
+block, no token, no application) that meets ``_ordered_word`` is decided by
+a chart instead of the breadth-first loop (``_chart``).  Every cancel of
+such a word removes its own pair only, and first-order most general
+unifiers compose in any order, so a sequence of cancels succeeds exactly
+when the equations of its matching, non-crossing, unify, and every such
+matching replays with its pairs cancelled innermost first, left to right.
+The readings are the ground survivors of those matchings: the chart
+enumerates them over spans, on ``term``'s triangular binding (``_bind``,
+``_resolve``), keeps one matching per reading and builds its cancels as a
+chain of nodes, which ``_search`` proves like any other.  Every other search
+runs the loop: generation, saturation, commutative lexicons, and parses
+whose words hold a block or an application.
+
 Saturation resolves each subgoal in one step, over the clauses that a
 first-argument index proposes for it (``_Tables.candidates``): the
 instance's head is unified with the subgoal before anything is built, and
@@ -121,12 +135,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import lexicon as lx
 from .term import (
     HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
-    Identifier, MetaVar, Term, binding_is_acyclic,
+    Identifier, MetaVar, Term, _bind, _resolve, binding_is_acyclic,
     canonical_identifiers, identifiers_in, is_ground, may_unify,
     parse_abstraction, parse_term, render_abstraction, render_term,
     substitute, subterms, unify,
@@ -698,6 +713,9 @@ def apply_step(lex: lx.Lexicon, expr: Expr, step: Step, *,
         if step.rule_id.startswith("r"):
             if not tables.commutative:
                 raise StepError("relator multiplication requires commutative mode")
+            if lx.is_commutator_scheme(rule):
+                # its conjugator pairs interleave, so it has no instance
+                raise StepError("the commutator relator is never multiplied in")
             if step.index != len(level_items(expr, step.level)):
                 raise StepError("relator instances are appended at the end")
             return _apply(lex, expr, step, instances=instances)
@@ -1622,6 +1640,15 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     states keep their queue order.  The check comes after the limits, so
     ``truncated`` does not change either.
 
+    A non-commutative parse whose every start meets ``_chart_word`` and
+    ``_ordered_word`` is decided by the chart instead of the loop
+    (``_chart``, which gives the argument that it finds exactly the loop's
+    readings), when no successor of a start can outgrow ``max_items``, a
+    limit the chart does not model.  The starts are keyed and queued once
+    each as above, and the loop never runs: the chart returns the readings,
+    each at the end of a chain of cancel nodes, and ``max_results`` sets
+    ``truncated`` as in the loop.
+
     The search applies its own steps unchecked.  ``_prove`` then checks
     every step of each result, node by node over the tree the results
     share: one ``replay`` per distinct node on their paths, with a memo of
@@ -1647,13 +1674,18 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), {}
-    ordered = skipping
+    ordered = chart = skipping
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
+        # the chart knows no size limit: no successor may outgrow max_items
+        chart = chart and len(expr) - 2 <= lim.max_items and _chart_word(expr)
         n = len(visited)
         key = visited.setdefault(_canonical_key(expr, commutative), n)
         if key == n:
             queue.append(_Node(expr, 0, root, steps, key))
+    if chart and ordered:
+        results, truncated = _chart(s, queue, lim.max_results)
+        return _proved(lex, mode, root, results, truncated, s.allow_vacuous)
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1722,11 +1754,19 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 if key in expanded_skips:
                     queued_skips[key] = expanded_skips.pop(key)
                 queue.append(_Node(new, expansions, node, steps, key))
+    return _proved(lex, mode, root, results, truncated, s.allow_vacuous)
+
+
+def _proved(lex: lx.Lexicon, mode: str, root: _Node, results: dict,
+            truncated: bool, allow_vacuous: bool) -> EngineResult:
+    """The search's answer: each result of ``results``, ``(payload, node)``
+    by result key, in key order, with the derivation from ``root`` to its
+    node, proved over the tree the results share (``_prove``)."""
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []
     for _, (payload, node) in sorted(results.items()):
-        _prove(lex, mode, node, proved, s.allow_vacuous, proof_instances)
+        _prove(lex, mode, node, proved, allow_vacuous, proof_instances)
         out.append((payload, Derivation(mode, root.expr,
                                         node.derivation_steps(), node.expr)))
     return EngineResult(tuple(out), truncated)
@@ -1759,6 +1799,154 @@ def _prove(lex: lx.Lexicon, mode: str, node: _Node, proved: dict,
         expr = proved[node] = replay(
             lex, Derivation(mode, expr, node.steps, node.expr),
             allow_vacuous=allow_vacuous, instances=instances)
+
+
+# ---------------------------------------------------------------------------
+# The chart: first-order block-free parses, decided by matchings
+
+
+def _chart_word(expr: Expr) -> bool:
+    """Whether the chart may take a parse start (see ``_chart``): it holds
+    atoms only, and no token and no application."""
+    return all(type(a) is Atom and not a._phon and not a.payload.absvars
+               for a in expr)
+
+
+def _chart(s: _Search, starts: Iterable[_Node],
+           max_results: int) -> tuple[dict, bool]:
+    """Decide a parse search whose every start meets ``_chart_word`` and
+    ``_ordered_word``: ``(results, truncated)`` as ``_search``'s loop leaves
+    them, each result's node at the end of a chain of cancels from its
+    start.
+
+    Such a search only cancels.  Every top-level cancel removes its own pair
+    and nothing else (``_ordered_word``), and nothing makes a block.  So a
+    derivation of a reading cancels contiguous pairs: it matches the atoms
+    other than the survivor without crossing, and the survivor has an even
+    number of atoms to its left.  A sequence of cancels succeeds exactly
+    when the equations of its matching's pairs have a unifier: the terms are
+    first-order, and first-order most general unifiers compose in any order,
+    so each cancel finds a unifier of its pair under the ones before it, and
+    the survivor ends as its term's image under a most general unifier of
+    all the equations, one ground term when it is ground.  So every matching
+    whose equations unify is the derivation that cancels its pairs innermost
+    first, left to right, and the readings are the ground images of the
+    survivors over those matchings (``_matchings``).
+
+    The chart keeps one matching per reading, the first it finds, and builds
+    the chain that cancels it (``_chain``).  ``max_results`` stops the
+    enumeration and sets ``truncated``, as it stops the loop; the readings
+    kept then need not be the ones the loop would have found first.
+    """
+    results: dict[str, tuple] = {}
+    chains: dict = {}
+    for start in starts:
+        for term, pairs in _matchings(start.expr):
+            key = render_term(canonical_identifiers(term))
+            if key in results:
+                continue
+            node = _chain(s, start, pairs, chains)
+            results[key] = (_single_atom_goal(node.expr), node)
+            if len(results) >= max_results:
+                return results, True
+    return results, False
+
+
+def _matchings(word: Expr):
+    """Pairs ``(term, pairs)``, one for each non-crossing matching of the
+    atoms of the first-order ``word`` other than one positive survivor at an
+    even index, whose pairs have opposite signs and equations with a unifier
+    under which the survivor's term is ground: ``term`` is that ground image
+    and ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the order
+    of ``j``, which is innermost first, left to right.
+
+    A span's first atom pairs with an atom at an odd distance, and the atoms
+    between them and the rest of the span are matched in turn.  ``full``
+    says which spans can be matched at all by pairs whose equations unify
+    one by one, so no branch stops short of a matching for want of a
+    partner.  Each pair's equation extends one triangular binding
+    (``_bind``), undone when the enumeration backtracks, so a pair without a
+    unifier under the pairs before it cuts its branch, and the survivor's
+    image is resolved once per matching (``_resolve``).
+    """
+    n = len(word)
+    if n % 2 == 0:
+        return
+    signs = [a.sign for a in word]
+    terms = [a.payload for a in word]
+    # partner[i][j]: atoms at an odd distance, of opposite signs, whose
+    # equation has a unifier on its own
+    partner = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n, 2):
+            partner[i][j] = signs[i] != signs[j] and _bind(terms[i],
+                                                           terms[j], {})
+    # full[a][b]: the atoms a to b - 1 match without crossing (even spans)
+    full = [[a == b for b in range(n + 1)] for a in range(n + 1)]
+    for size in range(2, n, 2):
+        for a in range(n - size + 1):
+            b = a + size
+            full[a][b] = any(partner[a][j] and full[a + 1][j]
+                             and full[j + 1][b] for j in range(a + 1, b, 2))
+    bound: dict = {}
+    pairs: list = []
+    for k in range(0, n, 2):
+        if signs[k] < 0 or not (full[0][k] and full[k + 1][n]):
+            continue
+        for _ in _fill(((k + 1, n), (0, k)), terms, partner, full, bound,
+                       pairs):
+            term = _resolve(terms[k], bound, {})
+            if term.ground:
+                yield term, sorted(pairs, key=itemgetter(1))
+
+
+def _fill(spans, terms, partner, full, bound: dict, pairs: list):
+    """Match the spans of the stack ``spans``, the last one first, for
+    ``_matchings``: yield once for each matching, with its pairs appended to
+    ``pairs`` and its equations bound in ``bound``, and take both back
+    before the next.  A module-level generator, unlike a closure that calls
+    itself, leaves no reference cycle."""
+    if not spans:
+        yield
+        return
+    a, b = spans[-1]
+    if a == b:
+        yield from _fill(spans[:-1], terms, partner, full, bound, pairs)
+        return
+    for j in range(a + 1, b, 2):
+        if not (partner[a][j] and full[a + 1][j] and full[j + 1][b]):
+            continue
+        size = len(bound)
+        if _bind(terms[a], terms[j], bound):
+            pairs.append((a, j))
+            yield from _fill(spans[:-1] + ((j + 1, b), (a + 1, j)), terms,
+                             partner, full, bound, pairs)
+            pairs.pop()
+        while len(bound) > size:  # _bind only adds variables
+            bound.popitem()
+
+
+def _chain(s: _Search, start: _Node, pairs: list, chains: dict) -> _Node:
+    """The node that cancels the matching ``pairs`` of ``start``'s atoms, in
+    their order: a chain of nodes of one ``CancelStep`` each, its delta from
+    the memo of pair unifiers (``_pair_unifiers``) and its state from
+    ``_apply``.  ``chains`` maps a node and a position to the node that the
+    cancel there makes, so the matchings of one start share the nodes of
+    their common prefix, and so do their proofs."""
+    node = start
+    for m, (i, _) in enumerate(pairs):
+        # the pairs cancelled before lie inside this one or left of it
+        p = i - 2 * sum(done < i for _, done in pairs[:m])
+        child = chains.get((node, p))
+        if child is None:
+            expr = node.expr
+            (delta,) = _pair_unifiers(s, expr[p], expr[p + 1])
+            step = CancelStep((), p, delta)
+            child = chains[node, p] = _Node(
+                _apply(s.lex, expr, step, s.substitutions), node.expansions,
+                node, (step,))
+        node = child
+    return node
 
 
 def _words(e: Expr) -> Optional[tuple[str, ...]]:

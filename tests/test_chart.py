@@ -1,0 +1,213 @@
+"""The chart against the breadth-first search it stands in for.
+
+A parse search whose every start is a first-order block-free word (no block,
+no token, no application) that meets ``engine._ordered_word`` is decided by
+the chart: it enumerates the non-crossing matchings of the start's atoms and
+builds one chain of cancels per reading.  Turning the chart off, by making
+its gate ``engine._chart_word`` refuse every start, runs the breadth-first
+search on the same input.  Both must find the same readings and agree on
+truncation, and every derivation the chart builds must replay on its own.
+"""
+
+import functools
+import random
+
+import pytest
+
+from ggroup import engine
+from ggroup.engine import SearchLimits, generate, parse, render_expr, replay
+from ggroup.lexicon import gen_rules, parse_grammar
+from ggroup.term import (
+    Binding, canonical_identifiers, parse_term, render_term, substitute,
+)
+
+from test_homonyms import HOMONYM
+from test_search_reference import NAMES, PPS, RAW, _ordered_start
+
+LIM = SearchLimits()
+
+
+def _readings(res):
+    return {render_term(p) for p, _ in res.results}
+
+
+def _breadth_first(monkeypatch, search, *args):
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_chart_word", lambda expr: False)
+        return search(*args)
+
+
+def _charted(monkeypatch, search, *args):
+    """The search's result, and whether the chart decided it."""
+    real, calls = engine._chart, []
+
+    def counting(*chart_args):
+        calls.append(chart_args)
+        return real(*chart_args)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_chart", counting)
+        return search(*args), bool(calls)
+
+
+def _replays(lex, res):
+    for term, d in res.results:
+        assert replay(lex, d) == d.end
+        assert len(d.end) == 1
+        assert render_term(canonical_identifiers(d.end[0].payload)) == \
+            render_term(term)
+
+
+def _agree(monkeypatch, lex, words, lim=LIM):
+    """Compare the two searches on one sentence; whether the chart ran."""
+    got, charted = _charted(monkeypatch, parse, lex, words, lim)
+    want = _breadth_first(monkeypatch, parse, lex, words, lim)
+    assert _readings(got) == _readings(want), " ".join(words)
+    assert got.truncated == want.truncated, " ".join(words)
+    _replays(lex, got)
+    return charted
+
+
+FIRST_ORDER_PPS = [f"{a} saw the woman in {b}" for a in NAMES for b in NAMES] \
+    + [f"the man in {a} saw {b}" for a in NAMES for b in NAMES]
+
+
+@pytest.mark.parametrize("sentence", PPS + FIRST_ORDER_PPS)
+def test_prepositional_phrases_read_like_the_search(english, monkeypatch,
+                                                   sentence):
+    # a quantifier's instance holds an application, which keeps the chart
+    # off; the other sentences are first-order
+    charted = _agree(monkeypatch, english, sentence.split())
+    assert charted == ("some" not in sentence)
+
+
+def test_every_first_order_shape_fill_reads_like_the_search(
+        english, monkeypatch, shape_fills):
+    forms = [text for text in shape_fills if "#" not in text]
+    assert len(forms) > 400
+    for text in forms:
+        strings = generate(english, parse_term(text), LIM).results
+        assert strings, text
+        for words, _ in strings:
+            assert _agree(monkeypatch, english, words), text
+
+
+@pytest.mark.parametrize("sentence", [
+    "john saw louise in paris",
+    "louise saw the man in paris",
+    "john saw louise in paris in paris",
+    "the man in paris saw the woman in louise",
+])
+def test_homonyms_read_like_the_search(monkeypatch, sentence):
+    # every assignment of rules to the homonym is a start of its own; the
+    # last sentence has 76 readings, more than the default limit
+    assert _agree(monkeypatch, HOMONYM, sentence.split(),
+                  SearchLimits(max_results=100))
+
+
+def _random_lexicon(rng):
+    """A first-order lexicon of five words.  Each relator is a head term
+    with bare negative variables on both sides of it, each variable once,
+    then its word inverted; a head may repeat a variable or nest a term, and
+    a word may have a second relator (a homonym)."""
+    words = [f"w{k}" for k in range(5)]
+    lines = ["phon " + " ".join(words) + " ."]
+    for k, word in enumerate(words):
+        for n in range(2 if rng.random() < 0.2 else 1):
+            arity = 0 if k == 0 else rng.randint(0, 2)
+            names = [f"V{i}" for i in range(arity)]
+            args = list(names)
+            if args and rng.random() < 0.2:
+                args.append(rng.choice(names))
+            if args and rng.random() < 0.2:
+                args[0] = f"g({args[0]})"
+            head = f"h{k}{n}({','.join(args)})" if args else f"c{k}{n}"
+            rng.shuffle(names)
+            cut = rng.randint(0, len(names))
+            items = [f"{v}^-1" for v in names[:cut]] + [head] \
+                + [f"{v}^-1" for v in names[cut:]] + [f"{word}^-1"]
+            lines.append("relator " + " ".join(items) + " .")
+    return parse_grammar("\n".join(lines) + "\n")
+
+
+def _random_form(rng, heads, size):
+    """A ground form over the lexicon's heads with at most ``size[0]``
+    heads; leaves once the budget runs out."""
+    size[0] -= 1
+    inner = [h for h in heads if h.metas] if size[0] > 0 else []
+    head = rng.choice(inner or [h for h in heads if not h.metas])
+    fill = {v: _random_form(rng, heads, size) for v in sorted(head.metas)}
+    return substitute(head, Binding(fill, {}))
+
+
+# homonyms multiply the readings of a random lexicon's sentences
+WIDE = SearchLimits(max_results=1000)
+
+
+def test_random_first_order_lexicons_read_like_the_search(monkeypatch):
+    rng = random.Random(23)
+    charted = sentences = 0
+    for n in range(30):
+        lex = _random_lexicon(rng)
+        heads = [r.lhs for r in gen_rules(lex)]
+        for _ in range(4):
+            form = _random_form(rng, heads, [rng.randint(1, 5)])
+            for words, _ in generate(lex, form, LIM).results[:3]:
+                sentences += 1
+                try:
+                    charted += _agree(monkeypatch, lex, words, WIDE)
+                except AssertionError as e:
+                    raise AssertionError(f"lexicon {n}: {' '.join(words)}") \
+                        from e
+    assert sentences > 100
+    assert charted == sentences
+
+
+def test_random_first_order_words_read_like_the_search(monkeypatch):
+    # the random ordered starts of the ordered-cancel tests that hold no
+    # block and no application
+    rng = random.Random(43)
+    charted = found = 0
+    for _ in range(2000):
+        start = _ordered_start(rng)
+        if not engine._chart_word(start):
+            continue
+        search = functools.partial(engine._search, RAW, "parse", start, ())
+        got, ran = _charted(monkeypatch, search, LIM)
+        want = _breadth_first(monkeypatch, search, LIM)
+        assert ran
+        assert (_readings(got), got.truncated) == \
+            (_readings(want), want.truncated), render_expr(start)
+        _replays(RAW, got)
+        charted += 1
+        found += bool(got.results)
+    assert charted > 250
+    assert found > charted // 2
+
+
+def test_a_result_limit_truncates_like_the_search(english, monkeypatch):
+    words = "john saw the man in paris in the woman".split()
+    every = _readings(parse(english, words, LIM))
+    assert len(every) == 9
+    # at the limit: both searches stop at the last reading
+    assert _agree(monkeypatch, english, words, SearchLimits(max_results=9))
+    # below it: the readings kept may differ, their number may not
+    lim = SearchLimits(max_results=4)
+    got, charted = _charted(monkeypatch, parse, english, words, lim)
+    want = _breadth_first(monkeypatch, parse, english, words, lim)
+    assert charted and got.truncated and want.truncated
+    assert len(got.results) == len(want.results) == 4
+    assert _readings(got) <= every
+    _replays(english, got)
+    # above it: nothing is cut
+    assert _agree(monkeypatch, english, words, SearchLimits(max_results=10))
+
+
+def test_a_start_past_the_size_limit_runs_the_search(english, monkeypatch):
+    # the start has 17 atoms; its successors have 15, which the loop cuts
+    # under max_items=14, a limit the chart does not model
+    words = "john saw the man in paris in the woman".split()
+    cut, charted = _charted(monkeypatch, parse, english, words,
+                            SearchLimits(max_items=14))
+    assert not charted and cut.truncated and not cut.results
+    assert _agree(monkeypatch, english, words, SearchLimits(max_items=15))

@@ -927,6 +927,22 @@ def test_the_commutator_relator_has_a_renaming():
         == Binding()
 
 
+def test_replaying_the_commutator_relator_is_a_step_error():
+    """The commutator relator is r6 of the family.lp encoding.  Its
+    conjugator pairs interleave, so it has no instance to multiply in: a step
+    that names it fails as a ``StepError``, not as the ``StopIteration``
+    that building its instance ended in."""
+    lex = _family()
+    assert lx.is_commutator_scheme(engine._tables(lex).by_id["r6"])
+    d = parse_derivation("derivation mode=saturate\nstart: 1\n"
+                         "step: expand level=- index=0 rule=r6\nend: 1",
+                         lex.phon_vocab)
+    with pytest.raises(StepError,
+                       match="step 1: the commutator relator is never "
+                             "multiplied in"):
+        replay(lex, d)
+
+
 @pytest.mark.parametrize("text, missing", [
     ("expand index=0 rule=p1", "level"),
     ("cancel index=0", "level"),

@@ -3,16 +3,17 @@ without them.
 
 Postponed block placement is checked against the unpruned reference, which
 puts every placement of every block back as a search state in parse mode (as
-generation still does), makes every cancel at every state and keeps every
-block-free word.  The skipped cancels (those that commute before the
-preceding block bundle) are also checked on their own, against the postponed
-placement without the skip.  Both searches must find the same readings and
-agree on truncation, and every derivation of the pruned search must replay.
-The dropped block-free words that cannot reduce to one atom are checked
-against the same search keeping them: the same readings, rendered
-derivations and truncation.  So are the ordered cancels, the first-order
-cancels that commute back before the cancel that made a state, against the
-same search making them.
+generation still does), makes every cancel at every state, keeps every
+block-free word and leaves no search to the chart (``tests/test_chart.py``
+checks the chart against the search on its own).  The skipped cancels (those
+that commute before the preceding block bundle) are also checked on their
+own, against the postponed placement without the skip.  Both searches must
+find the same readings and agree on truncation, and every derivation of the
+pruned search must replay.  The dropped block-free words that cannot reduce
+to one atom are checked against the same search keeping them: the same
+readings, rendered derivations and truncation.  So are the ordered cancels,
+the first-order cancels that commute back before the cancel that made a
+state, against the same search making them.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -76,10 +77,15 @@ def _no_drop(m):
     m.setattr(engine, "_may_reduce", lambda *args: True)
 
 
+def _no_chart(m):
+    m.setattr(engine, "_chart_word", lambda expr: False)
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """Call a function with the exhaustive placement in every mode, no
-    cancel skipped and no block-free word dropped."""
+    cancel skipped, no block-free word dropped and no search decided by the
+    chart."""
     real = engine._block_successors
 
     def exhaustive(s, node):
@@ -91,6 +97,7 @@ def reference(monkeypatch):
             m.setattr(engine, "_block_successors", exhaustive)
             _no_skip(m)
             _no_drop(m)
+            _no_chart(m)
             return fn(*args)
 
     return run
@@ -624,12 +631,37 @@ relator f(W) t4^-1 .
 
 def test_a_lexicon_with_eager_cancels_gets_no_ordered_skip(monkeypatch,
                                                            orders):
+    # the start is first-order and block-free: with the chart off, the
+    # breadth-first search runs, as it does for every start that fails
+    # ``_ordered_word``
+    _no_chart(monkeypatch)
     lex, words = parse_grammar(EAGER), "t1 t2 t3 t4".split()
     assert _readings(parse(lex, words, LIM)) == {"f(a)"}
     assert not orders
     monkeypatch.setattr(engine, "_ordered_word", lambda expr: True)
     assert _readings(parse(lex, words, LIM)) == set()
     assert orders
+
+
+def test_a_lexicon_with_eager_cancels_gets_no_chart(monkeypatch):
+    # the chart would take this first-order block-free start, but only a
+    # search where ``_ordered_word`` holds, which rules out eager cancels,
+    # reaches it.  With eager cancels its chains would not hold: cancelling
+    # s(Y1) removes f(a) and f(a)^-1 too, so this stand-in returns nothing
+    charted = []
+
+    def stand_in(s, starts, max_results):
+        charted.append([node.expr for node in starts])
+        return {}, False
+
+    monkeypatch.setattr(engine, "_chart", stand_in)
+    lex, words = parse_grammar(EAGER), "t1 t2 t3 t4".split()
+    assert _readings(parse(lex, words, LIM)) == {"f(a)"}
+    assert not charted
+    monkeypatch.setattr(engine, "_ordered_word", lambda expr: True)
+    assert _readings(parse(lex, words, LIM)) == set()
+    ((start,),) = charted
+    assert engine._chart_word(start)
 
 
 @pytest.mark.parametrize("text", [

@@ -415,6 +415,12 @@ def test_atom_class_is_set_when_built_and_rebuilt_by_a_copy():
 
 @pytest.mark.parametrize("name, run", [
     ("parse", lambda: parse(_english(), "every man saw some woman".split())),
+    # the chart decides a first-order parse; the second stops at its limit
+    ("parse by the chart", lambda: parse(
+        _english(), "john saw the man in paris in the woman".split())),
+    ("parse by the chart, cut", lambda: parse(
+        _english(), "john saw the man in paris in the woman".split(),
+        engine.SearchLimits(max_results=4))),
     ("generate", lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))"))),
     ("generate often.dcg", lambda: generate(
         _often(), parse_term("sent"), engine.SearchLimits(max_expansions=6))),
