@@ -56,28 +56,28 @@ can be larger than in the full search when measured against ``max_items``
 The same commutation prunes cancels: a state reached by a bundle skips its
 top-level cancels of pairs that were adjacent before the bundle (see
 ``_search``).  So does a state reached by a top-level cancel, for the
-first-order pairs left of it that it left untouched, which commute back
-before it.  The search decides from its starts whether cancels commute so
-(``_ordered_word``): only when no cancel can make an eager cancellation,
-which could remove an atom of the other pair in one order and not in the
-other.  A block-free word that enters from a state with blocks is
-dropped before it is keyed when some atom of it has no partner to cancel
-with at an odd distance, other than one positive survivor at an even index
-(``_may_reduce``).
+first-order pairs left of it, which commute back before it.  The search
+decides from its starts whether cancels commute so (``_ordered_word``):
+only when no cancel can make an eager cancellation, which could remove an
+atom of the other pair in one order and not in the other.  A block-free
+word that enters from a state with blocks is dropped before it is keyed
+when some atom of it has no partner to cancel with at an odd distance,
+other than one positive survivor at an even index (``_may_reduce``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
-a chart instead of the breadth-first loop (``_chart``).  Every cancel of
-such a word removes its own pair only, and first-order most general
-unifiers compose in any order, so a sequence of cancels succeeds exactly
-when the equations of its matching, non-crossing, unify, and every such
-matching replays with its pairs cancelled innermost first, left to right.
-The readings are the ground survivors of those matchings: the chart
-enumerates them over spans, on ``term``'s triangular binding (``_bind``,
-``_resolve``), keeps one matching per reading and builds its cancels as a
-chain of nodes, which ``_search`` proves like any other.  Every other search
-runs the loop: generation, saturation, commutative lexicons, and parses
-whose words hold a block or an application.
+a chart (``_chart``).  Every cancel of such a word removes its own pair
+only, and first-order most general unifiers compose in any order, so a
+sequence of cancels succeeds exactly when the equations of its matching,
+non-crossing, unify, and every such matching replays with its pairs
+cancelled innermost first, left to right.  The readings are the ground
+survivors of those matchings: the chart enumerates them over spans, on
+``term``'s triangular binding (``_bind``, ``_resolve``), keeps one matching
+per reading and builds its cancels as a chain of nodes.  The end nodes take
+the starts' place in the breadth-first loop, which records, cuts and proves
+them like any other, so every search ends in the loop.  Every other search
+explores there from its starts: generation, saturation, commutative
+lexicons, and parses whose words hold a block or an application.
 
 Saturation resolves each subgoal in one step, over the clauses that a
 first-argument index proposes for it (``_Tables.candidates``): the
@@ -1238,21 +1238,25 @@ def _ordered_word(expr: Expr) -> bool:
 def _ordered_cancels(s: _Search, old: Expr, step: CancelStep,
                      new: Expr) -> int:
     """Bit mask of the top-level positions ``j <= p - 2`` of ``new``, made
-    from ``old`` by ``step``, a cancel at ``p``, whose pair holds the same
-    two atom objects that ``old`` holds there, when that pair and the
-    cancelled one are both first-order (no application; ground atoms
-    count).  Such a cancel commutes back before ``step``, so the search
-    skips it (see ``_search``).
+    from ``old`` by ``step``, a cancel at ``p``, whose pair can cancel, when
+    that pair and the cancelled one are both first-order (no application;
+    ground atoms count).  Such a cancel commutes back before ``step``, so
+    the search skips it (see ``_search``).
 
-    The pair at ``j`` holds the same objects, so ``step``'s unifier left it
-    alone, and in a word that meets ``_ordered_word`` a top-level cancel
-    removes its own pair only.  Cancelling ``j`` first in ``old`` then
-    leaves the other pair at ``p - 2``, under ``j``'s unifier.  Both pairs
-    are first-order, so either order applies a most general unifier of the
-    two, unique up to renaming, and reaches one state up to the renaming,
-    which the state key forgets.  Matching an application depends on what is
-    already bound (``unify(P[#x1], s(#x1,B))`` and then ``B=#x1`` binds a
-    different ``P`` than ``B=#x1`` first), so such pairs never skip.
+    In a word that meets ``_ordered_word`` a top-level cancel removes its
+    own pair only and makes no eager cancellation, so the atoms left of
+    ``p`` keep their positions: ``new``'s pair at ``j`` is ``old``'s under
+    ``step``'s unifier.  That cancel is first-order, so its unifier binds
+    meta-variables to terms without applications, and removes none: the
+    pair at ``j`` was first-order in ``old`` too.  A unifier of the pair in
+    ``new``, composed after ``step``'s, unifies it in ``old``, so ``old``
+    can cancel at ``j``, which leaves the other pair at ``p - 2`` under
+    ``j``'s unifier.  Both pairs are first-order, so either order applies a
+    most general unifier of the two, unique up to renaming, and reaches one
+    state up to the renaming, which the state key forgets.  Matching an
+    application depends on what is already bound (``unify(P[#x1],
+    s(#x1,B))`` and then ``B=#x1`` binds a different ``P`` than ``B=#x1``
+    first), so such pairs never skip.
     """
     p = step.index
     if step.level or old[p].payload.absvars or old[p + 1].payload.absvars:
@@ -1260,7 +1264,7 @@ def _ordered_cancels(s: _Search, old: Expr, step: CancelStep,
     mask = 0
     for j in range(min(p, len(new)) - 1):
         a, b = new[j], new[j + 1]
-        if a is old[j] and b is old[j + 1] and _cancel_pair(a, b) \
+        if _cancel_pair(a, b) \
                 and not (a.payload.absvars or b.payload.absvars) \
                 and _pair_unifiers(s, a, b):
             mask |= 1 << j
@@ -1586,7 +1590,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     already (partial-order reduction).  After a block bundle these are the
     cancels that ``_commuting_cancels`` finds (see ``_block_successors``).
     After a top-level cancel at ``p`` they are the first-order cancels at
-    ``j <= p - 2`` that the cancel left untouched (``_ordered_cancels``);
+    ``j <= p - 2``, whose atoms the cancel left in place
+    (``_ordered_cancels``);
     this needs every top-level cancel to remove its own pair only, which
     holds when every start meets ``_ordered_word`` (a parse start does when
     the instance of each parsing rule in it does).  No reading is lost: a
@@ -1641,13 +1646,16 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     ``truncated`` does not change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
-    ``_ordered_word`` is decided by the chart instead of the loop
-    (``_chart``, which gives the argument that it finds exactly the loop's
-    readings), when no successor of a start can outgrow ``max_items``, a
-    limit the chart does not model.  The starts are keyed and queued once
-    each as above, and the loop never runs: the chart returns the readings,
-    each at the end of a chain of cancel nodes, and ``max_results`` sets
-    ``truncated`` as in the loop.
+    ``_ordered_word`` is decided by the chart (``_chart``, which gives the
+    argument that it finds exactly the loop's readings), when no successor
+    of a start can outgrow ``max_items``, a limit the chart does not model.
+    The starts are keyed once each as above, and the chart takes them: it
+    returns one node per reading, at the end of a chain of cancel nodes, at
+    most ``max_results`` of them, and the queue holds those nodes in place
+    of the starts.  The loop then runs as for any search: it records each
+    node as a reading, sets ``truncated`` when ``max_results`` is reached,
+    and finds no successor of a single atom.  So every search ends in the
+    loop, and every limit that cuts one is applied there.
 
     The search applies its own steps unchecked.  ``_prove`` then checks
     every step of each result, node by node over the tree the results
@@ -1684,8 +1692,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         if key == n:
             queue.append(_Node(expr, 0, root, steps, key))
     if chart and ordered:
-        results, truncated = _chart(s, queue, lim.max_results)
-        return _proved(lex, mode, root, results, truncated, s.allow_vacuous)
+        queue = deque(_chart(s, queue, lim.max_results))
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1754,19 +1761,11 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 if key in expanded_skips:
                     queued_skips[key] = expanded_skips.pop(key)
                 queue.append(_Node(new, expansions, node, steps, key))
-    return _proved(lex, mode, root, results, truncated, s.allow_vacuous)
-
-
-def _proved(lex: lx.Lexicon, mode: str, root: _Node, results: dict,
-            truncated: bool, allow_vacuous: bool) -> EngineResult:
-    """The search's answer: each result of ``results``, ``(payload, node)``
-    by result key, in key order, with the derivation from ``root`` to its
-    node, proved over the tree the results share (``_prove``)."""
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []
     for _, (payload, node) in sorted(results.items()):
-        _prove(lex, mode, node, proved, allow_vacuous, proof_instances)
+        _prove(lex, mode, node, proved, s.allow_vacuous, proof_instances)
         out.append((payload, Derivation(mode, root.expr,
                                         node.derivation_steps(), node.expr)))
     return EngineResult(tuple(out), truncated)
@@ -1813,11 +1812,10 @@ def _chart_word(expr: Expr) -> bool:
 
 
 def _chart(s: _Search, starts: Iterable[_Node],
-           max_results: int) -> tuple[dict, bool]:
+           max_results: int) -> list[_Node]:
     """Decide a parse search whose every start meets ``_chart_word`` and
-    ``_ordered_word``: ``(results, truncated)`` as ``_search``'s loop leaves
-    them, each result's node at the end of a chain of cancels from its
-    start.
+    ``_ordered_word``: one node per reading, each at the end of a chain of
+    cancels from its start, which ``_search`` queues in place of the starts.
 
     Such a search only cancels.  Every top-level cancel removes its own pair
     and nothing else (``_ordered_word``), and nothing makes a block.  So a
@@ -1834,22 +1832,21 @@ def _chart(s: _Search, starts: Iterable[_Node],
     survivors over those matchings (``_matchings``).
 
     The chart keeps one matching per reading, the first it finds, and builds
-    the chain that cancels it (``_chain``).  ``max_results`` stops the
-    enumeration and sets ``truncated``, as it stops the loop; the readings
-    kept then need not be the ones the loop would have found first.
+    the chain that cancels it (``_chain``).  It stops after ``max_results``
+    readings, and the loop, which records each node as a reading, sets
+    ``truncated`` at the last of them as it does for any search; the
+    readings kept then need not be the ones the loop would have found first.
     """
-    results: dict[str, tuple] = {}
+    ends: dict = {}
     chains: dict = {}
     for start in starts:
         for term, pairs in _matchings(start.expr):
             key = render_term(canonical_identifiers(term))
-            if key in results:
-                continue
-            node = _chain(s, start, pairs, chains)
-            results[key] = (_single_atom_goal(node.expr), node)
-            if len(results) >= max_results:
-                return results, True
-    return results, False
+            if key not in ends:
+                ends[key] = _chain(s, start, pairs, chains)
+                if len(ends) >= max_results:
+                    return list(ends.values())
+    return list(ends.values())
 
 
 def _matchings(word: Expr):
@@ -2111,11 +2108,18 @@ def _pair(part: str, what: str) -> tuple[str, str]:
 
 
 def _parse_binding(text: str) -> Binding:
+    """Read ``_render_binding``'s text.  A ``ValueError`` names a name that
+    is no variable's (an uppercase letter, then letters, digits and ``_``)
+    or one bound twice."""
     terms: dict[str, Term] = {}
     abstractions = {}
     if text:
         for part in text.split(";"):
             k, v = _pair(part, "binding")
+            if not (k[:1].isupper() and k.replace("_", "").isalnum()):
+                raise ValueError(f"binding name {k!r} is not a variable")
+            if k in terms or k in abstractions:
+                raise ValueError(f"binding repeats name {k!r}")
             if v.startswith("\\"):
                 abstractions[k] = parse_abstraction(v)
             else:

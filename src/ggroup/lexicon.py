@@ -70,13 +70,6 @@ class RelatorScheme:
     items: tuple[SchemeItem, ...]
     line: int = field(default=0, compare=False)
 
-    def expr_metas(self) -> list[str]:
-        seen: list[str] = []
-        for i in self.items:
-            if isinstance(i, ExprMeta) and i.name not in seen:
-                seen.append(i.name)
-        return seen
-
 
 @dataclass(frozen=True)
 class Lexicon:

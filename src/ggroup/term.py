@@ -171,9 +171,6 @@ class Binding:
     def is_empty(self) -> bool:
         return not self.terms and not self.abstractions
 
-    def domain(self) -> set:
-        return set(self.terms) | set(self.abstractions)
-
 
 EMPTY_BINDING = Binding()
 

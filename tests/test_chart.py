@@ -189,18 +189,20 @@ def test_a_result_limit_truncates_like_the_search(english, monkeypatch):
     words = "john saw the man in paris in the woman".split()
     every = _readings(parse(english, words, LIM))
     assert len(every) == 9
-    # at the limit: both searches stop at the last reading
-    assert _agree(monkeypatch, english, words, SearchLimits(max_results=9))
-    # below it: the readings kept may differ, their number may not
-    lim = SearchLimits(max_results=4)
-    got, charted = _charted(monkeypatch, parse, english, words, lim)
-    want = _breadth_first(monkeypatch, parse, english, words, lim)
-    assert charted and got.truncated and want.truncated
-    assert len(got.results) == len(want.results) == 4
-    assert _readings(got) <= every
-    _replays(english, got)
-    # above it: nothing is cut
-    assert _agree(monkeypatch, english, words, SearchLimits(max_results=10))
+    for limit in range(1, 11):
+        # below the count the readings kept may differ, their number may
+        # not; at it both searches stop at the last reading, and above it
+        # nothing is cut
+        lim = SearchLimits(max_results=limit)
+        got, charted = _charted(monkeypatch, parse, english, words, lim)
+        want = _breadth_first(monkeypatch, parse, english, words, lim)
+        assert charted, limit
+        assert len(got.results) == len(want.results) == min(limit, 9), limit
+        assert got.truncated == want.truncated == (limit <= 9), limit
+        assert _readings(got) <= every
+        if limit >= 9:
+            assert _readings(got) == _readings(want) == every
+        _replays(english, got)
 
 
 def test_a_start_past_the_size_limit_runs_the_search(english, monkeypatch):

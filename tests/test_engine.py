@@ -966,6 +966,12 @@ def test_parse_step_names_a_missing_field(text, missing):
     (lambda: parse_derivation("derivation", ()), "derivation line without a mode"),
     (lambda: parse_step("cancel level=- index=0 bind=A"),
      "binding 'A' is not name=value"),
+    (lambda: parse_step("expand level=- index=0 rule=g7 bind=A=l;A=j;B=l"),
+     "binding repeats name 'A'"),
+    (lambda: parse_step("expand level=- index=0 rule=g7 bind=A=j;B=l;zz=j"),
+     "binding name 'zz' is not a variable"),
+    (lambda: parse_step("cancel level=- index=0 bind==j"),
+     "binding name '' is not a variable"),
     # the renaming maps of old derivation text no longer read
     (lambda: parse_step("expand level=- index=0 rule=p1 rename=A=A_1"),
      "expand step has an unknown field 'rename'"),
@@ -1009,6 +1015,7 @@ def test_parse_step_names_a_missing_field(text, missing):
     (lambda: parse_derivation("derivation mode=parse\nstart: 1\nend: 1\nend: 1", ()),
      "derivation text has 2 'end:' lines, not one"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
+        "repeated-binding", "binding-no-variable", "binding-empty-name",
         "old-rename-field", "old-idents-field", "instance-not-a-number",
         "start-not-text", "steps-not-a-list", "target-no-slot",
         "level-not-a-number", "k-not-a-number", "partner-not-a-number",

@@ -647,12 +647,12 @@ def test_a_lexicon_with_eager_cancels_gets_no_chart(monkeypatch):
     # the chart would take this first-order block-free start, but only a
     # search where ``_ordered_word`` holds, which rules out eager cancels,
     # reaches it.  With eager cancels its chains would not hold: cancelling
-    # s(Y1) removes f(a) and f(a)^-1 too, so this stand-in returns nothing
+    # s(Y1) removes f(a) and f(a)^-1 too, so this stand-in returns no node
     charted = []
 
     def stand_in(s, starts, max_results):
         charted.append([node.expr for node in starts])
-        return {}, False
+        return []
 
     monkeypatch.setattr(engine, "_chart", stand_in)
     lex, words = parse_grammar(EAGER), "t1 t2 t3 t4".split()
