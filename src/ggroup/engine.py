@@ -47,11 +47,15 @@ can be reordered into one of these (see ``_expand_successors`` for the
 argument and the one assumption it makes).  The lexicon decides whether
 expansions are local (``_Tables.local_expansions``); a lexicon where they
 are not gets every expansion of every atom and every bundle at every state.
-Parsing postpones placement: a bundle is a state only when it is
-productive, and an unproductive one is extended into a run of bundles,
-emitted once productive.  No reading is lost.  In both, intermediate states
-can be larger than in the full search when measured against ``max_items``
-(see ``_expand_successors`` and ``_block_successors``).
+Parsing places every block before any cancel when its starts meet
+``_ordered_word`` and fit ``max_items``: a state with a block gets every
+bundle and no cancel (see ``_search``).  Any other parse postpones
+placement: a bundle is a state only when it is productive, and an
+unproductive one is extended into a run of bundles, emitted once
+productive.  No reading is lost.  Generation and postponed placement can
+make intermediate states larger than in the full search when measured
+against ``max_items`` (see ``_expand_successors`` and
+``_block_successors``).
 
 The same commutation prunes cancels: a state reached by a bundle skips its
 top-level cancels of pairs that were adjacent before the bundle (see
@@ -62,7 +66,11 @@ only when no cancel can make an eager cancellation, which could remove an
 atom of the other pair in one order and not in the other.  A block-free
 word that enters from a state with blocks is dropped before it is keyed
 when some atom of it has no partner to cancel with at an odd distance,
-other than one positive survivor at an even index (``_may_reduce``).
+other than one positive survivor at an even index (``_may_reduce``).  When
+blocks come first, a word that passes is keyed, and then dropped when no
+non-crossing matching of its atoms can cancel, read first-order
+(``_may_match``, on the chart's ``_matchings``); the search keeps the keys
+of the dead words, so each distinct word is judged once.
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -105,12 +113,14 @@ generators and ``_apply`` skip the walks over block levels when the top
 level holds no block.
 
 Each search builds one context, ``_Search``: the lexicon, the mode,
-``allow_vacuous`` and four memos, alive for that search only.  Every
+``allow_vacuous``, whether blocks come first, and five memos, alive for
+that search only.  Every
 successor generator takes the context and the node it expands, ``gen(s,
 node) -> list``, and the helpers that judge atom pairs take the context
 too.  The memos hold the unifiers of atom pairs, whether two atoms may still
-cancel (``_may_reduce``), the substitutions the cancels make, and the clause
-instances of saturation.  The first is keyed by the pair's identity,
+cancel (``_partner``), the substitutions the cancels make, the clause
+instances of saturation, and the atoms' first-order readings
+(``_first_order``).  The first is keyed by the pair's identity,
 ``(id(a), id(b))``, so each pair of atom objects is unified once.  The
 second is keyed by the pair's identity, in word order.  The third is keyed by
 identity, ``(id(unifier), id(atom))``, so the same atom object under the
@@ -121,8 +131,9 @@ ids it uses, so no id is reused while the memo lives.  The fourth holds one
 dict per search depth, which keeps each clause's instance and expansion
 steps (``_clause_step``), so every state at one depth shares each
 clause's instance, and its atoms compute their class and key fragment once;
-a fact's instance is built once for every depth.  The context holds no node,
-so a search leaves no reference cycle.
+a fact's instance is built once for every depth.  The fifth is keyed by the
+atom's identity and holds the atom.  The context holds no node, so a search
+leaves no reference cycle.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -973,15 +984,24 @@ class _Node:
 
 @dataclass(slots=True, eq=False)
 class _Search:
-    """One search's context (see the module docstring and ``_search``)."""
+    """One search's context (see the module docstring and ``_search``).
+
+    ``blocks_first`` says that the search places every block before any
+    cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
+    ``substitutions`` and ``instances``, as the module docstring says, and
+    ``first_order``, which maps an atom's id to the atom and its first-order
+    reading (``_first_order``) for ``_may_match``.  The keys of the dead
+    block-free words are kept by ``_search`` itself, with its state keys."""
 
     lex: lx.Lexicon
     mode: str  # "gen" | "parse" | "saturate"
     allow_vacuous: bool = False
+    blocks_first: bool = False
     unifiers: dict = field(default_factory=dict)
     partners: dict = field(default_factory=dict)
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
+    first_order: dict = field(default_factory=dict)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1118,13 +1138,12 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
 def _may_reduce(s: _Search, word: Expr) -> bool:
     """False when the block-free ``word`` cannot reduce to one atom by
     cancels: some atom has no partner (``_may_cancel``, kept in the search's
-    memo ``partners``) at an odd distance, other than one positive atom at
-    an even index.
+    memo ``partners``, see ``_partner``) at an odd distance, other than one
+    positive atom at an even index.
 
     Cancelling contiguous pairs matches the atoms without crossing, so the
     atoms between two partners cancel among themselves, an even number, and
     so do those left of the atom that survives."""
-    partners = s.partners
     n = len(word)
     paired = [False] * n
     lone = False
@@ -1133,14 +1152,8 @@ def _may_reduce(s: _Search, word: Expr) -> bool:
             continue
         for j in range(1 - i % 2, n, 2):
             b = word[j]
-            if b.sign == a.sign:
-                continue
-            left, right = (b, a) if j < i else (a, b)
-            found = partners.get((id(left), id(right)))
-            if found is None:
-                found = partners[id(left), id(right)] = (
-                    left, right, _may_cancel(s, left, right))
-            if found[2]:
+            if b.sign != a.sign and (_partner(s, b, a) if j < i
+                                     else _partner(s, a, b)):
                 paired[j] = True
                 break
         else:
@@ -1148,6 +1161,89 @@ def _may_reduce(s: _Search, word: Expr) -> bool:
                 return False
             lone = True
     return True
+
+
+def _partner(s: _Search, a: Atom, b: Atom) -> bool:
+    """``_may_cancel(s, a, b)`` for ``a`` left of ``b``, kept in the
+    search's memo ``partners`` by the pair's identity, in word order."""
+    found = s.partners.get((id(a), id(b)))
+    if found is None:
+        found = s.partners[id(a), id(b)] = (a, b, _may_cancel(s, a, b))
+    return found[2]
+
+
+def _first_order(a: Atom) -> tuple:
+    """``(term, apps)``: the atom's term with each application ``P[#x]``
+    read as the meta-variable ``P[]``, which no input can name, and ``apps``
+    mapping each abstraction variable to its one argument, an identifier.
+    ``(None, None)`` for a token, or when an application's argument is no
+    identifier, or one variable is applied to two."""
+    if a._phon:
+        return None, None
+    t = a.payload
+    apps: dict = {}
+    for sub in subterms(t) if t.absvars else ():
+        if isinstance(sub, App) and (
+                not isinstance(sub.arg, Identifier)
+                or apps.setdefault(sub.abstraction.name, sub.arg) != sub.arg):
+            return None, None
+    if apps:
+        t = substitute(t, Binding({}, {p: Abstraction(MetaVar(p + "[]"))
+                                       for p in apps}))
+    return t, apps
+
+
+def _may_match(s: _Search, word: Expr) -> bool:
+    """False when no non-crossing matching of the atoms of the block-free
+    ``word``, from a search whose starts meet ``_ordered_word``, can cancel:
+    ``_matchings`` finds none whose equations unify, with every application
+    ``P[#x]`` read as a first-order variable (``_first_order``, kept in the
+    search's memo ``first_order``) and the survivor's image ground, where,
+    without vacuous abstraction, each bound application's image holds its
+    identifier and is not that identifier.  A word where an application's
+    argument is no identifier, or one variable has two arguments, is kept.
+
+    In such a word a derivation of a reading cancels the pairs of one
+    matching, each pair its own, and the survivor is a positive atom at an
+    even index.  A first-order cancel's unifier is a most general one.  An
+    application's cancel binds its variable once, to the other atom's term
+    (``match_app``: the abstraction's body, applied to the one argument
+    there), and read first-order this is the most general unifier of that
+    equation.  So the derivation's unifiers compose to a most general
+    unifier of the matching's equations, and the reading is the survivor's
+    image under it, ground.  An application is bound only by its own
+    negative atom, which meets ``_ordered_word``'s bare shape; ``match_app``
+    makes no identity abstraction and, unless vacuous abstraction is
+    allowed, none that drops the hole, and substitution never removes an
+    identifier.  The check is necessary, not sufficient: matching an
+    application depends on the order of the cancels, and some orders are
+    deadlocks that the check does not see."""
+    memo = s.first_order
+    terms, apps = [], {}
+    for a in word:
+        found = memo.get(id(a))
+        if found is None:
+            found = memo[id(a)] = (a, *_first_order(a))
+        term, own = found[1], found[2]
+        if term is None:
+            return True
+        for p, x in own.items():
+            if apps.setdefault(p, x) != x:
+                return True
+        terms.append(term)
+    for _, _, bound in _matchings(
+            word, terms, lambda i, j: _partner(s, word[i], word[j])):
+        if s.allow_vacuous or all(_bound_well(MetaVar(p + "[]"), x, bound)
+                                  for p, x in apps.items()):
+            return True
+    return False
+
+
+def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
+    """Whether the application read as ``var`` is unbound, or bound to a
+    term that holds its argument ``x`` and is not ``x``."""
+    image = _resolve(var, bound, {})
+    return image == var or (image != x and x in identifiers_in(image))
 
 
 def _cancel_successors(s: _Search, node: _Node) -> list:
@@ -1329,8 +1425,10 @@ def _block_successors(s: _Search, node: _Node) -> list:
     any reachable arrangement.  Each successor is one ``DissolveStep`` (a
     bundle): a slot at the same level or an enclosing one, and a rotation.
 
-    In generation every bundle is a successor.  Parsing postpones placement,
-    so a bundle is a successor only when it is productive: normalization
+    In generation, and in a parse that places blocks first
+    (``_Search.blocks_first``, see ``_search``), every bundle is a
+    successor.  Any other parse postpones placement, so a bundle is a
+    successor only when it is productive: normalization
     cancels, the result is a single atom, or a pair it makes adjacent can
     cancel (``_joinable``).  Those pairs are the first and last item with
     their new neighbours, the two items that flanked the block before it
@@ -1368,7 +1466,7 @@ def _block_successors(s: _Search, node: _Node) -> list:
     """
     expr = node.expr
     out = []
-    if s.mode == "parse":
+    if s.mode == "parse" and not s.blocks_first:
         _runs(s, expr, (), None, out)
         return out
     for level, idx, block, tlevel, slot in _placements(expr):
@@ -1588,7 +1686,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     In non-commutative parsing, a state skips the top-level cancels that
     commute back before the step that made it, since its parent makes them
     already (partial-order reduction).  After a block bundle these are the
-    cancels that ``_commuting_cancels`` finds (see ``_block_successors``).
+    cancels that ``_commuting_cancels`` finds (see ``_block_successors``),
+    unless blocks come first, where a bundle's parent makes no cancel.
     After a top-level cancel at ``p`` they are the first-order cancels at
     ``j <= p - 2``, whose atoms the cancel left in place
     (``_ordered_cancels``);
@@ -1623,7 +1722,27 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     Block bundles are asked for only from a state that holds a block
     (``_Node.has_blocks``, which ``_cancel_successors`` reads too); a bundle
-    is told from a cancel by its first step, a ``DissolveStep``.
+    is told from a cancel by its first step, a ``DissolveStep``.  A goal
+    has no successor (a string of tokens, or one ground atom, which has no
+    pair and no pending subgoal), so the loop records it and asks no
+    generator about it.
+
+    A non-commutative parse places every block before any cancel
+    (``_Search.blocks_first``) when every start meets ``_ordered_word`` and
+    no successor of a start can outgrow ``max_items`` (a start's
+    ``_expr_size`` minus one fits it; every step makes a state smaller).  A
+    state with a block then gets every bundle, at every slot and rotation,
+    from ``_block_successors``, and no cancel; bundles keep no skip mask.
+    No reading is lost.  In such a search a cancel removes its own pair and
+    nothing else, and a dissolve changes no item, so a top-level cancel
+    followed by a dissolve swaps to the dissolve, at the slot that matches,
+    on the side that keeps the pair adjacent, followed by the cancel.  A
+    cancel inside a block, the wrap pair included, and one that empties
+    the block, becomes a cancel one level out after the block dissolves in
+    a rotation that keeps the pair together.  So every derivation reorders
+    into one that dissolves every block first, through states of the same
+    keys, and ``truncated`` stays: no state outgrows ``max_items``, parsing
+    counts no expansion, and the readings are the same.
 
     A block-free word that a state with blocks reaches, by a bundle or by a
     cancel that empties a nested block, is dropped before it is keyed when
@@ -1639,10 +1758,16 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     application's abstraction lets cancel.  Only the words entering from a
     state with blocks are checked: checking every block-free word as well
     drops under 1% more states, and costs more time than it saves.
+    When blocks come first, a word that passes is keyed, and a new key is
+    judged by the joint check, ``_may_match``: a word none of whose
+    matchings can cancel is dead, and its key joins ``dead``, so an equal
+    word arriving later is dropped without a second check.  The joint
+    check is dearer than the pairwise one, and it pays because blocks first
+    leave few entering words, most of them dead.
     A dropped word never reaches a reading, nor does any state it would
     reach, and states with equal keys reach the same readings, so no
     reading, derivation or skip mask of a live state changes, and live
-    states keep their queue order.  The check comes after the limits, so
+    states keep their queue order.  The checks come after the limits, so
     ``truncated`` does not change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
@@ -1682,20 +1807,25 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), {}
-    ordered = chart = skipping
+    ordered = chart = first = skipping
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
-        # the chart knows no size limit: no successor may outgrow max_items
+        # neither the chart nor placing blocks first knows a size limit: no
+        # successor may outgrow max_items
         chart = chart and len(expr) - 2 <= lim.max_items and _chart_word(expr)
+        first = first and _expr_size(expr) - 1 <= lim.max_items
         n = len(visited)
         key = visited.setdefault(_canonical_key(expr, commutative), n)
         if key == n:
             queue.append(_Node(expr, 0, root, steps, key))
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
+    s.blocks_first = first and ordered
 
     truncated = False
     results: dict[str, tuple] = {}
+    # the keys of the block-free words found dead (see the docstring)
+    dead: set = set()
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
@@ -1709,15 +1839,19 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 if len(results) >= lim.max_results:
                     truncated = True
                     break
+            continue  # a goal has no successor
         node.skip = queued_skips.pop(node.key, 0)
         if node.skip:
             expanded_skips[node.key] = node.skip
         has_blocks = blocks is not None and node.has_blocks
-        succ = []
-        for gen in gens:
-            succ += gen(s, node)
-        if has_blocks and not (place_late and succ):
-            succ += blocks(s, node)
+        if has_blocks and s.blocks_first:
+            succ = blocks(s, node)
+        else:
+            succ = []
+            for gen in gens:
+                succ += gen(s, node)
+            if has_blocks and not (place_late and succ):
+                succ += blocks(s, node)
         adjacent = None
         # block-free words enter from here, checked once (see the docstring)
         entering = skipping and has_blocks
@@ -1730,10 +1864,16 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if _expr_size(new) > lim.max_items:
                 truncated = True
                 continue
-            if entering and not _has_block(new) and not _may_reduce(s, new):
+            free = entering and not _has_block(new)
+            if free and not _may_reduce(s, new):
                 continue
+            state = _canonical_key(new, commutative)
+            if free and s.blocks_first and state not in visited:
+                if state in dead or not _may_match(s, new):
+                    dead.add(state)
+                    continue
             n = len(visited)
-            key = visited.setdefault(_canonical_key(new, commutative), n)
+            key = visited.setdefault(state, n)
             if key == n:
                 queue.append(_Node(new, expansions, node, steps, key))
                 if not skipping:
@@ -1741,15 +1881,17 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             elif key not in queued_skips and key not in expanded_skips:
                 continue
             # what this path skips: cancels that commute back before its
-            # bundle, or before its cancel
-            if type(steps[0]) is DissolveStep:
+            # bundle, or before its cancel; a bundle's parent made none when
+            # blocks come first
+            if type(steps[0]) is not DissolveStep:
+                mask = _ordered_cancels(s, node.expr, steps[0], new) \
+                    if ordered else 0
+            elif s.blocks_first:
+                mask = 0
+            else:
                 if adjacent is None:
                     adjacent = _adjacent_pairs(node.expr)
                 mask = _commuting_cancels(s, adjacent, new)
-            elif ordered:
-                mask = _ordered_cancels(s, node.expr, steps[0], new)
-            else:
-                mask = 0
             if key == n:
                 if mask:
                     queued_skips[key] = mask
@@ -1840,7 +1982,10 @@ def _chart(s: _Search, starts: Iterable[_Node],
     ends: dict = {}
     chains: dict = {}
     for start in starts:
-        for term, pairs in _matchings(start.expr):
+        terms = [a.payload for a in start.expr]
+        for term, pairs, _ in _matchings(
+                start.expr, terms,
+                lambda i, j: _bind(terms[i], terms[j], {})):
             key = render_term(canonical_identifiers(term))
             if key not in ends:
                 ends[key] = _chain(s, start, pairs, chains)
@@ -1849,58 +1994,57 @@ def _chart(s: _Search, starts: Iterable[_Node],
     return list(ends.values())
 
 
-def _matchings(word: Expr):
-    """Pairs ``(term, pairs)``, one for each non-crossing matching of the
-    atoms of the first-order ``word`` other than one positive survivor at an
-    even index, whose pairs have opposite signs and equations with a unifier
-    under which the survivor's term is ground: ``term`` is that ground image
-    and ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the order
-    of ``j``, which is innermost first, left to right.
+def _matchings(word: Expr, terms: list, may_pair):
+    """Triples ``(term, pairs, bound)``, one for each non-crossing matching
+    of the atoms of ``word`` other than one positive survivor at an even
+    index, whose pairs have opposite signs and pass ``may_pair(i, j)``, and
+    whose equations, over the atoms' first-order ``terms``, have a unifier
+    under which the survivor's term is ground: ``term`` is that ground
+    image, ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the
+    order of ``j``, which is innermost first, left to right, and ``bound``
+    the unifier, a triangular binding that holds until the next triple.
 
     A span's first atom pairs with an atom at an odd distance, and the atoms
     between them and the rest of the span are matched in turn.  ``full``
-    says which spans can be matched at all by pairs whose equations unify
-    one by one, so no branch stops short of a matching for want of a
-    partner.  Each pair's equation extends one triangular binding
-    (``_bind``), undone when the enumeration backtracks, so a pair without a
-    unifier under the pairs before it cuts its branch, and the survivor's
-    image is resolved once per matching (``_resolve``).
+    says which spans can be matched at all by pairs that ``may_pair``
+    admits, so no branch stops short of a matching for want of a partner.
+    Each pair's equation extends one triangular binding (``_bind``), undone
+    when the enumeration backtracks, so a pair without a unifier under the
+    pairs before it cuts its branch, and the survivor's image is resolved
+    once per matching (``_resolve``).
     """
     n = len(word)
     if n % 2 == 0:
         return
     signs = [a.sign for a in word]
-    terms = [a.payload for a in word]
-    # partner[i][j]: atoms at an odd distance, of opposite signs, whose
-    # equation has a unifier on its own
-    partner = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n, 2):
-            partner[i][j] = signs[i] != signs[j] and _bind(terms[i],
-                                                           terms[j], {})
-    # full[a][b]: the atoms a to b - 1 match without crossing (even spans)
-    full = [[a == b for b in range(n + 1)] for a in range(n + 1)]
-    for size in range(2, n, 2):
-        for a in range(n - size + 1):
-            b = a + size
-            full[a][b] = any(partner[a][j] and full[a + 1][j]
-                             and full[j + 1][b] for j in range(a + 1, b, 2))
+    # full[a]: the bit mask of the b whose span, atoms a to b - 1, matches
+    # without crossing; pairs[a]: of the j that atom a may pair with, inside
+    # a span from a + 1 to j that matches
+    full = [0] * n + [1 << n]
+    pairs = [0] * n
+    for a in range(n - 1, -1, -1):
+        inner, mask = full[a + 1], 1 << a
+        for j in range(a + 1, n, 2):
+            if inner >> j & 1 and signs[a] != signs[j] and may_pair(a, j):
+                pairs[a] |= 1 << j
+                mask |= full[j + 1]
+        full[a] = mask
     bound: dict = {}
-    pairs: list = []
+    matched: list = []
     for k in range(0, n, 2):
-        if signs[k] < 0 or not (full[0][k] and full[k + 1][n]):
+        if signs[k] < 0 or not (full[0] >> k & 1 and full[k + 1] >> n & 1):
             continue
-        for _ in _fill(((k + 1, n), (0, k)), terms, partner, full, bound,
-                       pairs):
+        for _ in _fill(((k + 1, n), (0, k)), terms, pairs, full, bound,
+                       matched):
             term = _resolve(terms[k], bound, {})
             if term.ground:
-                yield term, sorted(pairs, key=itemgetter(1))
+                yield term, sorted(matched, key=itemgetter(1)), bound
 
 
-def _fill(spans, terms, partner, full, bound: dict, pairs: list):
+def _fill(spans, terms, pairs, full, bound: dict, matched: list):
     """Match the spans of the stack ``spans``, the last one first, for
     ``_matchings``: yield once for each matching, with its pairs appended to
-    ``pairs`` and its equations bound in ``bound``, and take both back
+    ``matched`` and its equations bound in ``bound``, and take both back
     before the next.  A module-level generator, unlike a closure that calls
     itself, leaves no reference cycle."""
     if not spans:
@@ -1908,17 +2052,18 @@ def _fill(spans, terms, partner, full, bound: dict, pairs: list):
         return
     a, b = spans[-1]
     if a == b:
-        yield from _fill(spans[:-1], terms, partner, full, bound, pairs)
+        yield from _fill(spans[:-1], terms, pairs, full, bound, matched)
         return
+    partners = pairs[a]
     for j in range(a + 1, b, 2):
-        if not (partner[a][j] and full[a + 1][j] and full[j + 1][b]):
+        if not (partners >> j & 1 and full[j + 1] >> b & 1):
             continue
         size = len(bound)
         if _bind(terms[a], terms[j], bound):
-            pairs.append((a, j))
+            matched.append((a, j))
             yield from _fill(spans[:-1] + ((j + 1, b), (a + 1, j)), terms,
-                             partner, full, bound, pairs)
-            pairs.pop()
+                             pairs, full, bound, matched)
+            matched.pop()
         while len(bound) > size:  # _bind only adds variables
             bound.popitem()
 

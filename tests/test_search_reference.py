@@ -1,19 +1,23 @@
-"""Differential tests of the four prunings of parse search against searches
+"""Differential tests of the prunings of parse search against searches
 without them.
 
-Postponed block placement is checked against the unpruned reference, which
-puts every placement of every block back as a search state in parse mode (as
-generation still does), makes every cancel at every state, keeps every
-block-free word and leaves no search to the chart (``tests/test_chart.py``
-checks the chart against the search on its own).  The skipped cancels (those
-that commute before the preceding block bundle) are also checked on their
-own, against the postponed placement without the skip.  Both searches must
-find the same readings and agree on truncation, and every derivation of the
-pruned search must replay.  The dropped block-free words that cannot reduce
-to one atom are checked against the same search keeping them: the same
+Block placement, first or postponed, is checked against the unpruned
+reference, which puts every placement of every block back as a search state
+in parse mode (as generation still does), makes every cancel at every state,
+keeps every block-free word and leaves no search to the chart
+(``tests/test_chart.py`` checks the chart against the search on its own).
+An ordered parse places every block before any cancel; any other postpones
+placement.  The skipped cancels (those that commute before the preceding
+block bundle) are also checked on their own, against the search without the
+skip.  Both searches must find the same readings and agree on truncation,
+and every derivation of the pruned search must replay.  The dropped
+block-free words that cannot reduce to one atom, pairwise or by their
+matchings, are checked against the same search keeping them: the same
 readings, rendered derivations and truncation.  So are the ordered cancels,
 the first-order cancels that commute back before the cancel that made a
-state, against the same search making them.
+state, against the same search making them.  The check by matchings must
+also keep every block-free word of the unpruned search that reaches a
+reading on its own.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -75,6 +79,7 @@ def _no_skip(m):
 
 def _no_drop(m):
     m.setattr(engine, "_may_reduce", lambda *args: True)
+    m.setattr(engine, "_may_match", lambda *args: True)
 
 
 def _no_chart(m):
@@ -83,9 +88,10 @@ def _no_chart(m):
 
 @pytest.fixture
 def reference(monkeypatch):
-    """Call a function with the exhaustive placement in every mode, no
-    cancel skipped, no block-free word dropped and no search decided by the
-    chart."""
+    """Call a function with the exhaustive placement in every mode, every
+    cancel at every state, blocks or not, no cancel skipped, no block-free
+    word dropped and no search decided by the chart: no start counts as
+    ordered."""
     real = engine._block_successors
 
     def exhaustive(s, node):
@@ -95,6 +101,7 @@ def reference(monkeypatch):
     def run(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(engine, "_block_successors", exhaustive)
+            m.setattr(engine, "_ordered_word", lambda expr: False)
             _no_skip(m)
             _no_drop(m)
             _no_chart(m)
@@ -105,8 +112,9 @@ def reference(monkeypatch):
 
 @pytest.fixture
 def unskipped(monkeypatch):
-    """Call a function with postponed placement but no cancel skipped and no
-    block-free word dropped."""
+    """Call a function with blocks placed first where the starts allow it,
+    postponed placement elsewhere, but no cancel skipped and no block-free
+    word dropped."""
 
     def run(fn, *args):
         with monkeypatch.context() as m:
@@ -687,6 +695,211 @@ def test_words_with_ordered_cancels(text):
 
 
 # ---------------------------------------------------------------------------
+# blocks first: an ordered parse dissolves every block before any cancel,
+# and drops each block-free word none of whose matchings can cancel
+
+# enough results for every reading: some sentences have 100 under vacuous
+# abstraction, and a search cut short may keep a different subset
+VACUOUS = SearchLimits(allow_vacuous_abstraction=True, max_results=1000)
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_parse_readings_under_vacuous_abstraction_match_the_reference(
+        english, reference, sentence):
+    words = sentence.split()
+    pruned = parse(english, words, VACUOUS)
+    ref = reference(parse, english, words, VACUOUS)
+    assert _readings(pruned) == _readings(ref)
+    assert not pruned.truncated and not ref.truncated
+    for _, d in pruned.results:
+        replay(english, d, allow_vacuous=True)
+    if sentence == "every man saw some woman":
+        assert len(pruned.results) == 100
+
+
+def _keyed_words(run, *args):
+    """The block-free words that ``run(*args)`` keys, one per key."""
+    real, words = engine._canonical_key, {}
+
+    def keying(expr, commutative):
+        key = real(expr, commutative)
+        if not engine._has_block(expr):
+            words.setdefault(key, expr)
+        return key
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_canonical_key", keying)
+        run(*args)
+    return words
+
+
+def _reads(s, word, memo):
+    """Whether a search of the block-free ``word`` alone, making every cancel
+    at every state, reaches a reading; ``memo`` holds each state key's
+    answer."""
+    key = engine._canonical_key(word, False)
+    if key not in memo:
+        node = engine._Node(word, 0, None, ())
+        memo[key] = engine._single_atom_goal(word) is not None or any(
+            _reads(s, new, memo) for _, new in engine._cancel_successors(s, node))
+    return memo[key]
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_the_dead_word_check_keeps_every_word_that_reads(english, reference,
+                                                       sentence):
+    words = _keyed_words(reference, parse, english, sentence.split(), LIM)
+    s = engine._Search(english, "parse", blocks_first=True)
+    plain, memo, dropped = engine._Search(english, "parse"), {}, 0
+    for word in words.values():
+        assert engine._ordered_word(word)
+        kept = engine._may_reduce(s, word) and engine._may_match(s, word)
+        assert kept or not _reads(plain, word, memo), render_expr(word)
+        dropped += not kept
+    assert dropped
+    if sentence == "every man saw some woman":
+        # every dead word: 337 of the 10,253 words reach a reading
+        assert (len(words), dropped) == (10253, 9916)
+
+
+def _scoped_start(rng):
+    """A random start that meets ``engine._ordered_word`` and holds
+    applications, as a quantifier's instance does: a goal atom; for each
+    meta-variable ``V{k}``, ``V{k}^-1`` and a term over a later one or an
+    application ``P{j}[#x{j}]``; for each abstraction variable ``P{j}``,
+    ``P{j}[#x{j}]^-1`` and a term that holds ``#x{j}``.  Now and then a term
+    applies ``Q``, which no negative atom holds, so no cancel binds it; or
+    an application's argument is a meta-variable, or a term applies
+    ``P{j}`` to another identifier, and ``engine._may_match`` leaves the
+    word to ``engine._may_reduce``.  Then cut into nested blocks, each
+    rotated, like ``_random_start``."""
+    metas = [f"V{k}" for k in range(rng.randint(1, 2))]
+    apps = [f"P{j}" for j in range(rng.randint(1, 2))]
+    word = [_atom(rng.choice(("s", "h(V0)", "h(P0[#x0])")))]
+    pairs = []
+    for k, name in enumerate(metas):
+        inner = rng.choice(metas[k + 1:] + apps + ["b", "Q[#x0]"])
+        if inner in apps:
+            j = apps.index(inner)
+            inner += f"[#x{j if rng.random() < 0.9 else j + 1}]"
+        term = rng.choice(("a", "#x0", "f({})", "g({},a)")).format(inner)
+        pairs.append([_atom(term), _atom(name, -1)])
+    for j, name in enumerate(apps):
+        arg = f"#x{j}" if rng.random() < 0.9 else f"W{j}"
+        term = rng.choice(("g(#x{0},b)", "f(#x{0})", "g(a,#x{0})")).format(j)
+        pairs.append([_atom(term), _atom(f"{name}[{arg}]", -1)])
+    for pair in pairs:
+        if rng.random() < 0.5:
+            pair.reverse()
+        pos = rng.randint(0, len(word))
+        word[pos:pos] = pair
+    for _ in range(rng.randint(1, 3)):
+        word = _cut(rng, word)
+    start = tuple(word)
+    assert engine._ordered_word(start)
+    return start
+
+
+def test_scoped_starts_match_the_reference(reference, monkeypatch):
+    real_first, real_match = engine._first_order, engine._may_match
+    count = {"fallback": 0, "dead": 0}
+
+    def first_order(a):
+        found = real_first(a)
+        count["fallback"] += found[0] is None
+        return found
+
+    def may_match(s, word):
+        ok = real_match(s, word)
+        count["dead"] += not ok
+        return ok
+
+    monkeypatch.setattr(engine, "_first_order", first_order)
+    monkeypatch.setattr(engine, "_may_match", may_match)
+    rng = random.Random(43)
+    found = 0
+    for n in range(150):
+        start = _scoped_start(rng)
+        try:
+            found += bool(_check_start(reference, start).results)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert found > 100
+    assert count["fallback"] and count["dead"] > 100
+
+
+def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
+        english, monkeypatch):
+    real = engine._cancel_successors
+    seen = []
+
+    def guarded(s, node):
+        assert s.blocks_first and not node.has_blocks, render_expr(node.expr)
+        seen.append(node)
+        return real(s, node)
+
+    def postponing(*args):
+        raise AssertionError("postponed placement in an ordered parse")
+
+    monkeypatch.setattr(engine, "_cancel_successors", guarded)
+    monkeypatch.setattr(engine, "_runs", postponing)
+    assert parse(english, "every man that louise saw ran".split(), LIM).results
+    rng = random.Random(43)
+    for _ in range(50):
+        _search(_scoped_start(rng))
+    assert seen
+
+
+def _placements(monkeypatch):
+    """Record whether each state with a block that the search expands gets
+    its bundles first (True) or postponed, with its cancels (False)."""
+    real_blocks, real_runs = engine._block_successors, engine._runs
+    firsts = []
+
+    def blocks(s, node):
+        firsts.append(s.blocks_first)
+        return real_blocks(s, node)
+
+    def runs(s, *args):
+        assert not s.blocks_first
+        return real_runs(s, *args)
+
+    monkeypatch.setattr(engine, "_block_successors", blocks)
+    monkeypatch.setattr(engine, "_runs", runs)
+    return firsts
+
+
+def test_a_start_that_is_not_ordered_keeps_postponed_placement(monkeypatch):
+    # _random_start's negative atoms are compound terms, never bare
+    # variables: a cancel may bind an atom ground next to its inverse, which
+    # then cancels eagerly.  Such a start is ordered only when normalizing
+    # it leaves no negative atom
+    firsts = _placements(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(50):
+        start = normalize(_random_start(rng))
+        if not engine._ordered_word(start):
+            _search(start)
+    assert len(firsts) > 50 and not any(firsts)
+
+
+def test_a_start_past_the_size_limit_keeps_postponed_placement(
+        english, monkeypatch, reference):
+    # the start has 15 items, a block counting one: its bundles have 14
+    words = "every man saw some woman".split()
+    firsts = _placements(monkeypatch)
+    for max_items, first, truncated in ((13, False, True), (14, True, False)):
+        lim = SearchLimits(max_items=max_items)
+        pruned = parse(english, words, lim)
+        assert firsts and set(firsts) == {first}
+        assert pruned.truncated == truncated
+        _agree(pruned, reference(parse, english, words, lim), english)
+        assert _readings(pruned) == {"ev(m,#x1,sm(w,#x2,s(#x1,#x2)))",
+                                     "sm(w,#x1,ev(m,#x2,s(#x2,#x1)))"}
+        firsts.clear()
+
+
+# ---------------------------------------------------------------------------
 # the search's own steps, each checked as replay checks it
 
 
@@ -888,40 +1101,42 @@ def test_commutative_generation_applies_only_legal_steps(checked, query):
 
 # sha256 prefixes of each query's readings and rendered derivations: the
 # derivations found when each answer was still replayed on its own from the
-# empty expression, whose text changed only where each rule copy came to be
-# named by its number (instance=)
+# empty expression, whose text changed where each rule copy came to be
+# named by its number (instance=), and again, for every parse, where parses
+# came to dissolve every block before any cancel (CHANGES.md lists the
+# digests before that)
 DERIVATION_DIGESTS = {
-    "every man saw every man": "7105c432b006a72c",
-    "every man saw every woman": "11a24b3666fc4ba1",
-    "every man saw some man": "999ff7b557425154",
-    "every man saw some woman": "19f67d936924c624",
-    "every woman saw every man": "0eccb9186de50099",
-    "every woman saw every woman": "9781ea3f6586c2ef",
-    "every woman saw some man": "7a55e49f758bba76",
-    "every woman saw some woman": "d627527f5516963c",
-    "some man saw every man": "5a376633bbf7ff67",
-    "some man saw every woman": "4a58c7b41df0b5f8",
-    "some man saw some man": "87077604fc500ac9",
-    "some man saw some woman": "3aad76b7334f27c0",
-    "some woman saw every man": "328207df980a9f8e",
-    "some woman saw every woman": "e29bee31ce0fca92",
-    "some woman saw some man": "9887725dc8fa46b6",
-    "some woman saw some woman": "9310aa70d7f03fa9",
-    "every man that john saw ran": "307466f9959375df",
-    "every man that louise saw ran": "c0dbed222ca0af63",
-    "every man that paris saw ran": "6038f40f3d0296a8",
-    "the man that john saw ran": "2231a969f4246a07",
-    "the man that louise saw ran": "6ee534138dfc9982",
-    "the man that paris saw ran": "64b69754a72eb201",
-    "john saw some woman in john": "285081c53561d7ab",
-    "john saw some woman in louise": "416a1611fc892122",
-    "john saw some woman in paris": "9c28150e8ed255a5",
-    "louise saw some woman in john": "a9aabc244833df00",
-    "louise saw some woman in louise": "e82540c1c0f10ff7",
-    "louise saw some woman in paris": "c64c041fcc569c92",
-    "paris saw some woman in john": "eac452a327f9436f",
-    "paris saw some woman in louise": "cf8d03844979b463",
-    "paris saw some woman in paris": "37c54d8aaeba4469",
+    "every man saw every man": "1bc44c438a41980c",
+    "every man saw every woman": "e1729d4f2fd20855",
+    "every man saw some man": "68e3e8c6bd95c453",
+    "every man saw some woman": "f0d9b6cb1166b53f",
+    "every woman saw every man": "80a997fa0ea41949",
+    "every woman saw every woman": "f50ba6f943b6e7de",
+    "every woman saw some man": "927cd4fd70abe096",
+    "every woman saw some woman": "f0333d0a7fc6aa6d",
+    "some man saw every man": "35f0fd207d7b72cc",
+    "some man saw every woman": "c9b65a54ee06a6b2",
+    "some man saw some man": "6f4b234257843ca2",
+    "some man saw some woman": "9ba91ba1bcd8c38d",
+    "some woman saw every man": "d9d328dad5105d2b",
+    "some woman saw every woman": "f1217d7e0d9cb986",
+    "some woman saw some man": "0edd593e2a64d414",
+    "some woman saw some woman": "82e10a9e1295c6ca",
+    "every man that john saw ran": "27ae2d5d40508bbe",
+    "every man that louise saw ran": "8914473a1bfcbea4",
+    "every man that paris saw ran": "e148b70abaa7a560",
+    "the man that john saw ran": "c051c8581a11b5a8",
+    "the man that louise saw ran": "12ce994466347315",
+    "the man that paris saw ran": "2529a91defd562b5",
+    "john saw some woman in john": "0d7d2451f647acba",
+    "john saw some woman in louise": "ca2ca9bd59e05c0d",
+    "john saw some woman in paris": "c8d8c91260f24f53",
+    "louise saw some woman in john": "7c93d1fc0fa7febc",
+    "louise saw some woman in louise": "21a62f66679234fa",
+    "louise saw some woman in paris": "41c536e585d79698",
+    "paris saw some woman in john": "355bd5bf77caff98",
+    "paris saw some woman in louise": "707ee89d0a338d86",
+    "paris saw some woman in paris": "51154ec8e9f7f68e",
     "family.lp": "3d33ab38972da75f",
 }
 

@@ -259,24 +259,24 @@ def _family():
     return encode_logic_program(parse_logic_program((GRAMMAR_DIR / "family.lp").read_text()))
 
 
-# Counts of the search, parsing with postponed block placement, with the
-# top-level cancels that commute before a bundle skipped, with the
-# block-free words that enter from a state with blocks and cannot reduce to
-# one atom dropped, and with the first-order cancels that commute back
-# before the cancel that made a state skipped (the blind search keyed
-# 424/180 and 3302/1154 for the two parses, postponed placement alone
-# 338/149 and 3230/1138, with the skip 256/140 and 2382/1124, with the
-# drop 232/125 and 1539/674, and with the ordered skip 184/125 and
+# Counts of the search, parsing with every block placed before any cancel,
+# with the block-free words that enter from a state with blocks and cannot
+# reduce to one atom dropped, pairwise and then by their matchings, and
+# with the first-order cancels that commute back before the cancel that
+# made a state skipped (the blind search keyed 424/180 and 3302/1154 for
+# the two parses, postponed placement alone 338/149 and 3230/1138, with the
+# skip of cancels that commute before a bundle 256/140 and 2382/1124, with
+# the pairwise drop 232/125 and 1539/674, with the ordered skip 184/125 and
 # 1393/674 while it asked that a skipped pair hold the atom objects of the
-# parent's), and generating with one expansion order and placement only
-# where nothing expands (the full search keys 62/33 and 572612/100237 for
-# the two forms); a change that prunes or reorders states updates them on
-# purpose.
+# parent's, and 184/125 and 1391/674 after), and generating with one
+# expansion order and placement only where nothing expands (the full search
+# keys 62/33 and 572612/100237 for the two forms); a change that prunes or
+# reorders states updates them on purpose.
 PINNED = [
     ("parse the man that louise saw ran",
-     lambda: parse(_english(), "the man that louise saw ran".split()), 184, 125),
+     lambda: parse(_english(), "the man that louise saw ran".split()), 168, 118),
     ("parse john saw every woman in paris",
-     lambda: parse(_english(), "john saw every woman in paris".split()), 1391, 674),
+     lambda: parse(_english(), "john saw every woman in paris".split()), 1005, 562),
     ("generate ev(m,#x1,r(#x1))",
      lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))")), 13, 12),
     ("generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))",
@@ -323,22 +323,25 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
 # block-free states stopped asking for bundles, the block calls were 125,
 # 674, 9 and 9804, for the same outputs.  While a skipped ordered cancel's
 # pair had to hold the parent's atom objects, the second parse read cancel
-# outputs 1174.
+# outputs 1174.  While the loop asked goal nodes for successors, the calls
+# were one more per goal: expand 12 and 9811, saturate 30, swap 1393 and 7.
+# While the two parses postponed placement, they read cancel (125, 137) and
+# block (10, 56), and cancel (674, 1172) and block (30, 406).
 SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
               "_block_successors": "block", "_swap_cancel_successors": "swap",
               "_saturate_successors": "saturate"}
 SUCCESSOR_PINS = {
     "parse the man that louise saw ran":
-        {"cancel": (125, 137), "block": (10, 56)},
+        {"cancel": (106, 158), "block": (1, 13)},
     "parse john saw every woman in paris":
-        {"cancel": (674, 1172), "block": (30, 406)},
-    "generate ev(m,#x1,r(#x1))": {"expand": (12, 3), "block": (1, 9)},
+        {"cancel": (553, 992), "block": (1, 24)},
+    "generate ev(m,#x1,r(#x1))": {"expand": (11, 3), "block": (1, 9)},
     "generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))":
-        {"expand": (9811, 7), "block": (1584, 38636)},
-    "saturate family.lp": {"saturate": (30, 29)},
+        {"expand": (9810, 7), "block": (1584, 38636)},
+    "saturate family.lp": {"saturate": (21, 29)},
     "parse every man saw some woman, commutative":
-        {"swap": (1393, 4248)},
-    "parse saw john louise, commutative": {"swap": (7, 8)},
+        {"swap": (1377, 4248)},
+    "parse saw john louise, commutative": {"swap": (5, 8)},
 }
 
 
@@ -382,8 +385,43 @@ def test_bundles_are_asked_for_only_on_states_with_blocks(monkeypatch):
     rng = random.Random(11)
     for _ in range(100):
         _random_search(_random_start(rng))
-    # the first two are SUCCESSOR_PINS' block calls
-    assert calls[:2] == [10, 1] and calls[2]
+    # the first two are SUCCESSOR_PINS' block calls (10 and 1 while the
+    # parse postponed placement)
+    assert calls[:2] == [1, 1] and calls[2]
+
+
+@pytest.mark.parametrize("name, run", [
+    ("parse", lambda: parse(_english(), "every man saw some woman".split())),
+    ("parse by the chart", lambda: parse(
+        _english(), "john saw the man in paris in the woman".split())),
+    ("parse, postponed placement",
+     lambda: _random_search(_random_start(random.Random(11)))),
+    ("parse, commutative", lambda: parse(_commutative_english(),
+                                         "saw john louise".split())),
+    ("generate", lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))"))),
+    ("generate, commutative", lambda: generate(_commutative_english(),
+                                               parse_term("s(j,l)"))),
+    ("saturate", lambda: saturate(_family())),
+])
+def test_no_generator_is_asked_about_a_goal(monkeypatch, name, run):
+    # a goal is a string of tokens, or one ground atom: no token expands or
+    # cancels, and one atom has no pair and no pending subgoal
+    calls = []
+
+    def wrap(real):
+        def guarded(s, node):
+            goal = engine._words if s.mode == "gen" \
+                else engine._single_atom_goal
+            assert goal(node.expr) is None, engine.render_expr(node.expr)
+            calls.append(node)
+            return real(s, node)
+
+        return guarded
+
+    for gen in SUCCESSORS:
+        monkeypatch.setattr(engine, gen, wrap(getattr(engine, gen)))
+    assert run().results
+    assert calls or name == "parse by the chart"
 
 
 def test_a_self_cancelling_clause_picks_no_root(monkeypatch):
