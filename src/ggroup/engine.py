@@ -1779,7 +1779,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     most ``max_results`` of them, and the queue holds those nodes in place
     of the starts.  The loop then runs as for any search: it records each
     node as a reading, sets ``truncated`` when ``max_results`` is reached,
-    and finds no successor of a single atom.  So every search ends in the
+    and asks no generator about it, a goal.  So every search ends in the
     loop, and every limit that cuts one is applied there.
 
     The search applies its own steps unchecked.  ``_prove`` then checks
