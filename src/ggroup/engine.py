@@ -49,24 +49,21 @@ expansions are local (``_Tables.local_expansions``); a lexicon where they
 are not gets every expansion of every atom and every bundle at every state.
 Parsing places every block before any cancel when its starts meet
 ``_ordered_word`` and fit ``max_items``: a state with a block gets every
-bundle and no cancel (see ``_search``).  Any other parse postpones
-placement: a bundle is a state only when it is productive, and an
-unproductive one is extended into a run of bundles, emitted once
-productive.  No reading is lost.  Generation and postponed placement can
-make intermediate states larger than in the full search when measured
-against ``max_items`` (see ``_expand_successors`` and
-``_block_successors``).
+bundle and no cancel (see ``_search``).  Any other parse gets every bundle
+of a state with a block beside its cancels, as the full search does.  No
+reading is lost.  Only generation can make intermediate states larger than
+in the full search when measured against ``max_items`` (see
+``_expand_successors``).
 
-The same commutation prunes cancels: a state reached by a bundle skips its
-top-level cancels of pairs that were adjacent before the bundle (see
-``_search``).  So does a state reached by a top-level cancel, for the
-first-order pairs left of it, which commute back before it.  The search
-decides from its starts whether cancels commute so (``_ordered_word``):
-only when no cancel can make an eager cancellation, which could remove an
-atom of the other pair in one order and not in the other.  A block-free
-word that enters from a state with blocks is dropped before it is keyed
-when some atom of it has no partner to cancel with at an odd distance,
-other than one positive survivor at an even index (``_may_reduce``).  When
+Cancels commute too: a state reached by a top-level cancel skips the
+first-order cancels left of it, which commute back before it (see
+``_search``).  The search decides from its starts whether cancels commute
+so (``_ordered_word``): only when no cancel can make an eager cancellation,
+which could remove an atom of the other pair in one order and not in the
+other.  A block-free word that enters from a state with blocks is dropped
+before it is keyed when some atom of it has no partner to cancel with at
+an odd distance, other than one positive survivor at an even index
+(``_may_reduce``).  When
 blocks come first, a word that passes is keyed, and then dropped when no
 non-crossing matching of its atoms can cancel, read first-order
 (``_may_match``, on the chart's ``_matchings``); the search keeps the keys
@@ -1249,7 +1246,7 @@ def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
 def _cancel_successors(s: _Search, node: _Node) -> list:
     """Every explicit cancel of an adjacent pair, at every level, except at
     the top-level positions set in the node's skip mask (see
-    ``_commuting_cancels`` and ``_ordered_cancels``).
+    ``_ordered_cancels``).
     Inside a block the pairs include the wrap pair (last item, first
     item)."""
     expr, skip = node.expr, node.skip
@@ -1268,30 +1265,6 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
                 out.append(((step,), _apply(s.lex, expr, step,
                                             s.substitutions)))
     return out
-
-
-def _adjacent_pairs(expr: Expr) -> set:
-    """Ids of the adjacent item pairs, left then right, at every level; block
-    contents are cyclic, their last item touches their first."""
-    pairs = set()
-    for level, items in _levels(expr):
-        ids = [id(i) for i in items]
-        pairs.update(zip(ids, ids[1:] + ids[:1] if level else ids[1:]))
-    return pairs
-
-
-def _commuting_cancels(s: _Search, adjacent: set, new: Expr) -> int:
-    """Bit mask of the top-level positions of ``new``, a bundle's result,
-    whose cancel pairs two atoms already adjacent in the bundle's parent
-    (``adjacent``, from ``_adjacent_pairs``).  Such a cancel commutes back
-    before the bundle, so the search skips it (see ``_block_successors``)."""
-    mask = 0
-    for i in range(len(new) - 1):
-        a, b = new[i], new[i + 1]
-        if (id(a), id(b)) in adjacent and _cancel_pair(a, b) \
-                and _pair_unifiers(s, a, b):
-            mask |= 1 << i
-    return mask
 
 
 def _ordered_word(expr: Expr) -> bool:
@@ -1399,124 +1372,24 @@ def _placements(expr: Expr):
                     yield level, idx, item, anc, s
 
 
-def _joinable(s: _Search, x, y) -> bool:
-    """Whether adjacent items can cancel: eagerly (ground inverses) or by an
-    explicit cancel (logical atoms of opposite sign that ``unify`` admits)."""
-    return _inverse_pair(x, y) or (
-        _cancel_pair(x, y) and bool(_pair_unifiers(s, x, y)))
-
-
-def _neighbours(items: Expr, slot: int, cyclic: bool):
-    """The items left and right of a slot (None past an end); block contents
-    are cyclic, their last item touches their first."""
-    n = len(items)
-    if cyclic and n:
-        return items[slot - 1], items[slot % n]
-    return (items[slot - 1] if slot > 0 else None,
-            items[slot] if slot < n else None)
-
-
 def _block_successors(s: _Search, node: _Node) -> list:
-    """Place each block, rotate it, and dissolve it in one go.  ``_search``
-    calls it only on a state that holds a block.
+    """Every bundle of the state: each block, at each place it can dissolve
+    (``_placements``), in each rotation, as one ``DissolveStep`` that
+    places, rotates and dissolves it in one go.  ``_search`` calls it only
+    on a state that holds a block; generation and parsing get the same
+    bundles.
 
     A block's position only matters at the moment it dissolves, so exploring
     placements as separate states would multiply intermediates without adding
-    any reachable arrangement.  Each successor is one ``DissolveStep`` (a
-    bundle): a slot at the same level or an enclosing one, and a rotation.
-
-    In generation, and in a parse that places blocks first
-    (``_Search.blocks_first``, see ``_search``), every bundle is a
-    successor.  Any other parse postpones placement, so a bundle is a
-    successor only when it is productive: normalization
-    cancels, the result is a single atom, or a pair it makes adjacent can
-    cancel (``_joinable``).  Those pairs are the first and last item with
-    their new neighbours, the two items that flanked the block before it
-    moved away, and, after a rotation, the block's last and first item when
-    they are ground inverses (other pairs at that seam cancel inside the
-    block, whose contents are cyclic).  Any other bundle starts a run: further bundles,
-    each dissolving next to or between items released earlier in the run,
-    emitted as one successor once its last bundle is productive.  A run has
-    at most as many bundles as there are blocks.
-
-    No reading is lost.  A dissolve that is not productive commutes forward
-    past every step that does not use an adjacency it created: a cancel of a
-    pair adjacent before it (inside the block, or elsewhere), or a bundle
-    elsewhere (a block nested in the dissolved one can move out directly).
-    Repeating the swap turns any derivation into one where each such
-    dissolve comes just before the step that uses it.  That step is a cancel
-    of a pair it made adjacent, so the dissolve was productive, or a bundle
-    dissolving next to its items, so the two are a run.
-
-    Postponed dissolves keep blocks longer, so an intermediate state can be
-    larger than in the exhaustive search, by up to one item per block, when
-    measured against ``max_items``.
-
-    The same swap prunes cancels after a bundle (any successor returned
-    here, runs included).  A top-level cancel of two atoms that were
-    adjacent in the bundle's parent, at any level and with block contents
-    read cyclically, uses no adjacency the bundle created, so it commutes
-    back before the bundle: the parent has it as a successor, and the
-    bundle, if still productive after it, follows; if not, the argument
-    above postpones it.
-    ``_search`` skips such cancels (``_commuting_cancels``), and keeps the
-    skip sound under state caching.  Cancels inside blocks are never skipped:
-    their positions depend on the block's rotation, which the state key
-    forgets.
+    any reachable arrangement.
     """
     expr = node.expr
     out = []
-    if s.mode == "parse" and not s.blocks_first:
-        _runs(s, expr, (), None, out)
-        return out
     for level, idx, block, tlevel, slot in _placements(expr):
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
             out.append(((step,), _apply(s.lex, expr, step)))
     return out
-
-
-def _runs(s: _Search, expr, prefix, released, out) -> None:
-    """Append to ``out`` the productive bundles of ``expr``, each after the
-    ``prefix`` steps, and extend the others into runs.
-
-    ``released`` holds the ids of the items dissolved earlier in the run (None
-    for its first bundle); a later bundle must dissolve next to one of them.
-    Productivity is predicted from the slot and rotation, so only bundles
-    that are productive or can start a run are applied.
-    """
-    extend = sum(isinstance(i, Block) for _, items in _levels(expr)
-                 for i in items) > 1
-    for level, idx, block, tlevel, slot in _placements(expr):
-        items = level_items(expr, level)
-        rest = items[:idx] + items[idx + 1:]
-        titems = rest if tlevel == level else level_items(expr, tlevel)
-        # dissolving elsewhere joins the items that flanked the block; if it
-        # empties the enclosing block, normalization drops that block and
-        # joins items further out: keep it as productive
-        flank = (tlevel, slot) != (level, idx) and (
-            (bool(level) and not rest) or _joinable(
-                s, *_neighbours(rest, idx, bool(level))))
-        left, right = _neighbours(titems, slot, bool(tlevel))
-        if released is not None and id(left) not in released \
-                and id(right) not in released:
-            continue
-        c = block.contents
-        goal = not level and len(expr) == 1 and len(c) == 1
-        seam = _inverse_pair(c[-1], c[0])
-        for k in range(len(c)):
-            productive = (flank or goal or (k > 0 and seam)
-                          or _joinable(s, left, c[k])
-                          or _joinable(s, c[k - 1], right))
-            if not (productive or extend):
-                continue
-            step = DissolveStep(level, idx, tlevel, slot, k)
-            new = _apply(s.lex, expr, step)
-            if productive:
-                out.append((prefix + (step,), new))
-            else:
-                more = (released or set()) | {id(i) for i in c}
-                _runs(s, new, prefix + (step,), more, out)
 
 
 def _swap_cancel_successors(s: _Search, node: _Node) -> list:
@@ -1677,23 +1550,20 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     none.  The deltas of the cancels come from the memo of pair unifiers,
     so sibling states that cancel under the same delta share each result
     atom, with its class and its state-key fragment.  Identity keys never
-    merge distinct atoms, even equal ones: the skip masks
-    (``_adjacent_pairs``, ``_commuting_cancels``) need each atom object to
-    occur once in a state.  The memo of clause instances lives here rather
-    than with the lexicon's tables, so it does not outlive the query or grow
-    with every depth any query has reached.
+    merge distinct atoms, even equal ones, so each atom object occurs once
+    in a state, and each memo entry holds the objects whose ids it uses, so
+    no id is reused while the search lives.  The memo of clause instances
+    lives here rather than with the lexicon's tables, so it does not
+    outlive the query or grow with every depth any query has reached.
 
     In non-commutative parsing, a state skips the top-level cancels that
     commute back before the step that made it, since its parent makes them
-    already (partial-order reduction).  After a block bundle these are the
-    cancels that ``_commuting_cancels`` finds (see ``_block_successors``),
-    unless blocks come first, where a bundle's parent makes no cancel.
-    After a top-level cancel at ``p`` they are the first-order cancels at
-    ``j <= p - 2``, whose atoms the cancel left in place
-    (``_ordered_cancels``);
-    this needs every top-level cancel to remove its own pair only, which
-    holds when every start meets ``_ordered_word`` (a parse start does when
-    the instance of each parsing rule in it does).  No reading is lost: a
+    already (partial-order reduction).  These are, after a top-level cancel
+    at ``p``, the first-order cancels at ``j <= p - 2``, whose atoms the
+    cancel left in place (``_ordered_cancels``); a bundle skips none.  This
+    needs every top-level cancel to remove its own pair only, which holds
+    when every start meets ``_ordered_word`` (a parse start does when the
+    instance of each parsing rule in it does).  No reading is lost: a
     derivation can swap a skipped cancel before the step that made its
     state and reach a state with the same key, so its later steps stay.
     Each swap makes the derivation's sequence of top-level positions, a
@@ -1711,9 +1581,17 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     (a re-expansion): the parent of that path need not make the cancels at
     the dropped bits, so without this the cancels a state makes would depend
     on which path reached it first.  The successors it makes twice are
-    duplicates, which may narrow their own masks in turn.  No known input
-    needs a re-expansion for a reading, but some run it (``every man that
-    some woman saw ran`` does).
+    duplicates, which may narrow their own masks in turn.  When blocks come
+    first, a bundle makes its state smaller by one item and a cancel by
+    two, and every block dissolves before any cancel, so every path from
+    one start reaches a state at the same depth, and its parents narrow its
+    mask before it is expanded.  A re-expansion needs paths of different
+    lengths: from starts of different sizes (homonyms, where one start
+    reaches another's state by a cancel), or, when blocks do not come
+    first, through a nested cancel that empties a block.  No known input
+    needs a re-expansion for a reading, and no sentence of the corpus that
+    the differential tests parse runs one, at the default limits or at
+    ``max_items=13``.
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,
     its id, in order of first sight: a key is hashed once, when it is looked
@@ -1732,17 +1610,19 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     no successor of a start can outgrow ``max_items`` (a start's
     ``_expr_size`` minus one fits it; every step makes a state smaller).  A
     state with a block then gets every bundle, at every slot and rotation,
-    from ``_block_successors``, and no cancel; bundles keep no skip mask.
-    No reading is lost.  In such a search a cancel removes its own pair and
-    nothing else, and a dissolve changes no item, so a top-level cancel
-    followed by a dissolve swaps to the dissolve, at the slot that matches,
-    on the side that keeps the pair adjacent, followed by the cancel.  A
+    from ``_block_successors``, and no cancel.  No reading is lost.  In
+    such a search a cancel removes its own pair and nothing else, and a
+    dissolve changes no item, so a top-level cancel followed by a dissolve
+    swaps to the dissolve, at the slot that matches, on the side that keeps
+    the pair adjacent, followed by the cancel.  A
     cancel inside a block, the wrap pair included, and one that empties
     the block, becomes a cancel one level out after the block dissolves in
     a rotation that keeps the pair together.  So every derivation reorders
     into one that dissolves every block first, through states of the same
     keys, and ``truncated`` stays: no state outgrows ``max_items``, parsing
-    counts no expansion, and the readings are the same.
+    counts no expansion, and the readings are the same.  Every other
+    non-commutative parse gets every bundle of a state with a block beside
+    its cancels, the placement of the full search, which needs no argument.
 
     A block-free word that a state with blocks reaches, by a bundle or by a
     cancel that empties a nested block, is dropped before it is keyed when
@@ -1852,7 +1732,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 succ += gen(s, node)
             if has_blocks and not (place_late and succ):
                 succ += blocks(s, node)
-        adjacent = None
         # block-free words enter from here, checked once (see the docstring)
         entering = skipping and has_blocks
         for steps, new in succ:
@@ -1876,22 +1755,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             key = visited.setdefault(state, n)
             if key == n:
                 queue.append(_Node(new, expansions, node, steps, key))
-                if not skipping:
+                if not ordered:
                     continue
             elif key not in queued_skips and key not in expanded_skips:
                 continue
-            # what this path skips: cancels that commute back before its
-            # bundle, or before its cancel; a bundle's parent made none when
-            # blocks come first
-            if type(steps[0]) is not DissolveStep:
-                mask = _ordered_cancels(s, node.expr, steps[0], new) \
-                    if ordered else 0
-            elif s.blocks_first:
-                mask = 0
-            else:
-                if adjacent is None:
-                    adjacent = _adjacent_pairs(node.expr)
-                mask = _commuting_cancels(s, adjacent, new)
+            # what this path skips: the cancels that commute back before its
+            # top-level cancel; a bundle skips none
+            mask = 0 if type(steps[0]) is DissolveStep \
+                else _ordered_cancels(s, node.expr, steps[0], new)
             if key == n:
                 if mask:
                     queued_skips[key] = mask

@@ -278,37 +278,16 @@ def test_nested_blocks_unfold_completely():
     assert _engine_arrangements(e) == {"b c", "c b"}
 
 
-# parsing postpones a placement until it can make a cancel possible
+# parsing places blocks as generation does: every bundle, also where none
+# makes a cancel possible
 
 
-def _postponed(text):
-    return _successors(engine._block_successors, parse_expr(text, ()),
-                       mode="parse")
-
-
-def test_postponed_placement_keeps_a_move_that_exposes_a_pair():
-    succ = _postponed("f(a,X) { g } f(a,X)^-1")
-    # in place nothing touches; moving away leaves the pair adjacent
-    assert {render_expr(new) for _, new in succ} == {
-        "g f(a,X) f(a,X)^-1", "f(a,X) f(a,X)^-1 g"}
-    for steps, _ in succ:
-        (step,) = steps
-        assert (step.target_level, step.slot) != (step.level, step.index)
-
-
-def test_postponed_placement_joins_blocks_into_a_run():
-    succ = _postponed("g { a b } { b^-1 a^-1 }")
-    # no single bundle cancels, so every successor dissolves both blocks
-    assert succ
-    for steps, _ in succ:
-        assert sum(isinstance(s, DissolveStep) for s in steps) == 2
-    assert "g" in {render_expr(new) for _, new in succ}
-
-
-def test_postponed_placement_drops_inert_blocks():
-    assert _postponed("c { a b } d") == []
-    assert _successors(engine._block_successors,
-                       parse_expr("c { a b } d", ())) != []
+@pytest.mark.parametrize("text", [
+    "f(a,X) { g } f(a,X)^-1", "g { a b } { b^-1 a^-1 }", "c { a b } d"])
+def test_parsing_gets_every_placement_that_generation_gets(text):
+    expr = parse_expr(text, ())
+    assert _successors(engine._block_successors, expr, mode="parse") == \
+        _successors(engine._block_successors, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,20 @@
 """Differential tests of the prunings of parse search against searches
 without them.
 
-Block placement, first or postponed, is checked against the unpruned
-reference, which puts every placement of every block back as a search state
-in parse mode (as generation still does), makes every cancel at every state,
-keeps every block-free word and leaves no search to the chart
-(``tests/test_chart.py`` checks the chart against the search on its own).
-An ordered parse places every block before any cancel; any other postpones
-placement.  The skipped cancels (those that commute before the preceding
-block bundle) are also checked on their own, against the search without the
-skip.  Both searches must find the same readings and agree on truncation,
-and every derivation of the pruned search must replay.  The dropped
-block-free words that cannot reduce to one atom, pairwise or by their
-matchings, are checked against the same search keeping them: the same
-readings, rendered derivations and truncation.  So are the ordered cancels,
+Placing every block first is checked against the unpruned reference, which
+makes every bundle and every cancel at every state, as every parse that does
+not place blocks first does, keeps every block-free word and leaves no
+search to the chart (``tests/test_chart.py`` checks the chart against the
+search on its own).  An ordered parse places every block before any cancel.
+Both searches must find the same readings and agree on truncation, and
+every derivation of the pruned search must replay.  The skipped cancels,
 the first-order cancels that commute back before the cancel that made a
-state, against the same search making them.  The check by matchings must
-also keep every block-free word of the unpruned search that reaches a
-reading on its own.
+state, are checked against the same search making them, and the dropped
+block-free words that cannot reduce to one atom, pairwise or by their
+matchings, against the same search keeping them: the same readings,
+rendered derivations and truncation.  The check by matchings must also keep
+every block-free word of the unpruned search that reaches a reading on its
+own.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -72,11 +69,6 @@ def _no_order(m):
     m.setattr(engine, "_ordered_cancels", lambda *args: 0)
 
 
-def _no_skip(m):
-    m.setattr(engine, "_commuting_cancels", lambda *args: 0)
-    _no_order(m)
-
-
 def _no_drop(m):
     m.setattr(engine, "_may_reduce", lambda *args: True)
     m.setattr(engine, "_may_match", lambda *args: True)
@@ -102,7 +94,7 @@ def reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(engine, "_block_successors", exhaustive)
             m.setattr(engine, "_ordered_word", lambda expr: False)
-            _no_skip(m)
+            _no_order(m)
             _no_drop(m)
             _no_chart(m)
             return fn(*args)
@@ -113,12 +105,12 @@ def reference(monkeypatch):
 @pytest.fixture
 def unskipped(monkeypatch):
     """Call a function with blocks placed first where the starts allow it,
-    postponed placement elsewhere, but no cancel skipped and no block-free
-    word dropped."""
+    every bundle beside the cancels elsewhere, but no cancel skipped and no
+    block-free word dropped."""
 
     def run(fn, *args):
         with monkeypatch.context() as m:
-            _no_skip(m)
+            _no_order(m)
             _no_drop(m)
             return fn(*args)
 
@@ -444,22 +436,38 @@ def test_skipped_cancels_keep_the_readings_of_random_starts(unskipped):
     _check_random_starts(unskipped, 29)
 
 
-@pytest.mark.parametrize("text, reading, keys", [
-    ("{ { f(Y) { s } f(b) } f(Y)^-1 } f(X)^-1 f(Y) f(b)^-1", "s", (1592, 286)),
-    ("h(X) f(Y) f(X)^-1 f(b) { { f(Y)^-1 } } { f(Y)^-1 } f(X)", "h(b)",
-     (617, 130)),
-    ("{ h(X) g(X,Y) } { g(a,b)^-1 g(X,Y) } { g(a,b)^-1 } g(a,b)^-1 g(X,Y)",
-     "h(a)", (815, 104)),
+@pytest.mark.parametrize("text, readings, keys", [
+    ("f(#x0) P0[#x0]^-1 s { P1[#x1]^-1 } g(#x1,b) { f(V1) a V1^-1 V0^-1 }",
+     {"a", "c", "f(a)", "s"}, (4783, 1710)),
+    ("g(#x1,b) P1[#x1]^-1 { h(V0) V0^-1 } P0[#x0]^-1 { #x0 V1^-1 f(#x0) } "
+     "g(b,a)", {"#x1", "c", "g(b,a)", "h(#x1)", "h(c)", "h(g(b,a))"},
+     (5383, 1957)),
+    ("{ f(#x0) } P0[#x0]^-1 { h(P0[#x0]) } { V0^-1 f(Q[#x0]) } V1^-1 #x0",
+     {"#x1", "c", "h(f(#x1))"}, (8378, 2127)),
 ])
 def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
-                                              reading, keys):
-    # a later path reaches an expanded state that skipped a cancel the path
-    # needs, so the search expands the arriving instance again: the cancels
-    # of one state key are asked for twice.  The key counts pin what a
-    # re-expansion makes, every successor of the state under its narrowed
-    # mask, most of them keyed before; the distinct states stay.  Before
-    # re-expansions made every successor, making only the top-level cancels
-    # at the dropped bits, the counts were 1567, 603 and 754
+                                              readings, keys):
+    # two ordered starts of different sizes, as homonyms give: the wider
+    # one prepends c Z^-1, whose cancel reaches the narrower one a step
+    # later, so a later path reaches an expanded state that skipped a cancel
+    # the path needs, and the search expands the arriving instance again:
+    # the cancels of one state key are asked for twice.  The key counts pin
+    # what a re-expansion makes, every successor of the state under its
+    # narrowed mask, most of them keyed before.  From one start, every path
+    # to a state has one length, and no scoped start re-expands (before
+    # parses that do not place blocks first stopped postponing placement,
+    # the pins were three such starts, not ordered, keyed 1592/286, 617/130
+    # and 815/104)
+    wide = engine.parse_expr("c Z^-1 " + text, ())
+    (delta,) = unify(parse_term("Z"), parse_term("c"), EMPTY_BINDING, False)
+    step = CancelStep((), 0, delta)
+    narrow = engine.apply_step(RAW, wide, step)
+    assert engine._ordered_word(wide) and engine._ordered_word(narrow)
+
+    def search():
+        return engine._search(RAW, "parse", wide,
+                              [((step,), narrow), ((), wide)], LIM)
+
     real_cancels, real_key = engine._cancel_successors, engine._canonical_key
     expanded, keyed = [], []
 
@@ -471,14 +479,14 @@ def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
         keyed.append(real_key(expr, commutative))
         return keyed[-1]
 
-    start = engine.parse_expr(text, ())
     with monkeypatch.context() as m:
         m.setattr(engine, "_cancel_successors", cancels)
         m.setattr(engine, "_canonical_key", keying)
-        _search(start)
+        pruned = search()
     assert len(expanded) > len(set(expanded))
     assert (len(keyed), len(set(keyed))) == keys
-    assert _readings(_check_start(unskipped, start)) == {reading}
+    _agree(pruned, unskipped(search), RAW)
+    assert _readings(pruned) == readings
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +846,7 @@ def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
         seen.append(node)
         return real(s, node)
 
-    def postponing(*args):
-        raise AssertionError("postponed placement in an ordered parse")
-
     monkeypatch.setattr(engine, "_cancel_successors", guarded)
-    monkeypatch.setattr(engine, "_runs", postponing)
     assert parse(english, "every man that louise saw ran".split(), LIM).results
     rng = random.Random(43)
     for _ in range(50):
@@ -852,24 +856,20 @@ def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
 
 def _placements(monkeypatch):
     """Record whether each state with a block that the search expands gets
-    its bundles first (True) or postponed, with its cancels (False)."""
-    real_blocks, real_runs = engine._block_successors, engine._runs
+    its bundles alone, blocks first (True), or every bundle beside its
+    cancels (False)."""
+    real = engine._block_successors
     firsts = []
 
     def blocks(s, node):
         firsts.append(s.blocks_first)
-        return real_blocks(s, node)
-
-    def runs(s, *args):
-        assert not s.blocks_first
-        return real_runs(s, *args)
+        return real(s, node)
 
     monkeypatch.setattr(engine, "_block_successors", blocks)
-    monkeypatch.setattr(engine, "_runs", runs)
     return firsts
 
 
-def test_a_start_that_is_not_ordered_keeps_postponed_placement(monkeypatch):
+def test_a_start_that_is_not_ordered_gets_every_placement(monkeypatch):
     # _random_start's negative atoms are compound terms, never bare
     # variables: a cancel may bind an atom ground next to its inverse, which
     # then cancels eagerly.  Such a start is ordered only when normalizing
@@ -883,7 +883,7 @@ def test_a_start_that_is_not_ordered_keeps_postponed_placement(monkeypatch):
     assert len(firsts) > 50 and not any(firsts)
 
 
-def test_a_start_past_the_size_limit_keeps_postponed_placement(
+def test_a_start_past_the_size_limit_gets_every_placement(
         english, monkeypatch, reference):
     # the start has 15 items, a block counting one: its bundles have 14
     words = "every man saw some woman".split()
@@ -1200,8 +1200,10 @@ def test_pair_unifiers_memo_changes_no_state(english, monkeypatch, sentence):
 
 
 def _distinct_atoms(monkeypatch):
-    """Fail the search if any state it keys holds one atom object twice; the
-    skip masks read adjacency by identity and need each atom once."""
+    """Fail the search if any state it keys holds one atom object twice: the
+    search's memos share result atoms between states by identity, and hold
+    the objects whose ids they use, so they never merge two distinct atoms,
+    even equal ones."""
     real = engine._canonical_key
 
     def checking(expr, commutative):

@@ -277,6 +277,12 @@ PINNED = [
      lambda: parse(_english(), "the man that louise saw ran".split()), 168, 118),
     ("parse john saw every woman in paris",
      lambda: parse(_english(), "john saw every woman in paris".split()), 1005, 562),
+    # a start past the size limit: blocks do not come first, and every state
+    # with a block gets every bundle beside its cancels (6370/3225 while
+    # such a parse postponed placement); two readings, truncated
+    ("parse every man saw some woman, max_items=13",
+     lambda: parse(_english(), "every man saw some woman".split(),
+                   engine.SearchLimits(max_items=13)), 18726, 5409),
     ("generate ev(m,#x1,r(#x1))",
      lambda: generate(_english(), parse_term("ev(m,#x1,r(#x1))")), 13, 12),
     ("generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))",
@@ -326,7 +332,8 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
 # outputs 1174.  While the loop asked goal nodes for successors, the calls
 # were one more per goal: expand 12 and 9811, saturate 30, swap 1393 and 7.
 # While the two parses postponed placement, they read cancel (125, 137) and
-# block (10, 56), and cancel (674, 1172) and block (30, 406).
+# block (10, 56), and cancel (674, 1172) and block (30, 406), and the
+# parse at max_items=13 read cancel (3223, 4105) and block (705, 3977).
 SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
               "_block_successors": "block", "_swap_cancel_successors": "swap",
               "_saturate_successors": "saturate"}
@@ -335,6 +342,8 @@ SUCCESSOR_PINS = {
         {"cancel": (106, 158), "block": (1, 13)},
     "parse john saw every woman in paris":
         {"cancel": (553, 992), "block": (1, 24)},
+    "parse every man saw some woman, max_items=13":
+        {"cancel": (5407, 11309), "block": (978, 14392)},
     "generate ev(m,#x1,r(#x1))": {"expand": (11, 3), "block": (1, 9)},
     "generate ev(tt(m,#x1,sm(w,#x2,s(#x2,#x1))),#x3,r(#x3))":
         {"expand": (9810, 7), "block": (1584, 38636)},
@@ -394,7 +403,7 @@ def test_bundles_are_asked_for_only_on_states_with_blocks(monkeypatch):
     ("parse", lambda: parse(_english(), "every man saw some woman".split())),
     ("parse by the chart", lambda: parse(
         _english(), "john saw the man in paris in the woman".split())),
-    ("parse, postponed placement",
+    ("parse, every placement",
      lambda: _random_search(_random_start(random.Random(11)))),
     ("parse, commutative", lambda: parse(_commutative_english(),
                                          "saw john louise".split())),
