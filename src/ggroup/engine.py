@@ -66,8 +66,10 @@ an odd distance, other than one positive survivor at an even index
 (``_may_reduce``).  When
 blocks come first, a word that passes is keyed, and then dropped when no
 non-crossing matching of its atoms can cancel, read first-order
-(``_may_match``, on the chart's ``_matchings``); the search keeps the keys
-of the dead words, so each distinct word is judged once.
+(``_may_match``, on the chart's ``_matchings``); the search keeps each
+distinct word's matchings, so each is judged once.  A live word carries
+the matchings that can cancel down its cancels, and cancels only pairs
+that one of them holds (``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -130,7 +132,11 @@ steps (``_clause_step``), so every state at one depth shares each
 clause's instance, and its atoms compute their class and key fragment once;
 a fact's instance is built once for every depth.  The fifth is keyed by the
 atom's identity and holds the atom.  The context holds no node, so a search
-leaves no reference cycle.
+leaves no reference cycle.  Apart from the context, ``_search`` keeps the
+viable matchings of each block-free word that enters from a state with
+blocks, by state key, and a node of a blocks-first parse carries those of
+its own word down its cancels (``_Node.viable``): sets of position pairs,
+which hold no atom and no id.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -956,12 +962,18 @@ class _Node:
     """A search state.  ``skip`` is the bit mask of top-level positions
     whose cancels the state skips, set when it is expanded (see
     ``_search``); ``has_blocks`` says whether a top-level item is a block,
-    scanned once, when the node is built."""
+    scanned once, when the node is built.  ``viable`` is ``None``, or, for
+    a live block-free word of a blocks-first parse and the states its
+    cancels reach, ``(matchings, pos)``: the matchings of the word that
+    entered (``_may_match``) that hold every pair cancelled since, and
+    ``pos``, the word's position of each of the node's atoms (see
+    ``_cancel_successors``)."""
 
     __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip",
-                 "has_blocks")
+                 "has_blocks", "viable")
 
-    def __init__(self, expr, expansions, parent, steps, key=None):
+    def __init__(self, expr, expansions, parent, steps, key=None,
+                 viable=None):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
@@ -969,6 +981,7 @@ class _Node:
         self.key = key
         self.skip = 0
         self.has_blocks = _has_block(expr)
+        self.viable = viable
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -987,8 +1000,9 @@ class _Search:
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
     ``substitutions`` and ``instances``, as the module docstring says, and
     ``first_order``, which maps an atom's id to the atom and its first-order
-    reading (``_first_order``) for ``_may_match``.  The keys of the dead
-    block-free words are kept by ``_search`` itself, with its state keys."""
+    reading (``_first_order``) for ``_may_match``.  The viable matchings of
+    the entering block-free words are kept by ``_search`` itself, by state
+    key, and a node carries its own (``_Node.viable``)."""
 
     lex: lx.Lexicon
     mode: str  # "gen" | "parse" | "saturate"
@@ -1190,15 +1204,18 @@ def _first_order(a: Atom) -> tuple:
     return t, apps
 
 
-def _may_match(s: _Search, word: Expr) -> bool:
-    """False when no non-crossing matching of the atoms of the block-free
-    ``word``, from a search whose starts meet ``_ordered_word``, can cancel:
-    ``_matchings`` finds none whose equations unify, with every application
-    ``P[#x]`` read as a first-order variable (``_first_order``, kept in the
-    search's memo ``first_order``) and the survivor's image ground, where,
-    without vacuous abstraction, each bound application's image holds its
-    identifier and is not that identifier.  A word where an application's
-    argument is no identifier, or one variable has two arguments, is kept.
+def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
+    """The viable matchings of the block-free ``word``, from a search whose
+    starts meet ``_ordered_word``: each non-crossing matching of its atoms
+    that ``_matchings`` finds, as a frozenset of position pairs ``(i, j)``,
+    whose equations unify, with every application ``P[#x]`` read as a
+    first-order variable (``_first_order``, kept in the search's memo
+    ``first_order``) and the survivor's image ground, where, without
+    vacuous abstraction, each bound application's image holds its
+    identifier and is not that identifier.  ``[]`` says that the word is
+    dead.  A word where an application's argument is no identifier, or one
+    variable has two arguments, gets ``True``: it is kept, and its cancels
+    are not restricted.
 
     In such a word a derivation of a reading cancels the pairs of one
     matching, each pair its own, and the survivor is a positive atom at an
@@ -1212,9 +1229,22 @@ def _may_match(s: _Search, word: Expr) -> bool:
     negative atom, which meets ``_ordered_word``'s bare shape; ``match_app``
     makes no identity abstraction and, unless vacuous abstraction is
     allowed, none that drops the hole, and substitution never removes an
-    identifier.  The check is necessary, not sufficient: matching an
-    application depends on the order of the cancels, and some orders are
-    deadlocks that the check does not see."""
+    identifier.  So the matching of every derivation of a reading from the
+    word is in the list.  The check is necessary, not sufficient: matching
+    an application depends on the order of the cancels, and some orders are
+    deadlocks that the check does not see.
+
+    The search carries the list down the word's cancels (see
+    ``_cancel_successors``), and a state keeps the list of the first path
+    that reaches it.  That loses no reading.  Take a derivation of a reading
+    from a state, and any path that reached the state from its entering
+    word.  The path and the derivation together are a derivation of the
+    reading from that word, so their pairs, the path's cancels added to the
+    derivation's, make a matching in that word's list, and it holds every
+    pair the path cancelled: the list the path carries keeps it.  Read
+    first-order, the path's unifiers and the derivation's compose to a most
+    general unifier of the joint equations, which is why they unify in the
+    entering word when they unify in the state."""
     memo = s.first_order
     terms, apps = [], {}
     for a in word:
@@ -1228,12 +1258,10 @@ def _may_match(s: _Search, word: Expr) -> bool:
             if apps.setdefault(p, x) != x:
                 return True
         terms.append(term)
-    for _, _, bound in _matchings(
-            word, terms, lambda i, j: _partner(s, word[i], word[j])):
-        if s.allow_vacuous or all(_bound_well(MetaVar(p + "[]"), x, bound)
-                                  for p, x in apps.items()):
-            return True
-    return False
+    return [frozenset(pairs) for _, pairs, bound in _matchings(
+                word, terms, lambda i, j: _partner(s, word[i], word[j]))
+            if s.allow_vacuous or all(_bound_well(MetaVar(p + "[]"), x, bound)
+                                      for p, x in apps.items())]
 
 
 def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
@@ -1248,14 +1276,28 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     the top-level positions set in the node's skip mask (see
     ``_ordered_cancels``).
     Inside a block the pairs include the wrap pair (last item, first
-    item)."""
-    expr, skip = node.expr, node.skip
+    item).
+
+    A node that carries viable matchings (``_Node.viable``), a block-free
+    word of a blocks-first parse, cancels only the pairs ``(pos[i], pos[i +
+    1])`` that some of them holds: any other cancel's pair is in no
+    matching of a reading's derivation (see ``_may_match``), so its state
+    reaches no reading.  ``_search`` gives each child the matchings that
+    hold its pair, and ``pos`` without the pair's positions: a cancel in
+    such a word removes its own pair and nothing else
+    (``_ordered_word``)."""
+    expr, skip, viable = node.expr, node.skip, node.viable
+    if viable is not None:
+        matchings, pos = viable
+        used = set().union(*matchings)
     out = []
     levels = _levels(expr) if node.has_blocks else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
             if not level and skip >> i & 1:
+                continue
+            if viable is not None and (pos[i], pos[i + 1]) not in used:
                 continue
             a, b = items[i], items[(i + 1) % n]
             if not _cancel_pair(a, b):
@@ -1265,6 +1307,16 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
                 out.append(((step,), _apply(s.lex, expr, step,
                                             s.substitutions)))
     return out
+
+
+def _carried(viable: tuple, step: CancelStep) -> tuple:
+    """The ``viable`` matchings of a cancel's child: those of its parent
+    that hold the cancelled pair, and the positions without the pair's (see
+    ``_cancel_successors``)."""
+    matchings, pos = viable
+    i = step.index
+    pair = pos[i], pos[i + 1]
+    return [m for m in matchings if pair in m], pos[:i] + pos[i + 2:]
 
 
 def _ordered_word(expr: Expr) -> bool:
@@ -1588,9 +1640,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     mask before it is expanded.  A re-expansion needs paths of different
     lengths: from starts of different sizes (homonyms, where one start
     reaches another's state by a cancel), or, when blocks do not come
-    first, through a nested cancel that empties a block.  No known input
-    needs a re-expansion for a reading, and no sentence of the corpus that
-    the differential tests parse runs one, at the default limits or at
+    first, through a nested cancel that empties a block.  Since a live word
+    cancels only the pairs of its viable matchings, even starts of
+    different sizes seldom meet so: of 4,500 seeded random ordered starts
+    (the tests' ``_scoped_start``, seeds 5 to 12), each searched beside a
+    wider start that reaches it by a cancel, 6 re-expand a state.  No known
+    input needs a
+    re-expansion for a reading, and no sentence of the corpus that the
+    differential tests parse runs one, at the default limits or at
     ``max_items=13``.
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,
@@ -1638,17 +1695,25 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     application's abstraction lets cancel.  Only the words entering from a
     state with blocks are checked: checking every block-free word as well
     drops under 1% more states, and costs more time than it saves.
-    When blocks come first, a word that passes is keyed, and a new key is
-    judged by the joint check, ``_may_match``: a word none of whose
-    matchings can cancel is dead, and its key joins ``dead``, so an equal
-    word arriving later is dropped without a second check.  The joint
-    check is dearer than the pairwise one, and it pays because blocks first
-    leave few entering words, most of them dead.
+    When blocks come first, a word that passes is keyed, and each distinct
+    key is judged once by the joint check, ``_may_match``, kept in
+    ``judged``: a word none of whose matchings can cancel is dead, and an
+    equal word arriving later is dropped without a second check.  The
+    joint check is dearer than the pairwise one, and it pays because blocks
+    first leave few entering words, most of them dead.  A live word's node
+    carries its viable matchings (``_Node.viable``), and its cancels only
+    the pairs they hold: each child carries the matchings that hold its
+    pair (``_carried``), and a state keeps what the first path to reach it
+    carried, a re-expanded one what its arriving path carried.
+    ``_may_match`` argues that every path's list holds the matching of
+    every derivation of a reading from the state.
     A dropped word never reaches a reading, nor does any state it would
-    reach, and states with equal keys reach the same readings, so no
-    reading, derivation or skip mask of a live state changes, and live
-    states keep their queue order.  The checks come after the limits, so
-    ``truncated`` does not change either.
+    reach, nor any state a skipped cancel would make, and states with equal
+    keys reach the same readings, so no reading, derivation or skip mask of
+    a live state changes, and live states keep their queue order.  The
+    checks come after the limits, and a skipped cancel would have made a
+    smaller state and counted no expansion, so ``truncated`` does not
+    change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1704,8 +1769,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     truncated = False
     results: dict[str, tuple] = {}
-    # the keys of the block-free words found dead (see the docstring)
-    dead: set = set()
+    # the viable matchings of each entering word's key (see the docstring)
+    judged: dict = {}
     # skip masks of the states that skip any cancel, queued and expanded
     queued_skips: dict = {}
     expanded_skips: dict = {}
@@ -1747,14 +1812,20 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if free and not _may_reduce(s, new):
                 continue
             state = _canonical_key(new, commutative)
-            if free and s.blocks_first and state not in visited:
-                if state in dead or not _may_match(s, new):
-                    dead.add(state)
+            viable = None if node.viable is None \
+                else _carried(node.viable, steps[0])
+            if free and s.blocks_first:
+                matchings = judged.get(state)
+                if matchings is None:
+                    matchings = judged[state] = _may_match(s, new)
+                if not matchings:
                     continue
+                if matchings is not True:
+                    viable = matchings, tuple(range(len(new)))
             n = len(visited)
             key = visited.setdefault(state, n)
             if key == n:
-                queue.append(_Node(new, expansions, node, steps, key))
+                queue.append(_Node(new, expansions, node, steps, key, viable))
                 if not ordered:
                     continue
             elif key not in queued_skips and key not in expanded_skips:
@@ -1773,7 +1844,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             elif _narrow(expanded_skips, key, mask):
                 if key in expanded_skips:
                     queued_skips[key] = expanded_skips.pop(key)
-                queue.append(_Node(new, expansions, node, steps, key))
+                queue.append(_Node(new, expansions, node, steps, key, viable))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []

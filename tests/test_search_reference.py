@@ -437,13 +437,15 @@ def test_skipped_cancels_keep_the_readings_of_random_starts(unskipped):
 
 
 @pytest.mark.parametrize("text, readings, keys", [
-    ("f(#x0) P0[#x0]^-1 s { P1[#x1]^-1 } g(#x1,b) { f(V1) a V1^-1 V0^-1 }",
-     {"a", "c", "f(a)", "s"}, (4783, 1710)),
-    ("g(#x1,b) P1[#x1]^-1 { h(V0) V0^-1 } P0[#x0]^-1 { #x0 V1^-1 f(#x0) } "
-     "g(b,a)", {"#x1", "c", "g(b,a)", "h(#x1)", "h(c)", "h(g(b,a))"},
-     (5383, 1957)),
-    ("{ f(#x0) } P0[#x0]^-1 { h(P0[#x0]) } { V0^-1 f(Q[#x0]) } V1^-1 #x0",
-     {"#x1", "c", "h(f(#x1))"}, (8378, 2127)),
+    # seed 7, start 584: the re-expanded state carries matchings
+    ("{ g(#x0,b) } { V1^-1 g(b,a) P0[#x0]^-1 } V0^-1 { h(V0) } a",
+     {"a", "c", "g(b,a)", "h(a)", "h(g(b,a))"}, (9084, 2608)),
+    # seed 10, start 213: the same
+    ("P0[#x0]^-1 { { f(#x0) } h(V0) } #x0 { V1^-1 #x0 V0^-1 }",
+     {"#x1", "c", "f(#x1)", "h(#x1)", "h(c)"}, (11286, 2640)),
+    # seed 12, start 68: P1 has two arguments, so the words carry none
+    ("s g(P1[#x2],a) g(#x0,b) { { P1[#x1]^-1 } { P0[#x0]^-1 } g(#x1,b) } "
+     "V0^-1 #x0 V1^-1", {"c", "s"}, (18621, 5265)),
 ])
 def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
                                               readings, keys):
@@ -454,10 +456,15 @@ def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
     # the cancels of one state key are asked for twice.  The key counts pin
     # what a re-expansion makes, every successor of the state under its
     # narrowed mask, most of them keyed before.  From one start, every path
-    # to a state has one length, and no scoped start re-expands (before
-    # parses that do not place blocks first stopped postponing placement,
-    # the pins were three such starts, not ordered, keyed 1592/286, 617/130
-    # and 815/104)
+    # to a state has one length, and no scoped start re-expands.  Since a
+    # live word cancels only the pairs of its viable matchings, few such
+    # pairs of starts re-expand either: none of the scoped starts of seeds
+    # 5 (300) and 6 (600), and of 600 starts each, 2 of seed 7, 1 of seeds
+    # 8, 9, 10 and 12 and none of seed 11 (while a live word made every
+    # cancel, the pins were three seed-5 starts, keyed 4783/1710,
+    # 5383/1957 and 8378/2127; before parses that do not place blocks first
+    # stopped postponing placement, three starts, not ordered, keyed
+    # 1592/286, 617/130 and 815/104)
     wide = engine.parse_expr("c Z^-1 " + text, ())
     (delta,) = unify(parse_term("Z"), parse_term("c"), EMPTY_BINDING, False)
     step = CancelStep((), 0, delta)
@@ -768,6 +775,70 @@ def test_the_dead_word_check_keeps_every_word_that_reads(english, reference,
     if sentence == "every man saw some woman":
         # every dead word: 337 of the 10,253 words reach a reading
         assert (len(words), dropped) == (10253, 9916)
+
+
+def _entering_word(lex, start, steps):
+    """The block-free word that the last dissolve of ``steps`` from
+    ``start`` makes, the pairs of its positions that the cancels after it
+    cancel, and the positions left."""
+    last = max(k for k, step in enumerate(steps) if type(step) is DissolveStep)
+    word = start
+    for step in steps[:last + 1]:
+        word = engine.apply_step(lex, word, step)
+    pos, pairs = list(range(len(word))), []
+    for step in steps[last + 1:]:
+        assert type(step) is CancelStep and not step.level
+        pairs.append((pos[step.index], pos[step.index + 1]))
+        del pos[step.index:step.index + 2]
+    return word, pairs, tuple(pos)
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_carried_matchings_hold_every_reading(english, undropped, sentence):
+    # the search that carries no matchings finds the readings: the cancels
+    # of each, after its last dissolve, are one of the entering word's
+    # matchings, so a search that carries them makes every one
+    res = undropped(parse, english, sentence.split(), LIM)
+    s = engine._Search(english, "parse", blocks_first=True)
+    for _, d in res.results:
+        word, pairs, _ = _entering_word(english, d.start, d.steps)
+        assert frozenset(pairs) in engine._may_match(s, word), \
+            render_derivation(d)
+    assert res.results
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_each_state_carries_the_matchings_of_its_path(english, monkeypatch,
+                                                      sentence):
+    # each block-free state the search expands carries the matchings of
+    # the word its path entered by that hold every pair the path cancelled
+    # since, and the word's position of each of its atoms
+    real, carried = engine._cancel_successors, []
+
+    def recording(s, node):
+        root = node
+        while root.parent is not None:
+            root = root.parent
+        carried.append((root.expr, node.derivation_steps(), node.viable))
+        return real(s, node)
+
+    monkeypatch.setattr(engine, "_cancel_successors", recording)
+    assert parse(english, sentence.split(), LIM).results
+    s = engine._Search(english, "parse", blocks_first=True)
+    for start, steps, viable in carried:
+        word, pairs, pos = _entering_word(english, start, steps)
+        want = [m for m in engine._may_match(s, word) if m.issuperset(pairs)]
+        assert viable == (want, pos), render_expr(word)
+    assert carried
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_carried_matchings_keep_truncation_under_a_result_limit(
+        english, undropped, sentence):
+    # the queue order changes, so the readings found first may too
+    words, lim = sentence.split(), SearchLimits(max_results=2)
+    assert parse(english, words, lim).truncated == \
+        undropped(parse, english, words, lim).truncated
 
 
 def _scoped_start(rng):

@@ -268,15 +268,21 @@ def _family():
 # skip of cancels that commute before a bundle 256/140 and 2382/1124, with
 # the pairwise drop 232/125 and 1539/674, with the ordered skip 184/125 and
 # 1393/674 while it asked that a skipped pair hold the atom objects of the
-# parent's, and 184/125 and 1391/674 after), and generating with one
-# expansion order and placement only where nothing expands (the full search
-# keys 62/33 and 572612/100237 for the two forms); a change that prunes or
-# reorders states updates them on purpose.
+# parent's, 184/125 and 1391/674 after, and 168/118 and 1005/562 while a
+# live word made every cancel, not only those of its viable matchings), and
+# generating with one expansion order and placement only where nothing
+# expands (the full search keys 62/33 and 572612/100237 for the two forms);
+# a change that prunes or reorders states updates them on purpose.
 PINNED = [
     ("parse the man that louise saw ran",
-     lambda: parse(_english(), "the man that louise saw ran".split()), 168, 118),
+     lambda: parse(_english(), "the man that louise saw ran".split()), 160, 110),
     ("parse john saw every woman in paris",
-     lambda: parse(_english(), "john saw every woman in paris".split()), 1005, 562),
+     lambda: parse(_english(), "john saw every woman in paris".split()), 483, 280),
+    # two quantifiers and a phrase: 49356/20709 while a live word made
+    # every cancel
+    ("parse every man saw some woman in paris",
+     lambda: parse(_english(), "every man saw some woman in paris".split()),
+     8502, 4392),
     # a start past the size limit: blocks do not come first, and every state
     # with a block gets every bundle beside its cancels (6370/3225 while
     # such a parse postponed placement); two readings, truncated
@@ -334,14 +340,19 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
 # While the two parses postponed placement, they read cancel (125, 137) and
 # block (10, 56), and cancel (674, 1172) and block (30, 406), and the
 # parse at max_items=13 read cancel (3223, 4105) and block (705, 3977).
+# While a live word made every cancel, not only those of its viable
+# matchings, the three blocks-first parses read cancel (106, 158), (553,
+# 992) and (20261, 48335).
 SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
               "_block_successors": "block", "_swap_cancel_successors": "swap",
               "_saturate_successors": "saturate"}
 SUCCESSOR_PINS = {
     "parse the man that louise saw ran":
-        {"cancel": (106, 158), "block": (1, 13)},
+        {"cancel": (98, 150), "block": (1, 13)},
     "parse john saw every woman in paris":
-        {"cancel": (553, 992), "block": (1, 24)},
+        {"cancel": (271, 470), "block": (1, 24)},
+    "parse every man saw some woman in paris":
+        {"cancel": (3944, 7481), "block": (61, 1980)},
     "parse every man saw some woman, max_items=13":
         {"cancel": (5407, 11309), "block": (978, 14392)},
     "generate ev(m,#x1,r(#x1))": {"expand": (11, 3), "block": (1, 9)},
