@@ -1645,9 +1645,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     different sizes seldom meet so: of 4,500 seeded random ordered starts
     (the tests' ``_scoped_start``, seeds 5 to 12), each searched beside a
     wider start that reaches it by a cancel, 6 re-expand a state.  No known
-    input needs a
-    re-expansion for a reading, and no sentence of the corpus that the
-    differential tests parse runs one, at the default limits or at
+    input needs a re-expansion for a reading, and no sentence of the corpus
+    that the differential tests parse runs one, at the default limits or at
     ``max_items=13``.
 
     ``visited`` maps each state key (see ``_canonical_key``) to a small int,

@@ -14,7 +14,10 @@ block-free words that cannot reduce to one atom, pairwise or by their
 matchings, against the same search keeping them: the same readings,
 rendered derivations and truncation.  The check by matchings must also keep
 every block-free word of the unpruned search that reaches a reading on its
-own.
+own.  A live word carries its viable matchings down its cancels, and cancels
+only their pairs: the cancels of each reading of the search that carries
+none must form one of the matchings of the word they start from, and each
+state must carry exactly those of its path.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -70,6 +73,9 @@ def _no_order(m):
 
 
 def _no_drop(m):
+    """Keep every block-free word.  ``True`` from ``_may_match`` is also
+    what turns off the carried matchings: no node carries any, and every
+    block-free word makes every cancel."""
     m.setattr(engine, "_may_reduce", lambda *args: True)
     m.setattr(engine, "_may_match", lambda *args: True)
 
