@@ -55,21 +55,16 @@ reading is lost.  Only generation can make intermediate states larger than
 in the full search when measured against ``max_items`` (see
 ``_expand_successors``).
 
-Cancels commute too: a state reached by a top-level cancel skips the
-first-order cancels left of it, which commute back before it (see
-``_search``).  The search decides from its starts whether cancels commute
-so (``_ordered_word``): only when no cancel can make an eager cancellation,
-which could remove an atom of the other pair in one order and not in the
-other.  A block-free word that enters from a state with blocks is dropped
-before it is keyed when some atom of it has no partner to cancel with at
-an odd distance, other than one positive survivor at an even index
-(``_may_reduce``).  When
-blocks come first, a word that passes is keyed, and then dropped when no
-non-crossing matching of its atoms can cancel, read first-order
-(``_may_match``, on the chart's ``_matchings``); the search keeps each
-distinct word's matchings, so each is judged once.  A live word carries
-the matchings that can cancel down its cancels, and cancels only pairs
-that one of them holds (``_cancel_successors``).
+Cancels are not ordered: the orders of independent cancels meet in states
+with equal keys, and the search expands each key once.  A block-free word
+that enters from a state with blocks is dropped before it is keyed when
+some atom of it has no partner to cancel with at an odd distance, other
+than one positive survivor at an even index (``_may_reduce``).  When
+blocks come first, a word that passes and whose key is new is dropped when
+no non-crossing matching of its atoms can cancel, read first-order
+(``_may_match``, on the chart's ``_matchings``).  A live word carries the
+matchings that can cancel down its cancels, and cancels only pairs that
+one of them holds (``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -107,9 +102,9 @@ Most parse states have no blocks, and those cost the least.  A block-free
 state in non-commutative mode gets a flat key, its atoms' fragments and the
 ordinals of their variables, instead of one key per item; both shapes put
 states in the same classes, and the shapes never meet.  The search hashes
-each key once and goes on with a small int per state, and the successor
-generators and ``_apply`` skip the walks over block levels when the top
-level holds no block.
+each key once, when it adds the key to the set it has seen, and the
+successor generators and ``_apply`` skip the walks over block levels when
+the top level holds no block.
 
 Each search builds one context, ``_Search``: the lexicon, the mode,
 ``allow_vacuous``, whether blocks come first, and five memos, alive for
@@ -132,11 +127,9 @@ steps (``_clause_step``), so every state at one depth shares each
 clause's instance, and its atoms compute their class and key fragment once;
 a fact's instance is built once for every depth.  The fifth is keyed by the
 atom's identity and holds the atom.  The context holds no node, so a search
-leaves no reference cycle.  Apart from the context, ``_search`` keeps the
-viable matchings of each block-free word that enters from a state with
-blocks, by state key, and a node of a blocks-first parse carries those of
-its own word down its cancels (``_Node.viable``): sets of position pairs,
-which hold no atom and no id.
+leaves no reference cycle.  A node of a blocks-first parse carries the
+viable matchings of its block-free word down its cancels
+(``_Node.viable``): sets of position pairs, which hold no atom and no id.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -959,27 +952,22 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 
 class _Node:
-    """A search state.  ``skip`` is the bit mask of top-level positions
-    whose cancels the state skips, set when it is expanded (see
-    ``_search``); ``has_blocks`` says whether a top-level item is a block,
-    scanned once, when the node is built.  ``viable`` is ``None``, or, for
-    a live block-free word of a blocks-first parse and the states its
-    cancels reach, ``(matchings, pos)``: the matchings of the word that
+    """A search state.  ``has_blocks`` says whether a top-level item is a
+    block, scanned once, when the node is built.  ``viable`` is ``None``,
+    or, for a live block-free word of a blocks-first parse and the states
+    its cancels reach, ``(matchings, pos)``: the matchings of the word that
     entered (``_may_match``) that hold every pair cancelled since, and
     ``pos``, the word's position of each of the node's atoms (see
     ``_cancel_successors``)."""
 
-    __slots__ = ("expr", "expansions", "parent", "steps", "key", "skip",
-                 "has_blocks", "viable")
+    __slots__ = ("expr", "expansions", "parent", "steps", "has_blocks",
+                 "viable")
 
-    def __init__(self, expr, expansions, parent, steps, key=None,
-                 viable=None):
+    def __init__(self, expr, expansions, parent, steps, viable=None):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
-        self.key = key
-        self.skip = 0
         self.has_blocks = _has_block(expr)
         self.viable = viable
 
@@ -1000,9 +988,8 @@ class _Search:
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
     ``substitutions`` and ``instances``, as the module docstring says, and
     ``first_order``, which maps an atom's id to the atom and its first-order
-    reading (``_first_order``) for ``_may_match``.  The viable matchings of
-    the entering block-free words are kept by ``_search`` itself, by state
-    key, and a node carries its own (``_Node.viable``)."""
+    reading (``_first_order``) for ``_may_match``.  A node carries the
+    viable matchings of its own word (``_Node.viable``)."""
 
     lex: lx.Lexicon
     mode: str  # "gen" | "parse" | "saturate"
@@ -1234,9 +1221,10 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     an application depends on the order of the cancels, and some orders are
     deadlocks that the check does not see.
 
-    The search carries the list down the word's cancels (see
-    ``_cancel_successors``), and a state keeps the list of the first path
-    that reaches it.  That loses no reading.  Take a derivation of a reading
+    The search calls this once per state key, when the key is new, and
+    carries the list down the word's cancels (see ``_cancel_successors``);
+    a state keeps the list of the first path that reaches it, and is
+    expanded once.  That loses no reading.  Take a derivation of a reading
     from a state, and any path that reached the state from its entering
     word.  The path and the derivation together are a derivation of the
     reading from that word, so their pairs, the path's cancels added to the
@@ -1272,11 +1260,8 @@ def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
 
 
 def _cancel_successors(s: _Search, node: _Node) -> list:
-    """Every explicit cancel of an adjacent pair, at every level, except at
-    the top-level positions set in the node's skip mask (see
-    ``_ordered_cancels``).
-    Inside a block the pairs include the wrap pair (last item, first
-    item).
+    """Every explicit cancel of an adjacent pair, at every level.  Inside a
+    block the pairs include the wrap pair (last item, first item).
 
     A node that carries viable matchings (``_Node.viable``), a block-free
     word of a blocks-first parse, cancels only the pairs ``(pos[i], pos[i +
@@ -1286,7 +1271,7 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     hold its pair, and ``pos`` without the pair's positions: a cancel in
     such a word removes its own pair and nothing else
     (``_ordered_word``)."""
-    expr, skip, viable = node.expr, node.skip, node.viable
+    expr, viable = node.expr, node.viable
     if viable is not None:
         matchings, pos = viable
         used = set().union(*matchings)
@@ -1295,8 +1280,6 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
-            if not level and skip >> i & 1:
-                continue
             if viable is not None and (pos[i], pos[i + 1]) not in used:
                 continue
             a, b = items[i], items[(i + 1) % n]
@@ -1354,55 +1337,6 @@ def _ordered_word(expr: Expr) -> bool:
             metas |= t.metas
             absvars |= t.absvars
     return True
-
-
-def _ordered_cancels(s: _Search, old: Expr, step: CancelStep,
-                     new: Expr) -> int:
-    """Bit mask of the top-level positions ``j <= p - 2`` of ``new``, made
-    from ``old`` by ``step``, a cancel at ``p``, whose pair can cancel, when
-    that pair and the cancelled one are both first-order (no application;
-    ground atoms count).  Such a cancel commutes back before ``step``, so
-    the search skips it (see ``_search``).
-
-    In a word that meets ``_ordered_word`` a top-level cancel removes its
-    own pair only and makes no eager cancellation, so the atoms left of
-    ``p`` keep their positions: ``new``'s pair at ``j`` is ``old``'s under
-    ``step``'s unifier.  That cancel is first-order, so its unifier binds
-    meta-variables to terms without applications, and removes none: the
-    pair at ``j`` was first-order in ``old`` too.  A unifier of the pair in
-    ``new``, composed after ``step``'s, unifies it in ``old``, so ``old``
-    can cancel at ``j``, which leaves the other pair at ``p - 2`` under
-    ``j``'s unifier.  Both pairs are first-order, so either order applies a
-    most general unifier of the two, unique up to renaming, and reaches one
-    state up to the renaming, which the state key forgets.  Matching an
-    application depends on what is already bound (``unify(P[#x1],
-    s(#x1,B))`` and then ``B=#x1`` binds a different ``P`` than ``B=#x1``
-    first), so such pairs never skip.
-    """
-    p = step.index
-    if step.level or old[p].payload.absvars or old[p + 1].payload.absvars:
-        return 0
-    mask = 0
-    for j in range(min(p, len(new)) - 1):
-        a, b = new[j], new[j + 1]
-        if _cancel_pair(a, b) \
-                and not (a.payload.absvars or b.payload.absvars) \
-                and _pair_unifiers(s, a, b):
-            mask |= 1 << j
-    return mask
-
-
-def _narrow(masks: dict, key, mask: int) -> int:
-    """Intersect the skip mask kept for ``key`` with ``mask``; return the
-    bits taken out.  States whose mask becomes 0 leave ``masks``."""
-    old = masks.get(key, 0)
-    dropped = old & ~mask
-    if dropped:
-        if old & mask:
-            masks[key] = old & mask
-        else:
-            del masks[key]
-    return dropped
 
 
 def _placements(expr: Expr):
@@ -1608,51 +1542,10 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     lives here rather than with the lexicon's tables, so it does not
     outlive the query or grow with every depth any query has reached.
 
-    In non-commutative parsing, a state skips the top-level cancels that
-    commute back before the step that made it, since its parent makes them
-    already (partial-order reduction).  These are, after a top-level cancel
-    at ``p``, the first-order cancels at ``j <= p - 2``, whose atoms the
-    cancel left in place (``_ordered_cancels``); a bundle skips none.  This
-    needs every top-level cancel to remove its own pair only, which holds
-    when every start meets ``_ordered_word`` (a parse start does when the
-    instance of each parsing rule in it does).  No reading is lost: a
-    derivation can swap a skipped cancel before the step that made its
-    state and reach a state with the same key, so its later steps stay.
-    Each swap makes the derivation's sequence of top-level positions, a
-    bundle counting as larger than any position, lexicographically smaller,
-    so the swaps end at a derivation that no skip removes.
-
-    A skip is a bit mask over top-level positions, and positions agree
-    between states with equal keys.  It holds for one path, but states are
-    cached by key, so a state keeps the intersection of the masks of every
-    path that reaches it, and only states with a nonzero mask keep one; a
-    node carries its mask when it is expanded.  A later path whose mask
-    lacks a bit narrows the mask of a queued state.  If the state was
-    already expanded, its narrowed mask goes back to the queued ones and the
-    arriving instance is queued, to be expanded again with every generator
-    (a re-expansion): the parent of that path need not make the cancels at
-    the dropped bits, so without this the cancels a state makes would depend
-    on which path reached it first.  The successors it makes twice are
-    duplicates, which may narrow their own masks in turn.  When blocks come
-    first, a bundle makes its state smaller by one item and a cancel by
-    two, and every block dissolves before any cancel, so every path from
-    one start reaches a state at the same depth, and its parents narrow its
-    mask before it is expanded.  A re-expansion needs paths of different
-    lengths: from starts of different sizes (homonyms, where one start
-    reaches another's state by a cancel), or, when blocks do not come
-    first, through a nested cancel that empties a block.  Since a live word
-    cancels only the pairs of its viable matchings, even starts of
-    different sizes seldom meet so: of 4,500 seeded random ordered starts
-    (the tests' ``_scoped_start``, seeds 5 to 12), each searched beside a
-    wider start that reaches it by a cancel, 6 re-expand a state.  No known
-    input needs a re-expansion for a reading, and no sentence of the corpus
-    that the differential tests parse runs one, at the default limits or at
-    ``max_items=13``.
-
-    ``visited`` maps each state key (see ``_canonical_key``) to a small int,
-    its id, in order of first sight: a key is hashed once, when it is looked
-    up, and the nodes and the skip masks (``queued_skips``,
-    ``expanded_skips``) carry the id.
+    ``visited`` is the set of state keys seen (see ``_canonical_key``): a
+    key is hashed once, when it is added, and a successor whose key is
+    there already is dropped, so each key is expanded once, from the first
+    path that reaches it.
 
     Block bundles are asked for only from a state that holds a block
     (``_Node.has_blocks``, which ``_cancel_successors`` reads too); a bundle
@@ -1694,25 +1587,22 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     application's abstraction lets cancel.  Only the words entering from a
     state with blocks are checked: checking every block-free word as well
     drops under 1% more states, and costs more time than it saves.
-    When blocks come first, a word that passes is keyed, and each distinct
-    key is judged once by the joint check, ``_may_match``, kept in
-    ``judged``: a word none of whose matchings can cancel is dead, and an
+    When blocks come first, a word that passes and whose key is new goes
+    to the joint check, ``_may_match``: a word none of whose
+    matchings can cancel is dead, and its key stays in ``visited``, so an
     equal word arriving later is dropped without a second check.  The
     joint check is dearer than the pairwise one, and it pays because blocks
     first leave few entering words, most of them dead.  A live word's node
     carries its viable matchings (``_Node.viable``), and its cancels only
     the pairs they hold: each child carries the matchings that hold its
     pair (``_carried``), and a state keeps what the first path to reach it
-    carried, a re-expanded one what its arriving path carried.
-    ``_may_match`` argues that every path's list holds the matching of
-    every derivation of a reading from the state.
+    carried.  ``_may_match`` argues that every path's list holds the
+    matching of every derivation of a reading from the state.
     A dropped word never reaches a reading, nor does any state it would
-    reach, nor any state a skipped cancel would make, and states with equal
-    keys reach the same readings, so no reading, derivation or skip mask of
-    a live state changes, and live states keep their queue order.  The
-    checks come after the limits, and a skipped cancel would have made a
-    smaller state and counted no expansion, so ``truncated`` does not
-    change either.
+    reach, and states with equal keys reach the same readings, so no
+    reading or derivation of a live state changes, and live states keep
+    their queue order.  The checks come after the limits, so ``truncated``
+    does not change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1744,14 +1634,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         goal, result_key = _single_atom_goal, render_term
     # commutative states hold no blocks
     blocks = None if mode == "saturate" or commutative else _block_successors
-    skipping = mode == "parse" and not commutative
+    parsing = mode == "parse" and not commutative
     # generation with local expansions places blocks only where nothing
     # expands (see _expand_successors)
     place_late = mode == "gen" and tables.local_expansions
 
     root = _Node(normalize(start), 0, None, ())
-    queue, visited = deque(), {}
-    ordered = chart = first = skipping
+    queue, visited = deque(), set()
+    ordered = chart = first = parsing
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
         # neither the chart nor placing blocks first knows a size limit: no
@@ -1759,20 +1649,15 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         chart = chart and len(expr) - 2 <= lim.max_items and _chart_word(expr)
         first = first and _expr_size(expr) - 1 <= lim.max_items
         n = len(visited)
-        key = visited.setdefault(_canonical_key(expr, commutative), n)
-        if key == n:
-            queue.append(_Node(expr, 0, root, steps, key))
+        visited.add(_canonical_key(expr, commutative))
+        if len(visited) > n:
+            queue.append(_Node(expr, 0, root, steps))
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
     s.blocks_first = first and ordered
 
     truncated = False
     results: dict[str, tuple] = {}
-    # the viable matchings of each entering word's key (see the docstring)
-    judged: dict = {}
-    # skip masks of the states that skip any cancel, queued and expanded
-    queued_skips: dict = {}
-    expanded_skips: dict = {}
     while queue:
         node = queue.popleft()
         payload = goal(node.expr)
@@ -1784,9 +1669,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                     truncated = True
                     break
             continue  # a goal has no successor
-        node.skip = queued_skips.pop(node.key, 0)
-        if node.skip:
-            expanded_skips[node.key] = node.skip
         has_blocks = blocks is not None and node.has_blocks
         if has_blocks and s.blocks_first:
             succ = blocks(s, node)
@@ -1797,7 +1679,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if has_blocks and not (place_late and succ):
                 succ += blocks(s, node)
         # block-free words enter from here, checked once (see the docstring)
-        entering = skipping and has_blocks
+        entering = parsing and has_blocks
         for steps, new in succ:
             # an expansion, or a relator instance with its cancel
             expansions = node.expansions + isinstance(steps[0], ExpandStep)
@@ -1810,40 +1692,19 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             free = entering and not _has_block(new)
             if free and not _may_reduce(s, new):
                 continue
-            state = _canonical_key(new, commutative)
+            n = len(visited)
+            visited.add(_canonical_key(new, commutative))
+            if len(visited) == n:
+                continue
             viable = None if node.viable is None \
                 else _carried(node.viable, steps[0])
             if free and s.blocks_first:
-                matchings = judged.get(state)
-                if matchings is None:
-                    matchings = judged[state] = _may_match(s, new)
+                matchings = _may_match(s, new)
                 if not matchings:
                     continue
                 if matchings is not True:
                     viable = matchings, tuple(range(len(new)))
-            n = len(visited)
-            key = visited.setdefault(state, n)
-            if key == n:
-                queue.append(_Node(new, expansions, node, steps, key, viable))
-                if not ordered:
-                    continue
-            elif key not in queued_skips and key not in expanded_skips:
-                continue
-            # what this path skips: the cancels that commute back before its
-            # top-level cancel; a bundle skips none
-            mask = 0 if type(steps[0]) is DissolveStep \
-                else _ordered_cancels(s, node.expr, steps[0], new)
-            if key == n:
-                if mask:
-                    queued_skips[key] = mask
-            # a later path: the state keeps only what both paths skip
-            elif key in queued_skips:
-                _narrow(queued_skips, key, mask)
-            # an expanded state is expanded again, from the arriving instance
-            elif _narrow(expanded_skips, key, mask):
-                if key in expanded_skips:
-                    queued_skips[key] = expanded_skips.pop(key)
-                queue.append(_Node(new, expansions, node, steps, key, viable))
+            queue.append(_Node(new, expansions, node, steps, viable))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []

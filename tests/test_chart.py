@@ -164,8 +164,8 @@ def test_random_first_order_lexicons_read_like_the_search(monkeypatch):
 
 
 def test_random_first_order_words_read_like_the_search(monkeypatch):
-    # the random ordered starts of the ordered-cancel tests that hold no
-    # block and no application
+    # the random ordered starts (``_ordered_start``) that hold no block and
+    # no application
     rng = random.Random(43)
     charted = found = 0
     for _ in range(2000):

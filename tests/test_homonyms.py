@@ -79,9 +79,9 @@ def test_assignments_with_one_start_are_searched_once(monkeypatch):
     # a second relator for john expands it to the same start, so the two
     # assignments share every state: only the second start's key is extra.
     # The chart decides this first-order parse, so the starts are the only
-    # states keyed (22 and 23 when the breadth-first search made the
-    # cancels; 37 and 38 before the first-order cancels that commute back
-    # before the cancel that made a state were skipped)
+    # states keyed (the breadth-first search keys 37 and 38; 22 and 23 while
+    # it skipped the first-order cancels that commute back before the
+    # cancel that made a state)
     english = parse_grammar(ENGLISH)
     twice = parse_grammar(ENGLISH + "relator j john^-1 .\n")
     words = "john saw louise in paris".split()

@@ -7,12 +7,12 @@ not place blocks first does, keeps every block-free word and leaves no
 search to the chart (``tests/test_chart.py`` checks the chart against the
 search on its own).  An ordered parse places every block before any cancel.
 Both searches must find the same readings and agree on truncation, and
-every derivation of the pruned search must replay.  The skipped cancels,
-the first-order cancels that commute back before the cancel that made a
-state, are checked against the same search making them, and the dropped
-block-free words that cannot reduce to one atom, pairwise or by their
-matchings, against the same search keeping them: the same readings,
-rendered derivations and truncation.  The check by matchings must also keep
+every derivation of the pruned search must replay.  Random ordered starts,
+which place blocks first, are checked against the reference too, and the
+search must expand each state key once.  The dropped block-free words that
+cannot reduce to one atom, pairwise or by their matchings, are checked
+against the same search keeping them: the same readings, rendered
+derivations and truncation.  The check by matchings must also keep
 every block-free word of the unpruned search that reaches a reading on its
 own.  A live word carries its viable matchings down its cancels, and cancels
 only their pairs: the cancels of each reading of the search that carries
@@ -68,10 +68,6 @@ RAW = Lexicon((), (), raw_mode=True)
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 
-def _no_order(m):
-    m.setattr(engine, "_ordered_cancels", lambda *args: 0)
-
-
 def _no_drop(m):
     """Keep every block-free word.  ``True`` from ``_may_match`` is also
     what turns off the carried matchings: no node carries any, and every
@@ -87,9 +83,8 @@ def _no_chart(m):
 @pytest.fixture
 def reference(monkeypatch):
     """Call a function with the exhaustive placement in every mode, every
-    cancel at every state, blocks or not, no cancel skipped, no block-free
-    word dropped and no search decided by the chart: no start counts as
-    ordered."""
+    cancel at every state, blocks or not, no block-free word dropped and no
+    search decided by the chart: no start counts as ordered."""
     real = engine._block_successors
 
     def exhaustive(s, node):
@@ -100,36 +95,8 @@ def reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(engine, "_block_successors", exhaustive)
             m.setattr(engine, "_ordered_word", lambda expr: False)
-            _no_order(m)
             _no_drop(m)
             _no_chart(m)
-            return fn(*args)
-
-    return run
-
-
-@pytest.fixture
-def unskipped(monkeypatch):
-    """Call a function with blocks placed first where the starts allow it,
-    every bundle beside the cancels elsewhere, but no cancel skipped and no
-    block-free word dropped."""
-
-    def run(fn, *args):
-        with monkeypatch.context() as m:
-            _no_order(m)
-            _no_drop(m)
-            return fn(*args)
-
-    return run
-
-
-@pytest.fixture
-def unordered(monkeypatch):
-    """Call a function with every pruning but the ordered cancels."""
-
-    def run(fn, *args):
-        with monkeypatch.context() as m:
-            _no_order(m)
             return fn(*args)
 
     return run
@@ -290,11 +257,11 @@ def _cut(rng, items):
     return rest[:pos] + [Block(tuple(seg[r:] + seg[:r]))] + rest[pos:]
 
 
-def _check_random_starts(against, seed):
+def _check_random_starts(against, seed, make=_random_start):
     rng = random.Random(seed)
     found = 0
     for n in range(500):
-        start = _random_start(rng)
+        start = make(rng)
         try:
             found += bool(_check_start(against, start).results)
         except AssertionError as e:
@@ -427,82 +394,6 @@ def test_a_nested_wrap_cancel_is_a_rotation_then_a_cancel():
 
 
 # ---------------------------------------------------------------------------
-# skipped cancels: the same search with every top-level cancel made
-
-
-@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
-def test_skipped_cancels_keep_the_readings(english, unskipped, sentence):
-    words = sentence.split()
-    pruned = parse(english, words, LIM)
-    _agree(pruned, unskipped(parse, english, words, LIM), english)
-    assert pruned.results
-
-
-def test_skipped_cancels_keep_the_readings_of_random_starts(unskipped):
-    _check_random_starts(unskipped, 29)
-
-
-@pytest.mark.parametrize("text, readings, keys", [
-    # seed 7, start 584: the re-expanded state carries matchings
-    ("{ g(#x0,b) } { V1^-1 g(b,a) P0[#x0]^-1 } V0^-1 { h(V0) } a",
-     {"a", "c", "g(b,a)", "h(a)", "h(g(b,a))"}, (9084, 2608)),
-    # seed 10, start 213: the same
-    ("P0[#x0]^-1 { { f(#x0) } h(V0) } #x0 { V1^-1 #x0 V0^-1 }",
-     {"#x1", "c", "f(#x1)", "h(#x1)", "h(c)"}, (11286, 2640)),
-    # seed 12, start 68: P1 has two arguments, so the words carry none
-    ("s g(P1[#x2],a) g(#x0,b) { { P1[#x1]^-1 } { P0[#x0]^-1 } g(#x1,b) } "
-     "V0^-1 #x0 V1^-1", {"c", "s"}, (18621, 5265)),
-])
-def test_re_expanded_states_keep_the_readings(monkeypatch, unskipped, text,
-                                              readings, keys):
-    # two ordered starts of different sizes, as homonyms give: the wider
-    # one prepends c Z^-1, whose cancel reaches the narrower one a step
-    # later, so a later path reaches an expanded state that skipped a cancel
-    # the path needs, and the search expands the arriving instance again:
-    # the cancels of one state key are asked for twice.  The key counts pin
-    # what a re-expansion makes, every successor of the state under its
-    # narrowed mask, most of them keyed before.  From one start, every path
-    # to a state has one length, and no scoped start re-expands.  Since a
-    # live word cancels only the pairs of its viable matchings, few such
-    # pairs of starts re-expand either: none of the scoped starts of seeds
-    # 5 (300) and 6 (600), and of 600 starts each, 2 of seed 7, 1 of seeds
-    # 8, 9, 10 and 12 and none of seed 11 (while a live word made every
-    # cancel, the pins were three seed-5 starts, keyed 4783/1710,
-    # 5383/1957 and 8378/2127; before parses that do not place blocks first
-    # stopped postponing placement, three starts, not ordered, keyed
-    # 1592/286, 617/130 and 815/104)
-    wide = engine.parse_expr("c Z^-1 " + text, ())
-    (delta,) = unify(parse_term("Z"), parse_term("c"), EMPTY_BINDING, False)
-    step = CancelStep((), 0, delta)
-    narrow = engine.apply_step(RAW, wide, step)
-    assert engine._ordered_word(wide) and engine._ordered_word(narrow)
-
-    def search():
-        return engine._search(RAW, "parse", wide,
-                              [((step,), narrow), ((), wide)], LIM)
-
-    real_cancels, real_key = engine._cancel_successors, engine._canonical_key
-    expanded, keyed = [], []
-
-    def cancels(s, node):
-        expanded.append(node.key)
-        return real_cancels(s, node)
-
-    def keying(expr, commutative):
-        keyed.append(real_key(expr, commutative))
-        return keyed[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_cancel_successors", cancels)
-        m.setattr(engine, "_canonical_key", keying)
-        pruned = search()
-    assert len(expanded) > len(set(expanded))
-    assert (len(keyed), len(set(keyed))) == keys
-    _agree(pruned, unskipped(search), RAW)
-    assert _readings(pruned) == readings
-
-
-# ---------------------------------------------------------------------------
 # dropped block-free words: the same search with every word kept
 
 
@@ -532,66 +423,21 @@ def test_dropped_words_keep_the_results(english, undropped, drops, sentence):
 
 
 def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
-    rng = random.Random(37)
-    for n in range(500):
-        start = _random_start(rng)
-        try:
-            _same_results(_search(start), undropped(_search, start))
-        except AssertionError as e:
-            raise AssertionError(f"start {n}: {render_expr(start)}") from e
-    assert len(drops) > 100
+    for seed in (37, 29):
+        rng = random.Random(seed)
+        for n in range(500):
+            start = _random_start(rng)
+            try:
+                _same_results(_search(start), undropped(_search, start))
+            except AssertionError as e:
+                raise AssertionError(
+                    f"seed {seed}, start {n}: {render_expr(start)}") from e
+    assert len(drops) > 200
 
 
 # ---------------------------------------------------------------------------
-# ordered cancels: the same search making every first-order cancel left of
-# the cancel that made a state
-
-
-@pytest.fixture
-def orders(monkeypatch):
-    """Collect the nonzero masks of ordered cancels the search computes."""
-    real = engine._ordered_cancels
-    masks = []
-
-    def collecting(*args):
-        mask = real(*args)
-        if mask:
-            masks.append(mask)
-        return mask
-
-    monkeypatch.setattr(engine, "_ordered_cancels", collecting)
-    return masks
-
-
-@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
-def test_ordered_cancels_keep_the_results(english, unordered, orders,
-                                          sentence):
-    words = sentence.split()
-    pruned = parse(english, words, LIM)
-    _same_results(pruned, unordered(parse, english, words, LIM))
-    assert pruned.results
-    assert orders
-
-
-@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
-def test_ordered_cancels_keep_truncation_under_a_result_limit(
-        english, unordered, sentence):
-    # the queue order changes, so the readings found first may too
-    words, lim = sentence.split(), SearchLimits(max_results=2)
-    assert parse(english, words, lim).truncated == \
-        unordered(parse, english, words, lim).truncated
-
-
-def test_ordered_cancels_keep_the_results_of_every_shape_fill(
-        english, unordered, orders, shape_fills):
-    for text in shape_fills:
-        for words, _ in generate(english, parse_term(text), LIM).results:
-            try:
-                _same_results(parse(english, words, LIM),
-                              unordered(parse, english, words, LIM))
-            except AssertionError as e:
-                raise AssertionError(f"{text}: {' '.join(words)}") from e
-    assert orders
+# ordered starts: the search against the reference, and each state key
+# expanded once
 
 
 def _ordered_start(rng):
@@ -618,19 +464,68 @@ def _ordered_start(rng):
     return start
 
 
-def test_ordered_cancels_keep_the_results_of_random_starts(unordered, orders):
-    rng = random.Random(41)
-    found = 0
-    for n in range(500):
-        start = _ordered_start(rng)
-        try:
-            pruned = _search(start)
-            _same_results(pruned, unordered(_search, start))
-            found += bool(pruned.results)
-        except AssertionError as e:
-            raise AssertionError(f"start {n}: {render_expr(start)}") from e
-    assert found > 250
-    assert len(orders) > 500
+def test_ordered_starts_match_the_reference(reference):
+    _check_random_starts(reference, 41, _ordered_start)
+
+
+TWO_STARTS = [
+    "{ g(#x0,b) } { V1^-1 g(b,a) P0[#x0]^-1 } V0^-1 { h(V0) } a",
+    "P0[#x0]^-1 { { f(#x0) } h(V0) } #x0 { V1^-1 #x0 V0^-1 }",
+    # P1 has two arguments, so the words carry no matchings
+    "s g(P1[#x2],a) g(#x0,b) { { P1[#x1]^-1 } { P0[#x0]^-1 } g(#x1,b) } "
+    "V0^-1 #x0 V1^-1",
+]
+
+
+def _two_starts(text):
+    """A search of two ordered starts of different sizes, as homonyms give:
+    the wider one prepends ``c Z^-1`` to ``text``, whose cancel reaches the
+    narrower one a step later, so paths of two lengths meet in one state."""
+    wide = engine.parse_expr("c Z^-1 " + text, ())
+    (delta,) = unify(parse_term("Z"), parse_term("c"), EMPTY_BINDING, False)
+    step = CancelStep((), 0, delta)
+    narrow = engine.apply_step(RAW, wide, step)
+    assert engine._ordered_word(wide) and engine._ordered_word(narrow)
+    return functools.partial(engine._search, RAW, "parse", wide,
+                             [((step,), narrow), ((), wide)], LIM)
+
+
+@pytest.mark.parametrize("query", TWO_STARTS + QUANTIFIED + RELATIVES + PPS)
+def test_each_state_is_expanded_once(english, reference, monkeypatch, query):
+    # one node per state key asks for successors, and each entering word's
+    # key is checked by its matchings once (the three wide and narrow pairs
+    # of starts expanded a state twice while a state skipped the cancels
+    # that commute back before the cancel that made it)
+    if query in TWO_STARTS:
+        lex, run = RAW, _two_starts(query)
+    else:
+        lex, run = english, functools.partial(parse, english, query.split(),
+                                              LIM)
+    expanded, checked = {}, []
+
+    def expanding(real):
+        def gen(s, node):
+            key = engine._canonical_key(node.expr, False)
+            assert expanded.setdefault(key, node) is node, \
+                render_expr(node.expr)
+            return real(s, node)
+
+        return gen
+
+    def may_match(real):
+        def check(s, word):
+            checked.append(engine._canonical_key(word, False))
+            return real(s, word)
+
+        return check
+
+    with monkeypatch.context() as m:
+        for name in ("_cancel_successors", "_block_successors"):
+            m.setattr(engine, name, expanding(getattr(engine, name)))
+        m.setattr(engine, "_may_match", may_match(engine._may_match))
+        pruned = run()
+    assert expanded and len(checked) == len(set(checked))
+    _agree(pruned, reference(run), lex)
 
 
 def test_an_application_cancel_makes_the_first_order_cancels_left_of_it():
@@ -647,8 +542,8 @@ def test_an_application_cancel_makes_the_first_order_cancels_left_of_it():
 # fails ``engine._ordered_word``.  Cancelling s(Y1) against s(Y1)^-1 joins
 # f(a) and f(a)^-1, which cancel eagerly: made first, that cancel removes
 # f(a)^-1, which the only reading cancels against f(W4) once g(X3) has
-# cancelled g(b)^-1.  So the two cancels do not commute, and skipping the
-# cancel of s(Y1) after the cancel of f(W4) loses the reading.
+# cancelled g(b)^-1.  So a cancel here removes more than its own pair, and
+# the two cancels do not commute.
 EAGER = """
 phon t1 t2 t3 t4 .
 relator f(a) t1^-1 .
@@ -656,20 +551,6 @@ relator s(Y) s(Y)^-1 t2^-1 .
 relator f(a)^-1 g(b)^-1 g(X) t3^-1 .
 relator f(W) t4^-1 .
 """
-
-
-def test_a_lexicon_with_eager_cancels_gets_no_ordered_skip(monkeypatch,
-                                                           orders):
-    # the start is first-order and block-free: with the chart off, the
-    # breadth-first search runs, as it does for every start that fails
-    # ``_ordered_word``
-    _no_chart(monkeypatch)
-    lex, words = parse_grammar(EAGER), "t1 t2 t3 t4".split()
-    assert _readings(parse(lex, words, LIM)) == {"f(a)"}
-    assert not orders
-    monkeypatch.setattr(engine, "_ordered_word", lambda expr: True)
-    assert _readings(parse(lex, words, LIM)) == set()
-    assert orders
 
 
 def test_a_lexicon_with_eager_cancels_gets_no_chart(monkeypatch):
@@ -702,7 +583,7 @@ def test_a_lexicon_with_eager_cancels_gets_no_chart(monkeypatch):
     "P[#x1] f(#x1)^-1",  # a positive application
     "s(Y) tok^-1",  # a negative token
 ])
-def test_words_without_ordered_cancels(text):
+def test_words_that_are_not_ordered(text):
     assert not engine._ordered_word(engine.parse_expr(text, ("tok",)))
 
 
@@ -711,7 +592,7 @@ def test_words_without_ordered_cancels(text):
     "{ ev(N1,#x1,P1[#x1]) P1[#x1]^-1 } #x1 N1^-1 m",
     "tok s(X) X^-1",  # a positive token
 ])
-def test_words_with_ordered_cancels(text):
+def test_ordered_words(text):
     assert engine._ordered_word(engine.parse_expr(text, ("tok",)))
 
 
