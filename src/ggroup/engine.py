@@ -1548,8 +1548,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     path that reaches it.
 
     Block bundles are asked for only from a state that holds a block
-    (``_Node.has_blocks``, which ``_cancel_successors`` reads too); a bundle
-    is told from a cancel by its first step, a ``DissolveStep``.  A goal
+    (``_Node.has_blocks``, which ``_cancel_successors`` reads too).  A goal
     has no successor (a string of tokens, or one ground atom, which has no
     pair and no pending subgoal), so the loop records it and asks no
     generator about it.
@@ -1588,9 +1587,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     state with blocks are checked: checking every block-free word as well
     drops under 1% more states, and costs more time than it saves.
     When blocks come first, a word that passes and whose key is new goes
-    to the joint check, ``_may_match``: a word none of whose
-    matchings can cancel is dead, and its key stays in ``visited``, so an
-    equal word arriving later is dropped without a second check.  The
+    to the joint check, ``_may_match``: a word none of whose matchings can
+    cancel is dead, and its key stays in ``visited``, so an equal word
+    arriving later is dropped without a second check.  The
     joint check is dearer than the pairwise one, and it pays because blocks
     first leave few entering words, most of them dead.  A live word's node
     carries its viable matchings (``_Node.viable``), and its cancels only
