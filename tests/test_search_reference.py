@@ -7,13 +7,15 @@ not place blocks first does, keeps every block-free word and leaves no
 search to the chart (``tests/test_chart.py`` checks the chart against the
 search on its own).  An ordered parse places every block before any cancel.
 Both searches must find the same readings and agree on truncation, and
-every derivation of the pruned search must replay.  Random ordered starts,
-which place blocks first, are checked against the reference too, and the
-search must expand each state key once.  The dropped block-free words that
-cannot reduce to one atom, pairwise or by their matchings, are checked
-against the same search keeping them: the same readings, rendered
-derivations and truncation.  The check by matchings must also keep
-every block-free word of the unpruned search that reaches a reading on its
+every derivation of the pruned search must replay, on the sentences, their
+shuffled words, the strings of every shape fill and random starts, and under
+a result limit.  Random ordered starts, which place blocks first, are
+checked against the reference too, alone and as pairs of starts whose paths
+meet, and the search must expand each state key once.  The dropped
+block-free words that cannot reduce to one atom, pairwise or by their
+matchings, are checked against the same search keeping them: the same
+readings, rendered derivations and truncation.  The check by matchings
+must also keep every block-free word of the unpruned search that reaches a reading on its
 own.  A live word carries its viable matchings down its cancels, and cancels
 only their pairs: the cancels of each reading of the search that carries
 none must form one of the matchings of the word they start from, and each
@@ -157,6 +159,43 @@ def test_parse_readings_match_the_reference(english, reference, sentence):
     assert pruned.results
 
 
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_parse_truncation_under_a_result_limit_matches_the_reference(
+        english, reference, sentence):
+    # the queue order differs, so the readings found first may too: they
+    # must be readings of the sentence
+    words, lim = sentence.split(), SearchLimits(max_results=2)
+    pruned = parse(english, words, lim)
+    ref = reference(parse, english, words, lim)
+    assert pruned.truncated == ref.truncated
+    assert len(pruned.results) == len(ref.results)
+    assert _readings(pruned) <= _readings(parse(english, words, LIM))
+    for _, d in pruned.results:
+        replay(english, d)
+
+
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_shuffled_sentences_match_the_reference(english, reference,
+                                               sentence):
+    # most shuffles read nothing, so the search drops almost every word
+    words = sentence.split()
+    random.Random(sentence).shuffle(words)
+    _agree(parse(english, words, LIM), reference(parse, english, words, LIM),
+           english)
+
+
+def test_every_shape_fill_parses_like_the_reference(english, reference,
+                                                    shape_fills):
+    for text in shape_fills:
+        for words, _ in generate(english, parse_term(text), LIM).results:
+            try:
+                pruned = parse(english, words, LIM)
+                _agree(pruned, reference(parse, english, words, LIM), english)
+            except AssertionError as e:
+                raise AssertionError(f"{text}: {' '.join(words)}") from e
+            assert pruned.results
+
+
 def _form(rng, cat, binders):
     """A random well-typed english.gg form of category ``cat``, with at most
     ``binders[0]`` quantifiers and relative clauses (a one-item budget)."""
@@ -271,6 +310,10 @@ def _check_random_starts(against, seed, make=_random_start):
 
 def test_random_starts_match_the_reference(reference):
     _check_random_starts(reference, 11)
+
+
+def test_random_starts_of_a_second_seed_match_the_reference(reference):
+    _check_random_starts(reference, 29)
 
 
 @pytest.mark.parametrize("text", [
@@ -490,17 +533,9 @@ def _two_starts(text):
                              [((step,), narrow), ((), wide)], LIM)
 
 
-@pytest.mark.parametrize("query", TWO_STARTS + QUANTIFIED + RELATIVES + PPS)
-def test_each_state_is_expanded_once(english, reference, monkeypatch, query):
-    # one node per state key asks for successors, and each entering word's
-    # key is checked by its matchings once (the three wide and narrow pairs
-    # of starts expanded a state twice while a state skipped the cancels
-    # that commute back before the cancel that made it)
-    if query in TWO_STARTS:
-        lex, run = RAW, _two_starts(query)
-    else:
-        lex, run = english, functools.partial(parse, english, query.split(),
-                                              LIM)
+def _expanded_once(monkeypatch, run):
+    """``run()``, checking that one node per state key asks for successors
+    and that each entering word's key is checked by its matchings once."""
     expanded, checked = {}, []
 
     def expanding(real):
@@ -525,7 +560,39 @@ def test_each_state_is_expanded_once(english, reference, monkeypatch, query):
         m.setattr(engine, "_may_match", may_match(engine._may_match))
         pruned = run()
     assert expanded and len(checked) == len(set(checked))
-    _agree(pruned, reference(run), lex)
+    return pruned
+
+
+@pytest.mark.parametrize("query", TWO_STARTS + QUANTIFIED + RELATIVES + PPS)
+def test_each_state_is_expanded_once(english, reference, monkeypatch, query):
+    # the three wide and narrow pairs of starts expanded a state twice
+    # while a state skipped the cancels that commute back before the cancel
+    # that made it
+    if query in TWO_STARTS:
+        lex, run = RAW, _two_starts(query)
+    else:
+        lex, run = english, functools.partial(parse, english, query.split(),
+                                              LIM)
+    _agree(_expanded_once(monkeypatch, run), reference(run), lex)
+
+
+def test_random_pairs_of_starts_match_the_reference(reference, monkeypatch):
+    # the pairs of ``TWO_STARTS`` over random ordered starts: a state that
+    # paths of two lengths reach is expanded once, for the first to arrive.
+    # The chart would decide the block-free starts, so the search does
+    _no_chart(monkeypatch)
+    rng = random.Random(7)
+    found = 0
+    for n in range(200):
+        text = render_expr(_ordered_start(rng))
+        run = _two_starts(text)
+        try:
+            pruned = _expanded_once(monkeypatch, run)
+            _agree(pruned, reference(run), RAW)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {text}") from e
+        found += bool(pruned.results)
+    assert found > 100
 
 
 def test_an_application_cancel_makes_the_first_order_cancels_left_of_it():
