@@ -56,15 +56,12 @@ in the full search when measured against ``max_items`` (see
 ``_expand_successors``).
 
 Cancels are not ordered: the orders of independent cancels meet in states
-with equal keys, and the search expands each key once.  A block-free word
-that enters from a state with blocks is dropped before it is keyed when
-some atom of it has no partner to cancel with at an odd distance, other
-than one positive survivor at an even index (``_may_reduce``).  When
-blocks come first, a word that passes and whose key is new is dropped when
-no non-crossing matching of its atoms can cancel, read first-order
-(``_may_match``, on the chart's ``_matchings``).  A live word carries the
-matchings that can cancel down its cancels, and cancels only pairs that
-one of them holds (``_cancel_successors``).
+with equal keys, and the search expands each key once.  When blocks come
+first, a block-free word that enters from a state with blocks, and whose
+key is new, is dropped when no non-crossing matching of its atoms can
+cancel, read first-order (``_may_match``, on the chart's ``_matchings``).
+A live word carries the matchings that can cancel down its cancels, and
+cancels only pairs that one of them holds (``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -1097,7 +1094,7 @@ def _occurs_rigidly(x: Term, t: Term) -> bool:
 
 def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     """Whether the two atoms, under any substitution the search may still
-    make, can cancel each other (see ``_may_reduce``).
+    make, can cancel each other (``_may_match`` pairs atoms by it).
 
     Signs must be opposite.  A token, or a ground atom facing a ground one,
     never changes, so it needs an equal payload.  Two atoms without an
@@ -1131,34 +1128,6 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
                 return t != app.arg and app.arg in identifiers_in(t)
     return (may_unify(x, y) and not _occurs_rigidly(x, y)
             and not _occurs_rigidly(y, x))
-
-
-def _may_reduce(s: _Search, word: Expr) -> bool:
-    """False when the block-free ``word`` cannot reduce to one atom by
-    cancels: some atom has no partner (``_may_cancel``, kept in the search's
-    memo ``partners``, see ``_partner``) at an odd distance, other than one
-    positive atom at an even index.
-
-    Cancelling contiguous pairs matches the atoms without crossing, so the
-    atoms between two partners cancel among themselves, an even number, and
-    so do those left of the atom that survives."""
-    n = len(word)
-    paired = [False] * n
-    lone = False
-    for i, a in enumerate(word):
-        if paired[i]:
-            continue
-        for j in range(1 - i % 2, n, 2):
-            b = word[j]
-            if b.sign != a.sign and (_partner(s, b, a) if j < i
-                                     else _partner(s, a, b)):
-                paired[j] = True
-                break
-        else:
-            if lone or i % 2 or a.sign != 1:
-                return False
-            lone = True
-    return True
 
 
 def _partner(s: _Search, a: Atom, b: Atom) -> bool:
@@ -1572,36 +1541,22 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     non-commutative parse gets every bundle of a state with a block beside
     its cancels, the placement of the full search, which needs no argument.
 
-    A block-free word that a state with blocks reaches, by a bundle or by a
-    cancel that empties a nested block, is dropped before it is keyed when
-    it cannot reduce to one atom (``_may_reduce``).  Such a word only
-    cancels from then on: a cancel removes two atoms whose in-between atoms
-    have cancelled among themselves, an even number, and the survivor has
-    an even number of atoms to its left, which cancel among themselves.  So
-    every atom needs a partner at an odd distance, an atom of opposite sign
-    that may still cancel with it (``_may_cancel``), except one positive
-    atom at an even index.  The partner relation judges a pair with an
-    application on either side by rigid skeletons and a rigid occurs check,
-    never by ``unify``, which fails on a pair that a later binding of the
-    application's abstraction lets cancel.  Only the words entering from a
-    state with blocks are checked: checking every block-free word as well
-    drops under 1% more states, and costs more time than it saves.
-    When blocks come first, a word that passes and whose key is new goes
-    to the joint check, ``_may_match``: a word none of whose matchings can
-    cancel is dead, and its key stays in ``visited``, so an equal word
-    arriving later is dropped without a second check.  The
-    joint check is dearer than the pairwise one, and it pays because blocks
-    first leave few entering words, most of them dead.  A live word's node
-    carries its viable matchings (``_Node.viable``), and its cancels only
-    the pairs they hold: each child carries the matchings that hold its
-    pair (``_carried``), and a state keeps what the first path to reach it
-    carried.  ``_may_match`` argues that every path's list holds the
-    matching of every derivation of a reading from the state.
-    A dropped word never reaches a reading, nor does any state it would
-    reach, and states with equal keys reach the same readings, so no
-    reading or derivation of a live state changes, and live states keep
-    their queue order.  The checks come after the limits, so ``truncated``
-    does not change either.
+    When blocks come first, a block-free word that a bundle makes, and
+    whose key is new, is judged by its matchings (``_may_match``): a word
+    none of whose matchings can cancel is dead, and its key stays in
+    ``visited``, so an equal word arriving later is dropped without a
+    second check.  The check pays because blocks first leave few entering
+    words, most of them dead.  No other search drops a word.  A live word's
+    node carries its viable matchings (``_Node.viable``), and its cancels
+    only the pairs they hold: each child carries the matchings that hold
+    its pair (``_carried``), and a state keeps what the first path to reach
+    it carried.  ``_may_match`` argues that every path's list holds the
+    matching of every derivation of a reading from the state.  A dropped
+    word never reaches a reading, nor does any state it would reach, and
+    states with equal keys reach the same readings, so no reading or
+    derivation of a live state changes, and live states keep their queue
+    order.  The check comes after the limits, so ``truncated`` does not
+    change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1633,14 +1588,13 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
         goal, result_key = _single_atom_goal, render_term
     # commutative states hold no blocks
     blocks = None if mode == "saturate" or commutative else _block_successors
-    parsing = mode == "parse" and not commutative
     # generation with local expansions places blocks only where nothing
     # expands (see _expand_successors)
     place_late = mode == "gen" and tables.local_expansions
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), set()
-    ordered = chart = first = parsing
+    ordered = chart = first = mode == "parse" and not commutative
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
         # neither the chart nor placing blocks first knows a size limit: no
@@ -1677,8 +1631,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 succ += gen(s, node)
             if has_blocks and not (place_late and succ):
                 succ += blocks(s, node)
-        # block-free words enter from here, checked once (see the docstring)
-        entering = parsing and has_blocks
         for steps, new in succ:
             # an expansion, or a relator instance with its cancel
             expansions = node.expansions + isinstance(steps[0], ExpandStep)
@@ -1688,16 +1640,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             if _expr_size(new) > lim.max_items:
                 truncated = True
                 continue
-            free = entering and not _has_block(new)
-            if free and not _may_reduce(s, new):
-                continue
             n = len(visited)
             visited.add(_canonical_key(new, commutative))
             if len(visited) == n:
                 continue
             viable = None if node.viable is None \
                 else _carried(node.viable, steps[0])
-            if free and s.blocks_first:
+            # a block-free word enters, judged once (see the docstring)
+            if s.blocks_first and node.has_blocks and not _has_block(new):
                 matchings = _may_match(s, new)
                 if not matchings:
                     continue

@@ -770,28 +770,31 @@ def test_partners_need_opposite_signs_and_equal_tokens():
     assert not partners(a("saw"), Atom(lf("X"), -1))
 
 
+def _matchings(word):
+    """``_may_match`` of ``word`` in a fresh blocks-first parse context."""
+    s = engine._Search(EMPTY_LEX, "parse", blocks_first=True)
+    return engine._may_match(s, word), s
+
+
 def test_partners_memo_holds_both_atoms_in_word_order():
     x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
-    s = _context()
-    assert engine._may_reduce(s, (x, y, z))
-    # z, the survivor, has no partner; x and z, at an even distance, and y,
-    # once x found it, are never asked
+    matchings, s = _matchings((x, y, z))
+    # P's only image, s(A,B), lacks #x1
+    assert matchings == []
+    # z, the survivor, has no partner; x and z, at an even distance, are
+    # never asked
     assert s.partners == {(id(x), id(y)): (x, y, True),
                           (id(y), id(z)): (y, z, False)}
 
 
-def _reducible(text):
-    return engine._may_reduce(_context(), parse_expr(text, ()))
-
-
 @pytest.mark.parametrize("text", [
     "s(j,l)",
-    "s(A,B) P[#x1]^-1 ev(m,#x1,P[#x1])",  # the survivor at index 2
     "f(X) f(a)^-1 g",
     "f(X) g(Y) h(Z) h(b)^-1 g(a)^-1 f(a)^-1 k",
 ])
 def test_words_that_may_reduce_pass(text):
-    assert _reducible(text)
+    matchings, _ = _matchings(parse_expr(text, ()))
+    assert isinstance(matchings, list) and matchings
 
 
 @pytest.mark.parametrize("text", [
@@ -808,9 +811,12 @@ def test_words_that_may_reduce_pass(text):
     "s(A3,B3) sm(N4,#x2,P4[#x2]) P4[#x2]^-1",
     # the application's only partner at an odd distance lacks its identifier
     "sm(N4,#x2,P4[#x2]) P4[#x2]^-1 s",
+    # the survivor at index 2, but its image, ev(m,#x1,s(A,B)), is not
+    # ground
+    "s(A,B) P[#x1]^-1 ev(m,#x1,P[#x1])",
 ])
 def test_words_that_cannot_reduce_fail(text):
-    assert not _reducible(text)
+    assert _matchings(parse_expr(text, ()))[0] == []
 
 
 # ---------------------------------------------------------------------------
