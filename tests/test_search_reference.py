@@ -15,10 +15,11 @@ meet, and the search must expand each state key once.  The dropped
 block-free words, none of whose matchings can cancel, are checked against
 the same search keeping them: the same readings, rendered derivations and
 truncation.  The check must also keep every block-free word of the
-unpruned search that reaches a reading on its own.  A live word carries its viable matchings down its cancels, and cancels
-only their pairs: the cancels of each reading of the search that carries
-none must form one of the matchings of the word they start from, and each
-state must carry exactly those of its path.
+unpruned search that reaches a reading on its own.  A live word carries
+its viable matchings down its cancels, and cancels only their pairs: the
+cancels of each reading of the search that carries none must form one of
+the matchings of the word they start from, and each state must carry
+exactly those of its path.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
