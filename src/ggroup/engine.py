@@ -59,7 +59,9 @@ Cancels are not ordered: the orders of independent cancels meet in states
 with equal keys, and the search expands each key once.  When blocks come
 first, a block-free word that enters from a state with blocks, and whose
 key is new, is dropped when no non-crossing matching of its atoms can
-cancel, read first-order (``_may_match``, on the chart's ``_matchings``).
+cancel, read first-order (``_may_match``).  It and the chart read a word's
+matchings from one place (``_matchings``), which pairs atoms by one
+relation: whether their first-order readings unify (``_may_cancel``).
 A live word carries the matchings that can cancel down its cancels, and
 cancels only pairs that one of them holds (``_cancel_successors``).
 
@@ -103,17 +105,16 @@ each key once, when it adds the key to the set it has seen, and the
 successor generators and ``_apply`` skip the walks over block levels when
 the top level holds no block.
 
-Each search builds one context, ``_Search``: the lexicon, the mode,
+Each search builds one context, ``_Search``: the lexicon,
 ``allow_vacuous``, whether blocks come first, and five memos, alive for
-that search only.  Every
-successor generator takes the context and the node it expands, ``gen(s,
-node) -> list``, and the helpers that judge atom pairs take the context
-too.  The memos hold the unifiers of atom pairs, whether two atoms may still
-cancel (``_partner``), the substitutions the cancels make, the clause
-instances of saturation, and the atoms' first-order readings
-(``_first_order``).  The first is keyed by the pair's identity,
-``(id(a), id(b))``, so each pair of atom objects is unified once.  The
-second is keyed by the pair's identity, in word order.  The third is keyed by
+that search only.  Every successor generator takes the context and the
+node it expands, ``gen(s, node) -> list``, and the helpers that judge atom
+pairs take the context too.  The memos hold the unifiers of atom pairs,
+whether two atoms' first-order readings unify (``_partner``), the
+substitutions the cancels make, the clause instances of saturation, and
+the atoms' first-order readings (``_reading``).  The first is keyed by
+the pair's identity, ``(id(a), id(b))``, so each pair of atom objects is
+unified once.  The second is keyed by the pair's identity, in word order.  The third is keyed by
 identity, ``(id(unifier), id(atom))``, so the same atom object under the
 same unifier object gives one shared result atom in every state that needs
 it, while distinct atoms, even equal ones, never merge: no atom object
@@ -140,13 +141,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import lexicon as lx
 from .term import (
     HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
     Identifier, MetaVar, Term, _bind, _resolve, binding_is_acyclic,
-    canonical_identifiers, identifiers_in, is_ground, may_unify,
+    canonical_identifiers, identifiers_in, is_ground,
     parse_abstraction, parse_term, render_abstraction, render_term,
     substitute, subterms, unify,
 )
@@ -984,12 +985,11 @@ class _Search:
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
     ``substitutions`` and ``instances``, as the module docstring says, and
-    ``first_order``, which maps an atom's id to the atom and its first-order
-    reading (``_first_order``) for ``_may_match``.  A node carries the
-    viable matchings of its own word (``_Node.viable``)."""
+    ``first_order``, which maps an atom's id to its first-order reading and
+    the atom (``_reading``) for ``_matchings``.  A node carries the viable
+    matchings of its own word (``_Node.viable``)."""
 
     lex: lx.Lexicon
-    mode: str  # "gen" | "parse" | "saturate"
     allow_vacuous: bool = False
     blocks_first: bool = False
     unifiers: dict = field(default_factory=dict)
@@ -1076,35 +1076,21 @@ def _pair_unifiers(s: _Search, a: Atom, b: Atom) -> list:
     return found[2]
 
 
-def _occurs_rigidly(x: Term, t: Term) -> bool:
-    """Whether the meta-variable or application ``x`` is a proper subterm of
-    ``t`` on a path of ``Compound`` arguments only.  No substitution can then
-    make the two equal: it maps ``x`` to a proper subterm of its image of
-    ``t``.  An occurrence inside an application's argument does not count,
-    since binding the abstraction may drop it."""
-    if not isinstance(t, Compound):
-        return False
-    if isinstance(x, MetaVar):
-        if x.name not in t.metas:
-            return False
-    elif not isinstance(x, App) or x.abstraction.name not in t.absvars:
-        return False
-    return any(a == x or _occurs_rigidly(x, a) for a in t.args)
-
-
 def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
-    """Whether the two atoms, under any substitution the search may still
-    make, can cancel each other (``_may_match`` pairs atoms by it).
+    """Whether two atoms of a word that ``_matchings`` reads may cancel each
+    other, the relation by which it pairs atoms (through ``_partner``):
+    whether their first-order readings (``_reading``) unify now (``_bind``).
 
-    Signs must be opposite.  A token, or a ground atom facing a ground one,
-    never changes, so it needs an equal payload.  Two atoms without an
-    application need a unifier now (``_pair_unifiers``): a first-order
-    unification failure survives every later substitution.  With an
-    application on either side they are partners unless their rigid
-    skeletons clash (``may_unify``) or one side occurs rigidly inside the
-    other (``_occurs_rigidly``).  ``unify`` does not decide such a pair:
-    ``match_app`` fails on a target that still holds an application, yet
-    binding that application's abstraction later can let the pair cancel.
+    A derivation of a reading from such a word cancels the pairs of one
+    matching, and its unifiers compose to a most general unifier of the
+    matching's equations, read first-order (see ``_may_match`` and
+    ``_chart``).  That unifier unifies each pair's own equation, so a pair
+    whose readings do not unify is in no such matching.  A rigid skeleton
+    clash, or a variable or application that occurs rigidly inside the
+    other side, is a clash or an occurs-check failure of the readings.
+    ``unify`` of the payloads cannot stand in for the readings: ``match_app``
+    fails on a target that still holds an application, yet binding that
+    application's abstraction later can let the pair cancel.
 
     Without vacuous abstraction, an application to an identifier facing a
     ground atom needs the identifier inside that atom, and the atom must not
@@ -1112,22 +1098,13 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     its hole and is not the identity, so every later image of the
     application has both properties, and a ground atom never changes.
     """
-    if a.sign != -b.sign:
-        return False
-    if a._ground and b._ground:
-        return a.payload == b.payload
-    if a._phon or b._phon:
-        return False
     x, y = a.payload, b.payload
-    if not (x.absvars or y.absvars):
-        return bool(_pair_unifiers(s, a, b))
     if not s.allow_vacuous:
         for app, t in ((x, y), (y, x)):
             if t.ground and isinstance(app, App) \
                     and isinstance(app.arg, Identifier):
                 return t != app.arg and app.arg in identifiers_in(t)
-    return (may_unify(x, y) and not _occurs_rigidly(x, y)
-            and not _occurs_rigidly(y, x))
+    return _bind(_reading(s, a)[0], _reading(s, b)[0], {})
 
 
 def _partner(s: _Search, a: Atom, b: Atom) -> bool:
@@ -1160,18 +1137,23 @@ def _first_order(a: Atom) -> tuple:
     return t, apps
 
 
+def _reading(s: _Search, a: Atom) -> tuple:
+    """``(term, apps, a)``: ``_first_order(a)`` and the atom, kept in the
+    search's memo ``first_order`` by the atom's identity."""
+    found = s.first_order.get(id(a))
+    if found is None:
+        found = s.first_order[id(a)] = (*_first_order(a), a)
+    return found
+
+
 def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     """The viable matchings of the block-free ``word``, from a search whose
-    starts meet ``_ordered_word``: each non-crossing matching of its atoms
-    that ``_matchings`` finds, as a frozenset of position pairs ``(i, j)``,
-    whose equations unify, with every application ``P[#x]`` read as a
-    first-order variable (``_first_order``, kept in the search's memo
-    ``first_order``) and the survivor's image ground, where, without
-    vacuous abstraction, each bound application's image holds its
-    identifier and is not that identifier.  ``[]`` says that the word is
-    dead.  A word where an application's argument is no identifier, or one
-    variable has two arguments, gets ``True``: it is kept, and its cancels
-    are not restricted.
+    starts meet ``_ordered_word``: each matching that ``_matchings`` finds,
+    as a frozenset of position pairs ``(i, j)``.  ``[]`` says that the word
+    is dead.  A word that ``_matchings`` does not read first-order, where an
+    application's argument is no identifier or one variable has two
+    arguments, gets ``True``: it is kept, and its cancels are not
+    restricted.
 
     In such a word a derivation of a reading cancels the pairs of one
     matching, each pair its own, and the survivor is a positive atom at an
@@ -1180,15 +1162,16 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     (``match_app``: the abstraction's body, applied to the one argument
     there), and read first-order this is the most general unifier of that
     equation.  So the derivation's unifiers compose to a most general
-    unifier of the matching's equations, and the reading is the survivor's
-    image under it, ground.  An application is bound only by its own
-    negative atom, which meets ``_ordered_word``'s bare shape; ``match_app``
-    makes no identity abstraction and, unless vacuous abstraction is
-    allowed, none that drops the hole, and substitution never removes an
-    identifier.  So the matching of every derivation of a reading from the
-    word is in the list.  The check is necessary, not sufficient: matching
-    an application depends on the order of the cancels, and some orders are
-    deadlocks that the check does not see.
+    unifier of the matching's equations, which unifies each pair's own
+    equation (``_partner`` keeps every pair), and the reading is the
+    survivor's image under it, ground.  An application is bound only by its
+    own negative atom, which meets ``_ordered_word``'s bare shape;
+    ``match_app`` makes no identity abstraction and, unless vacuous
+    abstraction is allowed, none that drops the hole, and substitution never
+    removes an identifier.  So the matching of every derivation of a reading
+    from the word is in the list.  The check is necessary, not sufficient:
+    matching an application depends on the order of the cancels, and some
+    orders are deadlocks that the check does not see.
 
     The search calls this once per state key, when the key is new, and
     carries the list down the word's cancels (see ``_cancel_successors``);
@@ -1202,23 +1185,10 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     first-order, the path's unifiers and the derivation's compose to a most
     general unifier of the joint equations, which is why they unify in the
     entering word when they unify in the state."""
-    memo = s.first_order
-    terms, apps = [], {}
-    for a in word:
-        found = memo.get(id(a))
-        if found is None:
-            found = memo[id(a)] = (a, *_first_order(a))
-        term, own = found[1], found[2]
-        if term is None:
-            return True
-        for p, x in own.items():
-            if apps.setdefault(p, x) != x:
-                return True
-        terms.append(term)
-    return [frozenset(pairs) for _, pairs, bound in _matchings(
-                word, terms, lambda i, j: _partner(s, word[i], word[j]))
-            if s.allow_vacuous or all(_bound_well(MetaVar(p + "[]"), x, bound)
-                                      for p, x in apps.items())]
+    found = _matchings(s, word)
+    if found is None:
+        return True
+    return [frozenset(pairs) for _, pairs, _ in found]
 
 
 def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
@@ -1577,7 +1547,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     """
     tables = _tables(lex)
     commutative = tables.commutative
-    s = _Search(lex, mode, lim.allow_vacuous_abstraction)
+    s = _Search(lex, lim.allow_vacuous_abstraction)
     cancel = _swap_cancel_successors if commutative else _cancel_successors
     if mode == "gen":
         gens = (_expand_successors, cancel) if commutative \
@@ -1722,7 +1692,9 @@ def _chart(s: _Search, starts: Iterable[_Node],
     all the equations, one ground term when it is ground.  So every matching
     whose equations unify is the derivation that cancels its pairs innermost
     first, left to right, and the readings are the ground images of the
-    survivors over those matchings (``_matchings``).
+    survivors over those matchings (``_matchings``).  Such an atom's
+    first-order reading is its term, and two atoms are partners exactly
+    when their terms unify, so ``_matchings`` reads the word as it stands.
 
     The chart keeps one matching per reading, the first it finds, and builds
     the chain that cancels it (``_chain``).  It stops after ``max_results``
@@ -1733,10 +1705,7 @@ def _chart(s: _Search, starts: Iterable[_Node],
     ends: dict = {}
     chains: dict = {}
     for start in starts:
-        terms = [a.payload for a in start.expr]
-        for term, pairs, _ in _matchings(
-                start.expr, terms,
-                lambda i, j: _bind(terms[i], terms[j], {})):
+        for term, pairs, _ in _matchings(s, start.expr):
             key = render_term(canonical_identifiers(term))
             if key not in ends:
                 ends[key] = _chain(s, start, pairs, chains)
@@ -1745,28 +1714,46 @@ def _chart(s: _Search, starts: Iterable[_Node],
     return list(ends.values())
 
 
-def _matchings(word: Expr, terms: list, may_pair):
-    """Triples ``(term, pairs, bound)``, one for each non-crossing matching
-    of the atoms of ``word`` other than one positive survivor at an even
-    index, whose pairs have opposite signs and pass ``may_pair(i, j)``, and
-    whose equations, over the atoms' first-order ``terms``, have a unifier
-    under which the survivor's term is ground: ``term`` is that ground
-    image, ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the
-    order of ``j``, which is innermost first, left to right, and ``bound``
-    the unifier, a triangular binding that holds until the next triple.
+def _matchings(s: _Search, word: Expr) -> Optional[Iterator]:
+    """The matchings that may cancel the block-free ``word`` down to one
+    atom, over the atoms' first-order readings (``_reading``), for
+    ``_may_match`` and ``_chart``; ``None`` when an atom has no reading or
+    one abstraction variable is applied to two identifiers.
+
+    Otherwise an iterator of triples ``(term, pairs, bound)``, one for each
+    non-crossing matching of the atoms other than one positive survivor at
+    an even index, whose pairs have opposite signs and are partners
+    (``_partner``), and whose equations, over the readings, have a unifier
+    under which the survivor's reading is ground and, without vacuous
+    abstraction, each bound application's image holds its identifier and is
+    not that identifier (``_bound_well``): ``term`` is that ground image,
+    ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the order of
+    ``j``, which is innermost first, left to right, and ``bound`` the
+    unifier, a triangular binding that holds until the next triple.
 
     A span's first atom pairs with an atom at an odd distance, and the atoms
     between them and the rest of the span are matched in turn.  ``full``
-    says which spans can be matched at all by pairs that ``may_pair``
-    admits, so no branch stops short of a matching for want of a partner.
-    Each pair's equation extends one triangular binding (``_bind``), undone
-    when the enumeration backtracks, so a pair without a unifier under the
-    pairs before it cuts its branch, and the survivor's image is resolved
-    once per matching (``_resolve``).
+    says which spans can be matched at all by partners, so no branch stops
+    short of a matching for want of a partner.  Each pair's equation extends
+    one triangular binding (``_bind``), undone when the enumeration
+    backtracks, so a pair without a unifier under the pairs before it cuts
+    its branch, and the survivor's image is resolved once per matching
+    (``_resolve``).  The partners only cut branches early: each matching's
+    equations are bound jointly, and ``_bound_well`` reads the joint
+    unifier.
     """
+    terms, apps = [], {}
+    for a in word:
+        term, own, _ = _reading(s, a)
+        if term is None:
+            return None
+        for p, x in own.items():
+            if apps.setdefault(p, x) != x:
+                return None
+        terms.append(term)
     n = len(word)
     if n % 2 == 0:
-        return
+        return iter(())
     signs = [a.sign for a in word]
     # full[a]: the bit mask of the b whose span, atoms a to b - 1, matches
     # without crossing; pairs[a]: of the j that atom a may pair with, inside
@@ -1776,10 +1763,21 @@ def _matchings(word: Expr, terms: list, may_pair):
     for a in range(n - 1, -1, -1):
         inner, mask = full[a + 1], 1 << a
         for j in range(a + 1, n, 2):
-            if inner >> j & 1 and signs[a] != signs[j] and may_pair(a, j):
+            if inner >> j & 1 and signs[a] != signs[j] \
+                    and _partner(s, word[a], word[j]):
                 pairs[a] |= 1 << j
                 mask |= full[j + 1]
         full[a] = mask
+    checks = () if s.allow_vacuous else \
+        [(MetaVar(p + "[]"), x) for p, x in apps.items()]
+    return _survivors(signs, terms, pairs, full, checks)
+
+
+def _survivors(signs, terms, pairs, full, checks):
+    """Enumerate ``_matchings``' triples, one survivor at a time, over the
+    masks ``pairs`` and ``full``; ``checks`` holds the pairs ``(var, x)``
+    that ``_bound_well`` reads."""
+    n = len(terms)
     bound: dict = {}
     matched: list = []
     for k in range(0, n, 2):
@@ -1788,7 +1786,8 @@ def _matchings(word: Expr, terms: list, may_pair):
         for _ in _fill(((k + 1, n), (0, k)), terms, pairs, full, bound,
                        matched):
             term = _resolve(terms[k], bound, {})
-            if term.ground:
+            if term.ground and all(_bound_well(var, x, bound)
+                                   for var, x in checks):
                 yield term, sorted(matched, key=itemgetter(1)), bound
 
 

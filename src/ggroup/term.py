@@ -24,7 +24,7 @@ from typing import ClassVar, Iterator, Mapping, Optional, Union
 __all__ = [
     "Const", "Identifier", "MetaVar", "AbsVar", "Compound", "App", "Term",
     "Abstraction", "Binding", "EMPTY_BINDING",
-    "substitute", "unify", "may_unify", "match_app", "term_size", "is_ground",
+    "substitute", "unify", "match_app", "term_size", "is_ground",
     "app_free", "identifiers_in", "subterms",
     "canonical_identifiers", "binding_is_acyclic", "parse_term", "render_term",
     "parse_abstraction", "render_abstraction", "MAX_TERM_DEPTH",
@@ -394,24 +394,6 @@ def _resolve(t: Term, bound: dict, resolved: dict) -> Term:
         return t
     return Compound(t.functor,
                     tuple([_resolve(a, bound, resolved) for a in t.args]))
-
-
-def may_unify(t1: Term, t2: Term) -> bool:
-    """False only when no substitution can make the terms equal.
-
-    It compares rigid skeletons: meta-variables and App nodes match
-    anything, constants and identifiers must be equal, and compounds need the
-    same functor and arity and arguments that agree pairwise.  Substitution
-    never changes a rigid position, so a ``unify`` that this rejects would
-    find nothing.
-    """
-    if isinstance(t1, (MetaVar, App)) or isinstance(t2, (MetaVar, App)):
-        return True
-    if isinstance(t1, Compound):
-        return (isinstance(t2, Compound) and t1.functor == t2.functor
-                and len(t1.args) == len(t2.args)
-                and all(map(may_unify, t1.args, t2.args)))
-    return t1 == t2
 
 
 def _abstract(t: Term, i: Identifier) -> Abstraction:

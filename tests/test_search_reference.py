@@ -19,7 +19,9 @@ unpruned search that reaches a reading on its own.  A live word carries
 its viable matchings down its cancels, and cancels only their pairs: the
 cancels of each reading of the search that carries none must form one of
 the matchings of the word they start from, and each state must carry
-exactly those of its path.
+exactly those of its path.  The pairing relation only prunes: taking every
+pair of atoms as partners leaves each word's matchings, and the chart's
+readings and derivations, as they are.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -40,7 +42,6 @@ of the string's readings.
 """
 
 import copy
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -83,18 +84,12 @@ def _no_chart(m):
 
 @pytest.fixture
 def reference(monkeypatch):
-    """Call a function with the exhaustive placement in every mode, every
-    cancel at every state, blocks or not, no block-free word dropped and no
-    search decided by the chart: no start counts as ordered."""
-    real = engine._block_successors
-
-    def exhaustive(s, node):
-        # a generation context places every block at every state
-        return real(dataclasses.replace(s, mode="gen"), node)
+    """Call a function with every bundle and every cancel at every state,
+    blocks or not, no block-free word dropped and no search decided by the
+    chart: no start counts as ordered."""
 
     def run(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(engine, "_block_successors", exhaustive)
             m.setattr(engine, "_ordered_word", lambda expr: False)
             _no_drop(m)
             _no_chart(m)
@@ -394,7 +389,7 @@ def test_one_dissolve_step_is_the_three_steps_it_stands_for():
         start = normalize(_random_start(rng))
         try:
             fields = _bundles(start)
-            succ = engine._block_successors(engine._Search(RAW, "gen"),
+            succ = engine._block_successors(engine._Search(RAW),
                                             engine._Node(start, 0, None, ()))
             assert [steps for steps, _ in succ] == \
                 [(DissolveStep(*f),) for f in fields]
@@ -719,8 +714,8 @@ def _reads(s, word, memo):
 def test_the_dead_word_check_keeps_every_word_that_reads(english, reference,
                                                        sentence):
     words = _keyed_words(reference, parse, english, sentence.split(), LIM)
-    s = engine._Search(english, "parse", blocks_first=True)
-    plain, memo, dropped = engine._Search(english, "parse"), {}, 0
+    s = engine._Search(english, blocks_first=True)
+    plain, memo, dropped = engine._Search(english), {}, 0
     for word in words.values():
         assert engine._ordered_word(word)
         kept = engine._may_match(s, word)
@@ -754,7 +749,7 @@ def test_carried_matchings_hold_every_reading(english, undropped, sentence):
     # of each, after its last dissolve, are one of the entering word's
     # matchings, so a search that carries them makes every one
     res = undropped(parse, english, sentence.split(), LIM)
-    s = engine._Search(english, "parse", blocks_first=True)
+    s = engine._Search(english, blocks_first=True)
     for _, d in res.results:
         word, pairs, _ = _entering_word(english, d.start, d.steps)
         assert frozenset(pairs) in engine._may_match(s, word), \
@@ -779,7 +774,7 @@ def test_each_state_carries_the_matchings_of_its_path(english, monkeypatch,
 
     monkeypatch.setattr(engine, "_cancel_successors", recording)
     assert parse(english, sentence.split(), LIM).results
-    s = engine._Search(english, "parse", blocks_first=True)
+    s = engine._Search(english, blocks_first=True)
     for start, steps, viable in carried:
         word, pairs, pos = _entering_word(english, start, steps)
         want = [m for m in engine._may_match(s, word) if m.issuperset(pairs)]
@@ -860,6 +855,43 @@ def test_scoped_starts_match_the_reference(reference, monkeypatch):
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
     assert found > 100
     assert count["fallback"] and count["dead"] > 100
+
+
+def test_partners_only_prune(english, monkeypatch):
+    # each matching's equations are bound jointly and its bound applications
+    # checked on the joint unifier, so the pairs that _partner rejects only
+    # cut branches early: taking every pair as partners changes no word's
+    # matchings and no reading or derivation of the chart
+    words = {}
+    for sentence in QUANTIFIED:
+        words.update(_keyed_words(parse, english, sentence.split(), LIM))
+    samples = [(english, w) for w in random.Random(7).sample(
+        list(words.values()), min(500, len(words)))]
+    real = engine._may_match
+
+    def entering(s, word):
+        samples.append((RAW, word))
+        return real(s, word)
+
+    rng = random.Random(43)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_may_match", entering)
+        for _ in range(50):
+            _search(_scoped_start(rng))
+    from test_chart import FIRST_ORDER_PPS
+    charted = {sentence: parse(english, sentence.split(), LIM)
+               for sentence in FIRST_ORDER_PPS}
+    lexicons = english, RAW
+    live = {lex: engine._Search(lex, blocks_first=True) for lex in lexicons}
+    want = [real(live[lex], word) for lex, word in samples]
+    monkeypatch.setattr(engine, "_partner", lambda s, a, b: True)
+    every = {lex: engine._Search(lex, blocks_first=True) for lex in lexicons}
+    for (lex, word), matchings in zip(samples, want):
+        assert real(every[lex], word) == matchings, render_expr(word)
+    for sentence, res in charted.items():
+        _same_results(parse(english, sentence.split(), LIM), res)
+    assert sum(m is True for m in want) and sum(m == [] for m in want) > 100
+    assert sum(bool(m) and m is not True for m in want) > 100
 
 
 def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(

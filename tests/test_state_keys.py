@@ -438,11 +438,11 @@ def test_no_generator_is_asked_about_a_goal(monkeypatch, name, run):
     # a goal is a string of tokens, or one ground atom: no token expands or
     # cancels, and one atom has no pair and no pending subgoal
     calls = []
+    goal = engine._words if name.startswith("generate") \
+        else engine._single_atom_goal
 
     def wrap(real):
         def guarded(s, node):
-            goal = engine._words if s.mode == "gen" \
-                else engine._single_atom_goal
             assert goal(node.expr) is None, engine.render_expr(node.expr)
             calls.append(node)
             return real(s, node)

@@ -9,7 +9,7 @@ from ggroup.term import (
     MAX_TERM_DEPTH, Abstraction, AbsVar, App, Binding, Compound, Const,
     EMPTY_BINDING, HOLE, Identifier, MetaVar, app_free,
     binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
-    match_app, may_unify, parse_abstraction, parse_term,
+    match_app, parse_abstraction, parse_term,
     render_abstraction, render_term, substitute, subterms, term_size, unify,
 )
 
@@ -411,36 +411,3 @@ def test_substitute_keeps_terms_the_binding_does_not_touch():
             assert substitute(lf, touched) is lf
         else:
             assert substitute(lf, touched) != lf
-
-
-# ---------------------------------------------------------------------------
-# the rigid-skeleton pre-check of unification
-
-
-@pytest.mark.parametrize("a, b, meet", [
-    ("s(j,l)", "s(j,l)", True),
-    ("s(A,l)", "s(j,B)", True),
-    ("A", "s(j,l)", True),
-    ("P[#x]", "s(j,l)", True),  # App nodes match anything
-    ("s(P[A],l)", "s(j,l)", True),
-    ("s(A,A)", "s(j,l)", True),  # no binding is tracked: a superset of unify
-    ("s(j,l)", "s(j,m)", False),
-    ("s(j,l)", "i(j,l)", False),
-    ("s(j)", "s(j,l)", False),
-    ("#x", "#y", False),
-    ("#x", "x", False),  # an identifier is not a constant
-    ("s(f(j),B)", "s(f(l),B)", False),
-])
-def test_may_unify_compares_rigid_skeletons(a, b, meet):
-    assert may_unify(t(a), t(b)) is meet
-    assert may_unify(t(b), t(a)) is meet
-
-
-def test_may_unify_accepts_every_pair_that_unifies():
-    rejected = 0
-    for a in RANDOM_TERMS[:100]:
-        for b in RANDOM_TERMS[100:200]:
-            if not may_unify(a, b):
-                rejected += 1
-                assert unify(a, b) == [] and unify(a, b, allow_vacuous=True) == []
-    assert rejected
