@@ -1097,6 +1097,9 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     be the identifier itself.  Every abstraction ``match_app`` makes uses
     its hole and is not the identity, so every later image of the
     application has both properties, and a ground atom never changes.
+
+    A pair in which either atom has no reading, which ``_matchings`` never
+    asks about, is kept.
     """
     x, y = a.payload, b.payload
     if not s.allow_vacuous:
@@ -1104,7 +1107,8 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
             if t.ground and isinstance(app, App) \
                     and isinstance(app.arg, Identifier):
                 return t != app.arg and app.arg in identifiers_in(t)
-    return _bind(_reading(s, a)[0], _reading(s, b)[0], {})
+    u, v = _reading(s, a)[0], _reading(s, b)[0]
+    return u is None or v is None or _bind(u, v, {})
 
 
 def _partner(s: _Search, a: Atom, b: Atom) -> bool:

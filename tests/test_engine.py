@@ -25,6 +25,7 @@ from ggroup.term import (
     Binding, Const, canonical_identifiers, parse_term, render_term, subterms,
     unify,
 )
+from test_term import RANDOM_TERMS
 
 LIM = SearchLimits()
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
@@ -47,10 +48,11 @@ def _context(lex=EMPTY_LEX):
     return engine._Search(lex)
 
 
-def _successors(gen, expr, lex=EMPTY_LEX):
+def _successors(gen, expr, lex=EMPTY_LEX, blocks_first=False):
     """``gen``'s successors of a state holding ``expr``, in a fresh
     context."""
-    return gen(_context(lex), engine._Node(expr, 0, None, ()))
+    s = engine._Search(lex, blocks_first=blocks_first)
+    return gen(s, engine._Node(expr, 0, None, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,18 @@ def test_block_placement_matches_independent_enumeration(expr):
 def test_nested_blocks_unfold_completely():
     e = (Block((a("b"), Block((a("c"),)))),)
     assert _engine_arrangements(e) == {"b c", "c b"}
+
+
+# parsing places blocks as generation does: a blocks-first parse gets every
+# bundle, also where none makes a cancel possible
+
+
+@pytest.mark.parametrize("text", [
+    "f(a,X) { g } f(a,X)^-1", "g { a b } { b^-1 a^-1 }", "c { a b } d"])
+def test_parsing_gets_every_placement_that_generation_gets(text):
+    expr = parse_expr(text, ())
+    assert _successors(engine._block_successors, expr, blocks_first=True) == \
+        _successors(engine._block_successors, expr)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +699,10 @@ def _may_cancel(left, right):
     # to \#_z.s(#x1,#_z) lets the pair cancel on the way to a reading
     ("P1[#x1]", "sm(w,#x2,P4[#x2])"),
     ("P4[#x2]", "s(A3,B3)"),
+    # an occurrence inside an application's argument does not count:
+    # P := \#_z.c and M := f(c) unify them; P[M] has no first-order reading,
+    # and the relation keeps a pair it cannot read
+    ("M", "f(P[M])"),
     ("f(X)", "f(a)"),
     ("s(j,l)", "s(j,l)"),
 ])
@@ -735,10 +753,68 @@ def test_partners_reject_an_application_whose_identifier_a_ground_atom_lacks(
 @pytest.mark.parametrize("left, right", [
     ("P4[#x2]", "s(j,#x2)"),
     ("P4[#x2]", "f(#x2)"),
+    # the application's argument is a variable: match_app may bind it to
+    # any identifier of the target
+    ("P4[X]", "s"),
 ])
 def test_partners_keep_an_application_a_ground_atom_can_match(left, right):
     assert _may_cancel(left, right)
     assert _may_cancel(right, left)
+
+
+def test_partners_need_opposite_signs_and_equal_tokens():
+    # _matchings asks _partner about atoms of opposite signs only
+    z = Atom(lf("g"))
+    for sign in (1, -1):
+        x, y = Atom(lf("f(X)"), sign), Atom(lf("f(a)"), sign)
+        matchings, s = _matchings((x, y, z))
+        assert matchings == [] and (id(x), id(y)) not in s.partners
+        assert all(p.sign == -q.sign for p, q, _ in s.partners.values())
+    # equal tokens cancel when a word is normalized, unequal ones stay, and
+    # a word that holds a token is not read first-order: it is kept, and no
+    # token is asked as a partner
+    assert normalize((a("saw"), a("saw", -1))) == ()
+    assert len(normalize((a("saw"), a("ran", -1)))) == 2
+    matchings, s = _matchings((a("saw"), Atom(lf("X"), -1), z))
+    assert matchings is True and s.partners == {}
+
+
+# the relation compares the first-order readings: it rejects a rigid
+# skeleton clash, and, unlike a comparison of skeletons alone, a variable
+# bound to two different terms
+
+
+@pytest.mark.parametrize("left, right, meet", [
+    ("s(j,l)", "s(j,l)", True),
+    ("s(A,l)", "s(j,B)", True),
+    ("A", "s(j,l)", True),
+    # #x is not in s(j,l), and no image of P[#x] but a vacuous one meets it
+    ("P[#x]", "s(j,l)", False),
+    # P[A] has no first-order reading: the pair is kept
+    ("s(P[A],l)", "s(j,l)", True),
+    ("s(A,A)", "s(j,l)", False),
+    ("s(j,l)", "s(j,m)", False),
+    ("s(j,l)", "i(j,l)", False),
+    ("s(j)", "s(j,l)", False),
+    ("#x", "#y", False),
+    ("#x", "x", False),  # an identifier is not a constant
+    ("s(f(j),B)", "s(f(l),B)", False),
+])
+def test_partners_compare_first_order_readings(left, right, meet):
+    assert _may_cancel(left, right) is meet
+    assert _may_cancel(right, left) is meet
+
+
+def test_partners_keep_every_pair_that_unifies():
+    rejected = 0
+    for allow_vacuous in (False, True):
+        s = engine._Search(EMPTY_LEX, allow_vacuous=allow_vacuous)
+        for x in RANDOM_TERMS[:100]:
+            for y in RANDOM_TERMS[100:200]:
+                if not engine._may_cancel(s, Atom(x), Atom(y, -1)):
+                    rejected += 1
+                    assert unify(x, y, allow_vacuous=allow_vacuous) == []
+    assert rejected
 
 
 def _matchings(word):
