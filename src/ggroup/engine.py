@@ -57,9 +57,10 @@ in the full search when measured against ``max_items`` (see
 
 Cancels are not ordered: the orders of independent cancels meet in states
 with equal keys, and the search expands each key once.  When blocks come
-first, a block-free word that enters from a state with blocks, and whose
-key is new, is dropped when no non-crossing matching of its atoms can
-cancel, read first-order (``_may_match``).  It and the chart read a word's
+first, each block-free word that a bundle would make is judged before the
+bundle is built, once per search, and dropped, never built or keyed, when
+no non-crossing matching of its atoms can cancel, read first-order
+(``_may_match``, ``_block_successors``).  It and the chart read a word's
 matchings from one place (``_matchings``), which pairs atoms by one
 relation: whether their first-order readings unify (``_may_cancel``).
 A live word carries the matchings that can cancel down its cancels, and
@@ -106,10 +107,11 @@ successor generators and ``_apply`` skip the walks over block levels when
 the top level holds no block.
 
 Each search builds one context, ``_Search``: the lexicon,
-``allow_vacuous``, whether blocks come first, and five memos, alive for
-that search only.  Every successor generator takes the context and the
-node it expands, ``gen(s, node) -> list``, and the helpers that judge atom
-pairs take the context too.  The memos hold the unifiers of atom pairs,
+``allow_vacuous``, whether blocks come first, five memos and the verdicts
+on the block phase's words (``_Search.judged``), alive for that search
+only.  Every successor generator takes the context and the node it
+expands, ``gen(s, node) -> list``, and the helpers that judge atom pairs
+take the context too.  The memos hold the unifiers of atom pairs,
 whether two atoms' first-order readings unify (``_partner``), the
 substitutions the cancels make, the clause instances of saturation, and
 the atoms' first-order readings (``_reading``).  The first is keyed by
@@ -984,10 +986,15 @@ class _Search:
 
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
-    ``substitutions`` and ``instances``, as the module docstring says, and
+    ``substitutions`` and ``instances``, as the module docstring says,
     ``first_order``, which maps an atom's id to its first-order reading and
-    the atom (``_reading``) for ``_matchings``.  A node carries the viable
-    matchings of its own word (``_Node.viable``)."""
+    the atom (``_reading``) for ``_matchings``, and ``judged``, which maps
+    each block-free word that the block phase has judged to what
+    ``_may_match`` said of it, ``()`` for a dead word (see
+    ``_block_successors``).  ``judged`` is keyed by the word's atoms as
+    small numbers, which ``numbers`` gives each atom of the starts by its
+    id (``_number_atoms``).  A node carries the viable matchings of its own
+    word (``_Node.viable``)."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
@@ -997,6 +1004,8 @@ class _Search:
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
     first_order: dict = field(default_factory=dict)
+    judged: dict = field(default_factory=dict)
+    numbers: dict = field(default_factory=dict)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1177,15 +1186,16 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     matching an application depends on the order of the cancels, and some
     orders are deadlocks that the check does not see.
 
-    The search calls this once per state key, when the key is new, and
-    carries the list down the word's cancels (see ``_cancel_successors``);
-    a state keeps the list of the first path that reaches it, and is
-    expanded once.  That loses no reading.  Take a derivation of a reading
-    from a state, and any path that reached the state from its entering
-    word.  The path and the derivation together are a derivation of the
-    reading from that word, so their pairs, the path's cancels added to the
-    derivation's, make a matching in that word's list, and it holds every
-    pair the path cancelled: the list the path carries keeps it.  Read
+    The search calls this once per word, before the word's bundle is built
+    (``_block_successors``), and carries the list down the word's cancels
+    (see ``_cancel_successors``); a state keeps the list of the first path
+    that reaches it, and is expanded once.  That loses no reading.  Take a
+    derivation of a reading from a state, and any path that reached the
+    state from its entering word.  The path and the derivation together are
+    a derivation of the reading from that word, so their pairs, the path's
+    cancels added to the derivation's, make a matching in that word's list,
+    and it holds every pair the path cancelled: the list the path carries
+    keeps it.  Read
     first-order, the path's unifiers and the derivation's compose to a most
     general unifier of the joint equations, which is why they unify in the
     entering word when they unify in the state."""
@@ -1304,21 +1314,85 @@ def _placements(expr: Expr):
 def _block_successors(s: _Search, node: _Node) -> list:
     """Every bundle of the state: each block, at each place it can dissolve
     (``_placements``), in each rotation, as one ``DissolveStep`` that
-    places, rotates and dissolves it in one go.  ``_search`` calls it only
-    on a state that holds a block; generation and parsing get the same
-    bundles.
+    places, rotates and dissolves it in one go, and its state, a pair
+    ``(steps, expr)``.  ``_search`` calls it only on a state that holds a
+    block; generation and parsing get the same bundles.
 
     A block's position only matters at the moment it dissolves, so exploring
     placements as separate states would multiply intermediates without adding
     any reachable arrangement.
+
+    In a blocks-first parse (``_Search.blocks_first``) each bundle is a
+    triple ``(steps, expr, viable)``, and every bundle that makes a
+    block-free word is judged before it is built.  Only a state whose one
+    block holds atoms alone makes such words, as every completion of the
+    state does: with two blocks, or a block inside a block, a block is left.
+    The block is at the top level, so each completion is ``base[:slot] +
+    contents[k:] + contents[:k] + base[slot:]``, where ``base`` is the
+    state without the block.  In an ``_ordered_word`` this is exactly the
+    word that ``_apply`` returns: a dissolve changes no item, and
+    ``normalize`` removes nothing.  Each distinct word is judged once per
+    search, by ``_may_match``, and its verdict kept in the memo ``judged``
+    under the word's atom numbers, sliced from the state's the same way, so
+    a dead word is never built again.  Only live bundles are returned, in
+    ``_placements`` order, each with the ``_Node.viable`` its node takes:
+    ``None`` for a word that ``_may_match`` keeps unjudged, or its viable
+    matchings and the positions of its atoms.  A state with more blocks
+    gets every bundle, each with ``viable`` ``None``.
     """
     expr = node.expr
+    if s.blocks_first:
+        where = [k for k, i in enumerate(expr) if type(i) is Block]
+        if len(where) == 1 and not _has_block(expr[where[0]].contents):
+            return _entering_bundles(s, expr, where[0])
     out = []
     for level, idx, block, tlevel, slot in _placements(expr):
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
             out.append(((step,), _apply(s.lex, expr, step)))
+    if s.blocks_first:
+        return [(steps, new, None) for steps, new in out]
     return out
+
+
+def _entering_bundles(s: _Search, expr: Expr, idx: int) -> list:
+    """The live bundles of a blocks-first state whose one block, at
+    ``idx``, holds atoms alone (see ``_block_successors``)."""
+    contents = expr[idx].contents
+    base = expr[:idx] + expr[idx + 1:]
+    number = s.numbers.__getitem__
+    nbase = tuple(map(number, map(id, base)))
+    ncontents = tuple(map(number, map(id, contents)))
+    rotations = [(k, contents[k:] + contents[:k],
+                  ncontents[k:] + ncontents[:k]) for k in range(len(contents))]
+    pos = tuple(range(len(base) + len(contents)))
+    judged = s.judged
+    out = []
+    for slot in (idx, *range(idx), *range(idx + 1, len(expr))):
+        for k, rot, nrot in rotations:
+            key = nbase[:slot] + nrot + nbase[slot:]
+            matchings = judged.get(key)
+            if matchings is None:
+                matchings = judged[key] = \
+                    _may_match(s, base[:slot] + rot + base[slot:]) or ()
+            if matchings:
+                out.append(((DissolveStep((), idx, (), slot, k),),
+                            base[:slot] + rot + base[slot:],
+                            None if matchings is True else (matchings, pos)))
+    return out
+
+
+def _number_atoms(s: _Search, exprs: Iterable[Expr]) -> None:
+    """Number each atom object of ``exprs``, at every level, in the
+    search's ``numbers``, by its id, from 0 in order of first occurrence.
+    The caller holds ``exprs`` while the search lives, so no numbered id is
+    reused."""
+    numbers = s.numbers
+    for expr in exprs:
+        for _, items in _levels(expr):
+            for a in items:
+                if type(a) is Atom:
+                    numbers.setdefault(id(a), len(numbers))
 
 
 def _swap_cancel_successors(s: _Search, node: _Node) -> list:
@@ -1501,7 +1575,10 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     no successor of a start can outgrow ``max_items`` (a start's
     ``_expr_size`` minus one fits it; every step makes a state smaller).  A
     state with a block then gets every bundle, at every slot and rotation,
-    from ``_block_successors``, and no cancel.  No reading is lost.  In
+    from ``_block_successors``, and no cancel; the search numbers the
+    starts' atoms for it (``_number_atoms``), since the block phase makes
+    no atom.  No bundle there trips a limit: a dissolve makes a state one
+    item smaller, and parsing counts no expansion.  No reading is lost.  In
     such a search a cancel removes its own pair and nothing else, and a
     dissolve changes no item, so a top-level cancel followed by a dissolve
     swaps to the dissolve, at the slot that matches, on the side that keeps
@@ -1515,22 +1592,24 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     non-commutative parse gets every bundle of a state with a block beside
     its cancels, the placement of the full search, which needs no argument.
 
-    When blocks come first, a block-free word that a bundle makes, and
-    whose key is new, is judged by its matchings (``_may_match``): a word
-    none of whose matchings can cancel is dead, and its key stays in
-    ``visited``, so an equal word arriving later is dropped without a
-    second check.  The check pays because blocks first leave few entering
-    words, most of them dead.  No other search drops a word.  A live word's
-    node carries its viable matchings (``_Node.viable``), and its cancels
-    only the pairs they hold: each child carries the matchings that hold
-    its pair (``_carried``), and a state keeps what the first path to reach
-    it carried.  ``_may_match`` argues that every path's list holds the
-    matching of every derivation of a reading from the state.  A dropped
-    word never reaches a reading, nor does any state it would reach, and
-    states with equal keys reach the same readings, so no reading or
-    derivation of a live state changes, and live states keep their queue
-    order.  The check comes after the limits, so ``truncated`` does not
-    change either.
+    When blocks come first, each block-free word that a bundle would make
+    is judged by its matchings (``_may_match``) before the bundle is built,
+    once per search (``_block_successors``): a word none of whose matchings
+    can cancel is dead, and its bundle is never built, keyed, queued or
+    added to ``visited``.  The check pays because blocks first leave few
+    entering words, most of them dead.  No other search drops a word.  A
+    live word's node carries its viable matchings (``_Node.viable``), and
+    its cancels only the pairs they hold: each child carries the matchings
+    that hold its pair (``_carried``), and a state keeps what the first
+    path to reach it carried.  ``_may_match`` argues that every path's list
+    holds the matching of every derivation of a reading from the state.  A
+    dropped word never reaches a reading, nor does any state it would
+    reach, and states with equal keys reach the same readings.  So no
+    reading or derivation of a live state changes, live states keep their
+    queue order, and a state that cancels reach with a dead word's key,
+    which ``visited`` does not hold, reaches no reading either.  No bundle
+    of the block phase trips a limit, so ``truncated`` does not change
+    either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1582,6 +1661,8 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
     s.blocks_first = first and ordered
+    if s.blocks_first:
+        _number_atoms(s, [expr for _, expr in starts or [((), root.expr)]])
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1598,13 +1679,20 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             continue  # a goal has no successor
         has_blocks = blocks is not None and node.has_blocks
         if has_blocks and s.blocks_first:
-            succ = blocks(s, node)
-        else:
-            succ = []
-            for gen in gens:
-                succ += gen(s, node)
-            if has_blocks and not (place_late and succ):
-                succ += blocks(s, node)
+            # no bundle here trips a limit, and each entering word was
+            # judged (see the docstring)
+            for steps, new, viable in blocks(s, node):
+                n = len(visited)
+                visited.add(_canonical_key(new, commutative))
+                if len(visited) > n:
+                    queue.append(_Node(new, node.expansions, node, steps,
+                                       viable))
+            continue
+        succ = []
+        for gen in gens:
+            succ += gen(s, node)
+        if has_blocks and not (place_late and succ):
+            succ += blocks(s, node)
         for steps, new in succ:
             # an expansion, or a relator instance with its cancel
             expansions = node.expansions + isinstance(steps[0], ExpandStep)
@@ -1620,13 +1708,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                 continue
             viable = None if node.viable is None \
                 else _carried(node.viable, steps[0])
-            # a block-free word enters, judged once (see the docstring)
-            if s.blocks_first and node.has_blocks and not _has_block(new):
-                matchings = _may_match(s, new)
-                if not matchings:
-                    continue
-                if matchings is not True:
-                    viable = matchings, tuple(range(len(new)))
             queue.append(_Node(new, expansions, node, steps, viable))
     proved = {root: root.expr}
     proof_instances: dict = {}

@@ -213,3 +213,23 @@ def test_a_start_past_the_size_limit_runs_the_search(english, monkeypatch):
                             SearchLimits(max_items=14))
     assert not charted and cut.truncated and not cut.results
     assert _agree(monkeypatch, english, words, SearchLimits(max_items=15))
+
+
+# f(X,Y)'s Y is held by no negative atom, so no cancel binds it: the
+# matching that survives f(k(c),Y) is no reading, and the chart must not
+# count it against max_results, or it stops before g(k(c))
+POSITIVE_ONLY = """phon a b .
+relator k(c) a^-1 .
+relator X^-1 f(X,Y) b^-1 .
+relator X^-1 g(X) b^-1 .
+"""
+
+
+def test_a_survivor_that_is_not_ground_is_no_reading(monkeypatch):
+    lex = parse_grammar(POSITIVE_ONLY)
+    for lim, truncated in ((SearchLimits(max_results=1), True), (LIM, False)):
+        got, charted = _charted(monkeypatch, parse, lex, ["a", "b"], lim)
+        assert charted
+        assert (_readings(got), got.truncated) == ({"g(k(c))"}, truncated)
+        _replays(lex, got)
+    assert _agree(monkeypatch, lex, ["a", "b"])

@@ -50,8 +50,11 @@ def _context(lex=EMPTY_LEX):
 
 def _successors(gen, expr, lex=EMPTY_LEX, blocks_first=False):
     """``gen``'s successors of a state holding ``expr``, in a fresh
-    context."""
+    context; a blocks-first one numbers the atoms of ``expr``, as a search
+    numbers its starts'."""
     s = engine._Search(lex, blocks_first=blocks_first)
+    if blocks_first:
+        engine._number_atoms(s, [expr])
     return gen(s, engine._Node(expr, 0, None, ()))
 
 
@@ -280,16 +283,29 @@ def test_nested_blocks_unfold_completely():
     assert _engine_arrangements(e) == {"b c", "c b"}
 
 
-# parsing places blocks as generation does: a blocks-first parse gets every
-# bundle, also where none makes a cancel possible
+# parsing places blocks as generation does, but a blocks-first parse judges
+# each block-free word before it builds its bundle: it gets, in order, the
+# bundles of every placement whose word _may_match keeps, each with the
+# viable matchings its node takes
 
 
 @pytest.mark.parametrize("text", [
     "f(a,X) { g } f(a,X)^-1", "g { a b } { b^-1 a^-1 }", "c { a b } d"])
 def test_parsing_gets_every_placement_that_generation_gets(text):
     expr = parse_expr(text, ())
+    s = engine._Search(EMPTY_LEX, blocks_first=True)
+    want = []
+    for steps, new in _successors(engine._block_successors, expr):
+        viable = None
+        if not engine._has_block(new):
+            matchings = engine._may_match(s, new)
+            if not matchings:
+                continue
+            if matchings is not True:
+                viable = matchings, tuple(range(len(new)))
+        want.append((steps, new, viable))
     assert _successors(engine._block_successors, expr, blocks_first=True) == \
-        _successors(engine._block_successors, expr)
+        want
 
 
 # ---------------------------------------------------------------------------

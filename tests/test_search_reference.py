@@ -15,7 +15,9 @@ meet, and the search must expand each state key once.  The dropped
 block-free words, none of whose matchings can cancel, are checked against
 the same search keeping them: the same readings, rendered derivations and
 truncation.  The check must also keep every block-free word of the
-unpruned search that reaches a reading on its own.  A live word carries
+unpruned search that reaches a reading on its own.  The block phase judges
+each entering word before it builds the bundle: a state's bundles must be
+those of the plain search whose words the check keeps, in order.  A live word carries
 its viable matchings down its cancels, and cancels only their pairs: the
 cancels of each reading of the search that carries none must form one of
 the matchings of the word they start from, and each state must carry
@@ -474,6 +476,59 @@ def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
     assert len(drops) > 10000  # 20,819
 
 
+def _live_bundles(s, expr):
+    """The bundles of a blocks-first state, built as a plain search builds
+    them (``engine._apply`` at each placement and rotation), that
+    ``engine._may_match`` keeps, each with the viable matchings of its
+    block-free word."""
+    out = []
+    for level, idx, block, tlevel, slot in engine._placements(expr):
+        for k in range(len(block.contents)):
+            step = DissolveStep(level, idx, tlevel, slot, k)
+            word = engine._apply(s.lex, expr, step)
+            viable = None
+            if not engine._has_block(word):
+                matchings = engine._may_match(s, word)
+                if not matchings:
+                    continue
+                if matchings is not True:
+                    viable = matchings, tuple(range(len(word)))
+            out.append(((step,), word, viable))
+    return out
+
+
+def test_entering_words_are_judged_before_they_are_built(english,
+                                                         monkeypatch):
+    # each state with one block of atoms alone, the only states that make
+    # block-free words, gets the live bundles of the plain search, in
+    # order, with the same atom objects and matchings
+    real, states = engine._block_successors, []
+
+    def checked(s, node):
+        out = real(s, node)
+        expr = node.expr
+        blocks = [i for i in expr if isinstance(i, Block)]
+        assert s.blocks_first
+        if len(blocks) == 1 and not engine._has_block(blocks[0].contents):
+            want = _live_bundles(s, expr)
+            assert out == want, render_expr(expr)
+            assert [[id(a) for a in new] for _, new, _ in out] == \
+                [[id(a) for a in new] for _, new, _ in want]
+            states.append(len(want))
+        return out
+
+    monkeypatch.setattr(engine, "_block_successors", checked)
+    for sentence in QUANTIFIED + RELATIVES + PPS:
+        assert parse(english, sentence.split(), LIM).results
+    rng = random.Random(5)
+    for _ in range(60):
+        _search(_scoped_start(rng))
+    # 4,026 such states, 1,696 of them without a live bundle; 11,949
+    # live bundles
+    assert len(states) > 3000 and states.count(0) > 1000
+    assert sum(states) > 10000
+
+
 # ---------------------------------------------------------------------------
 # ordered starts: the search against the reference, and each state key
 # expanded once
@@ -529,9 +584,13 @@ def _two_starts(text):
                              [((step,), narrow), ((), wide)], LIM)
 
 
-def _expanded_once(monkeypatch, run):
+def _expanded_once(monkeypatch, run, keys_judged_once=False):
     """``run()``, checking that one node per state key asks for successors
-    and that each entering word's key is checked by its matchings once."""
+    and that no entering word, by its atom objects, is judged by its
+    matchings twice; with ``keys_judged_once``, that no entering word's key
+    is.  The block phase judges a word before it is keyed, so on starts
+    that hold equal atoms as distinct objects, equal-key words made of
+    distinct atoms are judged once each."""
     expanded, checked = {}, []
 
     def expanding(real):
@@ -545,7 +604,8 @@ def _expanded_once(monkeypatch, run):
 
     def may_match(real):
         def check(s, word):
-            checked.append(engine._canonical_key(word, False))
+            checked.append((tuple(map(id, word)),
+                            engine._canonical_key(word, False)))
             return real(s, word)
 
         return check
@@ -555,7 +615,11 @@ def _expanded_once(monkeypatch, run):
             m.setattr(engine, name, expanding(getattr(engine, name)))
         m.setattr(engine, "_may_match", may_match(engine._may_match))
         pruned = run()
-    assert expanded and len(checked) == len(set(checked))
+    words = [ids for ids, _ in checked]
+    assert expanded and len(words) == len(set(words))
+    if keys_judged_once:
+        keys = [key for _, key in checked]
+        assert len(keys) == len(set(keys))
     return pruned
 
 
@@ -563,13 +627,17 @@ def _expanded_once(monkeypatch, run):
 def test_each_state_is_expanded_once(english, reference, monkeypatch, query):
     # the three wide and narrow pairs of starts expanded a state twice
     # while a state skipped the cancels that commute back before the cancel
-    # that made it
+    # that made it.  Two of them hold distinct atoms that are equal, or
+    # equal up to renaming (the two #x0; V1^-1 and the wide start's Z^-1,
+    # each the one occurrence of its variable), so equal-key words of
+    # distinct atoms are judged once each; the sentences judge no key twice
     if query in TWO_STARTS:
         lex, run = RAW, _two_starts(query)
     else:
         lex, run = english, functools.partial(parse, english, query.split(),
                                               LIM)
-    _agree(_expanded_once(monkeypatch, run), reference(run), lex)
+    once = _expanded_once(monkeypatch, run, keys_judged_once=lex is english)
+    _agree(once, reference(run), lex)
 
 
 def test_random_pairs_of_starts_match_the_reference(reference, monkeypatch):
