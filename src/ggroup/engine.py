@@ -93,10 +93,11 @@ Expressions, like terms, are immutable, and steps that leave an item alone
 keep it as the same object; ``normalize`` returns its argument itself when
 nothing cancels and no block is dropped or rebuilt.  An atom computes its
 class when it is built (whether it is a surface token, whether it is ground)
-and memoizes its state-key fragment (see ``_canonical_key``), and a lexicon
-memoizes its rule tables (see ``_tables``).  These memo fields are outside
-equality and hashing, and a copy or a pickle is rebuilt from the other
-fields, which computes the class again.
+and memoizes what depends on it alone, its state-key fragment (see
+``_canonical_key``) and its first-order reading (``_reading``), and a
+lexicon memoizes its rule tables (see ``_tables``).  These memo fields are
+outside equality and hashing, and a copy or a pickle is rebuilt from the
+other fields, which computes the class again.
 
 Most parse states have no blocks, and those cost the least.  A block-free
 state in non-commutative mode gets a flat key, its atoms' fragments and the
@@ -107,29 +108,32 @@ successor generators and ``_apply`` skip the walks over block levels when
 the top level holds no block.
 
 Each search builds one context, ``_Search``: the lexicon,
-``allow_vacuous``, whether blocks come first, five memos and the verdicts
-on the block phase's words (``_Search.judged``), alive for that search
-only.  Every successor generator takes the context and the node it
-expands, ``gen(s, node) -> list``, and the helpers that judge atom pairs
-take the context too.  The memos hold the unifiers of atom pairs,
-whether two atoms' first-order readings unify (``_partner``), the
+``allow_vacuous``, whether blocks come first, and the memos whose entries
+depend on the search, alive for that search only.  Every successor
+generator takes the context and the node it expands and returns pairs
+``(steps, expr)``, ``gen(s, node) -> list``, and the helpers that judge
+atom pairs take the context too.  The memos hold the unifiers of atom
+pairs, whether two atoms' first-order readings unify (``_partner``), the
 substitutions the cancels make, the clause instances of saturation, and
-the atoms' first-order readings (``_reading``).  The first is keyed by
-the pair's identity, ``(id(a), id(b))``, so each pair of atom objects is
-unified once.  The second is keyed by the pair's identity, in word order.  The third is keyed by
-identity, ``(id(unifier), id(atom))``, so the same atom object under the
-same unifier object gives one shared result atom in every state that needs
-it, while distinct atoms, even equal ones, never merge: no atom object
-occurs twice in one state.  Each identity-keyed entry holds the objects whose
-ids it uses, so no id is reused while the memo lives.  The fourth holds one
+the block phase's verdicts on its block-free words (``judged``).  The
+first is keyed by the pair's identity, ``(id(a), id(b))``, so each pair of
+atom objects is unified once.  The second is keyed by the pair's
+identity, in word order.  The third is keyed by identity,
+``(id(unifier), id(atom))``, so the same atom object under the same
+unifier object gives one shared result atom in every state that needs it,
+while distinct atoms, even equal ones, never merge: no atom object occurs
+twice in one state.  Each entry of these three holds the objects whose ids
+it uses, so no id is reused while the memo lives.  The fourth holds one
 dict per search depth, which keeps each clause's instance and expansion
 steps (``_clause_step``), so every state at one depth shares each
 clause's instance, and its atoms compute their class and key fragment once;
-a fact's instance is built once for every depth.  The fifth is keyed by the
-atom's identity and holds the atom.  The context holds no node, so a search
-leaves no reference cycle.  A node of a blocks-first parse carries the
-viable matchings of its block-free word down its cancels
-(``_Node.viable``): sets of position pairs, which hold no atom and no id.
+a fact's instance is built once for every depth.  The fifth is keyed by
+the word's atom ids and holds no atom: the block phase makes no atom, so
+the starts, which the search holds while it lives, hold every atom it
+keys.  The context holds no node, so a search leaves no reference cycle.
+A node of a blocks-first parse carries the viable matchings of its
+block-free word down its cancels (``_Node.viable``): sets of position
+pairs, which hold no atom and no id.
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -184,9 +188,10 @@ class Atom:
     _phon: bool = field(init=False, repr=False, compare=False)
     _ground: bool = field(init=False, repr=False, compare=False)
     # state-key fragment and its variable names, set on first use by
-    # _atom_key
+    # _atom_key, and its first-order reading, set on first use by _reading
     _key: tuple = field(init=False, repr=False, compare=False)
     _vars: tuple = field(init=False, repr=False, compare=False)
+    _reading: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phon = isinstance(self.payload, str)
@@ -953,23 +958,24 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 class _Node:
     """A search state.  ``has_blocks`` says whether a top-level item is a
-    block, scanned once, when the node is built.  ``viable`` is ``None``,
-    or, for a live block-free word of a blocks-first parse and the states
-    its cancels reach, ``(matchings, pos)``: the matchings of the word that
-    entered (``_may_match``) that hold every pair cancelled since, and
-    ``pos``, the word's position of each of the node's atoms (see
-    ``_cancel_successors``)."""
+    block, scanned once, when the node is built.  ``viable`` is ``None``
+    until ``_cancel_successors`` expands the node and sets it.  For a live
+    block-free word that a bundle of a blocks-first parse entered, and the
+    states its cancels reach, it is then ``(matchings, pos)``: the
+    matchings of the word that entered (``_may_match``) that hold every
+    pair cancelled since, and ``pos``, the word's position of each of the
+    node's atoms."""
 
     __slots__ = ("expr", "expansions", "parent", "steps", "has_blocks",
                  "viable")
 
-    def __init__(self, expr, expansions, parent, steps, viable=None):
+    def __init__(self, expr, expansions, parent, steps):
         self.expr = expr
         self.expansions = expansions
         self.parent = parent
         self.steps = steps
         self.has_blocks = _has_block(expr)
-        self.viable = viable
+        self.viable = None
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -986,15 +992,11 @@ class _Search:
 
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
-    ``substitutions`` and ``instances``, as the module docstring says,
-    ``first_order``, which maps an atom's id to its first-order reading and
-    the atom (``_reading``) for ``_matchings``, and ``judged``, which maps
-    each block-free word that the block phase has judged to what
-    ``_may_match`` said of it, ``()`` for a dead word (see
-    ``_block_successors``).  ``judged`` is keyed by the word's atoms as
-    small numbers, which ``numbers`` gives each atom of the starts by its
-    id (``_number_atoms``).  A node carries the viable matchings of its own
-    word (``_Node.viable``)."""
+    ``substitutions``, ``instances`` and ``judged``, as the module
+    docstring says.  ``judged`` maps each block-free word that the block
+    phase has judged, by its atoms' ids, to what ``_may_match`` said of it,
+    ``()`` for a dead word (see ``_block_successors``); the node of a live
+    word reads the verdict from there (``_cancel_successors``)."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
@@ -1003,9 +1005,7 @@ class _Search:
     partners: dict = field(default_factory=dict)
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
-    first_order: dict = field(default_factory=dict)
     judged: dict = field(default_factory=dict)
-    numbers: dict = field(default_factory=dict)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1116,7 +1116,7 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
             if t.ground and isinstance(app, App) \
                     and isinstance(app.arg, Identifier):
                 return t != app.arg and app.arg in identifiers_in(t)
-    u, v = _reading(s, a)[0], _reading(s, b)[0]
+    u, v = _reading(a)[0], _reading(b)[0]
     return u is None or v is None or _bind(u, v, {})
 
 
@@ -1150,13 +1150,15 @@ def _first_order(a: Atom) -> tuple:
     return t, apps
 
 
-def _reading(s: _Search, a: Atom) -> tuple:
-    """``(term, apps, a)``: ``_first_order(a)`` and the atom, kept in the
-    search's memo ``first_order`` by the atom's identity."""
-    found = s.first_order.get(id(a))
-    if found is None:
-        found = s.first_order[id(a)] = (*_first_order(a), a)
-    return found
+def _reading(a: Atom) -> tuple:
+    """``_first_order(a)``, memoized on the atom (``_reading``), as its
+    state-key fragment is: it depends on the atom alone."""
+    try:
+        return a._reading
+    except AttributeError:
+        found = _first_order(a)
+        object.__setattr__(a, "_reading", found)
+        return found
 
 
 def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
@@ -1216,15 +1218,30 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     """Every explicit cancel of an adjacent pair, at every level.  Inside a
     block the pairs include the wrap pair (last item, first item).
 
-    A node that carries viable matchings (``_Node.viable``), a block-free
-    word of a blocks-first parse, cancels only the pairs ``(pos[i], pos[i +
-    1])`` that some of them holds: any other cancel's pair is in no
+    In a blocks-first parse the node first reads its viable matchings and
+    keeps them (``_Node.viable``).  A word that a bundle entered takes
+    ``_may_match``'s verdict from the memo ``judged`` (see
+    ``_block_successors``) and the positions of all its atoms.  A cancel's
+    child takes the matchings of its parent that hold the cancelled pair,
+    and ``pos`` without the pair's positions (``_carried``): a cancel in
+    such a word removes its own pair and nothing else (``_ordered_word``),
+    and the parent was expanded first.  A start, and a word that
+    ``_may_match`` keeps unjudged, with the states its cancels reach, take
+    none.  A node that has matchings cancels only the pairs ``(pos[i],
+    pos[i + 1])`` that some of them holds: any other cancel's pair is in no
     matching of a reading's derivation (see ``_may_match``), so its state
-    reaches no reading.  ``_search`` gives each child the matchings that
-    hold its pair, and ``pos`` without the pair's positions: a cancel in
-    such a word removes its own pair and nothing else
-    (``_ordered_word``)."""
-    expr, viable = node.expr, node.viable
+    reaches no reading."""
+    expr, viable = node.expr, None
+    if s.blocks_first:
+        step = node.steps[0] if node.steps else None
+        if type(step) is CancelStep:
+            if node.parent.viable is not None:
+                viable = _carried(node.parent.viable, step)
+        elif type(step) is DissolveStep:
+            matchings = s.judged[tuple(map(id, expr))]
+            if matchings is not True:
+                viable = matchings, tuple(range(len(expr)))
+        node.viable = viable
     if viable is not None:
         matchings, pos = viable
         used = set().union(*matchings)
@@ -1322,23 +1339,29 @@ def _block_successors(s: _Search, node: _Node) -> list:
     placements as separate states would multiply intermediates without adding
     any reachable arrangement.
 
-    In a blocks-first parse (``_Search.blocks_first``) each bundle is a
-    triple ``(steps, expr, viable)``, and every bundle that makes a
-    block-free word is judged before it is built.  Only a state whose one
-    block holds atoms alone makes such words, as every completion of the
-    state does: with two blocks, or a block inside a block, a block is left.
-    The block is at the top level, so each completion is ``base[:slot] +
-    contents[k:] + contents[:k] + base[slot:]``, where ``base`` is the
-    state without the block.  In an ``_ordered_word`` this is exactly the
-    word that ``_apply`` returns: a dissolve changes no item, and
-    ``normalize`` removes nothing.  Each distinct word is judged once per
-    search, by ``_may_match``, and its verdict kept in the memo ``judged``
-    under the word's atom numbers, sliced from the state's the same way, so
-    a dead word is never built again.  Only live bundles are returned, in
-    ``_placements`` order, each with the ``_Node.viable`` its node takes:
-    ``None`` for a word that ``_may_match`` keeps unjudged, or its viable
-    matchings and the positions of its atoms.  A state with more blocks
-    gets every bundle, each with ``viable`` ``None``.
+    In a blocks-first parse (``_Search.blocks_first``) every bundle that
+    makes a block-free word is judged before it is built.  Only a state
+    whose one block holds atoms alone makes such words, as every completion
+    of the state does: with two blocks, or a block inside a block, a block
+    is left.  The block is at the top level, so each completion is
+    ``base[:slot] + contents[k:] + contents[:k] + base[slot:]``, where
+    ``base`` is the state without the block.  In an ``_ordered_word`` this
+    is exactly the word that ``_apply`` returns: a dissolve changes no item,
+    and ``normalize`` removes nothing.  Each distinct word is judged once
+    per search, by ``_may_match``, and its verdict kept in the memo
+    ``judged`` under the word's atom ids, sliced from the state's the same
+    way, so a dead word is never built again.  The block phase makes no
+    atom, so the starts hold every atom it keys while the search lives, and
+    no id is reused.  Only live bundles are returned, in ``_placements``
+    order, and the node of each reads its verdict from ``judged`` when it
+    is expanded (``_cancel_successors``).  A state with more blocks gets
+    every bundle.
+
+    The memo knows atoms by identity, so entering words made of distinct
+    but equal atom objects, or of atoms equal up to renaming, are judged
+    once each, though their state keys are equal: the cost of a judgement
+    each, and no verdict changes.  The parses of ``english.gg`` make no two
+    such words, even with a noun repeated.
     """
     expr = node.expr
     if s.blocks_first:
@@ -1350,49 +1373,32 @@ def _block_successors(s: _Search, node: _Node) -> list:
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
             out.append(((step,), _apply(s.lex, expr, step)))
-    if s.blocks_first:
-        return [(steps, new, None) for steps, new in out]
     return out
 
 
 def _entering_bundles(s: _Search, expr: Expr, idx: int) -> list:
     """The live bundles of a blocks-first state whose one block, at
-    ``idx``, holds atoms alone (see ``_block_successors``)."""
+    ``idx``, holds atoms alone, pairs ``(steps, expr)`` (see
+    ``_block_successors``)."""
     contents = expr[idx].contents
     base = expr[:idx] + expr[idx + 1:]
-    number = s.numbers.__getitem__
-    nbase = tuple(map(number, map(id, base)))
-    ncontents = tuple(map(number, map(id, contents)))
+    ids = tuple(map(id, base))
+    icontents = tuple(map(id, contents))
     rotations = [(k, contents[k:] + contents[:k],
-                  ncontents[k:] + ncontents[:k]) for k in range(len(contents))]
-    pos = tuple(range(len(base) + len(contents)))
+                  icontents[k:] + icontents[:k]) for k in range(len(contents))]
     judged = s.judged
     out = []
     for slot in (idx, *range(idx), *range(idx + 1, len(expr))):
-        for k, rot, nrot in rotations:
-            key = nbase[:slot] + nrot + nbase[slot:]
+        for k, rot, irot in rotations:
+            key = ids[:slot] + irot + ids[slot:]
             matchings = judged.get(key)
             if matchings is None:
                 matchings = judged[key] = \
                     _may_match(s, base[:slot] + rot + base[slot:]) or ()
             if matchings:
                 out.append(((DissolveStep((), idx, (), slot, k),),
-                            base[:slot] + rot + base[slot:],
-                            None if matchings is True else (matchings, pos)))
+                            base[:slot] + rot + base[slot:]))
     return out
-
-
-def _number_atoms(s: _Search, exprs: Iterable[Expr]) -> None:
-    """Number each atom object of ``exprs``, at every level, in the
-    search's ``numbers``, by its id, from 0 in order of first occurrence.
-    The caller holds ``exprs`` while the search lives, so no numbered id is
-    reused."""
-    numbers = s.numbers
-    for expr in exprs:
-        for _, items in _levels(expr):
-            for a in items:
-                if type(a) is Atom:
-                    numbers.setdefault(id(a), len(numbers))
 
 
 def _swap_cancel_successors(s: _Search, node: _Node) -> list:
@@ -1536,18 +1542,21 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     The search builds one context, ``_Search``, and the mode fixes, before
     the first state, everything that differs between the modes: the tuple
-    of successor generators, each called as ``gen(s, node)`` and returning
-    pairs ``(steps, expr)``, whether block bundles follow them, the goal and
-    the key that tells results apart.  A successor whose first step is an
-    ``ExpandStep`` (an expansion, or a clause instance with its cancel)
-    counts one expansion against ``max_expansions``.
+    of successor generators, the goal and the key that tells results apart.
+    Every generator, the bundles of ``_block_successors`` included, is
+    called as ``gen(s, node)`` and returns pairs ``(steps, expr)``, and
+    every successor goes through one loop body: the limit checks, the key
+    test and the queue.  A successor whose first step is an ``ExpandStep``
+    (an expansion, or a clause instance with its cancel) counts one
+    expansion against ``max_expansions``.
     Generation expands and places blocks, and its goal is a string of
     positive tokens, one result per string; parsing cancels and places
     blocks, saturation resolves, and the goal of both is one positive ground
     logical atom, one result per rendered term.  In a commutative lexicon
     the cancels are ``_swap_cancel_successors``, and generation makes them
     too.  The generators are looked up when the search starts, never before,
-    so a caller that replaces one on the module reaches every search.
+    and ``_block_successors`` when it is called, so a caller that replaces
+    one on the module reaches every search.
 
     The context's memos live for this search only, and ``replay`` reads
     none.  The deltas of the cancels come from the memo of pair unifiers,
@@ -1564,28 +1573,29 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     there already is dropped, so each key is expanded once, from the first
     path that reaches it.
 
-    Block bundles are asked for only from a state that holds a block
-    (``_Node.has_blocks``, which ``_cancel_successors`` reads too).  A goal
-    has no successor (a string of tokens, or one ground atom, which has no
-    pair and no pending subgoal), so the loop records it and asks no
+    Block bundles are asked for from every state that holds a block, and
+    only from those (``_Node.has_blocks``, which ``_cancel_successors``
+    reads too).  Commutative and saturation states never hold one:
+    ``_instantiate_items`` drops conjugator pairs in a commutative lexicon.
+    A goal has no successor (a string of tokens, or one ground atom, which
+    has no pair and no pending subgoal), so the loop records it and asks no
     generator about it.
 
     A non-commutative parse places every block before any cancel
     (``_Search.blocks_first``) when every start meets ``_ordered_word`` and
     no successor of a start can outgrow ``max_items`` (a start's
     ``_expr_size`` minus one fits it; every step makes a state smaller).  A
-    state with a block then gets every bundle, at every slot and rotation,
-    from ``_block_successors``, and no cancel; the search numbers the
-    starts' atoms for it (``_number_atoms``), since the block phase makes
-    no atom.  No bundle there trips a limit: a dissolve makes a state one
-    item smaller, and parsing counts no expansion.  No reading is lost.  In
-    such a search a cancel removes its own pair and nothing else, and a
-    dissolve changes no item, so a top-level cancel followed by a dissolve
-    swaps to the dissolve, at the slot that matches, on the side that keeps
-    the pair adjacent, followed by the cancel.  A
-    cancel inside a block, the wrap pair included, and one that empties
-    the block, becomes a cancel one level out after the block dissolves in
-    a rotation that keeps the pair together.  So every derivation reorders
+    state with a block then gets its bundles, at every slot and rotation,
+    from ``_block_successors``, and no cancel.  They pass the loop's limit
+    checks and never trip them: a dissolve makes a state one item smaller,
+    and counts no expansion.  No reading is lost.  In such a search a
+    cancel removes its own pair and nothing else, and a dissolve changes no
+    item, so a top-level cancel followed by a dissolve swaps to the
+    dissolve, at the slot that matches, on the side that keeps the pair
+    adjacent, followed by the cancel.  A cancel inside a block, the wrap
+    pair included, and one that empties the block, becomes a cancel one
+    level out after the block dissolves in a rotation that keeps the pair
+    together.  So every derivation reorders
     into one that dissolves every block first, through states of the same
     keys, and ``truncated`` stays: no state outgrows ``max_items``, parsing
     counts no expansion, and the readings are the same.  Every other
@@ -1598,18 +1608,18 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     can cancel is dead, and its bundle is never built, keyed, queued or
     added to ``visited``.  The check pays because blocks first leave few
     entering words, most of them dead.  No other search drops a word.  A
-    live word's node carries its viable matchings (``_Node.viable``), and
-    its cancels only the pairs they hold: each child carries the matchings
-    that hold its pair (``_carried``), and a state keeps what the first
-    path to reach it carried.  ``_may_match`` argues that every path's list
+    live word's node reads its viable matchings from the verdict
+    (``_Node.viable``), and cancels only the pairs they hold: each child
+    reads the matchings of its parent that hold its pair (``_carried``),
+    and a state keeps what the first path to reach it carried (see
+    ``_cancel_successors``).  ``_may_match`` argues that every path's list
     holds the matching of every derivation of a reading from the state.  A
     dropped word never reaches a reading, nor does any state it would
     reach, and states with equal keys reach the same readings.  So no
     reading or derivation of a live state changes, live states keep their
     queue order, and a state that cancels reach with a dead word's key,
     which ``visited`` does not hold, reaches no reading either.  No bundle
-    of the block phase trips a limit, so ``truncated`` does not change
-    either.
+    trips a limit, so ``truncated`` does not change either.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1639,8 +1649,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     else:
         gens = (_saturate_successors,) if mode == "saturate" else (cancel,)
         goal, result_key = _single_atom_goal, render_term
-    # commutative states hold no blocks
-    blocks = None if mode == "saturate" or commutative else _block_successors
     # generation with local expansions places blocks only where nothing
     # expands (see _expand_successors)
     place_late = mode == "gen" and tables.local_expansions
@@ -1661,8 +1669,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
     s.blocks_first = first and ordered
-    if s.blocks_first:
-        _number_atoms(s, [expr for _, expr in starts or [((), root.expr)]])
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1677,22 +1683,14 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
                     truncated = True
                     break
             continue  # a goal has no successor
-        has_blocks = blocks is not None and node.has_blocks
-        if has_blocks and s.blocks_first:
-            # no bundle here trips a limit, and each entering word was
-            # judged (see the docstring)
-            for steps, new, viable in blocks(s, node):
-                n = len(visited)
-                visited.add(_canonical_key(new, commutative))
-                if len(visited) > n:
-                    queue.append(_Node(new, node.expansions, node, steps,
-                                       viable))
-            continue
-        succ = []
-        for gen in gens:
-            succ += gen(s, node)
-        if has_blocks and not (place_late and succ):
-            succ += blocks(s, node)
+        if node.has_blocks and s.blocks_first:
+            succ = _block_successors(s, node)
+        else:
+            succ = []
+            for gen in gens:
+                succ += gen(s, node)
+            if node.has_blocks and not (place_late and succ):
+                succ += _block_successors(s, node)
         for steps, new in succ:
             # an expansion, or a relator instance with its cancel
             expansions = node.expansions + isinstance(steps[0], ExpandStep)
@@ -1706,9 +1704,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
             visited.add(_canonical_key(new, commutative))
             if len(visited) == n:
                 continue
-            viable = None if node.viable is None \
-                else _carried(node.viable, steps[0])
-            queue.append(_Node(new, expansions, node, steps, viable))
+            queue.append(_Node(new, expansions, node, steps))
     proved = {root: root.expr}
     proof_instances: dict = {}
     out = []
@@ -1829,7 +1825,7 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterator]:
     """
     terms, apps = [], {}
     for a in word:
-        term, own, _ = _reading(s, a)
+        term, own = _reading(a)
         if term is None:
             return None
         for p, x in own.items():

@@ -48,14 +48,10 @@ def _context(lex=EMPTY_LEX):
     return engine._Search(lex)
 
 
-def _successors(gen, expr, lex=EMPTY_LEX, blocks_first=False):
+def _successors(gen, expr, lex=EMPTY_LEX):
     """``gen``'s successors of a state holding ``expr``, in a fresh
-    context; a blocks-first one numbers the atoms of ``expr``, as a search
-    numbers its starts'."""
-    s = engine._Search(lex, blocks_first=blocks_first)
-    if blocks_first:
-        engine._number_atoms(s, [expr])
-    return gen(s, engine._Node(expr, 0, None, ()))
+    context."""
+    return gen(engine._Search(lex), engine._Node(expr, 0, None, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +281,27 @@ def test_nested_blocks_unfold_completely():
 
 # parsing places blocks as generation does, but a blocks-first parse judges
 # each block-free word before it builds its bundle: it gets, in order, the
-# bundles of every placement whose word _may_match keeps, each with the
-# viable matchings its node takes
+# bundles of every placement whose word _may_match keeps, and keeps each
+# live word's verdict, which its node reads, under the word's atom ids
 
 
 @pytest.mark.parametrize("text", [
     "f(a,X) { g } f(a,X)^-1", "g { a b } { b^-1 a^-1 }", "c { a b } d"])
 def test_parsing_gets_every_placement_that_generation_gets(text):
     expr = parse_expr(text, ())
-    s = engine._Search(EMPTY_LEX, blocks_first=True)
-    want = []
+    plain = engine._Search(EMPTY_LEX, blocks_first=True)
+    want, verdicts = [], []
     for steps, new in _successors(engine._block_successors, expr):
-        viable = None
         if not engine._has_block(new):
-            matchings = engine._may_match(s, new)
+            matchings = engine._may_match(plain, new)
             if not matchings:
                 continue
-            if matchings is not True:
-                viable = matchings, tuple(range(len(new)))
-        want.append((steps, new, viable))
-    assert _successors(engine._block_successors, expr, blocks_first=True) == \
+            verdicts.append((tuple(map(id, new)), matchings))
+        want.append((steps, new))
+    s = engine._Search(EMPTY_LEX, blocks_first=True)
+    assert engine._block_successors(s, engine._Node(expr, 0, None, ())) == \
         want
+    assert [(key, s.judged[key]) for key, _ in verdicts] == verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +585,8 @@ def test_saturation_builds_each_instance_once_per_depth_and_the_proof_its_own(
 
 
 def test_engine_results_survive_pickle_and_copies(english):
-    """Memo fields (an atom's state key, a term's hash) are left out of
-    copies and pickles, and rebuilt on use."""
+    """Memo fields (an atom's state key and first-order reading, a term's
+    hash) are left out of copies and pickles, and rebuilt on use."""
     family = _family()
     for lex, res in [(english, parse(english, "every man saw some woman".split(), LIM)),
                      (family, saturate(family, LIM))]:
@@ -602,13 +598,16 @@ def test_engine_results_survive_pickle_and_copies(english):
                 assert replay(lex, d) == d.end
     atom = Atom(lf("ev(m,#x1,P[#x1])"))
     engine._canonical_key((atom,), False)
+    engine._reading(atom)
     hash(atom.payload.args[2])
     for again in (copy.copy(atom), copy.deepcopy(atom),
                   pickle.loads(pickle.dumps(atom))):
         assert again == atom and not hasattr(again, "_key")
+        assert not hasattr(again, "_reading")
         assert hash(again.payload) == hash(atom.payload)
         assert engine._canonical_key((again,), False) == \
             engine._canonical_key((atom,), False)
+        assert engine._reading(again) == engine._reading(atom)
 
 
 def test_parse_attachment_ambiguity_is_exactly_two_ways(english):
@@ -1192,6 +1191,22 @@ def test_commutative_cancels_pair_atoms_where_they_stand():
 def _commutative(english):
     return Lexicon(english.phon_vocab,
                    english.relators + (commutator_scheme(),))
+
+
+def test_commutative_and_saturation_states_never_ask_for_bundles(
+        english, monkeypatch):
+    # a commutative lexicon instantiates no conjugator pair as a block, so
+    # no state of these searches holds one, and the loop asks for bundles
+    # only from a state that does
+    def never(s, node):
+        raise AssertionError(f"bundles asked for {render_expr(node.expr)}")
+
+    monkeypatch.setattr(engine, "_block_successors", never)
+    lex = _commutative(english)
+    for sentence in ("saw john louise", "every man ran"):
+        assert parse(lex, sentence.split(), LIM).results
+    assert generate(lex, lf("s(j,l)"), LIM).results
+    assert saturate(_family(), LIM).results
 
 
 def test_saturate_guards_its_input(english):

@@ -480,29 +480,28 @@ def test_dropped_words_keep_the_results_of_random_starts(undropped, drops):
 def _live_bundles(s, expr):
     """The bundles of a blocks-first state, built as a plain search builds
     them (``engine._apply`` at each placement and rotation), that
-    ``engine._may_match`` keeps, each with the viable matchings of its
-    block-free word."""
-    out = []
+    ``engine._may_match`` keeps, and the verdict on each of their
+    block-free words."""
+    out, verdicts = [], []
     for level, idx, block, tlevel, slot in engine._placements(expr):
         for k in range(len(block.contents)):
             step = DissolveStep(level, idx, tlevel, slot, k)
             word = engine._apply(s.lex, expr, step)
-            viable = None
             if not engine._has_block(word):
                 matchings = engine._may_match(s, word)
                 if not matchings:
                     continue
-                if matchings is not True:
-                    viable = matchings, tuple(range(len(word)))
-            out.append(((step,), word, viable))
-    return out
+                verdicts.append(matchings)
+            out.append(((step,), word))
+    return out, verdicts
 
 
 def test_entering_words_are_judged_before_they_are_built(english,
                                                          monkeypatch):
     # each state with one block of atoms alone, the only states that make
     # block-free words, gets the live bundles of the plain search, in
-    # order, with the same atom objects and matchings
+    # order, with the same atom objects, and keeps the verdict on each
+    # word, which the word's node reads, under the word's atom ids
     real, states = engine._block_successors, []
 
     def checked(s, node):
@@ -511,10 +510,12 @@ def test_entering_words_are_judged_before_they_are_built(english,
         blocks = [i for i in expr if isinstance(i, Block)]
         assert s.blocks_first
         if len(blocks) == 1 and not engine._has_block(blocks[0].contents):
-            want = _live_bundles(s, expr)
+            want, verdicts = _live_bundles(s, expr)
             assert out == want, render_expr(expr)
-            assert [[id(a) for a in new] for _, new, _ in out] == \
-                [[id(a) for a in new] for _, new, _ in want]
+            assert [[id(a) for a in new] for _, new in out] == \
+                [[id(a) for a in new] for _, new in want]
+            assert [s.judged[tuple(map(id, new))] for _, new in out] == \
+                verdicts
             states.append(len(want))
         return out
 
@@ -835,11 +836,12 @@ def test_each_state_carries_the_matchings_of_its_path(english, monkeypatch,
     real, carried = engine._cancel_successors, []
 
     def recording(s, node):
+        out = real(s, node)
         root = node
         while root.parent is not None:
             root = root.parent
         carried.append((root.expr, node.derivation_steps(), node.viable))
-        return real(s, node)
+        return out
 
     monkeypatch.setattr(engine, "_cancel_successors", recording)
     assert parse(english, sentence.split(), LIM).results
