@@ -73,9 +73,12 @@ only, and first-order most general unifiers compose in any order, so a
 sequence of cancels succeeds exactly when the equations of its matching,
 non-crossing, unify, and every such matching replays with its pairs
 cancelled innermost first, left to right.  The readings are the ground
-survivors of those matchings: the chart enumerates them over spans, on
-``term``'s triangular binding (``_bind``, ``_resolve``), keeps one matching
-per reading and builds its cancels as a chain of nodes.  The end nodes take
+survivors of those matchings: the chart enumerates them over spans
+(``_matchings``).  Each pair's equation binds its negative atom's own
+variable, once, so the matchings are decided over bitsets of the variables
+and identifiers that each binding reaches, and the chart resolves a
+survivor's term (``_image``) only for a matching that holds.  It keeps one
+matching per reading and builds its cancels as a chain of nodes.  The end nodes take
 the starts' place in the breadth-first loop, which records, cuts and proves
 them like any other, so every search ends in the loop.  Every other search
 explores there from its starts: generation, saturation, commutative
@@ -147,7 +150,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import lexicon as lx
 from .term import (
@@ -1130,24 +1133,26 @@ def _partner(s: _Search, a: Atom, b: Atom) -> bool:
 
 
 def _first_order(a: Atom) -> tuple:
-    """``(term, apps)``: the atom's term with each application ``P[#x]``
-    read as the meta-variable ``P[]``, which no input can name, and ``apps``
-    mapping each abstraction variable to its one argument, an identifier.
-    ``(None, None)`` for a token, or when an application's argument is no
-    identifier, or one variable is applied to two."""
+    """``(term, apps, idents)``: the atom's term with each application
+    ``P[#x]`` read as the meta-variable ``P[]``, which no input can name;
+    ``apps`` mapping each abstraction variable to its one argument, an
+    identifier; and the names of the identifiers in that term, which the
+    bitset kernel reads (``_bit_tables``).  ``(None, None, None)`` for a
+    token, or when an application's argument is no identifier, or one
+    variable is applied to two."""
     if a._phon:
-        return None, None
+        return None, None, None
     t = a.payload
     apps: dict = {}
     for sub in subterms(t) if t.absvars else ():
         if isinstance(sub, App) and (
                 not isinstance(sub.arg, Identifier)
                 or apps.setdefault(sub.abstraction.name, sub.arg) != sub.arg):
-            return None, None
+            return None, None, None
     if apps:
         t = substitute(t, Binding({}, {p: Abstraction(MetaVar(p + "[]"))
                                        for p in apps}))
-    return t, apps
+    return t, apps, tuple(x.name for x in identifiers_in(t))
 
 
 def _reading(a: Atom) -> tuple:
@@ -1188,6 +1193,23 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     matching an application depends on the order of the cancels, and some
     orders are deadlocks that the check does not see.
 
+    Each equation binds one fresh variable.  Read first-order, every
+    negative atom of such a word is a meta-variable that no other negative
+    atom holds (a bare meta-variable, or an application read as ``P[]``),
+    and no positive atom is a variable (``_ordered_word``).  A pair holds
+    one atom of each sign, so its equation binds the negative atom's
+    variable to the positive atom's reading, and no other pair binds that
+    variable.  The matching's unifier is then a function of the matching
+    alone: the equations unify exactly when no variable's binding reaches
+    the variable itself (the occurs check), the survivor's image is ground
+    exactly when every variable it reaches is bound, and an application's
+    image holds its identifier exactly when one of the readings it reaches
+    does.  ``_matchings`` decides all three over bitsets (``_bit_tables``,
+    ``_cover``).  No engine search judges a word of any other shape.  A
+    direct call may (the unit tests pass ``f(a)^-1``), and such a word
+    takes the term-level equations (``_bind``), which on a word of this
+    shape find the same matchings.
+
     The search calls this once per word, before the word's bundle is built
     (``_block_successors``), and carries the list down the word's cancels
     (see ``_cancel_successors``); a state keeps the list of the first path
@@ -1204,7 +1226,7 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     found = _matchings(s, word)
     if found is None:
         return True
-    return [frozenset(pairs) for _, pairs, _ in found]
+    return [frozenset(pairs) for _, pairs in found]
 
 
 def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
@@ -1786,8 +1808,9 @@ def _chart(s: _Search, starts: Iterable[_Node],
     ends: dict = {}
     chains: dict = {}
     for start in starts:
-        for term, pairs, _ in _matchings(s, start.expr):
-            key = render_term(canonical_identifiers(term))
+        word = start.expr
+        for k, pairs in _matchings(s, word):
+            key = render_term(canonical_identifiers(_image(word, k, pairs)))
             if key not in ends:
                 ends[key] = _chain(s, start, pairs, chains)
                 if len(ends) >= max_results:
@@ -1795,46 +1818,54 @@ def _chart(s: _Search, starts: Iterable[_Node],
     return list(ends.values())
 
 
-def _matchings(s: _Search, word: Expr) -> Optional[Iterator]:
+def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     """The matchings that may cancel the block-free ``word`` down to one
     atom, over the atoms' first-order readings (``_reading``), for
     ``_may_match`` and ``_chart``; ``None`` when an atom has no reading or
     one abstraction variable is applied to two identifiers.
 
-    Otherwise an iterator of triples ``(term, pairs, bound)``, one for each
-    non-crossing matching of the atoms other than one positive survivor at
-    an even index, whose pairs have opposite signs and are partners
-    (``_partner``), and whose equations, over the readings, have a unifier
-    under which the survivor's reading is ground and, without vacuous
-    abstraction, each bound application's image holds its identifier and is
-    not that identifier (``_bound_well``): ``term`` is that ground image,
-    ``pairs`` the matching, pairs ``(i, j)`` with ``i < j`` in the order of
-    ``j``, which is innermost first, left to right, and ``bound`` the
-    unifier, a triangular binding that holds until the next triple.
+    Otherwise pairs ``(k, pairs)``, one for each non-crossing matching of
+    the atoms other than one positive survivor at an even index ``k``,
+    whose pairs have opposite signs and are partners (``_partner``), and
+    whose equations, over the readings, have a unifier under which the
+    survivor's reading is ground and, without vacuous abstraction, each
+    bound application's image holds its identifier and is not that
+    identifier (``_bound_well``).  ``pairs`` is the matching, pairs ``(i,
+    j)`` with ``i < j`` in the order of ``j``, which is innermost first,
+    left to right.  They come survivor by survivor, left to right, and for
+    each survivor in the order of the enumeration below.
 
     A span's first atom pairs with an atom at an odd distance, and the atoms
     between them and the rest of the span are matched in turn.  ``full``
     says which spans can be matched at all by partners, so no branch stops
-    short of a matching for want of a partner.  Each pair's equation extends
-    one triangular binding (``_bind``), undone when the enumeration
-    backtracks, so a pair without a unifier under the pairs before it cuts
-    its branch, and the survivor's image is resolved once per matching
-    (``_resolve``).  The partners only cut branches early: each matching's
-    equations are bound jointly, and ``_bound_well`` reads the joint
-    unifier.
+    short of a matching for want of a partner.  The partners only cut
+    branches early: each matching's equations are solved jointly, and the
+    survivor and the applications are checked on the joint unifier.
+
+    The equations are solved one of two ways, which give the same
+    matchings in the same order.  In a word where every negative atom reads
+    as a meta-variable that no other negative atom holds, and no positive
+    atom reads as one, each pair's equation binds the negative atom's own
+    variable, once, to the positive atom's reading, a term that is no
+    variable: the unifier is a function of the matching alone, and the
+    bitset kernel decides each equation by bit operations (``_bit_tables``,
+    ``_bit_survivors``).  Every word of a search whose starts meet
+    ``_ordered_word`` has this shape (see ``_may_match``).  Any other word,
+    which only a direct call makes, extends one triangular binding of the
+    terms per pair (``_bind``, ``_survivors``).
     """
-    terms, apps = [], {}
+    readings, apps = [], {}
     for a in word:
-        term, own = _reading(a)
-        if term is None:
+        reading = _reading(a)
+        if reading[0] is None:
             return None
-        for p, x in own.items():
+        for p, x in reading[1].items():
             if apps.setdefault(p, x) != x:
                 return None
-        terms.append(term)
+        readings.append(reading)
     n = len(word)
     if n % 2 == 0:
-        return iter(())
+        return ()
     signs = [a.sign for a in word]
     # full[a]: the bit mask of the b whose span, atoms a to b - 1, matches
     # without crossing; pairs[a]: of the j that atom a may pair with, inside
@@ -1849,15 +1880,28 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterator]:
                 pairs[a] |= 1 << j
                 mask |= full[j + 1]
         full[a] = mask
+    tables = _bit_tables(readings, signs, {} if s.allow_vacuous else apps)
+    if tables is not None:
+        return _bit_survivors(signs, pairs, full, *tables)
     checks = () if s.allow_vacuous else \
         [(MetaVar(p + "[]"), x) for p, x in apps.items()]
-    return _survivors(signs, terms, pairs, full, checks)
+    return _survivors(signs, [r[0] for r in readings], pairs, full, checks)
+
+
+def _image(word: Expr, k: int, pairs: list) -> Term:
+    """The image of the survivor ``word[k]``'s reading under the unifier of
+    the equations of ``pairs``, a matching that ``_matchings`` found."""
+    terms = [_reading(a)[0] for a in word]
+    bound: dict = {}
+    for i, j in pairs:
+        _bind(terms[i], terms[j], bound)
+    return _resolve(terms[k], bound, {})
 
 
 def _survivors(signs, terms, pairs, full, checks):
-    """Enumerate ``_matchings``' triples, one survivor at a time, over the
-    masks ``pairs`` and ``full``; ``checks`` holds the pairs ``(var, x)``
-    that ``_bound_well`` reads."""
+    """Enumerate ``_matchings``' pairs over the terms, one survivor at a
+    time, over the masks ``pairs`` and ``full``; ``checks`` holds the pairs
+    ``(var, x)`` that ``_bound_well`` reads."""
     n = len(terms)
     bound: dict = {}
     matched: list = []
@@ -1869,12 +1913,12 @@ def _survivors(signs, terms, pairs, full, checks):
             term = _resolve(terms[k], bound, {})
             if term.ground and all(_bound_well(var, x, bound)
                                    for var, x in checks):
-                yield term, sorted(matched, key=itemgetter(1)), bound
+                yield k, sorted(matched, key=itemgetter(1))
 
 
 def _fill(spans, terms, pairs, full, bound: dict, matched: list):
     """Match the spans of the stack ``spans``, the last one first, for
-    ``_matchings``: yield once for each matching, with its pairs appended to
+    ``_survivors``: yield once for each matching, with its pairs appended to
     ``matched`` and its equations bound in ``bound``, and take both back
     before the next.  A module-level generator, unlike a closure that calls
     itself, leaves no reference cycle."""
@@ -1897,6 +1941,137 @@ def _fill(spans, terms, pairs, full, bound: dict, matched: list):
             matched.pop()
         while len(bound) > size:  # _bind only adds variables
             bound.popitem()
+
+
+def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
+    """The bitset kernel's tables of a word whose negative atoms read as
+    distinct meta-variables and whose positive atoms read as no variable
+    (see ``_matchings``); ``None`` for any other word.
+
+    Bit ``i`` stands for the variable of the negative atom ``i``; bit ``n``,
+    ``free``, for every variable that no negative atom holds, which no
+    equation binds; the bits above it for the identifiers.  ``image[j]`` is
+    the mask of the variables and identifiers of positive atom ``j``'s
+    reading, and ``isid[j]`` the bit of the identifier that the reading is,
+    or 0.  ``checks`` holds a pair ``(v, x)`` for each application that a
+    negative atom reads as a variable: its bit and its identifier's, 0 when
+    no reading holds the identifier.  The result is ``(image, isid,
+    checks)``."""
+    n = len(signs)
+    free = 1 << n
+    var: dict = {}
+    for i, reading in enumerate(readings):
+        if signs[i] < 0:
+            term = reading[0]
+            if type(term) is not MetaVar or term.name in var:
+                return None
+            var[term.name] = 1 << i
+    ident: dict = {}
+    image, isid = [0] * n, [0] * n
+    for j, (term, _, names) in enumerate(readings):
+        if signs[j] < 0:
+            continue
+        if type(term) is MetaVar:
+            return None
+        mask = 0
+        for name in term.metas:
+            mask |= var.get(name, free)
+        for name in names:
+            bit = ident.get(name)
+            if bit is None:
+                bit = ident[name] = free << (1 + len(ident))
+            mask |= bit
+        image[j] = mask
+        if type(term) is Identifier:
+            isid[j] = ident[term.name]
+    checks = [(var[p + "[]"], ident.get(x.name, 0)) for p, x in apps.items()
+              if p + "[]" in var]
+    return image, isid, checks
+
+
+def _bit_survivors(signs, pairs, full, image, isid, checks) -> list:
+    """``_survivors`` over the bitset kernel's tables (``_bit_tables``): the
+    same pairs ``(k, pairs)`` in the same order, as a list."""
+    n = len(signs)
+    out: list = []
+    for k in range(0, n, 2):
+        if signs[k] < 0 or not (full[0] >> k & 1 and full[k + 1] >> n & 1):
+            continue
+        spans = tuple((a, b) for a, b in ((k + 1, n), (0, k)) if a < b)
+        _cover(spans, 0,
+               (k, signs, pairs, full, image, isid, checks, {}, {}, [], out))
+    return out
+
+
+def _reach(mask: int, bound: int, closure: dict) -> int:
+    """``mask`` with every variable and identifier that its bound variables
+    reach (see ``_cover``)."""
+    todo = mask & bound
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = closure[low] & ~mask
+        if new:
+            mask |= new
+            todo |= new & bound
+    return mask
+
+
+def _cover(spans: tuple, bound: int, w: tuple) -> None:
+    """Match the spans of the stack ``spans``, the last one first, in
+    ``_fill``'s order, and append to ``out`` each matching that passes the
+    checks, as ``_survivors`` yields it.  ``w`` holds the survivor ``k``,
+    the word's signs, masks and tables (``_bit_tables``), and the state of
+    the enumeration: ``closure``, ``partner``, ``matched`` and ``out``.
+
+    ``bound`` is the mask of the variables that the pairs in ``matched``
+    bind.  Each bound variable ``v`` keeps in ``closure[v]`` what its image
+    reached when it was bound, and in ``partner[v]`` the positive atom it is
+    bound to.  A closure only grows as more variables are bound, so
+    ``_reach`` from it, through the bound variables it holds, finds all that
+    the image reaches now.  A pair's equation fails the occurs check when
+    the positive atom's image reaches the negative atom's variable.  A
+    matching keeps its survivor when the survivor reaches no ``free``
+    variable (its image is ground), and each application when its image is
+    not its identifier and reaches it."""
+    k, signs, pairs, full, image, isid, checks, closure, partner, matched, \
+        out = w
+    if not spans:
+        if _reach(image[k], bound, closure) >> len(signs) & 1:
+            return
+        for v, x in checks:
+            p = partner[v]
+            if isid[p] == x or not _reach(closure[v], bound, closure) & x:
+                return
+        out.append((k, sorted(matched, key=itemgetter(1))))
+        return
+    a, b = spans[-1]
+    rest = spans[:-1]
+    neg = signs[a] < 0
+    js = pairs[a] & ((1 << b) - 1)
+    while js:
+        bit = js & -js
+        js ^= bit
+        j = bit.bit_length() - 1
+        if not full[j + 1] >> b & 1:
+            continue
+        if neg:
+            v, p = 1 << a, j
+        else:
+            v, p = bit, a
+        reach = _reach(image[p], bound, closure)
+        if reach & v:
+            continue
+        closure[v] = reach
+        partner[v] = p
+        matched.append((a, j))
+        more = rest
+        if j + 1 < b:
+            more += ((j + 1, b),)
+        if a + 1 < j:
+            more += ((a + 1, j),)
+        _cover(more, bound | v, w)
+        matched.pop()
 
 
 def _chain(s: _Search, start: _Node, pairs: list, chains: dict) -> _Node:

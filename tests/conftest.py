@@ -17,16 +17,23 @@ def english():
 
 
 @pytest.fixture(scope="session")
-def shape_fills():
-    """Every fill of the roundtrip benchmark's form shapes: each well-typed
-    english.gg sentence shape of at most 8 symbols with at most one binder
-    (``form_shapes`` in ``bench/workloads.py``), with every choice of
-    words for its placeholders."""
+def bench_workloads():
+    """The benchmark's workload definitions, ``bench/workloads.py``."""
     spec = importlib.util.spec_from_file_location(
         "_bench_workloads", GRAMMAR_DIR.parent / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def shape_fills(bench_workloads):
+    """Every fill of the roundtrip benchmark's form shapes: each well-typed
+    english.gg sentence shape of at most 8 symbols with at most one binder
+    (``form_shapes`` in ``bench/workloads.py``), with every choice of
+    words for its placeholders."""
+    workloads = bench_workloads
     words = dict(workloads.LEAVES.values())
     slot = re.compile(r"\b(" + "|".join(words) + r")\b")
     forms = []

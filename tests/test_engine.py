@@ -881,6 +881,78 @@ def test_words_that_cannot_reduce_fail(text):
     assert _matchings(parse_expr(text, ()))[0] == []
 
 
+# the bitset kernel takes a word whose negative atoms read as distinct
+# variables and whose positive atoms read as no variable; each pair's
+# equation binds its negative atom's variable once
+
+
+def _kernel_matchings(text, monkeypatch, vacuous=False):
+    """``_may_match`` of the word ``text``, which the bitset kernel must
+    read, with every pair of opposite signs taken as partners, so that the
+    kernel alone decides which matchings hold."""
+    real, read = engine._bit_survivors, []
+
+    def reading(*args):
+        read.append(args)
+        return real(*args)
+
+    s = engine._Search(EMPTY_LEX, allow_vacuous=vacuous, blocks_first=True)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_bit_survivors", reading)
+        m.setattr(engine, "_partner", lambda s, a, b: True)
+        found = engine._may_match(s, parse_expr(text, ()))
+    assert read, text
+    return found
+
+
+@pytest.mark.parametrize("text, want", [
+    # the same variable in two negative atoms: bound to a, then to b
+    ("a X^-1 b X^-1 s", []),
+    ("a X^-1 a X^-1 s", [{(0, 1), (2, 3)}, {(0, 3), (1, 2)}]),
+    # a bare positive variable: X = X binds nothing, and the pair cancels;
+    # or X^-1 takes s, and the survivor X reads s
+    ("X X^-1 s", [{(1, 2)}, {(0, 1)}]),
+])
+def test_words_outside_the_kernel_take_the_term_equations(text, want,
+                                                          monkeypatch):
+    monkeypatch.setattr(engine, "_bit_survivors", None)
+    matchings, _ = _matchings(parse_expr(text, ()))
+    assert matchings == [frozenset(m) for m in want]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a X^-1 h(X)", [{(0, 1)}]),
+    # Y is held by no negative atom: h(a,Y) is not ground
+    ("a X^-1 h(X,Y)", []),
+    # a two-pair cycle: X = f(Y) and Y = g(X)
+    ("X^-1 f(Y) Y^-1 g(X) s", []),
+    ("X^-1 f(Y) Y^-1 g(a) s", [{(0, 1), (2, 3)}]),
+    # P[#x] bound straight to #x, which only a vacuous abstraction matches
+    ("#x P[#x]^-1 s", []),
+    ("f(#x) P[#x]^-1 s", [{(0, 1)}]),
+    # P's image g(X) reaches #x only through X
+    ("g(X) P[#x]^-1 #x X^-1 s", [{(0, 1), (2, 3)}]),
+    ("g(X) P[#x]^-1 #y X^-1 s", []),
+])
+def test_the_bitset_kernel_checks_each_matching(text, want, monkeypatch):
+    assert _kernel_matchings(text, monkeypatch) == \
+        [frozenset(m) for m in want]
+    # and agrees with the term equations, the partners taken as they come
+    found = _matchings(parse_expr(text, ()))[0]
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_bit_tables", lambda *args: None)
+        assert _matchings(parse_expr(text, ()))[0] == found
+
+
+def test_the_bitset_kernel_checks_no_application_under_vacuous_abstraction(
+        monkeypatch):
+    # without it, no survivor's matching holds: P's image is #x itself or
+    # lacks #x
+    for text in ("#x P[#x]^-1 s", "#y P[#x]^-1 s"):
+        assert _kernel_matchings(text, monkeypatch, vacuous=True) == \
+            [frozenset({(1, 2)}), frozenset({(0, 1)})]
+
+
 # ---------------------------------------------------------------------------
 # public-result recognition
 

@@ -965,6 +965,90 @@ def test_partners_only_prune(english, monkeypatch):
     assert sum(bool(m) and m is not True for m in want) > 100
 
 
+# ---------------------------------------------------------------------------
+# the bitset kernel against the term-level equations: every word a search
+# judges is read both ways
+
+
+LEFT_OUT = ["every man saw some woman in paris",
+            "every man that some woman saw ran"]
+
+
+def _judged_words(run, *args):
+    """The block-free words that ``run(*args)`` judges, with each one's
+    context, in the order it judges them."""
+    real, words = engine._may_match, []
+
+    def collecting(s, word):
+        words.append((s, word))
+        return real(s, word)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_may_match", collecting)
+        run(*args)
+    return words
+
+
+def _both_ways(words):
+    """``engine._matchings`` of each word by the bitset kernel, and by the
+    term-level equations (``_bind``) with the kernel's tables refused; the
+    kernel must take every word that has a first-order reading."""
+    real, refused = engine._bit_tables, []
+
+    def tables(*args):
+        found = real(*args)
+        refused.append(found is None)
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_bit_tables", tables)
+        kernel = [_listed(engine._matchings(s, w)) for s, w in words]
+        assert not any(refused)
+        m.setattr(engine, "_bit_tables", lambda *args: None)
+        terms = [_listed(engine._matchings(s, w)) for s, w in words]
+    return kernel, terms
+
+
+def _listed(found):
+    return None if found is None else list(found)
+
+
+def _parse_scope_sentences(workloads, seeds):
+    return list(dict.fromkeys(q.text for seed in seeds
+                              for q in workloads.parse_scope_cycle(seed)))
+
+
+@pytest.mark.parametrize("source", ["english", "parse-scope", "left-out",
+                                    "random starts"])
+def test_the_bitset_kernel_reads_every_judged_word_as_the_terms_do(
+        english, bench_workloads, source):
+    # equal lists: the same matchings, as sets and in number, in the same
+    # order, each with the same survivor
+    if source == "english":
+        sentences = QUANTIFIED + RELATIVES + PPS
+    elif source == "parse-scope":
+        sentences = _parse_scope_sentences(bench_workloads, range(1, 21))
+    elif source == "left-out":
+        sentences = LEFT_OUT
+    words = []
+    if source == "random starts":
+        for seed in (43, 5):
+            rng = random.Random(seed)
+            for _ in range(100):
+                words += _judged_words(_search, _scoped_start(rng))
+        rng = random.Random(41)
+        for _ in range(200):
+            words += _judged_words(_search, _ordered_start(rng))
+    else:
+        for sentence in sentences:
+            words += _judged_words(parse, english, sentence.split(), LIM)
+    kernel, terms = _both_ways(words)
+    for (s, word), got, want in zip(words, kernel, terms):
+        assert got == want, render_expr(word)
+    live = sum(bool(m) for m in kernel if m is not None)
+    assert live > 100 and len(kernel) - live > 100
+
+
 def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
         english, monkeypatch):
     real = engine._cancel_successors
