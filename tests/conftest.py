@@ -33,11 +33,10 @@ def shape_fills(bench_workloads):
     english.gg sentence shape of at most 8 symbols with at most one binder
     (``form_shapes`` in ``bench/workloads.py``), with every choice of
     words for its placeholders."""
-    workloads = bench_workloads
-    words = dict(workloads.LEAVES.values())
+    words = dict(bench_workloads.LEAVES.values())
     slot = re.compile(r"\b(" + "|".join(words) + r")\b")
     forms = []
-    for shape in workloads.form_shapes():
+    for shape in bench_workloads.form_shapes():
         for choice in itertools.product(*(words[p] for p in slot.findall(shape))):
             fill = iter(choice)
             forms.append(slot.sub(lambda _: next(fill), shape))

@@ -23,7 +23,9 @@ cancels of each reading of the search that carries none must form one of
 the matchings of the word they start from, and each state must carry
 exactly those of its path.  The pairing relation only prunes: taking every
 pair of atoms as partners leaves each word's matchings, and the chart's
-readings and derivations, as they are.
+readings and derivations, as they are.  The bitset kernel that decides the
+matchings' equations must find, on every word that the searches judge, the
+matchings that the term-level equations find, in the same order.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -1018,35 +1020,38 @@ def _parse_scope_sentences(workloads, seeds):
                               for q in workloads.parse_scope_cycle(seed)))
 
 
+def _judged_by(source, english, workloads):
+    """The words that one source's searches judge, with their contexts."""
+    if source != "random starts":
+        sentences = {"english": QUANTIFIED + RELATIVES + PPS,
+                     "parse-scope": _parse_scope_sentences(workloads,
+                                                           range(1, 21)),
+                     "left-out": LEFT_OUT}[source]
+        return [w for sentence in sentences
+                for w in _judged_words(parse, english, sentence.split(), LIM)]
+    words = []
+    for seed in (43, 5):
+        rng = random.Random(seed)
+        for _ in range(100):
+            words += _judged_words(_search, _scoped_start(rng))
+    rng = random.Random(41)
+    for _ in range(200):
+        words += _judged_words(_search, _ordered_start(rng))
+    return words
+
+
 @pytest.mark.parametrize("source", ["english", "parse-scope", "left-out",
                                     "random starts"])
 def test_the_bitset_kernel_reads_every_judged_word_as_the_terms_do(
         english, bench_workloads, source):
     # equal lists: the same matchings, as sets and in number, in the same
     # order, each with the same survivor
-    if source == "english":
-        sentences = QUANTIFIED + RELATIVES + PPS
-    elif source == "parse-scope":
-        sentences = _parse_scope_sentences(bench_workloads, range(1, 21))
-    elif source == "left-out":
-        sentences = LEFT_OUT
-    words = []
-    if source == "random starts":
-        for seed in (43, 5):
-            rng = random.Random(seed)
-            for _ in range(100):
-                words += _judged_words(_search, _scoped_start(rng))
-        rng = random.Random(41)
-        for _ in range(200):
-            words += _judged_words(_search, _ordered_start(rng))
-    else:
-        for sentence in sentences:
-            words += _judged_words(parse, english, sentence.split(), LIM)
+    words = _judged_by(source, english, bench_workloads)
     kernel, terms = _both_ways(words)
     for (s, word), got, want in zip(words, kernel, terms):
         assert got == want, render_expr(word)
-    live = sum(bool(m) for m in kernel if m is not None)
-    assert live > 100 and len(kernel) - live > 100
+    assert sum(bool(m) for m in kernel if m is not None) > 100
+    assert sum(m == [] for m in kernel) > 100
 
 
 def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
