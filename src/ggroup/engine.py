@@ -78,11 +78,12 @@ survivors of those matchings: the chart enumerates them over spans
 variable, once, so the matchings are decided over bitsets of the variables
 and identifiers that each binding reaches, and the chart resolves a
 survivor's term (``_image``) only for a matching that holds.  It keeps one
-matching per reading and builds its cancels as a chain of nodes.  The end nodes take
-the starts' place in the breadth-first loop, which records, cuts and proves
-them like any other, so every search ends in the loop.  Every other search
-explores there from its starts: generation, saturation, commutative
-lexicons, and parses whose words hold a block or an application.
+matching per reading and builds its cancels as a chain of nodes.  The end
+nodes take the starts' place in the breadth-first loop, which records, cuts
+and proves them like any other, so every search ends in the loop.  Every
+other search explores there from its starts: generation, saturation,
+commutative lexicons, and parses whose words hold a block or an
+application.
 
 Saturation resolves each subgoal in one step, over the clauses that a
 first-argument index proposes for it (``_Tables.candidates``): the
