@@ -21,8 +21,8 @@ from ggroup.term import (
     Binding, canonical_identifiers, parse_term, render_term, substitute,
 )
 
-from test_homonyms import HOMONYM
-from test_search_reference import NAMES, PPS, RAW, _ordered_start
+from test_homonyms import ENGLISH, HOMONYM
+from test_search_reference import NAMES, PPS, RAW, _digest, _ordered_start
 
 LIM = SearchLimits()
 
@@ -185,24 +185,84 @@ def test_random_first_order_words_read_like_the_search(monkeypatch):
     assert found > charted // 2
 
 
-def test_a_result_limit_truncates_like_the_search(english, monkeypatch):
-    words = "john saw the man in paris in the woman".split()
-    every = _readings(parse(english, words, LIM))
-    assert len(every) == 9
-    for limit in range(1, 11):
+# the english fragment with a second relator for ``in`` whose arguments come
+# in the other order: a symmetric phrase reads the same from either
+# relator, so readings repeat across the starts (20 matchings, 9 and 10
+# readings); ``HOMONYM``'s readings differ by relator and never repeat
+MIRRORED = parse_grammar(ENGLISH + "relator A^-1 i(E,A) E^-1 in^-1 .\n")
+
+
+@pytest.mark.parametrize("lex, sentence, count, limits", [
+    (None, "john saw the man in paris in the woman", 9, range(1, 11)),
+    (HOMONYM, "the man in paris saw the woman in louise", 76,
+     (1, 2, 75, 76, 77)),
+    (MIRRORED, "john in john saw john in john", 9, range(1, 11)),
+    (MIRRORED, "john saw john in john in john", 10, range(1, 12)),
+], ids=["english", "homonym", "mirrored", "mirrored-right"])
+def test_a_result_limit_truncates_like_the_search(english, monkeypatch, lex,
+                                                 sentence, count, limits):
+    lex = lex or english
+    words = sentence.split()
+    every = _readings(parse(lex, words, SearchLimits(max_results=1000)))
+    assert len(every) == count
+    for limit in limits:
         # below the count the readings kept may differ, their number may
         # not; at it both searches stop at the last reading, and above it
         # nothing is cut
         lim = SearchLimits(max_results=limit)
-        got, charted = _charted(monkeypatch, parse, english, words, lim)
-        want = _breadth_first(monkeypatch, parse, english, words, lim)
+        got, charted = _charted(monkeypatch, parse, lex, words, lim)
+        want = _breadth_first(monkeypatch, parse, lex, words, lim)
         assert charted, limit
-        assert len(got.results) == len(want.results) == min(limit, 9), limit
-        assert got.truncated == want.truncated == (limit <= 9), limit
+        assert len(got.results) == len(want.results) == min(limit, count), \
+            limit
+        assert got.truncated == want.truncated == (limit <= count), limit
         assert _readings(got) <= every
-        if limit >= 9:
+        if limit >= count:
             assert _readings(got) == _readings(want) == every
-        _replays(english, got)
+        _replays(lex, got)
+
+
+# sixteen words whose 917 matchings are each a reading of their own
+LONG = "the man in paris in louise saw the woman in john in the man in paris"
+
+
+@pytest.mark.parametrize("limit", [1, 2, 32, 1000])
+def test_the_chart_stops_at_the_result_limit(english, monkeypatch, limit):
+    # the chart builds the chain of each matching it keeps, and no more
+    real, chains = engine._chain, []
+
+    def counting(*args):
+        chains.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_chain", counting)
+    res = parse(english, LONG.split(), SearchLimits(max_results=limit))
+    assert len(chains) == len(res.results) == min(limit, 917)
+    assert res.truncated == (limit <= 917)
+
+
+# sha256 prefixes of each chart parse's readings and rendered derivations
+# (``_digest``), under its result limit
+CHART_DIGESTS = {
+    ("john saw the man in paris in the woman", 1): "c83158c7e5ccce15",
+    ("john saw the man in paris in the woman", 2): "e4e195ca00f9368f",
+    ("john saw the man in paris in the woman", 32): "c2fc03365b01d652",
+    ("john saw john in the man in louise", 32): "91cd1ff62d54240a",
+    (LONG, 32): "60fd0a60552bdf55",
+    ("john saw the woman in paris", 32): "a4936fa7f31f299b",
+    ("louise saw the woman in john", 32): "0c8bba996db38807",
+    ("the man in paris saw louise", 32): "0de2d45647e4523f",
+}
+
+
+@pytest.mark.parametrize("sentence, limit", list(CHART_DIGESTS))
+def test_chart_derivations_are_unchanged(english, monkeypatch, sentence,
+                                         limit):
+    res, charted = _charted(monkeypatch, parse, english, sentence.split(),
+                            SearchLimits(max_results=limit))
+    assert charted
+    assert _digest(res) == CHART_DIGESTS[sentence, limit]
+    _replays(english, res)
 
 
 def test_a_start_past_the_size_limit_runs_the_search(english, monkeypatch):
