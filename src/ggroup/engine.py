@@ -73,17 +73,17 @@ only, and first-order most general unifiers compose in any order, so a
 sequence of cancels succeeds exactly when the equations of its matching,
 non-crossing, unify, and every such matching replays with its pairs
 cancelled innermost first, left to right.  The readings are the ground
-survivors of those matchings: the chart enumerates them over spans
-(``_matchings``).  Each pair's equation binds its negative atom's own
+survivors of those matchings: the chart enumerates the matchings over
+spans (``_matchings``).  Each pair's equation binds its negative atom's own
 variable, once, so the matchings are decided over bitsets of the variables
-and identifiers that each binding reaches, and the chart resolves a
-survivor's term (``_image``) only for a matching that holds.  It keeps one
-matching per reading and builds its cancels as a chain of nodes.  The end
-nodes take the starts' place in the breadth-first loop, which records, cuts
-and proves them like any other, so every search ends in the loop.  Every
-other search explores there from its starts: generation, saturation,
-commutative lexicons, and parses whose words hold a block or an
-application.
+and identifiers that each binding reaches.  The chart builds each
+matching's cancels as a chain of nodes and reads the reading off the
+chain's end, the one atom that the cancels leave; it keeps the first chain
+per reading.  The end nodes take the starts' place in the breadth-first
+loop, which records, cuts and proves them like any other, so every search
+ends in the loop.  Every other search explores there from its starts:
+generation, saturation, commutative lexicons, and parses whose words hold
+a block or an application.
 
 Saturation resolves each subgoal in one step, over the clauses that a
 first-argument index proposes for it (``_Tables.candidates``): the
@@ -1227,7 +1227,7 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     found = _matchings(s, word)
     if found is None:
         return True
-    return [frozenset(pairs) for _, pairs in found]
+    return [frozenset(pairs) for pairs in found]
 
 
 def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
@@ -1800,20 +1800,24 @@ def _chart(s: _Search, starts: Iterable[_Node],
     first-order reading is its term, and two atoms are partners exactly
     when their terms unify, so ``_matchings`` reads the word as it stands.
 
-    The chart keeps one matching per reading, the first it finds, and builds
-    the chain that cancels it (``_chain``).  It stops after ``max_results``
-    readings, and the loop, which records each node as a reading, sets
-    ``truncated`` at the last of them as it does for any search; the
-    readings kept then need not be the ones the loop would have found first.
+    The chart builds the chain that cancels each matching (``_chain``) and
+    reads the matching's reading off the chain's end, the survivor that the
+    cancels leave, by the key the loop records it under.  It keeps the first
+    chain per reading (a later matching of a reading builds its chain and
+    drops it), and stops after ``max_results`` readings, so it builds no
+    chain past the last reading it keeps.  The loop, which records each node
+    as a reading, sets ``truncated`` at the last of them as it does for any
+    search; the readings kept then need not be the ones the loop would have
+    found first.
     """
     ends: dict = {}
     chains: dict = {}
     for start in starts:
-        word = start.expr
-        for k, pairs in _matchings(s, word):
-            key = render_term(canonical_identifiers(_image(word, k, pairs)))
+        for pairs in _matchings(s, start.expr):
+            end = _chain(s, start, pairs, chains)
+            key = render_term(_single_atom_goal(end.expr))
             if key not in ends:
-                ends[key] = _chain(s, start, pairs, chains)
+                ends[key] = end
                 if len(ends) >= max_results:
                     return list(ends.values())
     return list(ends.values())
@@ -1825,16 +1829,16 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     ``_may_match`` and ``_chart``; ``None`` when an atom has no reading or
     one abstraction variable is applied to two identifiers.
 
-    Otherwise pairs ``(k, pairs)``, one for each non-crossing matching of
-    the atoms other than one positive survivor at an even index ``k``,
-    whose pairs have opposite signs and are partners (``_partner``), and
-    whose equations, over the readings, have a unifier under which the
-    survivor's reading is ground and, without vacuous abstraction, each
-    bound application's image holds its identifier and is not that
-    identifier (``_bound_well``).  ``pairs`` is the matching, pairs ``(i,
-    j)`` with ``i < j`` in the order of ``j``, which is innermost first,
-    left to right.  They come survivor by survivor, left to right, and for
-    each survivor in the order of the enumeration below.
+    Otherwise the matchings, one for each non-crossing matching of the
+    atoms other than one positive survivor at an even index, whose pairs
+    have opposite signs and are partners (``_partner``), and whose
+    equations, over the readings, have a unifier under which the survivor's
+    reading is ground and, without vacuous abstraction, each bound
+    application's image holds its identifier and is not that identifier
+    (``_bound_well``).  A matching is a list of pairs ``(i, j)`` with ``i <
+    j`` in the order of ``j``, which is innermost first, left to right.
+    They come survivor by survivor, left to right, and for each survivor in
+    the order of the enumeration below.
 
     A span's first atom pairs with an atom at an odd distance, and the atoms
     between them and the rest of the span are matched in turn.  ``full``
@@ -1889,20 +1893,10 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     return _survivors(signs, [r[0] for r in readings], pairs, full, checks)
 
 
-def _image(word: Expr, k: int, pairs: list) -> Term:
-    """The image of the survivor ``word[k]``'s reading under the unifier of
-    the equations of ``pairs``, a matching that ``_matchings`` found."""
-    terms = [_reading(a)[0] for a in word]
-    bound: dict = {}
-    for i, j in pairs:
-        _bind(terms[i], terms[j], bound)
-    return _resolve(terms[k], bound, {})
-
-
 def _survivors(signs, terms, pairs, full, checks):
-    """Enumerate ``_matchings``' pairs over the terms, one survivor at a
-    time, over the masks ``pairs`` and ``full``; ``checks`` holds the pairs
-    ``(var, x)`` that ``_bound_well`` reads."""
+    """Enumerate ``_matchings``' matchings over the terms, one survivor at
+    a time, over the masks ``pairs`` and ``full``; ``checks`` holds the
+    pairs ``(var, x)`` that ``_bound_well`` reads."""
     n = len(terms)
     bound: dict = {}
     matched: list = []
@@ -1914,7 +1908,7 @@ def _survivors(signs, terms, pairs, full, checks):
             term = _resolve(terms[k], bound, {})
             if term.ground and all(_bound_well(var, x, bound)
                                    for var, x in checks):
-                yield k, sorted(matched, key=itemgetter(1))
+                yield sorted(matched, key=itemgetter(1))
 
 
 def _fill(spans, terms, pairs, full, bound: dict, matched: list):
@@ -1992,7 +1986,7 @@ def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
 
 def _bit_survivors(signs, pairs, full, image, isid, checks) -> list:
     """``_survivors`` over the bitset kernel's tables (``_bit_tables``): the
-    same pairs ``(k, pairs)`` in the same order, as a list."""
+    same matchings in the same order, as a list."""
     n = len(signs)
     out: list = []
     for k in range(0, n, 2):
@@ -2021,9 +2015,10 @@ def _reach(mask: int, bound: int, closure: dict) -> int:
 def _cover(spans: tuple, bound: int, w: tuple) -> None:
     """Match the spans of the stack ``spans``, the last one first, in
     ``_fill``'s order, and append to ``out`` each matching that passes the
-    checks, as ``_survivors`` yields it.  ``w`` holds the survivor ``k``,
-    the word's signs, masks and tables (``_bit_tables``), and the state of
-    the enumeration: ``closure``, ``partner``, ``matched`` and ``out``.
+    checks, the sorted list that ``_survivors`` yields.  ``w`` holds the
+    survivor ``k``, the word's signs, masks and tables (``_bit_tables``),
+    and the state of the enumeration: ``closure``, ``partner``, ``matched``
+    and ``out``.
 
     ``bound`` is the mask of the variables that the pairs in ``matched``
     bind.  Each bound variable ``v`` keeps in ``closure[v]`` what its image
@@ -2044,7 +2039,7 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
             p = partner[v]
             if isid[p] == x or not _reach(closure[v], bound, closure) & x:
                 return
-        out.append((k, sorted(matched, key=itemgetter(1))))
+        out.append(sorted(matched, key=itemgetter(1)))
         return
     a, b = spans[-1]
     rest = spans[:-1]
