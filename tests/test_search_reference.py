@@ -1379,6 +1379,26 @@ def test_derivations_are_unchanged_and_replay_on_their_own(english, query):
         assert engine.replay(lex, d) == d.end
 
 
+# blocks-first parses that the corpora above lack, a quantifier beside two
+# phrases or two quantifiers beside one: (reading count, ``_digest``),
+# computed before the block phase judged its words over tables built once
+# per start
+BLOCKS_FIRST_DIGESTS = {
+    "every man in paris saw the woman in john": (18, "c990f3b287a3efa5"),
+    "john saw every man in paris in louise": (19, "208f8ca4ef795660"),
+    "every man saw some woman in paris": (13, "38a5f5eb84a99890"),
+}
+
+
+@pytest.mark.parametrize("sentence", list(BLOCKS_FIRST_DIGESTS))
+def test_blocks_first_derivations_are_unchanged(english, sentence):
+    res = parse(english, sentence.split(), LIM)
+    assert not res.truncated
+    assert (len(res.results), _digest(res)) == BLOCKS_FIRST_DIGESTS[sentence]
+    for _, d in res.results:
+        assert engine.replay(english, d) == d.end
+
+
 # ---------------------------------------------------------------------------
 # the pair-unifier memo (by atom identity) changes nothing that the search
 # does
