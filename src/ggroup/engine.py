@@ -118,11 +118,13 @@ generator takes the context and the node it expands and returns pairs
 ``(steps, expr)``, ``gen(s, node) -> list``, and the helpers that judge
 atom pairs take the context too.  The memos hold the unifiers of atom
 pairs, whether two atoms' first-order readings unify (``_partner``), the
-substitutions the cancels make, the clause instances of saturation, and
-the block phase's verdicts on its block-free words (``judged``).  The
-first is keyed by the pair's identity, ``(id(a), id(b))``, so each pair of
-atom objects is unified once.  The second is keyed by the pair's
-identity, in word order.  The third is keyed by identity,
+substitutions the cancels make, the clause instances of saturation, the
+block phase's verdicts on its block-free words (``judged``), and the
+tables of each set of atoms whose words ``_matchings`` reads
+(``atom_sets``).  The first is keyed by the pair's identity, ``(id(a),
+id(b))``, so each pair of atom objects is unified once.  The second is
+keyed by the pair's identity, in the order of the first word of their set
+that ``_matchings`` reads.  The third is keyed by identity,
 ``(id(unifier), id(atom))``, so the same atom object under the same
 unifier object gives one shared result atom in every state that needs it,
 while distinct atoms, even equal ones, never merge: no atom object occurs
@@ -134,7 +136,9 @@ clause's instance, and its atoms compute their class and key fragment once;
 a fact's instance is built once for every depth.  The fifth is keyed by
 the word's atom ids and holds no atom: the block phase makes no atom, so
 the starts, which the search holds while it lives, hold every atom it
-keys.  The context holds no node, so a search leaves no reference cycle.
+keys.  The sixth is keyed by the set of the atoms' ids, and each entry
+holds a word of those atoms, so no id is reused either.  The context
+holds no node, so a search leaves no reference cycle.
 A node of a blocks-first parse carries the viable matchings of its
 block-free word down its cancels (``_Node.viable``): sets of position
 pairs, which hold no atom and no id.
@@ -996,11 +1000,16 @@ class _Search:
 
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
-    ``substitutions``, ``instances`` and ``judged``, as the module
-    docstring says.  ``judged`` maps each block-free word that the block
-    phase has judged, by its atoms' ids, to what ``_may_match`` said of it,
-    ``()`` for a dead word (see ``_block_successors``); the node of a live
-    word reads the verdict from there (``_cancel_successors``)."""
+    ``substitutions``, ``instances``, ``judged`` and ``atom_sets``, as the
+    module docstring says.  ``judged`` maps each block-free word that the
+    block phase has judged, by its atoms' ids, to what ``_may_match`` said
+    of it, ``()`` for a dead word (see ``_block_successors``); the node of a
+    live word reads the verdict from there (``_cancel_successors``).
+    ``atom_sets`` maps each set of atoms that ``_matchings`` has read, by
+    the set of their ids, to a pair: the first word that held them, and
+    their tables (``_atom_set``), or ``None``.  In a blocks-first parse
+    every judged word is an order of one start's atoms, so it holds one
+    entry per start."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
@@ -1010,6 +1019,7 @@ class _Search:
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
     judged: dict = field(default_factory=dict)
+    atom_sets: dict = field(default_factory=dict)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1126,7 +1136,9 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
 
 def _partner(s: _Search, a: Atom, b: Atom) -> bool:
     """``_may_cancel(s, a, b)`` for ``a`` left of ``b``, kept in the
-    search's memo ``partners`` by the pair's identity, in word order."""
+    search's memo ``partners`` by the pair's identity, in that order;
+    ``_atom_set`` asks each pair once, in the order of the first word that
+    holds it."""
     found = s.partners.get((id(a), id(b)))
     if found is None:
         found = s.partners[id(a), id(b)] = (a, b, _may_cancel(s, a, b))
@@ -1375,10 +1387,12 @@ def _block_successors(s: _Search, node: _Node) -> list:
     ``judged`` under the word's atom ids, sliced from the state's the same
     way, so a dead word is never built again.  The block phase makes no
     atom, so the starts hold every atom it keys while the search lives, and
-    no id is reused.  Only live bundles are returned, in ``_placements``
-    order, and the node of each reads its verdict from ``judged`` when it
-    is expanded (``_cancel_successors``).  A state with more blocks gets
-    every bundle.
+    no id is reused.  For the same reason every word it judges is an order
+    of one start's atoms, and ``_matchings`` reads them all over tables
+    built once per start.  Only live bundles are returned, in
+    ``_placements`` order, and the node of each reads its verdict from
+    ``judged`` when it is expanded (``_cancel_successors``).  A state with
+    more blocks gets every bundle.
 
     The memo knows atoms by identity, so entering words made of distinct
     but equal atom objects, or of atoms equal up to renaming, are judged
@@ -1826,8 +1840,9 @@ def _chart(s: _Search, starts: Iterable[_Node],
 def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     """The matchings that may cancel the block-free ``word`` down to one
     atom, over the atoms' first-order readings (``_reading``), for
-    ``_may_match`` and ``_chart``; ``None`` when an atom has no reading or
-    one abstraction variable is applied to two identifiers.
+    ``_may_match`` and ``_chart``; ``None`` when an atom has no reading, one
+    abstraction variable is applied to two identifiers, or the word holds
+    one atom object twice, which no state does.
 
     Otherwise the matchings, one for each non-crossing matching of the
     atoms other than one positive survivor at an even index, whose pairs
@@ -1843,9 +1858,19 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     A span's first atom pairs with an atom at an odd distance, and the atoms
     between them and the rest of the span are matched in turn.  ``full``
     says which spans can be matched at all by partners, so no branch stops
-    short of a matching for want of a partner.  The partners only cut
-    branches early: each matching's equations are solved jointly, and the
-    survivor and the applications are checked on the joint unifier.
+    short of a matching for want of a partner, and a word where no survivor
+    has such a matching left and right of it gets ``()`` at once.  The
+    partners only cut branches early: each matching's equations are solved
+    jointly, and the survivor and the applications are checked on the joint
+    unifier.
+
+    Everything but the spans depends on the set of atoms, not on their
+    order, and a blocks-first parse judges many orders of one start's atoms
+    (see ``_block_successors``).  So those facts are built once per atom
+    set (``_atom_set``) and kept in the memo ``atom_sets`` under the set of
+    the atoms' ids, numbered by the atom's index in the first word that
+    uses the set.  A word maps its atoms to their indices and reads the
+    tables through them.
 
     The equations are solved one of two ways, which give the same
     matchings in the same order.  In a word where every negative atom reads
@@ -1859,8 +1884,77 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     which only a direct call makes, extends one triangular binding of the
     terms per pair (``_bind``, ``_survivors``).
     """
+    key = frozenset(map(id, word))
+    found = s.atom_sets.get(key)
+    if found is None:
+        found = s.atom_sets[key] = \
+            (word, _atom_set(s, word) if len(key) == len(word) else None)
+    t = found[1]
+    if t is None:
+        return None
+    n = len(word)
+    if n % 2 == 0:
+        return ()
+    idx = [t.index[i] for i in map(id, word)]
+    at = [0] * n  # at[i]: the position of atom i
+    for p, i in enumerate(idx):
+        at[i] = p
+    # full[a]: the bit mask of the b whose span, atoms a to b - 1, matches
+    # without crossing (each b at an even distance from a); pairs[a]: of
+    # the partners j of atom a, those whose span a + 1 to j - 1 matches
+    # (each j at an odd distance)
+    full = [0] * n + [1 << n]
+    pairs = [0] * n
+    for a in range(n - 1, -1, -1):
+        js = 0
+        for i in t.partners[idx[a]]:
+            js |= 1 << at[i]
+        js = pairs[a] = js & full[a + 1]
+        mask = 1 << a
+        while js:
+            bit = js & -js
+            js ^= bit
+            mask |= full[bit.bit_length()]
+        full[a] = mask
+    signs = t.signs
+    ks = [k for k in range(0, n, 2) if signs[idx[k]] > 0
+          and full[0] >> k & 1 and full[k + 1] >> n & 1]
+    if not ks:
+        return ()
+    if t.kernel is not None:
+        vbit, image, isid, checks = t.kernel
+        return _bit_survivors(ks, pairs, full, [vbit[i] for i in idx],
+                              [image[i] for i in idx],
+                              [isid[i] for i in idx], checks)
+    return _survivors(ks, [t.terms[i] for i in idx], pairs, full, t.checks)
+
+
+@dataclass(slots=True, eq=False)
+class _AtomSet:
+    """The facts of a set of atoms that ``_matchings`` reads, whatever
+    their order, each atom known by its index (``index``, from its id):
+    its sign (``signs``), the indices of its partners (``partners``), its
+    first-order reading's term (``terms``) and the ``checks`` of
+    ``_survivors``, for the term-level equations, and the bitset kernel's
+    tables (``_bit_tables``), or ``None`` when the set is not of the
+    kernel's shape."""
+
+    index: dict
+    signs: list
+    partners: list
+    terms: list
+    checks: list
+    kernel: Optional[tuple]
+
+
+def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
+    """The ``_AtomSet`` of the distinct ``atoms``, numbered in their order;
+    ``None`` when one has no first-order reading or one abstraction
+    variable is applied to two identifiers (see ``_matchings``).  Each pair
+    of opposite signs is asked ``_partner`` once, the left one first; the
+    relation is symmetric."""
     readings, apps = [], {}
-    for a in word:
+    for a in atoms:
         reading = _reading(a)
         if reading[0] is None:
             return None
@@ -1868,41 +1962,31 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
             if apps.setdefault(p, x) != x:
                 return None
         readings.append(reading)
-    n = len(word)
-    if n % 2 == 0:
-        return ()
-    signs = [a.sign for a in word]
-    # full[a]: the bit mask of the b whose span, atoms a to b - 1, matches
-    # without crossing; pairs[a]: of the j that atom a may pair with, inside
-    # a span from a + 1 to j that matches
-    full = [0] * n + [1 << n]
-    pairs = [0] * n
-    for a in range(n - 1, -1, -1):
-        inner, mask = full[a + 1], 1 << a
-        for j in range(a + 1, n, 2):
-            if inner >> j & 1 and signs[a] != signs[j] \
-                    and _partner(s, word[a], word[j]):
-                pairs[a] |= 1 << j
-                mask |= full[j + 1]
-        full[a] = mask
-    tables = _bit_tables(readings, signs, {} if s.allow_vacuous else apps)
-    if tables is not None:
-        return _bit_survivors(signs, pairs, full, *tables)
-    checks = () if s.allow_vacuous else \
-        [(MetaVar(p + "[]"), x) for p, x in apps.items()]
-    return _survivors(signs, [r[0] for r in readings], pairs, full, checks)
+    n = len(atoms)
+    signs = [a.sign for a in atoms]
+    partners: list = [[] for _ in atoms]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if signs[a] != signs[b] and _partner(s, atoms[a], atoms[b]):
+                partners[a].append(b)
+                partners[b].append(a)
+    if s.allow_vacuous:
+        apps = {}
+    return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs, partners,
+                    [r[0] for r in readings],
+                    [(MetaVar(p + "[]"), x) for p, x in apps.items()],
+                    _bit_tables(readings, signs, apps))
 
 
-def _survivors(signs, terms, pairs, full, checks):
-    """Enumerate ``_matchings``' matchings over the terms, one survivor at
-    a time, over the masks ``pairs`` and ``full``; ``checks`` holds the
-    pairs ``(var, x)`` that ``_bound_well`` reads."""
+def _survivors(ks, terms, pairs, full, checks):
+    """Enumerate ``_matchings``' matchings over the terms, in the word's
+    order, for each survivor of ``ks`` in turn, over the masks ``pairs``
+    and ``full``; ``checks`` holds the pairs ``(var, x)`` that
+    ``_bound_well`` reads."""
     n = len(terms)
     bound: dict = {}
     matched: list = []
-    for k in range(0, n, 2):
-        if signs[k] < 0 or not (full[0] >> k & 1 and full[k + 1] >> n & 1):
-            continue
+    for k in ks:
         for _ in _fill(((k + 1, n), (0, k)), terms, pairs, full, bound,
                        matched):
             term = _resolve(terms[k], bound, {})
@@ -1939,28 +2023,31 @@ def _fill(spans, terms, pairs, full, bound: dict, matched: list):
 
 
 def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
-    """The bitset kernel's tables of a word whose negative atoms read as
-    distinct meta-variables and whose positive atoms read as no variable
-    (see ``_matchings``); ``None`` for any other word.
+    """The bitset kernel's tables of a set of atoms, given in the order of
+    their indices, whose negative atoms read as distinct meta-variables and
+    whose positive atoms read as no variable (see ``_matchings``); ``None``
+    for any other set.
 
-    Bit ``i`` stands for the variable of the negative atom ``i``; bit ``n``,
-    ``free``, for every variable that no negative atom holds, which no
-    equation binds; the bits above it for the identifiers.  ``image[j]`` is
-    the mask of the variables and identifiers of positive atom ``j``'s
-    reading, and ``isid[j]`` the bit of the identifier that the reading is,
-    or 0.  ``checks`` holds a pair ``(v, x)`` for each application that a
-    negative atom reads as a variable: its bit and its identifier's, 0 when
-    no reading holds the identifier.  The result is ``(image, isid,
+    Bit ``i`` stands for the variable of the negative atom ``i``, and
+    ``vbit[i]`` holds it, 0 for a positive atom; bit ``n``, ``free``, for
+    every variable that no negative atom holds, which no equation binds;
+    the bits above it for the identifiers.  ``image[j]`` is the mask of the
+    variables and identifiers of positive atom ``j``'s reading, and
+    ``isid[j]`` the bit of the identifier that the reading is, or 0.
+    ``checks`` holds a pair ``(v, x)`` for each application that a negative
+    atom reads as a variable: its bit and its identifier's, 0 when no
+    reading holds the identifier.  The result is ``(vbit, image, isid,
     checks)``."""
     n = len(signs)
     free = 1 << n
     var: dict = {}
+    vbit = [0] * n
     for i, reading in enumerate(readings):
         if signs[i] < 0:
             term = reading[0]
             if type(term) is not MetaVar or term.name in var:
                 return None
-            var[term.name] = 1 << i
+            var[term.name] = vbit[i] = 1 << i
     ident: dict = {}
     image, isid = [0] * n, [0] * n
     for j, (term, _, names) in enumerate(readings):
@@ -1981,20 +2068,19 @@ def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
             isid[j] = ident[term.name]
     checks = [(var[p + "[]"], ident.get(x.name, 0)) for p, x in apps.items()
               if p + "[]" in var]
-    return image, isid, checks
+    return vbit, image, isid, checks
 
 
-def _bit_survivors(signs, pairs, full, image, isid, checks) -> list:
-    """``_survivors`` over the bitset kernel's tables (``_bit_tables``): the
-    same matchings in the same order, as a list."""
-    n = len(signs)
+def _bit_survivors(ks, pairs, full, vbit, image, isid, checks) -> list:
+    """``_survivors`` over the bitset kernel's tables (``_bit_tables``),
+    read by position through the word's atom indices: the same matchings in
+    the same order, as a list."""
+    n = len(pairs)
     out: list = []
-    for k in range(0, n, 2):
-        if signs[k] < 0 or not (full[0] >> k & 1 and full[k + 1] >> n & 1):
-            continue
+    for k in ks:
         spans = tuple((a, b) for a, b in ((k + 1, n), (0, k)) if a < b)
         _cover(spans, 0,
-               (k, signs, pairs, full, image, isid, checks, {}, {}, [], out))
+               (k, pairs, full, vbit, image, isid, checks, {}, {}, [], out))
     return out
 
 
@@ -2016,9 +2102,9 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
     """Match the spans of the stack ``spans``, the last one first, in
     ``_fill``'s order, and append to ``out`` each matching that passes the
     checks, the sorted list that ``_survivors`` yields.  ``w`` holds the
-    survivor ``k``, the word's signs, masks and tables (``_bit_tables``),
-    and the state of the enumeration: ``closure``, ``partner``, ``matched``
-    and ``out``.
+    survivor ``k``, the word's masks, its atoms' tables (``_bit_tables``)
+    by position, and the state of the enumeration: ``closure``,
+    ``partner``, ``matched`` and ``out``.
 
     ``bound`` is the mask of the variables that the pairs in ``matched``
     bind.  Each bound variable ``v`` keeps in ``closure[v]`` what its image
@@ -2030,10 +2116,10 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
     matching keeps its survivor when the survivor reaches no ``free``
     variable (its image is ground), and each application when its image is
     not its identifier and reaches it."""
-    k, signs, pairs, full, image, isid, checks, closure, partner, matched, \
+    k, pairs, full, vbit, image, isid, checks, closure, partner, matched, \
         out = w
     if not spans:
-        if _reach(image[k], bound, closure) >> len(signs) & 1:
+        if _reach(image[k], bound, closure) >> len(pairs) & 1:
             return
         for v, x in checks:
             p = partner[v]
@@ -2043,7 +2129,7 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
         return
     a, b = spans[-1]
     rest = spans[:-1]
-    neg = signs[a] < 0
+    va = vbit[a]
     js = pairs[a] & ((1 << b) - 1)
     while js:
         bit = js & -js
@@ -2051,10 +2137,10 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
         j = bit.bit_length() - 1
         if not full[j + 1] >> b & 1:
             continue
-        if neg:
-            v, p = 1 << a, j
+        if va:
+            v, p = va, j
         else:
-            v, p = bit, a
+            v, p = vbit[j], a
         reach = _reach(image[p], bound, closure)
         if reach & v:
             continue

@@ -16,6 +16,7 @@ from ggroup.lexicon import parse_grammar
 from ggroup.term import render_term
 
 from conftest import GRAMMAR_DIR
+from test_search_reference import _atom_sets_built
 
 LIM = SearchLimits()
 ENGLISH = (GRAMMAR_DIR / "english.gg").read_text()
@@ -59,6 +60,17 @@ def test_homonym_readings_match_the_oracle(sentence, count):
     assert len(want) == count
     for _, d in res.results:
         replay(HOMONYM, d)
+
+
+def test_each_start_builds_its_tables_once():
+    # one start per assignment of relators to the two in's; each start's
+    # atom set has its tables built once, however many of its words the
+    # block phase judges
+    built, starts, judged = _atom_sets_built(
+        parse, HOMONYM, "john saw every woman in paris in paris".split(), LIM)
+    assert len(starts) == 4 and len(set(starts)) == 4
+    assert sorted(built, key=starts.index) == starts
+    assert judged > 10 * len(starts)
 
 
 def _keys(monkeypatch, lex, words):

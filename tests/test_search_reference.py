@@ -991,10 +991,17 @@ def _judged_words(run, *args):
     return words
 
 
+def _fresh(s):
+    """A context like ``s`` whose memos are empty."""
+    return engine._Search(s.lex, s.allow_vacuous, s.blocks_first)
+
+
 def _both_ways(words):
     """``engine._matchings`` of each word by the bitset kernel, and by the
     term-level equations (``_bind``) with the kernel's tables refused; the
-    kernel must take every word that has a first-order reading."""
+    kernel must take every word that has a first-order reading.  Each word
+    is read in a fresh context, which builds its atoms' tables anew, since
+    the search's own context holds the tables it built."""
     real, refused = engine._bit_tables, []
 
     def tables(*args):
@@ -1004,10 +1011,10 @@ def _both_ways(words):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "_bit_tables", tables)
-        kernel = [_listed(engine._matchings(s, w)) for s, w in words]
-        assert not any(refused)
+        kernel = [_listed(engine._matchings(_fresh(s), w)) for s, w in words]
+        assert refused and not any(refused)
         m.setattr(engine, "_bit_tables", lambda *args: None)
-        terms = [_listed(engine._matchings(s, w)) for s, w in words]
+        terms = [_listed(engine._matchings(_fresh(s), w)) for s, w in words]
     return kernel, terms
 
 
@@ -1052,6 +1059,72 @@ def test_the_bitset_kernel_reads_every_judged_word_as_the_terms_do(
         assert got == want, render_expr(word)
     assert sum(bool(m) for m in kernel if m is not None) > 100
     assert sum(m == [] for m in kernel) > 100
+
+
+# ---------------------------------------------------------------------------
+# the tables of an atom set (``engine._atom_set``): built once per start,
+# and read through the atoms' indices in every order of the atoms
+
+
+def _atom_sets_built(run, *args):
+    """The atom sets whose tables ``run(*args)`` builds, in order, and the
+    atom sets of its starts, each as a set of atom ids; and the number of
+    words it judges."""
+    real_set, real_match = engine._atom_set, engine._may_match
+    real_search = engine._search
+    built, starts, judged = [], [], [0]
+
+    def atom_set(s, atoms):
+        built.append(frozenset(map(id, atoms)))
+        return real_set(s, atoms)
+
+    def may_match(s, word):
+        judged[0] += 1
+        return real_match(s, word)
+
+    def search(lex, mode, start, begin, lim):
+        starts.extend(frozenset(_atom_ids(expr)) for _, expr in begin)
+        return real_search(lex, mode, start, begin, lim)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_atom_set", atom_set)
+        m.setattr(engine, "_may_match", may_match)
+        m.setattr(engine, "_search", search)
+        run(*args)
+    return built, starts, judged[0]
+
+
+def test_a_start_builds_its_tables_once(english):
+    built, starts, judged = _atom_sets_built(
+        parse, english, "every man saw some woman".split(), LIM)
+    assert judged == 520
+    assert built == starts and len(starts) == 1
+
+
+@pytest.mark.parametrize("source", ["english", "scoped starts"])
+def test_one_atom_set_serves_every_order_of_its_atoms(english, source):
+    # each entering word judged in one context, whose tables were built
+    # from the first word of its atom set, gets the list that a fresh
+    # context gives it, in the same order
+    if source == "english":
+        words = [w for sentence in QUANTIFIED + RELATIVES + PPS
+                 for w in _judged_words(parse, english, sentence.split(),
+                                        LIM)]
+    else:
+        rng = random.Random(43)
+        words = [w for _ in range(100)
+                 for w in _judged_words(_search, _scoped_start(rng))]
+    one = {}
+    got, want = [], []
+    for s, word in words:
+        shared = one.setdefault(s.lex, _fresh(s))
+        got.append(engine._may_match(shared, word))
+        want.append(engine._may_match(_fresh(s), word))
+    for (_, word), g, w in zip(words, got, want):
+        assert g == w, render_expr(word)
+    assert 10 * sum(len(s.atom_sets) for s in one.values()) < len(words)
+    assert sum(bool(m) and m is not True for m in got) > 100
+    assert sum(m == [] for m in got) > 100
 
 
 def test_an_ordered_parse_makes_no_cancel_from_a_state_with_a_block(
