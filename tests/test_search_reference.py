@@ -999,9 +999,10 @@ def _fresh(s):
 def _both_ways(words):
     """``engine._matchings`` of each word by the bitset kernel, and by the
     term-level equations (``_bind``) with the kernel's tables refused; the
-    kernel must take every word that has a first-order reading.  Each word
-    is read in a fresh context, which builds its atoms' tables anew, since
-    the search's own context holds the tables it built."""
+    kernel must take every word that has a first-order reading.  Each way
+    reads the words of one search in a fresh context of its own, which
+    builds their atoms' tables anew: the search's context holds the tables
+    it built."""
     real, refused = engine._bit_tables, []
 
     def tables(*args):
@@ -1009,12 +1010,16 @@ def _both_ways(words):
         refused.append(found is None)
         return found
 
+    def read():
+        fresh = {s: _fresh(s) for s in dict.fromkeys(s for s, _ in words)}
+        return [_listed(engine._matchings(fresh[s], w)) for s, w in words]
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "_bit_tables", tables)
-        kernel = [_listed(engine._matchings(_fresh(s), w)) for s, w in words]
+        kernel = read()
         assert refused and not any(refused)
         m.setattr(engine, "_bit_tables", lambda *args: None)
-        terms = [_listed(engine._matchings(_fresh(s), w)) for s, w in words]
+        terms = read()
     return kernel, terms
 
 
