@@ -98,10 +98,11 @@ keep it as the same object; ``normalize`` returns its argument itself when
 nothing cancels and no block is dropped or rebuilt.  An atom computes its
 class when it is built (whether it is a surface token, whether it is ground)
 and memoizes what depends on it alone, its state-key fragment (see
-``_canonical_key``) and its first-order reading (``_reading``), and a
-lexicon memoizes its rule tables (see ``_tables``).  These memo fields are
-outside equality and hashing, and a copy or a pickle is rebuilt from the
-other fields, which computes the class again.
+``_canonical_key``), and a lexicon memoizes its rule tables (see
+``_tables``).  An atom does not memoize its first-order reading: the tables
+of its set of atoms hold it (``_atom_set``).  These memo fields are outside
+equality and hashing, and a copy or a pickle is rebuilt from the other
+fields, which computes the class again.
 
 Most parse states have no blocks, and those cost the least.  A block-free
 state in non-commutative mode gets a flat key, its atoms' fragments and the
@@ -116,29 +117,32 @@ Each search builds one context, ``_Search``: the lexicon,
 depend on the search, alive for that search only.  Every successor
 generator takes the context and the node it expands and returns pairs
 ``(steps, expr)``, ``gen(s, node) -> list``, and the helpers that judge
-atom pairs take the context too.  The memos hold the unifiers of atom
-pairs, whether two atoms' first-order readings unify (``_partner``), the
-substitutions the cancels make, the clause instances of saturation, the
-block phase's verdicts on its block-free words (``judged``), and the
-tables of each set of atoms whose words ``_matchings`` reads
-(``atom_sets``).  The first is keyed by the pair's identity, ``(id(a),
-id(b))``, so each pair of atom objects is unified once.  The second is
-keyed by the pair's identity, in the order of the first word of their set
-that ``_matchings`` reads.  The third is keyed by identity,
-``(id(unifier), id(atom))``, so the same atom object under the same
-unifier object gives one shared result atom in every state that needs it,
-while distinct atoms, even equal ones, never merge: no atom object occurs
-twice in one state.  Each entry of these three holds the objects whose ids
-it uses, so no id is reused while the memo lives.  The fourth holds one
-dict per search depth, which keeps each clause's instance and expansion
-steps (``_clause_step``), so every state at one depth shares each
-clause's instance, and its atoms compute their class and key fragment once;
-a fact's instance is built once for every depth.  The fifth is keyed by
-the word's atom ids and holds no atom: the block phase makes no atom, so
-the starts, which the search holds while it lives, hold every atom it
-keys.  The sixth is keyed by the set of the atoms' ids, and each entry
-holds a word of those atoms, so no id is reused either.  The context
-holds no node, so a search leaves no reference cycle.
+atom pairs take the context too.  There are five memos:
+
+* ``unifiers`` holds the unifiers of atom pairs, keyed by the pair's
+  identity, ``(id(a), id(b))``, so each pair of atom objects is unified
+  once.
+* ``substitutions`` holds the substitutions the cancels make, keyed by
+  identity, ``(id(unifier), id(atom))``, so the same atom object under the
+  same unifier object gives one shared result atom in every state that
+  needs it, while distinct atoms, even equal ones, never merge: no atom
+  object occurs twice in one state.
+* ``instances`` holds one dict per search depth, which keeps each clause's
+  instance and expansion steps (``_clause_step``), so every state at one
+  depth shares each clause's instance, and its atoms compute their class
+  and key fragment once; a fact's instance is built once for every depth.
+* ``judged`` holds the block phase's verdicts on its block-free words,
+  keyed by the word's atom ids.  It holds no atom: the block phase makes no
+  atom, so the starts, which the search holds while it lives, hold every
+  atom it keys.
+* ``atom_sets`` holds the tables of each set of atoms whose words
+  ``_matchings`` reads (``_atom_set``): the atoms' readings, which pairs
+  of them may cancel (``_may_cancel``), and the bitset kernel's tables.
+  It is keyed by the set of the atoms' ids.
+
+Each entry of ``unifiers``, ``substitutions`` and ``atom_sets`` holds the
+objects whose ids it uses, so no id is reused while the memo lives.  The
+context holds no node, so a search leaves no reference cycle.
 A node of a blocks-first parse carries the viable matchings of its
 block-free word down its cancels (``_Node.viable``): sets of position
 pairs, which hold no atom and no id.
@@ -159,9 +163,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import lexicon as lx
 from .term import (
-    HOLE, AbsVar, Abstraction, App, Binding, Compound, Const, EMPTY_BINDING,
-    Identifier, MetaVar, Term, _bind, _resolve, binding_is_acyclic,
-    canonical_identifiers, identifiers_in, is_ground,
+    HOLE, MAX_TERM_DEPTH, AbsVar, Abstraction, App, Binding, Compound, Const,
+    EMPTY_BINDING, Identifier, MetaVar, Term, _bind, _resolve,
+    binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
     parse_abstraction, parse_term, render_abstraction, render_term,
     substitute, subterms, unify,
 )
@@ -196,10 +200,9 @@ class Atom:
     _phon: bool = field(init=False, repr=False, compare=False)
     _ground: bool = field(init=False, repr=False, compare=False)
     # state-key fragment and its variable names, set on first use by
-    # _atom_key, and its first-order reading, set on first use by _reading
+    # _atom_key
     _key: tuple = field(init=False, repr=False, compare=False)
     _vars: tuple = field(init=False, repr=False, compare=False)
-    _reading: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         phon = isinstance(self.payload, str)
@@ -999,7 +1002,7 @@ class _Search:
     """One search's context (see the module docstring and ``_search``).
 
     ``blocks_first`` says that the search places every block before any
-    cancel (see ``_search``).  The memos are ``unifiers``, ``partners``,
+    cancel (see ``_search``).  The memos are ``unifiers``,
     ``substitutions``, ``instances``, ``judged`` and ``atom_sets``, as the
     module docstring says.  ``judged`` maps each block-free word that the
     block phase has judged, by its atoms' ids, to what ``_may_match`` said
@@ -1007,15 +1010,15 @@ class _Search:
     live word reads the verdict from there (``_cancel_successors``).
     ``atom_sets`` maps each set of atoms that ``_matchings`` has read, by
     the set of their ids, to a pair: the first word that held them, and
-    their tables (``_atom_set``), or ``None``.  In a blocks-first parse
-    every judged word is an order of one start's atoms, so it holds one
-    entry per start."""
+    their tables (``_atom_set``), or ``None``.  Those tables are the only
+    record of the atoms' readings and of which pairs of them may cancel.
+    In a blocks-first parse every judged word is an order of one start's
+    atoms, so it holds one entry per start."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
     blocks_first: bool = False
     unifiers: dict = field(default_factory=dict)
-    partners: dict = field(default_factory=dict)
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
     judged: dict = field(default_factory=dict)
@@ -1099,10 +1102,11 @@ def _pair_unifiers(s: _Search, a: Atom, b: Atom) -> list:
     return found[2]
 
 
-def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
-    """Whether two atoms of a word that ``_matchings`` reads may cancel each
-    other, the relation by which it pairs atoms (through ``_partner``):
-    whether their first-order readings (``_reading``) unify now (``_bind``).
+def _may_cancel(s: _Search, a: Atom, b: Atom, u: Term, v: Term) -> bool:
+    """Whether two atoms of one set that ``_atom_set`` builds tables for may
+    cancel each other, given their first-order readings' terms ``u`` and ``v``
+    (``_first_order``), the relation by which ``_matchings`` pairs atoms:
+    whether the readings unify now (``_bind``).
 
     A derivation of a reading from such a word cancels the pairs of one
     matching, and its unifiers compose to a most general unifier of the
@@ -1120,9 +1124,6 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
     be the identifier itself.  Every abstraction ``match_app`` makes uses
     its hole and is not the identity, so every later image of the
     application has both properties, and a ground atom never changes.
-
-    A pair in which either atom has no reading, which ``_matchings`` never
-    asks about, is kept.
     """
     x, y = a.payload, b.payload
     if not s.allow_vacuous:
@@ -1130,19 +1131,7 @@ def _may_cancel(s: _Search, a: Atom, b: Atom) -> bool:
             if t.ground and isinstance(app, App) \
                     and isinstance(app.arg, Identifier):
                 return t != app.arg and app.arg in identifiers_in(t)
-    u, v = _reading(a)[0], _reading(b)[0]
-    return u is None or v is None or _bind(u, v, {})
-
-
-def _partner(s: _Search, a: Atom, b: Atom) -> bool:
-    """``_may_cancel(s, a, b)`` for ``a`` left of ``b``, kept in the
-    search's memo ``partners`` by the pair's identity, in that order;
-    ``_atom_set`` asks each pair once, in the order of the first word that
-    holds it."""
-    found = s.partners.get((id(a), id(b)))
-    if found is None:
-        found = s.partners[id(a), id(b)] = (a, b, _may_cancel(s, a, b))
-    return found[2]
+    return _bind(u, v, {})
 
 
 def _first_order(a: Atom) -> tuple:
@@ -1168,24 +1157,14 @@ def _first_order(a: Atom) -> tuple:
     return t, apps, tuple(x.name for x in identifiers_in(t))
 
 
-def _reading(a: Atom) -> tuple:
-    """``_first_order(a)``, memoized on the atom (``_reading``), as its
-    state-key fragment is: it depends on the atom alone."""
-    try:
-        return a._reading
-    except AttributeError:
-        found = _first_order(a)
-        object.__setattr__(a, "_reading", found)
-        return found
-
-
 def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     """The viable matchings of the block-free ``word``, from a search whose
     starts meet ``_ordered_word``: each matching that ``_matchings`` finds,
     as a frozenset of position pairs ``(i, j)``.  ``[]`` says that the word
-    is dead.  A word that ``_matchings`` does not read first-order, where an
-    application's argument is no identifier or one variable has two
-    arguments, gets ``True``: it is kept, and its cancels are not
+    is dead.  A word that ``_matchings`` does not read first-order, one
+    that holds a token or where an application's argument is no identifier
+    or one variable has two arguments, gets ``True``: it is kept unjudged,
+    no pair of its atoms is asked ``_may_cancel``, and its cancels are not
     restricted.
 
     In such a word a derivation of a reading cancels the pairs of one
@@ -1196,7 +1175,7 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     there), and read first-order this is the most general unifier of that
     equation.  So the derivation's unifiers compose to a most general
     unifier of the matching's equations, which unifies each pair's own
-    equation (``_partner`` keeps every pair), and the reading is the
+    equation (``_may_cancel`` keeps every pair), and the reading is the
     survivor's image under it, ground.  An application is bound only by its
     own negative atom, which meets ``_ordered_word``'s bare shape;
     ``match_app`` makes no identity abstraction and, unless vacuous
@@ -1839,14 +1818,14 @@ def _chart(s: _Search, starts: Iterable[_Node],
 
 def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     """The matchings that may cancel the block-free ``word`` down to one
-    atom, over the atoms' first-order readings (``_reading``), for
+    atom, over the atoms' first-order readings (``_first_order``), for
     ``_may_match`` and ``_chart``; ``None`` when an atom has no reading, one
     abstraction variable is applied to two identifiers, or the word holds
     one atom object twice, which no state does.
 
     Otherwise the matchings, one for each non-crossing matching of the
     atoms other than one positive survivor at an even index, whose pairs
-    have opposite signs and are partners (``_partner``), and whose
+    have opposite signs and are partners (``_may_cancel``), and whose
     equations, over the readings, have a unifier under which the survivor's
     reading is ground and, without vacuous abstraction, each bound
     application's image holds its identifier and is not that identifier
@@ -1950,12 +1929,13 @@ class _AtomSet:
 def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     """The ``_AtomSet`` of the distinct ``atoms``, numbered in their order;
     ``None`` when one has no first-order reading or one abstraction
-    variable is applied to two identifiers (see ``_matchings``).  Each pair
-    of opposite signs is asked ``_partner`` once, the left one first; the
-    relation is symmetric."""
+    variable is applied to two identifiers (see ``_matchings``), before any
+    pair is asked.  Each atom is read once (``_first_order``), and each pair
+    of opposite signs is asked ``_may_cancel`` once, over the two readings'
+    terms, the left one first; the relation is symmetric."""
     readings, apps = [], {}
     for a in atoms:
-        reading = _reading(a)
+        reading = _first_order(a)
         if reading[0] is None:
             return None
         for p, x in reading[1].items():
@@ -1967,7 +1947,8 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     partners: list = [[] for _ in atoms]
     for a in range(n):
         for b in range(a + 1, n):
-            if signs[a] != signs[b] and _partner(s, atoms[a], atoms[b]):
+            if signs[a] != signs[b] and _may_cancel(
+                    s, atoms[a], atoms[b], readings[a][0], readings[b][0]):
                 partners[a].append(b)
                 partners[b].append(a)
     if s.allow_vacuous:
@@ -2295,12 +2276,19 @@ def render_expr(expr: Expr) -> str:
 
 
 def parse_expr(text: str, phon_vocab: Iterable[str]) -> Expr:
+    """Read ``render_expr``'s text.  A ``ValueError`` names unbalanced
+    braces, an empty atom, a malformed term, or blocks nested deeper than
+    ``MAX_TERM_DEPTH`` levels, which the expression walkers, recursive as
+    the term walkers are, could not take."""
     vocab = set(phon_vocab)
     if text.strip() == "1":
         return ()
     stack: list[list[Item]] = [[]]
     for tok in text.split():
         if tok == "{":
+            if len(stack) > MAX_TERM_DEPTH:
+                raise ValueError(
+                    f"blocks nested deeper than {MAX_TERM_DEPTH} levels")
             stack.append([])
         elif tok == "}":
             inner = stack.pop()

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .term import (
-    Compound, Const, MetaVar, Term, parse_term, render_term, subterms,
+    MAX_TERM_DEPTH, Compound, Const, MetaVar, Term, parse_term, render_term,
+    subterms,
 )
 
 __all__ = [
@@ -198,7 +199,9 @@ def parse_grammar(text: str, raw_mode: bool = False) -> Lexicon:
 
 def _validate_scheme(r: RelatorScheme, problems: list[tuple[int, str]]) -> None:
     # conjugator pairing: exactly two occurrences, opposite signs, and the
-    # pairs must nest (the commutator scheme is the recognized exception)
+    # pairs must nest (the commutator scheme is the recognized exception),
+    # no deeper than MAX_TERM_DEPTH levels, as the rule instantiation that
+    # builds their blocks recurses per level
     counts: dict[str, list[int]] = {}
     for i in r.items:
         if isinstance(i, ExprMeta):
@@ -209,14 +212,19 @@ def _validate_scheme(r: RelatorScheme, problems: list[tuple[int, str]]) -> None:
                                      "with opposite signs"))
     if not is_commutator_scheme(r):
         stack: list[str] = []
+        depth = 0
         for i in r.items:
             if isinstance(i, ExprMeta) and i.name in counts and len(counts[i.name]) == 2:
                 if stack and stack[-1] == i.name:
                     stack.pop()
                 else:
                     stack.append(i.name)
+                    depth = max(depth, len(stack))
         if stack:
             problems.append((r.line, "conjugator pairs interleave"))
+        if depth > MAX_TERM_DEPTH:
+            problems.append((r.line, "conjugator pairs nested deeper than "
+                                     f"{MAX_TERM_DEPTH} levels"))
     # a name must not be used both as meta-variable and abstraction variable
     terms = [i.term for i in r.items if isinstance(i, LogItem)]
     metas = set().union(*(t.metas for t in terms))

@@ -43,6 +43,18 @@ def test_generate_rejects_deeply_nested_term(capsys):
     assert "nested deeper than" in capsys.readouterr().err
 
 
+def test_reduce_rejects_deeply_nested_blocks(capsys):
+    deep = "{ " * 3000 + "john" + " }" * 3000
+    assert main(["reduce", ENGLISH, deep]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: blocks nested deeper than 100 levels\n"
+    # the derivation readers share the limit, and a hundred levels still read
+    text = "{ " * 100 + "john" + " }" * 100
+    assert engine.render_expr(engine.parse_expr(text, ["john"])) == text
+    with pytest.raises(ValueError, match="nested deeper than"):
+        engine.parse_expr("{ " + text + " }", ["john"])
+
+
 def test_generate_truncation_still_prints_partials(capsys):
     code = main(["generate", ADVERBS, "sent", "--max-expansions", "12"])
     assert code == 3

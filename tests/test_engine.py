@@ -598,16 +598,13 @@ def test_engine_results_survive_pickle_and_copies(english):
                 assert replay(lex, d) == d.end
     atom = Atom(lf("ev(m,#x1,P[#x1])"))
     engine._canonical_key((atom,), False)
-    engine._reading(atom)
     hash(atom.payload.args[2])
     for again in (copy.copy(atom), copy.deepcopy(atom),
                   pickle.loads(pickle.dumps(atom))):
         assert again == atom and not hasattr(again, "_key")
-        assert not hasattr(again, "_reading")
         assert hash(again.payload) == hash(atom.payload)
         assert engine._canonical_key((again,), False) == \
             engine._canonical_key((atom,), False)
-        assert engine._reading(again) == engine._reading(atom)
 
 
 def test_parse_attachment_ambiguity_is_exactly_two_ways(english):
@@ -703,10 +700,18 @@ def test_homonymous_tokens_search_every_rule_assignment():
 # block-free words that cannot reduce to one atom
 
 
+def _asked(s, left, right):
+    """``_may_cancel`` in the context ``s`` of ``left`` and ``right^-1``,
+    over their first-order readings."""
+    a, b = Atom(lf(left)), Atom(lf(right), -1)
+    return engine._may_cancel(s, a, b, engine._first_order(a)[0],
+                              engine._first_order(b)[0])
+
+
 def _may_cancel(left, right):
     """Whether ``left`` and ``right^-1`` are partners, by the search's
     relation with fresh memos."""
-    return engine._may_cancel(_context(), Atom(lf(left)), Atom(lf(right), -1))
+    return _asked(_context(), left, right)
 
 
 @pytest.mark.parametrize("left, right", [
@@ -714,10 +719,6 @@ def _may_cancel(left, right):
     # to \#_z.s(#x1,#_z) lets the pair cancel on the way to a reading
     ("P1[#x1]", "sm(w,#x2,P4[#x2])"),
     ("P4[#x2]", "s(A3,B3)"),
-    # an occurrence inside an application's argument does not count:
-    # P := \#_z.c and M := f(c) unify them; P[M] has no first-order reading,
-    # and the relation keeps a pair it cannot read
-    ("M", "f(P[M])"),
     ("f(X)", "f(a)"),
     ("s(j,l)", "s(j,l)"),
 ])
@@ -761,16 +762,12 @@ def test_partners_reject_an_application_whose_identifier_a_ground_atom_lacks(
     assert not _may_cancel(right, left)
     # a vacuous abstraction, made when P4 matches elsewhere, may turn P4[#x2]
     # into any term: the relation keeps the pair
-    vacuous = engine._Search(EMPTY_LEX, allow_vacuous=True)
-    assert engine._may_cancel(vacuous, Atom(lf(left)), Atom(lf(right), -1))
+    assert _asked(engine._Search(EMPTY_LEX, allow_vacuous=True), left, right)
 
 
 @pytest.mark.parametrize("left, right", [
     ("P4[#x2]", "s(j,#x2)"),
     ("P4[#x2]", "f(#x2)"),
-    # the application's argument is a variable: match_app may bind it to
-    # any identifier of the target
-    ("P4[X]", "s"),
 ])
 def test_partners_keep_an_application_a_ground_atom_can_match(left, right):
     assert _may_cancel(left, right)
@@ -778,20 +775,59 @@ def test_partners_keep_an_application_a_ground_atom_can_match(left, right):
 
 
 def test_partners_need_opposite_signs_and_equal_tokens():
-    # _matchings asks _partner about atoms of opposite signs only
+    # atoms of one sign are never partners, however their readings meet
     z = Atom(lf("g"))
     for sign in (1, -1):
         x, y = Atom(lf("f(X)"), sign), Atom(lf("f(a)"), sign)
         matchings, s = _matchings((x, y, z))
-        assert matchings == [] and (id(x), id(y)) not in s.partners
-        assert all(p.sign == -q.sign for p, q, _ in s.partners.values())
+        assert matchings == [] and _tables(s).partners == [[], [], []]
     # equal tokens cancel when a word is normalized, unequal ones stay, and
-    # a word that holds a token is not read first-order: it is kept, and no
-    # token is asked as a partner
+    # a word that holds a token is not read first-order: it is kept, and
+    # its set of atoms gets no tables
     assert normalize((a("saw"), a("saw", -1))) == ()
     assert len(normalize((a("saw"), a("ran", -1)))) == 2
     matchings, s = _matchings((a("saw"), Atom(lf("X"), -1), z))
-    assert matchings is True and s.partners == {}
+    assert matchings is True and _tables(s) is None
+
+
+@pytest.mark.parametrize("text", [
+    # an application to no identifier has no first-order reading, so the
+    # relation cannot judge its pairs: P := \#_z.c and M := f(c) cancel
+    # M against f(P[M]), and P := \#_z.j cancels s(P[A],l) against s(j,l)
+    "M f(P[M])^-1 g",
+    "s(P[A],l) s(j,l)^-1 g",
+    # the application's argument is a variable: match_app may bind it to
+    # any identifier of the target
+    "P4[X] s^-1 g",
+])
+def test_words_with_an_atom_of_no_reading_are_kept_unjudged(text):
+    matchings, s = _matchings(parse_expr(text, ()))
+    assert matchings is True and _tables(s) is None
+
+
+def test_judging_asks_each_pair_of_opposite_signs_once(monkeypatch):
+    real, asked = engine._may_cancel, []
+    x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
+    names = {id(x): "x", id(y): "y", id(z): "z"}
+
+    def asking(s, a, b, u, v):
+        # the two readings' terms come from the set's tables
+        assert (u, v) == (engine._first_order(a)[0],
+                          engine._first_order(b)[0])
+        asked.append(names.get(id(a), "?") + names.get(id(b), "?"))
+        return real(s, a, b, u, v)
+
+    monkeypatch.setattr(engine, "_may_cancel", asking)
+    s = engine._Search(EMPTY_LEX, blocks_first=True)
+    # each pair of opposite signs once, the left atom first; another order
+    # of the same atoms reads the same tables and asks nothing
+    for word in ((x, y, z), (z, y, x)):
+        assert engine._may_match(s, word) == []
+    assert asked == ["xy", "yz"]
+    # a word of one sign, and a word that holds a token, ask nothing
+    for text in ("f(X) f(a) g", "f(X)^-1 f(a)^-1 g^-1", "saw X^-1 g"):
+        _matchings(parse_expr(text, ("saw",)))
+    assert asked == ["xy", "yz"]
 
 
 # the relation compares the first-order readings: it rejects a rigid
@@ -805,8 +841,6 @@ def test_partners_need_opposite_signs_and_equal_tokens():
     ("A", "s(j,l)", True),
     # #x is not in s(j,l), and no image of P[#x] but a vacuous one meets it
     ("P[#x]", "s(j,l)", False),
-    # P[A] has no first-order reading: the pair is kept
-    ("s(P[A],l)", "s(j,l)", True),
     ("s(A,A)", "s(j,l)", False),
     ("s(j,l)", "s(j,m)", False),
     ("s(j,l)", "i(j,l)", False),
@@ -826,7 +860,11 @@ def test_partners_keep_every_pair_that_unifies():
         s = engine._Search(EMPTY_LEX, allow_vacuous=allow_vacuous)
         for x in RANDOM_TERMS[:100]:
             for y in RANDOM_TERMS[100:200]:
-                if not engine._may_cancel(s, Atom(x), Atom(y, -1)):
+                a, b = Atom(x), Atom(y, -1)
+                u, v = engine._first_order(a)[0], engine._first_order(b)[0]
+                if u is None or v is None:
+                    continue  # _atom_set asks no pair of such an atom
+                if not engine._may_cancel(s, a, b, u, v):
                     rejected += 1
                     assert unify(x, y, allow_vacuous=allow_vacuous) == []
     assert rejected
@@ -838,15 +876,21 @@ def _matchings(word):
     return engine._may_match(s, word), s
 
 
+def _tables(s):
+    """The tables of the one set of atoms that ``s`` has read, or ``None``
+    when it is not read first-order."""
+    [(_, tables)] = s.atom_sets.values()
+    return tables
+
+
 def test_partners_memo_holds_both_atoms_in_word_order():
     x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
     matchings, s = _matchings((x, y, z))
     # P's only image, s(A,B), lacks #x1
     assert matchings == []
-    # z, the survivor, has no partner; x and z, at an even distance, are
-    # never asked
-    assert s.partners == {(id(x), id(y)): (x, y, True),
-                          (id(y), id(z)): (y, z, False)}
+    # the tables number the atoms in the word's order: x and y are
+    # partners, and z, the survivor, has none
+    assert _tables(s).partners == [[1], [0], []]
 
 
 @pytest.mark.parametrize("text", [
@@ -899,7 +943,7 @@ def _kernel_matchings(text, monkeypatch, vacuous=False):
     s = engine._Search(EMPTY_LEX, allow_vacuous=vacuous, blocks_first=True)
     with monkeypatch.context() as m:
         m.setattr(engine, "_bit_survivors", reading)
-        m.setattr(engine, "_partner", lambda s, a, b: True)
+        m.setattr(engine, "_may_cancel", lambda s, a, b, u, v: True)
         found = engine._may_match(s, parse_expr(text, ()))
     assert read, text
     return found

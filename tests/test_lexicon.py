@@ -159,6 +159,23 @@ def test_interleaved_conjugators_rejected():
     assert any("interleave" in m for m in msgs)
 
 
+def _nested_conjugators(n):
+    """A grammar whose one relator, on line 2, nests ``n`` conjugator pairs
+    around ``x``."""
+    left = " ".join(f"@a{i}" for i in range(n))
+    right = " ".join(f"@a{i}^-1" for i in reversed(range(n)))
+    return f"phon w .\nrelator {left} x {right} w^-1 .\n"
+
+
+def test_conjugators_nested_past_the_term_depth_rejected_with_line():
+    # rule instantiation builds one block per pair, recursing per level
+    assert len(parse_grammar(_nested_conjugators(100)).relators) == 1
+    with pytest.raises(GrammarError) as e:
+        parse_grammar(_nested_conjugators(101))
+    assert e.value.problems == [
+        (2, "conjugator pairs nested deeper than 100 levels")]
+
+
 def test_duplicate_token_rejected():
     msgs = _problems("phon w w .\n")
     assert any("duplicate" in m for m in msgs)

@@ -932,7 +932,7 @@ def test_scoped_starts_match_the_reference(reference, monkeypatch):
 
 def test_partners_only_prune(english, monkeypatch):
     # each matching's equations are bound jointly and its bound applications
-    # checked on the joint unifier, so the pairs that _partner rejects only
+    # checked on the joint unifier, so the pairs that _may_cancel rejects only
     # cut branches early: taking every pair as partners changes no word's
     # matchings and no reading or derivation of the chart
     words = {}
@@ -957,7 +957,7 @@ def test_partners_only_prune(english, monkeypatch):
     lexicons = english, RAW
     live = {lex: engine._Search(lex, blocks_first=True) for lex in lexicons}
     want = [real(live[lex], word) for lex, word in samples]
-    monkeypatch.setattr(engine, "_partner", lambda s, a, b: True)
+    monkeypatch.setattr(engine, "_may_cancel", lambda s, a, b, u, v: True)
     every = {lex: engine._Search(lex, blocks_first=True) for lex in lexicons}
     for (lex, word), matchings in zip(samples, want):
         assert real(every[lex], word) == matchings, render_expr(word)
