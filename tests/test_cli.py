@@ -7,6 +7,7 @@ import pytest
 
 from ggroup import engine
 from ggroup.cli import main
+from test_lexicon import NO_GEN_RULES, NO_PARSE_RULES
 
 GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 ENGLISH = str(GRAMMAR_DIR / "english.gg")
@@ -91,6 +92,36 @@ def test_parse_scrambled_order_succeeds_with_commutator(capsys):
 def test_parse_rejects_unknown_token(capsys):
     assert main(["parse", ENGLISH, "john saw bob"]) == 2
     assert capsys.readouterr().err == "error: unknown token 'bob'\n"
+
+
+@pytest.mark.parametrize("text, argv, err", [
+    (NO_PARSE_RULES, ["parse", "a"],
+     "error: line 3: expected exactly one surface token, found 2; "
+     "line 4: expected exactly one surface token, found 0\n"),
+    (NO_GEN_RULES, ["generate", "x"],
+     "error: line 3: meta-variables not bound by the head: X\n"),
+    # a declared token that no relator uses
+    ("phon a b .\nrelator x a^-1 .\n", ["parse", "b"],
+     "error: no parsing rule for token 'b'\n"),
+], ids=["parse", "generate", "unused-token"])
+def test_grammar_problems_of_the_direction_asked_for(tmp_path, capsys,
+                                                     text, argv, err):
+    grammar = tmp_path / "g.gg"
+    grammar.write_text(text)
+    assert main([argv[0], str(grammar), argv[1]]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("text, argv, out", [
+    (NO_PARSE_RULES, ["generate", "f(x)"], "a\n"),
+    (NO_GEN_RULES, ["parse", "a b"], "x\n"),
+], ids=["generate", "parse"])
+def test_strict_grammars_run_the_direction_that_has_rules(tmp_path, capsys,
+                                                          text, argv, out):
+    grammar = tmp_path / "g.gg"
+    grammar.write_text(text)
+    assert main([argv[0], str(grammar), argv[1]]) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ggroup import engine
 from ggroup.engine import Atom, inverse, normalize, product
 from ggroup.lexicon import (
     ExprMeta, GenRule, GrammarError, Lexicon, LogItem, ParseRule, PhonItem,
@@ -241,6 +242,30 @@ def test_raw_mode_skips_instead_of_raising():
     (scheme, reasons), = underivable_relators(lex, "gen")
     assert scheme == lex.relators[0]
     assert reasons == ["no unique semantic head"]
+
+
+# two strict grammars that derive rules in one direction only: each
+# direction reports only its own problems, and the other one still runs
+NO_PARSE_RULES = ("phon a b c .\nrelator x a^-1 .\nrelator y b^-1 c^-1 .\n"
+                  "relator X^-1 f(X) .\n")
+NO_GEN_RULES = "phon a b .\nrelator x a^-1 .\nrelator X^-1 f(Y) b^-1 .\n"
+
+
+def test_strict_grammar_problems_are_reported_per_direction():
+    lex = parse_grammar(NO_PARSE_RULES)
+    (words, _), = engine.generate(lex, parse_term("f(x)")).results
+    assert words == ("a",)
+    with pytest.raises(GrammarError) as e:
+        engine.parse(lex, ["a"])
+    assert e.value.problems == [
+        (3, "expected exactly one surface token, found 2"),
+        (4, "expected exactly one surface token, found 0")]
+    lex = parse_grammar(NO_GEN_RULES)
+    (term, _), = engine.parse(lex, ["a", "b"]).results
+    assert render_term(term) == "x"
+    with pytest.raises(GrammarError) as e:
+        engine.generate(lex, parse_term("x"))
+    assert e.value.problems == [(3, "meta-variables not bound by the head: X")]
 
 
 def test_rule_ids_keep_relator_numbering_in_raw_mode():
