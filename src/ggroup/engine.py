@@ -546,15 +546,6 @@ def _keys_meet(head_key, key) -> bool:
         head_key[1] is None or key[1] is None or head_key[1] == key[1])
 
 
-def _derive_rules(rules_of, lex: lx.Lexicon) -> tuple[tuple, list]:
-    """(rules, problems): a strict grammar's problems come back instead of
-    being raised, so that only the direction asked for reports them."""
-    try:
-        return rules_of(lex), []
-    except lx.GrammarError as e:
-        return (), e.problems
-
-
 def _binds_identifier(head: Term, name: str) -> bool:
     """Whether every unifier of ``head`` with a ground term binds the
     meta-variable ``name`` to an identifier: the head applies an abstraction
@@ -592,6 +583,12 @@ def _local_rule(rule: lx.GenRule) -> bool:
 class _Tables:
     """A lexicon's derived rule tables, built once by ``_tables``.
 
+    Each direction's rules come from one ``lexicon.derive`` pass.  In a
+    strict grammar, the relators that carry no rule in a direction are that
+    direction's problems (``gen_problems``, ``parse_problems``: line and
+    reason), which ``generate`` and ``parse`` raise, and the direction gets
+    no rules; the other direction still runs.
+
     ``local_expansions`` says whether generation may expand one atom per
     state and place blocks only where nothing expands (see
     ``_expand_successors``).  It holds when no generation head has the key
@@ -603,8 +600,14 @@ class _Tables:
     or by an explicit cancel."""
 
     def __init__(self, lex: lx.Lexicon):
-        gen_rules, self.gen_problems = _derive_rules(lx.gen_rules, lex)
-        parse_rules, self.parse_problems = _derive_rules(lx.parse_rules, lex)
+        gen_rules, gen_skipped = lx.derive(lex, "gen")
+        parse_rules, parse_skipped = lx.derive(lex, "parse")
+        self.gen_problems, self.parse_problems = (
+            [] if lex.raw_mode
+            else [(r.line, reason) for r, reasons in skipped for reason in reasons]
+            for skipped in (gen_skipped, parse_skipped))
+        gen_rules = () if self.gen_problems else gen_rules
+        parse_rules = () if self.parse_problems else parse_rules
         self.by_id: dict[str, object] = {r.rule_id: r for r in gen_rules + parse_rules}
         self.by_id.update((f"r{n}", r) for n, r in enumerate(lex.relators, start=1))
         # the scheme variables of every rule, which name its copies apart

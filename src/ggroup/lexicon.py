@@ -26,8 +26,8 @@ from .term import (
 __all__ = [
     "PhonItem", "LogItem", "ExprMeta", "SchemeItem", "RelatorScheme",
     "Lexicon", "GenRule", "ParseRule", "GrammarError",
-    "parse_grammar", "render_grammar", "gen_rules", "parse_rules",
-    "underivable_relators", "arity_table", "is_commutator_scheme",
+    "parse_grammar", "render_grammar", "derive", "gen_rules", "parse_rules",
+    "arity_table", "is_commutator_scheme",
 ]
 
 
@@ -271,9 +271,8 @@ def _phon_index(r: RelatorScheme) -> Optional[int]:
 
 def _scheme_problems(r: RelatorScheme, direction: str) -> list[str]:
     out = []
-    if is_commutator_scheme(r):
-        return ["commutator scheme carries no rewrite rule"]
-    if _head_index(r) is None:
+    h = _head_index(r)
+    if h is None:
         out.append("no unique semantic head")
     if direction == "parse":
         phon = [i for i in r.items if isinstance(i, PhonItem)]
@@ -281,8 +280,8 @@ def _scheme_problems(r: RelatorScheme, direction: str) -> list[str]:
             out.append(f"expected exactly one surface token, found {len(phon)}")
         elif phon[0].sign != -1:
             out.append("surface token must be inverted for a parsing rule")
-    if direction == "gen" and _head_index(r) is not None:
-        head = r.items[_head_index(r)].term
+    elif h is not None:
+        head = r.items[h].term
         loose = set().union(*(i.term.metas for i in r.items
                               if isinstance(i, LogItem))) - head.metas
         if loose:
@@ -304,49 +303,55 @@ def _parse_rule(r: RelatorScheme, rule_id: str) -> ParseRule:
     return ParseRule(rule_id, r.items[w].token, tuple(after) + tuple(before))
 
 
+def derive(lex: Lexicon, direction: str) -> tuple[tuple, list]:
+    """One pass over the relators for ``direction`` (``"gen"`` or
+    ``"parse"``): ``(rules, skipped)``.
+
+    ``rules`` are the rules of that direction, numbered ``g<n>`` or ``p<n>``
+    by the position of their relator.  ``skipped`` pairs every relator that
+    carries no rule with the reasons why, whatever ``raw_mode`` is; the
+    commutator scheme, which carries no rule in either direction by design,
+    is in neither.
+    """
+    rules = []
+    skipped = []
+    for n, r in enumerate(lex.relators, start=1):
+        if is_commutator_scheme(r):
+            continue
+        issues = _scheme_problems(r, direction)
+        if issues:
+            skipped.append((r, issues))
+        elif direction == "gen":
+            rules.append(_gen_rule(r, f"g{n}"))
+        else:
+            rules.append(_parse_rule(r, f"p{n}"))
+    return tuple(rules), skipped
+
+
 def gen_rules(lex: Lexicon) -> tuple[GenRule, ...]:
     """One generation rule per relator: head rewrites to the moved remainder.
 
-    Strict grammars must yield a rule for every relator; in raw mode,
-    relators without one are skipped (see ``underivable_relators``).
+    A strict grammar with a relator that carries no rule raises
+    ``GrammarError`` with every such relator's line and reasons; in raw mode
+    those relators are skipped (see ``derive``).
     """
-    return _derive(lex, "gen")
+    return _strict(lex, "gen")
 
 
 def parse_rules(lex: Lexicon) -> tuple[ParseRule, ...]:
-    """One parsing rule per relator: the surface token rewrites to the rest."""
-    return _derive(lex, "parse")
+    """One parsing rule per relator: the surface token rewrites to the rest.
+
+    Strict and raw grammars differ as for ``gen_rules``.
+    """
+    return _strict(lex, "parse")
 
 
-def _derive(lex: Lexicon, direction: str):
-    rules = []
-    problems = []
-    tag = "g" if direction == "gen" else "p"
-    for n, r in enumerate(lex.relators, start=1):
-        if is_commutator_scheme(r):
-            continue  # structural scheme; carries no rule in either direction
-        issues = _scheme_problems(r, direction)
-        if issues:
-            if not lex.raw_mode:
-                problems.extend((r.line, msg) for msg in issues)
-            continue
-        if direction == "gen":
-            rules.append(_gen_rule(r, f"{tag}{n}"))
-        else:
-            rules.append(_parse_rule(r, f"{tag}{n}"))
-    if problems:
-        raise GrammarError(problems)
-    return tuple(rules)
-
-
-def underivable_relators(lex: Lexicon, direction: str) -> list[tuple[RelatorScheme, list[str]]]:
-    """Relators that carry no rewrite rule in the given direction, with reasons."""
-    out = []
-    for r in lex.relators:
-        issues = _scheme_problems(r, direction)
-        if issues:
-            out.append((r, issues))
-    return out
+def _strict(lex: Lexicon, direction: str) -> tuple:
+    rules, skipped = derive(lex, direction)
+    if skipped and not lex.raw_mode:
+        raise GrammarError([(r.line, reason)
+                            for r, reasons in skipped for reason in reasons])
+    return rules
 
 
 def arity_table(lex: Lexicon) -> dict[str, int]:

@@ -799,6 +799,8 @@ def test_partners_need_opposite_signs_and_equal_tokens():
     # the application's argument is a variable: match_app may bind it to
     # any identifier of the target
     "P4[X] s^-1 g",
+    # each atom has a reading, but the word applies P to two identifiers
+    "f(#x) P[#x]^-1 g(#y) P[#y]^-1 s",
 ])
 def test_words_with_an_atom_of_no_reading_are_kept_unjudged(text):
     matchings, s = _matchings(parse_expr(text, ()))
@@ -1069,6 +1071,20 @@ def test_replay_rejects_tampered_steps(english):
         (english, par, {"instance": -1}, "an instance number is 0 or more"),
         (family, sat, {"instance": -1}, "an instance number is 0 or more"),
         (english, gen, {"instance": -1}, "an instance number is 0 or more"),
+        # a relator instance goes after every item of its level
+        (family, sat, {"index": sat.steps[0].index + 1},
+         "relator instances are appended at the end"),
+        (english, dataclasses.replace(par, start=(a("john", -1),) + par.start[1:]),
+         {}, "expand target must be a positive atom"),
+        (english, par, {"rule_id": "p2"}, "expand target is not the token 'louise'"),
+        # a generation rule on a token, and on an atom that is not ground
+        (english, par, {"rule_id": "g1", "instance": 0},
+         "generation expands ground logical atoms"),
+        (english, dataclasses.replace(gen, start=(Atom(lf("s(A,l)")),)), {},
+         "generation expands ground logical atoms"),
+        # a variable the head lacks, bound to a term that holds it
+        (english, gen, {"binding": Binding(
+            {**gen.steps[0].binding.terms, "Z": lf("f(Z)")})}, "cyclic binding"),
     ]:
         bent, n = _tampered_expansion(d, **changes)
         with pytest.raises(StepError, match=f"step {n}: {message}"):
@@ -1177,6 +1193,8 @@ def test_parse_step_names_a_missing_field(text, missing):
      "derivation text has 2 'derivation mode=' lines, not one"),
     (lambda: parse_derivation("derivation mode=parse\nstart: 1\nend: 1\nend: 1", ()),
      "derivation text has 2 'end:' lines, not one"),
+    (lambda: parse_derivation("derivation mode=parse\nstart: 1\nsteps: 0\nend: 1", ()),
+     "unexpected trace line 'steps: 0'"),
 ], ids=["no-mode", "no-steps", "bare-field", "bare-header", "bare-binding",
         "repeated-binding", "binding-no-variable", "binding-empty-name",
         "old-rename-field", "old-idents-field", "instance-not-a-number",
@@ -1184,7 +1202,8 @@ def test_parse_step_names_a_missing_field(text, missing):
         "level-not-a-number", "k-not-a-number", "partner-not-a-number",
         "unknown-field", "misspelt-bind", "repeated-field",
         "record-misspelt-with", "swap-kind", "no-header-line",
-        "no-start-line", "two-header-lines", "two-end-lines"])
+        "no-start-line", "two-header-lines", "two-end-lines",
+        "unexpected-line"])
 def test_derivation_readers_name_the_problem(read, message):
     with pytest.raises(ValueError, match=message):
         read()
@@ -1244,9 +1263,12 @@ def test_replay_takes_commutativity_from_the_lexicon(english):
      "opposite signs"),
     (COMMUTATIVE_RAW, "f(X) y { f(a)^-1 }", "cancel level=- index=0 with=2 bind=X=a",
      "two atoms"),
+    (COMMUTATIVE_RAW, "f(X) y f(a)^-1",
+     "cancel level=- index=0 with=2 bind=X=a;Z=f(Z)", "cyclic binding"),
 ], ids=["not-commutative", "nested", "partner-before", "partner-is-index",
         "partner-out-of-range", "index-out-of-range", "token-pair",
-        "unequal-ground-pair", "wrong-unifier", "same-sign", "block-partner"])
+        "unequal-ground-pair", "wrong-unifier", "same-sign", "block-partner",
+        "cyclic-binding"])
 def test_replay_rejects_a_tampered_cancel_partner(lex, text, step, message):
     start = parse_expr(text, ("a",))
     d = Derivation("parse", start, (parse_step(step),), start)

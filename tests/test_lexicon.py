@@ -6,8 +6,8 @@ from ggroup import engine
 from ggroup.engine import Atom, inverse, normalize, product
 from ggroup.lexicon import (
     ExprMeta, GenRule, GrammarError, Lexicon, LogItem, ParseRule, PhonItem,
-    RelatorScheme, arity_table, gen_rules, is_commutator_scheme, parse_grammar,
-    parse_rules, render_grammar, render_item, underivable_relators,
+    RelatorScheme, arity_table, derive, gen_rules, is_commutator_scheme,
+    parse_grammar, parse_rules, render_grammar, render_item,
 )
 from ggroup.term import Binding, parse_abstraction, parse_term, render_term, substitute
 
@@ -239,7 +239,7 @@ def test_raw_mode_skips_instead_of_raising():
     lex = parse_grammar(AMBIGUOUS_HEAD, raw_mode=True)
     assert gen_rules(lex) == ()
     assert parse_rules(lex) == ()
-    (scheme, reasons), = underivable_relators(lex, "gen")
+    (scheme, reasons), = derive(lex, "gen")[1]
     assert scheme == lex.relators[0]
     assert reasons == ["no unique semantic head"]
 
