@@ -62,9 +62,13 @@ bundle is built, once per search, and dropped, never built or keyed, when
 no non-crossing matching of its atoms can cancel, read first-order
 (``_may_match``, ``_block_successors``).  It and the chart read a word's
 matchings from one place (``_matchings``), which pairs atoms by one
-relation: whether their first-order readings unify (``_may_cancel``).
-A live word carries the matchings that can cancel down its cancels, and
-cancels only pairs that one of them holds (``_cancel_successors``).
+relation: whether their first-order readings unify (``_may_cancel``).  In
+a parse whose starts hold two blocks or more, the relation keeps only the
+pairs that some order-free valid matching of the start's atoms holds, as
+far as a search of fixed size can tell (``_supported``); every matching
+that can cancel holds only such pairs.  A live word carries the matchings
+that can cancel down its cancels, and cancels only pairs that one of them
+holds (``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -137,8 +141,9 @@ atom pairs take the context too.  There are five memos:
   atom it keys.
 * ``atom_sets`` holds the tables of each set of atoms whose words
   ``_matchings`` reads (``_atom_set``): the atoms' readings, which pairs
-  of them may cancel (``_may_cancel``), and the bitset kernel's tables.
-  It is keyed by the set of the atoms' ids.
+  of them may cancel (``_may_cancel``, less the unsupported pairs when the
+  search asks for support, ``_supported``), and the bitset kernel's
+  tables.  It is keyed by the set of the atoms' ids.
 
 Each entry of ``unifiers``, ``substitutions`` and ``atom_sets`` holds the
 objects whose ids it uses, so no id is reused while the memo lives.  The
@@ -1005,7 +1010,11 @@ class _Search:
     """One search's context (see the module docstring and ``_search``).
 
     ``blocks_first`` says that the search places every block before any
-    cancel (see ``_search``).  The memos are ``unifiers``,
+    cancel (see ``_search``), and ``supported`` that the tables of an atom
+    set keep only the pairs that some order-free valid matching of the
+    atoms holds (``_supported``): ``_search`` sets it in a blocks-first
+    parse whose every start holds two blocks or more, and a context built
+    directly keeps the pairs of ``_may_cancel``.  The memos are ``unifiers``,
     ``substitutions``, ``instances``, ``judged`` and ``atom_sets``, as the
     module docstring says.  ``judged`` maps each block-free word that the
     block phase has judged, by its atoms' ids, to what ``_may_match`` said
@@ -1021,6 +1030,7 @@ class _Search:
     lex: lx.Lexicon
     allow_vacuous: bool = False
     blocks_first: bool = False
+    supported: bool = False
     unifiers: dict = field(default_factory=dict)
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
@@ -1638,7 +1648,12 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     reading or derivation of a live state changes, live states keep their
     queue order, and a state that cancels reach with a dead word's key,
     which ``visited`` does not hold, reaches no reading either.  No bundle
-    trips a limit, so ``truncated`` does not change either.
+    trips a limit, so ``truncated`` does not change either.  When every
+    start holds two blocks or more (``_Search.supported``), the tables of
+    each start's atoms keep only the supported pairs (``_supported``), so
+    most dead words die at the partner scan of ``_matchings``, before the
+    kernel runs; no verdict changes.  A start with one block judges too few
+    words to pay for the support search, and a chart start holds none.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1674,9 +1689,11 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), set()
-    ordered = chart = first = mode == "parse" and not commutative
+    ordered = chart = first = support = mode == "parse" and not commutative
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
+        # two blocks or more: _levels yields the top level and each block
+        support = support and sum(1 for _ in _levels(expr)) > 2
         # neither the chart nor placing blocks first knows a size limit: no
         # successor may outgrow max_items
         chart = chart and len(expr) - 2 <= lim.max_items and _chart_word(expr)
@@ -1688,6 +1705,7 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
     s.blocks_first = first and ordered
+    s.supported = s.blocks_first and support
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1854,6 +1872,17 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     uses the set.  A word maps its atoms to their indices and reads the
     tables through them.
 
+    When the context asks for support (``_Search.supported``), the
+    partners of a set of the kernel's shape lose the pairs that a search
+    shows to be in no order-free valid matching of the atoms
+    (``_supported``).  That changes no result.  Every matching returned
+    here, in any order of the atoms, is such a matching: it pairs each
+    negative atom with a distinct positive one, leaves one positive
+    survivor, and passes the kernel's checks, which ask nothing of the
+    order.  So each of its pairs is kept, and the same matchings come in
+    the same order; the dropped pairs only start branches that return
+    nothing.
+
     The equations are solved one of two ways, which give the same
     matchings in the same order.  In a word where every negative atom reads
     as a meta-variable that no other negative atom holds, and no positive
@@ -1915,7 +1944,8 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
 class _AtomSet:
     """The facts of a set of atoms that ``_matchings`` reads, whatever
     their order, each atom known by its index (``index``, from its id):
-    its sign (``signs``), the indices of its partners (``partners``), its
+    its sign (``signs``), the indices of its partners (``partners``, by
+    ``_may_cancel``, or only the supported ones, see ``_atom_set``), its
     first-order reading's term (``terms``) and the ``checks`` of
     ``_survivors``, for the term-level equations, and the bitset kernel's
     tables (``_bit_tables``), or ``None`` when the set is not of the
@@ -1935,7 +1965,11 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     variable is applied to two identifiers (see ``_matchings``), before any
     pair is asked.  Each atom is read once (``_first_order``), and each pair
     of opposite signs is asked ``_may_cancel`` once, over the two readings'
-    terms, the left one first; the relation is symmetric."""
+    terms, the left one first; the relation is symmetric.  When the context
+    asks for support (``_Search.supported``) and the set is of the bitset
+    kernel's shape, the partners keep only the pairs that ``_supported``
+    keeps: every pair of every matching that ``_matchings`` can return is
+    one of them (see there), so no matching is lost."""
     readings, apps = [], {}
     for a in atoms:
         reading = _first_order(a)
@@ -1956,10 +1990,13 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
                 partners[b].append(a)
     if s.allow_vacuous:
         apps = {}
+    kernel = _bit_tables(readings, signs, apps)
+    if s.supported and kernel is not None:
+        partners = _supported(partners, signs, kernel)
     return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs, partners,
                     [r[0] for r in readings],
                     [(MetaVar(p + "[]"), x) for p, x in apps.items()],
-                    _bit_tables(readings, signs, apps))
+                    kernel)
 
 
 def _survivors(ks, terms, pairs, full, checks):
@@ -2138,6 +2175,104 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
             more += ((a + 1, j),)
         _cover(more, bound | v, w)
         matched.pop()
+
+
+# the nodes that one atom set's support search may spend (``_supported``)
+_SUPPORT_BUDGET = 20_000
+
+
+def _supported(partners: list, signs: list, kernel: tuple) -> list:
+    """``partners`` without the pairs that a search shows no order-free
+    valid matching of the atoms to hold.  Such a matching pairs each
+    negative atom with a distinct positive partner and leaves one positive
+    atom, the survivor, and it meets the checks of ``_cover`` over the
+    kernel's tables: no binding reaches its own variable, the survivor's
+    image is ground, and each application's image holds its identifier and
+    is not it.  It need not be non-crossing, and the survivor may stand
+    anywhere.  A set without one positive atom more than negative ones has
+    no such matching, and keeps no pair.
+
+    Every matching that ``_matchings`` returns, of any order of the atoms,
+    is such a matching, so every pair it holds is kept: no matching is lost
+    and their order stays.  A depth-first search (``_extend``) settles each
+    pair in turn: it stops at the first matching that holds the pair, and
+    every pair of that matching is kept.  The search of the whole set stops
+    after ``_SUPPORT_BUDGET`` nodes, and every pair not settled by then is
+    kept."""
+    vbit, image = kernel[0], kernel[1]
+    negs = [i for i, sign in enumerate(signs) if sign < 0]
+    if 2 * len(negs) + 1 != len(signs):
+        return [[] for _ in signs]
+    options = {vbit[i]: sum(1 << j for j in partners[i]) for i in negs}
+    survivors = sum(1 << j for j, sign in enumerate(signs) if sign > 0)
+    closure: dict = {}
+    partner: dict = {}
+    left = [_SUPPORT_BUDGET]
+    w = (kernel, options, survivors, closure, partner, left)
+    todo = sum(options)
+    kept: set = set()
+    for i in negs:
+        v = vbit[i]
+        for j in partners[i]:
+            if (i, j) in kept or not left[0]:
+                kept.add((i, j))
+            elif not image[j] & v:
+                closure[v], partner[v] = image[j], j
+                found = _extend(todo ^ v, 1 << j, v, w)
+                if found is not None:
+                    kept.update((u.bit_length() - 1, p)
+                                for u, p in found.items())
+                elif not left[0]:
+                    kept.add((i, j))
+    return [[b for b in bs if ((a, b) if signs[a] < 0 else (b, a)) in kept]
+            for a, bs in enumerate(partners)]
+
+
+def _extend(todo: int, used: int, bound: int, w: tuple) -> Optional[dict]:
+    """One node of ``_supported``'s search: bind the variables of ``todo``
+    to positive atoms outside ``used``, the variable with the fewest
+    options first, and return the first complete matching that passes,
+    ``{variable: positive atom}``, or ``None``; ``bound``, ``closure`` and
+    ``partner`` are ``_cover``'s.  Each call spends one node of ``left``,
+    and no call is made once it is spent."""
+    (_, image, isid, checks), options, survivors, closure, partner, left = w
+    left[0] -= 1
+    if not todo:
+        k = (survivors & ~used).bit_length() - 1
+        if _reach(image[k], bound, closure) >> len(image) & 1:
+            return None
+        for v, x in checks:
+            p = partner[v]
+            if isid[p] == x or not _reach(closure[v], bound, closure) & x:
+                return None
+        return dict(partner)
+    best = None
+    rest = todo
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        found = []
+        js = options[v] & ~used
+        while js:
+            bit = js & -js
+            js ^= bit
+            j = bit.bit_length() - 1
+            reach = _reach(image[j], bound, closure)
+            if not reach & v:
+                found.append((j, reach))
+        if not found:
+            return None
+        if best is None or len(found) < len(best[1]):
+            best = v, found
+    v, found = best
+    for j, reach in found:
+        if not left[0]:
+            return None
+        closure[v], partner[v] = reach, j
+        result = _extend(todo ^ v, used | 1 << j, bound | v, w)
+        if result is not None:
+            return result
+    return None
 
 
 def _chain(s: _Search, start: _Node, pairs: list, chains: dict) -> _Node:

@@ -1196,6 +1196,196 @@ def test_a_start_past_the_size_limit_gets_every_placement(
 
 
 # ---------------------------------------------------------------------------
+# supported pairs (``engine._supported``): in a blocks-first parse whose
+# starts hold two blocks or more, the tables of a start's atoms keep only the
+# partner pairs that some order-free valid matching of the atoms holds, as
+# far as a search of ``engine._SUPPORT_BUDGET`` nodes tells
+
+
+def _start_of(lex, sentence):
+    """The one start of the parse of ``sentence``, left unsearched."""
+    starts = []
+
+    def search(lex, mode, start, begin, lim):
+        starts.extend(expr for _, expr in begin)
+        return engine.EngineResult((), False)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_search", search)
+        parse(lex, sentence.split(), LIM)
+    (start,) = starts
+    return start
+
+
+def _start_atoms(start):
+    return tuple(i for _, items in engine._levels(start) for i in items
+                 if isinstance(i, Atom))
+
+
+def _relation(atoms, partners):
+    """A partner relation over ``atoms`` as pairs of indices, the negative
+    atom first."""
+    return {(a, b) for a, bs in enumerate(partners) for b in bs
+            if atoms[a].sign < 0}
+
+
+def _may_cancel_relation(s, atoms):
+    """The pairs of ``atoms`` that ``engine._may_cancel`` keeps, as
+    ``_relation`` gives them."""
+    reads = [engine._first_order(a)[0] for a in atoms]
+    return {(a, b) for a, x in enumerate(atoms) for b, y in enumerate(atoms)
+            if x.sign < 0 < y.sign
+            and engine._may_cancel(s, x, y, reads[a], reads[b])}
+
+
+def _rendered(atoms, pairs):
+    return {(render_expr((atoms[a],)), render_expr((atoms[b],)))
+            for a, b in pairs}
+
+
+def _parse_relation(lex, sentence):
+    """The context of the parse of ``sentence``, the atoms of the one atom
+    set whose tables it builds, in their order there, and their partner
+    relation."""
+    real, built = engine._atom_set, []
+
+    def atom_set(s, atoms):
+        built.append((s, atoms, real(s, atoms)))
+        return built[-1][2]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_atom_set", atom_set)
+        parse(lex, sentence.split(), LIM)
+    [(s, atoms, tables)] = built
+    return s, atoms, _relation(atoms, tables.partners)
+
+
+def _counting_nodes(m):
+    """Count the nodes of the support search: the calls of
+    ``engine._extend``, which calls itself through the module."""
+    real, nodes = engine._extend, [0]
+
+    def extend(*args):
+        nodes[0] += 1
+        return real(*args)
+
+    m.setattr(engine, "_extend", extend)
+    return nodes
+
+
+# the pairs that no order-free valid matching of a start holds
+UNSUPPORTED = {
+    # a quantifier's restrictor N takes the noun, never the identifier, the
+    # verb or the other quantifier; the verb's arguments take neither
+    # quantifier
+    "every man saw some woman": {
+        ("N_1^-1", "#x1_1"), ("N_1^-1", "s(A_3,B_3)"),
+        ("N_1^-1", "sm(N_4,#x4_1,P_4[#x4_1])"),
+        ("A_3^-1", "ev(N_1,#x1_1,P_1[#x1_1])"),
+        ("A_3^-1", "sm(N_4,#x4_1,P_4[#x4_1])"),
+        ("B_3^-1", "ev(N_1,#x1_1,P_1[#x1_1])"),
+        ("B_3^-1", "sm(N_4,#x4_1,P_4[#x4_1])"),
+        ("N_4^-1", "ev(N_1,#x1_1,P_1[#x1_1])"), ("N_4^-1", "s(A_3,B_3)"),
+        ("N_4^-1", "#x4_1")},
+    "every man that john saw ran": {("N_1^-1", "#x1_1"),
+                                    ("N_3^-1", "#x3_1")},
+}
+
+
+@pytest.mark.parametrize("sentence, supported, pairs", [
+    ("every man saw some woman", True, 28),
+    ("every man that john saw ran", True, 41),
+    # one block: no support search
+    ("john saw every man in paris", False, 32),
+])
+def test_a_start_keeps_its_supported_pairs(english, sentence, supported,
+                                           pairs):
+    s, atoms, kept = _parse_relation(english, sentence)
+    assert s.supported is supported
+    every = _may_cancel_relation(s, atoms)
+    assert len(every) == pairs and kept <= every
+    assert _rendered(atoms, every - kept) == UNSUPPORTED.get(sentence, set())
+
+
+def test_a_context_built_directly_keeps_every_pair(english):
+    atoms = _start_atoms(_start_of(english, "every man saw some woman"))
+    s = engine._Search(english, blocks_first=True)
+    assert not s.supported
+    assert engine._may_match(s, atoms) == []
+    [(_, tables)] = s.atom_sets.values()
+    assert _relation(atoms, tables.partners) == _may_cancel_relation(s, atoms)
+
+
+def test_supported_pairs_change_no_verdict(english):
+    # every word that the searches judge gets, in a context without the
+    # search, which keeps every pair, the same matchings in the same order
+    real, judged = engine._may_match, []
+
+    def may_match(s, word):
+        judged.append((s, word, real(s, word)))
+        return judged[-1][2]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_may_match", may_match)
+        for sentence in QUANTIFIED + RELATIVES + PPS:
+            parse(english, sentence.split(), LIM)
+        for seed in (37, 29):
+            rng = random.Random(seed)
+            for _ in range(150):
+                _search(_scoped_start(rng))
+    fresh = {s: _fresh(s) for s in dict.fromkeys(s for s, _, _ in judged)}
+    for s, word, got in judged:
+        assert not fresh[s].supported
+        assert real(fresh[s], word) == got, render_expr(word)
+    gated = [got for s, _, got in judged if s.supported]
+    assert sum(m == [] for m in gated) > 1000
+    assert sum(bool(m) and m is not True for m in gated) > 100
+    # the atom sets whose tables drop a pair
+    assert sum(tables.partners != engine._atom_set(fresh[s], word).partners
+               for s in fresh if s.supported
+               for word, tables in s.atom_sets.values()
+               if tables is not None) > 100
+
+
+@pytest.mark.parametrize("budget", [0, 10, 100, 1000])
+def test_a_spent_budget_keeps_the_pairs_it_did_not_settle(
+        english, monkeypatch, budget):
+    # the two-quantifier start settles its 28 pairs in 221 nodes, the
+    # relative one its 41 in 1,616; with fewer, each pair not settled is
+    # kept, and readings and derivations stay
+    want = {sentence: parse(english, sentence.split(), LIM)
+            for sentence in UNSUPPORTED}
+    monkeypatch.setattr(engine, "_SUPPORT_BUDGET", budget)
+    nodes = _counting_nodes(monkeypatch)
+    for sentence, unsupported in UNSUPPORTED.items():
+        nodes[0] = 0
+        s, atoms, kept = _parse_relation(english, sentence)
+        assert s.supported and nodes[0] <= budget
+        every = _may_cancel_relation(s, atoms)
+        assert kept <= every
+        assert _rendered(atoms, every - kept) <= unsupported
+        if budget == 0:
+            assert kept == every
+        _same_results(parse(english, sentence.split(), LIM), want[sentence])
+
+
+def test_the_three_binder_start_spends_at_most_the_budget(english,
+                                                          monkeypatch):
+    # settling every pair of this start takes 6,934,490 nodes, and shows
+    # four unsupported, each restrictor N_k against its own #xk_1; within
+    # the budget the search settles none of them, and keeps them
+    atoms = _start_atoms(_start_of(
+        english, "every man saw some woman that every man saw"))
+    nodes = _counting_nodes(monkeypatch)
+    s = engine._Search(english, blocks_first=True, supported=True)
+    tables = engine._atom_set(s, atoms)
+    assert 0 < nodes[0] <= engine._SUPPORT_BUDGET
+    every = _may_cancel_relation(s, atoms)
+    assert len(every) == 116
+    assert _relation(atoms, tables.partners) == every
+
+
+# ---------------------------------------------------------------------------
 # the search's own steps, each checked as replay checks it
 
 
