@@ -63,12 +63,13 @@ no non-crossing matching of its atoms can cancel, read first-order
 (``_may_match``, ``_block_successors``).  It and the chart read a word's
 matchings from one place (``_matchings``), which pairs atoms by one
 relation: whether their first-order readings unify (``_may_cancel``).  In
-a parse whose starts hold two blocks or more, the relation keeps only the
-pairs that some order-free valid matching of the start's atoms holds, as
-far as a search of fixed size can tell (``_supported``); every matching
-that can cancel holds only such pairs.  A live word carries the matchings
-that can cancel down its cancels, and cancels only pairs that one of them
-holds (``_cancel_successors``).
+a set of atoms with two negative applications or more, the scopes of a
+start with two blocks or more, the relation keeps only the pairs that some
+order-free valid matching of the atoms holds, as far as a search of fixed
+size can tell (``_supported``); every matching that can cancel holds only
+such pairs.  A live word carries the matchings that can cancel down its
+cancels, and cancels only pairs that one of them holds
+(``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -142,8 +143,8 @@ atom pairs take the context too.  There are five memos:
 * ``atom_sets`` holds the tables of each set of atoms whose words
   ``_matchings`` reads (``_atom_set``): the atoms' readings, which pairs
   of them may cancel (``_may_cancel``, less the unsupported pairs when the
-  search asks for support, ``_supported``), and the bitset kernel's
-  tables.  It is keyed by the set of the atoms' ids.
+  set holds two negative applications or more, ``_supported``), and the
+  bitset kernel's tables.  It is keyed by the set of the atoms' ids.
 
 Each entry of ``unifiers``, ``substitutions`` and ``atom_sets`` holds the
 objects whose ids it uses, so no id is reused while the memo lives.  The
@@ -1010,16 +1011,16 @@ class _Search:
     """One search's context (see the module docstring and ``_search``).
 
     ``blocks_first`` says that the search places every block before any
-    cancel (see ``_search``), and ``supported`` that the tables of an atom
-    set keep only the pairs that some order-free valid matching of the
-    atoms holds (``_supported``): ``_search`` sets it in a blocks-first
-    parse whose every start holds two blocks or more, and a context built
-    directly keeps the pairs of ``_may_cancel``.  The memos are ``unifiers``,
+    cancel (see ``_search``).  The memos are ``unifiers``,
     ``substitutions``, ``instances``, ``judged`` and ``atom_sets``, as the
-    module docstring says.  ``judged`` maps each block-free word that the
-    block phase has judged, by its atoms' ids, to what ``_may_match`` said
-    of it, ``()`` for a dead word (see ``_block_successors``); the node of a
-    live word reads the verdict from there (``_cancel_successors``).
+    module docstring says.  Nothing else in the context shapes the tables
+    of an atom set: whether its partners lose their unsupported pairs is
+    the set's own to decide (``_atom_set``), so a context built directly
+    judges a word as a search's does.  ``judged`` maps each block-free
+    word that the block phase has judged, by its atoms' ids, to what
+    ``_may_match`` said of it, ``()`` for a dead word (see
+    ``_block_successors``); the node of a live word reads the verdict from
+    there (``_cancel_successors``).
     ``atom_sets`` maps each set of atoms that ``_matchings`` has read, by
     the set of their ids, to a pair: the first word that held them, and
     their tables (``_atom_set``), or ``None``.  Those tables are the only
@@ -1030,7 +1031,6 @@ class _Search:
     lex: lx.Lexicon
     allow_vacuous: bool = False
     blocks_first: bool = False
-    supported: bool = False
     unifiers: dict = field(default_factory=dict)
     substitutions: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
@@ -1648,12 +1648,13 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     reading or derivation of a live state changes, live states keep their
     queue order, and a state that cancels reach with a dead word's key,
     which ``visited`` does not hold, reaches no reading either.  No bundle
-    trips a limit, so ``truncated`` does not change either.  When every
-    start holds two blocks or more (``_Search.supported``), the tables of
-    each start's atoms keep only the supported pairs (``_supported``), so
-    most dead words die at the partner scan of ``_matchings``, before the
-    kernel runs; no verdict changes.  A start with one block judges too few
-    words to pay for the support search, and a chart start holds none.
+    trips a limit, so ``truncated`` does not change either.  The tables of
+    a start's atoms keep only the supported pairs when the start holds two
+    negative applications or more (``_atom_set``, ``_supported``), which in
+    ``english.gg`` are its two blocks or more, so most dead words die at
+    the partner scan of ``_matchings``, before the kernel runs; no verdict
+    changes.  A start with one block judges too few words to pay for the
+    support search, and a chart start holds no application.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1689,11 +1690,9 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
 
     root = _Node(normalize(start), 0, None, ())
     queue, visited = deque(), set()
-    ordered = chart = first = support = mode == "parse" and not commutative
+    ordered = chart = first = mode == "parse" and not commutative
     for steps, expr in starts or [((), root.expr)]:
         ordered = ordered and _ordered_word(expr)
-        # two blocks or more: _levels yields the top level and each block
-        support = support and sum(1 for _ in _levels(expr)) > 2
         # neither the chart nor placing blocks first knows a size limit: no
         # successor may outgrow max_items
         chart = chart and len(expr) - 2 <= lim.max_items and _chart_word(expr)
@@ -1705,7 +1704,6 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     if chart and ordered:
         queue = deque(_chart(s, queue, lim.max_results))
     s.blocks_first = first and ordered
-    s.supported = s.blocks_first and support
 
     truncated = False
     results: dict[str, tuple] = {}
@@ -1870,12 +1868,13 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     set (``_atom_set``) and kept in the memo ``atom_sets`` under the set of
     the atoms' ids, numbered by the atom's index in the first word that
     uses the set.  A word maps its atoms to their indices and reads the
-    tables through them.
+    tables through them.  A word of even length has no survivor that the
+    scan below keeps: one side of every survivor has odd length.
 
-    When the context asks for support (``_Search.supported``), the
-    partners of a set of the kernel's shape lose the pairs that a search
-    shows to be in no order-free valid matching of the atoms
-    (``_supported``).  That changes no result.  Every matching returned
+    The partners of a set of the kernel's shape with two negative
+    applications or more lose the pairs that a search shows to be in no
+    order-free valid matching of the atoms (``_atom_set``,
+    ``_supported``).  That changes no result.  Every matching returned
     here, in any order of the atoms, is such a matching: it pairs each
     negative atom with a distinct positive one, leaves one positive
     survivor, and passes the kernel's checks, which ask nothing of the
@@ -1904,8 +1903,6 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     if t is None:
         return None
     n = len(word)
-    if n % 2 == 0:
-        return ()
     idx = [t.index[i] for i in map(id, word)]
     at = [0] * n  # at[i]: the position of atom i
     for p, i in enumerate(idx):
@@ -1945,7 +1942,8 @@ class _AtomSet:
     """The facts of a set of atoms that ``_matchings`` reads, whatever
     their order, each atom known by its index (``index``, from its id):
     its sign (``signs``), the indices of its partners (``partners``, by
-    ``_may_cancel``, or only the supported ones, see ``_atom_set``), its
+    ``_may_cancel``, or only the supported ones when the set holds two
+    negative applications or more, see ``_atom_set``), its
     first-order reading's term (``terms``) and the ``checks`` of
     ``_survivors``, for the term-level equations, and the bitset kernel's
     tables (``_bit_tables``), or ``None`` when the set is not of the
@@ -1965,11 +1963,16 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     variable is applied to two identifiers (see ``_matchings``), before any
     pair is asked.  Each atom is read once (``_first_order``), and each pair
     of opposite signs is asked ``_may_cancel`` once, over the two readings'
-    terms, the left one first; the relation is symmetric.  When the context
-    asks for support (``_Search.supported``) and the set is of the bitset
-    kernel's shape, the partners keep only the pairs that ``_supported``
-    keeps: every pair of every matching that ``_matchings`` can return is
-    one of them (see there), so no matching is lost."""
+    terms, the left one first; the relation is symmetric.
+
+    When the set is of the bitset kernel's shape and two negative atoms or
+    more read as an application, the partners keep only the pairs that
+    ``_supported`` keeps: every pair of every matching that ``_matchings``
+    can return is one of them (see there), so no matching is lost.  Each
+    quantifier and relative pronoun of ``english.gg`` brings one such atom
+    and one block, so these are the sets of starts with two blocks or more,
+    whose many judged words pay for the search; any context decides it the
+    same way, a search's or one built directly."""
     readings, apps = [], {}
     for a in atoms:
         reading = _first_order(a)
@@ -1991,7 +1994,8 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     if s.allow_vacuous:
         apps = {}
     kernel = _bit_tables(readings, signs, apps)
-    if s.supported and kernel is not None:
+    if kernel is not None and sum(
+            sign < 0 and bool(r[1]) for sign, r in zip(signs, readings)) > 1:
         partners = _supported(partners, signs, kernel)
     return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs, partners,
                     [r[0] for r in readings],
@@ -2134,19 +2138,12 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
     ``_reach`` from it, through the bound variables it holds, finds all that
     the image reaches now.  A pair's equation fails the occurs check when
     the positive atom's image reaches the negative atom's variable.  A
-    matching keeps its survivor when the survivor reaches no ``free``
-    variable (its image is ground), and each application when its image is
-    not its identifier and reaches it."""
+    complete matching is kept when it passes ``_valid``."""
     k, pairs, full, vbit, image, isid, checks, closure, partner, matched, \
         out = w
     if not spans:
-        if _reach(image[k], bound, closure) >> len(pairs) & 1:
-            return
-        for v, x in checks:
-            p = partner[v]
-            if isid[p] == x or not _reach(closure[v], bound, closure) & x:
-                return
-        out.append(sorted(matched, key=itemgetter(1)))
+        if _valid(k, bound, image, isid, checks, closure, partner):
+            out.append(sorted(matched, key=itemgetter(1)))
         return
     a, b = spans[-1]
     rest = spans[:-1]
@@ -2177,6 +2174,18 @@ def _cover(spans: tuple, bound: int, w: tuple) -> None:
         matched.pop()
 
 
+def _valid(k: int, bound: int, image: list, isid: list, checks: list,
+           closure: dict, partner: dict) -> bool:
+    """The checks of a complete matching of ``_cover`` and ``_extend``, over
+    the kernel's tables (``_bit_tables``) and their ``bound``, ``closure``
+    and ``partner``: the survivor ``k`` reaches no ``free`` variable (its
+    image is ground), and each application's image is not its identifier
+    and reaches it."""
+    return not _reach(image[k], bound, closure) >> len(image) & 1 and all(
+        isid[partner[v]] != x and _reach(closure[v], bound, closure) & x
+        for v, x in checks)
+
+
 # the nodes that one atom set's support search may spend (``_supported``)
 _SUPPORT_BUDGET = 20_000
 
@@ -2186,9 +2195,8 @@ def _supported(partners: list, signs: list, kernel: tuple) -> list:
     valid matching of the atoms to hold.  Such a matching pairs each
     negative atom with a distinct positive partner and leaves one positive
     atom, the survivor, and it meets the checks of ``_cover`` over the
-    kernel's tables: no binding reaches its own variable, the survivor's
-    image is ground, and each application's image holds its identifier and
-    is not it.  It need not be non-crossing, and the survivor may stand
+    kernel's tables: no binding reaches its own variable, and it passes
+    ``_valid``.  It need not be non-crossing, and the survivor may stand
     anywhere.  A set without one positive atom more than negative ones has
     no such matching, and keeps no pair.
 
@@ -2198,7 +2206,7 @@ def _supported(partners: list, signs: list, kernel: tuple) -> list:
     pair in turn: it stops at the first matching that holds the pair, and
     every pair of that matching is kept.  The search of the whole set stops
     after ``_SUPPORT_BUDGET`` nodes, and every pair not settled by then is
-    kept."""
+    kept.  ``_atom_set`` says which sets run it."""
     vbit, image = kernel[0], kernel[1]
     negs = [i for i, sign in enumerate(signs) if sign < 0]
     if 2 * len(negs) + 1 != len(signs):
@@ -2230,48 +2238,30 @@ def _supported(partners: list, signs: list, kernel: tuple) -> list:
 
 def _extend(todo: int, used: int, bound: int, w: tuple) -> Optional[dict]:
     """One node of ``_supported``'s search: bind the variables of ``todo``
-    to positive atoms outside ``used``, the variable with the fewest
-    options first, and return the first complete matching that passes,
-    ``{variable: positive atom}``, or ``None``; ``bound``, ``closure`` and
-    ``partner`` are ``_cover``'s.  Each call spends one node of ``left``,
-    and no call is made once it is spent."""
+    to positive atoms outside ``used``, the lowest variable first, and
+    return the first complete matching that passes ``_valid``, ``{variable:
+    positive atom}``, or ``None``; ``bound``, ``closure`` and ``partner``
+    are ``_cover``'s.  Each call spends one node of ``left``, and no call is
+    made once it is spent."""
     (_, image, isid, checks), options, survivors, closure, partner, left = w
     left[0] -= 1
     if not todo:
         k = (survivors & ~used).bit_length() - 1
-        if _reach(image[k], bound, closure) >> len(image) & 1:
-            return None
-        for v, x in checks:
-            p = partner[v]
-            if isid[p] == x or not _reach(closure[v], bound, closure) & x:
-                return None
-        return dict(partner)
-    best = None
-    rest = todo
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        found = []
-        js = options[v] & ~used
-        while js:
-            bit = js & -js
-            js ^= bit
-            j = bit.bit_length() - 1
-            reach = _reach(image[j], bound, closure)
-            if not reach & v:
-                found.append((j, reach))
-        if not found:
-            return None
-        if best is None or len(found) < len(best[1]):
-            best = v, found
-    v, found = best
-    for j, reach in found:
-        if not left[0]:
-            return None
-        closure[v], partner[v] = reach, j
-        result = _extend(todo ^ v, used | 1 << j, bound | v, w)
-        if result is not None:
-            return result
+        if _valid(k, bound, image, isid, checks, closure, partner):
+            return dict(partner)
+        return None
+    v = todo & -todo
+    js = options[v] & ~used
+    while js and left[0]:
+        bit = js & -js
+        js ^= bit
+        j = bit.bit_length() - 1
+        reach = _reach(image[j], bound, closure)
+        if not reach & v:
+            closure[v], partner[v] = reach, j
+            found = _extend(todo ^ v, used | bit, bound | v, w)
+            if found is not None:
+                return found
     return None
 
 

@@ -67,7 +67,8 @@ from ggroup.engine import (
 )
 from ggroup.lexicon import Lexicon, parse_grammar
 from ggroup.term import (
-    EMPTY_BINDING, canonical_identifiers, parse_term, render_term, unify,
+    EMPTY_BINDING, _bind, _resolve, canonical_identifiers, parse_term,
+    render_term, unify,
 )
 
 LIM = SearchLimits()
@@ -1196,10 +1197,11 @@ def test_a_start_past_the_size_limit_gets_every_placement(
 
 
 # ---------------------------------------------------------------------------
-# supported pairs (``engine._supported``): in a blocks-first parse whose
-# starts hold two blocks or more, the tables of a start's atoms keep only the
-# partner pairs that some order-free valid matching of the atoms holds, as
-# far as a search of ``engine._SUPPORT_BUDGET`` nodes tells
+# supported pairs (``engine._supported``): the tables of an atom set of the
+# bitset kernel's shape with two negative applications or more, the atoms of
+# a start with two blocks or more, keep only the partner pairs that some
+# order-free valid matching of the atoms holds, as far as a search of
+# ``engine._SUPPORT_BUDGET`` nodes tells
 
 
 def _start_of(lex, sentence):
@@ -1243,21 +1245,38 @@ def _rendered(atoms, pairs):
             for a, b in pairs}
 
 
-def _parse_relation(lex, sentence):
-    """The context of the parse of ``sentence``, the atoms of the one atom
-    set whose tables it builds, in their order there, and their partner
-    relation."""
-    real, built = engine._atom_set, []
+def _built_sets(m):
+    """Record, through the monkeypatch ``m``, each atom set whose tables
+    ``engine._atom_set`` builds: the returned list gets ``(context, atoms,
+    tables, searched)``, ``searched`` saying whether the tables ran
+    ``engine._supported``."""
+    real_set, real_supported = engine._atom_set, engine._supported
+    built, searched = [], [False]
 
     def atom_set(s, atoms):
-        built.append((s, atoms, real(s, atoms)))
-        return built[-1][2]
+        searched[0] = False
+        tables = real_set(s, atoms)
+        built.append((s, atoms, tables, searched[0]))
+        return tables
 
+    def supported(*args):
+        searched[0] = True
+        return real_supported(*args)
+
+    m.setattr(engine, "_atom_set", atom_set)
+    m.setattr(engine, "_supported", supported)
+    return built
+
+
+def _parse_relation(lex, sentence):
+    """The context of the parse of ``sentence``, the atoms of the one atom
+    set whose tables it builds, in their order there, their partner
+    relation, and whether the tables ran the support search."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "_atom_set", atom_set)
+        built = _built_sets(m)
         parse(lex, sentence.split(), LIM)
-    [(s, atoms, tables)] = built
-    return s, atoms, _relation(atoms, tables.partners)
+    [(s, atoms, tables, searched)] = built
+    return s, atoms, _relation(atoms, tables.partners), searched
 
 
 def _counting_nodes(m):
@@ -1300,25 +1319,34 @@ UNSUPPORTED = {
 ])
 def test_a_start_keeps_its_supported_pairs(english, sentence, supported,
                                            pairs):
-    s, atoms, kept = _parse_relation(english, sentence)
-    assert s.supported is supported
+    s, atoms, kept, searched = _parse_relation(english, sentence)
+    assert searched is supported
     every = _may_cancel_relation(s, atoms)
     assert len(every) == pairs and kept <= every
     assert _rendered(atoms, every - kept) == UNSUPPORTED.get(sentence, set())
 
 
-def test_a_context_built_directly_keeps_every_pair(english):
-    atoms = _start_atoms(_start_of(english, "every man saw some woman"))
+def test_a_context_built_directly_drops_the_same_pairs(english):
+    # the atom set decides the support search, not the context: a context
+    # built directly drops the two-block start's 10 pairs, as its parse
+    # does, and keeps every pair of a one-block start
+    sentence = "every man saw some woman"
+    atoms = _start_atoms(_start_of(english, sentence))
     s = engine._Search(english, blocks_first=True)
-    assert not s.supported
     assert engine._may_match(s, atoms) == []
     [(_, tables)] = s.atom_sets.values()
+    every = _may_cancel_relation(s, atoms)
+    kept = _relation(atoms, tables.partners)
+    assert kept <= every
+    assert _rendered(atoms, every - kept) == UNSUPPORTED[sentence]
+    atoms = _start_atoms(_start_of(english, "john saw every man in paris"))
+    tables = engine._atom_set(s, atoms)
     assert _relation(atoms, tables.partners) == _may_cancel_relation(s, atoms)
 
 
 def test_supported_pairs_change_no_verdict(english):
-    # every word that the searches judge gets, in a context without the
-    # search, which keeps every pair, the same matchings in the same order
+    # every word that the searches judge gets, in a fresh context whose
+    # support search keeps every pair, the same matchings in the same order
     real, judged = engine._may_match, []
 
     def may_match(s, word):
@@ -1326,6 +1354,7 @@ def test_supported_pairs_change_no_verdict(english):
         return judged[-1][2]
 
     with pytest.MonkeyPatch.context() as m:
+        built = _built_sets(m)
         m.setattr(engine, "_may_match", may_match)
         for sentence in QUANTIFIED + RELATIVES + PPS:
             parse(english, sentence.split(), LIM)
@@ -1333,25 +1362,30 @@ def test_supported_pairs_change_no_verdict(english):
             rng = random.Random(seed)
             for _ in range(150):
                 _search(_scoped_start(rng))
+    searched = {frozenset(map(id, atoms)) for _, atoms, _, ran in built
+                if ran}
     fresh = {s: _fresh(s) for s in dict.fromkeys(s for s, _, _ in judged)}
-    for s, word, got in judged:
-        assert not fresh[s].supported
-        assert real(fresh[s], word) == got, render_expr(word)
-    gated = [got for s, _, got in judged if s.supported]
-    assert sum(m == [] for m in gated) > 1000
-    assert sum(bool(m) and m is not True for m in gated) > 100
-    # the atom sets whose tables drop a pair
-    assert sum(tables.partners != engine._atom_set(fresh[s], word).partners
-               for s in fresh if s.supported
-               for word, tables in s.atom_sets.values()
-               if tables is not None) > 100
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_supported", lambda partners, signs, kernel:
+                  partners)
+        for s, word, got in judged:
+            assert real(fresh[s], word) == got, render_expr(word)
+        gated = [got for _, word, got in judged
+                 if frozenset(map(id, word)) in searched]
+        assert sum(m == [] for m in gated) > 1000
+        assert sum(bool(m) and m is not True for m in gated) > 100
+        # the atom sets whose tables drop a pair
+        assert sum(tables.partners != engine._atom_set(fresh[s], word).partners
+                   for s in fresh
+                   for word, tables in s.atom_sets.values()
+                   if frozenset(map(id, word)) in searched) > 100
 
 
 @pytest.mark.parametrize("budget", [0, 10, 100, 1000])
 def test_a_spent_budget_keeps_the_pairs_it_did_not_settle(
         english, monkeypatch, budget):
-    # the two-quantifier start settles its 28 pairs in 221 nodes, the
-    # relative one its 41 in 1,616; with fewer, each pair not settled is
+    # the two-quantifier start settles its 28 pairs in 579 nodes, the
+    # relative one its 41 in 1,979; with fewer, each pair not settled is
     # kept, and readings and derivations stay
     want = {sentence: parse(english, sentence.split(), LIM)
             for sentence in UNSUPPORTED}
@@ -1359,8 +1393,8 @@ def test_a_spent_budget_keeps_the_pairs_it_did_not_settle(
     nodes = _counting_nodes(monkeypatch)
     for sentence, unsupported in UNSUPPORTED.items():
         nodes[0] = 0
-        s, atoms, kept = _parse_relation(english, sentence)
-        assert s.supported and nodes[0] <= budget
+        s, atoms, kept, searched = _parse_relation(english, sentence)
+        assert searched and nodes[0] <= budget
         every = _may_cancel_relation(s, atoms)
         assert kept <= every
         assert _rendered(atoms, every - kept) <= unsupported
@@ -1371,18 +1405,196 @@ def test_a_spent_budget_keeps_the_pairs_it_did_not_settle(
 
 def test_the_three_binder_start_spends_at_most_the_budget(english,
                                                           monkeypatch):
-    # settling every pair of this start takes 6,934,490 nodes, and shows
+    # settling every pair of this start takes 100,286,889 nodes, and shows
     # four unsupported, each restrictor N_k against its own #xk_1; within
     # the budget the search settles none of them, and keeps them
     atoms = _start_atoms(_start_of(
         english, "every man saw some woman that every man saw"))
     nodes = _counting_nodes(monkeypatch)
-    s = engine._Search(english, blocks_first=True, supported=True)
+    s = engine._Search(english, blocks_first=True)
     tables = engine._atom_set(s, atoms)
     assert 0 < nodes[0] <= engine._SUPPORT_BUDGET
     every = _may_cancel_relation(s, atoms)
     assert len(every) == 116
     assert _relation(atoms, tables.partners) == every
+
+
+def test_the_support_search_runs_on_the_sets_of_two_block_starts(
+        english, bench_workloads):
+    # the atom set decides: its tables run the search exactly when its start
+    # holds two blocks or more, over the corpora and the benchmark's
+    # parse-scope cycles
+    sentences = QUANTIFIED + RELATIVES + PPS + [
+        q.text for seed in range(1, 11)
+        for q in bench_workloads.parse_scope_cycle(seed)]
+    real_search, starts = engine._search, []
+
+    def search(lex, mode, start, begin, lim):
+        starts.extend(expr for _, expr in begin)
+        return real_search(lex, mode, start, begin, lim)
+
+    with pytest.MonkeyPatch.context() as m:
+        built = _built_sets(m)
+        m.setattr(engine, "_search", search)
+        for sentence in sentences:
+            parse(english, sentence.split(), LIM)
+    # the starts, held in ``starts``, hold every atom whose id is keyed here
+    blocks = {frozenset(map(id, _start_atoms(expr))):
+              sum(1 for _ in engine._levels(expr)) - 1 for expr in starts}
+    sets = {frozenset(map(id, atoms)) for _, atoms, _, _ in built}
+    searched = {frozenset(map(id, atoms)) for _, atoms, _, ran in built
+                if ran}
+    assert sets <= blocks.keys()
+    assert searched == {key for key in sets if blocks[key] >= 2}
+    assert len(searched) > 50 and len(sets - searched) > 20
+
+
+def _random_kernel_set(rng):
+    """A small atom set of the bitset kernel's shape, in a random order: one
+    to three negative atoms, each a variable of its own, bare or an
+    application to an identifier, and one positive atom more, each no
+    variable, over those variables, two identifiers, a constant and a free
+    variable; now and then one positive atom more still, which leaves no
+    valid matching."""
+    negatives = [f"P{i}[{rng.choice(('#a', '#b'))}]" if rng.random() < 0.5
+                 else f"V{i}" for i in range(rng.randint(1, 3))]
+    leaves = negatives + ["#a", "#b", "c", "Z"]
+
+    def term(depth):
+        r = rng.random()
+        if depth and r < 0.3:
+            return f"f({term(depth - 1)},{term(depth - 1)})"
+        if depth and r < 0.5:
+            return f"g({term(depth - 1)})"
+        return rng.choice(leaves)
+
+    positives = []
+    for _ in range(len(negatives) + 1 + (rng.random() < 0.1)):
+        top = rng.random()
+        positives.append(f"f({term(1)},{term(1)})" if top < 0.4
+                         else f"g({term(2)})" if top < 0.7
+                         else rng.choice(("#a", "#b", "c")))
+    atoms = [Atom(parse_term(t), -1) for t in negatives]
+    atoms += [Atom(parse_term(t)) for t in positives]
+    rng.shuffle(atoms)
+    return tuple(atoms)
+
+
+def _assign(m, negatives, positives, tables, bound, pairs, found):
+    """Bind the negative atoms from the ``m``-th on, each to a distinct
+    positive atom of ``positives`` by the pair's term-level equation, and
+    add to ``found`` the pairs of each complete assignment whose one
+    positive atom left is ground under the binding and whose applications
+    are bound well (``engine._bound_well``)."""
+    terms = tables.terms
+    if m == len(negatives):
+        (k,) = positives
+        if _resolve(terms[k], bound, {}).ground and all(
+                engine._bound_well(var, x, bound) for var, x in tables.checks):
+            found.update(pairs)
+        return
+    i = negatives[m]
+    for j in positives:
+        size = len(bound)
+        if _bind(terms[i], terms[j], bound):
+            pairs.append((i, j))
+            _assign(m + 1, negatives, positives - {j}, tables, bound, pairs,
+                    found)
+            pairs.pop()
+        while len(bound) > size:  # _bind only adds variables
+            bound.popitem()
+
+
+def _support_oracle(tables):
+    """The pairs, negative atom first, of every order-free valid matching
+    of an atom set: each negative atom paired with a distinct positive atom,
+    partner or not, one positive atom left, and the pairs' equations solved
+    over the first-order readings' terms, never over the bit tables."""
+    signs = tables.signs
+    negatives = [i for i, sign in enumerate(signs) if sign < 0]
+    positives = frozenset(j for j, sign in enumerate(signs) if sign > 0)
+    found: set = set()
+    if len(positives) == len(negatives) + 1:
+        _assign(0, negatives, positives, tables, {}, [], found)
+    return found
+
+
+def _all_pair_tables(s, atoms):
+    """The tables of ``atoms`` with the support search keeping every pair."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_supported", lambda partners, signs, kernel:
+                  partners)
+        tables = engine._atom_set(s, atoms)
+    assert tables is not None and tables.kernel is not None
+    return tables
+
+
+def _kept_pairs(tables):
+    """The pairs that ``engine._supported`` keeps of ``tables``, negative
+    atom first."""
+    kept = engine._supported(tables.partners, tables.signs, tables.kernel)
+    return {(a, b) for a, bs in enumerate(kept) for b in bs
+            if tables.signs[a] < 0}
+
+
+@pytest.fixture(scope="module")
+def support_cases(english):
+    """Atom sets of the kernel's shape, seeded small ones and the two pinned
+    starts, each with its oracle's pairs as pairs of atom ids."""
+    rng = random.Random(39)
+    sets = [_random_kernel_set(rng) for _ in range(300)]
+    sets += [_start_atoms(_start_of(english, sentence))
+             for sentence in UNSUPPORTED]
+    cases = []
+    for atoms in sets:
+        tables = _all_pair_tables(engine._Search(english), atoms)
+        cases.append((atoms, {(id(atoms[a]), id(atoms[b]))
+                              for a, b in _support_oracle(tables)}))
+    return cases
+
+
+def _ids(atoms, pairs):
+    return {(id(atoms[a]), id(atoms[b])) for a, b in pairs}
+
+
+def test_supported_pairs_are_the_oracles(english, monkeypatch,
+                                         support_cases):
+    # with the budget unspent the search keeps exactly the pairs of the
+    # order-free valid matchings, a subset of the partners
+    nodes = _counting_nodes(monkeypatch)
+    dropped = 0
+    for atoms, want in support_cases:
+        tables = _all_pair_tables(engine._Search(english), atoms)
+        every = _ids(atoms, _relation(atoms, tables.partners))
+        nodes[0] = 0
+        kept = _ids(atoms, _kept_pairs(tables))
+        assert nodes[0] < engine._SUPPORT_BUDGET
+        assert kept == want and want <= every, render_expr(atoms)
+        dropped += kept != every
+    assert sum(bool(want) for _, want in support_cases) > 100
+    assert dropped > 100
+
+
+@pytest.mark.parametrize("budget", [0, 10, 100])
+def test_a_spent_budget_keeps_the_oracles_pairs(english, monkeypatch,
+                                                support_cases, budget):
+    monkeypatch.setattr(engine, "_SUPPORT_BUDGET", budget)
+    for atoms, want in support_cases:
+        tables = _all_pair_tables(engine._Search(english), atoms)
+        every = _ids(atoms, _relation(atoms, tables.partners))
+        assert want <= _ids(atoms, _kept_pairs(tables)) <= every, \
+            render_expr(atoms)
+
+
+def test_the_supported_pairs_do_not_depend_on_the_atoms_order(
+        english, support_cases):
+    rng = random.Random(39)
+    for atoms, _ in support_cases:
+        shuffled = tuple(rng.sample(atoms, len(atoms)))
+        got = [_ids(order, _kept_pairs(
+            _all_pair_tables(engine._Search(english), order)))
+            for order in (atoms, shuffled)]
+        assert got[0] == got[1], render_expr(atoms)
 
 
 # ---------------------------------------------------------------------------
