@@ -61,14 +61,16 @@ first, each block-free word that a bundle would make is judged before the
 bundle is built, once per search, and dropped, never built or keyed, when
 no non-crossing matching of its atoms can cancel, read first-order
 (``_may_match``, ``_block_successors``).  It and the chart read a word's
-matchings from one place (``_matchings``), which pairs atoms by one
-relation: whether their first-order readings unify (``_may_cancel``).  In
-a set of atoms with two negative applications or more, the scopes of a
-start with two blocks or more, the relation keeps only the pairs that some
-order-free valid matching of the atoms holds, as far as a search of fixed
-size can tell (``_supported``); every matching that can cancel holds only
-such pairs.  A live word carries the matchings that can cancel down its
-cancels, and cancels only pairs that one of them holds
+matchings from one place (``_matchings``), which solves their equations
+over bitsets (the bitset kernel) and pairs atoms by one relation: whether
+their first-order readings unify (``_may_cancel``).  A word that the kernel
+cannot read, which no search whose starts meet ``_ordered_word`` makes, is
+kept unjudged.  In a set of atoms with two negative applications or more,
+the scopes of a start with two blocks or more, the relation keeps only the
+pairs that some order-free valid matching of the atoms holds, as far as a
+search of fixed size can tell (``_supported``); every matching that can
+cancel holds only such pairs.  A live word carries the matchings that can
+cancel down its cancels, and cancels only pairs that one of them holds
 (``_cancel_successors``).
 
 A parse search whose every start is a first-order block-free word (no
@@ -105,9 +107,9 @@ class when it is built (whether it is a surface token, whether it is ground)
 and memoizes what depends on it alone, its state-key fragment (see
 ``_canonical_key``), and a lexicon memoizes its rule tables (see
 ``_tables``).  An atom does not memoize its first-order reading: the tables
-of its set of atoms hold it (``_atom_set``).  These memo fields are outside
-equality and hashing, and a copy or a pickle is rebuilt from the other
-fields, which computes the class again.
+of its set of atoms are built from it once (``_atom_set``).  These memo
+fields are outside equality and hashing, and a copy or a pickle is rebuilt
+from the other fields, which computes the class again.
 
 Most parse states have no blocks, and those cost the least.  A block-free
 state in non-commutative mode gets a flat key, its atoms' fragments and the
@@ -141,7 +143,7 @@ atom pairs take the context too.  There are five memos:
   atom, so the starts, which the search holds while it lives, hold every
   atom it keys.
 * ``atom_sets`` holds the tables of each set of atoms whose words
-  ``_matchings`` reads (``_atom_set``): the atoms' readings, which pairs
+  ``_matchings`` reads (``_atom_set``): the atoms' signs, which pairs
   of them may cancel (``_may_cancel``, less the unsupported pairs when the
   set holds two negative applications or more, ``_supported``), and the
   bitset kernel's tables.  It is keyed by the set of the atoms' ids.
@@ -170,10 +172,9 @@ from typing import Iterable, Optional, Sequence, Union
 from . import lexicon as lx
 from .term import (
     HOLE, MAX_TERM_DEPTH, AbsVar, Abstraction, App, Binding, Compound, Const,
-    EMPTY_BINDING, Identifier, MetaVar, Term, _bind, _resolve,
-    binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
-    parse_abstraction, parse_term, render_abstraction, render_term,
-    substitute, subterms, unify,
+    EMPTY_BINDING, Identifier, MetaVar, Term, _bind, binding_is_acyclic,
+    canonical_identifiers, identifiers_in, is_ground, parse_abstraction,
+    parse_term, render_abstraction, render_term, substitute, subterms, unify,
 )
 
 __all__ = [
@@ -1174,11 +1175,12 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     """The viable matchings of the block-free ``word``, from a search whose
     starts meet ``_ordered_word``: each matching that ``_matchings`` finds,
     as a frozenset of position pairs ``(i, j)``.  ``[]`` says that the word
-    is dead.  A word that ``_matchings`` does not read first-order, one
-    that holds a token or where an application's argument is no identifier
-    or one variable has two arguments, gets ``True``: it is kept unjudged,
-    no pair of its atoms is asked ``_may_cancel``, and its cancels are not
-    restricted.
+    is dead.  A word that ``_matchings`` does not read, one that holds a
+    token, where an application's argument is no identifier or one variable
+    has two arguments, or that is not of the bitset kernel's shape, gets
+    ``True``: it is kept unjudged, no pair of its atoms is asked
+    ``_may_cancel``, and its cancels are not restricted.  That is sound:
+    it drops nothing.
 
     In such a word a derivation of a reading cancels the pairs of one
     matching, each pair its own, and the survivor is a positive atom at an
@@ -1210,10 +1212,9 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     exactly when every variable it reaches is bound, and an application's
     image holds its identifier exactly when one of the readings it reaches
     does.  ``_matchings`` decides all three over bitsets (``_bit_tables``,
-    ``_cover``).  No engine search judges a word of any other shape.  A
-    direct call may (the unit tests pass ``f(a)^-1``), and such a word
-    takes the term-level equations (``_bind``), which on a word of this
-    shape find the same matchings.
+    ``_cover``).  Only a direct call can pass a word of any other shape
+    (``f(a)^-1``, a negative atom that is no variable), and it is kept
+    unjudged.
 
     The search calls this once per word, before the word's bundle is built
     (``_block_successors``), and carries the list down the word's cancels
@@ -1232,13 +1233,6 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     if found is None:
         return True
     return [frozenset(pairs) for pairs in found]
-
-
-def _bound_well(var: MetaVar, x: Identifier, bound: dict) -> bool:
-    """Whether the application read as ``var`` is unbound, or bound to a
-    term that holds its argument ``x`` and is not ``x``."""
-    image = _resolve(var, bound, {})
-    return image == var or (image != x and x in identifiers_in(image))
 
 
 def _cancel_successors(s: _Search, node: _Node) -> list:
@@ -1839,8 +1833,9 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     """The matchings that may cancel the block-free ``word`` down to one
     atom, over the atoms' first-order readings (``_first_order``), for
     ``_may_match`` and ``_chart``; ``None`` when an atom has no reading, one
-    abstraction variable is applied to two identifiers, or the word holds
-    one atom object twice, which no state does.
+    abstraction variable is applied to two identifiers, the atoms are not
+    of the bitset kernel's shape (below), or the word holds one atom object
+    twice, which no state does.
 
     Otherwise the matchings, one for each non-crossing matching of the
     atoms other than one positive survivor at an even index, whose pairs
@@ -1848,8 +1843,8 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     equations, over the readings, have a unifier under which the survivor's
     reading is ground and, without vacuous abstraction, each bound
     application's image holds its identifier and is not that identifier
-    (``_bound_well``).  A matching is a list of pairs ``(i, j)`` with ``i <
-    j`` in the order of ``j``, which is innermost first, left to right.
+    (``_valid``).  A matching is a list of pairs ``(i, j)`` with ``i < j``
+    in the order of ``j``, which is innermost first, left to right.
     They come survivor by survivor, left to right, and for each survivor in
     the order of the enumeration below.
 
@@ -1882,17 +1877,15 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
     the same order; the dropped pairs only start branches that return
     nothing.
 
-    The equations are solved one of two ways, which give the same
-    matchings in the same order.  In a word where every negative atom reads
-    as a meta-variable that no other negative atom holds, and no positive
-    atom reads as one, each pair's equation binds the negative atom's own
-    variable, once, to the positive atom's reading, a term that is no
-    variable: the unifier is a function of the matching alone, and the
-    bitset kernel decides each equation by bit operations (``_bit_tables``,
-    ``_bit_survivors``).  Every word of a search whose starts meet
-    ``_ordered_word`` has this shape (see ``_may_match``).  Any other word,
-    which only a direct call makes, extends one triangular binding of the
-    terms per pair (``_bind``, ``_survivors``).
+    The kernel's shape: every negative atom reads as a meta-variable that
+    no other negative atom holds, and no positive atom reads as one.  Each
+    pair's equation then binds the negative atom's own variable, once, to
+    the positive atom's reading, a term that is no variable: the unifier is
+    a function of the matching alone, and the bitset kernel decides each
+    equation by bit operations (``_bit_tables``, ``_bit_survivors``).
+    Every word of a search whose starts meet ``_ordered_word`` has this
+    shape (see ``_may_match``); a word of any other shape, which only a
+    direct call makes, gets ``None``.
     """
     key = frozenset(map(id, word))
     found = s.atom_sets.get(key)
@@ -1929,12 +1922,10 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
           and full[0] >> k & 1 and full[k + 1] >> n & 1]
     if not ks:
         return ()
-    if t.kernel is not None:
-        vbit, image, isid, checks = t.kernel
-        return _bit_survivors(ks, pairs, full, [vbit[i] for i in idx],
-                              [image[i] for i in idx],
-                              [isid[i] for i in idx], checks)
-    return _survivors(ks, [t.terms[i] for i in idx], pairs, full, t.checks)
+    vbit, image, isid, checks = t.kernel
+    return _bit_survivors(ks, pairs, full, [vbit[i] for i in idx],
+                          [image[i] for i in idx], [isid[i] for i in idx],
+                          checks)
 
 
 @dataclass(slots=True, eq=False)
@@ -1943,36 +1934,34 @@ class _AtomSet:
     their order, each atom known by its index (``index``, from its id):
     its sign (``signs``), the indices of its partners (``partners``, by
     ``_may_cancel``, or only the supported ones when the set holds two
-    negative applications or more, see ``_atom_set``), its
-    first-order reading's term (``terms``) and the ``checks`` of
-    ``_survivors``, for the term-level equations, and the bitset kernel's
-    tables (``_bit_tables``), or ``None`` when the set is not of the
-    kernel's shape."""
+    negative applications or more, see ``_atom_set``), and the bitset
+    kernel's tables (``_bit_tables``).  Only a set of the kernel's shape
+    has one."""
 
     index: dict
     signs: list
     partners: list
-    terms: list
-    checks: list
-    kernel: Optional[tuple]
+    kernel: tuple
 
 
 def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
     """The ``_AtomSet`` of the distinct ``atoms``, numbered in their order;
-    ``None`` when one has no first-order reading or one abstraction
-    variable is applied to two identifiers (see ``_matchings``), before any
-    pair is asked.  Each atom is read once (``_first_order``), and each pair
-    of opposite signs is asked ``_may_cancel`` once, over the two readings'
-    terms, the left one first; the relation is symmetric.
+    ``None`` when one has no first-order reading, one abstraction variable
+    is applied to two identifiers, or the set is not of the bitset kernel's
+    shape (see ``_matchings``), before any pair is asked.  Each atom is read
+    once (``_first_order``), the kernel's tables are built from the
+    readings (``_bit_tables``), and each pair of opposite signs is asked
+    ``_may_cancel`` once, over the two readings' terms, the left one first;
+    the relation is symmetric.
 
-    When the set is of the bitset kernel's shape and two negative atoms or
-    more read as an application, the partners keep only the pairs that
-    ``_supported`` keeps: every pair of every matching that ``_matchings``
-    can return is one of them (see there), so no matching is lost.  Each
-    quantifier and relative pronoun of ``english.gg`` brings one such atom
-    and one block, so these are the sets of starts with two blocks or more,
-    whose many judged words pay for the search; any context decides it the
-    same way, a search's or one built directly."""
+    When two negative atoms or more read as an application, the partners
+    keep only the pairs that ``_supported`` keeps: every pair of every
+    matching that ``_matchings`` can return is one of them (see there), so
+    no matching is lost.  Each quantifier and relative pronoun of
+    ``english.gg`` brings one such atom and one block, so these are the sets
+    of starts with two blocks or more, whose many judged words pay for the
+    search; any context decides it the same way, a search's or one built
+    directly."""
     readings, apps = [], {}
     for a in atoms:
         reading = _first_order(a)
@@ -1984,6 +1973,9 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
         readings.append(reading)
     n = len(atoms)
     signs = [a.sign for a in atoms]
+    kernel = _bit_tables(readings, signs, {} if s.allow_vacuous else apps)
+    if kernel is None:
+        return None
     partners: list = [[] for _ in atoms]
     for a in range(n):
         for b in range(a + 1, n):
@@ -1991,60 +1983,10 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
                     s, atoms[a], atoms[b], readings[a][0], readings[b][0]):
                 partners[a].append(b)
                 partners[b].append(a)
-    if s.allow_vacuous:
-        apps = {}
-    kernel = _bit_tables(readings, signs, apps)
-    if kernel is not None and sum(
-            sign < 0 and bool(r[1]) for sign, r in zip(signs, readings)) > 1:
+    if sum(sign < 0 and bool(r[1]) for sign, r in zip(signs, readings)) > 1:
         partners = _supported(partners, signs, kernel)
     return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs, partners,
-                    [r[0] for r in readings],
-                    [(MetaVar(p + "[]"), x) for p, x in apps.items()],
                     kernel)
-
-
-def _survivors(ks, terms, pairs, full, checks):
-    """Enumerate ``_matchings``' matchings over the terms, in the word's
-    order, for each survivor of ``ks`` in turn, over the masks ``pairs``
-    and ``full``; ``checks`` holds the pairs ``(var, x)`` that
-    ``_bound_well`` reads."""
-    n = len(terms)
-    bound: dict = {}
-    matched: list = []
-    for k in ks:
-        for _ in _fill(((k + 1, n), (0, k)), terms, pairs, full, bound,
-                       matched):
-            term = _resolve(terms[k], bound, {})
-            if term.ground and all(_bound_well(var, x, bound)
-                                   for var, x in checks):
-                yield sorted(matched, key=itemgetter(1))
-
-
-def _fill(spans, terms, pairs, full, bound: dict, matched: list):
-    """Match the spans of the stack ``spans``, the last one first, for
-    ``_survivors``: yield once for each matching, with its pairs appended to
-    ``matched`` and its equations bound in ``bound``, and take both back
-    before the next.  A module-level generator, unlike a closure that calls
-    itself, leaves no reference cycle."""
-    if not spans:
-        yield
-        return
-    a, b = spans[-1]
-    if a == b:
-        yield from _fill(spans[:-1], terms, pairs, full, bound, matched)
-        return
-    partners = pairs[a]
-    for j in range(a + 1, b, 2):
-        if not (partners >> j & 1 and full[j + 1] >> b & 1):
-            continue
-        size = len(bound)
-        if _bind(terms[a], terms[j], bound):
-            matched.append((a, j))
-            yield from _fill(spans[:-1] + ((j + 1, b), (a + 1, j)), terms,
-                             pairs, full, bound, matched)
-            matched.pop()
-        while len(bound) > size:  # _bind only adds variables
-            bound.popitem()
 
 
 def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
@@ -2097,9 +2039,9 @@ def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:
 
 
 def _bit_survivors(ks, pairs, full, vbit, image, isid, checks) -> list:
-    """``_survivors`` over the bitset kernel's tables (``_bit_tables``),
-    read by position through the word's atom indices: the same matchings in
-    the same order, as a list."""
+    """``_matchings``' matchings, for each survivor of ``ks`` in turn, over
+    the masks ``pairs`` and ``full`` and the bitset kernel's tables
+    (``_bit_tables``), read by position through the word's atom indices."""
     n = len(pairs)
     out: list = []
     for k in ks:
@@ -2124,12 +2066,14 @@ def _reach(mask: int, bound: int, closure: dict) -> int:
 
 
 def _cover(spans: tuple, bound: int, w: tuple) -> None:
-    """Match the spans of the stack ``spans``, the last one first, in
-    ``_fill``'s order, and append to ``out`` each matching that passes the
-    checks, the sorted list that ``_survivors`` yields.  ``w`` holds the
-    survivor ``k``, the word's masks, its atoms' tables (``_bit_tables``)
-    by position, and the state of the enumeration: ``closure``,
-    ``partner``, ``matched`` and ``out``.
+    """Match the spans of the stack ``spans``, the last one first: pair
+    each span's first atom with each partner at an odd distance in turn,
+    left to right, then match the atoms between the two, then the rest of
+    the span.  Append to ``out`` each matching that passes the checks, its
+    pairs sorted by their right atom.  ``w`` holds the survivor ``k``, the
+    word's masks, its atoms' tables (``_bit_tables``) by position, and the
+    state of the enumeration: ``closure``, ``partner``, ``matched`` and
+    ``out``.
 
     ``bound`` is the mask of the variables that the pairs in ``matched``
     bind.  Each bound variable ``v`` keeps in ``closure[v]`` what its image

@@ -25,6 +25,7 @@ from ggroup.term import (
     Binding, Const, canonical_identifiers, parse_term, render_term, subterms,
     unify,
 )
+import matching_oracle as oracle
 from test_term import RANDOM_TERMS
 
 LIM = SearchLimits()
@@ -775,10 +776,12 @@ def test_partners_keep_an_application_a_ground_atom_can_match(left, right):
 
 
 def test_partners_need_opposite_signs_and_equal_tokens():
-    # atoms of one sign are never partners, however their readings meet
+    # atoms of one sign are never partners, however their readings meet;
+    # two negative atoms of the kernel's shape are two variables, and g,
+    # which lacks #x, is partner to neither
     z = Atom(lf("g"))
-    for sign in (1, -1):
-        x, y = Atom(lf("f(X)"), sign), Atom(lf("f(a)"), sign)
+    for x, y in ((Atom(lf("f(X)")), Atom(lf("f(a)"))),
+                 (Atom(lf("P[#x]"), -1), Atom(lf("Q[#x]"), -1))):
         matchings, s = _matchings((x, y, z))
         assert matchings == [] and _tables(s).partners == [[], [], []]
     # equal tokens cancel when a word is normalized, unequal ones stay, and
@@ -809,7 +812,7 @@ def test_words_with_an_atom_of_no_reading_are_kept_unjudged(text):
 
 def test_judging_asks_each_pair_of_opposite_signs_once(monkeypatch):
     real, asked = engine._may_cancel, []
-    x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
+    x, y, z = Atom(lf("s(A,B)")), Atom(lf("P[#x1]"), -1), Atom(lf("j"))
     names = {id(x): "x", id(y): "y", id(z): "z"}
 
     def asking(s, a, b, u, v):
@@ -827,7 +830,7 @@ def test_judging_asks_each_pair_of_opposite_signs_once(monkeypatch):
         assert engine._may_match(s, word) == []
     assert asked == ["xy", "yz"]
     # a word of one sign, and a word that holds a token, ask nothing
-    for text in ("f(X) f(a) g", "f(X)^-1 f(a)^-1 g^-1", "saw X^-1 g"):
+    for text in ("f(X) f(a) g", "X^-1 Y^-1 Z^-1", "saw X^-1 g"):
         _matchings(parse_expr(text, ("saw",)))
     assert asked == ["xy", "yz"]
 
@@ -886,7 +889,7 @@ def _tables(s):
 
 
 def test_partners_memo_holds_both_atoms_in_word_order():
-    x, y, z = Atom(lf("P[#x1]")), Atom(lf("s(A,B)"), -1), Atom(lf("j"))
+    x, y, z = Atom(lf("s(A,B)")), Atom(lf("P[#x1]"), -1), Atom(lf("j"))
     matchings, s = _matchings((x, y, z))
     # P's only image, s(A,B), lacks #x1
     assert matchings == []
@@ -895,36 +898,59 @@ def test_partners_memo_holds_both_atoms_in_word_order():
     assert _tables(s).partners == [[1], [0], []]
 
 
-@pytest.mark.parametrize("text", [
-    "s(j,l)",
-    "f(X) f(a)^-1 g",
-    "f(X) g(Y) h(Z) h(b)^-1 g(a)^-1 f(a)^-1 k",
+def _judged(text):
+    """``_may_match`` of the word ``text`` and its matchings by the
+    term-level oracle (``matching_oracle``), as sets of pairs, each in a
+    fresh context.  A word that ``_may_match`` keeps unjudged, such as one
+    not of the bitset kernel's shape, must leave its set of atoms without
+    tables."""
+    word = parse_expr(text, ())
+    matchings, s = _matchings(word)
+    want = [frozenset(m) for m in oracle.matchings(_context(), word)]
+    if matchings is True:
+        assert _tables(s) is None
+    return matchings, want
+
+
+@pytest.mark.parametrize("text, kernel", [
+    ("s(j,l)", True),
+    ("f(a) X^-1 g", True),
+    ("f(a) g(b) h(c) Z^-1 Y^-1 X^-1 k", True),
+    ("f(X) f(a)^-1 g", False),
+    ("f(X) g(Y) h(Z) h(b)^-1 g(a)^-1 f(a)^-1 k", False),
 ])
-def test_words_that_may_reduce_pass(text):
-    matchings, _ = _matchings(parse_expr(text, ()))
-    assert isinstance(matchings, list) and matchings
+def test_words_that_may_reduce_pass(text, kernel):
+    matchings, want = _judged(text)
+    assert want
+    assert matchings == (want if kernel else True)
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text, kernel", [
     # the only atom without a partner is negative
-    "f(X) f(a)^-1 g^-1",
+    ("f(X) f(a)^-1 g^-1", False),
+    ("a X^-1 P[#x]^-1", True),
     # the only atom without a partner sits at an odd index
-    "f(X) g f(a)^-1",
+    ("f(X) g f(a)^-1", False),
+    ("f(#x) b P[#x]^-1", True),
     # two atoms without a partner
-    "f(X) f(a)^-1 g h",
+    ("f(X) f(a)^-1 g h", False),
+    ("f(#x) P[#x]^-1 b c", True),
     # the partner sits at an even distance
-    "f(X) g f(a)^-1 h",
+    ("f(X) g f(a)^-1 h", False),
+    ("f(#x) b P[#x]^-1 c", True),
     # a quantifier's two atoms, which can only cancel each other, and the
     # application occurs inside the other
-    "s(A3,B3) sm(N4,#x2,P4[#x2]) P4[#x2]^-1",
+    ("s(A3,B3) sm(N4,#x2,P4[#x2]) P4[#x2]^-1", True),
     # the application's only partner at an odd distance lacks its identifier
-    "sm(N4,#x2,P4[#x2]) P4[#x2]^-1 s",
+    ("sm(N4,#x2,P4[#x2]) P4[#x2]^-1 s", True),
     # the survivor at index 2, but its image, ev(m,#x1,s(A,B)), is not
     # ground
-    "s(A,B) P[#x1]^-1 ev(m,#x1,P[#x1])",
+    ("s(A,B) P[#x1]^-1 ev(m,#x1,P[#x1])", True),
 ])
-def test_words_that_cannot_reduce_fail(text):
-    assert _matchings(parse_expr(text, ()))[0] == []
+def test_words_that_cannot_reduce_fail(text, kernel):
+    matchings, want = _judged(text)
+    assert want == []
+    assert matchings == ([] if kernel else True)
 
 
 # the bitset kernel takes a word whose negative atoms read as distinct
@@ -959,11 +985,10 @@ def _kernel_matchings(text, monkeypatch, vacuous=False):
     # or X^-1 takes s, and the survivor X reads s
     ("X X^-1 s", [{(1, 2)}, {(0, 1)}]),
 ])
-def test_words_outside_the_kernel_take_the_term_equations(text, want,
-                                                          monkeypatch):
-    monkeypatch.setattr(engine, "_bit_survivors", None)
-    matchings, _ = _matchings(parse_expr(text, ()))
-    assert matchings == [frozenset(m) for m in want]
+def test_words_outside_the_kernel_are_kept_unjudged(text, want):
+    matchings, found = _judged(text)
+    assert matchings is True
+    assert found == [frozenset(m) for m in want]
 
 
 @pytest.mark.parametrize("text, want", [
@@ -983,11 +1008,9 @@ def test_words_outside_the_kernel_take_the_term_equations(text, want,
 def test_the_bitset_kernel_checks_each_matching(text, want, monkeypatch):
     assert _kernel_matchings(text, monkeypatch) == \
         [frozenset(m) for m in want]
-    # and agrees with the term equations, the partners taken as they come
-    found = _matchings(parse_expr(text, ()))[0]
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_bit_tables", lambda *args: None)
-        assert _matchings(parse_expr(text, ()))[0] == found
+    # and agrees with the term-level oracle, the partners taken as they come
+    matchings, found = _judged(text)
+    assert matchings == found
 
 
 def test_the_bitset_kernel_checks_no_application_under_vacuous_abstraction(
