@@ -56,7 +56,11 @@ in the full search when measured against ``max_items`` (see
 ``_expand_successors``).
 
 Cancels are not ordered: the orders of independent cancels meet in states
-with equal keys, and the search expands each key once.  When blocks come
+with equal keys, and the search expands each key once.  A blocks-first
+parse does not even build them twice: the cancels of a live word's atoms
+that leave the same atoms in the same order, having cancelled the same
+pairs, make one state whatever their order, and a cancel whose state was
+made already is not made again (``_cancel_successors``).  When blocks come
 first, each block-free word that a bundle would make is judged before the
 bundle is built, once per search, and dropped, never built or keyed, when
 no non-crossing matching of its atoms can cancel, read first-order
@@ -124,7 +128,7 @@ Each search builds one context, ``_Search``: the lexicon,
 depend on the search, alive for that search only.  Every successor
 generator takes the context and the node it expands and returns pairs
 ``(steps, expr)``, ``gen(s, node) -> list``, and the helpers that judge
-atom pairs take the context too.  There are five memos:
+atom pairs take the context too.  There are six memos:
 
 * ``unifiers`` holds the unifiers of atom pairs, keyed by the pair's
   identity, ``(id(a), id(b))``, so each pair of atom objects is unified
@@ -147,6 +151,11 @@ atom pairs take the context too.  There are five memos:
   of them may cancel (``_may_cancel``, less the unsupported pairs when the
   set holds two negative applications or more, ``_supported``), and the
   bitset kernel's tables.  It is keyed by the set of the atoms' ids.
+* ``made`` holds the states that the cancels of a blocks-first parse's
+  live words have made, each named by ``(tables, pos, done)``: the tables
+  of its start's atom set, the index there of each atom left, in order,
+  and the mask of the pairs of indices cancelled (``_pair_bit``).  It holds
+  no atom and no id; the tables are ``atom_sets``'.
 
 Each entry of ``unifiers``, ``substitutions`` and ``atom_sets`` holds the
 objects whose ids it uses, so no id is reused while the memo lives.  The
@@ -982,10 +991,13 @@ class _Node:
     block, scanned once, when the node is built.  ``viable`` is ``None``
     until ``_cancel_successors`` expands the node and sets it.  For a live
     block-free word that a bundle of a blocks-first parse entered, and the
-    states its cancels reach, it is then ``(matchings, pos)``: the
-    matchings of the word that entered (``_may_match``) that hold every
-    pair cancelled since, and ``pos``, the word's position of each of the
-    node's atoms."""
+    states its cancels reach, it is then ``(matchings, pos, done,
+    tables)``: the matchings of the word that entered (``_may_match``) that
+    hold every pair cancelled since, ``pos``, which of the word's atoms each
+    of the node's atoms stands for, and ``done``, the mask of the pairs
+    cancelled since (``_pair_bit``).  Each atom of the word is named by its
+    index in ``tables``, the ``_AtomSet`` of the word's atoms, so a matching is
+    a frozenset of pairs of indices and ``pos`` a tuple of indices."""
 
     __slots__ = ("expr", "expansions", "parent", "steps", "has_blocks",
                  "viable")
@@ -1013,13 +1025,13 @@ class _Search:
 
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``,
-    ``substitutions``, ``instances``, ``judged`` and ``atom_sets``, as the
-    module docstring says.  Nothing else in the context shapes the tables
-    of an atom set: whether its partners lose their unsupported pairs is
-    the set's own to decide (``_atom_set``), so a context built directly
-    judges a word as a search's does.  ``judged`` maps each block-free
-    word that the block phase has judged, by its atoms' ids, to what
-    ``_may_match`` said of it, ``()`` for a dead word (see
+    ``substitutions``, ``instances``, ``judged``, ``atom_sets`` and
+    ``made``, as the module docstring says.  Nothing else in the context
+    shapes the tables of an atom set: whether its partners lose their
+    unsupported pairs is the set's own to decide (``_atom_set``), so a
+    context built directly judges a word as a search's does.  ``judged``
+    maps each block-free word that the block phase has judged, by its
+    atoms' ids, to what ``_may_match`` said of it, ``()`` for a dead word (see
     ``_block_successors``); the node of a live word reads the verdict from
     there (``_cancel_successors``).
     ``atom_sets`` maps each set of atoms that ``_matchings`` has read, by
@@ -1027,7 +1039,9 @@ class _Search:
     their tables (``_atom_set``), or ``None``.  Those tables are the only
     record of the atoms' readings and of which pairs of them may cancel.
     In a blocks-first parse every judged word is an order of one start's
-    atoms, so it holds one entry per start."""
+    atoms, so it holds one entry per start.  ``made`` holds the name of
+    each state that a cancel of a node with viable matchings has made (see
+    ``_cancel_successors``)."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
@@ -1037,6 +1051,7 @@ class _Search:
     instances: dict = field(default_factory=dict)
     judged: dict = field(default_factory=dict)
     atom_sets: dict = field(default_factory=dict)
+    made: set = field(default_factory=set)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1248,10 +1263,35 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     such a word removes its own pair and nothing else (``_ordered_word``),
     and the parent was expanded first.  A start, and a word that
     ``_may_match`` keeps unjudged, with the states its cancels reach, take
-    none.  A node that has matchings cancels only the pairs ``(pos[i],
-    pos[i + 1])`` that some of them holds: any other cancel's pair is in no
-    matching of a reading's derivation (see ``_may_match``), so its state
-    reaches no reading."""
+    none.  The positions are named by the atoms' indices in the tables of
+    the word's atom set (``_entered``).  A node that has matchings cancels
+    only the pairs ``(pos[i], pos[i + 1])`` that some of them holds: any
+    other cancel's pair is in no matching of a reading's derivation (see
+    ``_may_match``), so its state reaches no reading.
+
+    Such a node also names the state that each of its cancels would make,
+    ``(tables, pos, done)`` after the cancel, and skips a cancel whose state
+    the search has made already (the memo ``made``) before it asks for the
+    pair's unifiers, builds the state or keys it; a state it makes is added.
+    The name fixes the state.  The block phase makes no atom, so every live
+    word is an order of one start's atoms, and every judged word has the
+    kernel's shape (``_matchings``): each negative atom reads as a variable
+    of its own, and each abstraction variable is applied to one identifier.
+    So each cancel binds that one variable, once, to its partner's current
+    term; an application ``P[#x]`` under ``match_app``'s abstraction,
+    applied at ``#x``, gives that term back, under every unifier of the
+    pair.  The atoms left are then the start's atoms under the solved form
+    of the cancelled pairs' equations, in the order they stand, whatever
+    the order of the cancels, as in the chart's first-order argument (see
+    ``_chart``).  A cancel that fails in one order may succeed in another
+    (``match_app`` fails on a term that still holds an application), so
+    only a state that was made is named in the memo.  The atoms are named by
+    their start's tables and an index, never an index alone: a search holds
+    one start per assignment of rules to homonyms, whose atoms share
+    indices.  A skipped state's key is in ``visited`` already: the cancels
+    of a blocks-first parse trip no limit, so every state they make is
+    keyed.  The queue, each node's ``viable``, the readings, their
+    derivations and ``truncated`` stay as they were."""
     expr, viable = node.expr, None
     if s.blocks_first:
         step = node.steps[0] if node.steps else None
@@ -1261,18 +1301,23 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
         elif type(step) is DissolveStep:
             matchings = s.judged[tuple(map(id, expr))]
             if matchings is not True:
-                viable = matchings, tuple(range(len(expr)))
+                viable = _entered(s, expr, matchings)
         node.viable = viable
     if viable is not None:
-        matchings, pos = viable
+        matchings, pos, done, t = viable
         used = set().union(*matchings)
     out = []
     levels = _levels(expr) if node.has_blocks else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
-            if viable is not None and (pos[i], pos[i + 1]) not in used:
-                continue
+            if viable is not None:
+                pair = pos[i], pos[i + 1]
+                if pair not in used:
+                    continue
+                made = t, pos[:i] + pos[i + 2:], done | _pair_bit(t, pair)
+                if made in s.made:
+                    continue
             a, b = items[i], items[(i + 1) % n]
             if not _cancel_pair(a, b):
                 continue
@@ -1280,17 +1325,39 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
                 step = CancelStep(level, i, delta)
                 out.append(((step,), _apply(s.lex, expr, step,
                                             s.substitutions)))
+                if viable is not None:
+                    s.made.add(made)
     return out
+
+
+def _entered(s: _Search, word: Expr, matchings: list) -> tuple:
+    """The ``viable`` matchings of a live word that a bundle entered, its
+    verdict ``matchings`` (``_may_match``), renamed from the word's
+    positions to the indices of its atom set (``_atom_set``), the index of
+    each of its atoms, no pair cancelled, and the atom set's tables (see
+    ``_cancel_successors``)."""
+    t = s.atom_sets[frozenset(map(id, word))][1]
+    idx = tuple(t.index[i] for i in map(id, word))
+    return ([frozenset((idx[i], idx[j]) for i, j in m) for m in matchings],
+            idx, 0, t)
 
 
 def _carried(viable: tuple, step: CancelStep) -> tuple:
     """The ``viable`` matchings of a cancel's child: those of its parent
-    that hold the cancelled pair, and the positions without the pair's (see
-    ``_cancel_successors``)."""
-    matchings, pos = viable
+    that hold the cancelled pair, the atom indices without the pair's, and
+    the cancelled pairs with it (see ``_cancel_successors``)."""
+    matchings, pos, done, t = viable
     i = step.index
     pair = pos[i], pos[i + 1]
-    return [m for m in matchings if pair in m], pos[:i] + pos[i + 2:]
+    return ([m for m in matchings if pair in m], pos[:i] + pos[i + 2:],
+            done | _pair_bit(t, pair), t)
+
+
+def _pair_bit(t: _AtomSet, pair: tuple) -> int:
+    """The bit that stands for the pair of ``t``'s atom indices ``pair``,
+    in either order, in a mask of cancelled pairs."""
+    a, b = pair
+    return 1 << (a * len(t.signs) + b if a < b else b * len(t.signs) + a)
 
 
 def _ordered_word(expr: Expr) -> bool:
@@ -1625,30 +1692,34 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     non-commutative parse gets every bundle of a state with a block beside
     its cancels, the placement of the full search, which needs no argument.
 
-    When blocks come first, each block-free word that a bundle would make
-    is judged by its matchings (``_may_match``) before the bundle is built,
-    once per search (``_block_successors``): a word none of whose matchings
-    can cancel is dead, and its bundle is never built, keyed, queued or
-    added to ``visited``.  The check pays because blocks first leave few
-    entering words, most of them dead.  No other search drops a word.  A
-    live word's node reads its viable matchings from the verdict
-    (``_Node.viable``), and cancels only the pairs they hold: each child
-    reads the matchings of its parent that hold its pair (``_carried``),
-    and a state keeps what the first path to reach it carried (see
-    ``_cancel_successors``).  ``_may_match`` argues that every path's list
-    holds the matching of every derivation of a reading from the state.  A
-    dropped word never reaches a reading, nor does any state it would
-    reach, and states with equal keys reach the same readings.  So no
-    reading or derivation of a live state changes, live states keep their
-    queue order, and a state that cancels reach with a dead word's key,
-    which ``visited`` does not hold, reaches no reading either.  No bundle
-    trips a limit, so ``truncated`` does not change either.  The tables of
-    a start's atoms keep only the supported pairs when the start holds two
-    negative applications or more (``_atom_set``, ``_supported``), which in
-    ``english.gg`` are its two blocks or more, so most dead words die at
-    the partner scan of ``_matchings``, before the kernel runs; no verdict
-    changes.  A start with one block judges too few words to pay for the
-    support search, and a chart start holds no application.
+    When blocks come first, each block-free word that a bundle would make is
+    judged by its matchings (``_may_match``) before the bundle is built, once
+    per search (``_block_successors``): a word none of whose matchings can
+    cancel is dead, and its bundle is never built, keyed, queued or added to
+    ``visited``.  The check pays because blocks first leave few entering words,
+    most of them dead.  No other search drops a word.  A live word's node reads
+    its viable matchings from the verdict (``_Node.viable``), and cancels only
+    the pairs they hold: each child reads the matchings of its parent that hold
+    its pair (``_carried``), and a state keeps what the first path to reach it
+    carried (see ``_cancel_successors``).  Each such cancel's state is made
+    once: the cancels that leave the same atoms of one start in the same order,
+    having cancelled the same pairs, make one state in any order, so a cancel
+    whose state was made already is not made again; its key is in ``visited``,
+    since no cancel here trips a limit, so the search keeps its states, their
+    order and its results.  ``_may_match`` argues that every path's list holds
+    the matching of every derivation of a reading from the state.  A dropped
+    word never reaches a reading, nor does any state it would reach, and states
+    with equal keys reach the same readings.  So no reading or derivation of a
+    live state changes, live states keep their queue order, and a state that
+    cancels reach with a dead word's key, which ``visited`` does not hold,
+    reaches no reading either.  No bundle trips a limit, so ``truncated`` does
+    not change either.  The tables of a start's atoms keep only the supported
+    pairs when the start holds two negative applications or more
+    (``_atom_set``, ``_supported``), which in ``english.gg`` are its two blocks
+    or more, so most dead words die at the partner scan of ``_matchings``,
+    before the kernel runs; no verdict changes.  A start with one block judges
+    too few words to pay for the support search, and a chart start holds no
+    application.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the

@@ -35,14 +35,17 @@ def test_max_results_counts_readings_across_assignments():
     assert res.truncated
 
 
-@pytest.mark.parametrize("sentence, count", [
+SENTENCES = [
     ("john saw louise in paris", 4),
     ("john saw every woman in paris", 10),
     ("louise saw the man in paris", 6),
     ("some woman saw john in paris", 8),
     ("john saw louise in paris in paris", 20),
     ("the man that louise saw ran", 7),
-])
+]
+
+
+@pytest.mark.parametrize("sentence, count", SENTENCES)
 def test_homonym_readings_match_the_oracle(sentence, count):
     words = sentence.split()
     res = parse(HOMONYM, words, LIM)

@@ -838,24 +838,36 @@ def test_each_state_carries_the_matchings_of_its_path(english, monkeypatch,
                                                       sentence):
     # each block-free state the search expands carries the matchings of
     # the word its path entered by that hold every pair the path cancelled
-    # since, and the word's position of each of its atoms
+    # since, the word's position of each of its atoms and the pairs
+    # cancelled, each position named by its atom's index in the tables of
+    # the search's atom set of the word
     real, carried = engine._cancel_successors, []
 
     def recording(s, node):
         out = real(s, node)
-        root = node
+        root = entered = node
         while root.parent is not None:
             root = root.parent
-        carried.append((root.expr, node.derivation_steps(), node.viable))
+        while type(entered.steps[0]) is CancelStep:
+            entered = entered.parent
+        tables = s.atom_sets[frozenset(map(id, entered.expr))][1]
+        names = [tables.index[id(a)] for a in entered.expr]
+        carried.append((root.expr, node.derivation_steps(), node.viable,
+                        tables, names))
         return out
 
     monkeypatch.setattr(engine, "_cancel_successors", recording)
     assert parse(english, sentence.split(), LIM).results
     s = engine._Search(english, blocks_first=True)
-    for start, steps, viable in carried:
+    for start, steps, viable, tables, names in carried:
         word, pairs, pos = _entering_word(english, start, steps)
         want = [m for m in engine._may_match(s, word) if m.issuperset(pairs)]
-        assert viable == (want, pos), render_expr(word)
+        done = sum(engine._pair_bit(tables, (names[i], names[j]))
+                   for i, j in pairs)
+        assert viable == ([frozenset((names[i], names[j]) for i, j in m)
+                           for m in want],
+                          tuple(names[p] for p in pos), done, tables), \
+            render_expr(word)
     assert carried
 
 
@@ -969,6 +981,153 @@ def test_partners_only_prune(english, monkeypatch):
         _same_results(parse(english, sentence.split(), LIM), res)
     assert sum(m is True for m in want) and sum(m == [] for m in want) > 100
     assert sum(bool(m) and m is not True for m in want) > 100
+
+
+# ---------------------------------------------------------------------------
+# the memo of cancels made (``engine._Search.made``): a cancel whose start,
+# atoms left and pairs cancelled the search has made already is not made
+# again, and the search is the one that makes it
+
+
+class _NeverHit(set):
+    """A memo of cancels made that keeps every entry and finds none."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _made_run(run, defeated):
+    """``run()`` with the memo of cancels made intact, or ``defeated``, so
+    that it never hits: the result, the key of each state asked for
+    successors, in order, and the number of keys computed.  With the memo
+    intact, each cancel that the memo drops is made on the side, with the
+    search's memos left alone, and its state's key must be one the search
+    has computed already, so one that ``visited`` holds: the count of them
+    is returned too."""
+    real_key, real_cancels = engine._canonical_key, engine._cancel_successors
+    real_blocks, real_context = engine._block_successors, engine._Search
+    seen, expanded, dropped, calls = set(), [], [0], [0]
+
+    def keying(expr, commutative):
+        calls[0] += 1
+        key = real_key(expr, commutative)
+        seen.add(key)
+        return key
+
+    def context(*args, **kwargs):
+        s = real_context(*args, **kwargs)
+        s.made = _NeverHit()
+        return s
+
+    def blocks(s, node):
+        expanded.append(real_key(node.expr, False))
+        return real_blocks(s, node)
+
+    def cancels(s, node):
+        expanded.append(real_key(node.expr, False))
+        if defeated:
+            return real_cancels(s, node)
+        # the same context without the memo and with memos of its own for
+        # unifiers and substitutions, so the side run changes nothing that
+        # the search reads later
+        side = real_context(s.lex, s.allow_vacuous, s.blocks_first,
+                            judged=s.judged, atom_sets=s.atom_sets,
+                            made=_NeverHit())
+        every = real_cancels(side, node)
+        out = real_cancels(s, node)
+        made = [render_step(steps[0]) for steps, _ in out]
+        kept = iter(made)
+        for steps, new in every:
+            if render_step(steps[0]) in made:
+                assert render_step(steps[0]) == next(kept)
+                continue
+            again = engine._apply(s.lex, node.expr, steps[0])
+            assert real_key(again, False) == real_key(new, False)
+            assert real_key(again, False) in seen, render_expr(again)
+            dropped[0] += 1
+        assert next(kept, None) is None
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_canonical_key", keying)
+        m.setattr(engine, "_cancel_successors", cancels)
+        m.setattr(engine, "_block_successors", blocks)
+        if defeated:
+            m.setattr(engine, "_Search", context)
+        res = run()
+    return res, expanded, calls[0], dropped[0]
+
+
+def _check_made(run):
+    """The search with the memo of cancels made against the same search
+    with the memo defeated: the same states expanded in the same order, the
+    same readings, rendered derivations and truncation.  Returns how many
+    cancels the memo dropped."""
+    got, expanded, calls, dropped = _made_run(run, defeated=False)
+    want, expanded_all, calls_all, _ = _made_run(run, defeated=True)
+    _same_results(got, want)
+    assert expanded == expanded_all
+    assert calls_all - calls == dropped
+    return dropped
+
+
+MADE_LIMITS = [LIM, SearchLimits(max_results=2)]
+
+
+@pytest.mark.parametrize("lim", MADE_LIMITS, ids=["all", "max_results=2"])
+@pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
+def test_the_memo_of_cancels_made_changes_no_search(english, sentence, lim):
+    # blocks first: every live word is an order of one start's atoms, and
+    # the atoms that a cancel leaves are the start's under the solved
+    # equations of the pairs cancelled, in any order
+    dropped = _check_made(functools.partial(parse, english, sentence.split(),
+                                            lim))
+    assert dropped or lim is not LIM
+
+
+@pytest.mark.parametrize("lim", MADE_LIMITS, ids=["all", "max_results=2"])
+def test_the_memo_of_cancels_made_keeps_homonyms_apart(lim):
+    # one start per assignment of relators to the homonyms: atoms of two
+    # starts at the same index are different atoms
+    from test_homonyms import HOMONYM, SENTENCES
+    dropped = sum(_check_made(functools.partial(parse, HOMONYM,
+                                                sentence.split(), lim))
+                  for sentence, _ in SENTENCES)
+    assert dropped > 100
+
+
+@pytest.mark.parametrize("make, seed, count", [
+    (_scoped_start, 43, 100), (_scoped_start, 5, 100),
+    (_ordered_start, 41, 200)], ids=["scoped-43", "scoped-5", "ordered-41"])
+def test_the_memo_of_cancels_made_changes_no_random_start(make, seed, count):
+    rng = random.Random(seed)
+    dropped = 0
+    for n in range(count):
+        start = make(rng)
+        run = functools.partial(_search, start)
+        try:
+            dropped += _check_made(run)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {render_expr(start)}") from e
+    assert dropped > 100
+
+
+def test_each_search_has_a_memo_of_cancels_made_of_its_own(english,
+                                                         monkeypatch):
+    # the memo names states by the tables of the search's own atom sets: one
+    # that outlived its search would keep every search's tables alive
+    real, first = engine._cancel_successors, {}
+
+    def cancels(s, node):
+        first.setdefault(id(s), (s, len(s.made)))
+        return real(s, node)
+
+    monkeypatch.setattr(engine, "_cancel_successors", cancels)
+    for _ in range(2):
+        parse(english, "every man saw some woman".split(), LIM)
+    (one, made_one), (two, made_two) = first.values()
+    assert made_one == made_two == 0
+    assert one.made and two.made and one.made is not two.made
 
 
 # ---------------------------------------------------------------------------
