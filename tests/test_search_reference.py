@@ -21,7 +21,12 @@ those of the plain search whose words the check keeps, in order.  A live word ca
 its viable matchings down its cancels, and cancels only their pairs: the
 cancels of each reading of the search that carries none must form one of
 the matchings of the word they start from, and each state must carry
-exactly those of its path.  The pairing relation only prunes: taking every
+exactly those of its path.  A cancel whose state the search has made
+already is not made again: the search must expand the same state keys in
+the same order with that memo as without it, with the same readings,
+derivations and truncation, each cancel it drops must make a state whose
+key the search has seen, and each search must start with a memo of its
+own.  The pairing relation only prunes: taking every
 pair of atoms as partners leaves each word's matchings, and the chart's
 readings and derivations, as they are.  The bitset kernel that decides the
 matchings' equations must find, on every word that the searches judge, the
@@ -1003,7 +1008,8 @@ def _made_run(run, defeated):
     intact, each cancel that the memo drops is made on the side, with the
     search's memos left alone, and its state's key must be one the search
     has computed already, so one that ``visited`` holds: the count of them
-    is returned too."""
+    is returned too.  The side run builds each state with ``_apply``, as
+    the search does."""
     real_key, real_cancels = engine._canonical_key, engine._cancel_successors
     real_blocks, real_context = engine._block_successors, engine._Search
     seen, expanded, dropped, calls = set(), [], [0], [0]
@@ -1041,9 +1047,7 @@ def _made_run(run, defeated):
             if render_step(steps[0]) in made:
                 assert render_step(steps[0]) == next(kept)
                 continue
-            again = engine._apply(s.lex, node.expr, steps[0])
-            assert real_key(again, False) == real_key(new, False)
-            assert real_key(again, False) in seen, render_expr(again)
+            assert real_key(new, False) in seen, render_expr(new)
             dropped[0] += 1
         assert next(kept, None) is None
         return out
