@@ -56,11 +56,7 @@ in the full search when measured against ``max_items`` (see
 ``_expand_successors``).
 
 Cancels are not ordered: the orders of independent cancels meet in states
-with equal keys, and the search expands each key once.  A blocks-first
-parse does not even build them twice: the cancels of a live word's atoms
-that leave the same atoms in the same order, having cancelled the same
-pairs, make one state whatever their order, and a cancel whose state was
-made already is not made again (``_cancel_successors``).  When blocks come
+with equal keys, and the search expands each key once.  When blocks come
 first, each block-free word that a bundle would make is judged before the
 bundle is built, once per search, and dropped, never built or keyed, when
 no non-crossing matching of its atoms can cancel, read first-order
@@ -73,9 +69,11 @@ kept unjudged.  In a set of atoms with two negative applications or more,
 the scopes of a start with two blocks or more, the relation keeps only the
 pairs that some order-free valid matching of the atoms holds, as far as a
 search of fixed size can tell (``_supported``); every matching that can
-cancel holds only such pairs.  A live word carries the matchings that can
-cancel down its cancels, and cancels only pairs that one of them holds
-(``_cancel_successors``).
+cancel holds only such pairs.  A live word is decided when its node is
+first expanded: one depth-first search over its cancels builds only the
+first path to each reading its start has not reached, and the loop gets
+only the states on those paths, which hold the derivations it would record
+if every order were made (``_decide``).
 
 A parse search whose every start is a first-order block-free word (no
 block, no token, no application) that meets ``_ordered_word`` is decided by
@@ -87,14 +85,13 @@ cancelled innermost first, left to right.  The readings are the ground
 survivors of those matchings: the chart enumerates the matchings over
 spans (``_matchings``).  Each pair's equation binds its negative atom's own
 variable, once, so the matchings are decided over bitsets of the variables
-and identifiers that each binding reaches.  The chart builds each
-matching's cancels as a chain of nodes and reads the reading off the
-chain's end, the one atom that the cancels leave; it keeps the first chain
-per reading.  The end nodes take the starts' place in the breadth-first
-loop, which records, cuts and proves them like any other, so every search
-ends in the loop.  Every other search explores there from its starts:
-generation, saturation, commutative lexicons, and parses whose words hold
-a block or an application.
+and identifiers that each binding reaches.  The chart builds the cancels
+of the first matching of each reading (``_image``) as a chain of nodes.
+The end nodes take the starts' place in the breadth-first loop, which
+records, cuts and proves them like any other, so every search ends in the
+loop.  Every other search explores there from its starts: generation,
+saturation, commutative lexicons, and parses whose words hold a block or
+an application.
 
 Saturation resolves each subgoal in one step, over the clauses that a
 first-argument index proposes for it (``_Tables.candidates``): the
@@ -111,9 +108,10 @@ class when it is built (whether it is a surface token, whether it is ground)
 and memoizes what depends on it alone, its state-key fragment (see
 ``_canonical_key``), and a lexicon memoizes its rule tables (see
 ``_tables``).  An atom does not memoize its first-order reading: the tables
-of its set of atoms are built from it once (``_atom_set``).  These memo
-fields are outside equality and hashing, and a copy or a pickle is rebuilt
-from the other fields, which computes the class again.
+of its set of atoms are built from it once and keep its term
+(``_atom_set``).  These memo fields are outside equality and hashing, and a
+copy or a pickle is rebuilt from the other fields, which computes the class
+again.
 
 Most parse states have no blocks, and those cost the least.  A block-free
 state in non-commutative mode gets a flat key, its atoms' fragments and the
@@ -128,7 +126,7 @@ Each search builds one context, ``_Search``: the lexicon,
 depend on the search, alive for that search only.  Every successor
 generator takes the context and the node it expands and returns pairs
 ``(steps, expr)``, ``gen(s, node) -> list``, and the helpers that judge
-atom pairs take the context too.  There are six memos:
+atom pairs take the context too.  There are seven memos:
 
 * ``unifiers`` holds the unifiers of atom pairs, keyed by the pair's
   identity, ``(id(a), id(b))``, so each pair of atom objects is unified
@@ -147,22 +145,22 @@ atom pairs take the context too.  There are six memos:
   atom, so the starts, which the search holds while it lives, hold every
   atom it keys.
 * ``atom_sets`` holds the tables of each set of atoms whose words
-  ``_matchings`` reads (``_atom_set``): the atoms' signs, which pairs
-  of them may cancel (``_may_cancel``, less the unsupported pairs when the
-  set holds two negative applications or more, ``_supported``), and the
-  bitset kernel's tables.  It is keyed by the set of the atoms' ids.
-* ``made`` holds the states that the cancels of a blocks-first parse's
-  live words have made, each named by ``(tables, pos, done)``: the tables
-  of its start's atom set, the index there of each atom left, in order,
-  and the mask of the pairs of indices cancelled (``_pair_bit``).  It holds
-  no atom and no id; the tables are ``atom_sets``'.
+  ``_matchings`` reads (``_atom_set``): the atoms' signs and first-order
+  terms, which pairs of them may cancel (``_may_cancel``, less the
+  unsupported pairs when the set holds two negative applications or more,
+  ``_supported``), the bitset kernel's tables, and the reading of each
+  matching read so far (``_image``).  It is keyed by the set of the atoms'
+  ids.
+* ``made`` holds the states that the decisions of a blocks-first parse's
+  live words have made, named ``(tables, pos, done)``, and ``claimed`` the
+  readings they reached, ``(tables, reading)``, by the tables of their
+  start's atom set (``_decide``).  They hold no atom and no id.
 
 Each entry of ``unifiers``, ``substitutions`` and ``atom_sets`` holds the
 objects whose ids it uses, so no id is reused while the memo lives.  The
-context holds no node, so a search leaves no reference cycle.
-A node of a blocks-first parse carries the viable matchings of its
-block-free word down its cancels (``_Node.viable``): sets of position
-pairs, which hold no atom and no id.
+context holds no node, so a search leaves no reference cycle.  A node of a
+blocks-first parse that its word's decision reached holds the children
+that the decision built (``_Node.plan``).
 
 The proof keeps its own memo of instances, one for all the answers of a
 search, and shares nothing with the search's memos: ``replay`` and
@@ -181,9 +179,10 @@ from typing import Iterable, Optional, Sequence, Union
 from . import lexicon as lx
 from .term import (
     HOLE, MAX_TERM_DEPTH, AbsVar, Abstraction, App, Binding, Compound, Const,
-    EMPTY_BINDING, Identifier, MetaVar, Term, _bind, binding_is_acyclic,
-    canonical_identifiers, identifiers_in, is_ground, parse_abstraction,
-    parse_term, render_abstraction, render_term, substitute, subterms, unify,
+    EMPTY_BINDING, Identifier, MetaVar, Term, _bind, _resolve,
+    binding_is_acyclic, canonical_identifiers, identifiers_in, is_ground,
+    parse_abstraction, parse_term, render_abstraction, render_term,
+    substitute, subterms, unify,
 )
 
 __all__ = [
@@ -988,19 +987,13 @@ def _levels(expr: Expr, prefix: tuple[int, ...] = ()) -> Iterable[tuple[tuple[in
 
 class _Node:
     """A search state.  ``has_blocks`` says whether a top-level item is a
-    block, scanned once, when the node is built.  ``viable`` is ``None``
-    until ``_cancel_successors`` expands the node and sets it.  For a live
-    block-free word that a bundle of a blocks-first parse entered, and the
-    states its cancels reach, it is then ``(matchings, pos, done,
-    tables)``: the matchings of the word that entered (``_may_match``) that
-    hold every pair cancelled since, ``pos``, which of the word's atoms each
-    of the node's atoms stands for, and ``done``, the mask of the pairs
-    cancelled since (``_pair_bit``).  Each atom of the word is named by its
-    index in ``tables``, the ``_AtomSet`` of the word's atoms, so a matching is
-    a frozenset of pairs of indices and ``pos`` a tuple of indices."""
+    block, scanned once, when the node is built.  ``plan``, set by
+    ``_cancel_successors``, is ``None`` or, for a state of a live word's
+    decision (``_decide``), the children it built from the state, triples
+    ``(steps, expr, plan)``."""
 
     __slots__ = ("expr", "expansions", "parent", "steps", "has_blocks",
-                 "viable")
+                 "plan")
 
     def __init__(self, expr, expansions, parent, steps):
         self.expr = expr
@@ -1008,7 +1001,7 @@ class _Node:
         self.parent = parent
         self.steps = steps
         self.has_blocks = _has_block(expr)
-        self.viable = None
+        self.plan = None
 
     def derivation_steps(self) -> tuple[Step, ...]:
         chain: list[Step] = []
@@ -1025,23 +1018,22 @@ class _Search:
 
     ``blocks_first`` says that the search places every block before any
     cancel (see ``_search``).  The memos are ``unifiers``,
-    ``substitutions``, ``instances``, ``judged``, ``atom_sets`` and
-    ``made``, as the module docstring says.  Nothing else in the context
-    shapes the tables of an atom set: whether its partners lose their
-    unsupported pairs is the set's own to decide (``_atom_set``), so a
-    context built directly judges a word as a search's does.  ``judged``
+    ``substitutions``, ``instances``, ``judged``, ``atom_sets``, ``made``
+    and ``claimed``, as the module docstring says.  Nothing else in the
+    context shapes the tables of an atom set: whether its partners lose
+    their unsupported pairs is the set's own to decide (``_atom_set``), so
+    a context built directly judges a word as a search's does.  ``judged``
     maps each block-free word that the block phase has judged, by its
-    atoms' ids, to what ``_may_match`` said of it, ``()`` for a dead word (see
-    ``_block_successors``); the node of a live word reads the verdict from
-    there (``_cancel_successors``).
+    atoms' ids, to what ``_may_match`` said of it, ``()`` for a dead word
+    (see ``_block_successors``); the node of a live word reads the verdict
+    from there (``_cancel_successors``).
     ``atom_sets`` maps each set of atoms that ``_matchings`` has read, by
     the set of their ids, to a pair: the first word that held them, and
     their tables (``_atom_set``), or ``None``.  Those tables are the only
     record of the atoms' readings and of which pairs of them may cancel.
     In a blocks-first parse every judged word is an order of one start's
-    atoms, so it holds one entry per start.  ``made`` holds the name of
-    each state that a cancel of a node with viable matchings has made (see
-    ``_cancel_successors``)."""
+    atoms, so it holds one entry per start.  ``made`` and ``claimed`` are
+    ``_decide``'s."""
 
     lex: lx.Lexicon
     allow_vacuous: bool = False
@@ -1052,6 +1044,7 @@ class _Search:
     judged: dict = field(default_factory=dict)
     atom_sets: dict = field(default_factory=dict)
     made: set = field(default_factory=set)
+    claimed: set = field(default_factory=set)
 
 
 def _expand_successors(s: _Search, node: _Node) -> list:
@@ -1211,9 +1204,11 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     ``match_app`` makes no identity abstraction and, unless vacuous
     abstraction is allowed, none that drops the hole, and substitution never
     removes an identifier.  So the matching of every derivation of a reading
-    from the word is in the list.  The check is necessary, not sufficient:
-    matching an application depends on the order of the cancels, and some
-    orders are deadlocks that the check does not see.
+    from the word is in the list.  The list is necessary, not sufficient:
+    matching an application depends on the order of the cancels, some
+    orders deadlock, and under vacuous abstraction, where the kernel checks
+    no application, a matching may have no order that succeeds.  So only a
+    goal that ``_decide`` reaches gives a reading.
 
     Each equation binds one fresh variable.  Read first-order, every
     negative atom of such a word is a meta-variable that no other negative
@@ -1232,18 +1227,11 @@ def _may_match(s: _Search, word: Expr) -> Union[list, bool]:
     unjudged.
 
     The search calls this once per word, before the word's bundle is built
-    (``_block_successors``), and carries the list down the word's cancels
-    (see ``_cancel_successors``); a state keeps the list of the first path
-    that reaches it, and is expanded once.  That loses no reading.  Take a
-    derivation of a reading from a state, and any path that reached the
-    state from its entering word.  The path and the derivation together are
-    a derivation of the reading from that word, so their pairs, the path's
-    cancels added to the derivation's, make a matching in that word's list,
-    and it holds every pair the path cancelled: the list the path carries
-    keeps it.  Read
-    first-order, the path's unifiers and the derivation's compose to a most
-    general unifier of the joint equations, which is why they unify in the
-    entering word when they unify in the state."""
+    (``_block_successors``), and a state of the word's decision (``_decide``)
+    cancels only the pairs of the matchings that hold its path's pairs.  That
+    loses no reading: a path to a state and a derivation of a reading from
+    it are a derivation from the entering word, whose pairs make a matching
+    in the list that holds every pair of the path."""
     found = _matchings(s, word)
     if found is None:
         return True
@@ -1254,70 +1242,32 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
     """Every explicit cancel of an adjacent pair, at every level.  Inside a
     block the pairs include the wrap pair (last item, first item).
 
-    In a blocks-first parse the node first reads its viable matchings and
-    keeps them (``_Node.viable``).  A word that a bundle entered takes
-    ``_may_match``'s verdict from the memo ``judged`` (see
-    ``_block_successors``) and the positions of all its atoms.  A cancel's
-    child takes the matchings of its parent that hold the cancelled pair,
-    and ``pos`` without the pair's positions (``_carried``): a cancel in
-    such a word removes its own pair and nothing else (``_ordered_word``),
-    and the parent was expanded first.  A start, and a word that
-    ``_may_match`` keeps unjudged, with the states its cancels reach, take
-    none.  The positions are named by the atoms' indices in the tables of
-    the word's atom set (``_entered``).  A node that has matchings cancels
-    only the pairs ``(pos[i], pos[i + 1])`` that some of them holds: any
-    other cancel's pair is in no matching of a reading's derivation (see
-    ``_may_match``), so its state reaches no reading.
-
-    Such a node also names the state that each of its cancels would make,
-    ``(tables, pos, done)`` after the cancel, and skips a cancel whose state
-    the search has made already (the memo ``made``) before it asks for the
-    pair's unifiers, builds the state or keys it; a state it makes is added.
-    The name fixes the state.  The block phase makes no atom, so every live
-    word is an order of one start's atoms, and every judged word has the
-    kernel's shape (``_matchings``): each negative atom reads as a variable
-    of its own, and each abstraction variable is applied to one identifier.
-    So each cancel binds that one variable, once, to its partner's current
-    term; an application ``P[#x]`` under ``match_app``'s abstraction,
-    applied at ``#x``, gives that term back, under every unifier of the
-    pair.  The atoms left are then the start's atoms under the solved form
-    of the cancelled pairs' equations, in the order they stand, whatever
-    the order of the cancels, as in the chart's first-order argument (see
-    ``_chart``).  A cancel that fails in one order may succeed in another
-    (``match_app`` fails on a term that still holds an application), so
-    only a state that was made is named in the memo.  The atoms are named by
-    their start's tables and an index, never an index alone: a search holds
-    one start per assignment of rules to homonyms, whose atoms share
-    indices.  A skipped state's key is in ``visited`` already: the cancels
-    of a blocks-first parse trip no limit, so every state they make is
-    keyed.  The queue, each node's ``viable``, the readings, their
-    derivations and ``truncated`` stay as they were."""
-    expr, viable = node.expr, None
+    In a blocks-first parse the node of a live word that a bundle entered
+    takes its plan from ``_decide``, over the verdict in the memo
+    ``judged``, and each child takes its entry of its parent's plan
+    (``_Node.plan``); such a node returns the children of its plan.  A
+    start, and a word that ``_may_match`` keeps unjudged, with the states
+    its cancels reach, take no plan and make every cancel."""
+    expr = node.expr
     if s.blocks_first:
         step = node.steps[0] if node.steps else None
+        plan = None
         if type(step) is CancelStep:
-            if node.parent.viable is not None:
-                viable = _carried(node.parent.viable, step)
+            above = node.parent.plan
+            if above is not None:
+                plan = next(p for steps, _, p in above if steps is node.steps)
         elif type(step) is DissolveStep:
             matchings = s.judged[tuple(map(id, expr))]
             if matchings is not True:
-                viable = _entered(s, expr, matchings)
-        node.viable = viable
-    if viable is not None:
-        matchings, pos, done, t = viable
-        used = set().union(*matchings)
+                plan = _decide(s, expr, matchings)
+        node.plan = plan
+        if plan is not None:
+            return [(steps, new) for steps, new, _ in plan]
     out = []
     levels = _levels(expr) if node.has_blocks else [((), expr)]
     for level, items in levels:
         n = len(items)
         for i in range(_pair_count(level, n)):
-            if viable is not None:
-                pair = pos[i], pos[i + 1]
-                if pair not in used:
-                    continue
-                made = t, pos[:i] + pos[i + 2:], done | _pair_bit(t, pair)
-                if made in s.made:
-                    continue
             a, b = items[i], items[(i + 1) % n]
             if not _cancel_pair(a, b):
                 continue
@@ -1325,39 +1275,119 @@ def _cancel_successors(s: _Search, node: _Node) -> list:
                 step = CancelStep(level, i, delta)
                 out.append(((step,), _apply(s.lex, expr, step,
                                             s.substitutions)))
-                if viable is not None:
-                    s.made.add(made)
     return out
 
 
-def _entered(s: _Search, word: Expr, matchings: list) -> tuple:
-    """The ``viable`` matchings of a live word that a bundle entered, its
-    verdict ``matchings`` (``_may_match``), renamed from the word's
-    positions to the indices of its atom set (``_atom_set``), the index of
-    each of its atoms, no pair cancelled, and the atom set's tables (see
-    ``_cancel_successors``)."""
+def _decide(s: _Search, word: Expr, matchings: list) -> list:
+    """The plan of the live ``word`` that a bundle of a blocks-first parse
+    entered, whose verdict is ``matchings`` (``_may_match``): the children
+    on the first path to each reading that its start has not reached,
+    triples ``(steps, expr, plan)``.
+
+    Atoms are named by their index in ``t``, the tables of the word's atom
+    set.  Each matching gets its reading, its survivor's first-order image
+    (``_image``), and those of readings the start has claimed are dropped.
+    One depth-first search (``_descend``) cancels only the pairs the rest
+    hold, positions left to right and unifiers in ``_pair_unifiers``
+    order, as the loop orders successors, and stops at the first goal of
+    each reading it wants, which it claims (memo ``claimed``).  A state is
+    named ``(t, pos, done)``, the indices left in order and the pairs
+    cancelled, and made once per start (memo ``made``).
+
+    The name fixes the state.  Every live word is an order of one start's
+    atoms, of the kernel's shape (``_matchings``), so each cancel binds a
+    negative atom's own variable once, to its partner's term (``P[#x]``
+    under ``match_app``'s abstraction, applied at ``#x``, gives that term
+    back), and the atoms left are the start's under the solved form of the
+    pairs cancelled, in any order (see ``_chart``).  So an order of a
+    matching that succeeds ends at its image.  An order may fail where
+    another succeeds (``match_app`` fails on a term that holds an
+    application), so only states made are named, and only goals claim:
+    under vacuous abstraction a matching may have no order that succeeds.
+    Each start claims its own readings: homonym starts share indices.
+
+    The loop finds the same derivations.  A start's live words lie at one
+    depth, and so do their goals, so the loop pops first, of one reading's
+    goals from one start, the one on the first path, in successor order,
+    from the first word that reaches it; a depth-first search in that order
+    finds that path first.  A state that an earlier word of the start made
+    reaches only readings of that word (the pairs cancelled both ways in
+    are one matching of each), which are claimed.  The differential tests
+    check this with the claims defeated."""
     t = s.atom_sets[frozenset(map(id, word))][1]
     idx = tuple(t.index[i] for i in map(id, word))
-    return ([frozenset((idx[i], idx[j]) for i, j in m) for m in matchings],
-            idx, 0, t)
+    wanted, carried = set(), []
+    for m in matchings:
+        m = frozenset((idx[i], idx[j]) for i, j in m)
+        reading = _image(t, m)
+        if (t, reading) not in s.claimed:
+            wanted.add(reading)
+            carried.append((m, reading))
+    return _descend(s, t, word, idx, frozenset(), carried, wanted) or []
 
 
-def _carried(viable: tuple, step: CancelStep) -> tuple:
-    """The ``viable`` matchings of a cancel's child: those of its parent
-    that hold the cancelled pair, the atom indices without the pair's, and
-    the cancelled pairs with it (see ``_cancel_successors``)."""
-    matchings, pos, done, t = viable
-    i = step.index
-    pair = pos[i], pos[i + 1]
-    return ([m for m in matchings if pair in m], pos[:i] + pos[i + 2:],
-            done | _pair_bit(t, pair), t)
+def _descend(s: _Search, t: _AtomSet, expr: Expr, pos: tuple,
+             done: frozenset, carried: list, wanted: set) -> Optional[list]:
+    """The plan of ``expr``, a state of ``_decide``'s search named ``(t,
+    pos, done)``, or ``None`` when it reached no reading still ``wanted``.
+    ``carried`` holds the matchings, with their readings, that hold every
+    pair of ``done``, and the state cancels only the pairs of those whose
+    reading is wanted (see ``_may_match``), each a negative and a positive
+    logical atom, the negative one never ground (``_ordered_word``)."""
+    plan = []
+    for i in range(len(pos) - 1):
+        pair = pos[i], pos[i + 1]
+        held = [c for c in carried if pair in c[0] and c[1] in wanted]
+        if not held:
+            continue
+        name = t, pos[:i] + pos[i + 2:], done | {pair}
+        if name in s.made:
+            continue
+        for delta in _pair_unifiers(s, expr[i], expr[i + 1]):
+            s.made.add(name)
+            step = CancelStep((), i, delta)
+            new = _apply(s.lex, expr, step, s.substitutions)
+            if len(new) > 1:
+                below = _descend(s, t, new, name[1], name[2], held, wanted)
+            else:
+                below = _claim(s, t, new, wanted)
+            if below is not None:
+                plan.append(((step,), new, below))
+    return plan or None
 
 
-def _pair_bit(t: _AtomSet, pair: tuple) -> int:
-    """The bit that stands for the pair of ``t``'s atom indices ``pair``,
-    in either order, in a mask of cancelled pairs."""
-    a, b = pair
-    return 1 << (a * len(t.signs) + b if a < b else b * len(t.signs) + a)
+def _claim(s: _Search, t: _AtomSet, expr: Expr,
+           wanted: set) -> Optional[list]:
+    """``[]``, the plan of a goal ``expr`` whose reading is still
+    ``wanted``, which it claims for the start of ``t``; else ``None``."""
+    payload = _single_atom_goal(expr)
+    if payload is None:
+        return None
+    reading = render_term(payload)
+    if reading not in wanted:
+        return None
+    wanted.discard(reading)
+    s.claimed.add((t, reading))
+    return []
+
+
+def _image(t: _AtomSet, m: frozenset) -> str:
+    """The reading of the matching ``m``, pairs of ``t``'s atom indices:
+    its survivor's first-order term under the matching's equations, each
+    binding a negative atom's variable to its partner's term, rendered as
+    ``_search`` keys a result; kept in ``t``."""
+    found = t.images.get(m)
+    if found is None:
+        terms, signs, bound = t.terms, t.signs, {}
+        for a, b in m:
+            if signs[a] > 0:
+                a, b = b, a
+            bound[terms[a].name] = terms[b]
+        # the survivor: the one index of 0 .. n - 1 that no pair holds
+        k = len(terms) * (len(terms) - 1) // 2 - sum(map(sum, m))
+        found = t.images[m] = render_term(canonical_identifiers(
+            _resolve(terms[k], bound, {})))
+    return found
 
 
 def _ordered_word(expr: Expr) -> bool:
@@ -1696,30 +1726,18 @@ def _search(lex: lx.Lexicon, mode: str, start: Expr,
     judged by its matchings (``_may_match``) before the bundle is built, once
     per search (``_block_successors``): a word none of whose matchings can
     cancel is dead, and its bundle is never built, keyed, queued or added to
-    ``visited``.  The check pays because blocks first leave few entering words,
-    most of them dead.  No other search drops a word.  A live word's node reads
-    its viable matchings from the verdict (``_Node.viable``), and cancels only
-    the pairs they hold: each child reads the matchings of its parent that hold
-    its pair (``_carried``), and a state keeps what the first path to reach it
-    carried (see ``_cancel_successors``).  Each such cancel's state is made
-    once: the cancels that leave the same atoms of one start in the same order,
-    having cancelled the same pairs, make one state in any order, so a cancel
-    whose state was made already is not made again; its key is in ``visited``,
-    since no cancel here trips a limit, so the search keeps its states, their
-    order and its results.  ``_may_match`` argues that every path's list holds
-    the matching of every derivation of a reading from the state.  A dropped
-    word never reaches a reading, nor does any state it would reach, and states
-    with equal keys reach the same readings.  So no reading or derivation of a
-    live state changes, live states keep their queue order, and a state that
-    cancels reach with a dead word's key, which ``visited`` does not hold,
-    reaches no reading either.  No bundle trips a limit, so ``truncated`` does
-    not change either.  The tables of a start's atoms keep only the supported
-    pairs when the start holds two negative applications or more
-    (``_atom_set``, ``_supported``), which in ``english.gg`` are its two blocks
-    or more, so most dead words die at the partner scan of ``_matchings``,
-    before the kernel runs; no verdict changes.  A start with one block judges
-    too few words to pay for the support search, and a chart start holds no
-    application.
+    ``visited``.  No other search drops a word.  A dropped word never reaches
+    a reading, nor does any state it would reach, and states with equal keys
+    reach the same readings, so a state that cancels reach with a dead
+    word's key reaches none either.  A live word is decided when its node is
+    expanded (``_decide``): the loop gets only the states on the first path
+    to each reading of each start, in the order it would reach them.  No
+    bundle or cancel trips a limit here, so the readings, their derivations
+    and ``truncated`` do not change.  The tables of a start's atoms keep only
+    the supported pairs when the start holds two negative applications or
+    more (``_atom_set``, ``_supported``), its two blocks or more in
+    ``english.gg``, so most dead words die at the partner scan of
+    ``_matchings``; no verdict changes.
 
     A non-commutative parse whose every start meets ``_chart_word`` and
     ``_ordered_word`` is decided by the chart (``_chart``, which gives the
@@ -1877,24 +1895,28 @@ def _chart(s: _Search, starts: Iterable[_Node],
     first-order reading is its term, and two atoms are partners exactly
     when their terms unify, so ``_matchings`` reads the word as it stands.
 
-    The chart builds the chain that cancels each matching (``_chain``) and
-    reads the matching's reading off the chain's end, the survivor that the
-    cancels leave, by the key the loop records it under.  It keeps the first
-    chain per reading (a later matching of a reading builds its chain and
-    drops it), and stops after ``max_results`` readings, so it builds no
-    chain past the last reading it keeps.  The loop, which records each node
-    as a reading, sets ``truncated`` at the last of them as it does for any
-    search; the readings kept then need not be the ones the loop would have
-    found first.
+    The chart reads each matching's reading off its survivor's image
+    (``_image``), by the key the loop records it under: the image under a
+    most general unifier of the equations, which is the atom that the
+    matching's cancels leave.  It builds the chain that cancels the first
+    matching of each reading (``_chain``) and no other, and stops after
+    ``max_results`` readings, so it builds no chain past the last reading
+    it keeps.  The loop, which records each node as a reading, sets
+    ``truncated`` at the last of them as it does for any search; the
+    readings kept then need not be the ones the loop would have found
+    first.
     """
     ends: dict = {}
     chains: dict = {}
     for start in starts:
-        for pairs in _matchings(s, start.expr):
-            end = _chain(s, start, pairs, chains)
-            key = render_term(_single_atom_goal(end.expr))
+        expr = start.expr
+        found = _matchings(s, expr)
+        t = s.atom_sets[frozenset(map(id, expr))][1]
+        idx = [t.index[i] for i in map(id, expr)]
+        for pairs in found:
+            key = _image(t, frozenset((idx[i], idx[j]) for i, j in pairs))
             if key not in ends:
-                ends[key] = end
+                ends[key] = _chain(s, start, pairs, chains)
                 if len(ends) >= max_results:
                     return list(ends.values())
     return list(ends.values())
@@ -2003,16 +2025,20 @@ def _matchings(s: _Search, word: Expr) -> Optional[Iterable]:
 class _AtomSet:
     """The facts of a set of atoms that ``_matchings`` reads, whatever
     their order, each atom known by its index (``index``, from its id):
-    its sign (``signs``), the indices of its partners (``partners``, by
+    its sign (``signs``), its first-order reading's term (``terms``,
+    ``_first_order``), the indices of its partners (``partners``, by
     ``_may_cancel``, or only the supported ones when the set holds two
     negative applications or more, see ``_atom_set``), and the bitset
-    kernel's tables (``_bit_tables``).  Only a set of the kernel's shape
-    has one."""
+    kernel's tables (``_bit_tables``); and the reading of each matching
+    that ``_image`` has read (``images``).  Only a set of the kernel's
+    shape has one."""
 
     index: dict
     signs: list
+    terms: list
     partners: list
     kernel: tuple
+    images: dict = field(default_factory=dict)
 
 
 def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
@@ -2056,8 +2082,8 @@ def _atom_set(s: _Search, atoms: Expr) -> Optional[_AtomSet]:
                 partners[b].append(a)
     if sum(sign < 0 and bool(r[1]) for sign, r in zip(signs, readings)) > 1:
         partners = _supported(partners, signs, kernel)
-    return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs, partners,
-                    kernel)
+    return _AtomSet({id(a): i for i, a in enumerate(atoms)}, signs,
+                    [r[0] for r in readings], partners, kernel)
 
 
 def _bit_tables(readings: list, signs: list, apps: dict) -> Optional[tuple]:

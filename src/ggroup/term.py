@@ -438,10 +438,13 @@ def match_app(app: App, t: Term, b: Binding = EMPTY_BINDING,
 
 
 def canonical_identifiers(t: Term) -> Term:
-    """Rename identifiers to #x1, #x2, ... in first-occurrence order."""
+    """Rename identifiers to #x1, #x2, ... in first-occurrence order; ``t``
+    itself when they have those names already, or it holds none."""
     mapping: dict[str, str] = {}
     for i in identifiers_in(t):
         mapping.setdefault(i.name, f"x{len(mapping) + 1}")
+    if all(old == new for old, new in mapping.items()):
+        return t
     return _rename_identifiers(t, mapping)
 
 

@@ -222,6 +222,29 @@ def test_a_result_limit_truncates_like_the_search(english, monkeypatch, lex,
         _replays(lex, got)
 
 
+@pytest.mark.parametrize("lex, sentence, count", [
+    (MIRRORED, "john in john saw john in john", 9),
+    (MIRRORED, "john saw john in john in john", 10),
+    (HOMONYM, "the man in paris saw the woman in louise", 76),
+], ids=["mirrored", "mirrored-right", "homonym"])
+def test_the_chart_builds_one_chain_per_reading(monkeypatch, lex, sentence,
+                                                count):
+    # the chart keys each matching by its first-order reading before it
+    # builds the matching's chain: the mirrored sentences have 20 matchings
+    # each, and built 20 chains while each chain was built before its
+    # reading was known
+    real, chains = engine._chain, []
+
+    def counting(*args):
+        chains.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_chain", counting)
+    res = parse(lex, sentence.split(), SearchLimits(max_results=1000))
+    assert len(chains) == len(res.results) == count
+    _replays(lex, res)
+
+
 # sixteen words whose 917 matchings are each a reading of their own
 LONG = "the man in paris in louise saw the woman in john in the man in paris"
 

@@ -6,32 +6,35 @@ makes every bundle and every cancel at every state, as every parse that does
 not place blocks first does, keeps every block-free word and leaves no
 search to the chart (``tests/test_chart.py`` checks the chart against the
 search on its own).  An ordered parse places every block before any cancel.
-Both searches must find the same readings and agree on truncation, and
-every derivation of the pruned search must replay, on the sentences, their
+Both searches must find the same readings and agree on truncation, and every
+derivation of the pruned search must replay, on the sentences, their
 shuffled words, the strings of every shape fill and random starts, and under
-a result limit.  Random ordered starts, which place blocks first, are
-checked against the reference too, alone and as pairs of starts whose paths
-meet, and the search must expand each state key once.  The dropped
-block-free words, none of whose matchings can cancel, are checked against
-the same search keeping them: the same readings, rendered derivations and
-truncation.  The check must also keep every block-free word of the
-unpruned search that reaches a reading on its own.  The block phase judges
-each entering word before it builds the bundle: a state's bundles must be
-those of the plain search whose words the check keeps, in order.  A live word carries
-its viable matchings down its cancels, and cancels only their pairs: the
-cancels of each reading of the search that carries none must form one of
-the matchings of the word they start from, and each state must carry
-exactly those of its path.  A cancel whose state the search has made
-already is not made again: the search must expand the same state keys in
-the same order with that memo as without it, with the same readings,
-derivations and truncation, each cancel it drops must make a state whose
-key the search has seen, and each search must start with a memo of its
-own.  The pairing relation only prunes: taking every
-pair of atoms as partners leaves each word's matchings, and the chart's
-readings and derivations, as they are.  The bitset kernel that decides the
-matchings' equations must find, on every word that the searches judge, the
-matchings that the term-level equations of ``matching_oracle`` find, in the
-same order, and every atom set that a search builds must be of its shape.
+a result limit.  Random ordered starts, which place blocks first, are checked
+against the reference too, alone and as pairs of starts whose paths meet,
+and the search must expand each state key once.  The dropped block-free
+words, none of whose matchings can cancel, are checked against the same
+search keeping them: the same readings, rendered derivations and truncation.
+The check must also keep every block-free word of the unpruned search that
+reaches a reading on its own.  The block phase judges each entering word
+before it builds the bundle: a state's bundles must be those of the plain
+search whose words the check keeps, in order.  A live word is decided as it
+enters: one depth-first search of its cancels builds only the first path to
+each reading its start has not claimed.  The cancels of each reading of the
+search that keeps every word must form one of the matchings of the word they
+start from, and each state of a decision must lie on paths to goals whose
+cancels are a matching of their word with the goal's reading as its image.
+With the claims defeated, and with the memo of states made defeated too, the
+search must find the same readings, derivations and truncation, and, but on
+pairs of starts of two sizes, expand the same state keys in the same order;
+each search must start with memos of its own.  Every order of a live word's
+cancels that reaches a goal must end at its matching's image, and an image
+that no order reaches is never claimed.  The pairing relation only prunes:
+taking every pair of atoms as partners leaves each word's matchings, and the
+chart's readings and derivations, as they are.  The bitset kernel that
+decides the matchings' equations must find, on every word that the searches
+judge, the matchings that the term-level equations of ``matching_oracle``
+find, in the same order, and every atom set that a search builds must be of
+its shape.
 
 A bundle, one ``DissolveStep``, is checked against the three steps it stands
 for (move the block, rotate it, dissolve it, each a splice and a
@@ -86,8 +89,8 @@ GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 def _no_drop(m):
     """Keep every block-free word.  ``True`` from ``_may_match`` is also
-    what turns off the carried matchings: no node carries any, and every
-    block-free word makes every cancel."""
+    what turns off the decisions: no word is decided, and every block-free
+    word makes every cancel."""
     m.setattr(engine, "_may_match", lambda *args: True)
 
 
@@ -584,17 +587,20 @@ TWO_STARTS = [
 ]
 
 
-def _two_starts(text):
+def _two_starts(text, wide_first=False):
     """A search of two ordered starts of different sizes, as homonyms give:
     the wider one prepends ``c Z^-1`` to ``text``, whose cancel reaches the
-    narrower one a step later, so paths of two lengths meet in one state."""
+    narrower one a step later, so paths of two lengths meet in one state.
+    The narrower start comes first, or the wider one with ``wide_first``."""
     wide = engine.parse_expr("c Z^-1 " + text, ())
     (delta,) = unify(parse_term("Z"), parse_term("c"), EMPTY_BINDING, False)
     step = CancelStep((), 0, delta)
     narrow = engine.apply_step(RAW, wide, step)
     assert engine._ordered_word(wide) and engine._ordered_word(narrow)
-    return functools.partial(engine._search, RAW, "parse", wide,
-                             [((step,), narrow), ((), wide)], LIM)
+    starts = [((step,), narrow), ((), wide)]
+    if wide_first:
+        starts.reverse()
+    return functools.partial(engine._search, RAW, "parse", wide, starts, LIM)
 
 
 def _expanded_once(monkeypatch, run, keys_judged_once=False):
@@ -838,42 +844,51 @@ def test_carried_matchings_hold_every_reading(english, undropped, sentence):
     assert res.results
 
 
+def _plan_leaves(plan, steps=()):
+    """Each goal that ``plan`` (``engine._Node.plan``) ends at, with the
+    steps of its path from the plan's node."""
+    for child_steps, expr, below in plan:
+        if below:
+            yield from _plan_leaves(below, steps + child_steps)
+        else:
+            yield steps + child_steps, expr
+
+
 @pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
-def test_each_state_carries_the_matchings_of_its_path(english, monkeypatch,
+def test_each_decided_state_is_on_a_path_to_a_reading(english, monkeypatch,
                                                       sentence):
-    # each block-free state the search expands carries the matchings of
-    # the word its path entered by that hold every pair the path cancelled
-    # since, the word's position of each of its atoms and the pairs
-    # cancelled, each position named by its atom's index in the tables of
-    # the search's atom set of the word
-    real, carried = engine._cancel_successors, []
+    # each block-free state the search expands with a plan lies on paths
+    # to goals only, and each goal's cancels since its word entered are a
+    # matching of that word whose image is the goal's reading, one of the
+    # search's
+    real, planned = engine._cancel_successors, []
 
     def recording(s, node):
         out = real(s, node)
-        root = entered = node
-        while root.parent is not None:
-            root = root.parent
-        while type(entered.steps[0]) is CancelStep:
-            entered = entered.parent
-        tables = s.atom_sets[frozenset(map(id, entered.expr))][1]
-        names = [tables.index[id(a)] for a in entered.expr]
-        carried.append((root.expr, node.derivation_steps(), node.viable,
-                        tables, names))
+        if node.plan is not None:
+            root = node
+            while root.parent is not None:
+                root = root.parent
+            planned.append((root.expr, node.derivation_steps(), node.plan))
         return out
 
     monkeypatch.setattr(engine, "_cancel_successors", recording)
-    assert parse(english, sentence.split(), LIM).results
+    res = parse(english, sentence.split(), LIM)
     s = engine._Search(english, blocks_first=True)
-    for start, steps, viable, tables, names in carried:
-        word, pairs, pos = _entering_word(english, start, steps)
-        want = [m for m in engine._may_match(s, word) if m.issuperset(pairs)]
-        done = sum(engine._pair_bit(tables, (names[i], names[j]))
-                   for i, j in pairs)
-        assert viable == ([frozenset((names[i], names[j]) for i, j in m)
-                           for m in want],
-                          tuple(names[p] for p in pos), done, tables), \
-            render_expr(word)
-    assert carried
+    leaves = 0
+    for start, steps, plan in planned:
+        for path, end in _plan_leaves(plan):
+            word, pairs, pos = _entering_word(english, start, steps + path)
+            assert len(pos) == 1 and engine._single_atom_goal(end) is not None
+            assert frozenset(pairs) in engine._may_match(s, word)
+            t = s.atom_sets[frozenset(map(id, word))][1]
+            names = [t.index[id(a)] for a in word]
+            reading = engine._image(
+                t, frozenset((names[i], names[j]) for i, j in pairs))
+            assert reading == render_term(engine._single_atom_goal(end))
+            assert reading in _readings(res), render_expr(word)
+            leaves += 1
+    assert leaves >= len(res.results)
 
 
 @pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
@@ -989,149 +1004,242 @@ def test_partners_only_prune(english, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the memo of cancels made (``engine._Search.made``): a cancel whose start,
-# atoms left and pairs cancelled the search has made already is not made
-# again, and the search is the one that makes it
+# the decision of a live word (``engine._decide``): one depth-first search
+# of its cancels, which stops at the first goal of each reading that its
+# start has not claimed (the memo ``engine._Search.claimed``), makes each
+# state of a start once (the memo ``made``), and keeps only the children
+# on the paths it found
 
 
 class _NeverHit(set):
-    """A memo of cancels made that keeps every entry and finds none."""
+    """A memo that keeps every entry and finds none."""
 
     def __contains__(self, key):
         return False
 
 
-def _made_run(run, defeated):
-    """``run()`` with the memo of cancels made intact, or ``defeated``, so
-    that it never hits: the result, the key of each state asked for
-    successors, in order, and the number of keys computed.  With the memo
-    intact, each cancel that the memo drops is made on the side, with the
-    search's memos left alone, and its state's key must be one the search
-    has computed already, so one that ``visited`` holds: the count of them
-    is returned too.  The side run builds each state with ``_apply``, as
-    the search does."""
-    real_key, real_cancels = engine._canonical_key, engine._cancel_successors
-    real_blocks, real_context = engine._block_successors, engine._Search
-    seen, expanded, dropped, calls = set(), [], [0], [0]
-
-    def keying(expr, commutative):
-        calls[0] += 1
-        key = real_key(expr, commutative)
-        seen.add(key)
-        return key
+def _decided_run(run, defeated=()):
+    """``run()`` with the memos of the context named in ``defeated``
+    replaced by ones that never hit: the result, the key of each state
+    asked for successors, in order, and the number of cancel successors
+    returned."""
+    real_context = engine._Search
+    real_cancels, real_blocks = engine._cancel_successors, \
+        engine._block_successors
+    expanded, returned = [], [0]
 
     def context(*args, **kwargs):
         s = real_context(*args, **kwargs)
-        s.made = _NeverHit()
+        for name in defeated:
+            setattr(s, name, _NeverHit())
         return s
 
     def blocks(s, node):
-        expanded.append(real_key(node.expr, False))
+        expanded.append(engine._canonical_key(node.expr, False))
         return real_blocks(s, node)
 
     def cancels(s, node):
-        expanded.append(real_key(node.expr, False))
-        if defeated:
-            return real_cancels(s, node)
-        # the same context without the memo and with memos of its own for
-        # unifiers and substitutions, so the side run changes nothing that
-        # the search reads later
-        side = real_context(s.lex, s.allow_vacuous, s.blocks_first,
-                            judged=s.judged, atom_sets=s.atom_sets,
-                            made=_NeverHit())
-        every = real_cancels(side, node)
+        expanded.append(engine._canonical_key(node.expr, False))
         out = real_cancels(s, node)
-        made = [render_step(steps[0]) for steps, _ in out]
-        kept = iter(made)
-        for steps, new in every:
-            if render_step(steps[0]) in made:
-                assert render_step(steps[0]) == next(kept)
-                continue
-            assert real_key(new, False) in seen, render_expr(new)
-            dropped[0] += 1
-        assert next(kept, None) is None
+        returned[0] += len(out)
         return out
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "_canonical_key", keying)
+        m.setattr(engine, "_Search", context)
         m.setattr(engine, "_cancel_successors", cancels)
         m.setattr(engine, "_block_successors", blocks)
-        if defeated:
-            m.setattr(engine, "_Search", context)
         res = run()
-    return res, expanded, calls[0], dropped[0]
+    return res, expanded, returned[0]
 
 
-def _check_made(run):
-    """The search with the memo of cancels made against the same search
-    with the memo defeated: the same states expanded in the same order, the
-    same readings, rendered derivations and truncation.  Returns how many
-    cancels the memo dropped."""
-    got, expanded, calls, dropped = _made_run(run, defeated=False)
-    want, expanded_all, calls_all, _ = _made_run(run, defeated=True)
-    _same_results(got, want)
-    assert expanded == expanded_all
-    assert calls_all - calls == dropped
-    return dropped
+def _check_claims(run, in_order=True):
+    """The search against the same search with the claims defeated, so
+    that each word searches every reading of its matchings, and against
+    the one with the memo of states made defeated too, so that each word
+    searches every order of its cancels: the same readings, rendered
+    derivations and truncation, and, ``in_order``, each state that the
+    search expands is expanded by the other two, in the same order.
+    Returns how many cancel successors the claims saved."""
+    got, expanded, returned = _decided_run(run)
+    for defeated in (("claimed",), ("claimed", "made")):
+        want, expanded_all, returned_all = _decided_run(run, defeated)
+        _same_results(got, want)
+        rest = iter(expanded_all)
+        assert not in_order or all(key in rest for key in expanded)
+        if defeated == ("claimed",):
+            saved = returned_all - returned
+    assert saved >= 0
+    return saved
 
 
-MADE_LIMITS = [LIM, SearchLimits(max_results=2)]
+DECIDED_LIMITS = [LIM, SearchLimits(max_results=1), SearchLimits(max_results=2)]
+DECIDED_IDS = ["all", "max_results=1", "max_results=2"]
 
 
-@pytest.mark.parametrize("lim", MADE_LIMITS, ids=["all", "max_results=2"])
+@pytest.mark.parametrize("lim", DECIDED_LIMITS, ids=DECIDED_IDS)
 @pytest.mark.parametrize("sentence", QUANTIFIED + RELATIVES + PPS)
-def test_the_memo_of_cancels_made_changes_no_search(english, sentence, lim):
-    # blocks first: every live word is an order of one start's atoms, and
-    # the atoms that a cancel leaves are the start's under the solved
-    # equations of the pairs cancelled, in any order
-    dropped = _check_made(functools.partial(parse, english, sentence.split(),
-                                            lim))
-    assert dropped or lim is not LIM
+def test_the_claims_change_no_search(english, sentence, lim):
+    # blocks first: every live word of a start is an order of its atoms,
+    # at one depth, and reaches its readings at one depth
+    assert _check_claims(functools.partial(parse, english, sentence.split(),
+                                           lim))
 
 
-@pytest.mark.parametrize("lim", MADE_LIMITS, ids=["all", "max_results=2"])
-def test_the_memo_of_cancels_made_keeps_homonyms_apart(lim):
+@pytest.mark.parametrize("lim", DECIDED_LIMITS, ids=DECIDED_IDS)
+def test_the_claims_keep_homonyms_apart(lim):
     # one start per assignment of relators to the homonyms: atoms of two
-    # starts at the same index are different atoms
+    # starts at the same index are different atoms, and each start claims
+    # its own readings
     from test_homonyms import HOMONYM, SENTENCES
-    dropped = sum(_check_made(functools.partial(parse, HOMONYM,
+    saved = sum(_check_claims(functools.partial(parse, HOMONYM,
                                                 sentence.split(), lim))
-                  for sentence, _ in SENTENCES)
-    assert dropped > 100
+                for sentence, _ in SENTENCES)
+    assert saved > 50
 
 
 @pytest.mark.parametrize("make, seed, count", [
     (_scoped_start, 43, 100), (_scoped_start, 5, 100),
     (_ordered_start, 41, 200)], ids=["scoped-43", "scoped-5", "ordered-41"])
-def test_the_memo_of_cancels_made_changes_no_random_start(make, seed, count):
+def test_the_claims_change_no_random_start(make, seed, count):
     rng = random.Random(seed)
-    dropped = 0
+    saved = 0
     for n in range(count):
         start = make(rng)
         run = functools.partial(_search, start)
         try:
-            dropped += _check_made(run)
+            saved += _check_claims(run)
         except AssertionError as e:
             raise AssertionError(f"start {n}: {render_expr(start)}") from e
-    assert dropped > 100
+    assert saved > 1000
 
 
-def test_each_search_has_a_memo_of_cancels_made_of_its_own(english,
-                                                         monkeypatch):
-    # the memo names states by the tables of the search's own atom sets: one
-    # that outlived its search would keep every search's tables alive
+def _goals_in_every_order(s, word):
+    """Each goal that the cancels of the block-free ``word`` reach, in any
+    order, in a context like ``s`` that makes every cancel: pairs
+    ``(pairs, reading)``, the set of the word's position pairs that the
+    goal's path cancelled and its rendered reading.  A state is named by
+    the positions left and the pairs cancelled, and a state that another
+    order names again must be the same expression."""
+    plain = engine._Search(s.lex, s.allow_vacuous)
+    states = {(tuple(range(len(word))), frozenset()): word}
+    todo, goals = list(states), []
+    while todo:
+        pos, done = todo.pop()
+        node = engine._Node(states[pos, done], 0, None, ())
+        for (step,), new in engine._cancel_successors(plain, node):
+            i = step.index
+            name = pos[:i] + pos[i + 2:], done | {(pos[i], pos[i + 1])}
+            if name in states:
+                assert states[name] == new, render_expr(word)
+                continue
+            states[name] = new
+            payload = engine._single_atom_goal(new)
+            if payload is not None:
+                goals.append((name[1], render_term(payload)))
+            elif len(new) > 1:
+                todo.append(name)
+    return goals
+
+
+def _images(s, word):
+    """The image (``engine._image``) of each matching of the live ``word``
+    that ``s`` judged, by the matching, a frozenset of position pairs."""
+    t = s.atom_sets[frozenset(map(id, word))][1]
+    names = [t.index[id(a)] for a in word]
+    return {m: engine._image(t, frozenset((names[i], names[j])
+                                          for i, j in m))
+            for m in s.judged[tuple(map(id, word))]}
+
+
+@pytest.mark.parametrize("wide_first", [False, True],
+                         ids=["narrow-first", "wide-first"])
+def test_the_claims_keep_starts_of_two_sizes_apart(monkeypatch, wide_first):
+    # the pairs of ``TWO_STARTS`` over random ordered starts: the words of
+    # both starts lie at one depth, and the narrower start's goals one
+    # cancel higher, so a reading that the wider start claims first is
+    # still found first from the narrower one.  The two starts' paths meet
+    # in states of equal keys, so which node expands such a key depends on
+    # the paths each search keeps: only the results must be equal.  The
+    # chart would decide the block-free starts, so the search does
+    _no_chart(monkeypatch)
+    rng = random.Random(7)
+    saved = 0
+    for n in range(100):
+        text = render_expr(_ordered_start(rng))
+        try:
+            saved += _check_claims(_two_starts(text, wide_first),
+                                   in_order=False)
+        except AssertionError as e:
+            raise AssertionError(f"start {n}: {text}") from e
+    assert saved > 100
+
+
+# one sentence of each shape of the corpora: the sentences of one shape
+# differ in their nouns and names only, and under vacuous abstraction each
+# takes a second or more
+SHAPES = [QUANTIFIED[0], RELATIVES[0], RELATIVES[3], PPS[0]]
+
+
+@pytest.mark.parametrize("lim, sentences", [
+    (LIM, QUANTIFIED + RELATIVES + PPS), (VACUOUS, SHAPES)],
+    ids=["default", "vacuous"])
+def test_every_matching_that_reaches_a_goal_ends_at_its_image(
+        english, lim, sentences):
+    # the premise of the claims: every order of a live word's cancels that
+    # reaches a goal cancels the pairs of one of its matchings, and ends at
+    # that matching's image
+    reached = 0
+    for sentence in sentences:
+        for s, word in _judged_words(parse, english, sentence.split(), lim):
+            if s.judged[tuple(map(id, word))] in ((), True):
+                continue
+            images = _images(s, word)
+            for pairs, reading in _goals_in_every_order(s, word):
+                assert images[pairs] == reading, render_expr(word)
+                reached += 1
+    assert reached > 1000
+
+
+def test_an_image_that_no_order_reaches_is_never_claimed(english, reference):
+    # under vacuous abstraction the bitset kernel checks no application, so
+    # it keeps matchings that pair ``P[#x]^-1`` with ``#x`` itself, the
+    # identity abstraction, which ``match_app`` always rejects: no order of
+    # their cancels succeeds, and their images are no readings.  The search
+    # wants them and never claims them
+    words, found = "every man saw every man".split(), []
+    judged = _judged_words(lambda: found.append(parse(english, words,
+                                                      VACUOUS)))
+    (s,) = {s for s, _ in judged}
+    images = set()
+    for _, word in judged:
+        if s.judged[tuple(map(id, word))]:
+            images.update(_images(s, word).values())
+    (res,) = found
+    readings = _readings(res)
+    assert (len(images), len(readings)) == (99, 71)
+    assert readings < images and not res.truncated
+    assert {reading for _, reading in s.claimed} == readings
+    assert readings == _readings(reference(parse, english, words, VACUOUS))
+
+
+def test_each_search_has_memos_of_its_own(english, monkeypatch):
+    # the memos name states and readings by the tables of the search's own
+    # atom sets: one that outlived its search would keep every search's
+    # tables alive
     real, first = engine._cancel_successors, {}
 
     def cancels(s, node):
-        first.setdefault(id(s), (s, len(s.made)))
+        first.setdefault(id(s), (s, len(s.made), len(s.claimed)))
         return real(s, node)
 
     monkeypatch.setattr(engine, "_cancel_successors", cancels)
     for _ in range(2):
         parse(english, "every man saw some woman".split(), LIM)
-    (one, made_one), (two, made_two) = first.values()
-    assert made_one == made_two == 0
-    assert one.made and two.made and one.made is not two.made
+    (one, *empty_one), (two, *empty_two) = first.values()
+    assert empty_one == empty_two == [0, 0]
+    for name in ("made", "claimed"):
+        mine, theirs = getattr(one, name), getattr(two, name)
+        assert mine and theirs and mine is not theirs
 
 
 # ---------------------------------------------------------------------------

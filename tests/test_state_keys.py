@@ -277,23 +277,27 @@ def _family():
 # while each dead word was built and keyed before it was judged, and
 # 212/106 and 744/277 while a live word's cancels were made again in every
 # order that reaches them: the memo of cancels made keys no duplicate
-# there), and
+# there, and 106/106 and 277/277 while a live word made the cancels of
+# every order that its viable matchings hold, each state once, before each
+# live word came to build only the first path to each reading its start
+# has not reached), and
 # generating with one expansion order and placement only where nothing
 # expands (the full search keys 62/33 and 572612/100237 for the two forms);
 # a change that prunes or reorders states updates them on purpose.
 PINNED = [
     ("parse the man that louise saw ran",
-     lambda: parse(_english(), "the man that louise saw ran".split()), 106, 106),
+     lambda: parse(_english(), "the man that louise saw ran".split()), 39, 39),
     ("parse john saw every woman in paris",
-     lambda: parse(_english(), "john saw every woman in paris".split()), 277, 277),
+     lambda: parse(_english(), "john saw every woman in paris".split()), 34, 34),
     # two quantifiers and a phrase: 49356/20709 while a live word made
     # every cancel, 8502/4392 while cancels were skipped, 12828/4392 while
     # the pairwise check dropped words, 13788/4868 while each dead word was
     # built and keyed, 12065/4018 while a live word's cancels were made
-    # again in every order that reaches them
+    # again in every order that reaches them, 4113/4018 while a live word
+    # made every state its viable matchings reach
     ("parse every man saw some woman in paris",
      lambda: parse(_english(), "every man saw some woman in paris".split()),
-     4113, 4018),
+     334, 239),
     # a start past the size limit: blocks do not come first, and every state
     # with a block gets every bundle beside its cancels and drops no word
     # (6370/3225 while such a parse postponed placement, 18726/5409 while
@@ -364,17 +368,20 @@ def test_search_keys_the_pinned_states(monkeypatch, query, run, calls, distinct)
 # block outputs 13, 24 and 1980, for the same calls.  While a live word's
 # cancels were made again in every order that reaches them, the three
 # blocks-first parses read cancel outputs 206, 734 and 11807, for the same
-# calls.
+# calls.  While a live word made every state that its viable matchings
+# reach, not only the first path to each reading its start had not
+# reached, the three blocks-first parses read cancel (98, 100), (271, 267)
+# and (3944, 3855).
 SUCCESSORS = {"_expand_successors": "expand", "_cancel_successors": "cancel",
               "_block_successors": "block", "_swap_cancel_successors": "swap",
               "_saturate_successors": "saturate"}
 SUCCESSOR_PINS = {
     "parse the man that louise saw ran":
-        {"cancel": (98, 100), "block": (1, 5)},
+        {"cancel": (31, 33), "block": (1, 5)},
     "parse john saw every woman in paris":
-        {"cancel": (271, 267), "block": (1, 9)},
+        {"cancel": (28, 24), "block": (1, 9)},
     "parse every man saw some woman in paris":
-        {"cancel": (3944, 3855), "block": (61, 257)},
+        {"cancel": (165, 76), "block": (61, 257)},
     "parse every man saw some woman, max_items=13":
         {"cancel": (9787, 21307), "block": (978, 14392)},
     "generate ev(m,#x1,r(#x1))": {"expand": (11, 3), "block": (1, 9)},

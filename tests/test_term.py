@@ -71,7 +71,10 @@ def test_parse_accepts_terms_at_the_depth_bound():
     b = Binding({"A": Const("j")})
     assert render_term(substitute(deep, b)) == _nested(MAX_TERM_DEPTH)
     assert unify(deep, parse_term(_nested(MAX_TERM_DEPTH))) == [b]
-    assert canonical_identifiers(deep) == deep
+    assert canonical_identifiers(deep) is deep
+    named = parse_term(_nested(MAX_TERM_DEPTH, "#a"))
+    assert render_term(canonical_identifiers(named)) == \
+        _nested(MAX_TERM_DEPTH, "#x1")
     assert hash(deep) == hash(parse_term(_nested(MAX_TERM_DEPTH, "A")))
 
 
@@ -134,8 +137,12 @@ def test_canonical_identifiers_first_occurrence_order():
     lf = t("sm(w,#b,ev(m,#a,s(#a,#b)))")
     assert render_term(canonical_identifiers(lf)) == \
         "sm(w,#x1,ev(m,#x2,s(#x2,#x1)))"
-    already = t("s(#x1,#x2)")
-    assert canonical_identifiers(already) == already
+    # a term whose identifiers have their canonical names already, or that
+    # holds none, comes back as the same object
+    for already in (t("s(#x1,#x2)"), t("s(j,f(l))")):
+        assert canonical_identifiers(already) is already
+    swapped = t("s(#x2,#x1)")
+    assert render_term(canonical_identifiers(swapped)) == "s(#x1,#x2)"
 
 
 # ---------------------------------------------------------------------------
